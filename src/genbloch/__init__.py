@@ -63,12 +63,12 @@ from .linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    quartic_roots,
 )
 from .spectra import (
     Spectrum,
     degeneracy_pattern,
     factorized_charpoly,
+    normal_form_eigenvalues,
     numeric_spectrum,
     quartet_eigenvalues,
     spectrum_from_values,

@@ -30,7 +30,7 @@ from .coords import (
     encode,
     vector,
 )
-from .errors import GenblochError, UsageError
+from .errors import GenblochError, NonFiniteResult, UsageError
 from .linalg import char_poly, matrix_from_json, matrix_to_json
 
 
@@ -59,7 +59,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _dump_json(obj, path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True), path)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult("result is not finite (input beyond floating-point range?)") from exc
+    _emit(text, path)
 
 
 def _load_state(path: str, m: int | None, mode: str):
@@ -120,21 +124,19 @@ def _validate_verdict(coords: StateCoords, rho, tol: float):
         if kind == "vector":
             g1, pseudo = payload
             return domains.vector_domain(g1, pseudo, tol), "vector_ball"
+        inv = invariants.two_tensor_invariants(payload)
         if coords.m == 2:
-            inv = invariants.two_tensor_invariants(payload)
             return domains.rT4_domain(inv.r, inv.T4, tol), "r_T4_region"
-        if coords.m == 3:
-            inv = invariants.two_tensor_invariants(payload)
-            min_eig = float(np.min(spectra.quartet_eigenvalues(coords.m, inv)))
-            admissible = min_eig >= -tol
-            verdict = domains.DomainVerdict(
-                admissible=admissible,
-                boundary=admissible and abs(min_eig) <= tol,
-                violated=None if admissible else "quartet_positivity",
-                invariants_used=inv,
-                tol=tol,
-            )
-            return verdict, "quartet_roots"
+        min_eig = domains.closed_form_min_eigenvalue(coords.m, 2, payload)
+        admissible = min_eig >= -tol
+        verdict = domains.DomainVerdict(
+            admissible=admissible,
+            boundary=admissible and abs(min_eig) <= tol,
+            violated=None if admissible else "quartet_positivity",
+            invariants_used=inv,
+            tol=tol,
+        )
+        return verdict, "quartet_roots"
     return domains.descartes_positivity(char_poly(rho), tol), "descartes_rule"
 
 

@@ -32,16 +32,9 @@ from .errors import (
     ResourceLimit,
     UnsupportedM,
 )
-from .invariants import (
-    InvariantSet,
-    dual_tensor,
-    pfaffian,
-    trace_T4,
-    two_tensor_invariants,
-    vector_invariants,
-)
+from .invariants import InvariantSet, dual_tensor, pfaffian, trace_T4, vector_invariants
 from .linalg import hermitian_eigenvalues
-from .spectra import quartet_eigenvalues
+from .spectra import normal_form_eigenvalues
 
 DEFAULT_TOL = 1e-9
 ORACLE_TOL = 1e-9
@@ -194,7 +187,7 @@ def closed_form_min_eigenvalue(m: int, k: int, tensor: AntisymTensor,
         norm = math.sqrt(vector_invariants(tensor, pseudoscalar).r)
         return (1.0 - norm) / 2 ** m
     if k == 2:
-        return float(np.min(quartet_eigenvalues(m, two_tensor_invariants(tensor))))
+        return float(normal_form_eigenvalues(tensor)[0])
     raise GradeOutOfRange("closed forms exist for grades 1 and 2 only")
 
 

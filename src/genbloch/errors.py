@@ -13,10 +13,6 @@ class NoConvergence(GenblochError, RuntimeError):
     pass
 
 
-class DegreeMismatch(GenblochError, ValueError):
-    pass
-
-
 class ResourceLimit(GenblochError, ValueError):
     pass
 
@@ -69,16 +65,16 @@ class ComplexRoots(GenblochError, ArithmeticError):
     """
 
 
-class ClosedFormMismatch(GenblochError, RuntimeError):
-    """Closed-form spectrum disagrees with the numeric oracle.
+class InvariantMismatch(GenblochError, ArithmeticError):
+    """An identity between rotation invariants failed numerically.
 
-    Carries the residual so callers see how far off the factorized form is
-    instead of silently receiving wrong eigenvalues.
+    Raised when T4 exceeds its bound 2 r^2, or when the epsilon sum for D3
+    disagrees with 48 times the Pfaffian.
     """
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+
+class NonFiniteResult(GenblochError, ValueError):
+    """A result holds inf or NaN, which has no JSON spelling."""
 
 
 class NegativeDiscriminant(GenblochError, ValueError):

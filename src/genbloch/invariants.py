@@ -7,10 +7,12 @@ invariants are
     T4 = trace((G^T G)^2)          (degree 4)
     D3 = eps_{i1..i6} G_{i1 i2} G_{i3 i4} G_{i5 i6}   (degree 3, six indices)
 
-D3 equals 48 times the Pfaffian of G; both routes are computed and compared
-on every call.  The dual-tensor constructions tie 2 r^2 - T4 to quadratic
-functions of the dual, which is what makes the z variable of the domains
-module computable directly from the coordinates.
+D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
+computes it; the 720-term epsilon sum stays available as epsilon_sum_D3,
+and epsilon_D3 checks the identity between the two.  The dual-tensor
+constructions tie 2 r^2 - T4 to quadratic functions of the dual, which is
+what makes the z variable of the domains module computable directly from
+the coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, GradeMismatch, UnknownName, UnsupportedM
+from .errors import (
+    DimensionMismatch,
+    GradeMismatch,
+    InvariantMismatch,
+    UnknownName,
+    UnsupportedM,
+)
 
 
 def perm_sign(perm) -> int:
@@ -104,7 +112,7 @@ def epsilon_D3(g: AntisymTensor) -> float:
     fast = 48.0 * pfaffian(_require_grade2(g).as_matrix())
     scale = max(1.0, abs(brute))
     if abs(brute - fast) > 1e-10 * scale:
-        raise ArithmeticError(f"eps-sum {brute} and 48*Pf {fast} disagree")
+        raise InvariantMismatch(f"eps-sum {brute} and 48*Pf {fast} disagree")
     return brute
 
 
@@ -227,14 +235,13 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     r = frobenius_r(g)
     t4 = trace_T4(g)
     if t4 > 2.0 * r * r + 1e-9 * max(1.0, r * r):
-        raise ArithmeticError(f"T4 = {t4} exceeds the Cauchy-Schwarz bound 2 r^2 = {2 * r * r}")
+        raise InvariantMismatch(f"T4 = {t4} exceeds the Cauchy-Schwarz bound 2 r^2 = {2 * r * r}")
     d3 = None
     extras = {}
-    if g.side == 4:
+    if g.side in (4, 6):
         extras["pfaffian"] = float(pfaffian(g.as_matrix()))
     if g.side == 6:
-        d3 = epsilon_D3(g)
-        extras["pfaffian"] = d3 / 48.0
+        d3 = 48.0 * extras["pfaffian"]
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
 
 

@@ -1,23 +1,22 @@
 """Dense complex linear algebra kernels.
 
-Kronecker products, a cyclic Jacobi eigensolver for hermitian matrices,
-Faddeev-LeVerrier characteristic polynomials and closed-form low-degree
-root solvers. Everything operates on plain ``complex128`` numpy arrays.
+Kronecker products, a cyclic Jacobi eigensolver for hermitian matrices
+and Faddeev-LeVerrier characteristic polynomials. Everything operates on
+plain ``complex128`` numpy arrays.
 
 The Jacobi solver is the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, so it deliberately shares
-no code with the characteristic-polynomial or quartic-root paths: the two
-routes stay independently checkable against each other.
+no code with the characteristic-polynomial path or with the normal-form
+spectra: the routes stay independently checkable against each other.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .errors import DegreeMismatch, NoConvergence, NotHermitian
+from .errors import NoConvergence, NotHermitian
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -154,154 +153,6 @@ def char_poly(a, herm_tol: float = 1e-10) -> np.ndarray:
     if imag_res > 1e-10 * scale:
         raise NotHermitian(f"characteristic polynomial has imaginary residue {imag_res:.3e}")
     return coeffs.real.copy()
-
-
-def polyval(coeffs, x):
-    """Evaluate a polynomial given ascending coefficients (Horner)."""
-    total = 0.0j
-    for c in reversed(list(coeffs)):
-        total = total * x + c
-    return total
-
-
-def _cubic_real_roots(b2: float, b1: float, b0: float):
-    """All real roots of x^3 + b2 x^2 + b1 x + b0 (Cardano / trigonometric)."""
-    p = b1 - b2 * b2 / 3.0
-    q = 2.0 * b2 ** 3 / 27.0 - b2 * b1 / 3.0 + b0
-    shift = -b2 / 3.0
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
-    if disc >= 0.0 and p < 0.0:
-        # three real roots
-        rho = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * rho)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg)
-        return [shift + rho * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3)]
-    # one real root via Cardano (disc < 0 implies inner > 0; disc = -108*inner)
-    inner = q * q / 4.0 + p ** 3 / 27.0
-    s = math.sqrt(max(inner, 0.0))
-    return [shift + float(np.cbrt(-q / 2.0 + s)) + float(np.cbrt(-q / 2.0 - s))]
-
-
-def _durand_kerner(monic: np.ndarray) -> np.ndarray:
-    """Simultaneous iteration for all roots of a monic polynomial."""
-    deg = len(monic) - 1
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = np.array([radius * (0.4 + 0.9j) ** k for k in range(1, deg + 1)], dtype=complex)
-    for _ in range(200):
-        step = 0.0
-        for i in range(deg):
-            denom = 1.0 + 0.0j
-            for j in range(deg):
-                if j != i:
-                    denom *= z[i] - z[j]
-            if denom == 0:
-                denom = 1e-300
-            d = polyval(monic, z[i]) / denom
-            z[i] -= d
-            step = max(step, abs(d))
-        if step < 1e-15 * max(1.0, radius):
-            break
-    return z
-
-
-def _newton_polish(monic: np.ndarray, roots: np.ndarray, iters: int = 2) -> np.ndarray:
-    deriv = np.array([k * monic[k] for k in range(1, len(monic))])
-    out = roots.astype(complex).copy()
-    for _ in range(iters):
-        for i, z in enumerate(out):
-            dp = polyval(deriv, z)
-            if abs(dp) > 1e-300:
-                out[i] = z - polyval(monic, z) / dp
-    return out
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    return np.array([k * coeffs[k] for k in range(1, len(coeffs))])
-
-
-def _refine_multiple_roots(monic: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Sharpen root clusters: a k-fold root is a simple root of the (k-1)-th
-    derivative, so refining the cluster centroid there recovers the accuracy
-    that any coefficient-based solver loses near multiple roots."""
-    out = roots.astype(complex).copy()
-    scale = 1.0 + float(np.max(np.abs(out)))
-    tol = 1e-5 * scale
-    used = np.zeros(len(out), dtype=bool)
-    for i in range(len(out)):
-        if used[i]:
-            continue
-        cluster = [j for j in range(len(out)) if not used[j] and abs(out[j] - out[i]) <= tol]
-        for j in cluster:
-            used[j] = True
-        k = len(cluster)
-        if k < 2:
-            continue
-        p = monic
-        for _ in range(k - 1):
-            p = _poly_derivative(p)
-        dp = _poly_derivative(p)
-        z = complex(np.mean(out[cluster]))
-        for _ in range(40):
-            d = polyval(dp, z)
-            if abs(d) < 1e-300:
-                break
-            step = polyval(p, z) / d
-            z -= step
-            if abs(step) < 1e-16 * scale:
-                break
-        for j in cluster:
-            out[j] = z
-    return out
-
-
-def quartic_roots(coeffs) -> np.ndarray:
-    """The four complex roots of a real quartic (ascending coefficients).
-
-    Ferrari's factorization into two quadratics via the resolvent cubic,
-    with a Durand-Kerner fallback when the resolvent degenerates
-    (within 1e-12 of zero), plus a Newton polish pass.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (5,) or c[4] == 0.0:
-        raise DegreeMismatch("quartic_roots expects 5 real coefficients with nonzero leading term")
-    monic = c / c[4]
-    e0, e1, e2, e3, _ = monic
-    # depress: lam = y - e3/4
-    sh = e3 / 4.0
-    alpha = e2 - 6.0 * sh * sh
-    beta = e1 - 2.0 * e2 * sh + 8.0 * sh ** 3
-    gamma = e0 - e1 * sh + e2 * sh * sh - 3.0 * sh ** 4
-    scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
-
-    if abs(beta) < 1e-14 * scale:
-        # biquadratic
-        disc = alpha * alpha - 4.0 * gamma
-        sq = cmath.sqrt(complex(disc))
-        ys = []
-        for y2 in ((-alpha + sq) / 2.0, (-alpha - sq) / 2.0):
-            s = cmath.sqrt(y2)
-            ys.extend([s, -s])
-        roots = np.array(ys, dtype=complex) - sh
-    else:
-        # resolvent cubic in U = u^2: U^3 + 2 alpha U^2 + (alpha^2 - 4 gamma) U - beta^2 = 0
-        reals = _cubic_real_roots(2.0 * alpha, alpha * alpha - 4.0 * gamma, -beta * beta)
-        u2 = max(reals)
-        if u2 < 1e-12 * scale:
-            roots = _durand_kerner(monic)
-        else:
-            u = math.sqrt(u2)
-            v = (alpha + u2 - beta / u) / 2.0
-            w = (alpha + u2 + beta / u) / 2.0
-            roots = []
-            for (b, cq) in ((u, v), (-u, w)):
-                sq = cmath.sqrt(complex(b * b - 4.0 * cq))
-                roots.extend([(-b + sq) / 2.0, (-b - sq) / 2.0])
-            roots = np.array(roots, dtype=complex) - sh
-    roots = _newton_polish(monic, np.asarray(roots, dtype=complex))
-    roots = _refine_multiple_roots(monic, roots)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
 
 
 def exp_i_hermitian(h, sign: int = 1, tol: float = JACOBI_TOL) -> np.ndarray:

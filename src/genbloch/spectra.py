@@ -7,10 +7,18 @@ coordinate p) have the doublet spectrum
 
 each value with multiplicity 2^{m-1}.
 
-A grade-2 tensor with canonical rotation amplitudes mu_1..mu_m gives
-eigenvalues (1 + sum_k s_k mu_k) / 2^m over sign vectors s.  Grouping by
-the product s_1 s_2 s_3 (for three active planes) yields two quartets whose
-monic polynomials in z = 2^m lambda are
+The generators are a Jordan-Wigner set of Majorana operators, so a grade-2
+configuration G o E^{(2)} is a quadratic Majorana form.  Rotating G to its
+real antisymmetric normal form (2x2 blocks with amplitudes mu_1..mu_m, the
+paired singular values of G) splits it into m commuting terms with
+eigenvalues +-mu_k, hence the eigenvalues
+
+    lambda_s = (1 + sum_k s_k mu_k) / 2^m   over all 2^m sign vectors s,
+
+exactly, at every m and for side 2m+1 tensors as well (Bravyi,
+quant-ph/0404180).  At m = 3, grouping by s = sign(Pf G) s_1 s_2 s_3
+yields the paper's two quartets, whose monic polynomials in z = 2^m lambda
+are
 
     Pbar_s(z) = z^4 - 4 z^3 + 2 (3 - r) z^2
                 + (4 (r - 1) - s D3 / 6) z
@@ -19,10 +27,8 @@ monic polynomials in z = 2^m lambda are
 These coefficients were fixed against the numeric oracle (the widely
 circulated 64/3 and 256/3 prefactors on D3 overstate the cubic term by a
 factor of 512, and the linear term carries 4(r-1), not -(r-1)).  The
-factorization is exact for m = 2, 3; for m >= 4 it holds only when at most
-two canonical amplitudes are nonzero, so the closed form is cross-checked
-against the oracle on every call and a mismatch is reported rather than
-returned.
+quartets are a checked identity: the tests evaluate Pbar_s at the
+normal-form eigenvalues, and factorized_charpoly multiplies them out.
 """
 
 from __future__ import annotations
@@ -32,16 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AntisymTensor, tensor_config
+from .coords import AntisymTensor
 from .errors import (
-    ClosedFormMismatch,
     ComplexRoots,
     GradeMismatch,
     KindMismatch,
     NonUnitTrace,
+    UnsupportedM,
 )
-from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
-from .linalg import hermitian_eigenvalues, quartic_roots, require_hermitian
+from .invariants import InvariantSet, vector_invariants
+from .linalg import hermitian_eigenvalues, require_hermitian
 
 CLUSTER_TOL = 1e-8
 
@@ -122,60 +128,50 @@ def _pbar_coefficients(r: float, t4: float, d3: float, s: float) -> np.ndarray:
     ])
 
 
-def quartet_eigenvalues(m: int, inv: InvariantSet, imag_tol: float = 1e-8) -> np.ndarray:
-    """The 2^m closed-form eigenvalues of a grade-2 configuration from its invariants."""
-    if m < 2:
-        raise GradeMismatch("2-tensor configurations need m >= 2")
-    r, t4 = inv.r, inv.T4
-    d3 = inv.D3 if inv.D3 is not None else 0.0
-    if m == 2:
-        inner = 2.0 * r * r - t4
-        if inner < -1e-12:
-            raise ComplexRoots(f"2r^2 - T4 = {inner} is negative")
-        root = math.sqrt(max(inner, 0.0))
-        out = []
-        for s_out in (1.0, -1.0):
-            for s_in in (1.0, -1.0):
-                arg = r + s_in * root
-                if arg < -1e-12:
-                    raise ComplexRoots(f"r - sqrt(2r^2-T4) = {arg} is negative")
-                out.append((1.0 + s_out * math.sqrt(max(arg, 0.0))) / 4.0)
-        return np.sort(np.array(out))
-    mult = 2 ** (m - 3)
-    lams = []
-    for s in (1.0, -1.0):
-        roots = quartic_roots(_pbar_coefficients(r, t4, d3, s))
-        imag = float(np.max(np.abs(roots.imag)))
-        if imag > imag_tol:
-            raise ComplexRoots(f"quartet roots have imaginary residue {imag:.3e}")
-        for z in roots:
-            lams.extend([float(z.real) / 2 ** m] * mult)
-    return np.sort(np.array(lams))
+def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
+    """The m = 2 grade-2 spectrum (1 +- sqrt(r +- sqrt(2 r^2 - T4))) / 4 from (r, T4).
 
-
-def two_tensor_spectrum(m: int, g2: AntisymTensor, oracle_tol: float = 1e-8) -> Spectrum:
-    """Closed-form spectrum of rho = 2^{-m}(I + G o E^{(2)}).
-
-    Exact for m = 2 and m = 3.  For m >= 4 the quartet factorization only
-    covers tensors with at most two active canonical planes, so the result
-    is verified against the Jacobi oracle and a ClosedFormMismatch carrying
-    the residual is raised when the factorization does not apply.
+    The (r, T4) region of the domains module is read off this form; other m
+    go through normal_form_eigenvalues, which works from the tensor itself.
     """
+    if m != 2:
+        raise UnsupportedM(f"the (r, T4) quartet closed form is for m = 2, got m = {m}")
+    r, t4 = inv.r, inv.T4
+    inner = 2.0 * r * r - t4
+    if inner < -1e-12:
+        raise ComplexRoots(f"2r^2 - T4 = {inner} is negative")
+    root = math.sqrt(max(inner, 0.0))
+    out = []
+    for s_out in (1.0, -1.0):
+        for s_in in (1.0, -1.0):
+            arg = r + s_in * root
+            if arg < -1e-12:
+                raise ComplexRoots(f"r - sqrt(2r^2-T4) = {arg} is negative")
+            out.append((1.0 + s_out * math.sqrt(max(arg, 0.0))) / 4.0)
+    return np.sort(np.array(out))
+
+
+def normal_form_eigenvalues(g2: AntisymTensor) -> np.ndarray:
+    """Sorted eigenvalues (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}).
+
+    mu_1..mu_m are the normal-form amplitudes of G: the singular values of
+    its antisymmetric matrix come in equal pairs, and one of each of the m
+    largest pairs is kept (a side 2m+1 tensor has one more singular value,
+    zero, which is dropped).  The sign vectors s run over all 2^m choices.
+    """
+    if g2.k != 2:
+        raise GradeMismatch(f"expected a grade-2 tensor, got grade {g2.k}")
+    m = g2.m
+    mu = np.linalg.svd(g2.as_matrix(), compute_uv=False)[: 2 * m : 2]
+    signs = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
+    return np.sort((1.0 + signs @ mu) / 2 ** m)
+
+
+def two_tensor_spectrum(m: int, g2: AntisymTensor) -> Spectrum:
+    """Closed-form spectrum of rho = 2^{-m}(I + G o E^{(2)}), exact at every m."""
     if g2.k != 2 or g2.m != m or g2.side != 2 * m:
         raise GradeMismatch("two_tensor_spectrum needs a grade-2 tensor over 2m indices")
-    inv = two_tensor_invariants(g2)
-    vals = quartet_eigenvalues(m, inv)
-    if m >= 4:
-        oracle = hermitian_eigenvalues(tensor_config(m, 2, g2))
-        residual = float(np.max(np.abs(vals - oracle)))
-        if residual > oracle_tol:
-            raise ClosedFormMismatch(
-                f"quartet factorization does not hold for this tensor "
-                f"(max eigenvalue residual {residual:.3e}); the configuration has "
-                f"more than two active rotation planes",
-                residual=residual,
-            )
-    return spectrum_from_values(m, vals)
+    return spectrum_from_values(m, normal_form_eigenvalues(g2))
 
 
 def tunnel_spectrum(x: float, y: float, z: float) -> Spectrum:

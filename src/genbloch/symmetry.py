@@ -51,7 +51,7 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     el = expm(generator_matrix(alpha))
     res = np.max(np.abs(el.T @ el - np.eye(el.shape[0])))
     if res > ORTHO_TOL:
-        raise ArithmeticError(f"exponential lost orthogonality: residual {res:.3e}")
+        raise NotUnitary(f"exponential lost orthogonality: residual {res:.3e}")
     return el
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import genbloch
 from genbloch.cli import run
 from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
@@ -55,6 +59,10 @@ def test_validate_two_tensor_routes(tmp_path, capsys):
     path = write_json(tmp_path / "t3.json", coords_to_json(c3))
     assert run(["validate", "--input", path]) == 0
     assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
+    c5 = state_coords(5, grades={2: {(1, 2): 0.4, (3, 4): 0.2, (5, 6): 0.1, (7, 8): 0.05}})
+    path = write_json(tmp_path / "t5.json", coords_to_json(c5))
+    assert run(["validate", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
 
 
 def test_spectrum_both_matches(g2_coords, capsys):
@@ -64,6 +72,15 @@ def test_spectrum_both_matches(g2_coords, capsys):
                        atol=1e-12)
     assert np.allclose(out["oracle"]["eigenvalues"], [0.025, 0.175, 0.325, 0.475], atol=1e-12)
     assert out["max_diff"] < 1e-12
+
+
+def test_spectrum_both_generic_grade2_m4(tmp_path, capsys):
+    # four active rotation planes in a generic frame
+    rng = np.random.default_rng(5)
+    vals = {(i, j): float(rng.uniform(-0.2, 0.2)) for i in range(1, 9) for j in range(i + 1, 9)}
+    path = write_json(tmp_path / "g4.json", coords_to_json(state_coords(4, grades={2: vals})))
+    assert run(["spectrum", "--input", path, "--both"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_diff"] <= 1e-9
 
 
 def test_spectrum_oracle_from_matrix(tmp_path, capsys):
@@ -231,3 +248,35 @@ def test_unknown_command_exit_1(capsys):
 def test_missing_file_exit_1(capsys):
     assert run(["encode", "--input", "/nonexistent/x.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _one_diagnostic(captured):
+    return len([ln for ln in captured.err.splitlines() if ln.startswith("genbloch:")]) == 1
+
+
+def test_rotate_huge_generator_typed_error(tmp_path, capsys):
+    coords = state_coords(2, grades={2: {(1, 2): 0.3}})
+    cpath = write_json(tmp_path / "c.json", coords_to_json(coords))
+    apath = write_json(tmp_path / "a.json", {"m": 2, "alpha": [{"idx": [1, 2], "val": 1.3e12}]})
+    assert run(["rotate", "--input", cpath, "--alpha", apath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+
+
+@pytest.mark.parametrize("command", ["invariants", "validate"])
+def test_nonfinite_result_exit_1(tmp_path, capsys, command):
+    # r and T4 overflow to inf; JSON has no finite spelling for them
+    coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
+    path = write_json(tmp_path / "huge.json", coords_to_json(coords))
+    assert run([command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+
+
+def test_python_m_genbloch_help():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "genbloch", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: genbloch")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
-from genbloch.errors import DegreeMismatch, NoConvergence, NotHermitian
+from genbloch.errors import NoConvergence, NotHermitian
 from genbloch.linalg import (
     char_poly,
     exp_i_hermitian,
@@ -9,8 +10,6 @@ from genbloch.linalg import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    polyval,
-    quartic_roots,
 )
 
 from conftest import SIGMA1, SIGMA2, SIGMA3, random_hermitian
@@ -64,17 +63,17 @@ def test_eigenvalues_projector():
 def _bisection_roots(coeffs, n_roots, lo, hi, samples=20000):
     """Independent root finder: sign-change scan plus bisection."""
     xs = np.linspace(lo, hi, samples)
-    ys = np.array([polyval(coeffs, float(x)).real for x in xs])
+    ys = polyval(xs, coeffs)
     roots = []
     for i in range(samples - 1):
         if ys[i] == 0.0:
             roots.append(xs[i])
         elif ys[i] * ys[i + 1] < 0:
             a, b = xs[i], xs[i + 1]
-            fa = polyval(coeffs, float(a)).real
+            fa = polyval(a, coeffs)
             for _ in range(200):
                 mid = (a + b) / 2
-                fm = polyval(coeffs, float(mid)).real
+                fm = polyval(mid, coeffs)
                 if fa * fm <= 0:
                     b = mid
                 else:
@@ -124,18 +123,6 @@ def test_no_convergence_when_sweeps_exhausted(rng, monkeypatch):
     assert np.allclose(hermitian_eigenvalues(np.diag([1.0, 2.0])), [1.0, 2.0])
 
 
-def test_durand_kerner_direct(rng):
-    # keep the fallback path honest even though Ferrari handles most inputs
-    from genbloch.linalg import _durand_kerner
-
-    rts = np.array([-1.5, -0.25, 0.5, 2.0])
-    monic = np.array([1.0])
-    for r in rts:
-        monic = np.convolve(monic, [-r, 1.0])
-    got = np.sort(_durand_kerner(monic).real)
-    assert np.max(np.abs(got - rts)) < 1e-10
-
-
 def test_char_poly_identity():
     assert np.allclose(char_poly(np.eye(2)), [1.0, -2.0, 1.0], atol=1e-14)
 
@@ -149,54 +136,12 @@ def test_char_poly_at_eigenvalues(rng):
         h = random_hermitian(rng, n, scale=1.0 / n)
         p = char_poly(h)
         for lam in hermitian_eigenvalues(h):
-            assert abs(polyval(p, float(lam))) < 1e-8
+            assert abs(polyval(lam, p)) < 1e-8
 
 
 def test_char_poly_requires_hermitian():
     with pytest.raises(NotHermitian):
         char_poly(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_quartic_fourth_roots_of_unity():
-    roots = quartic_roots([-1.0, 0.0, 0.0, 0.0, 1.0])
-    expected = sorted([1, -1, 1j, -1j], key=lambda z: (z.real, z.imag))
-    assert np.allclose(roots, expected, atol=1e-12)
-
-
-def test_quartic_quadruple_root():
-    # (lam - 1/4)^4; the cluster refinement recovers full accuracy
-    coeffs = [1.0 / 256, -4.0 / 64, 6.0 / 16, -1.0, 1.0]
-    roots = quartic_roots(coeffs)
-    assert np.max(np.abs(roots - 0.25)) < 1e-12
-
-
-def test_quartic_random_real_roots(rng):
-    for _ in range(50):
-        rts = np.sort(rng.uniform(-2, 2, size=4))
-        coeffs = np.array([1.0])
-        for r in rts:
-            coeffs = np.convolve(coeffs, [-r, 1.0])
-        got = quartic_roots(coeffs)
-        assert np.max(np.abs(got.imag)) < 1e-9
-        assert np.max(np.abs(np.sort(got.real) - rts)) < 1e-9
-
-
-def test_quartic_vieta(rng):
-    for _ in range(20):
-        coeffs = rng.uniform(-2, 2, size=5)
-        coeffs[4] = coeffs[4] if abs(coeffs[4]) > 0.1 else 1.0
-        roots = quartic_roots(coeffs)
-        monic = coeffs / coeffs[4]
-        assert abs(np.sum(roots) + monic[3]) < 1e-9
-        prod = np.prod(roots)
-        assert abs(prod - monic[0]) < 1e-9
-
-
-def test_quartic_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        quartic_roots([1.0, 2.0, 3.0])
-    with pytest.raises(DegreeMismatch):
-        quartic_roots([1.0, 2.0, 3.0, 4.0, 0.0])
 
 
 def test_exp_zero_is_identity():

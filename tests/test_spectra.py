@@ -1,15 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
-from genbloch.errors import ClosedFormMismatch, ComplexRoots, GradeMismatch
-from genbloch.invariants import InvariantSet, epsilon_D3, two_tensor_invariants
+from genbloch.errors import ComplexRoots, GradeMismatch, UnsupportedM
+from genbloch.invariants import InvariantSet, epsilon_D3, pfaffian, two_tensor_invariants
 from genbloch.linalg import char_poly, hermitian_eigenvalues
 from genbloch.spectra import (
+    _pbar_coefficients,
     degeneracy_pattern,
     factorized_charpoly,
+    normal_form_eigenvalues,
     numeric_spectrum,
     quartet_eigenvalues,
     spectrum_from_values,
@@ -129,27 +135,62 @@ def test_two_tensor_m3_D3_zero_reduces_to_quartet_pattern(rng):
     assert [mult for _, mult in pattern] == [2, 2, 2, 2]
 
 
-def test_quartic_factor_roots_match_oracle():
-    # quartic solver against the eigensolver on the canonical r=1 block
+def _pbar(inv, s, z):
+    """The paper's quartet polynomial Pbar_s at z = 2^m lambda."""
+    return polyval(z, _pbar_coefficients(inv.r, inv.T4, inv.D3, s))
+
+
+def test_quartic_factor_roots_match_oracle(rng):
+    # Pbar_s vanishes at z = 1 + sum_k s_k mu_k exactly when s = sign(Pf) s1 s2 s3,
+    # and those z / 8 are the normal-form and the oracle eigenvalues
     a = 1 / math.sqrt(3)
-    g = antisym(3, 2, {(1, 2): a, (3, 4): a, (5, 6): a})
-    inv = two_tensor_invariants(g)
-    closed = quartet_eigenvalues(3, inv)
-    oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
-    assert np.max(np.abs(closed - oracle)) < 1e-9
+    cases = [((a, a, a), np.eye(6))]
+    for i in range(50):
+        el = orthogonal_from_generator(random_tensor(rng, 3, 2))
+        if i % 2:
+            el = el @ np.diag([-1.0, 1, 1, 1, 1, 1])  # det -1 flips the Pfaffian
+        cases.append((tuple(rng.uniform(0, 1, size=3)), el))
+    for mu, el in cases:
+        canon = antisym(3, 2, {(1, 2): mu[0], (3, 4): mu[1], (5, 6): mu[2]}).as_matrix()
+        g = AntisymTensor.from_matrix(3, el @ canon @ el.T)
+        inv = two_tensor_invariants(g)
+        pf_sign = math.copysign(1.0, pfaffian(g.as_matrix()))
+        zs = []
+        for signs in itertools.product((1, -1), repeat=3):
+            z = 1 + float(np.dot(signs, mu))
+            assert abs(_pbar(inv, pf_sign * np.prod(signs), z)) < 1e-10
+            zs.append(z)
+        oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
+        assert np.max(np.abs(np.sort(zs) / 8 - oracle)) < 1e-9
+        assert np.max(np.abs(normal_form_eigenvalues(g) - oracle)) < 1e-9
 
 
 def test_quartet_sign_structure(rng):
-    # negating D3 swaps the two quartet root sets exactly
-    g = random_tensor(rng, 3, 2)
-    inv = two_tensor_invariants(g)
-    flipped = InvariantSet(r=inv.r, T4=inv.T4, D3=-inv.D3)
-    assert np.max(np.abs(quartet_eigenvalues(3, inv) - quartet_eigenvalues(3, flipped))) < 1e-10
+    # a reflection negates D3 and keeps the spectrum, so the roots of Pbar_+
+    # and Pbar_- trade places
+    flip = np.diag([-1.0, 1, 1, 1, 1, 1])
+    for _ in range(10):
+        g = random_tensor(rng, 3, 2)
+        mirrored = AntisymTensor.from_matrix(3, flip @ g.as_matrix() @ flip)
+        inv, inv_m = two_tensor_invariants(g), two_tensor_invariants(mirrored)
+        assert abs(inv_m.D3 + inv.D3) < 1e-10 and abs(inv.D3) > 1e-6
+        z = 8 * normal_form_eigenvalues(g)
+        assert np.max(np.abs(8 * normal_form_eigenvalues(mirrored) - z)) < 1e-12
+        plus = np.abs(_pbar(inv, 1, z)) < 1e-10
+        assert plus.sum() == 4
+        assert np.all(np.abs(_pbar(inv, -1, z[~plus])) < 1e-10)
+        assert np.array_equal(np.abs(_pbar(inv_m, -1, z)) < 1e-10, plus)
+        assert np.array_equal(np.abs(_pbar(inv_m, 1, z)) < 1e-10, ~plus)
 
 
 def test_quartet_complex_roots_signal():
     with pytest.raises(ComplexRoots):
         quartet_eigenvalues(2, InvariantSet(r=0.1, T4=5.0))
+
+
+def test_quartet_eigenvalues_m2_only():
+    with pytest.raises(UnsupportedM):
+        quartet_eigenvalues(3, InvariantSet(r=0.5, T4=0.1, D3=0.2))
 
 
 def test_two_tensor_m4_rank2_class(rng):
@@ -161,12 +202,38 @@ def test_two_tensor_m4_rank2_class(rng):
         assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
 
 
-def test_two_tensor_m4_generic_reports_mismatch(rng):
-    # three active planes break the quartet factorization at m = 4
-    g = antisym(4, 2, {(1, 2): 0.9, (3, 4): 0.5, (5, 6): 0.2})
-    with pytest.raises(ClosedFormMismatch) as err:
-        two_tensor_spectrum(4, g)
-    assert err.value.residual > 1e-3
+def test_two_tensor_m4_m5_generic_vs_oracle(rng):
+    # three or more active planes, where the quartet factorization stops at m = 3
+    tensors = [antisym(4, 2, {(1, 2): 0.9, (3, 4): 0.5, (5, 6): 0.2})]
+    tensors += [random_tensor(rng, m, 2) for m in (4, 4, 5, 5)]
+    for g in tensors:
+        s = two_tensor_spectrum(g.m, g)
+        oracle = hermitian_eigenvalues(tensor_config(g.m, 2, g))
+        assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
+
+
+@st.composite
+def grade2_tensors(draw):
+    """Canonical forms with repeated and zero amplitudes, optionally rotated,
+    at side 2m (m = 1..5) and side 2m + 1 (m = 2..4)."""
+    m, side = draw(st.sampled_from([(m, 2 * m) for m in range(1, 6)]
+                                   + [(m, 2 * m + 1) for m in range(2, 5)]))
+    amplitude = st.sampled_from([0.0, 0.25, -0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    mu = draw(st.lists(amplitude, min_size=m, max_size=m))
+    canon = antisym(m, 2, {(2 * k + 1, 2 * k + 2): v for k, v in enumerate(mu)}, side=side)
+    seed = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    if seed is None:
+        return canon
+    el = orthogonal_from_generator(random_tensor(np.random.default_rng(seed), m, 2, side=side))
+    return AntisymTensor.from_matrix(m, el @ canon.as_matrix() @ el.T, side=side)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grade2_tensors())
+def test_normal_form_matches_oracle(g):
+    mode = "standard" if g.side == 2 * g.m else "extended"
+    oracle = hermitian_eigenvalues(tensor_config(g.m, 2, g, mode=mode))
+    assert np.max(np.abs(normal_form_eigenvalues(g) - oracle)) < 1e-9
 
 
 def test_two_tensor_grade_checks():
