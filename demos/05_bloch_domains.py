@@ -3,8 +3,9 @@
 Vector configurations live in a ball; grade-2 configurations at m = 2 live
 in the two-invariant wedge max((r+1)^2 - 2, 0) <= T4 <= 2 r^2, equivalently
 the intersection of two elliptic tunnels in the three-coordinate slice; the
-sign rule on characteristic-polynomial coefficients decides everything else.
-Writes the figure datasets as CSV next to this script.
+smallest eigenvalue decides everything else, and the sign rule on
+characteristic-polynomial coefficients is the same verdict written as an
+identity.  Writes the figure datasets as CSV next to this script.
 """
 
 import os
@@ -17,6 +18,7 @@ from genbloch import (
     descartes_positivity,
     figure_data,
     hermitian_eigenvalues,
+    min_eigenvalue_verdict,
     rT4_domain,
     sample_domain,
     tensor_config,
@@ -60,9 +62,11 @@ for x in pts:
             bad += closed != oracle
 print("grid disagreements:", bad)
 
-# --- the sign rule beyond pure configurations -------------------------------------
+# --- beyond pure configurations: smallest eigenvalue, and the sign rule -------------
 rho = np.diag([1.1, -0.1, 0.0, 0.0])
-print("\nnon-state by the sign rule:", descartes_positivity(char_poly(rho)))
+print("\nnon-state by its smallest eigenvalue:",
+      min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), "positivity"))
+print("non-state by the sign rule:", descartes_positivity(char_poly(rho)))
 
 # --- Monte-Carlo atlas --------------------------------------------------------------
 sset = sample_domain(2, 2, 500, seed=7)

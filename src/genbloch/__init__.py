@@ -35,6 +35,7 @@ from .domains import (
     DomainVerdict,
     descartes_positivity,
     figure_data,
+    min_eigenvalue_verdict,
     rT4_domain,
     sample_domain,
     tunnel_membership,

@@ -31,7 +31,7 @@ from .coords import (
     vector,
 )
 from .errors import GenblochError, NonFiniteResult, UsageError
-from .linalg import char_poly, matrix_from_json, matrix_to_json
+from .linalg import hermitian_eigenvalues, matrix_from_json, matrix_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +72,9 @@ def _load_state(path: str, m: int | None, mode: str):
     if "dim" in obj:
         rho = matrix_from_json(obj)
         coords = decode(rho, m=m, mode=mode)
-        return coords, rho
+        # decode accepts a hermiticity residual up to 1e-10, the eigensolver
+        # only 1e-12; the coords describe the hermitian part, so use it
+        return coords, (rho + rho.conj().T) / 2
     coords = coords_from_json(obj)
     return coords, encode(coords)
 
@@ -117,7 +119,7 @@ def _closed_form_spectrum(coords: StateCoords) -> spectra.Spectrum:
 
 
 def _validate_verdict(coords: StateCoords, rho, tol: float):
-    """Route to the applicable closed-form domain, else the sign-rule fallback."""
+    """Route to the applicable closed-form domain, else the oracle's smallest eigenvalue."""
     pure = _pure_config(coords)
     if pure is not None:
         kind, payload = pure
@@ -128,16 +130,10 @@ def _validate_verdict(coords: StateCoords, rho, tol: float):
         if coords.m == 2:
             return domains.rT4_domain(inv.r, inv.T4, tol), "r_T4_region"
         min_eig = domains.closed_form_min_eigenvalue(coords.m, 2, payload)
-        admissible = min_eig >= -tol
-        verdict = domains.DomainVerdict(
-            admissible=admissible,
-            boundary=admissible and abs(min_eig) <= tol,
-            violated=None if admissible else "quartet_positivity",
-            invariants_used=inv,
-            tol=tol,
-        )
-        return verdict, "quartet_roots"
-    return domains.descartes_positivity(char_poly(rho), tol), "descartes_rule"
+        return (domains.min_eigenvalue_verdict(min_eig, "quartet_positivity", tol, inv),
+                "quartet_roots")
+    min_eig = float(hermitian_eigenvalues(rho)[0])
+    return domains.min_eigenvalue_verdict(min_eig, "positivity", tol), "min_eigenvalue"
 
 
 def _csv_row(values) -> str:

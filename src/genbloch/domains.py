@@ -11,9 +11,12 @@ equivalently, in the variable z = 1/2 - sqrt(2 r^2 - T4), the wedge
 (x, y, z) is the intersection of two orthogonal elliptic tunnels
 alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  Beyond pure tensor
 configurations, positivity of any hermitian unit-trace matrix is decided
-from its characteristic polynomial: writing P(lambda) =
+by its smallest eigenvalue (min_eigenvalue_verdict).  The characteristic
+polynomial sign rule is kept as a checked identity: writing P(lambda) =
 sum_i (-1)^i a_i lambda^i, the state is positive semidefinite exactly when
-every a_i is nonnegative (all roots are real, so the sign rule is exact).
+every a_i is nonnegative (all roots are real, so the rule is exact), but
+the Faddeev-LeVerrier coefficients lose their relative accuracy as the
+dimension grows, so no runtime verdict depends on it.
 """
 
 from __future__ import annotations
@@ -149,6 +152,19 @@ def _tunnel_t4(x: float, y: float, z: float) -> float:
     return trace_T4(g)
 
 
+def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_TOL,
+                           invariants_used: InvariantSet | None = None) -> DomainVerdict:
+    """Positivity verdict from a smallest eigenvalue: admissible when it is >= -tol."""
+    admissible = min_eig >= -tol
+    return DomainVerdict(
+        admissible=admissible,
+        boundary=admissible and abs(min_eig) <= tol,
+        violated=None if admissible else violated,
+        invariants_used=invariants_used,
+        tol=tol,
+    )
+
+
 def descartes_positivity(poly, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Sign-rule verdict for a real-rooted characteristic polynomial.
 
@@ -225,8 +241,6 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> Sample
     classified by the closed-form domain and by the eigenvalue oracle."""
     if k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
-    if k == 2 and m not in (2, 3):
-        raise UnsupportedM("grade-2 closed forms are sampled at m = 2 and 3")
     if n < 0 or n > 10 ** 6:
         raise ResourceLimit(f"sample count {n} out of range")
     side = 2 * m

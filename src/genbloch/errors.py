@@ -9,10 +9,6 @@ class NotHermitian(GenblochError, ValueError):
     pass
 
 
-class NoConvergence(GenblochError, RuntimeError):
-    pass
-
-
 class ResourceLimit(GenblochError, ValueError):
     pass
 

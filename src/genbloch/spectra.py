@@ -96,7 +96,7 @@ def degeneracy_pattern(spectrum: Spectrum, tol: float = CLUSTER_TOL) -> list:
 
 
 def numeric_spectrum(rho, tol: float = CLUSTER_TOL) -> Spectrum:
-    """Jacobi oracle spectrum of a density matrix."""
+    """Oracle spectrum of a density matrix (LAPACK eigensolver)."""
     rho = require_hermitian(rho)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-8:

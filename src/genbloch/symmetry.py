@@ -18,6 +18,10 @@ Conventions (fixed once, verified by the compatibility identity below):
 * Grade-k coordinates transform through the k-th compound (exterior power)
   of L:  G'_I = sum_J det(L[I, J]) G_J over increasing k-tuples, which is
   the antisymmetrized k-fold product L x ... x L.
+
+* Both exponentials come from the one hermitian eigensolver in linalg:
+  L = exp(A) is exp(-i H) for the hermitian H = iA, and U is exp(-i H)
+  for the hermitian H = (1/2) sum_{i<j} alpha_{ij} i Gamma_i Gamma_j.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import clifford
 from .coords import AntisymTensor, StateCoords
@@ -47,11 +50,28 @@ def generator_matrix(alpha: AntisymTensor) -> np.ndarray:
 
 
 def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
-    """L = exp(A) in SO(side); orthogonality is validated before returning."""
-    el = expm(generator_matrix(alpha))
-    res = np.max(np.abs(el.T @ el - np.eye(el.shape[0])))
-    if res > ORTHO_TOL:
-        raise NotUnitary(f"exponential lost orthogonality: residual {res:.3e}")
+    """L = exp(A) in SO(side), as the real part of exp(-i (iA)) for the hermitian iA.
+
+    A rotation angle theta comes out of the eigensolver with an error of
+    about theta * eps, so once the largest angle exceeds ORTHO_TOL / eps
+    (about 4.5e5 rad) L is no longer known to ORTHO_TOL and NotUnitary is
+    raised.  The imaginary residue and orthogonality are validated before
+    returning.
+    """
+    a = generator_matrix(alpha)
+    # A is normal, so its largest singular value is the largest rotation angle
+    theta_max = float(np.linalg.norm(a, 2))
+    err = theta_max * np.finfo(float).eps
+    if err > ORTHO_TOL:
+        raise NotUnitary(f"rotation angle {theta_max:.3e} rad: exp(A) is known only to "
+                         f"{err:.1e}, above {ORTHO_TOL:.0e}")
+    el = exp_i_hermitian(1j * a, sign=-1)
+    imag = float(np.max(np.abs(el.imag)))
+    el = el.real
+    res = float(np.max(np.abs(el.T @ el - np.eye(el.shape[0]))))
+    if max(imag, res) > ORTHO_TOL:
+        raise NotUnitary(f"exponential lost orthogonality: imaginary residue {imag:.3e}, "
+                         f"residual {res:.3e}")
     return el
 
 

@@ -47,7 +47,39 @@ def test_validate_descartes_route(tmp_path, capsys):
     coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
     path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "descartes_rule"
+    assert json.loads(capsys.readouterr().out)["route"] == "min_eigenvalue"
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--oracle"]],
+                         ids=["validate", "spectrum_oracle"])
+def test_matrix_input_within_decode_hermiticity(tmp_path, capsys, argv):
+    # decode accepts this residual, so the oracle must take the state too
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1], rho[1, 0] = 0.1, 0.1 + 5e-11j
+    path = write_json(tmp_path / "rho.json", matrix_to_json(rho))
+    assert run([*argv, "--input", path]) == 0, capsys.readouterr().err
+
+
+def _mixed_state(rng, m, z_min):
+    """I/2^m plus a scaled random traceless hermitian, with 2^m lambda_min = z_min."""
+    dim = 2 ** m
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    h -= np.trace(h).real / dim * np.eye(dim)
+    h_min = float(np.linalg.eigvalsh(h)[0])
+    return np.eye(dim) / dim + (z_min - 1.0) / (dim * h_min) * h
+
+
+@pytest.mark.parametrize("m, mode", [(5, "standard"), (6, "standard"), (5, "extended")])
+@pytest.mark.parametrize("z_min", [0.5, 0.05, -0.05, -0.5])
+def test_validate_mixed_large_m(tmp_path, capsys, rng, m, mode, z_min):
+    # at 2^m = 64 characteristic-polynomial coefficients are too inexact to decide these
+    path = write_json(tmp_path / "rho.json", matrix_to_json(_mixed_state(rng, m, z_min)))
+    code = run(["validate", "--input", path, "--mode", mode])
+    out = json.loads(capsys.readouterr().out)
+    assert out["admissible"] is (z_min > 0)
+    assert code == (0 if z_min > 0 else 2)
+    assert out["route"] == "min_eigenvalue"
 
 
 def test_validate_two_tensor_routes(tmp_path, capsys):
@@ -280,3 +312,13 @@ def test_python_m_genbloch_help():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: genbloch")
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, genbloch.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -226,6 +226,13 @@ def test_sample_domain_agreement():
     assert sset3.disagreements(margin=1e-8) == []
 
 
+@pytest.mark.parametrize("m, box", [(4, 0.2), (5, 0.15)])
+def test_sample_domain_grade2_large_m(m, box):
+    sset = sample_domain(m, 2, 150, seed=9, box=box)
+    assert sset.disagreements(margin=1e-8) == []
+    assert {r.closed_admissible for r in sset.records} == {True, False}
+
+
 def test_sample_domain_ball_fraction():
     sset = sample_domain(2, 1, 1000, seed=7)
     frac = sset.admissible_fraction()

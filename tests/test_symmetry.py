@@ -25,6 +25,20 @@ def test_orthogonal_quarter_turn():
     assert np.allclose(el, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
 
+def test_orthogonal_large_angle_exact():
+    a = 1e3
+    el = orthogonal_from_generator(antisym(1, 2, {(1, 2): a}))
+    want = [[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]
+    assert np.max(np.abs(el - want)) < 1e-12
+
+
+@pytest.mark.parametrize("angle", [1e6, 1.3e12])
+def test_orthogonal_angle_beyond_precision(angle):
+    # the angle is known to ~angle * eps, more than ORTHO_TOL past ~4.5e5 rad
+    with pytest.raises(NotUnitary):
+        orthogonal_from_generator(antisym(1, 2, {(1, 2): angle}))
+
+
 def test_orthogonal_random_properties(rng):
     for m in (2, 3):
         alpha = random_tensor(rng, m, 2)
