@@ -51,14 +51,20 @@ print("extended set sizes:", [len(extended_gammas(m)) for m in (1, 2, 3)])
 # products over increasing multi-indices with the phase i^{k(k-1)/2} are
 # hermitian; at m = 1 the full basis is I, sigma1, sigma2, -sigma3
 b1 = full_basis(1)
-for idx, el in b1.elements.items():
-    print(f"m=1 element {idx}:\n{el}")
+for idx in b1.indices:
+    print(f"m=1 element {idx}:\n{b1.element(idx)}")
 
 print("\nm=1 grade-2 element (the pseudoscalar direction):")
 print(basis_element(1, (1, 2)))
 
-# --- orthogonality certificate ---------------------------------------------
-# trace(E_A E_B) = 2^m delta_AB across all pairs
-for m in (2, 3):
-    report = verify_algebra(full_basis(m, verify=False))
+# --- Pauli strings and the exact certificate --------------------------------
+# every element is one phased Pauli string i^p X^x Z^z, stored as (x, z, p);
+# trace(E_A E_B) = 2^m delta_AB holds because the (x, z) masks are distinct,
+# so verify_algebra checks all 4^m x 4^m pairs exactly, at every m
+b2 = full_basis(2)
+for idx in b2.indices_of_grade(2)[:3]:
+    row = b2.rows[idx]
+    print(f"m=2 element {idx}: x={b2.x[row]:02b} z={b2.z[row]:02b} p={b2.p[row]}")
+for m in (2, 6):
+    report = verify_algebra(full_basis(m))
     print(f"\nm = {m} residual report: {report}")

@@ -61,7 +61,6 @@ from .linalg import (
     exp_i_hermitian,
     hermitian_eigenvalues,
     hermitian_eigensystem,
-    kron,
     matrix_from_json,
     matrix_to_json,
 )

@@ -177,10 +177,11 @@ def _write_svg(points, labels, path: str | None, size: int = 640) -> None:
 
 
 def _cmd_basis(args) -> int:
-    basis = clifford.full_basis(args.m, args.mode, verify=False)
+    basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
         _dump_json(clifford.verify_algebra(basis), args.output)
         return 0
+    indices = basis.indices
     if args.element:
         try:
             k_str, idx_str = args.element.split(":", 1)
@@ -190,14 +191,9 @@ def _cmd_basis(args) -> int:
             raise UsageError(f"bad --element {args.element!r}; expected K:I1,I2,...") from exc
         if len(idx) != k:
             raise UsageError(f"--element grade {k} does not match {len(idx)} indices")
-        key = f"{args.m},{k},[{','.join(str(i) for i in idx)}]"
-        _dump_json({key: matrix_to_json(basis.element(idx))}, args.output)
-        return 0
-    dump = {
-        f"{args.m},{len(idx)},[{','.join(str(i) for i in idx)}]": matrix_to_json(el)
-        for idx, el in basis.elements.items()
-    }
-    _dump_json(dump, args.output)
+        indices = [idx]
+    _dump_json({f"{args.m},{len(i)},[{','.join(map(str, i))}]": matrix_to_json(basis.element(i))
+                for i in indices}, args.output)
     return 0
 
 

@@ -1,21 +1,28 @@
-"""Hermitian matrix representations of the Clifford algebra on 2m generators.
+"""Hermitian Clifford generators and the graded basis, stored as Pauli strings.
 
-The generators are built by the Pauli iteration: starting from
-{sigma1, sigma2} each step maps every existing generator G to kron(G, sigma1)
-and appends kron(I, sigma2), kron(I, sigma3).  All entries stay in
-{0, +-1, +-i}, so the anticommutation relations hold exactly in floating
-point.  The graded basis elements are
+A phased m-qubit Pauli string is a triple (x, z, p) of two m-bit masks and a
+phase exponent: i^p X^x Z^z, whose only nonzero entries are
+(X^x Z^z)[r ^ x, r] = (-1)^{|z & r|}, with |.| counting set bits and bit
+m-1-j acting on the j-th kron factor.  Moving Z^{z1} past X^{x2} costs
+(-1)^{|z1 & x2|}, so
+
+    (x1, z1, p1) (x2, z2, p2) = (x1 ^ x2, z1 ^ z2, p1 + p2 + 2|z1 & x2| mod 4).
+
+The generators follow the Pauli iteration: from {sigma1, sigma2}, each step
+maps every generator G to kron(G, sigma1) and appends kron(I, sigma2),
+kron(I, sigma3); on masks (x, z, p) -> (2x + 1, 2z, p), plus (1, 1, 1) and
+(0, 1, 0).  The graded basis elements
 
     E_{i1..ik} = i^{k(k-1)/2} * Gamma_{i1} ... Gamma_{ik},   i1 < ... < ik,
 
-hermitian by construction (the phase compensates the sign picked up when
-reversing k anticommuting factors) and trace-orthogonal with
-trace(E_A E_B) = 2^m delta_AB.
+are single strings, hermitian (p = |x & z| mod 2) and trace-orthogonal,
+trace(E_A E_B) = 2^m delta_AB, because their 4^m (x, z) pairs are distinct.
+Two strings anticommute iff |z1 & x2| + |x1 & z2| is odd.  CliffordBasis
+stores only the (x, z, p) table; dense matrices are built on request.
 
 "extended" mode appends the top element Gamma_{2m+1} (the phased product of
-all generators, which anticommutes with each of them) to the generator set
-and builds the grades 0..m over the 2m+1 indices; that family has the same
-size 4^m and the same orthogonality.
+all generators, anticommuting with each) and builds grades 0..m over the
+2m+1 indices: again 4^m orthogonal elements.
 """
 
 from __future__ import annotations
@@ -30,16 +37,7 @@ from .errors import BadIndex, ModeMismatch, ResourceLimit
 
 MAX_M = 6
 
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
-_PHASES = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
-
-
-def grade_phase(k: int) -> complex:
-    """Hermiticity phase i^{k(k-1)/2} for a grade-k product."""
-    return _PHASES[(k * (k - 1) // 2) % 4]
+_PHASES = np.array([1.0, 1j, -1.0, -1j])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -55,24 +53,58 @@ def _check_m(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _signs(m: int) -> np.ndarray:
+    """Walsh-Hadamard signs H[r, c] = (-1)^{|r & c|}, by Sylvester doubling."""
+    h = np.ones((1, 1))
+    for _ in range(m):
+        h = np.block([[h, h], [h, -h]])
+    return _freeze(h)
+
+
+def _product(strings) -> tuple:
+    """Product of phased Pauli strings (x, z, p), left to right."""
+    x = z = p = 0
+    for x2, z2, p2 in strings:
+        p += p2 + 2 * (z & x2).bit_count()
+        x ^= x2
+        z ^= z2
+    return x, z, p % 4
+
+
+def _dense(m: int, x: int, z: int, p: int) -> np.ndarray:
+    """The 2^m x 2^m matrix i^p X^x Z^z."""
+    r = np.arange(2 ** m)
+    out = np.zeros((2 ** m, 2 ** m), dtype=complex)
+    out[r ^ x, r] = _PHASES[p % 4] * _signs(m)[z] + 0j  # + 0j clears signed zeros
+    return out
+
+
+@lru_cache(maxsize=None)
+def _generator_strings(m: int, mode: str = "standard") -> tuple:
+    """(x, z, p) of Gamma_1 .. Gamma_side by the Pauli iteration."""
+    _check_m(m)
+    if mode not in ("standard", "extended"):
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    gens = [(1, 0, 0), (1, 1, 1)]
+    for _ in range(m - 1):
+        gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
+    if mode == "extended":
+        # Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}, and (-i)^m = i^{3m}
+        x, z, p = _product(gens)
+        gens.append((x, z, (p + 3 * m) % 4))
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
 def generate_gammas(m: int) -> tuple:
     """The 2m generators for m qubits: hermitian, traceless, dim 2^m."""
-    _check_m(m)
-    gams = [SIGMA1, SIGMA2]
-    for _ in range(m - 1):
-        eye = np.eye(gams[0].shape[0], dtype=complex)
-        gams = [np.kron(g, SIGMA1) for g in gams] + [np.kron(eye, SIGMA2), np.kron(eye, SIGMA3)]
-    return tuple(_freeze(g.copy()) for g in gams)
+    return tuple(_freeze(_dense(m, *g)) for g in _generator_strings(m))
 
 
 @lru_cache(maxsize=None)
 def chirality(m: int) -> np.ndarray:
     """Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}; squares to I, anticommutes with all generators."""
-    gams = generate_gammas(m)
-    prod = np.eye(2 ** m, dtype=complex)
-    for g in gams:
-        prod = prod @ g
-    return _freeze((-1j) ** m * prod)
+    return _freeze(_dense(m, *_generator_strings(m, "extended")[-1]))
 
 
 @lru_cache(maxsize=None)
@@ -95,27 +127,26 @@ def _validate_index(m: int, indices, mode: str) -> tuple:
 
 def basis_element(m: int, indices, mode: str = "standard") -> np.ndarray:
     """Graded basis element for a strictly increasing multi-index (1-based)."""
-    _check_m(m)
-    if mode not in ("standard", "extended"):
-        raise ModeMismatch(f"unknown mode {mode!r}")
+    gens = _generator_strings(m, mode)
     idx = _validate_index(m, indices, mode)
-    gams = generate_gammas(m) if mode == "standard" else extended_gammas(m)
-    prod = np.eye(2 ** m, dtype=complex)
-    for i in idx:
-        prod = prod @ gams[i - 1]
-    return grade_phase(len(idx)) * prod
+    x, z, p = _product(gens[i - 1] for i in idx)
+    return _dense(m, x, z, p + len(idx) * (len(idx) - 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)
 class CliffordBasis:
-    """All graded basis elements for a given m, keyed by increasing multi-index."""
+    """The 4^m graded elements E_A = i^p X^x Z^z as one Pauli-string table.
+
+    rows maps each increasing multi-index A to its row of the x, z, p
+    arrays; rows run grade by grade, lexicographically within a grade.
+    """
 
     m: int
     mode: str
-    gammas: tuple
-    chirality_element: np.ndarray
-    elements: dict = field(repr=False)
-    certificate: dict | None = None
+    rows: dict = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -129,109 +160,96 @@ class CliffordBasis:
     def max_grade(self) -> int:
         return 2 * self.m if self.mode == "standard" else self.m
 
+    @property
+    def indices(self) -> list:
+        """Every multi-index of the family, in table order."""
+        return list(self.rows)
+
     def indices_of_grade(self, k: int):
-        return [idx for idx in self.elements if len(idx) == k]
+        return [idx for idx in self.rows if len(idx) == k]
 
     def element(self, indices) -> np.ndarray:
-        idx = tuple(int(i) for i in indices)
-        if idx not in self.elements:
-            raise BadIndex(f"no basis element with index {idx}")
-        return self.elements[idx]
+        """Dense E_A, built on each call."""
+        row = self.rows.get(tuple(int(i) for i in indices))
+        if row is None:
+            raise BadIndex(f"no basis element with index {tuple(indices)}")
+        return _dense(self.m, int(self.x[row]), int(self.z[row]), int(self.p[row]))
+
+    def expand(self, coeffs: dict) -> np.ndarray:
+        """Dense sum_A c_A E_A for a mapping {increasing multi-index: c_A}.
+
+        With i^p c_A collected at (x, z), one Walsh-Hadamard product gives
+        the entries (r ^ x, r).
+        """
+        rows = np.array([self.rows[idx] for idx in coeffs], dtype=int)
+        w = np.zeros((self.dim, self.dim), dtype=complex)
+        vals = np.array(list(coeffs.values()), dtype=complex)
+        w[self.x[rows], self.z[rows]] = vals * _PHASES[self.p[rows]]
+        r = np.arange(self.dim)
+        out = np.empty_like(w)
+        out[r[:, None] ^ r, r] = w @ _signs(self.m)
+        return out
+
+    def project(self, rho: np.ndarray) -> np.ndarray:
+        """trace(rho E_A) for every row, in the order of indices.
+
+        trace(rho X^x Z^z) = sum_r rho[r, r ^ x] (-1)^{|z & r|}.
+        """
+        r = np.arange(self.dim)
+        t = rho[r, r[:, None] ^ r] @ _signs(self.m)
+        return _PHASES[self.p] * t[self.x, self.z]
 
 
-def full_basis(m: int, mode: str = "standard", verify: str | bool = "auto") -> CliffordBasis:
-    """Construct every graded basis element (4^m of them in either mode).
-
-    verify: True forces the pairwise orthogonality certificate, False skips
-    it, "auto" verifies exhaustively for m <= 4 and spot-checks 200 random
-    pairs at m = 5.
-    """
-    _check_m(m)
-    if mode not in ("standard", "extended"):
-        raise ModeMismatch(f"unknown mode {mode!r}")
-    if verify is True and m > 5:
-        raise ResourceLimit("full pairwise verification is limited to m <= 5")
-    gams = generate_gammas(m) if mode == "standard" else extended_gammas(m)
-    side = 2 * m if mode == "standard" else 2 * m + 1
+def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
+    """The Pauli-string table of every graded basis element (4^m in either mode)."""
+    gens = _generator_strings(m, mode)
     max_k = 2 * m if mode == "standard" else m
-    dim = 2 ** m
-    eye = np.eye(dim, dtype=complex)
-
-    # raw products cached by prefix so each element costs one matmul
-    raw: dict[tuple, np.ndarray] = {(): eye}
-    elements: dict[tuple, np.ndarray] = {}
-    for k in range(0, max_k + 1):
-        for idx in itertools.combinations(range(1, side + 1), k):
-            if k == 0:
-                prod = eye
-            else:
-                prod = raw[idx[:-1]] @ gams[idx[-1] - 1]
-            raw[idx] = prod
-            elements[idx] = _freeze(grade_phase(k) * prod)
-
-    expected = 4 ** m
-    assert len(elements) == expected, (len(elements), expected)
-    basis = CliffordBasis(m=m, mode=mode, gammas=gams, chirality_element=chirality(m),
-                          elements=elements)
-    if verify is True or (verify == "auto" and m <= 5):
-        # verify=True forces the exhaustive pair check even at m = 5
-        cap = expected * expected if verify is True else 65536
-        cert = verify_algebra(basis, max_pairs=cap)
-        basis = CliffordBasis(m=m, mode=mode, gammas=gams, chirality_element=chirality(m),
-                              elements=elements, certificate=cert)
-    return basis
+    # unphased products, each from its prefix by one more factor
+    raw = {(): (0, 0, 0)}
+    for k in range(1, max_k + 1):
+        for idx in itertools.combinations(range(1, len(gens) + 1), k):
+            raw[idx] = _product((raw[idx[:-1]], gens[idx[-1] - 1]))
+    table = [(x, z, p + len(idx) * (len(idx) - 1) // 2) for idx, (x, z, p) in raw.items()]
+    x, z, p = np.array(table, dtype=np.int64).T
+    return CliffordBasis(m=m, mode=mode, rows={idx: n for n, idx in enumerate(raw)},
+                         x=_freeze(x), z=_freeze(z), p=_freeze(p % 4))
 
 
 @lru_cache(maxsize=None)
 def cached_basis(m: int, mode: str = "standard") -> CliffordBasis:
     """Shared immutable basis (construction is deterministic, so caching is safe)."""
-    return full_basis(m, mode, verify=False)
+    return full_basis(m, mode)
 
 
 def element_stack(basis: CliffordBasis) -> tuple:
-    """(ordered index list, stacked element array) for vectorized projections."""
-    order = list(basis.elements)
-    stack = np.stack([basis.elements[idx] for idx in order])
-    return order, stack
+    """(ordered index list, stacked dense elements), built on each call."""
+    order = basis.indices
+    return order, np.stack([basis.element(idx) for idx in order])
 
 
-def verify_algebra(basis: CliffordBasis, max_pairs: int = 65536, seed: int = 0) -> dict:
-    """Residual report: anticommutators, hermiticity, pairwise trace-orthogonality.
+def verify_algebra(basis: CliffordBasis) -> dict:
+    """Exact residual report over all pairs: anticommutators, hermiticity, orthogonality.
 
-    Orthogonality is exhaustive while the pair count stays below max_pairs,
-    otherwise a seeded random sample of 200 pairs is checked.
+    Each relation holds exactly or fails by a fixed amount: 2 for a
+    commuting generator pair or a non-hermitian element (then E^dag = -E),
+    4 for a generator squaring to -I, 2^m for two rows sharing (x, z) and
+    2^{m+1} for E_A^2 = -I on the Gram diagonal.
     """
-    gams = basis.gammas
-    dim = basis.dim
-    n_gen = len(gams)
-    anti = 0.0
-    for i in range(n_gen):
-        for j in range(i, n_gen):
-            target = 2.0 * np.eye(dim) if i == j else 0.0
-            anti = max(anti, float(np.max(np.abs(gams[i] @ gams[j] + gams[j] @ gams[i] - target))))
-    herm = max(float(np.max(np.abs(e - e.conj().T))) for e in basis.elements.values())
-
-    order, stack = element_stack(basis)
-    n = len(order)
-    ortho = 0.0
-    if n * n <= max_pairs:
-        gram = np.einsum("aij,bji->ab", stack, stack)
-        ortho = float(np.max(np.abs(gram - dim * np.eye(n))))
-        pairs = n * n
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = 200
-        for _ in range(pairs):
-            a, b = rng.integers(0, n, size=2)
-            val = np.trace(stack[a] @ stack[b])
-            target = dim if a == b else 0.0
-            ortho = max(ortho, float(abs(val - target)))
+    h = _signs(basis.m)
+    hermitian = (1 - 2 * (basis.p & 1)) == h[basis.x, basis.z]
+    gens = [basis.rows[(i,)] for i in range(1, basis.side + 1)]
+    gx, gz = basis.x[gens], basis.z[gens]
+    commute = h[gz[:, None], gx] * h[gx[:, None], gz] > 0
+    np.fill_diagonal(commute, False)
+    n = len(basis.rows)
+    duplicate = len(np.unique(basis.x * basis.dim + basis.z)) < n
+    herm_bad, gen_bad = not hermitian.all(), not hermitian[gens].all()
     return {
         "m": basis.m,
         "mode": basis.mode,
         "n_elements": n,
-        "pairs_checked": int(pairs),
-        "max_anticommutator_residual": anti,
-        "max_hermiticity_residual": herm,
-        "max_orthogonality_residual": ortho,
+        "pairs_checked": n * n,
+        "max_anticommutator_residual": max(2.0 * bool(commute.any()), 4.0 * gen_bad),
+        "max_hermiticity_residual": 2.0 * herm_bad,
+        "max_orthogonality_residual": max(1.0 * basis.dim * duplicate, 2.0 * basis.dim * herm_bad),
     }

@@ -191,13 +191,10 @@ def encode(coords: StateCoords, basis: clifford.CliffordBasis | None = None) -> 
     if basis is None:
         basis = clifford.cached_basis(coords.m, coords.mode)
     _check_modes(coords, basis)
-    dim = basis.dim
-    rho = coords.scalar * np.eye(dim, dtype=complex)
-    for k, tensor in coords.grades.items():
-        for idx, val in tensor.items():
-            if val != 0.0:
-                rho = rho + val * basis.elements[idx]
-    return rho / dim
+    coeffs = {(): coords.scalar}
+    for tensor in coords.grades.values():
+        coeffs.update(tensor.values)
+    return basis.expand(coeffs) / basis.dim
 
 
 def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = None,
@@ -217,21 +214,19 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
     if abs(tr - 1.0) > TRACE_TOL:
         raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
 
-    order, stack = clifford.element_stack(basis)
-    proj = np.einsum("aij,ji->a", stack, rho)
+    proj = basis.project(rho)
     imag = float(np.max(np.abs(proj.imag)))
     if imag > HERM_TOL * scale:
         raise NotHermitian(f"projections have imaginary residue {imag:.3e}")
     coeffs = proj.real
     grades: dict[int, dict] = {}
     scalar = 1.0
-    for idx, val in zip(order, coeffs):
+    for idx, val in zip(basis.indices, coeffs):
         if len(idx) == 0:
             scalar = float(val)
         elif val != 0.0:
             grades.setdefault(len(idx), {})[idx] = float(val)
-    side = basis.side
-    built = {k: AntisymTensor(basis.m, k, side, v) for k, v in grades.items()}
+    built = {k: AntisymTensor(basis.m, k, basis.side, v) for k, v in grades.items()}
     return StateCoords(m=basis.m, mode=basis.mode, scalar=scalar, grades=built)
 
 

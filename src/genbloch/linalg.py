@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels.
 
-Kronecker products, hermitian eigensystems (LAPACK, through
-``numpy.linalg.eigh``) and Faddeev-LeVerrier characteristic polynomials.
+Hermitian eigensystems (LAPACK, through ``numpy.linalg.eigh``) and
+Faddeev-LeVerrier characteristic polynomials.
 Everything operates on plain ``complex128`` numpy arrays.
 
 The eigensolver is the ground-truth oracle used to validate every
@@ -40,11 +40,6 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if res >= tol * scale:
         raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block layout (i*dimB + k, j*dimB + l) = A[i,j] B[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def hermitian_eigensystem(h):

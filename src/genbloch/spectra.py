@@ -101,7 +101,8 @@ def numeric_spectrum(rho, tol: float = CLUSTER_TOL) -> Spectrum:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-8:
         raise NonUnitTrace(f"trace {tr} is not 1")
-    vals = hermitian_eigenvalues(rho)
+    # the eigensolver's own check is tighter, so it gets the hermitian part
+    vals = hermitian_eigenvalues((rho + rho.conj().T) / 2)
     m = int(round(math.log2(rho.shape[0])))
     return spectrum_from_values(m, vals, tol)
 

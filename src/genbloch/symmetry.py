@@ -97,13 +97,9 @@ def spin_lift(alpha: AntisymTensor, basis: clifford.CliffordBasis | None = None)
         basis = clifford.cached_basis(m, "standard")
     if basis.m != m or basis.mode != "standard":
         raise ModeMismatch("basis must be the standard basis for the same m")
-    gams = basis.gammas
-    dim = basis.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    # both index orders of the repeated-index sum double each stored i<j term
-    for (i, j), v in alpha.items():
-        h = h + v * (1j * (gams[i - 1] @ gams[j - 1]))
-    return exp_i_hermitian(0.5 * h, sign=-1)
+    # E_{ij} = i Gamma_i Gamma_j; both index orders of the repeated-index
+    # sum double each stored i<j term
+    return exp_i_hermitian(0.5 * basis.expand(alpha.values), sign=-1)
 
 
 def rotate_coords(coords: StateCoords, el) -> StateCoords:

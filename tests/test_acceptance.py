@@ -65,11 +65,11 @@ def test_criterion_01_algebra_generation():
 def test_criterion_02_basis_orthogonality():
     worst = 0.0
     for m in range(1, 5):
-        basis = full_basis(m, verify=False)
+        basis = full_basis(m)
         order, stack = clifford.element_stack(basis)
         gram = np.einsum("aij,bji->ab", stack, stack)
         worst = max(worst, float(np.max(np.abs(gram - 2 ** m * np.eye(len(order))))))
-    basis5 = full_basis(5, verify=False)
+    basis5 = full_basis(5)
     order5, stack5 = clifford.element_stack(basis5)
     rng = np.random.default_rng(12345)
     for _ in range(200):

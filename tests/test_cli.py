@@ -155,6 +155,33 @@ def test_basis_verify_report(capsys):
     assert out["n_elements"] == 16
 
 
+def test_basis_verify_m6_exact(capsys):
+    assert run(["basis", "--m", "6", "--verify"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["pairs_checked"] == 4 ** 12
+    assert out["max_anticommutator_residual"] == 0.0
+    assert out["max_hermiticity_residual"] == 0.0
+    assert out["max_orthogonality_residual"] == 0.0
+
+
+def test_validate_m6_peak_rss(tmp_path, rng):
+    # the basis is a Pauli-string table, so one m = 6 call stays far below
+    # the ~270 MB a dense 4^6 x 64 x 64 element stack would take
+    path = write_json(tmp_path / "rho.json", matrix_to_json(_mixed_state(rng, 6, 0.3)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(tmp_path / "out.json", "w") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "genbloch", "validate", "--input", path],
+                                env=env, stdout=out, stderr=subprocess.DEVNULL)
+        # wait4 reports this child alone; RUSAGE_CHILDREN would also count
+        # every earlier child of the test process
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert json.loads((tmp_path / "out.json").read_text())["admissible"] is True
+    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
+
+
 def test_figure_fig1_csv_rows(tmp_path):
     path = str(tmp_path / "fig1.csv")
     assert run(["figure", "fig1", "--resolution", "101", "--format", "csv",

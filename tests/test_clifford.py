@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +12,6 @@ from genbloch.clifford import (
     full_basis,
     generate_gammas,
     verify_algebra,
-    CliffordBasis,
 )
 from genbloch.errors import BadIndex, ResourceLimit
 
@@ -94,34 +95,72 @@ def test_basis_element_extended_high_grade():
 
 def test_full_basis_m1_elements():
     b = full_basis(1)
-    assert len(b.elements) == 4
-    assert np.array_equal(b.elements[()], np.eye(2) + 0j)
-    assert np.array_equal(b.elements[(1,)], SIGMA1)
-    assert np.array_equal(b.elements[(2,)], SIGMA2)
-    assert np.array_equal(b.elements[(1, 2)], -SIGMA3)
+    assert len(b.indices) == 4
+    assert np.array_equal(b.element(()), np.eye(2) + 0j)
+    assert np.array_equal(b.element((1,)), SIGMA1)
+    assert np.array_equal(b.element((2,)), SIGMA2)
+    assert np.array_equal(b.element((1, 2)), -SIGMA3)
 
 
 def test_full_basis_m2_orthogonality():
-    b = full_basis(2, verify=True)
-    assert len(b.elements) == 16
-    assert b.certificate["max_orthogonality_residual"] < 1e-12
-    assert b.certificate["pairs_checked"] == 256
+    report = verify_algebra(full_basis(2))
+    assert report["n_elements"] == 16
+    assert report["max_orthogonality_residual"] == 0.0
+    assert report["pairs_checked"] == 256
 
 
 def test_full_basis_grade_counts():
     for m in (1, 2, 3):
-        b = full_basis(m, verify=False)
+        b = full_basis(m)
         for k in range(0, 2 * m + 1):
             assert len(b.indices_of_grade(k)) == math.comb(2 * m, k)
 
 
 def test_full_basis_extended_m3():
-    b = full_basis(3, "extended", verify=False)
-    assert len(b.elements) == 64
+    b = full_basis(3, "extended")
+    assert len(b.indices) == 64
     assert b.side == 7
     assert b.max_grade == 3
     counts = {k: len(b.indices_of_grade(k)) for k in range(4)}
     assert counts == {0: 1, 1: 7, 2: 21, 3: 35}
+
+
+def _kron_iteration(m):
+    """The Pauli iteration written out with dense Kronecker products."""
+    gams = [SIGMA1, SIGMA2]
+    for _ in range(m - 1):
+        eye = np.eye(gams[0].shape[0])
+        gams = [np.kron(g, SIGMA1) for g in gams] + [np.kron(eye, SIGMA2), np.kron(eye, SIGMA3)]
+    return gams
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_generators_follow_kron_iteration(m):
+    dense = _kron_iteration(m)
+    assert len(generate_gammas(m)) == len(dense)
+    for g, want in zip(generate_gammas(m), dense):
+        assert np.array_equal(g, want)
+
+
+def _dense_product(gams, idx):
+    prod = np.eye(gams[0].shape[0], dtype=complex)
+    for i in idx:
+        prod = prod @ gams[i - 1]
+    k = len(idx)
+    return (1, 1j, -1, -1j)[(k * (k - 1) // 2) % 4] * prod
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_table_matches_dense_products(m, mode):
+    b = full_basis(m, mode)
+    gams = generate_gammas(m) if mode == "standard" else extended_gammas(m)
+    indices = b.indices
+    if m == 6:
+        rng = np.random.default_rng(6)
+        indices = [indices[i] for i in rng.choice(len(indices), size=64, replace=False)]
+    for idx in indices:
+        assert np.array_equal(b.element(idx), _dense_product(gams, idx)), idx
 
 
 def test_extended_gammas_m1():
@@ -148,36 +187,40 @@ def test_extended_gammas_m3_squares():
 
 
 def test_verify_algebra_residuals():
-    assert verify_algebra(full_basis(2, verify=False))["max_orthogonality_residual"] < 1e-12
-    report = verify_algebra(full_basis(4, verify=False))
-    assert report["max_anticommutator_residual"] < 1e-10
-    assert report["max_hermiticity_residual"] < 1e-10
-    assert report["max_orthogonality_residual"] < 1e-10
+    for m, mode in itertools.product(range(1, 7), ["standard", "extended"]):
+        report = verify_algebra(full_basis(m, mode))
+        assert report["pairs_checked"] == 16 ** m
+        assert report["max_anticommutator_residual"] == 0.0
+        assert report["max_hermiticity_residual"] == 0.0
+        assert report["max_orthogonality_residual"] == 0.0
 
 
 def test_verify_algebra_detects_tampering():
-    b = full_basis(2, verify=False)
-    elements = dict(b.elements)
-    key = (1, 2)
-    bad = elements[key].copy()
-    bad[0, 0] += 1e-3
-    elements[key] = bad
-    tampered = CliffordBasis(m=b.m, mode=b.mode, gammas=b.gammas,
-                             chirality_element=b.chirality_element, elements=elements)
-    report = verify_algebra(tampered)
-    worst = max(report["max_hermiticity_residual"], report["max_orthogonality_residual"])
-    assert worst >= 1e-4
+    b = full_basis(2)
+    # a phase off by i makes (1, 2) anti-hermitian
+    p = b.p.copy()
+    p[b.rows[(1, 2)]] ^= 1
+    report = verify_algebra(dataclasses.replace(b, p=p))
+    assert report["max_hermiticity_residual"] >= 1.0
+    # a repeated Pauli string breaks orthogonality by a full trace
+    x, z, p = b.x.copy(), b.z.copy(), b.p.copy()
+    src, dst = b.rows[(1, 2)], b.rows[(3, 4)]
+    x[dst], z[dst], p[dst] = x[src], z[src], p[src]
+    report = verify_algebra(dataclasses.replace(b, x=x, z=z, p=p))
+    assert report["max_orthogonality_residual"] == 2 ** b.m
+    assert report["max_hermiticity_residual"] == 0.0
 
 
 def test_products_close_in_span(rng):
     # random triple products of generators expand fully over the 4^m elements
-    b = full_basis(2, verify=False)
-    gams = b.gammas
+    b = full_basis(2)
+    gams = generate_gammas(2)
     for _ in range(10):
         i, j, k = rng.integers(0, 4, size=3)
         prod = gams[i] @ gams[j] @ gams[k]
         recon = np.zeros_like(prod)
-        for el in b.elements.values():
+        for idx in b.indices:
+            el = b.element(idx)
             coeff = np.trace(prod @ el) / b.dim
             recon = recon + coeff * el
         assert np.max(np.abs(recon - prod)) < 1e-10
@@ -186,5 +229,3 @@ def test_products_close_in_span(rng):
 def test_resource_limit():
     with pytest.raises(ResourceLimit):
         generate_gammas(7)
-    with pytest.raises(ResourceLimit):
-        full_basis(6, verify=True)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genbloch.clifford import cached_basis, full_basis
+from genbloch.clifford import cached_basis, full_basis, verify_algebra
 from genbloch.coords import (
     AntisymTensor,
     alt_expand,
@@ -85,7 +87,7 @@ def test_decode_linearity(rng):
     a = 0.3
     mix = decode(a * rho1 + (1 - a) * rho2)
     c1, c2 = decode(rho1), decode(rho2)
-    for idx in cached_basis(2).elements:
+    for idx in cached_basis(2).indices:
         want = a * c1.coefficient(idx) + (1 - a) * c2.coefficient(idx)
         assert abs(mix.coefficient(idx) - want) < 1e-10
 
@@ -93,7 +95,7 @@ def test_decode_linearity(rng):
 def test_coordinate_count():
     for m in (1, 2, 3):
         basis = cached_basis(m)
-        non_scalar = [idx for idx in basis.elements if idx]
+        non_scalar = [idx for idx in basis.indices if idx]
         assert len(non_scalar) == 4 ** m - 1
 
 
@@ -166,7 +168,7 @@ def test_alt_roundtrip_on_extended_configs(rng):
     rho = alt_expand(coords)
     back, residual = alt_project(rho)
     assert np.max(np.abs(residual)) < 1e-12
-    for idx in cached_basis(2, "extended").elements:
+    for idx in cached_basis(2, "extended").indices:
         assert abs(back.coefficient(idx) - coords.coefficient(idx)) < 1e-10
 
 
@@ -184,5 +186,24 @@ def test_coords_json_roundtrip():
 
 
 def test_full_basis_extended_certificate():
-    b = full_basis(2, "extended", verify=True)
-    assert b.certificate["max_orthogonality_residual"] < 1e-12
+    report = verify_algebra(full_basis(2, "extended"))
+    assert report["max_orthogonality_residual"] == 0.0
+    assert report["pairs_checked"] == 256
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.sampled_from(["standard", "extended"]), st.integers(0, 2 ** 32 - 1))
+def test_codec_matches_dense_traces(m, mode, seed):
+    rng = np.random.default_rng(seed)
+    basis = cached_basis(m, mode)
+    rho = random_unit_trace_hermitian(rng, 2 ** m)
+    indices = basis.indices
+    rows = range(len(indices)) if m <= 3 else rng.choice(len(indices), size=64, replace=False)
+    proj = basis.project(rho)
+    for row in rows:
+        want = np.trace(rho @ basis.element(indices[row]))
+        assert abs(proj[row] - want) < 1e-12
+    coords = random_coords(rng, m, mode=mode)
+    back = decode(encode(coords), mode=mode)
+    for idx in indices:
+        assert abs(back.coefficient(idx) - coords.coefficient(idx)) < 1e-12

@@ -7,47 +7,11 @@ from genbloch.linalg import (
     char_poly,
     exp_i_hermitian,
     hermitian_eigenvalues,
-    kron,
     matrix_from_json,
     matrix_to_json,
 )
 
-from conftest import SIGMA1, SIGMA2, SIGMA3, random_hermitian
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma1_sigma1():
-    # direct index expansion: (kron)[2i+k, 2j+l] = s1[i,j] s1[k,l]
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    expected[2 * i + k, 2 * j + l] = SIGMA1[i, j] * SIGMA1[k, l]
-    got = kron(SIGMA1, SIGMA1)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(got, np.fliplr(np.eye(4)))
-
-
-def test_kron_sigma3_identity():
-    assert np.array_equal(kron(SIGMA3, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_associative_bitwise_on_unit_entries():
-    # entries in {0, +-1, +-i} multiply exactly, so association is bit-for-bit
-    assert np.array_equal(kron(kron(SIGMA1, SIGMA2), SIGMA3), kron(SIGMA1, kron(SIGMA2, SIGMA3)))
-
-
-def test_kron_associative_random(rng):
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    c = random_hermitian(rng, 2)
-    lhs = kron(kron(a, b), c)
-    rhs = kron(a, kron(b, c))
-    assert np.max(np.abs(lhs - rhs)) < 1e-15 * np.max(np.abs(lhs))
+from conftest import SIGMA1, SIGMA2, random_hermitian
 
 
 def test_eigenvalues_maximally_mixed():

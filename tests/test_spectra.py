@@ -326,6 +326,14 @@ def test_numeric_spectrum_examples():
     assert np.allclose(s2.eigenvalues, [0, 0, 0.5, 0.5], atol=1e-12)
 
 
+def test_numeric_spectrum_within_hermiticity_tolerance():
+    # accepted by numeric_spectrum's own 1e-10 check, so it must not be
+    # rejected by the eigensolver's tighter one
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 5e-11j
+    assert np.allclose(numeric_spectrum(rho).eigenvalues, [0.25] * 4, atol=1e-10)
+
+
 def test_spectrum_sums_to_one(rng):
     for m in (2, 3):
         g = random_tensor(rng, m, 2)

@@ -75,7 +75,7 @@ def test_spin_lift_conjugation_matches_rotation(rng):
 def test_rotate_coords_identity(rng):
     coords = random_coords(rng, 2)
     same = rotate_coords(coords, np.eye(4))
-    for idx in cached_basis(2).elements:
+    for idx in cached_basis(2).indices:
         assert abs(same.coefficient(idx) - coords.coefficient(idx)) < 1e-14
 
 
