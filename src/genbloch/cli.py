@@ -139,10 +139,11 @@ def _validate_verdict(coords: StateCoords, rho, tol: float):
 def _csv_row(values) -> str:
     out = []
     for v in values:
-        if isinstance(v, bool):
+        if isinstance(v, (bool, np.bool_)):
             out.append("1" if v else "0")
         elif isinstance(v, float):
-            out.append(repr(v))
+            # float's own repr: numpy 2 spells a numpy float as np.float64(...)
+            out.append(float.__repr__(v))
         else:
             out.append(str(v))
     return ",".join(out)

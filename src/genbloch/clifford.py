@@ -179,15 +179,16 @@ class CliffordBasis:
         """Dense sum_A c_A E_A for a mapping {increasing multi-index: c_A}.
 
         With i^p c_A collected at (x, z), one Walsh-Hadamard product gives
-        the entries (r ^ x, r).
+        the entries (r ^ x, r).  The c_A may also be arrays that broadcast
+        to one shape S; the result is then an S + (2^m, 2^m) stack.
         """
         rows = np.array([self.rows[idx] for idx in coeffs], dtype=int)
-        w = np.zeros((self.dim, self.dim), dtype=complex)
-        vals = np.array(list(coeffs.values()), dtype=complex)
-        w[self.x[rows], self.z[rows]] = vals * _PHASES[self.p[rows]]
+        vals = np.array(np.broadcast_arrays(*coeffs.values()), dtype=complex)
+        w = np.zeros(vals.shape[1:] + (self.dim, self.dim), dtype=complex)
+        w[..., self.x[rows], self.z[rows]] = np.moveaxis(vals, 0, -1) * _PHASES[self.p[rows]]
         r = np.arange(self.dim)
         out = np.empty_like(w)
-        out[r[:, None] ^ r, r] = w @ _signs(self.m)
+        out[..., r[:, None] ^ r, r] = w @ _signs(self.m)
         return out
 
     def project(self, rho: np.ndarray) -> np.ndarray:

@@ -17,16 +17,23 @@ sum_i (-1)^i a_i lambda^i, the state is positive semidefinite exactly when
 every a_i is nonnegative (all roots are real, so the rule is exact), but
 the Faddeev-LeVerrier coefficients lose their relative accuracy as the
 dimension grows, so no runtime verdict depends on it.
+
+The figure datasets and the sampler decide whole arrays at once: tunnel
+points through the same alpha_pm helper as tunnel_membership, sampled
+tensors through the stacked normal-form engine (spectra) and the stacked
+LAPACK oracle (linalg), in chunks of CHUNK_BYTES of density matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coords import AntisymTensor, antisym, tensor_config
+from .clifford import _check_m, cached_basis
+from .coords import AntisymTensor
 from .errors import (
     BadResolution,
     GradeMismatch,
@@ -35,12 +42,17 @@ from .errors import (
     ResourceLimit,
     UnsupportedM,
 )
-from .invariants import InvariantSet, dual_tensor, pfaffian, trace_T4, vector_invariants
+from .invariants import InvariantSet, dual_tensor, pfaffian, vector_invariants
 from .linalg import hermitian_eigenvalues
 from .spectra import normal_form_eigenvalues
 
 DEFAULT_TOL = 1e-9
 ORACLE_TOL = 1e-9
+# figure_data's largest resolution: fig1 then has about 10^6 grid rows
+MAX_RESOLUTION = 1001
+# sample_domain classifies draws in chunks whose rho stack takes this many
+# bytes, so its peak memory does not grow with the sample count
+CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -132,10 +144,8 @@ def z_from_coords(g2: AntisymTensor) -> float:
 
 def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Intersection of the two elliptic tunnels alpha_pm <= 1."""
-    ap = math.hypot(x + y, z)
-    am = math.hypot(x - y, z)
-    r = x * x + y * y + z * z
-    inv = InvariantSet(r=r, T4=_tunnel_t4(x, y, z))
+    ap, am, r, t4 = (float(v[0]) for v in _tunnel_family(np.array([[x, y, z]], dtype=float)))
+    inv = InvariantSet(r=r, T4=t4)
     violated = None
     if ap > 1.0 + tol:
         violated = "tunnel_plus"
@@ -147,9 +157,42 @@ def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) ->
                          invariants_used=inv, tol=tol)
 
 
-def _tunnel_t4(x: float, y: float, z: float) -> float:
-    g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
-    return trace_T4(g)
+def _antisym_stack(side: int, columns: dict) -> np.ndarray:
+    """(n, side, side) antisymmetric matrices from {(i, j): n values of G_ij}, 1-based i < j."""
+    n = len(next(iter(columns.values())))
+    g = np.zeros((n, side, side))
+    for (i, j), v in columns.items():
+        g[:, i - 1, j - 1] = v
+        g[:, j - 1, i - 1] = -v
+    return g
+
+
+def _require_invariants(r: np.ndarray, t4: np.ndarray | float = 0.0) -> None:
+    """InvariantSet's check (r, T4 >= 0) on every entry, applied to the smallest."""
+    if np.size(r):
+        InvariantSet(r=float(np.min(r)), T4=float(np.min(t4)))
+
+
+def _tunnel_family(pts: np.ndarray):
+    """alpha_+, alpha_-, r and T4 of G_12 = x, G_34 = y, G_23 = z per (x, y, z) row.
+
+    alpha_pm = sqrt((x +- y)^2 + z^2).  The coordinates must be finite.
+    """
+    if not np.isfinite(pts).all():
+        raise ValueError("non-finite tunnel coordinates")
+    x, y, z = pts.T
+    g = _antisym_stack(4, {(1, 2): x, (3, 4): y, (2, 3): z})
+    gtg = np.swapaxes(g, -1, -2) @ g
+    r = x * x + y * y + z * z
+    t4 = np.trace(gtg @ gtg, axis1=-2, axis2=-1)
+    _require_invariants(r, t4)
+    return np.hypot(x + y, z), np.hypot(x - y, z), r, t4
+
+
+def _tunnel_admissible(pts: np.ndarray) -> np.ndarray:
+    """tunnel_membership(x, y, z).admissible for every (x, y, z) row."""
+    ap, am, _, _ = _tunnel_family(pts)
+    return (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
 
 
 def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_TOL,
@@ -239,31 +282,46 @@ class SampleSet:
 def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> SampleSet:
     """Monte-Carlo atlas: n grade-k tensors uniform in [-box, box]^dim, each
     classified by the closed-form domain and by the eigenvalue oracle."""
+    _check_m(m)
     if k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
     if n < 0 or n > 10 ** 6:
         raise ResourceLimit(f"sample count {n} out of range")
+    if not (math.isfinite(box) and box >= 0):
+        raise ResourceLimit(f"box must be a finite number >= 0, got {box!r}")
     side = 2 * m
     keys = ([(i,) for i in range(1, side + 1)] if k == 1
             else [(i, j) for i in range(1, side + 1) for j in range(i + 1, side + 1)])
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-box, box, size=(n, len(keys)))
-    records = []
-    for idx in range(n):
-        vals = {key: float(v) for key, v in zip(keys, draws[idx])}
-        tensor = AntisymTensor(m, k, side, vals)
-        min_closed = closed_form_min_eigenvalue(m, k, tensor)
-        closed_ok = min_closed >= -ORACLE_TOL
-        rho = tensor_config(m, k, tensor)
-        oracle_ok = float(np.min(hermitian_eigenvalues(rho))) >= -ORACLE_TOL
-        records.append(SampleRecord(
-            index=idx,
-            coefficients=tuple(float(v) for v in draws[idx]),
-            closed_admissible=bool(closed_ok),
-            oracle_admissible=bool(oracle_ok),
-            boundary_margin=abs(min_closed),
-        ))
+    if not np.isfinite(draws).all():
+        raise ValueError("non-finite tensor values")
+    basis = cached_basis(m)
+    min_closed = np.empty(n)
+    oracle_min = np.empty(n)
+    per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
+    for lo in range(0, n, per):
+        columns = dict(zip(keys, draws[lo:lo + per].T))
+        min_closed[lo:lo + per] = _closed_form_min_eigenvalues(m, k, columns)
+        rho = basis.expand({(): 1.0, **columns}) / basis.dim
+        oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
+    records = [SampleRecord(index=idx, coefficients=tuple(coeffs), closed_admissible=closed_ok,
+                            oracle_admissible=oracle_ok, boundary_margin=margin)
+               for idx, (coeffs, closed_ok, oracle_ok, margin) in enumerate(zip(
+                   draws.tolist(), (min_closed >= -ORACLE_TOL).tolist(),
+                   (oracle_min >= -ORACLE_TOL).tolist(), np.abs(min_closed).tolist()))]
     return SampleSet(m=m, k=k, n=n, seed=seed, box=box, records=records)
+
+
+def _closed_form_min_eigenvalues(m: int, k: int, columns: dict) -> np.ndarray:
+    """closed_form_min_eigenvalue of each tensor of a stack given as {key: values}."""
+    if k == 1:
+        r = 0.0
+        for v in columns.values():  # AntisymTensor.norm_sq's summation order
+            r = r + v * v
+        _require_invariants(r)
+        return (1.0 - np.sqrt(r)) / 2 ** m
+    return normal_form_eigenvalues(_antisym_stack(2 * m, columns))[:, 0]
 
 
 def _fig1(resolution: int) -> dict:
@@ -288,29 +346,27 @@ def _fig1(resolution: int) -> dict:
     }
 
 
-def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float):
-    """Parametric points of alpha_kind = level inside the box."""
+def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> np.ndarray:
+    """Parametric points of alpha_kind = level inside the box, one (x, y, z) row each."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     ts = np.linspace(-2.0 * box, 2.0 * box, 3 * resolution + 1)
-    pts = []
-    for theta in thetas:
-        u = level * math.cos(theta)   # x + y (plus) or x - y (minus)
-        z = level * math.sin(theta)
-        for t in ts:
-            if kind == "alpha_plus":
-                x, y = (u + t) / 2.0, (u - t) / 2.0
-            else:
-                x, y = (t + u) / 2.0, (t - u) / 2.0
-            if abs(x) <= box and abs(y) <= box and abs(z) <= box:
-                pts.append((float(x), float(y), float(z)))
-    return pts
+    # math.cos/sin (not np.cos/sin, which may differ in the last bit) keep the
+    # coordinates of earlier releases
+    u = np.array([level * math.cos(theta) for theta in thetas])[:, None]  # x + y or x - y
+    z = np.array([level * math.sin(theta) for theta in thetas])[:, None]
+    if kind == "alpha_plus":
+        x, y = (u + ts) / 2.0, (u - ts) / 2.0
+    else:
+        x, y = (ts + u) / 2.0, (ts - u) / 2.0
+    pts = np.stack(np.broadcast_arrays(x, y, z), axis=-1).reshape(-1, 3)
+    return pts[np.all(np.abs(pts) <= box, axis=1)]
 
 
 def _fig2(resolution: int) -> dict:
     rows = []
     for kind in ("alpha_plus", "alpha_minus"):
-        for x, y, z in _tunnel_surface_points(kind, 1.0, resolution, box=1.5):
-            rows.append((x, y, z, f"{kind}=1"))
+        pts = _tunnel_surface_points(kind, 1.0, resolution, box=1.5)
+        rows.extend(zip(*pts.T.tolist(), itertools.repeat(f"{kind}=1")))
     return {
         "which": "fig2",
         "resolution": resolution,
@@ -325,14 +381,11 @@ def _fig3(resolution: int, paper_cube: bool) -> dict:
     rows = []
     for kind, level in surfaces:
         tag = f"{kind}={level:g}"
-        for x, y, z in _tunnel_surface_points(kind, level, resolution, box=1.5):
-            if not tunnel_membership(x, y, z).admissible:
-                continue
-            if paper_cube and not (-1e-12 <= x <= 1 + 1e-12
-                                   and -1e-12 <= y <= 1 + 1e-12
-                                   and -1e-12 <= z <= 1 + 1e-12):
-                continue
-            rows.append((x, y, z, tag))
+        pts = _tunnel_surface_points(kind, level, resolution, box=1.5)
+        keep = _tunnel_admissible(pts)
+        if paper_cube:
+            keep &= np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
+        rows.extend(zip(*pts[keep].T.tolist(), itertools.repeat(tag)))
     return {
         "which": "fig3",
         "resolution": resolution,
@@ -353,6 +406,8 @@ def figure_data(which: str, resolution: int, paper_cube: bool = False) -> dict:
     """
     if not isinstance(resolution, (int, np.integer)) or resolution < 2:
         raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
+    if resolution > MAX_RESOLUTION:
+        raise ResourceLimit(f"resolution {resolution} exceeds the maximum {MAX_RESOLUTION}")
     if which == "fig1":
         return _fig1(int(resolution))
     if which == "fig2":

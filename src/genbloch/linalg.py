@@ -18,37 +18,53 @@ import numpy as np
 from .errors import NotHermitian
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex128 array, validating shape and finiteness."""
+def _as_square(a) -> np.ndarray:
+    """Coerce to complex128 with square trailing dims, validating finiteness."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def hermiticity_residual(a: np.ndarray) -> float:
-    """Max-norm of a - a^dagger."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex128 array, validating shape and finiteness."""
+    m = _as_square(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    a = as_matrix(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+def hermiticity_residual(a: np.ndarray):
+    """Max-norm of a - a^dagger; one value per matrix of a (..., n, n) stack."""
+    res = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1), initial=0.0)
+    return float(res) if a.ndim == 2 else res
+
+
+def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
+    """Raise NotHermitian unless every matrix of the stack has residual < tol * max(1, |a|)."""
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
     res = hermiticity_residual(a)
-    if res >= tol * scale:
+    bad = np.flatnonzero(res >= tol * scale)
+    if bad.size:
+        res, scale = np.ravel(res)[bad[0]], np.ravel(scale)[bad[0]]
         raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return a
 
 
+def require_hermitian(a, tol: float = 1e-10) -> np.ndarray:
+    return _check_hermitian(as_matrix(a), tol)
+
+
 def hermitian_eigensystem(h):
-    """Eigenvalues (ascending) and eigenvector columns of a hermitian matrix (LAPACK)."""
-    return np.linalg.eigh(require_hermitian(h, 1e-12))
+    """Eigenvalues (ascending) and eigenvector columns (LAPACK) of a hermitian
+    matrix, or of each matrix of a (..., n, n) stack; every matrix is checked."""
+    return np.linalg.eigh(_check_hermitian(_as_square(h), 1e-12))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending real eigenvalues of a hermitian matrix."""
+    """Ascending real eigenvalues of a hermitian matrix (..., n for a stack)."""
     return hermitian_eigensystem(h)[0]
 
 

@@ -152,20 +152,25 @@ def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
     return np.sort(np.array(out))
 
 
-def normal_form_eigenvalues(g2: AntisymTensor) -> np.ndarray:
+def normal_form_eigenvalues(g2) -> np.ndarray:
     """Sorted eigenvalues (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}).
 
     mu_1..mu_m are the normal-form amplitudes of G: the singular values of
     its antisymmetric matrix come in equal pairs, and one of each of the m
     largest pairs is kept (a side 2m+1 tensor has one more singular value,
     zero, which is dropped).  The sign vectors s run over all 2^m choices.
+    g2 is a grade-2 AntisymTensor, or a (..., side, side) stack of
+    antisymmetric matrices with m = side // 2, giving (..., 2^m) values.
     """
-    if g2.k != 2:
-        raise GradeMismatch(f"expected a grade-2 tensor, got grade {g2.k}")
-    m = g2.m
-    mu = np.linalg.svd(g2.as_matrix(), compute_uv=False)[: 2 * m : 2]
+    if isinstance(g2, AntisymTensor):
+        if g2.k != 2:
+            raise GradeMismatch(f"expected a grade-2 tensor, got grade {g2.k}")
+        g2 = g2.as_matrix()
+    m = g2.shape[-1] // 2
+    mu = np.linalg.svd(g2, compute_uv=False)[..., : 2 * m : 2]
     signs = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
-    return np.sort((1.0 + signs @ mu) / 2 ** m)
+    # one (2^m, m) @ (m,) product per matrix keeps each sum in one order
+    return np.sort((1.0 + (signs @ mu[..., None])[..., 0]) / 2 ** m, axis=-1)
 
 
 def two_tensor_spectrum(m: int, g2: AntisymTensor) -> Spectrum:

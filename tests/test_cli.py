@@ -182,6 +182,29 @@ def test_validate_m6_peak_rss(tmp_path, rng):
     assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
 
 
+# Linux carries a parent's peak RSS into its child across fork and exec, so
+# a child of the (large) test process would report at least the test
+# process's own peak; a small launcher process starts the measured command
+_LAUNCHER = ("import os, sys; pid = os.spawnv(os.P_NOWAIT, sys.executable, sys.argv[1:]); "
+             "_, status, usage = os.wait4(pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def test_sample_m6_peak_rss(tmp_path):
+    # the sampler classifies draws in fixed-size chunks; one 2000 x 64 x 64
+    # complex rho stack alone would take about 130 MB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    out = tmp_path / "out.json"
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "genbloch", "sample",
+         "--m", "6", "--k", "1", "--samples", "2000", "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    assert code == 0
+    assert len(json.loads(out.read_text())["records"]) == 2000
+    assert maxrss_kib / 1024 < 80
+
+
 def test_figure_fig1_csv_rows(tmp_path):
     path = str(tmp_path / "fig1.csv")
     assert run(["figure", "fig1", "--resolution", "101", "--format", "csv",
@@ -349,3 +372,41 @@ def test_cli_import_loads_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "-0.5"])
+def test_sample_bad_box_exit_1(capsys, box):
+    assert run(["sample", "--m", "2", "--k", "2", "--samples", "1", f"--box={box}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+
+
+def test_sample_zero_box(capsys):
+    assert run(["sample", "--m", "2", "--k", "2", "--samples", "3", "--box", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(rec["coefficients"] == [0.0] * 6 for rec in out["records"])
+
+
+@pytest.mark.parametrize("m", ["7", "0"])
+def test_sample_unsupported_m_exit_1(capsys, m):
+    assert run(["sample", "--m", m, "--k", "1", "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+
+
+def test_figure_resolution_limit(capsys, monkeypatch):
+    from genbloch import domains
+
+    assert run(["figure", "fig1", "--resolution", str(domains.MAX_RESOLUTION + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    # the largest resolution passes validation (the dataset itself is not built here)
+    monkeypatch.setattr(domains, "_fig1", lambda resolution: {"resolution": resolution})
+    assert domains.figure_data("fig1", domains.MAX_RESOLUTION) == {"resolution": 1001}
+
+
+def test_csv_row_numpy_scalars():
+    from genbloch.cli import _csv_row
+
+    row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
+    assert _csv_row(row) == "0.1,1,0,7,1,2.5,a"

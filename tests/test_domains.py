@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from genbloch.coords import antisym, tensor_config, vector
+from genbloch.coords import AntisymTensor, antisym, tensor_config, vector
 from genbloch.domains import (
+    CHUNK_BYTES,
     DomainVerdict,
+    SampleRecord,
+    _tunnel_surface_points,
+    closed_form_min_eigenvalue,
     descartes_positivity,
     figure_data,
     rT4_domain,
@@ -16,6 +20,7 @@ from genbloch.domains import (
     z_variable,
 )
 from genbloch.errors import (
+    BadIndex,
     BadResolution,
     GradeOutOfRange,
     NegativeDiscriminant,
@@ -233,6 +238,39 @@ def test_sample_domain_grade2_large_m(m, box):
     assert {r.closed_admissible for r in sset.records} == {True, False}
 
 
+def _sample_per_draw(m, k, n, seed, box):
+    """The per-draw loop that sample_domain batches: the reference for its records."""
+    side = 2 * m
+    keys = ([(i,) for i in range(1, side + 1)] if k == 1
+            else [(i, j) for i in range(1, side + 1) for j in range(i + 1, side + 1)])
+    draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(keys)))
+    records = []
+    for idx in range(n):
+        tensor = AntisymTensor(m, k, side, {key: float(v) for key, v in zip(keys, draws[idx])})
+        min_closed = closed_form_min_eigenvalue(m, k, tensor)
+        oracle = float(np.min(hermitian_eigenvalues(tensor_config(m, k, tensor))))
+        records.append(SampleRecord(idx, tuple(float(v) for v in draws[idx]),
+                                    min_closed >= -ORACLE_TOL, oracle >= -ORACLE_TOL,
+                                    abs(min_closed)))
+    return records
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_sample_domain_matches_per_draw(m, k):
+    n = 40
+    if m == 6:
+        assert n > CHUNK_BYTES // (16 * 4 ** m)  # this case spans several chunks
+    # boxes that put both verdicts among the draws at most m
+    box = 1.2 / math.sqrt(m) if k == 1 else 1.6 / m ** 1.5
+    records = sample_domain(m, k, n, seed=m, box=box).records
+    assert records == _sample_per_draw(m, k, n, m, box)
+    for rec in records:
+        assert type(rec.closed_admissible) is bool and type(rec.oracle_admissible) is bool
+        assert type(rec.boundary_margin) is float
+        assert all(type(c) is float for c in rec.coefficients)
+
+
 def test_sample_domain_ball_fraction():
     sset = sample_domain(2, 1, 1000, seed=7)
     frac = sset.admissible_fraction()
@@ -246,6 +284,13 @@ def test_sample_domain_guards():
         sample_domain(2, 3, 10, seed=0)
     with pytest.raises(ResourceLimit):
         sample_domain(2, 1, -1, seed=0)
+    for box in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ResourceLimit):
+            sample_domain(2, 1, 1, seed=0, box=box)
+    with pytest.raises(ResourceLimit):
+        sample_domain(7, 1, 0, seed=0)
+    with pytest.raises(BadIndex):
+        sample_domain(0, 1, 0, seed=0)
 
 
 def test_fig1_matches_inequality():
@@ -280,6 +325,46 @@ def test_fig3_points_admissible_and_oracle_positive():
     for x, y, z, _ in data["points"][::7]:
         g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
         assert float(np.min(hermitian_eigenvalues(tensor_config(2, 2, g)))) >= -1e-8
+
+
+def _surface_points_per_point(kind, level, resolution, box):
+    """The per-point loop behind _tunnel_surface_points, kept as its reference."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
+    ts = np.linspace(-2.0 * box, 2.0 * box, 3 * resolution + 1)
+    pts = []
+    for theta in thetas:
+        u = level * math.cos(theta)
+        z = level * math.sin(theta)
+        for t in ts:
+            if kind == "alpha_plus":
+                x, y = (u + t) / 2.0, (u - t) / 2.0
+            else:
+                x, y = (t + u) / 2.0, (t - u) / 2.0
+            if abs(x) <= box and abs(y) <= box and abs(z) <= box:
+                pts.append((float(x), float(y), float(z)))
+    return pts
+
+
+@pytest.mark.parametrize("resolution", [6, 26])
+def test_fig3_matches_tunnel_membership(resolution):
+    in_cube = lambda v: -1e-12 <= v <= 1 + 1e-12  # noqa: E731
+    expected = {False: [], True: []}
+    for kind, level in [("alpha_plus", 1.0), ("alpha_plus", 0.1),
+                        ("alpha_minus", 1.0), ("alpha_minus", 0.01)]:
+        candidates = _surface_points_per_point(kind, level, resolution, 1.5)
+        # bit for bit, signed zeros included
+        assert (np.array(candidates).tobytes()
+                == _tunnel_surface_points(kind, level, resolution, 1.5).tobytes())
+        for x, y, z in candidates:
+            if tunnel_membership(x, y, z).admissible:
+                row = (x, y, z, f"{kind}={level:g}")
+                expected[False].append(row)
+                if in_cube(x) and in_cube(y) and in_cube(z):
+                    expected[True].append(row)
+    for paper_cube in (False, True):
+        points = figure_data("fig3", resolution, paper_cube=paper_cube)["points"]
+        assert points == expected[paper_cube]
+    assert 0 < len(expected[True]) < len(expected[False])
 
 
 def test_fig3_paper_cube_subset():
