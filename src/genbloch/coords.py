@@ -49,6 +49,32 @@ def normalize_key(indices) -> tuple[tuple, int]:
     return tuple(idx), sign
 
 
+def sum_of_squares(values):
+    """Sum of v * v added left to right, elementwise when the values are arrays.
+
+    The builtin sum() of floats is compensated from Python 3.12 on, so it
+    would not add in this order there.
+    """
+    total = 0.0
+    for v in values:
+        total = total + v * v
+    return total
+
+
+def antisym_matrices(side: int, entries: dict) -> np.ndarray:
+    """Antisymmetric side x side matrix from {(i, j): G_ij}, 1-based i < j.
+
+    The values may be arrays of one shape S; the result is then an
+    S + (side, side) stack.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
+    mat = np.zeros(shape + (side, side))
+    for (i, j), v in entries.items():
+        mat[..., i - 1, j - 1] = v
+        mat[..., j - 1, i - 1] = np.negative(v)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class AntisymTensor:
     """Grade-k totally antisymmetric real array over indices 1..side.
@@ -85,7 +111,7 @@ class AntisymTensor:
 
     def norm_sq(self) -> float:
         """Sum of squares over increasing tuples (the paper-style squared norm)."""
-        return float(sum(v * v for v in self.values.values()))
+        return float(sum_of_squares(self.values.values()))
 
     def scaled(self, s: float) -> "AntisymTensor":
         return AntisymTensor(self.m, self.k, self.side,
@@ -95,11 +121,7 @@ class AntisymTensor:
         """Full antisymmetric side x side matrix (grade 2 only)."""
         if self.k != 2:
             raise GradeOutOfRange("as_matrix is defined for grade-2 tensors")
-        mat = np.zeros((self.side, self.side))
-        for (i, j), v in self.values.items():
-            mat[i - 1, j - 1] = v
-            mat[j - 1, i - 1] = -v
-        return mat
+        return antisym_matrices(self.side, self.values)
 
     @staticmethod
     def from_matrix(m: int, mat, side: int | None = None) -> "AntisymTensor":

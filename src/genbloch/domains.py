@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import _check_m, cached_basis
-from .coords import AntisymTensor
+from .coords import AntisymTensor, antisym_matrices, sum_of_squares
 from .errors import (
     BadResolution,
     GradeMismatch,
@@ -157,16 +157,6 @@ def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) ->
                          invariants_used=inv, tol=tol)
 
 
-def _antisym_stack(side: int, columns: dict) -> np.ndarray:
-    """(n, side, side) antisymmetric matrices from {(i, j): n values of G_ij}, 1-based i < j."""
-    n = len(next(iter(columns.values())))
-    g = np.zeros((n, side, side))
-    for (i, j), v in columns.items():
-        g[:, i - 1, j - 1] = v
-        g[:, j - 1, i - 1] = -v
-    return g
-
-
 def _require_invariants(r: np.ndarray, t4: np.ndarray | float = 0.0) -> None:
     """InvariantSet's check (r, T4 >= 0) on every entry, applied to the smallest."""
     if np.size(r):
@@ -176,15 +166,17 @@ def _require_invariants(r: np.ndarray, t4: np.ndarray | float = 0.0) -> None:
 def _tunnel_family(pts: np.ndarray):
     """alpha_+, alpha_-, r and T4 of G_12 = x, G_34 = y, G_23 = z per (x, y, z) row.
 
-    alpha_pm = sqrt((x +- y)^2 + z^2).  The coordinates must be finite.
+    alpha_pm = sqrt((x +- y)^2 + z^2).  T4 = trace(G^4) is the squared
+    Frobenius norm of G^2, whose nonzero entries are -x^2, -(x^2 + z^2),
+    -(y^2 + z^2), -y^2 on the diagonal and xz, yz twice each off it.  The
+    coordinates must be finite.
     """
     if not np.isfinite(pts).all():
         raise ValueError("non-finite tunnel coordinates")
     x, y, z = pts.T
-    g = _antisym_stack(4, {(1, 2): x, (3, 4): y, (2, 3): z})
-    gtg = np.swapaxes(g, -1, -2) @ g
-    r = x * x + y * y + z * z
-    t4 = np.trace(gtg @ gtg, axis1=-2, axis2=-1)
+    xx, yy, zz = x * x, y * y, z * z
+    r = xx + yy + zz
+    t4 = xx * xx + (xx + zz) ** 2 + (yy + zz) ** 2 + yy * yy + 2.0 * zz * (xx + yy)
     _require_invariants(r, t4)
     return np.hypot(x + y, z), np.hypot(x - y, z), r, t4
 
@@ -243,8 +235,12 @@ def closed_form_min_eigenvalue(m: int, k: int, tensor: AntisymTensor,
                                pseudoscalar: float | None = None) -> float:
     """Smallest closed-form eigenvalue of a pure tensor configuration."""
     if k == 1:
-        norm = math.sqrt(vector_invariants(tensor, pseudoscalar).r)
-        return (1.0 - norm) / 2 ** m
+        if tensor.k != 1:
+            raise GradeMismatch(f"expected a grade-1 tensor, got grade {tensor.k}")
+        # a one-row stack; a zero pseudoscalar adds nothing to the norm
+        columns = {key: np.array([v]) for key, v in tensor.items()}
+        columns["pseudoscalar"] = np.array([float(pseudoscalar or 0.0)])
+        return float(_closed_form_min_eigenvalues(m, 1, columns)[0])
     if k == 2:
         return float(normal_form_eigenvalues(tensor)[0])
     raise GradeOutOfRange("closed forms exist for grades 1 and 2 only")
@@ -316,12 +312,10 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> Sample
 def _closed_form_min_eigenvalues(m: int, k: int, columns: dict) -> np.ndarray:
     """closed_form_min_eigenvalue of each tensor of a stack given as {key: values}."""
     if k == 1:
-        r = 0.0
-        for v in columns.values():  # AntisymTensor.norm_sq's summation order
-            r = r + v * v
+        r = sum_of_squares(columns.values())
         _require_invariants(r)
         return (1.0 - np.sqrt(r)) / 2 ** m
-    return normal_form_eigenvalues(_antisym_stack(2 * m, columns))[:, 0]
+    return normal_form_eigenvalues(antisym_matrices(2 * m, columns))[:, 0]
 
 
 def _fig1(resolution: int) -> dict:

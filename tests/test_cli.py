@@ -164,24 +164,6 @@ def test_basis_verify_m6_exact(capsys):
     assert out["max_orthogonality_residual"] == 0.0
 
 
-def test_validate_m6_peak_rss(tmp_path, rng):
-    # the basis is a Pauli-string table, so one m = 6 call stays far below
-    # the ~270 MB a dense 4^6 x 64 x 64 element stack would take
-    path = write_json(tmp_path / "rho.json", matrix_to_json(_mixed_state(rng, 6, 0.3)))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    with open(tmp_path / "out.json", "w") as out:
-        proc = subprocess.Popen([sys.executable, "-m", "genbloch", "validate", "--input", path],
-                                env=env, stdout=out, stderr=subprocess.DEVNULL)
-        # wait4 reports this child alone; RUSAGE_CHILDREN would also count
-        # every earlier child of the test process
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert json.loads((tmp_path / "out.json").read_text())["admissible"] is True
-    assert usage.ru_maxrss / 1024 < 150  # ru_maxrss is in KiB on Linux
-
-
 # Linux carries a parent's peak RSS into its child across fork and exec, so
 # a child of the (large) test process would report at least the test
 # process's own peak; a small launcher process starts the measured command
@@ -190,19 +172,36 @@ _LAUNCHER = ("import os, sys; pid = os.spawnv(os.P_NOWAIT, sys.executable, sys.a
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
+def _genbloch_peak_rss_mb(args):
+    """Exit code and peak RSS (MB) of one `python -m genbloch ...` child."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    launched = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "genbloch", *args],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    return code, maxrss_kib / 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_validate_m6_peak_rss(tmp_path, rng):
+    # the basis is a Pauli-string table, so one m = 6 call stays far below
+    # the ~270 MB a dense 4^6 x 64 x 64 element stack would take
+    path = write_json(tmp_path / "rho.json", matrix_to_json(_mixed_state(rng, 6, 0.3)))
+    out = tmp_path / "out.json"
+    code, peak_mb = _genbloch_peak_rss_mb(["validate", "--input", path, "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["admissible"] is True
+    assert peak_mb < 150
+
+
 def test_sample_m6_peak_rss(tmp_path):
     # the sampler classifies draws in fixed-size chunks; one 2000 x 64 x 64
     # complex rho stack alone would take about 130 MB
-    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
     out = tmp_path / "out.json"
-    launched = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "genbloch", "sample",
-         "--m", "6", "--k", "1", "--samples", "2000", "--output", str(out)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
-    code, maxrss_kib = map(int, launched.stdout.split())
+    code, peak_mb = _genbloch_peak_rss_mb(["sample", "--m", "6", "--k", "1", "--samples", "2000",
+                                           "--output", str(out)])
     assert code == 0
     assert len(json.loads(out.read_text())["records"]) == 2000
-    assert maxrss_kib / 1024 < 80
+    assert peak_mb < 80
 
 
 def test_figure_fig1_csv_rows(tmp_path):

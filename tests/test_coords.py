@@ -14,6 +14,7 @@ from genbloch.coords import (
     decode,
     encode,
     state_coords,
+    sum_of_squares,
     tensor_config,
     vector,
 )
@@ -90,6 +91,13 @@ def test_decode_linearity(rng):
     for idx in cached_basis(2).indices:
         want = a * c1.coefficient(idx) + (1 - a) * c2.coefficient(idx)
         assert abs(mix.coefficient(idx) - want) < 1e-10
+
+
+def test_norm_sq_adds_left_to_right():
+    # builtin sum() of floats is compensated from Python 3.12 on and would give 1 + 2^-52
+    assert vector(2, [1.0, 1e-8, 1e-8, 0.0]).norm_sq() == 1.0
+    cols = [np.array([1.0, 0.5]), np.array([1e-8, 0.25]), np.array([1e-8, 0.0])]
+    assert sum_of_squares(cols).tolist() == [1.0, 0.3125]
 
 
 def test_coordinate_count():

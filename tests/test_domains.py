@@ -22,6 +22,7 @@ from genbloch.domains import (
 from genbloch.errors import (
     BadIndex,
     BadResolution,
+    GradeMismatch,
     GradeOutOfRange,
     NegativeDiscriminant,
     ResourceLimit,
@@ -269,6 +270,17 @@ def test_sample_domain_matches_per_draw(m, k):
         assert type(rec.closed_admissible) is bool and type(rec.oracle_admissible) is bool
         assert type(rec.boundary_margin) is float
         assert all(type(c) is float for c in rec.coefficients)
+
+
+def test_closed_form_vector_with_pseudoscalar():
+    g = vector(2, [0.6, 0.0, 0.0, 0.0])
+    assert closed_form_min_eigenvalue(2, 1, g) == (1.0 - 0.6) / 4
+    assert closed_form_min_eigenvalue(2, 1, g, pseudoscalar=0.8) == 0.0
+    # 1 + 4 * 1e-16 added left to right stays 1; a compensated sum (builtin
+    # sum() from Python 3.12 on) gives 1 + 2^-51 and a margin of -2^-55
+    assert closed_form_min_eigenvalue(3, 1, vector(3, [1.0, 1e-8, 1e-8, 1e-8, 1e-8, 0.0])) == 0.0
+    with pytest.raises(GradeMismatch):
+        closed_form_min_eigenvalue(2, 1, antisym(2, 2, {(1, 2): 0.5}))
 
 
 def test_sample_domain_ball_fraction():
