@@ -1,14 +1,12 @@
 """Density matrices as graded tensor coordinates, and back.
 
 Shows the encode/decode codec, pure tensor configurations, and the
-alternative expansion over the 2m+1-generator family.
+extended-mode expansion over the 2m+1-generator family.
 """
 
 import numpy as np
 
 from genbloch import (
-    alt_expand,
-    alt_project,
     antisym,
     decode,
     encode,
@@ -63,8 +61,8 @@ print("m=3 bivector configuration trace:", np.trace(rho3).real)
 ext = state_coords(2, mode="extended", grades={1: {(5,): 1.0}})
 std = state_coords(2, grades={4: {(1, 2, 3, 4): 1.0}})
 print("\nextended vector along direction 5 equals the standard pseudoscalar state:",
-      np.max(np.abs(alt_expand(ext) - encode(std))))
+      np.max(np.abs(encode(ext) - encode(std))))
 
-coords_ext, residual = alt_project(h)
-print("alternative projection residual on a random m=3 state:",
-      np.max(np.abs(residual)))
+coords_ext = decode(h, mode="extended")
+print("extended projection residual on a random m=3 state:",
+      np.max(np.abs(encode(coords_ext) - h)))

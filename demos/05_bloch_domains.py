@@ -1,11 +1,13 @@
 """Generalized Bloch spheres: where a parameter vector stays a state.
 
-Vector configurations live in a ball; grade-2 configurations at m = 2 live
-in the two-invariant wedge max((r+1)^2 - 2, 0) <= T4 <= 2 r^2, equivalently
-the intersection of two elliptic tunnels in the three-coordinate slice; the
-smallest eigenvalue decides everything else, and the sign rule on
-characteristic-polynomial coefficients is the same verdict written as an
-identity.  Writes the figure datasets as CSV next to this script.
+One rule decides every state: its smallest eigenvalue is >= -tol
+(positivity), taken from a closed form for pure vector and grade-2
+configurations and from the eigensolver otherwise.  Vector configurations
+then live in a ball; grade-2 configurations at m = 2 live in the
+two-invariant wedge max((r+1)^2 - 2, 0) <= T4 <= 2 r^2, equivalently the
+intersection of two elliptic tunnels in the three-coordinate slice; the
+sign rule on characteristic-polynomial coefficients is the same verdict
+written as an identity.  Writes the figure datasets as CSV next to this script.
 """
 
 import os
@@ -16,16 +18,18 @@ from genbloch import (
     antisym,
     char_poly,
     descartes_positivity,
+    encode,
     figure_data,
     hermitian_eigenvalues,
     min_eigenvalue_verdict,
+    positivity,
     rT4_domain,
     sample_domain,
+    state_coords,
     tensor_config,
     tunnel_membership,
     two_tensor_invariants,
     vector,
-    vector_domain,
     z_from_coords,
     z_variable,
 )
@@ -34,8 +38,10 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 # --- vector ball ---------------------------------------------------------------
-print(vector_domain(vector(2, [0.6, 0, 0, 0]), pseudoscalar=0.8))
-print(vector_domain(vector(2, [1.1, 0, 0, 0])))
+for grades in ({1: vector(2, [0.6, 0, 0, 0]), 4: {(1, 2, 3, 4): 0.8}},
+               {1: vector(2, [1.1, 0, 0, 0])}):
+    coords = state_coords(2, grades=grades)
+    print(*positivity(coords, encode(coords)))
 
 # --- the (r, T4) wedge ----------------------------------------------------------
 for r, t4 in ((1.0, 2.0), (0.5, 0.4), (0.5, 0.6)):

@@ -20,8 +20,6 @@ from .clifford import (
 from .coords import (
     AntisymTensor,
     StateCoords,
-    alt_expand,
-    alt_project,
     antisym,
     coords_from_json,
     coords_to_json,
@@ -36,10 +34,10 @@ from .domains import (
     descartes_positivity,
     figure_data,
     min_eigenvalue_verdict,
+    positivity,
     rT4_domain,
     sample_domain,
     tunnel_membership,
-    vector_domain,
     z_from_coords,
     z_variable,
 )
@@ -66,10 +64,12 @@ from .linalg import (
 )
 from .spectra import (
     Spectrum,
+    closed_form_spectrum,
     degeneracy_pattern,
     factorized_charpoly,
     normal_form_eigenvalues,
     numeric_spectrum,
+    pure_config,
     quartet_eigenvalues,
     spectrum_from_values,
     tunnel_spectrum,

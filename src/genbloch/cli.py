@@ -21,17 +21,9 @@ import sys
 import numpy as np
 
 from . import clifford, domains, invariants, spectra, symmetry
-from .coords import (
-    StateCoords,
-    antisym,
-    coords_from_json,
-    coords_to_json,
-    decode,
-    encode,
-    vector,
-)
+from .coords import antisym, coords_from_json, coords_to_json, decode, encode
 from .errors import GenblochError, NonFiniteResult, UsageError
-from .linalg import hermitian_eigenvalues, matrix_from_json, matrix_to_json
+from .linalg import matrix_from_json, matrix_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,63 +69,6 @@ def _load_state(path: str, m: int | None, mode: str):
         return coords, (rho + rho.conj().T) / 2
     coords = coords_from_json(obj)
     return coords, encode(coords)
-
-
-def _nonzero_grades(coords: StateCoords) -> set:
-    return {k for k, t in coords.grades.items() if any(v != 0.0 for v in t.values.values())}
-
-
-def _pure_config(coords: StateCoords):
-    """(kind, payload) when the coords are a pure tensor configuration."""
-    if abs(coords.scalar - 1.0) > 1e-10:
-        return None
-    m = coords.m
-    active = _nonzero_grades(coords)
-    if coords.mode == "extended":
-        # an extended vector is a standard vector plus pseudoscalar in disguise:
-        # the (2m+1)-th generator equals (-1)^m times the top-grade element
-        if active <= {1}:
-            g1 = coords.grade(1)
-            comps = [g1.get((i,)) for i in range(1, 2 * m + 1)]
-            pseudo = (-1.0) ** m * g1.get((2 * m + 1,))
-            return "vector", (vector(m, comps), pseudo if pseudo != 0.0 else None)
-        return None
-    top = 2 * m
-    if active <= {1, top}:
-        pseudo = coords.grade(top).get(tuple(range(1, top + 1))) if top in active else None
-        return "vector", (coords.grade(1), pseudo)
-    if active == {2}:
-        return "two_tensor", coords.grade(2)
-    return None
-
-
-def _closed_form_spectrum(coords: StateCoords) -> spectra.Spectrum:
-    pure = _pure_config(coords)
-    if pure is None:
-        raise UsageError("no closed form: input is not a pure vector or 2-tensor configuration")
-    kind, payload = pure
-    if kind == "vector":
-        g1, pseudo = payload
-        return spectra.vector_spectrum(coords.m, g1, pseudo)
-    return spectra.two_tensor_spectrum(coords.m, payload)
-
-
-def _validate_verdict(coords: StateCoords, rho, tol: float):
-    """Route to the applicable closed-form domain, else the oracle's smallest eigenvalue."""
-    pure = _pure_config(coords)
-    if pure is not None:
-        kind, payload = pure
-        if kind == "vector":
-            g1, pseudo = payload
-            return domains.vector_domain(g1, pseudo, tol), "vector_ball"
-        inv = invariants.two_tensor_invariants(payload)
-        if coords.m == 2:
-            return domains.rT4_domain(inv.r, inv.T4, tol), "r_T4_region"
-        min_eig = domains.closed_form_min_eigenvalue(coords.m, 2, payload)
-        return (domains.min_eigenvalue_verdict(min_eig, "quartet_positivity", tol, inv),
-                "quartet_roots")
-    min_eig = float(hermitian_eigenvalues(rho)[0])
-    return domains.min_eigenvalue_verdict(min_eig, "positivity", tol), "min_eigenvalue"
 
 
 def _csv_row(values) -> str:
@@ -221,7 +156,7 @@ def _cmd_spectrum(args) -> int:
     coords, rho = _load_state(args.input, args.m, args.mode)
     out = {}
     if args.which in ("closed-form", "both"):
-        out["closed_form"] = _closed_form_spectrum(coords).to_dict()
+        out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
     if args.which in ("oracle", "both"):
         out["oracle"] = spectra.numeric_spectrum(rho).to_dict()
     if args.which == "both":
@@ -236,7 +171,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_validate(args) -> int:
     coords, rho = _load_state(args.input, args.m, args.mode)
-    verdict, route = _validate_verdict(coords, rho, args.tol)
+    verdict, route = domains.positivity(coords, rho, args.tol)
     payload = verdict.to_dict()
     payload["route"] = route
     _dump_json(payload, args.output)

@@ -52,6 +52,18 @@ def _check_m(m: int) -> None:
         raise ResourceLimit(f"m = {m} exceeds the supported maximum {MAX_M}")
 
 
+def side(m: int, mode: str = "standard") -> int:
+    """Number of generator indices: 2m, plus the top element in extended mode."""
+    if mode not in ("standard", "extended"):
+        raise ModeMismatch(f"unknown mode {mode!r}")
+    return 2 * m if mode == "standard" else 2 * m + 1
+
+
+def max_grade(m: int, mode: str = "standard") -> int:
+    """Top grade of the orthogonal family: 2m, or m over the 2m + 1 extended indices."""
+    return side(m, mode) if mode == "standard" else m
+
+
 @lru_cache(maxsize=None)
 def _signs(m: int) -> np.ndarray:
     """Walsh-Hadamard signs H[r, c] = (-1)^{|r & c|}, by Sylvester doubling."""
@@ -83,8 +95,7 @@ def _dense(m: int, x: int, z: int, p: int) -> np.ndarray:
 def _generator_strings(m: int, mode: str = "standard") -> tuple:
     """(x, z, p) of Gamma_1 .. Gamma_side by the Pauli iteration."""
     _check_m(m)
-    if mode not in ("standard", "extended"):
-        raise ModeMismatch(f"unknown mode {mode!r}")
+    side(m, mode)  # rejects an unknown mode
     gens = [(1, 0, 0), (1, 1, 1)]
     for _ in range(m - 1):
         gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
@@ -116,10 +127,10 @@ def extended_gammas(m: int) -> tuple:
 def _validate_index(m: int, indices, mode: str) -> tuple:
     # single elements may use any grade the index range allows; only the
     # orthogonal *family* of full_basis stops at grade m in extended mode
-    side = 2 * m if mode == "standard" else 2 * m + 1
+    n = side(m, mode)
     idx = tuple(int(i) for i in indices)
-    if any(i < 1 or i > side for i in idx):
-        raise BadIndex(f"indices {idx} out of bounds 1..{side}")
+    if any(i < 1 or i > n for i in idx):
+        raise BadIndex(f"indices {idx} out of bounds 1..{n}")
     if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
         raise BadIndex(f"indices {idx} must be strictly increasing")
     return idx
@@ -154,11 +165,11 @@ class CliffordBasis:
 
     @property
     def side(self) -> int:
-        return 2 * self.m if self.mode == "standard" else 2 * self.m + 1
+        return side(self.m, self.mode)
 
     @property
     def max_grade(self) -> int:
-        return 2 * self.m if self.mode == "standard" else self.m
+        return max_grade(self.m, self.mode)
 
     @property
     def indices(self) -> list:
@@ -204,10 +215,9 @@ class CliffordBasis:
 def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
     """The Pauli-string table of every graded basis element (4^m in either mode)."""
     gens = _generator_strings(m, mode)
-    max_k = 2 * m if mode == "standard" else m
     # unphased products, each from its prefix by one more factor
     raw = {(): (0, 0, 0)}
-    for k in range(1, max_k + 1):
+    for k in range(1, max_grade(m, mode) + 1):
         for idx in itertools.combinations(range(1, len(gens) + 1), k):
             raw[idx] = _product((raw[idx[:-1]], gens[idx[-1] - 1]))
     table = [(x, z, p + len(idx) * (len(idx) - 1) // 2) for idx, (x, z, p) in raw.items()]

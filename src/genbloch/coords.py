@@ -159,6 +159,12 @@ def vector(m: int, components, side: int | None = None) -> AntisymTensor:
                          {(i + 1,): float(c) for i, c in enumerate(comps) if c != 0.0})
 
 
+def _check_grade(m: int, k: int, mode: str) -> None:
+    top = clifford.max_grade(m, mode)
+    if not (1 <= k <= top):
+        raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class StateCoords:
     """Scalar plus one antisymmetric tensor per grade: the dual coordinates of a state."""
@@ -169,17 +175,17 @@ class StateCoords:
     grades: dict = field(repr=False)  # grade k -> AntisymTensor
 
     def __post_init__(self):
-        max_k = 2 * self.m if self.mode == "standard" else self.m
-        side = 2 * self.m if self.mode == "standard" else 2 * self.m + 1
         for k, tensor in self.grades.items():
-            if not (1 <= k <= max_k):
-                raise GradeOutOfRange(f"grade {k} out of range 1..{max_k} for mode {self.mode!r}")
-            if tensor.k != k or tensor.side != side or tensor.m != self.m:
+            _check_grade(self.m, k, self.mode)
+            if tensor.k != k or tensor.side != self.side or tensor.m != self.m:
                 raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
 
+    @property
+    def side(self) -> int:
+        return clifford.side(self.m, self.mode)
+
     def grade(self, k: int) -> AntisymTensor:
-        side = 2 * self.m if self.mode == "standard" else 2 * self.m + 1
-        return self.grades.get(k, AntisymTensor(self.m, k, side, {}))
+        return self.grades.get(k, AntisymTensor(self.m, k, self.side, {}))
 
     def coefficient(self, indices) -> float:
         if len(indices) == 0:
@@ -190,7 +196,7 @@ class StateCoords:
 def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
                  grades: dict | None = None) -> StateCoords:
     """Convenience constructor; grade values may be AntisymTensor or {key: val} dicts."""
-    side = 2 * m if mode == "standard" else 2 * m + 1
+    side = clifford.side(m, mode)
     built = {}
     for k, val in (grades or {}).items():
         k = int(k)
@@ -221,7 +227,12 @@ def encode(coords: StateCoords, basis: clifford.CliffordBasis | None = None) -> 
 
 def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = None,
            mode: str = "standard") -> StateCoords:
-    """Trace-project a hermitian unit-trace matrix onto the graded coordinates."""
+    """Trace-project a hermitian unit-trace matrix onto the graded coordinates.
+
+    Either mode's family holds 4^m orthogonal elements, so it spans every
+    hermitian matrix and encode(decode(rho)) returns rho to rounding; with
+    mode="extended" the coordinates are grades 0..m over the 2m + 1 indices.
+    """
     rho = as_matrix(rho)
     if basis is None:
         if m is None:
@@ -255,41 +266,11 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
 def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard",
                   basis: clifford.CliffordBasis | None = None) -> np.ndarray:
     """Pure tensor configuration rho = 2^{-m} (I + G o E^{(k)})."""
-    max_k = 2 * m if mode == "standard" else m
-    if not (1 <= k <= max_k):
-        raise GradeOutOfRange(f"grade {k} out of range 1..{max_k} for mode {mode!r}")
+    _check_grade(m, k, mode)
     if tensor.k != k:
         raise GradeOutOfRange(f"tensor grade {tensor.k} != requested {k}")
     coords = state_coords(m, mode=mode, scalar=1.0, grades={k: tensor})
     return encode(coords, basis)
-
-
-def alt_expand(coords: StateCoords, basis: clifford.CliffordBasis | None = None) -> np.ndarray:
-    """Expansion over the 2m+1-generator family, grades 0..m."""
-    if coords.mode != "extended":
-        raise ModeMismatch("alt_expand requires extended-mode coordinates")
-    return encode(coords, basis)
-
-
-def alt_project(rho, basis: clifford.CliffordBasis | None = None,
-                m: int | None = None):
-    """Project onto the extended family; returns (coords, residual matrix).
-
-    The grades 0..m over 2m+1 indices count 4^m orthogonal elements, so the
-    family spans all hermitian matrices and the residual is zero to rounding
-    for any valid input; it is returned anyway so callers can see exactly
-    what the reconstruction missed.
-    """
-    rho = as_matrix(rho)
-    if basis is None:
-        if m is None:
-            m = int(round(np.log2(rho.shape[0])))
-        basis = clifford.cached_basis(m, "extended")
-    if basis.mode != "extended":
-        raise ModeMismatch("alt_project requires an extended-mode basis")
-    coords = decode(rho, basis)
-    residual = rho - encode(coords, basis)
-    return coords, residual
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Admissibility of parameter configurations: generalized Bloch spheres.
 
-Vector configurations are admissible on the unit ball of the (2m- or
-2m+1-dimensional) coordinate norm.  Grade-2 configurations at m = 2 are
-governed by the two-invariant region
+One rule decides every state (positivity): it is admissible when its
+smallest eigenvalue is >= -tol.  Only the source of lambda_min depends on
+the route: the closed-form spectrum of a pure vector or grade-2
+configuration (spectra.pure_config), the LAPACK eigenvalues otherwise.
+
+In closed form the rule draws the paper's regions.  Vector configurations
+are admissible on the unit ball of the (2m- or 2m+1-dimensional)
+coordinate norm.  Grade-2 configurations at m = 2 fill the two-invariant
+region
 
     max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2,     0 <= r <= 1,
 
 equivalently, in the variable z = 1/2 - sqrt(2 r^2 - T4), the wedge
-|r - 1/2| <= z <= 1/2.  The three-parameter slice (G_12, G_34, G_23) =
+|r - 1/2| <= z <= 1/2; rT4_domain keeps these inequalities as a checked
+identity behind fig1.  The three-parameter slice (G_12, G_34, G_23) =
 (x, y, z) is the intersection of two orthogonal elliptic tunnels
-alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  Beyond pure tensor
-configurations, positivity of any hermitian unit-trace matrix is decided
-by its smallest eigenvalue (min_eigenvalue_verdict).  The characteristic
-polynomial sign rule is kept as a checked identity: writing P(lambda) =
+alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  The characteristic polynomial sign
+rule is kept as a checked identity: writing P(lambda) =
 sum_i (-1)^i a_i lambda^i, the state is positive semidefinite exactly when
 every a_i is nonnegative (all roots are real, so the rule is exact), but
 the Faddeev-LeVerrier coefficients lose their relative accuracy as the
@@ -21,7 +26,8 @@ dimension grows, so no runtime verdict depends on it.
 The figure datasets and the sampler decide whole arrays at once: tunnel
 points through the same alpha_pm helper as tunnel_membership, sampled
 tensors through the stacked normal-form engine (spectra) and the stacked
-LAPACK oracle (linalg), in chunks of CHUNK_BYTES of density matrices.
+LAPACK oracle (linalg), in chunks of CHUNK_BYTES of density matrices; both
+smallest eigenvalues are held to positivity's rule with DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import _check_m, cached_basis
-from .coords import AntisymTensor, antisym_matrices, sum_of_squares
+from .coords import AntisymTensor, StateCoords, antisym_matrices, sum_of_squares
 from .errors import (
     BadResolution,
     GradeMismatch,
@@ -42,12 +48,17 @@ from .errors import (
     ResourceLimit,
     UnsupportedM,
 )
-from .invariants import InvariantSet, dual_tensor, pfaffian, vector_invariants
+from .invariants import (
+    InvariantSet,
+    dual_tensor,
+    pfaffian,
+    two_tensor_invariants,
+    vector_invariants,
+)
 from .linalg import hermitian_eigenvalues
-from .spectra import normal_form_eigenvalues
+from .spectra import closed_form_spectrum, normal_form_eigenvalues, pure_config
 
 DEFAULT_TOL = 1e-9
-ORACLE_TOL = 1e-9
 # figure_data's largest resolution: fig1 then has about 10^6 grid rows
 MAX_RESOLUTION = 1001
 # sample_domain classifies draws in chunks whose rho stack takes this many
@@ -77,23 +88,6 @@ class DomainVerdict:
             "invariants_used": self.invariants_used.to_dict() if self.invariants_used else None,
             "tol": self.tol,
         }
-
-
-def vector_domain(g1: AntisymTensor, pseudoscalar: float | None = None,
-                  tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Bloch-ball membership: norm of (vector, pseudoscalar) at most 1."""
-    if g1.k != 1:
-        raise GradeMismatch("vector_domain needs a grade-1 tensor")
-    inv = vector_invariants(g1, pseudoscalar)
-    norm = math.sqrt(inv.r)
-    admissible = norm <= 1.0 + tol
-    return DomainVerdict(
-        admissible=admissible,
-        boundary=admissible and abs(norm - 1.0) <= tol,
-        violated=None if admissible else "bloch_ball",
-        invariants_used=inv,
-        tol=tol,
-    )
 
 
 def rT4_domain(r: float, t4: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
@@ -200,6 +194,30 @@ def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_T
     )
 
 
+# spectra.pure_config kind -> (route, constraint named when lambda_min < -tol)
+_ROUTES = {
+    "vector": ("vector_ball", "bloch_ball"),
+    "two_tensor": ("quartet_roots", "quartet_positivity"),
+    None: ("min_eigenvalue", "positivity"),
+}
+
+
+def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
+    """(verdict, route) for a state given both as coords and as its density matrix rho.
+
+    Every route applies one rule, lambda_min >= -tol; only the source of
+    lambda_min differs: the closed-form spectrum of a pure vector or grade-2
+    configuration, the LAPACK eigenvalues of rho otherwise.
+    """
+    kind, payload = pure_config(coords) or (None, None)
+    route, violated = _ROUTES[kind]
+    if kind is None:
+        return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), violated, tol), route
+    inv = vector_invariants(*payload) if kind == "vector" else two_tensor_invariants(payload)
+    min_eig = float(closed_form_spectrum(coords).eigenvalues[0])
+    return min_eigenvalue_verdict(min_eig, violated, tol, inv), route
+
+
 def descartes_positivity(poly, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Sign-rule verdict for a real-rooted characteristic polynomial.
 
@@ -229,21 +247,6 @@ def descartes_positivity(poly, tol: float = DEFAULT_TOL) -> DomainVerdict:
     boundary = admissible and bool(np.min(a) <= tol)
     return DomainVerdict(admissible=admissible, boundary=boundary, violated=violated,
                          invariants_used=None, tol=tol)
-
-
-def closed_form_min_eigenvalue(m: int, k: int, tensor: AntisymTensor,
-                               pseudoscalar: float | None = None) -> float:
-    """Smallest closed-form eigenvalue of a pure tensor configuration."""
-    if k == 1:
-        if tensor.k != 1:
-            raise GradeMismatch(f"expected a grade-1 tensor, got grade {tensor.k}")
-        # a one-row stack; a zero pseudoscalar adds nothing to the norm
-        columns = {key: np.array([v]) for key, v in tensor.items()}
-        columns["pseudoscalar"] = np.array([float(pseudoscalar or 0.0)])
-        return float(_closed_form_min_eigenvalues(m, 1, columns)[0])
-    if k == 2:
-        return float(normal_form_eigenvalues(tensor)[0])
-    raise GradeOutOfRange("closed forms exist for grades 1 and 2 only")
 
 
 @dataclass(frozen=True)
@@ -298,19 +301,19 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> Sample
     per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
     for lo in range(0, n, per):
         columns = dict(zip(keys, draws[lo:lo + per].T))
-        min_closed[lo:lo + per] = _closed_form_min_eigenvalues(m, k, columns)
+        min_closed[lo:lo + per] = _closed_form_minima(m, k, columns)
         rho = basis.expand({(): 1.0, **columns}) / basis.dim
         oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
     records = [SampleRecord(index=idx, coefficients=tuple(coeffs), closed_admissible=closed_ok,
                             oracle_admissible=oracle_ok, boundary_margin=margin)
                for idx, (coeffs, closed_ok, oracle_ok, margin) in enumerate(zip(
-                   draws.tolist(), (min_closed >= -ORACLE_TOL).tolist(),
-                   (oracle_min >= -ORACLE_TOL).tolist(), np.abs(min_closed).tolist()))]
+                   draws.tolist(), (min_closed >= -DEFAULT_TOL).tolist(),
+                   (oracle_min >= -DEFAULT_TOL).tolist(), np.abs(min_closed).tolist()))]
     return SampleSet(m=m, k=k, n=n, seed=seed, box=box, records=records)
 
 
-def _closed_form_min_eigenvalues(m: int, k: int, columns: dict) -> np.ndarray:
-    """closed_form_min_eigenvalue of each tensor of a stack given as {key: values}."""
+def _closed_form_minima(m: int, k: int, columns: dict) -> np.ndarray:
+    """Smallest closed-form eigenvalue of each tensor of a grade-k stack given as {key: values}."""
     if k == 1:
         r = sum_of_squares(columns.values())
         _require_invariants(r)

@@ -263,18 +263,17 @@ def coords_invariants(coords: StateCoords) -> InvariantSet:
     Grade 2 provides (r, T4, D3); grade 1 and the top grade are reported in
     extras so the CLI can describe mixed inputs.
     """
-    side = 2 * coords.m if coords.mode == "standard" else 2 * coords.m + 1
     g2 = coords.grade(2)
     if g2.values:
         inv = two_tensor_invariants(g2)
     else:
-        inv = InvariantSet(r=0.0, T4=0.0, D3=(0.0 if side == 6 else None))
+        inv = InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None))
     extras = dict(inv.extras)
     g1 = coords.grade(1)
     if g1.values:
         extras["vector_norm_sq"] = g1.norm_sq()
     if coords.mode == "standard":
-        top = coords.grade(2 * coords.m)
+        top = coords.grade(coords.side)
         if top.values:
-            extras["pseudoscalar"] = top.get(tuple(range(1, 2 * coords.m + 1)))
+            extras["pseudoscalar"] = top.get(tuple(range(1, coords.side + 1)))
     return InvariantSet(r=inv.r, T4=inv.T4, D3=inv.D3, extras=extras)

@@ -29,6 +29,10 @@ circulated 64/3 and 256/3 prefactors on D3 overstate the cubic term by a
 factor of 512, and the linear term carries 4(r-1), not -(r-1)).  The
 quartets are a checked identity: the tests evaluate Pbar_s at the
 normal-form eigenvalues, and factorized_charpoly multiplies them out.
+
+pure_config recognises the two configurations in a StateCoords, and
+closed_form_spectrum computes their spectrum; `spectrum --closed-form` and
+the positivity verdict of the domains module both go through it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AntisymTensor
+from .coords import AntisymTensor, StateCoords, vector
 from .errors import (
     ComplexRoots,
     GradeMismatch,
@@ -186,6 +190,47 @@ def tunnel_spectrum(x: float, y: float, z: float) -> Spectrum:
     am = math.hypot(x - y, z)
     vals = np.array([(1 + ap) / 4, (1 - ap) / 4, (1 + am) / 4, (1 - am) / 4])
     return spectrum_from_values(2, vals)
+
+
+def pure_config(coords: StateCoords):
+    """(kind, payload) when the coords are a pure tensor configuration, else None.
+
+    "vector": payload (grade-1 tensor over 2m indices, pseudoscalar or None),
+    for unit scalar plus grades 1 and 2m in standard mode or grade 1 in
+    extended mode; the scalar alone counts too.  "two_tensor": payload the
+    grade-2 tensor of a standard-mode state with no other grade.
+    """
+    if abs(coords.scalar - 1.0) > 1e-10:
+        return None
+    m = coords.m
+    active = {k for k, t in coords.grades.items() if any(v != 0.0 for v in t.values.values())}
+    if coords.mode == "extended":
+        # an extended vector is a standard vector plus pseudoscalar in disguise:
+        # the (2m+1)-th generator equals (-1)^m times the top-grade element
+        if active <= {1}:
+            g1 = coords.grade(1)
+            comps = [g1.get((i,)) for i in range(1, coords.side)]
+            pseudo = (-1.0) ** m * g1.get((coords.side,))
+            return "vector", (vector(m, comps), pseudo if pseudo != 0.0 else None)
+        return None
+    top = coords.side
+    if active <= {1, top}:
+        pseudo = coords.grade(top).get(tuple(range(1, top + 1))) if top in active else None
+        return "vector", (coords.grade(1), pseudo)
+    if active == {2}:
+        return "two_tensor", coords.grade(2)
+    return None
+
+
+def closed_form_spectrum(coords: StateCoords) -> Spectrum:
+    """Closed-form spectrum of a pure vector or grade-2 configuration (see pure_config)."""
+    pure = pure_config(coords)
+    if pure is None:
+        raise KindMismatch("no closed form: input is not a pure vector or 2-tensor configuration")
+    kind, payload = pure
+    if kind == "vector":
+        return vector_spectrum(coords.m, *payload)
+    return two_tensor_spectrum(coords.m, payload)
 
 
 def _polypow(poly: np.ndarray, n: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def spin_lift(alpha: AntisymTensor, basis: clifford.CliffordBasis | None = None)
 
 def rotate_coords(coords: StateCoords, el) -> StateCoords:
     """Apply an orthogonal matrix grade-wise; scalar untouched."""
-    side = 2 * coords.m if coords.mode == "standard" else 2 * coords.m + 1
+    side = coords.side
     el = check_orthogonal(el, side)
     new_grades = {}
     for k, tensor in coords.grades.items():

@@ -43,6 +43,21 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
     assert out["admissible"] is False and out["violated"] == "bloch_ball"
 
 
+@pytest.mark.parametrize("grades, extra", [
+    ({1: {(1,): 1.000000002}}, {2: {(1, 2): 1e-13}}),
+    ({2: {(1, 2): 0.6 * 1.000000002, (3, 4): 0.4 * 1.000000002}}, {1: {(1,): 1e-13}}),
+], ids=["vector", "grade2"])
+def test_validate_route_independent(tmp_path, capsys, grades, extra):
+    # 4 lambda_min = -2e-9, inside the default tol; a 1e-13 entry in another
+    # grade moves the state off the closed-form route but must not change the verdict
+    answers = []
+    for name, g in (("pure", grades), ("perturbed", {**grades, **extra})):
+        path = write_json(tmp_path / f"{name}.json", coords_to_json(state_coords(2, grades=g)))
+        code = run(["validate", "--input", path])
+        answers.append((code, json.loads(capsys.readouterr().out)["admissible"]))
+    assert answers[0] == answers[1] == (0, True)
+
+
 def test_validate_descartes_route(tmp_path, capsys):
     coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
     path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
@@ -86,7 +101,7 @@ def test_validate_two_tensor_routes(tmp_path, capsys):
     c2 = state_coords(2, grades={2: {(1, 2): 0.5}})
     path = write_json(tmp_path / "t2.json", coords_to_json(c2))
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "r_T4_region"
+    assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
     c3 = state_coords(3, grades={2: {(1, 2): 0.4, (3, 4): 0.2}})
     path = write_json(tmp_path / "t3.json", coords_to_json(c3))
     assert run(["validate", "--input", path]) == 0
@@ -283,7 +298,7 @@ def test_validate_agrees_with_oracle_sign(tmp_path, capsys):
 def test_domain_input_mode(g2_coords, capsys):
     assert run(["domain", "--input", g2_coords]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["route"] == "r_T4_region" and out["admissible"] is True
+    assert out["route"] == "quartet_roots" and out["admissible"] is True
 
 
 def test_domain_grid_mode(tmp_path):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from genbloch.clifford import cached_basis, full_basis, verify_algebra
 from genbloch.coords import (
     AntisymTensor,
-    alt_expand,
-    alt_project,
     antisym,
     coords_from_json,
     coords_to_json,
@@ -136,19 +134,14 @@ def test_tensor_config_grade_range():
 
 def test_alt_expand_scalar_only():
     coords = state_coords(2, mode="extended")
-    assert np.allclose(alt_expand(coords), np.eye(4) / 4, atol=1e-15)
+    assert np.allclose(encode(coords), np.eye(4) / 4, atol=1e-15)
 
 
 def test_alt_expand_chirality_direction():
     # extended vector along the 5th generator equals the standard pseudoscalar state
     ext = state_coords(2, mode="extended", grades={1: {(5,): 1.0}})
     std = state_coords(2, grades={4: {(1, 2, 3, 4): 1.0}})
-    assert np.max(np.abs(alt_expand(ext) - encode(std))) < 1e-14
-
-
-def test_alt_expand_mode_check():
-    with pytest.raises(ModeMismatch):
-        alt_expand(state_coords(2))
+    assert np.max(np.abs(encode(ext) - encode(std))) < 1e-14
 
 
 def test_encode_basis_mismatch():
@@ -165,17 +158,16 @@ def test_alt_project_reconstructs_everything(rng):
     # basis, so the projection residual vanishes for arbitrary states
     for m in (1, 2, 3):
         rho = random_unit_trace_hermitian(rng, 2 ** m)
-        coords, residual = alt_project(rho)
+        coords = decode(rho, mode="extended")
         assert coords.mode == "extended"
-        assert np.max(np.abs(residual)) < 1e-12
-        assert np.max(np.abs(alt_expand(coords) - rho)) < 1e-12
+        assert np.max(np.abs(encode(coords) - rho)) < 1e-12
 
 
 def test_alt_roundtrip_on_extended_configs(rng):
     coords = random_coords(rng, 2, mode="extended")
-    rho = alt_expand(coords)
-    back, residual = alt_project(rho)
-    assert np.max(np.abs(residual)) < 1e-12
+    rho = encode(coords)
+    back = decode(rho, mode="extended")
+    assert np.max(np.abs(encode(back) - rho)) < 1e-12
     for idx in cached_basis(2, "extended").indices:
         assert abs(back.coefficient(idx) - coords.coefficient(idx)) < 1e-10
 

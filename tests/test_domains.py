@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from genbloch.coords import AntisymTensor, antisym, tensor_config, vector
+from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
 from genbloch.domains import (
     CHUNK_BYTES,
+    DEFAULT_TOL,
     DomainVerdict,
     SampleRecord,
     _tunnel_surface_points,
-    closed_form_min_eigenvalue,
     descartes_positivity,
     figure_data,
+    positivity,
     rT4_domain,
     sample_domain,
     tunnel_membership,
-    vector_domain,
     z_from_coords,
     z_variable,
 )
@@ -24,13 +26,15 @@ from genbloch.errors import (
     BadResolution,
     GradeMismatch,
     GradeOutOfRange,
+    KindMismatch,
     NegativeDiscriminant,
     ResourceLimit,
 )
 from genbloch.invariants import frobenius_r, trace_T4, two_tensor_invariants
 from genbloch.linalg import char_poly, hermitian_eigenvalues
+from genbloch.spectra import closed_form_spectrum
 
-from conftest import random_tensor, random_unit_trace_hermitian
+from conftest import random_coords, random_tensor, random_unit_trace_hermitian
 
 ORACLE_TOL = 1e-9
 
@@ -39,19 +43,28 @@ def oracle_positive(rho):
     return float(np.min(hermitian_eigenvalues(rho))) >= -ORACLE_TOL
 
 
+def vector_verdict(g1, pseudoscalar=None):
+    """positivity's verdict on the m = 2 vector configuration (g1, pseudoscalar)."""
+    grades = {1: g1} if pseudoscalar is None else {1: g1, 4: {(1, 2, 3, 4): pseudoscalar}}
+    coords = state_coords(2, grades=grades)
+    verdict, route = positivity(coords, encode(coords))
+    assert route == "vector_ball"
+    return verdict
+
+
 def test_vector_domain_interior():
-    v = vector_domain(vector(2, [0, 0, 0, 0]))
+    v = vector_verdict(vector(2, [0, 0, 0, 0]))
     assert v.admissible and not v.boundary and v.violated is None
 
 
 def test_vector_domain_boundary_with_pseudoscalar():
-    v = vector_domain(vector(2, [0.6, 0, 0, 0]), pseudoscalar=0.8)
+    v = vector_verdict(vector(2, [0.6, 0, 0, 0]), pseudoscalar=0.8)
     assert v.admissible and v.boundary
 
 
 def test_vector_domain_inadmissible_matches_oracle():
     g = vector(2, [1.1, 0, 0, 0])
-    v = vector_domain(g)
+    v = vector_verdict(g)
     assert not v.admissible and v.violated == "bloch_ball"
     assert not oracle_positive(tensor_config(2, 1, g))
 
@@ -63,10 +76,10 @@ def test_vector_domain_rotation_invariant(rng):
     for scale in (0.4, 0.999, 1.001, 1.6):
         g = rng.normal(size=4)
         g = scale * g / np.linalg.norm(g)
-        base = vector_domain(vector(2, list(g)))
+        base = vector_verdict(vector(2, list(g)))
         for _ in range(100):
             el = orthogonal_from_generator(random_tensor(rng, 2, 2))
-            rotated = vector_domain(vector(2, list(el @ g)))
+            rotated = vector_verdict(vector(2, list(el @ g)))
             assert rotated.admissible == base.admissible
             assert rotated.boundary == base.boundary
 
@@ -84,6 +97,51 @@ def test_rT4_lower_violation():
     # r close to 1 with tiny T4 breaks the lower bound
     v = rT4_domain(0.9, 0.5)
     assert not v.admissible and v.violated == "T4_lower"
+
+
+CASE_KINDS = ["vector", "vector_pseudoscalar", "extended_vector", "grade2",
+              "mixed_standard", "mixed_extended"]
+
+
+def _case_coords(m, kind, rng):
+    """Unit-scalar coords of one positivity route, before scaling."""
+    mode = "extended" if kind in ("extended_vector", "mixed_extended") else "standard"
+    if kind.startswith("mixed"):
+        return random_coords(rng, m, mode=mode)
+    if kind == "grade2":
+        return state_coords(m, grades={2: random_tensor(rng, m, 2)})
+    grades = {1: random_tensor(rng, m, 1, side=2 * m + (mode == "extended"))}
+    if kind == "vector_pseudoscalar":
+        grades[2 * m] = {tuple(range(1, 2 * m + 1)): float(rng.uniform(-1.0, 1.0))}
+    return state_coords(m, mode=mode, grades=grades)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(range(1, 7)), st.sampled_from(CASE_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-3e-6, 3e-6])),
+       st.sampled_from([DEFAULT_TOL, 1e-3]), st.booleans())
+def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
+    # scale the non-scalar part so that 2^m lambda_min = z, shifted by -2^m tol
+    # when at_tol, so both sides of the verdict's edge -tol are drawn
+    coords = _case_coords(m, kind, np.random.default_rng(seed))
+    x_min = 2 ** m * float(hermitian_eigenvalues(encode(coords))[0]) - 1.0
+    assume(x_min < -1e-3)
+    s = (1.0 - (z - at_tol * 2 ** m * tol)) / -x_min
+    coords = state_coords(m, coords.mode,
+                          grades={k: t.scaled(s) for k, t in coords.grades.items()})
+    rho = encode(coords)
+    lam = float(hermitian_eigenvalues(rho)[0])
+    # near-boundary states are excluded, as in criterion 08
+    assume(abs(2 ** m * lam) > 1e-6 and abs(2 ** m * (lam + tol)) > 1e-6)
+    verdict, route = positivity(coords, rho, tol)
+    assert verdict.admissible == (lam >= -tol)
+    assert verdict.tol == tol
+    if m == 1:
+        expected = "vector_ball"  # every one-qubit state is a vector plus pseudoscalar
+    else:
+        expected = {"grade2": "quartet_roots", "mixed_standard": "min_eigenvalue",
+                    "mixed_extended": "min_eigenvalue"}.get(kind, "vector_ball")
+    assert route == expected
 
 
 def test_domain_verdict_consistency():
@@ -239,6 +297,10 @@ def test_sample_domain_grade2_large_m(m, box):
     assert {r.closed_admissible for r in sset.records} == {True, False}
 
 
+def closed_form_min(m, grades):
+    return closed_form_spectrum(state_coords(m, grades=grades)).eigenvalues[0]
+
+
 def _sample_per_draw(m, k, n, seed, box):
     """The per-draw loop that sample_domain batches: the reference for its records."""
     side = 2 * m
@@ -248,7 +310,7 @@ def _sample_per_draw(m, k, n, seed, box):
     records = []
     for idx in range(n):
         tensor = AntisymTensor(m, k, side, {key: float(v) for key, v in zip(keys, draws[idx])})
-        min_closed = closed_form_min_eigenvalue(m, k, tensor)
+        min_closed = float(closed_form_min(m, {k: tensor}))
         oracle = float(np.min(hermitian_eigenvalues(tensor_config(m, k, tensor))))
         records.append(SampleRecord(idx, tuple(float(v) for v in draws[idx]),
                                     min_closed >= -ORACLE_TOL, oracle >= -ORACLE_TOL,
@@ -274,13 +336,13 @@ def test_sample_domain_matches_per_draw(m, k):
 
 def test_closed_form_vector_with_pseudoscalar():
     g = vector(2, [0.6, 0.0, 0.0, 0.0])
-    assert closed_form_min_eigenvalue(2, 1, g) == (1.0 - 0.6) / 4
-    assert closed_form_min_eigenvalue(2, 1, g, pseudoscalar=0.8) == 0.0
+    assert closed_form_min(2, {1: g}) == (1.0 - 0.6) / 4
+    assert closed_form_min(2, {1: g, 4: {(1, 2, 3, 4): 0.8}}) == 0.0
     # 1 + 4 * 1e-16 added left to right stays 1; a compensated sum (builtin
     # sum() from Python 3.12 on) gives 1 + 2^-51 and a margin of -2^-55
-    assert closed_form_min_eigenvalue(3, 1, vector(3, [1.0, 1e-8, 1e-8, 1e-8, 1e-8, 0.0])) == 0.0
-    with pytest.raises(GradeMismatch):
-        closed_form_min_eigenvalue(2, 1, antisym(2, 2, {(1, 2): 0.5}))
+    assert closed_form_min(3, {1: vector(3, [1.0, 1e-8, 1e-8, 1e-8, 1e-8, 0.0])}) == 0.0
+    with pytest.raises(KindMismatch):
+        closed_form_min(2, {1: g, 2: {(1, 2): 0.5}})
 
 
 def test_sample_domain_ball_fraction():
