@@ -32,6 +32,7 @@ from .coords import (
 from .domains import (
     DomainVerdict,
     descartes_positivity,
+    figure_columns,
     figure_data,
     min_eigenvalue_verdict,
     positivity,

@@ -2,9 +2,10 @@
 
 Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
 figure, rotate, and the combined domain dispatcher.  All I/O is JSON
-(matrices, coordinates, verdicts, spectra) or CSV (sample sets, figure
-datasets), printed at full double precision so repeated runs are
-byte-identical.
+(matrices, coordinates, verdicts, spectra), CSV (sample sets, figure
+datasets) or SVG (figure scatter plots).  Floats are printed at full double
+precision so repeated runs are byte-identical.  CSV and SVG are written
+column by column, each distinct float in a column formatted once.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 any error, with a one-line diagnostic
@@ -71,45 +72,54 @@ def _load_state(path: str, m: int | None, mode: str):
     return coords, encode(coords)
 
 
-def _csv_row(values) -> str:
-    out = []
-    for v in values:
-        if isinstance(v, (bool, np.bool_)):
-            out.append("1" if v else "0")
-        elif isinstance(v, float):
-            # float's own repr: numpy 2 spells a numpy float as np.float64(...)
-            out.append(float.__repr__(v))
-        else:
-            out.append(str(v))
-    return ",".join(out)
+def _spell_distinct(values: np.ndarray, spell) -> list:
+    """spell(v) for each float64 v of values, called once per distinct bit
+    pattern (so 0.0 and -0.0 are spelled apart)."""
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = [spell(v) for v in distinct.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[where].tolist()
 
 
-def _write_csv(header, rows, path: str | None) -> None:
-    lines = [",".join(header)] + [_csv_row(r) for r in rows]
-    _emit("\n".join(lines) + "\n", path)
+def _csv_column(values) -> list:
+    """The CSV cells of one column holding one type: booleans as 1/0, floats
+    at full round-trip precision, anything else through str."""
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return np.where(values, "1", "0").tolist()
+    if values.dtype == np.float64:
+        # float's own repr: numpy 2 spells a numpy float as np.float64(...)
+        return _spell_distinct(values, float.__repr__)
+    return list(map(str, values.tolist()))
 
 
-def _write_svg(points, labels, path: str | None, size: int = 640) -> None:
-    """Flat scatter of (x, y) points colored by label."""
+def _csv_text(header, columns) -> str:
+    """CSV of the header line and one row per entry of the equal-length columns."""
+    cells = [_csv_column(col) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
+
+
+def _svg_text(xs, ys, labels, size: int = 640) -> str:
+    """Flat scatter of the (x, y) points colored by label."""
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
-    xs = [p[0] for p in points] or [0.0]
-    ys = [p[1] for p in points] or [0.0]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
+    y0, y1 = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
-    label_list = sorted(set(labels))
-    color = {lab: palette[i % len(palette)] for i, lab in enumerate(label_list)}
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">']
     margin = 20
     scale = size - 2 * margin
-    for (x, y), lab in zip(points, labels):
-        px = margin + (x - x0) / span_x * scale
-        py = size - margin - (y - y0) / span_y * scale
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" fill="{color[lab]}"/>')
-    parts.append("</svg>")
-    _emit("\n".join(parts), path)
+    # the per-point formula's order of operations, kept over the arrays so
+    # that every pixel coordinate is the same double as one point at a time
+    px = margin + (xs - x0) / span_x * scale
+    py = size - margin - (ys - y0) / span_y * scale
+    label_list = sorted(set(labels))
+    color = {lab: palette[i % len(palette)] for i, lab in enumerate(label_list)}
+    fill = [color[lab] for lab in labels]
+    fixed = "{:.2f}".format
+    circles = map('<circle cx="%s" cy="%s" r="1.5" fill="%s"/>'.__mod__,
+                  zip(_spell_distinct(px, fixed), _spell_distinct(py, fixed), fill))
+    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+                      f'viewBox="0 0 {size} {size}">', *circles, "</svg>"])
 
 
 def _cmd_basis(args) -> int:
@@ -186,7 +196,7 @@ def _cmd_sample(args) -> int:
                   + ["closed_admissible", "oracle_admissible", "boundary_margin"])
         rows = [(r.index, *r.coefficients, r.closed_admissible, r.oracle_admissible,
                  r.boundary_margin) for r in sset.records]
-        _write_csv(header, rows, args.output)
+        _emit(_csv_text(header, list(zip(*rows))), args.output)
     else:
         payload = {
             "m": sset.m, "k": sset.k, "n": sset.n, "seed": sset.seed, "box": sset.box,
@@ -203,24 +213,20 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    data = domains.figure_data(args.which, args.resolution, paper_cube=args.paper_cube)
     if args.format == "json":
-        _dump_json(data, args.output)
+        _dump_json(domains.figure_data(args.which, args.resolution, paper_cube=args.paper_cube),
+                   args.output)
         return 0
-    if args.which == "fig1":
-        if args.format == "csv":
-            _write_csv(data["grid_columns"], data["grid"], args.output)
-        else:
-            pts = [(r, t4) for r, t4, _, _ in data["grid"]]
-            labels = ["admissible" if adm else "inadmissible" for _, _, adm, _ in data["grid"]]
-            _write_svg(pts, labels, args.output)
-        return 0
+    names, columns = domains.figure_columns(args.which, args.resolution,
+                                            paper_cube=args.paper_cube)
     if args.format == "csv":
-        _write_csv(data["columns"], data["points"], args.output)
+        _emit(_csv_text(names, columns), args.output)
+    elif args.which == "fig1":
+        r, t4, admissible, _ = columns
+        _emit(_svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), args.output)
     else:
-        pts = [(x, y) for x, y, _, _ in data["points"]]
-        labels = [sid for _, _, _, sid in data["points"]]
-        _write_svg(pts, labels, args.output)
+        x, y, _, surface_id = columns
+        _emit(_svg_text(x, y, surface_id), args.output)
     return 0
 
 
@@ -350,7 +356,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow to inf or nan is reported once, by _dump_json's
+        # NonFiniteResult, not also as numpy RuntimeWarnings on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"genbloch: usage error: {exc}", file=sys.stderr)
         return 1

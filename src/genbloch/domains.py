@@ -14,25 +14,27 @@ region
 
 equivalently, in the variable z = 1/2 - sqrt(2 r^2 - T4), the wedge
 |r - 1/2| <= z <= 1/2; rT4_domain keeps these inequalities as a checked
-identity behind fig1.  The three-parameter slice (G_12, G_34, G_23) =
-(x, y, z) is the intersection of two orthogonal elliptic tunnels
-alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  The characteristic polynomial sign
-rule is kept as a checked identity: writing P(lambda) =
-sum_i (-1)^i a_i lambda^i, the state is positive semidefinite exactly when
-every a_i is nonnegative (all roots are real, so the rule is exact), but
-the Faddeev-LeVerrier coefficients lose their relative accuracy as the
-dimension grows, so no runtime verdict depends on it.
+identity, and fig1 decides its whole grid by their array form.  The
+three-parameter slice (G_12, G_34, G_23) = (x, y, z) is the intersection of
+two orthogonal elliptic tunnels alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  The
+characteristic polynomial sign rule is kept as a checked identity: writing
+P(lambda) = sum_i (-1)^i a_i lambda^i, the state is positive semidefinite
+exactly when every a_i is nonnegative (all roots are real, so the rule is
+exact), but the Faddeev-LeVerrier coefficients lose their relative accuracy
+as the dimension grows, so no runtime verdict depends on it.
 
-The figure datasets and the sampler decide whole arrays at once: tunnel
-points through the same alpha_pm helper as tunnel_membership, sampled
-tensors through the stacked normal-form engine (spectra) and the stacked
-LAPACK oracle (linalg), in chunks of CHUNK_BYTES of density matrices; both
-smallest eigenvalues are held to positivity's rule with DEFAULT_TOL.
+The figure datasets and the sampler decide whole arrays at once: the fig1
+grid through rT4_domain's inequalities, tunnel points through the same
+alpha_pm helper as tunnel_membership, sampled tensors through the stacked
+normal-form engine (spectra) and the stacked LAPACK oracle (linalg), in
+chunks of CHUNK_BYTES of density matrices; both smallest eigenvalues are
+held to positivity's rule with DEFAULT_TOL.  A figure is built as columns
+(figure_columns), one array per CSV column; figure_data reads the same
+columns row by row.  No figure has more than MAX_FIGURE_ROWS candidate rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +63,10 @@ from .spectra import closed_form_spectrum, normal_form_eigenvalues, pure_config
 DEFAULT_TOL = 1e-9
 # figure_data's largest resolution: fig1 then has about 10^6 grid rows
 MAX_RESOLUTION = 1001
+# a figure's largest candidate row count: fig1's resolution^2 grid rows, or
+# 2 resolution (3 resolution + 1) points on each tunnel surface of fig2 (two
+# surfaces) and fig3 (four), counted before the fig3 clip
+MAX_FIGURE_ROWS = 2 ** 20
 # sample_domain classifies draws in chunks whose rho stack takes this many
 # bytes, so its peak memory does not grow with the sample count
 CHUNK_BYTES = 2 ** 20
@@ -90,26 +96,28 @@ class DomainVerdict:
         }
 
 
+# the (r, T4) constraints in the order rT4_domain names the first one violated
+_RT4_CONSTRAINTS = ("r_negative", "r_upper", "T4_upper", "T4_lower")
+
+
+def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
+    """Which (r, T4) constraints fail, one row per _RT4_CONSTRAINTS entry, and
+    the boundary flag of the admissible points, per (r, T4) pair."""
+    lower = np.maximum((r + 1.0) ** 2 - 2.0, 0.0)
+    upper = 2.0 * r * r
+    failed = np.stack([r < -tol, r > 1.0 + tol, t4 > upper + tol, t4 < lower - tol])
+    boundary = ~failed.any(axis=0) & (
+        (np.abs(r - 1.0) <= tol) | (np.abs(t4 - upper) <= tol) | (np.abs(t4 - lower) <= tol))
+    return failed, boundary
+
+
 def rT4_domain(r: float, t4: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """The (r, T4) region for grade-2 configurations at m = 2."""
     inv = InvariantSet(r=max(r, 0.0), T4=max(t4, 0.0))
-    lower = max((r + 1.0) ** 2 - 2.0, 0.0)
-    upper = 2.0 * r * r
-    violated = None
-    if r < -tol:
-        violated = "r_negative"
-    elif r > 1.0 + tol:
-        violated = "r_upper"
-    elif t4 > upper + tol:
-        violated = "T4_upper"
-    elif t4 < lower - tol:
-        violated = "T4_lower"
-    admissible = violated is None
-    boundary = admissible and (
-        abs(r - 1.0) <= tol or abs(t4 - upper) <= tol or abs(t4 - lower) <= tol
-    )
-    return DomainVerdict(admissible=admissible, boundary=boundary, violated=violated,
-                         invariants_used=inv, tol=tol)
+    failed, boundary = _rT4_family(np.array([r], dtype=float), np.array([t4], dtype=float), tol)
+    violated = next((name for name, bad in zip(_RT4_CONSTRAINTS, failed[:, 0]) if bad), None)
+    return DomainVerdict(admissible=violated is None, boundary=bool(boundary[0]),
+                         violated=violated, invariants_used=inv, tol=tol)
 
 
 def z_variable(r: float, t4: float) -> float:
@@ -321,28 +329,6 @@ def _closed_form_minima(m: int, k: int, columns: dict) -> np.ndarray:
     return normal_form_eigenvalues(antisym_matrices(2 * m, columns))[:, 0]
 
 
-def _fig1(resolution: int) -> dict:
-    rs = np.linspace(0.0, 1.0, resolution)
-    t4s = np.linspace(0.0, 2.0, resolution)
-    grid = []
-    for r in rs:
-        for t4 in t4s:
-            verdict = rT4_domain(float(r), float(t4))
-            grid.append((float(r), float(t4), verdict.admissible, verdict.boundary))
-    curve_upper = [(float(r), float(2.0 * r * r)) for r in rs]
-    lo = math.sqrt(2.0) - 1.0
-    curve_lower = [(float(r), float((r + 1.0) ** 2 - 2.0))
-                   for r in np.linspace(lo, 1.0, resolution)]
-    return {
-        "which": "fig1",
-        "resolution": resolution,
-        "grid_columns": ["r", "T4", "admissible", "on_boundary"],
-        "grid": grid,
-        "curve_upper": curve_upper,
-        "curve_lower": curve_lower,
-    }
-
-
 def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> np.ndarray:
     """Parametric points of alpha_kind = level inside the box, one (x, y, z) row each."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
@@ -359,56 +345,114 @@ def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float)
     return pts[np.all(np.abs(pts) <= box, axis=1)]
 
 
-def _fig2(resolution: int) -> dict:
-    rows = []
-    for kind in ("alpha_plus", "alpha_minus"):
-        pts = _tunnel_surface_points(kind, 1.0, resolution, box=1.5)
-        rows.extend(zip(*pts.T.tolist(), itertools.repeat(f"{kind}=1")))
-    return {
-        "which": "fig2",
-        "resolution": resolution,
-        "columns": ["x", "y", "z", "surface_id"],
-        "points": rows,
-    }
+_FIG1_COLUMNS = ("r", "T4", "admissible", "on_boundary")
+_SURFACE_COLUMNS = ("x", "y", "z", "surface_id")
+# (kind, level) of the tunnel surfaces drawn in fig2 and fig3
+_SURFACES = {
+    "fig2": (("alpha_plus", 1.0), ("alpha_minus", 1.0)),
+    "fig3": (("alpha_plus", 1.0), ("alpha_plus", 0.1),
+             ("alpha_minus", 1.0), ("alpha_minus", 0.01)),
+}
 
 
-def _fig3(resolution: int, paper_cube: bool) -> dict:
-    surfaces = [("alpha_plus", 1.0), ("alpha_plus", 0.1),
-                ("alpha_minus", 1.0), ("alpha_minus", 0.01)]
-    rows = []
-    for kind, level in surfaces:
-        tag = f"{kind}={level:g}"
+def _fig1_columns(resolution: int) -> list:
+    """r, T4, admissible and on_boundary over the resolution x resolution (r, T4) grid."""
+    rs = np.linspace(0.0, 1.0, resolution)
+    r = np.repeat(rs, resolution)
+    t4 = np.tile(np.linspace(0.0, 2.0, resolution), resolution)
+    failed, boundary = _rT4_family(r, t4, DEFAULT_TOL)
+    return [r, t4, ~failed.any(axis=0), boundary]
+
+
+def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
+    """x, y, z and surface_id of the points of fig2 (every candidate) or fig3
+    (the admissible ones, optionally only those in the paper's unit cube)."""
+    parts, tags = [], []
+    for kind, level in _SURFACES[which]:
         pts = _tunnel_surface_points(kind, level, resolution, box=1.5)
-        keep = _tunnel_admissible(pts)
-        if paper_cube:
-            keep &= np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
-        rows.extend(zip(*pts[keep].T.tolist(), itertools.repeat(tag)))
+        if which == "fig3":
+            keep = _tunnel_admissible(pts)
+            if paper_cube:
+                keep &= np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
+            pts = pts[keep]
+        parts.append(pts)
+        tags.append(f"{kind}={level:g}")
+    x, y, z = np.concatenate(parts).T
+    # an object column shares one str per surface among all its rows
+    return [x, y, z, np.repeat(np.array(tags, dtype=object), [len(pts) for pts in parts])]
+
+
+def _rows(columns: list) -> list:
+    """One tuple of Python scalars per row of the columns."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
+def _check_figure(which: str, resolution) -> int:
+    """The resolution as an int, once which and resolution name a dataset of
+    at most MAX_FIGURE_ROWS candidate rows."""
+    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
+    if resolution > MAX_RESOLUTION:
+        raise ResourceLimit(f"resolution {resolution} exceeds the maximum {MAX_RESOLUTION}")
+    if which != "fig1" and which not in _SURFACES:
+        raise BadResolution(f"unknown figure {which!r}")
+    resolution = int(resolution)
+    rows = (resolution ** 2 if which == "fig1"
+            else len(_SURFACES[which]) * 2 * resolution * (3 * resolution + 1))
+    if rows > MAX_FIGURE_ROWS:
+        raise ResourceLimit(f"{which} at resolution {resolution} has {rows} candidate rows, "
+                            f"above the maximum {MAX_FIGURE_ROWS}")
+    return resolution
+
+
+def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tuple:
+    """(column names, one array per column) of a figure dataset.
+
+    The columns of figure_data's rows: fig1 gives r, T4 (float) and
+    admissible, on_boundary (bool); fig2 and fig3 give x, y, z (float) and
+    surface_id (str).
+    """
+    resolution = _check_figure(which, resolution)
+    if which == "fig1":
+        return list(_FIG1_COLUMNS), _fig1_columns(resolution)
+    return list(_SURFACE_COLUMNS), _surface_columns(which, resolution, paper_cube)
+
+
+def _fig1(resolution: int) -> dict:
+    rs = np.linspace(0.0, 1.0, resolution)
+    curve_upper = [(float(r), float(2.0 * r * r)) for r in rs]
+    lo = math.sqrt(2.0) - 1.0
+    curve_lower = [(float(r), float((r + 1.0) ** 2 - 2.0))
+                   for r in np.linspace(lo, 1.0, resolution)]
     return {
-        "which": "fig3",
+        "which": "fig1",
         "resolution": resolution,
-        "paper_cube": paper_cube,
-        "columns": ["x", "y", "z", "surface_id"],
-        "points": rows,
+        "grid_columns": list(_FIG1_COLUMNS),
+        "grid": _rows(_fig1_columns(resolution)),
+        "curve_upper": curve_upper,
+        "curve_lower": curve_lower,
     }
 
 
 def figure_data(which: str, resolution: int, paper_cube: bool = False) -> dict:
-    """Datasets behind the three diagnostic figures.
+    """Datasets behind the three diagnostic figures, one tuple per row.
 
     fig1: (r, T4) grid with verdicts plus the two boundary curves.
     fig2: point clouds of the iso-surfaces alpha_pm = 1 over [-1.5, 1.5]^3.
     fig3: surface points alpha_plus in {1, 0.1}, alpha_minus in {1, 0.01}
           clipped to the admissible intersection (optionally to the paper's
           unit cube).
+    The rows are figure_columns read row by row.
     """
-    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
-        raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
-    if resolution > MAX_RESOLUTION:
-        raise ResourceLimit(f"resolution {resolution} exceeds the maximum {MAX_RESOLUTION}")
+    resolution = _check_figure(which, resolution)
     if which == "fig1":
-        return _fig1(int(resolution))
-    if which == "fig2":
-        return _fig2(int(resolution))
+        return _fig1(resolution)
+    data = {
+        "which": which,
+        "resolution": resolution,
+        "columns": list(_SURFACE_COLUMNS),
+        "points": _rows(_surface_columns(which, resolution, paper_cube)),
+    }
     if which == "fig3":
-        return _fig3(int(resolution), paper_cube)
-    raise BadResolution(f"unknown figure {which!r}")
+        data["paper_cube"] = paper_cube
+    return data

@@ -219,6 +219,19 @@ def test_sample_m6_peak_rss(tmp_path):
     assert peak_mb < 80
 
 
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_figure_fig2_peak_rss(tmp_path, fmt):
+    # fig2 at its default resolution writes 96,392 points from columns: 67 MB
+    # (CSV) and 61 MB (SVG) on Linux x86-64, Python 3.11, numpy 2.4.  The bound
+    # sits below the 77 MB that one row tuple per point takes there.
+    out = tmp_path / f"fig2.{fmt}"
+    code, peak_mb = _genbloch_peak_rss_mb(["figure", "fig2", "--format", fmt,
+                                           "--output", str(out)])
+    assert code == 0
+    assert out.read_text().count("\n") == 96_393
+    assert peak_mb < 75
+
+
 def test_figure_fig1_csv_rows(tmp_path):
     path = str(tmp_path / "fig1.csv")
     assert run(["figure", "fig1", "--resolution", "101", "--format", "csv",
@@ -369,6 +382,19 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert captured.out == "" and _one_diagnostic(captured)
 
 
+@pytest.mark.parametrize("command", ["invariants", "validate"])
+def test_nonfinite_result_one_stderr_line(tmp_path, command):
+    # every stderr line counts, numpy's own RuntimeWarnings included
+    coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
+    path = write_json(tmp_path / "huge.json", coords_to_json(coords))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    res = subprocess.run([sys.executable, "-m", "genbloch", command, "--input", path],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 1 and res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("genbloch: error:")
+
+
 def test_python_m_genbloch_help():
     src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -420,7 +446,147 @@ def test_figure_resolution_limit(capsys, monkeypatch):
 
 
 def test_csv_row_numpy_scalars():
-    from genbloch.cli import _csv_row
+    from genbloch.cli import _csv_text
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
-    assert _csv_row(row) == "0.1,1,0,7,1,2.5,a"
+    assert _csv_text(list("abcdefg"), [[v] for v in row]) == "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
+
+
+# The per-cell CSV and per-point SVG writers that the column writers
+# replaced, kept as their reference: the output must not change by a byte.
+def _csv_row_per_cell(values) -> str:
+    out = []
+    for v in values:
+        if isinstance(v, (bool, np.bool_)):
+            out.append("1" if v else "0")
+        elif isinstance(v, float):
+            out.append(float.__repr__(v))
+        else:
+            out.append(str(v))
+    return ",".join(out)
+
+
+def _csv_per_row(header, rows) -> str:
+    return "\n".join([",".join(header)] + [_csv_row_per_cell(r) for r in rows]) + "\n"
+
+
+def _svg_per_point(points, labels, size=640) -> str:
+    palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+    xs = [p[0] for p in points] or [0.0]
+    ys = [p[1] for p in points] or [0.0]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    span_x = (x1 - x0) or 1.0
+    span_y = (y1 - y0) or 1.0
+    label_list = sorted(set(labels))
+    color = {lab: palette[i % len(palette)] for i, lab in enumerate(label_list)}
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">']
+    margin = 20
+    scale = size - 2 * margin
+    for (x, y), lab in zip(points, labels):
+        px = margin + (x - x0) / span_x * scale
+        py = size - margin - (y - y0) / span_y * scale
+        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" fill="{color[lab]}"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
+                                               ("fig3", False), ("fig3", True)])
+def test_figure_writers_match_per_row(capsys, which, paper_cube):
+    from genbloch.domains import figure_data
+
+    cube = ["--paper-cube"] if paper_cube else []
+    for resolution in range(2, 41):
+        data = figure_data(which, resolution, paper_cube=paper_cube)
+        if which == "fig1":
+            header, rows = data["grid_columns"], data["grid"]
+            points = [(r, t4) for r, t4, _, _ in rows]
+            labels = ["admissible" if adm else "inadmissible" for _, _, adm, _ in rows]
+        else:
+            header, rows = data["columns"], data["points"]
+            points = [(x, y) for x, y, _, _ in rows]
+            labels = [sid for _, _, _, sid in rows]
+        argv = ["figure", which, "--resolution", str(resolution), *cube]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == _csv_per_row(header, rows)
+        assert run(argv + ["--format", "svg"]) == 0
+        assert capsys.readouterr().out == _svg_per_point(points, labels) + "\n"
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2])
+def test_sample_csv_matches_per_row(capsys, m, k):
+    from genbloch.domains import sample_domain
+
+    sset = sample_domain(m, k, 40, seed=m + 10 * k)
+    dim = len(sset.records[0].coefficients)
+    header = (["index"] + [f"c{i}" for i in range(dim)]
+              + ["closed_admissible", "oracle_admissible", "boundary_margin"])
+    rows = [(r.index, *r.coefficients, r.closed_admissible, r.oracle_admissible,
+             r.boundary_margin) for r in sset.records]
+    assert run(["sample", "--m", str(m), "--k", str(k), "--samples", "40",
+                "--seed", str(m + 10 * k), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == _csv_per_row(header, rows)
+
+
+def test_writers_match_per_row_on_hand_made_columns():
+    from genbloch.cli import _csv_text, _svg_text
+
+    columns = [
+        [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
+        np.array([0.0, -0.0, 0.0, 1e16, 1e-7, np.nextafter(1.0, 2.0), -0.0]),
+        [np.bool_(True), np.bool_(False), np.bool_(True), np.bool_(False),
+         np.bool_(True), np.bool_(True), np.bool_(False)],
+        [True, False, False, True, True, False, True],
+        [0, -3, 7, 2 ** 40, np.int64(5), 1, 0],
+        ["a", "b", "a", "alpha_plus=1", "", "b", "a"],
+    ]
+    header = [f"col{i}" for i in range(len(columns))]
+    rows = list(zip(*columns))
+    assert _csv_text(header, columns) == _csv_per_row(header, rows)
+    assert _csv_text(header, [[] for _ in columns]) == _csv_per_row(header, [])
+    assert _csv_text(header, []) == _csv_per_row(header, [])
+    xs, ys, labels = columns[0], columns[1], columns[5]
+    assert _svg_text(xs, ys, labels) == _svg_per_point(list(zip(xs, ys)), labels)
+    # zero rows: both writers fall back to x = y = 0
+    assert _svg_text([], [], []) == _svg_per_point([], [])
+
+
+def test_figure_row_limit(capsys, monkeypatch):
+    from genbloch import domains
+    from genbloch.errors import ResourceLimit
+
+    def candidates(which, resolution):
+        surfaces = {"fig2": 2, "fig3": 4}[which]
+        return surfaces * 2 * resolution * (3 * resolution + 1)
+
+    # the benchmark's resolutions and fig1 at its largest resolution stay allowed
+    for which, resolution in [("fig1", domains.MAX_RESOLUTION), ("fig2", 101), ("fig3", 26),
+                              ("fig3", 28)]:
+        assert domains._check_figure(which, resolution) == resolution
+    # the first resolution above the limit is refused before any point is built
+    monkeypatch.setattr(domains, "_tunnel_surface_points", None)
+    for which in ("fig2", "fig3"):
+        resolution = next(r for r in range(2, domains.MAX_RESOLUTION)
+                          if candidates(which, r) > domains.MAX_FIGURE_ROWS)
+        assert candidates(which, resolution - 1) <= domains.MAX_FIGURE_ROWS
+        with pytest.raises(ResourceLimit):
+            domains.figure_columns(which, resolution)
+        assert run(["figure", which, "--resolution", str(resolution)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_diagnostic(captured)
+    monkeypatch.undo()
+    # at the limit a dataset is built; one row above it, it is refused
+    for which in ("fig2", "fig3"):
+        monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", candidates(which, 5))
+        assert len(domains.figure_data(which, 5)["points"]) > 0
+        monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", candidates(which, 5) - 1)
+        with pytest.raises(ResourceLimit):
+            domains.figure_data(which, 5)
+    monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", 5 * 5)
+    assert len(domains.figure_data("fig1", 5)["grid"]) == 25
+    monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", 5 * 5 - 1)
+    with pytest.raises(ResourceLimit):
+        domains.figure_columns("fig1", 5)

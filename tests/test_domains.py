@@ -99,6 +99,51 @@ def test_rT4_lower_violation():
     assert not v.admissible and v.violated == "T4_lower"
 
 
+def _rT4_per_point(r, t4, tol=DEFAULT_TOL):
+    """The scalar (r, T4) inequalities, kept as the reference of the array rule."""
+    lower = max((r + 1.0) ** 2 - 2.0, 0.0)
+    upper = 2.0 * r * r
+    violated = None
+    if r < -tol:
+        violated = "r_negative"
+    elif r > 1.0 + tol:
+        violated = "r_upper"
+    elif t4 > upper + tol:
+        violated = "T4_upper"
+    elif t4 < lower - tol:
+        violated = "T4_lower"
+    admissible = violated is None
+    boundary = admissible and (
+        abs(r - 1.0) <= tol or abs(t4 - upper) <= tol or abs(t4 - lower) <= tol)
+    return admissible, boundary, violated
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 1e-3])
+def test_rT4_matches_per_point(rng, tol):
+    edges = [0.0, math.sqrt(2.0) - 1.0, 0.5, 1.0]
+    rs = [e + d for e in edges for d in (-2 * tol, -tol / 2, 0.0, tol / 2, 2 * tol)]
+    rs += [-0.3, 1.3] + rng.uniform(0.0, 1.0, 20).tolist()
+    for r in rs:
+        lower, upper = max((r + 1.0) ** 2 - 2.0, 0.0), 2.0 * r * r
+        t4s = [b + d for b in (lower, upper, 0.0, 2.0)
+               for d in (-2 * tol, -tol / 2, 0.0, tol / 2, 2 * tol)]
+        for t4 in t4s + rng.uniform(0.0, 2.0, 5).tolist():
+            v = rT4_domain(r, t4, tol)
+            assert (v.admissible, v.boundary, v.violated) == _rT4_per_point(r, t4, tol)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 21, 101])
+def test_fig1_matches_per_point(resolution):
+    rs = np.linspace(0.0, 1.0, resolution)
+    t4s = np.linspace(0.0, 2.0, resolution)
+    expected = [(float(r), float(t4), *_rT4_per_point(float(r), float(t4))[:2])
+                for r in rs for t4 in t4s]
+    grid = figure_data("fig1", resolution)["grid"]
+    assert grid == expected
+    assert all(type(v) is float for row in grid for v in row[:2])
+    assert all(type(v) is bool for row in grid for v in row[2:])
+
+
 CASE_KINDS = ["vector", "vector_pseudoscalar", "extended_vector", "grade2",
               "mixed_standard", "mixed_extended"]
 
