@@ -24,7 +24,7 @@ import numpy as np
 from . import clifford, domains, invariants, spectra, symmetry
 from .coords import antisym, coords_from_json, coords_to_json, decode, encode
 from .errors import GenblochError, NonFiniteResult, UsageError
-from .linalg import matrix_from_json, matrix_to_json
+from .linalg import as_int, matrix_from_json, matrix_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,7 +251,7 @@ def _cmd_rotate(args) -> int:
     coords = coords_from_json(_read_json(args.input))
     alpha_obj = _read_json(args.alpha)
     entries = {tuple(e["idx"]): float(e["val"]) for e in alpha_obj.get("alpha", [])}
-    alpha = antisym(int(alpha_obj["m"]), 2, entries)
+    alpha = antisym(as_int(alpha_obj["m"]), 2, entries)
     el = symmetry.orthogonal_from_generator(alpha)
     _dump_json(coords_to_json(symmetry.rotate_coords(coords, el)), args.output)
     return 0
@@ -366,7 +366,7 @@ def run(argv) -> int:
     except GenblochError as exc:
         print(f"genbloch: error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"genbloch: error: {exc}", file=sys.stderr)
         return 1
 

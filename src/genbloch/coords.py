@@ -27,15 +27,19 @@ from .errors import (
     NonUnitTrace,
     NotHermitian,
 )
-from .linalg import as_matrix, hermiticity_residual
+from .linalg import as_int, as_matrix, hermiticity_residual
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-8
 
 
 def normalize_key(indices) -> tuple[tuple, int]:
-    """Sort a multi-index, returning (increasing tuple, permutation sign)."""
-    idx = [int(i) for i in indices]
+    """Sort a multi-index, returning (increasing tuple, permutation sign).
+
+    This is the package's one permutation parity: the sign of the swaps an
+    insertion sort makes.  Entries must be integers; a repeat is BadIndex.
+    """
+    idx = [as_int(i) for i in indices]
     sign = 1
     # insertion sort, counting swaps
     for i in range(1, len(idx)):
@@ -291,7 +295,7 @@ def coords_to_json(coords: StateCoords) -> dict:
 
 
 def coords_from_json(obj: dict) -> StateCoords:
-    m = int(obj["m"])
+    m = as_int(obj["m"])
     mode = obj.get("mode", "standard")
     grades = {}
     for key, entries in (obj.get("grades") or {}).items():

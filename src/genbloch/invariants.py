@@ -8,8 +8,11 @@ invariants are
     D3 = eps_{i1..i6} G_{i1 i2} G_{i3 i4} G_{i5 i6}   (degree 3, six indices)
 
 D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
-computes it; the 720-term epsilon sum stays available as epsilon_sum_D3,
-and epsilon_D3 checks the identity between the two.  The dual-tensor
+computes it.  Every Levi-Civita contraction goes through one routine,
+epsilon_contract, with the sign of each index order from the package's one
+permutation parity (coords.normalize_key): the 720-term D3 sum
+(epsilon_sum_D3, checked against 48 Pf by epsilon_D3), the linear and
+quadratic duals, and the O(7) pseudo-vector.  The dual-tensor
 constructions tie 2 r^2 - T4 to quadratic functions of the dual, which is
 what makes the z variable of the domains module computable directly from
 the coordinates.
@@ -19,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .coords import AntisymTensor, StateCoords
+from .coords import AntisymTensor, StateCoords, normalize_key
 from .errors import (
     DimensionMismatch,
     GradeMismatch,
@@ -34,21 +36,27 @@ from .errors import (
 
 
 def perm_sign(perm) -> int:
-    """Parity of a permutation of 0..n-1 (+1 even, -1 odd)."""
-    p = list(perm)
-    sign = 1
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sign = -sign
-    return sign
+    """Parity of a sequence of distinct integers (+1 even, -1 odd)."""
+    return normalize_key(perm)[1]
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(n: int) -> tuple:
-    """All (permutation, sign) pairs of 0..n-1."""
-    return tuple((p, perm_sign(p)) for p in itertools.permutations(range(n)))
+def epsilon_contract(mat: np.ndarray, lead: tuple, factors: int):
+    """sum_p eps_{lead, p} mat[p1, p2] ... mat[p_{2f-1}, p_{2f}] over every
+    order p of the 0-based indices of mat that are not in lead.
+
+    Terms are added in itertools.permutations order, each one formed
+    left to right from its sign.
+    """
+    rest = [x for x in range(mat.shape[0]) if x not in lead]
+    if len(rest) != 2 * factors:
+        raise DimensionMismatch(f"{len(rest)} free indices cannot fill {factors} factors")
+    total = 0.0
+    for p in itertools.permutations(rest):
+        term = perm_sign(lead + p)
+        for a in range(0, len(p), 2):
+            term = term * mat[p[a], p[a + 1]]
+        total += term
+    return total
 
 
 def pfaffian(a: np.ndarray) -> float:
@@ -99,11 +107,7 @@ def epsilon_sum_D3(g: AntisymTensor) -> float:
     _require_grade2(g)
     if g.side != 6:
         raise DimensionMismatch("the triple eps contraction needs 6 indices (m = 3)")
-    mat = g.as_matrix()
-    total = 0.0
-    for perm, sign in signed_permutations(6):
-        total += sign * mat[perm[0], perm[1]] * mat[perm[2], perm[3]] * mat[perm[4], perm[5]]
-    return total
+    return epsilon_contract(g.as_matrix(), (), 3)
 
 
 def epsilon_D3(g: AntisymTensor) -> float:
@@ -129,20 +133,12 @@ def dual_tensor(g: AntisymTensor) -> AntisymTensor:
     if g.side not in (4, 6):
         raise UnsupportedM(f"dual_tensor supports sides 4 and 6, got {g.side}")
     mat = g.as_matrix()
-    n = g.side
     vals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rest = [x for x in range(n) if x not in (i, j)]
-            total = 0.0
-            for p in itertools.permutations(rest):
-                if n == 4:
-                    total += perm_sign((i, j) + p) * mat[p[0], p[1]]
-                else:
-                    total += perm_sign((i, j) + p) * mat[p[0], p[1]] * mat[p[2], p[3]]
-            if total != 0.0:
-                vals[(i + 1, j + 1)] = total
-    return AntisymTensor(g.m, 2, n, vals)
+    for i, j in itertools.combinations(range(g.side), 2):
+        total = epsilon_contract(mat, (i, j), g.side // 2 - 1)
+        if total != 0.0:
+            vals[(i + 1, j + 1)] = total
+    return AntisymTensor(g.m, 2, g.side, vals)
 
 
 def dual_identity_residual(g: AntisymTensor) -> float:
@@ -183,17 +179,7 @@ def pseudo_vector_V(g: AntisymTensor) -> np.ndarray:
     if g.side != 7:
         raise DimensionMismatch("pseudo_vector_V needs a side-7 grade-2 tensor")
     mat = g.as_matrix()
-    out = np.zeros(7)
-    for i in range(7):
-        rest = [x for x in range(7) if x != i]
-        total = 0.0
-        # eps_{i, j1..j6} = (-1)^i * parity of (j1..j6) within the sorted complement of i
-        for p, sign_rest in signed_permutations(6):
-            perm = [rest[x] for x in p]
-            sign = sign_rest * (-1) ** i
-            total += sign * mat[perm[0], perm[1]] * mat[perm[2], perm[3]] * mat[perm[4], perm[5]]
-        out[i] = total
-    return out
+    return np.array([epsilon_contract(mat, (i,), 3) for i in range(7)])
 
 
 SCALE_DIMENSIONS = {

@@ -13,6 +13,8 @@ spectra: the routes stay independently checkable against each other.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import NotHermitian
@@ -23,7 +25,7 @@ def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -112,8 +114,15 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(m.shape[0]), "entries": entries}
 
 
+def as_int(value) -> int:
+    """An integer field: operator.index of value, so 2.0, "2" and True are refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    dim = as_int(obj["dim"])
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")

@@ -56,15 +56,15 @@ from .linalg import hermitian_eigenvalues, require_hermitian
 CLUSTER_TOL = 1e-8
 
 
-def cluster_values(values, tol: float = CLUSTER_TOL) -> list:
-    """Group sorted values into (mean, multiplicity) clusters by gap."""
+def cluster_values(values) -> list:
+    """Group sorted values into (mean, multiplicity) clusters by gaps above CLUSTER_TOL."""
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size == 0:
         return []
     clusters = []
     start = 0
     for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > tol:
+        if i == vals.size or vals[i] - vals[i - 1] > CLUSTER_TOL:
             chunk = vals[start:i]
             clusters.append((float(np.mean(chunk)), int(chunk.size)))
             start = i
@@ -87,19 +87,19 @@ class Spectrum:
         }
 
 
-def spectrum_from_values(m: int, values, tol: float = CLUSTER_TOL) -> Spectrum:
+def spectrum_from_values(m: int, values) -> Spectrum:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size != 2 ** m:
         raise GradeMismatch(f"expected {2 ** m} eigenvalues, got {vals.size}")
-    return Spectrum(m=m, eigenvalues=vals, multiplets=cluster_values(vals, tol))
+    return Spectrum(m=m, eigenvalues=vals, multiplets=cluster_values(vals))
 
 
-def degeneracy_pattern(spectrum: Spectrum, tol: float = CLUSTER_TOL) -> list:
-    """(value, multiplicity) clusters of a spectrum at the given tolerance."""
-    return cluster_values(spectrum.eigenvalues, tol)
+def degeneracy_pattern(spectrum: Spectrum) -> list:
+    """(value, multiplicity) clusters of a spectrum."""
+    return cluster_values(spectrum.eigenvalues)
 
 
-def numeric_spectrum(rho, tol: float = CLUSTER_TOL) -> Spectrum:
+def numeric_spectrum(rho) -> Spectrum:
     """Oracle spectrum of a density matrix (LAPACK eigensolver)."""
     rho = require_hermitian(rho)
     tr = complex(np.trace(rho))
@@ -108,7 +108,7 @@ def numeric_spectrum(rho, tol: float = CLUSTER_TOL) -> Spectrum:
     # the eigensolver's own check is tighter, so it gets the hermitian part
     vals = hermitian_eigenvalues((rho + rho.conj().T) / 2)
     m = int(round(math.log2(rho.shape[0])))
-    return spectrum_from_values(m, vals, tol)
+    return spectrum_from_values(m, vals)
 
 
 def vector_spectrum(m: int, g1: AntisymTensor, pseudoscalar: float | None = None) -> Spectrum:

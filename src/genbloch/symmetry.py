@@ -3,7 +3,8 @@
 Conventions (fixed once, verified by the compatibility identity below):
 
 * A generator is a grade-2 antisymmetric parameter array alpha_{ij}, i < j.
-  Its orthogonal matrix is L = exp(A) with A[j, i] = +alpha_{ij}, so a
+  Its orthogonal matrix is L = exp(A) with A[j, i] = +alpha_{ij} (A is the
+  transpose of the tensor's own antisymmetric matrix), so a
   single alpha_{12} = theta rotates axis 1 toward axis 2 by theta
   (L = [[cos, -sin], [sin, cos]] on that plane) and det L = +1.
 
@@ -17,7 +18,9 @@ Conventions (fixed once, verified by the compatibility identity below):
 
 * Grade-k coordinates transform through the k-th compound (exterior power)
   of L:  G'_I = sum_J det(L[I, J]) G_J over increasing k-tuples, which is
-  the antisymmetrized k-fold product L x ... x L.
+  the antisymmetrized k-fold product L x ... x L.  The rule uses no
+  Clifford algebra, so comparing it with the spin-lift conjugation below
+  checks one engine against another.
 
 * Both exponentials come from the one hermitian eigensolver in linalg:
   L = exp(A) is exp(-i H) for the hermitian H = iA, and U is exp(-i H)
@@ -38,17 +41,6 @@ from .linalg import as_matrix, exp_i_hermitian
 ORTHO_TOL = 1e-10
 
 
-def generator_matrix(alpha: AntisymTensor) -> np.ndarray:
-    """Antisymmetric matrix A with A[j, i] = +alpha_{ij} for i < j."""
-    if alpha.k != 2:
-        raise GradeMismatch("a rotation generator is a grade-2 tensor")
-    a = np.zeros((alpha.side, alpha.side))
-    for (i, j), v in alpha.items():
-        a[j - 1, i - 1] = v
-        a[i - 1, j - 1] = -v
-    return a
-
-
 def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     """L = exp(A) in SO(side), as the real part of exp(-i (iA)) for the hermitian iA.
 
@@ -58,7 +50,10 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     raised.  The imaginary residue and orthogonality are validated before
     returning.
     """
-    a = generator_matrix(alpha)
+    if alpha.k != 2:
+        raise GradeMismatch("a rotation generator is a grade-2 tensor")
+    # A[j, i] = +alpha_{ij}: the transpose of the tensor's own matrix
+    a = alpha.as_matrix().T
     # A is normal, so its largest singular value is the largest rotation angle
     theta_max = float(np.linalg.norm(a, 2))
     err = theta_max * np.finfo(float).eps
@@ -103,22 +98,22 @@ def spin_lift(alpha: AntisymTensor, basis: clifford.CliffordBasis | None = None)
 
 
 def rotate_coords(coords: StateCoords, el) -> StateCoords:
-    """Apply an orthogonal matrix grade-wise; scalar untouched."""
+    """Apply an orthogonal matrix grade-wise; scalar untouched.
+
+    Output entry I of grade k is sum_J det(L[I, J]) G_J.  For each stored
+    J the minors of every I come from one stacked det, and each output sum
+    is added in the stored order of J.
+    """
     side = coords.side
     el = check_orthogonal(el, side)
     new_grades = {}
     for k, tensor in coords.grades.items():
-        vals = {}
-        source = list(tensor.items())
-        for out_idx in itertools.combinations(range(1, side + 1), k):
-            rows = [i - 1 for i in out_idx]
-            total = 0.0
-            for in_idx, v in source:
-                cols = [j - 1 for j in in_idx]
-                sub = el[np.ix_(rows, cols)]
-                total += float(np.linalg.det(sub)) * v
-            if total != 0.0:
-                vals[out_idx] = total
+        outs = list(itertools.combinations(range(1, side + 1), k))
+        rows = el[np.subtract(outs, 1)]  # (len(outs), k, side)
+        total = np.zeros(len(outs))
+        for in_idx, v in tensor.items():
+            total = total + np.linalg.det(rows[:, :, np.subtract(in_idx, 1)]) * v
+        vals = {out: t for out, t in zip(outs, total.tolist()) if t != 0.0}
         new_grades[k] = AntisymTensor(coords.m, k, side, vals)
     return StateCoords(m=coords.m, mode=coords.mode, scalar=coords.scalar, grades=new_grades)
 

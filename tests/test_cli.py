@@ -372,6 +372,36 @@ def test_rotate_huge_generator_typed_error(tmp_path, capsys):
     assert captured.out == "" and _one_diagnostic(captured)
 
 
+_G1 = {"m": 2, "grades": {"1": [{"idx": [1], "val": 0.5}]}}
+_HALF = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
+
+
+@pytest.mark.parametrize("command, state, alpha", [
+    ("invariants", {"m": 2, "grades": {"1": [{"idx": [None], "val": 0.5}]}}, None),
+    ("invariants", {"m": None, "grades": {"1": [{"idx": [1], "val": 0.5}]}}, None),
+    ("invariants", {"m": 2, "grades": {"1": [{"idx": [1], "val": None}]}}, None),
+    ("invariants", {"m": 2, "grades": {"1": 5}}, None),
+    ("invariants", {"m": 2, "grades": {"1": [{"idx": 1, "val": 0.5}]}}, None),
+    ("validate", [1, 2], None),
+    ("decode", {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], None]}, None),
+    ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2], "val": None}]}),
+    # integer fields are refused, not truncated
+    ("invariants", {"m": 2, "grades": {"2": [{"idx": [1.9, 2], "val": 0.5}]}}, None),
+    ("invariants", dict(_G1, m=2.7), None),
+    ("invariants", {"m": 2, "grades": {"1": [{"idx": [True], "val": 0.5}]}}, None),
+    ("decode", dict(_HALF, dim=2.9), None),
+], ids=["idx-null", "m-null", "val-null", "grade-not-list", "idx-int", "top-level-list",
+        "entry-null", "alpha-val-null", "idx-float", "m-float", "idx-bool", "dim-float"])
+def test_malformed_json_one_line(tmp_path, capsys, command, state, alpha):
+    argv = [command, "--input", write_json(tmp_path / "in.json", state)]
+    if alpha is not None:
+        argv += ["--alpha", write_json(tmp_path / "alpha.json", alpha)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("genbloch: error:")
+
+
 @pytest.mark.parametrize("command", ["invariants", "validate"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     # r and T4 overflow to inf; JSON has no finite spelling for them

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from genbloch.coords import AntisymTensor, antisym
-from genbloch.errors import DimensionMismatch, GradeMismatch, UnknownName, UnsupportedM
+from genbloch.errors import (
+    BadIndex,
+    DimensionMismatch,
+    GradeMismatch,
+    UnknownName,
+    UnsupportedM,
+)
 from genbloch.invariants import (
     InvariantSet,
     det_identity_check,
@@ -225,3 +231,6 @@ def test_perm_sign_basics():
     # parity is multiplicative over all 4! permutations
     total = sum(perm_sign(p) for p in itertools.permutations(range(4)))
     assert total == 0
+    # a repeated entry is no permutation
+    with pytest.raises(BadIndex):
+        perm_sign((1, 1))

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from genbloch.coords import coords_to_json, decode
 from genbloch.errors import NotHermitian
 from genbloch.linalg import (
+    as_matrix,
     char_poly,
     exp_i_hermitian,
     hermitian_eigenvalues,
     matrix_from_json,
     matrix_to_json,
 )
+from genbloch.spectra import numeric_spectrum
 
-from conftest import SIGMA1, SIGMA2, random_hermitian
+from conftest import SIGMA1, SIGMA2, random_hermitian, random_unit_trace_hermitian
 
 
 def test_eigenvalues_maximally_mixed():
@@ -113,3 +116,35 @@ def test_matrix_json_roundtrip(rng):
     obj = matrix_to_json(a)
     assert obj["dim"] == 3 and len(obj["entries"]) == 9
     assert np.array_equal(matrix_from_json(obj), a)
+
+
+def _layouts(h):
+    """h as a transpose, a Fortran-ordered copy and a strided view."""
+    big = np.zeros((2 * h.shape[0], 2 * h.shape[0]), dtype=complex)
+    big[::2, ::2] = h
+    return {"transpose": h.T, "fortran": np.asfortranarray(h), "strided": big[::2, ::2]}
+
+
+@pytest.mark.parametrize("layout", ["transpose", "fortran", "strided"])
+def test_complex_layouts_match_c_order(rng, layout):
+    rho = random_unit_trace_hermitian(rng, 4)
+    a = _layouts(rho)[layout]
+    assert not a.flags.c_contiguous
+    c = np.ascontiguousarray(a)
+    assert np.array_equal(as_matrix(a), c)
+    assert np.array_equal(hermitian_eigenvalues(a), hermitian_eigenvalues(c))
+    assert np.array_equal(exp_i_hermitian(a), exp_i_hermitian(c))
+    assert np.array_equal(char_poly(a), char_poly(c))
+    assert np.array_equal(numeric_spectrum(a).eigenvalues, numeric_spectrum(c).eigenvalues)
+    assert coords_to_json(decode(a)) == coords_to_json(decode(c))
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("layout", ["c", "transpose", "fortran", "strided"])
+def test_nonfinite_entries_rejected(layout, bad):
+    h = np.eye(3, dtype=complex)
+    h[0, 1] = bad
+    a = h if layout == "c" else _layouts(h)[layout]
+    for f in (as_matrix, hermitian_eigenvalues, char_poly):
+        with pytest.raises(ValueError, match="non-finite"):
+            f(a)

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from genbloch.clifford import cached_basis, generate_gammas
-from genbloch.coords import antisym, encode, state_coords, vector
+from genbloch.coords import antisym, decode, encode, state_coords, vector
 from genbloch.errors import NotUnitary
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import (
@@ -146,3 +148,48 @@ def test_reflection_through_rotate_coords(rng):
     before = hermitian_eigenvalues(encode(coords))
     after = hermitian_eigenvalues(encode(reflected))
     assert np.max(np.abs(before - after)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_rotate_full_state_matches_spin_lift(rng, m):
+    # the spin lift exists in standard mode only; criterion 07 covers m = 2, 3
+    coords = random_coords(rng, m)
+    alpha = random_tensor(rng, m, 2)
+    rotated = rotate_coords(coords, orthogonal_from_generator(alpha))
+    conjugated = decode(conjugate_state(encode(coords), spin_lift(alpha)))
+    for idx in cached_basis(m).indices:
+        assert abs(rotated.coefficient(idx) - conjugated.coefficient(idx)) < 1e-9
+
+
+def _rotate_per_entry(coords, el):
+    """One det per (output, input) entry pair: the loop that rotate_coords
+    stacks, and the reference for its grades, key order included."""
+    grades = []
+    for k, tensor in coords.grades.items():
+        vals = {}
+        for out_idx in itertools.combinations(range(1, coords.side + 1), k):
+            total = 0.0
+            for in_idx, v in tensor.items():
+                sub = el[np.ix_([i - 1 for i in out_idx], [j - 1 for j in in_idx])]
+                total += float(np.linalg.det(sub)) * v
+            if total != 0.0:
+                vals[out_idx] = total
+        grades.append((k, list(vals.items())))
+    return grades
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rotate_coords_matches_per_entry(rng, m, mode):
+    coords = random_coords(rng, m, mode=mode)
+    side = coords.side
+    # a single-plane turn leaves many minors exactly zero, so the zero filter runs too
+    sparse = state_coords(m, mode=mode, grades={
+        k: {key: v for n, (key, v) in enumerate(t.items()) if n % 2 == 0}
+        for k, t in coords.grades.items()})
+    for state, alpha in ((coords, random_tensor(rng, m, 2, side=side)),
+                         (sparse, antisym(m, 2, {(1, 2): 0.7}, side=side))):
+        el = orthogonal_from_generator(alpha)
+        got = rotate_coords(state, el)
+        assert [(k, list(t.items())) for k, t in got.grades.items()] == \
+            _rotate_per_entry(state, el)
