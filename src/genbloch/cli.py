@@ -22,9 +22,9 @@ import sys
 import numpy as np
 
 from . import clifford, domains, invariants, spectra, symmetry
-from .coords import antisym, coords_from_json, coords_to_json, decode, encode
+from .coords import antisym, coords_from_json, coords_to_json, decode, encode, entry_list
 from .errors import GenblochError, NonFiniteResult, UsageError
-from .linalg import as_int, matrix_from_json, matrix_to_json
+from .linalg import matrix_from_json, matrix_to_json, wire_field
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,12 +62,9 @@ def _dump_json(obj, path: str | None) -> None:
 def _load_state(path: str, m: int | None, mode: str):
     """Read either a matrix JSON or a coords JSON; return (coords, rho)."""
     obj = _read_json(path)
-    if "dim" in obj:
+    if isinstance(obj, dict) and "dim" in obj:
         rho = matrix_from_json(obj)
-        coords = decode(rho, m=m, mode=mode)
-        # decode accepts a hermiticity residual up to 1e-10, the eigensolver
-        # only 1e-12; the coords describe the hermitian part, so use it
-        return coords, (rho + rho.conj().T) / 2
+        return decode(rho, m=m, mode=mode), rho
     coords = coords_from_json(obj)
     return coords, encode(coords)
 
@@ -249,9 +246,9 @@ def _cmd_domain(args) -> int:
 
 def _cmd_rotate(args) -> int:
     coords = coords_from_json(_read_json(args.input))
-    alpha_obj = _read_json(args.alpha)
-    entries = {tuple(e["idx"]): float(e["val"]) for e in alpha_obj.get("alpha", [])}
-    alpha = antisym(as_int(alpha_obj["m"]), 2, entries)
+    alpha_obj = wire_field(_read_json(args.alpha), dict, "alpha file")
+    entries = entry_list(alpha_obj.get("alpha", []), "alpha")
+    alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2, entries)
     el = symmetry.orthogonal_from_generator(alpha)
     _dump_json(coords_to_json(symmetry.rotate_coords(coords, el)), args.output)
     return 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -124,22 +125,54 @@ def extended_gammas(m: int) -> tuple:
     return generate_gammas(m) + (chirality(m),)
 
 
-def _validate_index(m: int, indices, mode: str) -> tuple:
-    # single elements may use any grade the index range allows; only the
-    # orthogonal *family* of full_basis stops at grade m in extended mode
-    n = side(m, mode)
-    idx = tuple(int(i) for i in indices)
-    if any(i < 1 or i > n for i in idx):
-        raise BadIndex(f"indices {idx} out of bounds 1..{n}")
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise BadIndex(f"indices {idx} must be strictly increasing")
-    return idx
+@lru_cache(maxsize=None)
+def multi_indices(side: int, k: int) -> MappingProxyType:
+    """Read-only table of the increasing k-tuples of 1..side, in lexicographic order."""
+    return MappingProxyType(dict.fromkeys(itertools.combinations(range(1, side + 1), k)))
+
+
+def _int_key(indices) -> tuple:
+    """indices as a tuple, or BadIndex unless each is a Python int (no bool, float, numpy int)."""
+    key = tuple(indices)
+    if any(type(i) is not int for i in key):
+        raise BadIndex(f"indices {key} must be Python ints")
+    return key
+
+
+def normalize_key(indices) -> tuple[tuple, int]:
+    """Sort a multi-index (see _int_key), returning (increasing tuple, permutation sign).
+
+    This is the package's one permutation parity: the sign of the swaps an
+    insertion sort makes.  A repeated index is BadIndex.
+    """
+    idx = list(_int_key(indices))
+    sign = 1
+    # insertion sort, counting swaps
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    if any(idx[i] == idx[i + 1] for i in range(len(idx) - 1)):
+        raise BadIndex(f"repeated index in {tuple(indices)}")
+    return tuple(idx), sign
+
+
+def multi_index(indices, side: int) -> tuple:
+    """The package's one multi-index rule: indices as a tuple of ints (see
+    _int_key) increasing strictly within 1..side, or BadIndex."""
+    key = _int_key(indices)
+    if key not in multi_indices(side, len(key)):
+        raise BadIndex(f"indices {key} are not strictly increasing within 1..{side}")
+    return key
 
 
 def basis_element(m: int, indices, mode: str = "standard") -> np.ndarray:
-    """Graded basis element for a strictly increasing multi-index (1-based)."""
+    """Graded basis element for a strictly increasing multi-index (1-based) of
+    any grade; only the orthogonal family of full_basis stops at m in extended mode."""
     gens = _generator_strings(m, mode)
-    idx = _validate_index(m, indices, mode)
+    idx = multi_index(indices, len(gens))
     x, z, p = _product(gens[i - 1] for i in idx)
     return _dense(m, x, z, p + len(idx) * (len(idx) - 1) // 2)
 
@@ -181,7 +214,7 @@ class CliffordBasis:
 
     def element(self, indices) -> np.ndarray:
         """Dense E_A, built on each call."""
-        row = self.rows.get(tuple(int(i) for i in indices))
+        row = self.rows.get(multi_index(indices, self.side))
         if row is None:
             raise BadIndex(f"no basis element with index {tuple(indices)}")
         return _dense(self.m, int(self.x[row]), int(self.z[row]), int(self.p[row]))
@@ -218,7 +251,7 @@ def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
     # unphased products, each from its prefix by one more factor
     raw = {(): (0, 0, 0)}
     for k in range(1, max_grade(m, mode) + 1):
-        for idx in itertools.combinations(range(1, len(gens) + 1), k):
+        for idx in multi_indices(len(gens), k):
             raw[idx] = _product((raw[idx[:-1]], gens[idx[-1] - 1]))
     table = [(x, z, p + len(idx) * (len(idx) - 1) // 2) for idx, (x, z, p) in raw.items()]
     x, z, p = np.array(table, dtype=np.int64).T

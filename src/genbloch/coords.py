@@ -6,10 +6,10 @@ A state is expanded as
 
 with each increasing multi-index summed once.  Because the basis satisfies
 trace(E_A E_B) = 2^m delta_AB, the inverse map is the plain trace projection
-G_A = trace(rho E_A), which is real for hermitian rho.  The scalar
-coordinate equals the trace, so unit-trace states have scalar 1.
-Positivity is deliberately NOT validated here; deciding it is the job of
-the domains module.
+G_A = trace(rho E_A), real for the hermitian part (linalg.require_hermitian)
+that decode projects.  The scalar coordinate equals the trace, so unit-trace
+states (the one rule: require_unit_trace) have scalar 1.  Positivity is
+deliberately NOT validated here; deciding it is the job of the domains module.
 """
 
 from __future__ import annotations
@@ -22,35 +22,15 @@ from . import clifford
 from .errors import (
     BadIndex,
     DimensionMismatch,
+    GradeMismatch,
     GradeOutOfRange,
+    MalformedInput,
     ModeMismatch,
     NonUnitTrace,
-    NotHermitian,
 )
-from .linalg import as_int, as_matrix, hermiticity_residual
+from .linalg import as_matrix, require_hermitian, wire_field
 
-HERM_TOL = 1e-10
 TRACE_TOL = 1e-8
-
-
-def normalize_key(indices) -> tuple[tuple, int]:
-    """Sort a multi-index, returning (increasing tuple, permutation sign).
-
-    This is the package's one permutation parity: the sign of the swaps an
-    insertion sort makes.  Entries must be integers; a repeat is BadIndex.
-    """
-    idx = [as_int(i) for i in indices]
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    if any(idx[i] == idx[i + 1] for i in range(len(idx) - 1)):
-        raise BadIndex(f"repeated index in {tuple(indices)}")
-    return tuple(idx), sign
 
 
 def sum_of_squares(values):
@@ -93,21 +73,18 @@ class AntisymTensor:
     values: dict = field(repr=False)
 
     def __post_init__(self):
+        clifford._check_m(self.m)  # bounds side, and with it every multi-index table
         if self.side not in (2 * self.m, 2 * self.m + 1):
             raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
         for key, val in self.values.items():
-            if len(key) != self.k:
+            if len(clifford.multi_index(key, self.side)) != self.k:
                 raise BadIndex(f"key {key} has grade {len(key)}, expected {self.k}")
-            if any(not (1 <= i <= self.side) for i in key):
-                raise BadIndex(f"key {key} out of bounds 1..{self.side}")
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                raise BadIndex(f"key {key} is not strictly increasing")
             if not np.isfinite(val):
                 raise ValueError(f"non-finite value at {key}")
 
     def get(self, indices) -> float:
         """Signed component for an arbitrary index order."""
-        key, sign = normalize_key(indices)
+        key, sign = clifford.normalize_key(indices)
         return sign * self.values.get(key, 0.0)
 
     def items(self):
@@ -121,11 +98,15 @@ class AntisymTensor:
         return AntisymTensor(self.m, self.k, self.side,
                              {key: s * v for key, v in self.values.items()})
 
+    def of_grade(self, k: int) -> "AntisymTensor":
+        """The package's one grade rule: self, or GradeMismatch unless its grade is k."""
+        if self.k != k:
+            raise GradeMismatch(f"expected a grade-{k} tensor, got grade {self.k}")
+        return self
+
     def as_matrix(self) -> np.ndarray:
         """Full antisymmetric side x side matrix (grade 2 only)."""
-        if self.k != 2:
-            raise GradeOutOfRange("as_matrix is defined for grade-2 tensors")
-        return antisym_matrices(self.side, self.values)
+        return antisym_matrices(self.side, self.of_grade(2).values)
 
     @staticmethod
     def from_matrix(m: int, mat, side: int | None = None) -> "AntisymTensor":
@@ -135,11 +116,8 @@ class AntisymTensor:
             raise DimensionMismatch(f"matrix shape {mat.shape} != ({side},{side})")
         if np.max(np.abs(mat + mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
             raise ValueError("matrix is not antisymmetric")
-        vals = {}
-        for i in range(side):
-            for j in range(i + 1, side):
-                if mat[i, j] != 0.0:
-                    vals[(i + 1, j + 1)] = float(mat[i, j])
+        vals = {(i, j): float(mat[i - 1, j - 1]) for i, j in clifford.multi_indices(side, 2)
+                if mat[i - 1, j - 1] != 0.0}
         return AntisymTensor(m, 2, side, vals)
 
 
@@ -148,7 +126,7 @@ def antisym(m: int, k: int, entries: dict | None = None, side: int | None = None
     side = 2 * m if side is None else side
     vals: dict = {}
     for key, v in (entries or {}).items():
-        norm, sign = normalize_key(key if isinstance(key, (tuple, list)) else (key,))
+        norm, sign = clifford.normalize_key(key if isinstance(key, (tuple, list)) else (key,))
         vals[norm] = vals.get(norm, 0.0) + sign * float(v)
     return AntisymTensor(m, k, side, vals)
 
@@ -181,7 +159,7 @@ class StateCoords:
     def __post_init__(self):
         for k, tensor in self.grades.items():
             _check_grade(self.m, k, self.mode)
-            if tensor.k != k or tensor.side != self.side or tensor.m != self.m:
+            if tensor.of_grade(k).side != self.side or tensor.m != self.m:
                 raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
 
     @property
@@ -229,9 +207,16 @@ def encode(coords: StateCoords, basis: clifford.CliffordBasis | None = None) -> 
     return basis.expand(coeffs) / basis.dim
 
 
+def require_unit_trace(rho) -> None:
+    """The package's one unit-trace rule: NonUnitTrace unless |Re trace - 1| <= TRACE_TOL."""
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
+
+
 def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = None,
            mode: str = "standard") -> StateCoords:
-    """Trace-project a hermitian unit-trace matrix onto the graded coordinates.
+    """Trace-project the hermitian part of a unit-trace matrix onto the graded coordinates.
 
     Either mode's family holds 4^m orthogonal elements, so it spans every
     hermitian matrix and encode(decode(rho)) returns rho to rounding; with
@@ -244,18 +229,9 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
         basis = clifford.cached_basis(m, mode)
     if rho.shape[0] != basis.dim:
         raise DimensionMismatch(f"matrix dim {rho.shape[0]} != basis dim {basis.dim}")
-    scale = max(1.0, float(np.max(np.abs(rho))))
-    if hermiticity_residual(rho) > HERM_TOL * scale:
-        raise NotHermitian("decode requires a hermitian matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
-
-    proj = basis.project(rho)
-    imag = float(np.max(np.abs(proj.imag)))
-    if imag > HERM_TOL * scale:
-        raise NotHermitian(f"projections have imaginary residue {imag:.3e}")
-    coeffs = proj.real
+    rho = require_hermitian(rho)
+    require_unit_trace(rho)
+    coeffs = basis.project(rho).real
     grades: dict[int, dict] = {}
     scalar = 1.0
     for idx, val in zip(basis.indices, coeffs):
@@ -270,9 +246,6 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
 def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard",
                   basis: clifford.CliffordBasis | None = None) -> np.ndarray:
     """Pure tensor configuration rho = 2^{-m} (I + G o E^{(k)})."""
-    _check_grade(m, k, mode)
-    if tensor.k != k:
-        raise GradeOutOfRange(f"tensor grade {tensor.k} != requested {k}")
     coords = state_coords(m, mode=mode, scalar=1.0, grades={k: tensor})
     return encode(coords, basis)
 
@@ -294,10 +267,25 @@ def coords_to_json(coords: StateCoords) -> dict:
     }
 
 
-def coords_from_json(obj: dict) -> StateCoords:
-    m = as_int(obj["m"])
-    mode = obj.get("mode", "standard")
-    grades = {}
-    for key, entries in (obj.get("grades") or {}).items():
-        grades[int(key)] = {tuple(e["idx"]): float(e["val"]) for e in entries}
-    return state_coords(m, mode=mode, scalar=float(obj.get("scalar", 1.0)), grades=grades)
+def entry_list(entries, name: str) -> dict:
+    """{tuple(idx): val} from the wire list [{"idx": [...], "val": x}, ...] in
+    field name, or MalformedInput naming the entry that does not fit."""
+    out = {}
+    for n, e in enumerate(wire_field(entries, list, name)):
+        try:
+            if not isinstance(e["idx"], list):
+                raise TypeError
+            out[tuple(e["idx"])] = float(e["val"])
+        except (KeyError, TypeError, ValueError):
+            raise MalformedInput(f"field '{name}[{n}]': expected "
+                                 f"{{idx: list, val: number}}, got {e!r:.60}") from None
+    return out
+
+
+def coords_from_json(obj) -> StateCoords:
+    obj = wire_field(obj, dict, "coords")
+    m = wire_field(obj.get("m"), int, "m")
+    grades = {int(k): entry_list(v, f"grades.{k}")
+              for k, v in wire_field(obj.get("grades") or {}, dict, "grades").items()}
+    return state_coords(m, mode=obj.get("mode", "standard"), grades=grades,
+                        scalar=wire_field(obj.get("scalar", 1.0), float, "scalar"))

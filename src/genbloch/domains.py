@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clifford import _check_m, cached_basis
+from .clifford import _check_m, cached_basis, multi_indices
 from .coords import AntisymTensor, StateCoords, antisym_matrices, sum_of_squares
 from .errors import (
     BadResolution,
@@ -134,9 +134,7 @@ def z_from_coords(g2: AntisymTensor) -> float:
     side 4: z = 1/2 - 2 |G_12 G_34 - G_13 G_24 + G_14 G_23|  (the Pfaffian)
     side 6: z = 1/2 - sqrt(sum_{i<j} Ad_ij^2) / 4 via the quadratic dual.
     """
-    if g2.k != 2:
-        raise GradeMismatch("z_from_coords needs a grade-2 tensor")
-    if g2.side == 4:
+    if g2.of_grade(2).side == 4:
         return 0.5 - 2.0 * abs(pfaffian(g2.as_matrix()))
     if g2.side == 6:
         dual = dual_tensor(g2)
@@ -296,9 +294,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> Sample
         raise ResourceLimit(f"sample count {n} out of range")
     if not (math.isfinite(box) and box >= 0):
         raise ResourceLimit(f"box must be a finite number >= 0, got {box!r}")
-    side = 2 * m
-    keys = ([(i,) for i in range(1, side + 1)] if k == 1
-            else [(i, j) for i in range(1, side + 1) for j in range(i + 1, side + 1)])
+    keys = list(multi_indices(2 * m, k))
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-box, box, size=(n, len(keys)))
     if not np.isfinite(draws).all():

@@ -81,5 +81,9 @@ class BadResolution(GenblochError, ValueError):
     pass
 
 
+class MalformedInput(GenblochError, ValueError):
+    """A JSON input field is missing or of the wrong kind; the message names it."""
+
+
 class UsageError(GenblochError, ValueError):
     """Bad command-line arguments."""

@@ -10,7 +10,7 @@ invariants are
 D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
 computes it.  Every Levi-Civita contraction goes through one routine,
 epsilon_contract, with the sign of each index order from the package's one
-permutation parity (coords.normalize_key): the 720-term D3 sum
+permutation parity (clifford.normalize_key): the 720-term D3 sum
 (epsilon_sum_D3, checked against 48 Pf by epsilon_D3), the linear and
 quadratic duals, and the O(7) pseudo-vector.  The dual-tensor
 constructions tie 2 r^2 - T4 to quadratic functions of the dual, which is
@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .coords import AntisymTensor, StateCoords, normalize_key
+from .clifford import multi_indices, normalize_key
+from .coords import AntisymTensor, StateCoords
 from .errors import (
     DimensionMismatch,
-    GradeMismatch,
     InvariantMismatch,
     UnknownName,
     UnsupportedM,
@@ -40,21 +41,30 @@ def perm_sign(perm) -> int:
     return normalize_key(perm)[1]
 
 
+@lru_cache(maxsize=None)
+def _signed_pairings(n: int) -> tuple:
+    """(parity, ((p1, p2), (p3, p4), ...)) of each permutation p of range(n), in order."""
+    return tuple((perm_sign(p), tuple(zip(p[::2], p[1::2])))
+                 for p in itertools.permutations(range(n)))
+
+
 def epsilon_contract(mat: np.ndarray, lead: tuple, factors: int):
     """sum_p eps_{lead, p} mat[p1, p2] ... mat[p_{2f-1}, p_{2f}] over every
     order p of the 0-based indices of mat that are not in lead.
 
-    Terms are added in itertools.permutations order, each one formed
-    left to right from its sign.
+    eps_{lead, p} is the sign of (lead, sorted rest) times the parity of p; terms
+    are added in itertools.permutations order, each formed left to right from its sign.
     """
     rest = [x for x in range(mat.shape[0]) if x not in lead]
     if len(rest) != 2 * factors:
         raise DimensionMismatch(f"{len(rest)} free indices cannot fill {factors} factors")
+    sub = mat[np.ix_(rest, rest)].tolist()
+    base = perm_sign(tuple(lead) + tuple(rest))
     total = 0.0
-    for p in itertools.permutations(rest):
-        term = perm_sign(lead + p)
-        for a in range(0, len(p), 2):
-            term = term * mat[p[a], p[a + 1]]
+    for sign, pairs in _signed_pairings(len(rest)):
+        term = base * sign
+        for i, j in pairs:
+            term = term * sub[i][j]
         total += term
     return total
 
@@ -84,28 +94,21 @@ def pfaffian(a: np.ndarray) -> float:
     return total
 
 
-def _require_grade2(g: AntisymTensor) -> AntisymTensor:
-    if g.k != 2:
-        raise GradeMismatch(f"expected a grade-2 tensor, got grade {g.k}")
-    return g
-
-
 def frobenius_r(g: AntisymTensor) -> float:
     """r = sum_{i<j} G_ij^2 (half the squared Frobenius norm of the full matrix)."""
-    return _require_grade2(g).norm_sq()
+    return g.of_grade(2).norm_sq()
 
 
 def trace_T4(g: AntisymTensor) -> float:
     """T4 = trace((G^T G)^2) on the full antisymmetric matrix."""
-    mat = _require_grade2(g).as_matrix()
+    mat = g.as_matrix()
     gtg = mat.T @ mat
     return float(np.trace(gtg @ gtg))
 
 
 def epsilon_sum_D3(g: AntisymTensor) -> float:
     """Brute-force eps contraction over all 720 index permutations (m = 3)."""
-    _require_grade2(g)
-    if g.side != 6:
+    if g.of_grade(2).side != 6:
         raise DimensionMismatch("the triple eps contraction needs 6 indices (m = 3)")
     return epsilon_contract(g.as_matrix(), (), 3)
 
@@ -113,7 +116,7 @@ def epsilon_sum_D3(g: AntisymTensor) -> float:
 def epsilon_D3(g: AntisymTensor) -> float:
     """The cubic invariant D3; eps-sum with the 48*Pfaffian fast path cross-checked."""
     brute = epsilon_sum_D3(g)
-    fast = 48.0 * pfaffian(_require_grade2(g).as_matrix())
+    fast = 48.0 * pfaffian(g.as_matrix())
     scale = max(1.0, abs(brute))
     if abs(brute - fast) > 1e-10 * scale:
         raise InvariantMismatch(f"eps-sum {brute} and 48*Pf {fast} disagree")
@@ -129,15 +132,14 @@ def dual_tensor(g: AntisymTensor) -> AntisymTensor:
     Both sums run over all orders of the contracted indices, matching the
     repeated-index convention of the defining expressions.
     """
-    _require_grade2(g)
-    if g.side not in (4, 6):
+    if g.of_grade(2).side not in (4, 6):
         raise UnsupportedM(f"dual_tensor supports sides 4 and 6, got {g.side}")
     mat = g.as_matrix()
     vals = {}
-    for i, j in itertools.combinations(range(g.side), 2):
-        total = epsilon_contract(mat, (i, j), g.side // 2 - 1)
+    for i, j in multi_indices(g.side, 2):
+        total = epsilon_contract(mat, (i - 1, j - 1), g.side // 2 - 1)
         if total != 0.0:
-            vals[(i + 1, j + 1)] = total
+            vals[(i, j)] = total
     return AntisymTensor(g.m, 2, g.side, vals)
 
 
@@ -161,8 +163,7 @@ def dual_identity_residual(g: AntisymTensor) -> float:
 
 def det_identity_check(g: AntisymTensor) -> tuple[float, float]:
     """(2r^2 - T4, 4 det G) for a 4x4 grade-2 tensor; equal up to rounding."""
-    _require_grade2(g)
-    if g.side != 4:
+    if g.of_grade(2).side != 4:
         raise UnsupportedM("the determinant identity is specific to side 4 (m = 2)")
     lhs = 2.0 * frobenius_r(g) ** 2 - trace_T4(g)
     rhs = 4.0 * float(np.linalg.det(g.as_matrix()))
@@ -175,8 +176,7 @@ def pseudo_vector_V(g: AntisymTensor) -> np.ndarray:
     When G is supported on indices 1..6, V_7 reduces to the 6-index D3 and
     the other components vanish.
     """
-    _require_grade2(g)
-    if g.side != 7:
+    if g.of_grade(2).side != 7:
         raise DimensionMismatch("pseudo_vector_V needs a side-7 grade-2 tensor")
     mat = g.as_matrix()
     return np.array([epsilon_contract(mat, (i,), 3) for i in range(7)])
@@ -233,9 +233,7 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
 
 def vector_invariants(g: AntisymTensor, pseudoscalar: float | None = None) -> InvariantSet:
     """Quadratic invariant of a vector configuration (optionally with pseudoscalar)."""
-    if g.k != 1:
-        raise GradeMismatch(f"expected a grade-1 tensor, got grade {g.k}")
-    norm_sq = g.norm_sq()
+    norm_sq = g.of_grade(1).norm_sq()
     extras = {"vector_norm_sq": norm_sq}
     if pseudoscalar is not None:
         norm_sq += float(pseudoscalar) ** 2

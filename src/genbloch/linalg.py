@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernels.
 
-Hermitian eigensystems (LAPACK, through ``numpy.linalg.eigh``) and
-Faddeev-LeVerrier characteristic polynomials.
-Everything operates on plain ``complex128`` numpy arrays.
+The one hermiticity rule (require_hermitian), eigensystems of the hermitian
+part (LAPACK, ``numpy.linalg.eigh``), Faddeev-LeVerrier characteristic
+polynomials and the JSON field reader, all on ``complex128`` numpy arrays.
 
 The eigensolver is the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, and the one engine behind
@@ -17,7 +17,9 @@ import operator
 
 import numpy as np
 
-from .errors import NotHermitian
+from .errors import MalformedInput, NotHermitian
+
+HERM_TOL = 1e-10
 
 
 def _as_square(a) -> np.ndarray:
@@ -38,31 +40,27 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hermiticity_residual(a: np.ndarray):
-    """Max-norm of a - a^dagger; one value per matrix of a (..., n, n) stack."""
-    res = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1), initial=0.0)
-    return float(res) if a.ndim == 2 else res
-
-
-def _check_hermitian(a: np.ndarray, tol: float) -> np.ndarray:
-    """Raise NotHermitian unless every matrix of the stack has residual < tol * max(1, |a|)."""
+def require_hermitian(a) -> np.ndarray:
+    """The package's one hermiticity rule, for a matrix or a (..., n, n) stack:
+    NotHermitian unless max|a - a^dagger| <= HERM_TOL * max(1, max|a|) per matrix.
+    Returns a itself when exactly hermitian (LAPACK's rounding sees its signed
+    zeros), else the hermitian part a/2 + a^dagger/2, which cannot overflow."""
+    a = _as_square(a)
+    adj = np.swapaxes(a, -1, -2).conj()
+    with np.errstate(over="ignore"):  # an inf residual is above any bound
+        res = np.max(np.abs(a - adj), axis=(-2, -1), initial=0.0)
     scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
-    res = hermiticity_residual(a)
-    bad = np.flatnonzero(res >= tol * scale)
+    bad = np.flatnonzero(res > HERM_TOL * scale)
     if bad.size:
         res, scale = np.ravel(res)[bad[0]], np.ravel(scale)[bad[0]]
-        raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    return a
-
-
-def require_hermitian(a, tol: float = 1e-10) -> np.ndarray:
-    return _check_hermitian(as_matrix(a), tol)
+        raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}")
+    return a / 2 + adj / 2 if res.any() else a
 
 
 def hermitian_eigensystem(h):
-    """Eigenvalues (ascending) and eigenvector columns (LAPACK) of a hermitian
-    matrix, or of each matrix of a (..., n, n) stack; every matrix is checked."""
-    return np.linalg.eigh(_check_hermitian(_as_square(h), 1e-12))
+    """Eigenvalues (ascending) and eigenvector columns (LAPACK) of the hermitian
+    part of a matrix, or of each matrix of a (..., n, n) stack."""
+    return np.linalg.eigh(require_hermitian(h))
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -70,15 +68,13 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     return hermitian_eigensystem(h)[0]
 
 
-def char_poly(a, herm_tol: float = 1e-10) -> np.ndarray:
+def char_poly(a) -> np.ndarray:
     """Coefficients of det(A - lambda I), ascending powers of lambda.
 
-    Faddeev-LeVerrier recursion; requires hermitian input so the
-    coefficients are real.  The imaginary residue of every coefficient is
-    checked against 1e-10 (relative to the coefficient scale) before
-    truncating to real.
+    Faddeev-LeVerrier recursion on the hermitian part of A, whose
+    coefficients are real up to rounding.
     """
-    a = require_hermitian(a, herm_tol)
+    a = require_hermitian(as_matrix(a))
     n = a.shape[0]
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
@@ -91,10 +87,6 @@ def char_poly(a, herm_tol: float = 1e-10) -> np.ndarray:
     # Faddeev-LeVerrier yields det(lambda I - A); det(A - lambda I) flips by (-1)^n.
     if n % 2 == 1:
         coeffs = -coeffs
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    imag_res = float(np.max(np.abs(coeffs.imag)))
-    if imag_res > 1e-10 * scale:
-        raise NotHermitian(f"characteristic polynomial has imaginary residue {imag_res:.3e}")
     return coeffs.real.copy()
 
 
@@ -114,17 +106,25 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(m.shape[0]), "entries": entries}
 
 
-def as_int(value) -> int:
-    """An integer field: operator.index of value, so 2.0, "2" and True are refused."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def wire_field(value, kind: type, name: str):
+    """A JSON field as kind (dict, list, float by float(), int by operator.index, which
+    refuses 2.0, "2" and True), or MalformedInput naming the field."""
+    try:
+        out = operator.index(value) if kind is int else float(value) if kind is float else value
+        if isinstance(out, kind) and not isinstance(value, bool):
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise MalformedInput(f"field {name!r}: expected {kind.__name__}, got {value!r:.60}")
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = as_int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return as_matrix(flat.reshape(dim, dim))
+def matrix_from_json(obj) -> np.ndarray:
+    obj = wire_field(obj, dict, "matrix")
+    dim = wire_field(obj.get("dim"), int, "dim")
+    entries = wire_field(obj.get("entries"), list, "entries")
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
+    except (TypeError, ValueError):
+        raise MalformedInput(f"field 'entries': expected {dim} x {dim} [re, im] pairs "
+                             f"of numbers, got {len(entries)} entries") from None
+    return as_matrix(flat)

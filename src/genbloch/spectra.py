@@ -42,16 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import AntisymTensor, StateCoords, vector
+from .coords import AntisymTensor, StateCoords, require_unit_trace, vector
 from .errors import (
     ComplexRoots,
     GradeMismatch,
     KindMismatch,
-    NonUnitTrace,
     UnsupportedM,
 )
 from .invariants import InvariantSet, vector_invariants
-from .linalg import hermitian_eigenvalues, require_hermitian
+from .linalg import as_matrix, hermitian_eigenvalues
 
 CLUSTER_TOL = 1e-8
 
@@ -100,20 +99,17 @@ def degeneracy_pattern(spectrum: Spectrum) -> list:
 
 
 def numeric_spectrum(rho) -> Spectrum:
-    """Oracle spectrum of a density matrix (LAPACK eigensolver)."""
-    rho = require_hermitian(rho)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
-        raise NonUnitTrace(f"trace {tr} is not 1")
-    # the eigensolver's own check is tighter, so it gets the hermitian part
-    vals = hermitian_eigenvalues((rho + rho.conj().T) / 2)
+    """Oracle spectrum of a unit-trace density matrix (LAPACK eigensolver)."""
+    rho = as_matrix(rho)
+    vals = hermitian_eigenvalues(rho)
+    require_unit_trace(rho)
     m = int(round(math.log2(rho.shape[0])))
     return spectrum_from_values(m, vals)
 
 
 def vector_spectrum(m: int, g1: AntisymTensor, pseudoscalar: float | None = None) -> Spectrum:
     """Doublet spectrum (1 +- norm)/2^m, each side 2^{m-1}-fold."""
-    if g1.k != 1 or g1.m != m or g1.side != 2 * m:
+    if g1.of_grade(1).m != m or g1.side != 2 * m:
         raise GradeMismatch("vector_spectrum needs a grade-1 tensor over 2m indices")
     norm = math.sqrt(vector_invariants(g1, pseudoscalar).r)
     lo = (1.0 - norm) / 2 ** m
@@ -167,8 +163,6 @@ def normal_form_eigenvalues(g2) -> np.ndarray:
     antisymmetric matrices with m = side // 2, giving (..., 2^m) values.
     """
     if isinstance(g2, AntisymTensor):
-        if g2.k != 2:
-            raise GradeMismatch(f"expected a grade-2 tensor, got grade {g2.k}")
         g2 = g2.as_matrix()
     m = g2.shape[-1] // 2
     mu = np.linalg.svd(g2, compute_uv=False)[..., : 2 * m : 2]
@@ -179,7 +173,7 @@ def normal_form_eigenvalues(g2) -> np.ndarray:
 
 def two_tensor_spectrum(m: int, g2: AntisymTensor) -> Spectrum:
     """Closed-form spectrum of rho = 2^{-m}(I + G o E^{(2)}), exact at every m."""
-    if g2.k != 2 or g2.m != m or g2.side != 2 * m:
+    if g2.of_grade(2).m != m or g2.side != 2 * m:
         raise GradeMismatch("two_tensor_spectrum needs a grade-2 tensor over 2m indices")
     return spectrum_from_values(m, normal_form_eigenvalues(g2))
 

@@ -29,13 +29,11 @@ Conventions (fixed once, verified by the compatibility identity below):
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import clifford
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, GradeMismatch, ModeMismatch, NotUnitary
+from .errors import DimensionMismatch, ModeMismatch, NotUnitary
 from .linalg import as_matrix, exp_i_hermitian
 
 ORTHO_TOL = 1e-10
@@ -47,11 +45,9 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     A rotation angle theta comes out of the eigensolver with an error of
     about theta * eps, so once the largest angle exceeds ORTHO_TOL / eps
     (about 4.5e5 rad) L is no longer known to ORTHO_TOL and NotUnitary is
-    raised.  The imaginary residue and orthogonality are validated before
-    returning.
+    raised.  The imaginary residue is validated here and orthogonality by
+    check_orthogonal before returning.
     """
-    if alpha.k != 2:
-        raise GradeMismatch("a rotation generator is a grade-2 tensor")
     # A[j, i] = +alpha_{ij}: the transpose of the tensor's own matrix
     a = alpha.as_matrix().T
     # A is normal, so its largest singular value is the largest rotation angle
@@ -62,30 +58,28 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
                          f"{err:.1e}, above {ORTHO_TOL:.0e}")
     el = exp_i_hermitian(1j * a, sign=-1)
     imag = float(np.max(np.abs(el.imag)))
-    el = el.real
-    res = float(np.max(np.abs(el.T @ el - np.eye(el.shape[0]))))
-    if max(imag, res) > ORTHO_TOL:
-        raise NotUnitary(f"exponential lost orthogonality: imaginary residue {imag:.3e}, "
-                         f"residual {res:.3e}")
-    return el
+    if imag > ORTHO_TOL:
+        raise NotUnitary(f"exponential of the generator has imaginary residue {imag:.3e}")
+    return check_orthogonal(el.real)
 
 
 def check_orthogonal(el, side: int | None = None) -> np.ndarray:
-    el = np.asarray(el, dtype=float)
+    """The package's one orthogonality rule, for a real L or a complex unitary:
+    el as an array if max|L^dagger L - I| <= ORTHO_TOL, else NotUnitary."""
+    el = np.asarray(el)
     if el.ndim != 2 or el.shape[0] != el.shape[1]:
         raise DimensionMismatch("rotation matrix must be square")
     if side is not None and el.shape[0] != side:
         raise DimensionMismatch(f"rotation matrix dim {el.shape[0]} != {side}")
-    if np.max(np.abs(el.T @ el - np.eye(el.shape[0]))) > ORTHO_TOL:
-        raise NotUnitary("matrix is not orthogonal within 1e-10")
+    res = float(np.max(np.abs(el.conj().T @ el - np.eye(el.shape[0]))))
+    if res > ORTHO_TOL:
+        raise NotUnitary(f"matrix is not orthogonal: residual {res:.3e} exceeds {ORTHO_TOL:.0e}")
     return el
 
 
 def spin_lift(alpha: AntisymTensor, basis: clifford.CliffordBasis | None = None) -> np.ndarray:
     """Unitary implementing the rotation generated by alpha on the state space."""
-    if alpha.k != 2:
-        raise GradeMismatch("a rotation generator is a grade-2 tensor")
-    m = alpha.m
+    m = alpha.of_grade(2).m
     if alpha.side != 2 * m:
         raise ModeMismatch("spin_lift rotates the 2m standard generators")
     if basis is None:
@@ -105,10 +99,10 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
     is added in the stored order of J.
     """
     side = coords.side
-    el = check_orthogonal(el, side)
+    el = check_orthogonal(np.asarray(el, dtype=float), side)
     new_grades = {}
     for k, tensor in coords.grades.items():
-        outs = list(itertools.combinations(range(1, side + 1), k))
+        outs = list(clifford.multi_indices(side, k))
         rows = el[np.subtract(outs, 1)]  # (len(outs), k, side)
         total = np.zeros(len(outs))
         for in_idx, v in tensor.items():
@@ -121,10 +115,5 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
 def conjugate_state(rho, u) -> np.ndarray:
     """U^dag rho U; the spectrum is preserved by similarity."""
     rho = as_matrix(rho)
-    u = as_matrix(u)
-    if u.shape != rho.shape:
-        raise DimensionMismatch("state and unitary dimensions differ")
-    res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if res > 1e-8:
-        raise NotUnitary(f"conjugating matrix is not unitary: residual {res:.3e}")
+    u = check_orthogonal(as_matrix(u), rho.shape[0])
     return u.conj().T @ rho @ u

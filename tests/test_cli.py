@@ -402,6 +402,32 @@ def test_malformed_json_one_line(tmp_path, capsys, command, state, alpha):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("genbloch: error:")
 
 
+@pytest.mark.parametrize("command, state, alpha, field", [
+    ("invariants", {"m": 2, "grades": [1]}, None, "grades"),
+    ("invariants", {"m": 2, "grades": {"1": [5]}}, None, "grades.1[0]"),
+    ("invariants", dict(_G1, m=2.7), None, "m"),
+    ("validate", [1, 2], None, "coords"),
+    ("validate", 5, None, "coords"),
+    ("decode", {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], None]}, None, "entries"),
+    ("decode", {"dim": 2}, None, "entries"),
+    ("rotate", _G1, [1, 2], "alpha file"),
+    ("rotate", _G1, 5, "alpha file"),
+    ("rotate", _G1, {"m": 2, "alpha": 5}, "alpha"),
+    ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2]}]}, "alpha[0]"),
+    ("rotate", _G1, {"alpha": [{"idx": [1, 2], "val": 0.1}]}, "m"),
+], ids=["grades-list", "entry-not-object", "m-float", "top-level-list", "top-level-number",
+        "entry-null", "entries-missing", "alpha-list", "alpha-number", "alpha-entries-number",
+        "alpha-val-missing", "alpha-m-missing"])
+def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, field):
+    argv = [command, "--input", write_json(tmp_path / "in.json", state)]
+    if alpha is not None:
+        argv += ["--alpha", write_json(tmp_path / "alpha.json", alpha)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert len(captured.err.splitlines()) == 1 and f"field '{field}'" in captured.err
+
+
 @pytest.mark.parametrize("command", ["invariants", "validate"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     # r and T4 overflow to inf; JSON has no finite spelling for them

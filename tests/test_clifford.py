@@ -7,15 +7,31 @@ import pytest
 
 from genbloch.clifford import (
     basis_element,
+    cached_basis,
     chirality,
     extended_gammas,
     full_basis,
     generate_gammas,
     verify_algebra,
 )
+from genbloch.coords import AntisymTensor, antisym
 from genbloch.errors import BadIndex, ResourceLimit
 
 from conftest import SIGMA1, SIGMA2, SIGMA3
+
+
+@pytest.mark.parametrize("idx", [(1.7, 2.2), (True, 2), (1.0, 2.0)],
+                         ids=["float", "bool", "integral-float"])
+@pytest.mark.parametrize("build", [
+    lambda idx: basis_element(2, idx),
+    lambda idx: cached_basis(2).element(idx),
+    lambda idx: AntisymTensor(2, 2, 4, {idx: 0.5}),
+    lambda idx: antisym(2, 2, {idx: 0.5}),
+], ids=["basis_element", "CliffordBasis.element", "AntisymTensor", "antisym"])
+def test_multi_index_entries_must_be_ints(build, idx):
+    # one rule for every consumer of a multi-index: no truncation to E_12
+    with pytest.raises(BadIndex):
+        build(idx)
 
 
 def test_m1_generators_are_sigma12():

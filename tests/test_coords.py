@@ -16,8 +16,19 @@ from genbloch.coords import (
     tensor_config,
     vector,
 )
-from genbloch.errors import BadIndex, GradeOutOfRange, ModeMismatch, NonUnitTrace, NotHermitian
+from genbloch.domains import z_from_coords
+from genbloch.errors import (
+    BadIndex,
+    GradeMismatch,
+    GradeOutOfRange,
+    ModeMismatch,
+    NonUnitTrace,
+    NotHermitian,
+    ResourceLimit,
+)
+from genbloch.invariants import frobenius_r
 from genbloch.linalg import hermitian_eigenvalues
+from genbloch.symmetry import orthogonal_from_generator, spin_lift
 
 from conftest import SIGMA1, SIGMA3, random_coords, random_unit_trace_hermitian
 
@@ -123,6 +134,27 @@ def test_tensor_config_m3_unit_r():
     assert rho.shape == (8, 8)
     assert abs(np.trace(rho) - 1.0) < 1e-14
     assert abs(g.norm_sq() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: t.as_matrix(),
+    lambda t: tensor_config(2, 2, t),
+    orthogonal_from_generator,
+    spin_lift,
+    frobenius_r,
+    z_from_coords,
+], ids=["as_matrix", "tensor_config", "orthogonal_from_generator", "spin_lift", "frobenius_r",
+        "z_from_coords"])
+def test_one_grade_rule(call):
+    # a grade-1 tensor where grade 2 is needed is GradeMismatch at every entry point
+    with pytest.raises(GradeMismatch, match="expected a grade-2 tensor, got grade 1"):
+        call(antisym(2, 1, {(1,): 0.5}))
+
+
+def test_tensor_beyond_max_m_refused():
+    # m <= 6 bounds side, so no multi-index table grows past C(13, 6) rows
+    with pytest.raises(ResourceLimit):
+        AntisymTensor(7, 1, 14, {(1,): 0.5})
 
 
 def test_tensor_config_grade_range():

@@ -1,16 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from genbloch.cli import run
 from genbloch.coords import coords_to_json, decode
+from genbloch.domains import DEFAULT_TOL, positivity
 from genbloch.errors import NotHermitian
 from genbloch.linalg import (
+    HERM_TOL,
     as_matrix,
     char_poly,
     exp_i_hermitian,
     hermitian_eigenvalues,
     matrix_from_json,
     matrix_to_json,
+    require_hermitian,
 )
 from genbloch.spectra import numeric_spectrum
 
@@ -148,3 +154,87 @@ def test_nonfinite_entries_rejected(layout, bad):
     for f in (as_matrix, hermitian_eigenvalues, char_poly):
         with pytest.raises(ValueError, match="non-finite"):
             f(a)
+
+
+def _near_hermitian(m, residual):
+    """(exactly hermitian unit-trace state, the same state with hermiticity residual `residual`)."""
+    n = 2 ** m
+    rng = np.random.default_rng(m)
+    exact = random_unit_trace_hermitian(rng, n, mix=0.5 / n)
+    s = rng.uniform(-1.0, 1.0, size=(n, n))
+    s = s + s.T
+    # rho - rho^dagger = residual * i * s / max|s|, spread over every entry
+    return exact, exact + 0.5j * residual * s / np.max(np.abs(s))
+
+
+def _positivity(exact, rho):
+    _, route = positivity(decode(exact), rho, DEFAULT_TOL)
+    assert route == "min_eigenvalue"
+
+
+_HERMITICITY_ENTRY_POINTS = {
+    "decode": lambda exact, rho: decode(rho),
+    "numeric_spectrum": lambda exact, rho: numeric_spectrum(rho),
+    "hermitian_eigenvalues": lambda exact, rho: hermitian_eigenvalues(rho),
+    "positivity": _positivity,
+    "char_poly": lambda exact, rho: char_poly(rho),
+    "cli-validate": ["validate"],
+    "cli-decode": ["decode"],
+    "cli-spectrum-oracle": ["spectrum", "--oracle"],
+}
+
+
+@pytest.mark.parametrize("entry", list(_HERMITICITY_ENTRY_POINTS))
+@pytest.mark.parametrize("m", [2, 6])
+@pytest.mark.parametrize("factor", [0.99, 1.01], ids=["below", "above"])
+def test_one_hermiticity_rule(tmp_path, capsys, entry, m, factor):
+    # every entry point takes the same verdict from the residual alone
+    exact, rho = _near_hermitian(m, factor * HERM_TOL)
+    call = _HERMITICITY_ENTRY_POINTS[entry]
+    if isinstance(call, list):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(matrix_to_json(rho)))
+        code = run([*call, "--input", str(path)])
+        captured = capsys.readouterr()
+        if factor < 1:
+            assert code == 0, captured.err
+        else:
+            assert code == 1 and captured.out == ""
+            assert captured.err.splitlines() == [captured.err.strip()]
+            assert "hermiticity residual" in captured.err
+    elif factor < 1:
+        call(exact, rho)
+    else:
+        with pytest.raises(NotHermitian):
+            call(exact, rho)
+
+
+@pytest.mark.parametrize("entry", [8e307, 1.7e308])
+def test_hermitian_part_of_huge_entries_is_finite(entry):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = entry
+    assert np.array_equal(require_hermitian(rho), rho)
+    vals = hermitian_eigenvalues(rho)
+    assert np.isfinite(vals).all() and vals[-1] == pytest.approx(entry)
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON constant {name} in the output")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["decode"], ["spectrum", "--oracle"]],
+                         ids=["validate", "decode", "spectrum-oracle"])
+@pytest.mark.parametrize("upper, lower", [(8e307, 8e307), (1.7e308, 1.7e308), (1e308, -1e308)],
+                         ids=["hermitian-8e307", "hermitian-1.7e308", "antihermitian-1e308"])
+def test_huge_entries_cli_typed_error_or_finite(tmp_path, capsys, argv, upper, lower):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3], rho[3, 0] = upper, lower
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(matrix_to_json(rho)))
+    code = run([*argv, "--input", str(path)])
+    captured = capsys.readouterr()
+    if code == 1:
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+    else:
+        assert code in (0, 2)
+        json.loads(captured.out, parse_constant=_no_constant)
