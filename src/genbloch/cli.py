@@ -4,8 +4,12 @@ Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
 figure, rotate, and the combined domain dispatcher.  All I/O is JSON
 (matrices, coordinates, verdicts, spectra), CSV (sample sets, figure
 datasets) or SVG (figure scatter plots).  Floats are printed at full double
-precision so repeated runs are byte-identical.  CSV and SVG are written
-column by column, each distinct float in a column formatted once.
+precision so repeated runs are byte-identical.  CSV and SVG are assembled
+column by column into one flat list of strings and joined once: each
+distinct float magnitude of a CSV is spelled once, and each SVG pixel
+coordinate is spelled from its integer count of hundredths.  Each subcommand imports the
+modules it uses when it runs, so `figure` and `domain --grid` load only the
+figures module besides this one.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 any error, with a one-line diagnostic
@@ -21,10 +25,8 @@ import sys
 
 import numpy as np
 
-from . import clifford, domains, invariants, spectra, symmetry
-from .coords import antisym, coords_from_json, coords_to_json, decode, encode, entry_list
+from . import figures
 from .errors import GenblochError, NonFiniteResult, UsageError
-from .linalg import matrix_from_json, matrix_to_json, wire_field
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,39 +62,81 @@ def _dump_json(obj, path: str | None) -> None:
 
 
 def _load_state(path: str, m: int | None, mode: str):
-    """Read either a matrix JSON or a coords JSON; return (coords, rho)."""
+    """Read either a matrix JSON or a coords JSON of a unit-trace state; return (coords, rho)."""
+    from .coords import coords_from_json, decode, encode, require_unit_trace
+    from .linalg import matrix_from_json
+
     obj = _read_json(path)
     if isinstance(obj, dict) and "dim" in obj:
         rho = matrix_from_json(obj)
         return decode(rho, m=m, mode=mode), rho
     coords = coords_from_json(obj)
-    return coords, encode(coords)
+    rho = encode(coords)
+    require_unit_trace(rho)
+    return coords, rho
 
 
-def _spell_distinct(values: np.ndarray, spell) -> list:
-    """spell(v) for each float64 v of values, called once per distinct bit
-    pattern (so 0.0 and -0.0 are spelled apart)."""
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = [spell(v) for v in distinct.view(np.float64).tolist()]
-    return np.array(text, dtype=object)[where].tolist()
+def _spell_floats(values: np.ndarray) -> np.ndarray:
+    """repr of each float64 of values.
+
+    Each distinct magnitude is spelled once, and a value whose sign bit is
+    set (-0.0 too) is that spelling after "-"; NaN is "nan" whatever its sign.
+    """
+    bits = values.view(np.int64)
+    magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
+    # float's own repr: numpy 2 spells a numpy float as np.float64(...)
+    text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
+    negative = (bits < 0) & ~np.isnan(values)
+    return np.concatenate([text, "-" + text])[where + len(text) * negative]
 
 
-def _csv_column(values) -> list:
-    """The CSV cells of one column holding one type: booleans as 1/0, floats
-    at full round-trip precision, anything else through str."""
-    values = np.asarray(values)
-    if values.dtype == bool:
-        return np.where(values, "1", "0").tolist()
-    if values.dtype == np.float64:
-        # float's own repr: numpy 2 spells a numpy float as np.float64(...)
-        return _spell_distinct(values, float.__repr__)
-    return list(map(str, values.tolist()))
+_BITS = np.array(["0", "1"], dtype=object)
 
 
 def _csv_text(header, columns) -> str:
-    """CSV of the header line and one row per entry of the equal-length columns."""
-    cells = [_csv_column(col) for col in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
+    """CSV of the header line and one row per entry of the equal-length columns,
+    each column of one type: booleans as 1/0, floats at full round-trip
+    precision, anything else through str."""
+    columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0]) if columns else 0
+    # one row per line, each cell followed by its separator
+    cells = np.empty((rows + 1, 2 * len(header)), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1:] = "\n"
+    cells[0, ::2] = header
+    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
+    if floats:
+        spelled = _spell_floats(np.concatenate([columns[j] for j in floats]))
+        cells[1:, [2 * j for j in floats]] = spelled.reshape(len(floats), rows).T
+    for j, col in enumerate(columns):
+        if col.dtype == bool:
+            cells[1:, 2 * j] = _BITS[col.astype(np.uint8)]
+        elif col.dtype != np.float64:
+            cells[1:, 2 * j] = list(map(str, col.tolist()))
+    return "".join(cells.ravel().tolist())
+
+
+_CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
+
+
+def _spell_hundredths(values: np.ndarray, top: int) -> np.ndarray:
+    """"{:.2f}".format(v) for each float64 v of values.
+
+    A v in (0, top] is spelled from its nearest count of hundredths k as
+    f"{k // 100}." + f"{k % 100:02d}", both from small string tables.  That
+    is format's rounding unless 100 v lies within 1e-6 of a tie k + 1/2,
+    which format settles half-even on the exact binary value; such values,
+    and any outside (0, top], go through format itself.
+    """
+    hundredths = values * 100.0
+    k = np.rint(hundredths)
+    table = (values > 0) & (k <= 100 * top) & (np.abs(hundredths - k) < 0.5 - 1e-6)
+    whole = np.array([f"{i}." for i in range(top + 1)], dtype=object)
+    k = k[table].astype(np.intp)
+    out = np.empty(len(values), dtype=object)
+    out[table] = whole[k // 100] + _CENTS[k % 100]
+    out[~table] = list(map("{:.2f}".format, values[~table].tolist()))
+    return out
 
 
 def _svg_text(xs, ys, labels, size: int = 640) -> str:
@@ -110,16 +154,26 @@ def _svg_text(xs, ys, labels, size: int = 640) -> str:
     px = margin + (xs - x0) / span_x * scale
     py = size - margin - (ys - y0) / span_y * scale
     label_list = sorted(set(labels))
-    color = {lab: palette[i % len(palette)] for i, lab in enumerate(label_list)}
-    fill = [color[lab] for lab in labels]
-    fixed = "{:.2f}".format
-    circles = map('<circle cx="%s" cy="%s" r="1.5" fill="%s"/>'.__mod__,
-                  zip(_spell_distinct(px, fixed), _spell_distinct(py, fixed), fill))
-    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-                      f'viewBox="0 0 {size} {size}">', *circles, "</svg>"])
+    tail = {lab: f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
+            for i, lab in enumerate(label_list)}
+    # the whole document as one flat list: header, five strings per point, footer
+    parts = np.empty(2 + 5 * len(px), dtype=object)
+    parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+                f'viewBox="0 0 {size} {size}">')
+    points = parts[1:-1].reshape(-1, 5)
+    points[:, 0] = '\n<circle cx="'
+    points[:, 1] = _spell_hundredths(px, size)
+    points[:, 2] = '" cy="'
+    points[:, 3] = _spell_hundredths(py, size)
+    points[:, 4] = [tail[lab] for lab in labels]
+    parts[-1] = "\n</svg>"
+    return "".join(parts.tolist())
 
 
 def _cmd_basis(args) -> int:
+    from . import clifford
+    from .linalg import matrix_to_json
+
     basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
         _dump_json(clifford.verify_algebra(basis), args.output)
@@ -141,12 +195,18 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .coords import coords_from_json, encode
+    from .linalg import matrix_to_json
+
     coords = coords_from_json(_read_json(args.input))
     _dump_json(matrix_to_json(encode(coords)), args.output)
     return 0
 
 
 def _cmd_decode(args) -> int:
+    from .coords import coords_to_json, decode
+    from .linalg import matrix_from_json
+
     rho = matrix_from_json(_read_json(args.input))
     coords = decode(rho, m=args.m, mode=args.mode)
     _dump_json(coords_to_json(coords), args.output)
@@ -154,12 +214,17 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    from . import invariants
+    from .coords import coords_from_json
+
     coords = coords_from_json(_read_json(args.input))
     _dump_json(invariants.coords_invariants(coords).to_dict(), args.output)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectra
+
     coords, rho = _load_state(args.input, args.m, args.mode)
     out = {}
     if args.which in ("closed-form", "both"):
@@ -177,6 +242,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import domains
+
     coords, rho = _load_state(args.input, args.m, args.mode)
     verdict, route = domains.positivity(coords, rho, args.tol)
     payload = verdict.to_dict()
@@ -186,6 +253,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import domains
+
     sset = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
         dim = len(sset.records[0].coefficients) if sset.records else 0
@@ -211,10 +280,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_figure(args) -> int:
     if args.format == "json":
-        _dump_json(domains.figure_data(args.which, args.resolution, paper_cube=args.paper_cube),
+        _dump_json(figures.figure_data(args.which, args.resolution, paper_cube=args.paper_cube),
                    args.output)
         return 0
-    names, columns = domains.figure_columns(args.which, args.resolution,
+    names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
     if args.format == "csv":
         _emit(_csv_text(names, columns), args.output)
@@ -245,6 +314,10 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
+    from . import symmetry
+    from .coords import antisym, coords_from_json, coords_to_json, entry_list
+    from .linalg import wire_field
+
     coords = coords_from_json(_read_json(args.input))
     alpha_obj = wire_field(_read_json(args.alpha), dict, "alpha file")
     entries = entry_list(alpha_obj.get("alpha", []), "alpha")
@@ -299,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int)
     p.add_argument("--mode", choices=["standard", "extended"], default="standard")
-    p.add_argument("--tol", type=float, default=domains.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_validate)
 
@@ -341,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--paper-cube", action="store_true")
     p.add_argument("--mode", choices=["standard", "extended"], default="standard")
-    p.add_argument("--tol", type=float, default=domains.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
     p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_domain)

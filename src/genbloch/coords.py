@@ -26,6 +26,7 @@ from .errors import (
     GradeOutOfRange,
     MalformedInput,
     ModeMismatch,
+    NonFiniteResult,
     NonUnitTrace,
 )
 from .linalg import as_matrix, require_hermitian, wire_field
@@ -231,7 +232,11 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
         raise DimensionMismatch(f"matrix dim {rho.shape[0]} != basis dim {basis.dim}")
     rho = require_hermitian(rho)
     require_unit_trace(rho)
-    coeffs = basis.project(rho).real
+    # entries near the float range can overflow the projection's sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = basis.project(rho).real
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteResult("coordinates are not finite (input beyond floating-point range?)")
     grades: dict[int, dict] = {}
     scalar = 1.0
     for idx, val in zip(basis.indices, coeffs):

@@ -73,8 +73,9 @@ class NonFiniteResult(GenblochError, ValueError):
     """A result holds inf or NaN, which has no JSON spelling."""
 
 
-class NegativeDiscriminant(GenblochError, ValueError):
-    pass
+class NegativeDiscriminant(ComplexRoots, ValueError):
+    """2 r^2 - T4 is negative, so sqrt(2 r^2 - T4) in the m = 2 spectrum and in
+    the z variable is complex: (r, T4) are not the invariants of any tensor."""
 
 
 class BadResolution(GenblochError, ValueError):

@@ -34,6 +34,7 @@ from .errors import (
     UnknownName,
     UnsupportedM,
 )
+from .figures import require_sums_of_squares
 
 
 def perm_sign(perm) -> int:
@@ -209,8 +210,7 @@ class InvariantSet:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.r < -1e-12 or self.T4 < -1e-12:
-            raise ValueError("r and T4 are sums of squares and must be nonnegative")
+        require_sums_of_squares(self.r, self.T4)
 
     def to_dict(self) -> dict:
         return {"r": self.r, "T4": self.T4, "D3": self.D3, "extras": dict(self.extras)}

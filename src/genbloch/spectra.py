@@ -49,6 +49,7 @@ from .errors import (
     KindMismatch,
     UnsupportedM,
 )
+from .figures import discriminant
 from .invariants import InvariantSet, vector_invariants
 from .linalg import as_matrix, hermitian_eigenvalues
 
@@ -137,11 +138,8 @@ def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
     """
     if m != 2:
         raise UnsupportedM(f"the (r, T4) quartet closed form is for m = 2, got m = {m}")
-    r, t4 = inv.r, inv.T4
-    inner = 2.0 * r * r - t4
-    if inner < -1e-12:
-        raise ComplexRoots(f"2r^2 - T4 = {inner} is negative")
-    root = math.sqrt(max(inner, 0.0))
+    r = inv.r
+    root = math.sqrt(discriminant(r, inv.T4))
     out = []
     for s_out in (1.0, -1.0):
         for s_in in (1.0, -1.0):

@@ -363,6 +363,29 @@ def _one_diagnostic(captured):
     return len([ln for ln in captured.err.splitlines() if ln.startswith("genbloch:")]) == 1
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["domain"], ["spectrum", "--oracle"],
+                                  ["spectrum", "--closed-form"]])
+def test_coords_scalar_not_one_refused(tmp_path, capsys, argv):
+    # the scalar coordinate is the trace: every state-reading subcommand
+    # refuses a coords file whose scalar is not 1, as it refuses such a matrix
+    path = write_json(tmp_path / "c.json", {"m": 2, "scalar": 2.0,
+                                            "grades": {"1": [{"idx": [1], "val": 0.5}]}})
+    assert run([*argv, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert "trace 2.0 differs from 1" in captured.err
+
+
+def test_decode_overflow_one_line(tmp_path, capsys):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = 1.7e308
+    path = write_json(tmp_path / "rho.json", matrix_to_json(rho))
+    assert run(["decode", "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "genbloch: error: coordinates are not finite (input beyond floating-point range?)"]
+
+
 def test_rotate_huge_generator_typed_error(tmp_path, capsys):
     coords = state_coords(2, grades={2: {(1, 2): 0.3}})
     cpath = write_json(tmp_path / "c.json", coords_to_json(coords))
@@ -491,14 +514,14 @@ def test_sample_unsupported_m_exit_1(capsys, m):
 
 
 def test_figure_resolution_limit(capsys, monkeypatch):
-    from genbloch import domains
+    from genbloch import figures
 
-    assert run(["figure", "fig1", "--resolution", str(domains.MAX_RESOLUTION + 1)]) == 1
+    assert run(["figure", "fig1", "--resolution", str(figures.MAX_RESOLUTION + 1)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
     # the largest resolution passes validation (the dataset itself is not built here)
-    monkeypatch.setattr(domains, "_fig1", lambda resolution: {"resolution": resolution})
-    assert domains.figure_data("fig1", domains.MAX_RESOLUTION) == {"resolution": 1001}
+    monkeypatch.setattr(figures, "_fig1", lambda resolution: {"resolution": resolution})
+    assert figures.figure_data("fig1", figures.MAX_RESOLUTION) == {"resolution": 1001}
 
 
 def test_csv_row_numpy_scalars():
@@ -610,8 +633,37 @@ def test_writers_match_per_row_on_hand_made_columns():
     assert _svg_text([], [], []) == _svg_per_point([], [])
 
 
+def test_float_speller_matches_repr(rng):
+    from genbloch.cli import _spell_floats
+
+    # magnitudes are spelled once and negatives prefixed: every sign, NaN of
+    # either sign, infinities, subnormals, and values that occur with both signs
+    nan = np.float64(np.nan)
+    edges = np.array([0.0, -0.0, nan, -nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, -1e16,
+                      0.1, -0.1, 1.0 / 3.0, np.nextafter(1.0, 2.0)])
+    spread = rng.standard_normal(10 ** 5) * 10.0 ** rng.integers(-300, 300, 10 ** 5)
+    mirrored = np.concatenate([spread[:1000], -spread[:1000]])
+    for values in (edges, spread, mirrored, np.array([])):
+        expected = list(map(float.__repr__, values.tolist()))
+        assert _spell_floats(values).tolist() == expected
+
+
+def test_pixel_speller_matches_format(rng):
+    from genbloch.cli import _spell_hundredths
+
+    # every k/800 in [20, 620]: the exact half-hundredth ties (such as 20.125,
+    # which format rounds half-even) and the near-ties around every x.xx5
+    ties = np.arange(16_000, 496_001) / 800
+    # uniform pixels, and values outside (0, 640] that go to format directly
+    edges = np.array([0.0, -0.0, 0.001, 0.005, 0.125, -0.004, -0.005, -1.0,
+                      640.0, 640.004, 640.005, 640.006, 1e6, np.nan])
+    for values in (ties, rng.uniform(20.0, 620.0, 10 ** 6), edges):
+        expected = list(map("{:.2f}".format, values.tolist()))
+        assert _spell_hundredths(values, 640).tolist() == expected
+
+
 def test_figure_row_limit(capsys, monkeypatch):
-    from genbloch import domains
+    from genbloch import figures
     from genbloch.errors import ResourceLimit
 
     def candidates(which, resolution):
@@ -619,30 +671,30 @@ def test_figure_row_limit(capsys, monkeypatch):
         return surfaces * 2 * resolution * (3 * resolution + 1)
 
     # the benchmark's resolutions and fig1 at its largest resolution stay allowed
-    for which, resolution in [("fig1", domains.MAX_RESOLUTION), ("fig2", 101), ("fig3", 26),
+    for which, resolution in [("fig1", figures.MAX_RESOLUTION), ("fig2", 101), ("fig3", 26),
                               ("fig3", 28)]:
-        assert domains._check_figure(which, resolution) == resolution
+        assert figures._check_figure(which, resolution) == resolution
     # the first resolution above the limit is refused before any point is built
-    monkeypatch.setattr(domains, "_tunnel_surface_points", None)
+    monkeypatch.setattr(figures, "_tunnel_surface_points", None)
     for which in ("fig2", "fig3"):
-        resolution = next(r for r in range(2, domains.MAX_RESOLUTION)
-                          if candidates(which, r) > domains.MAX_FIGURE_ROWS)
-        assert candidates(which, resolution - 1) <= domains.MAX_FIGURE_ROWS
+        resolution = next(r for r in range(2, figures.MAX_RESOLUTION)
+                          if candidates(which, r) > figures.MAX_FIGURE_ROWS)
+        assert candidates(which, resolution - 1) <= figures.MAX_FIGURE_ROWS
         with pytest.raises(ResourceLimit):
-            domains.figure_columns(which, resolution)
+            figures.figure_columns(which, resolution)
         assert run(["figure", which, "--resolution", str(resolution)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and _one_diagnostic(captured)
     monkeypatch.undo()
     # at the limit a dataset is built; one row above it, it is refused
     for which in ("fig2", "fig3"):
-        monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", candidates(which, 5))
-        assert len(domains.figure_data(which, 5)["points"]) > 0
-        monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", candidates(which, 5) - 1)
+        monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5))
+        assert len(figures.figure_data(which, 5)["points"]) > 0
+        monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5) - 1)
         with pytest.raises(ResourceLimit):
-            domains.figure_data(which, 5)
-    monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", 5 * 5)
-    assert len(domains.figure_data("fig1", 5)["grid"]) == 25
-    monkeypatch.setattr(domains, "MAX_FIGURE_ROWS", 5 * 5 - 1)
+            figures.figure_data(which, 5)
+    monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5)
+    assert len(figures.figure_data("fig1", 5)["grid"]) == 25
+    monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5 - 1)
     with pytest.raises(ResourceLimit):
-        domains.figure_columns("fig1", 5)
+        figures.figure_columns("fig1", 5)

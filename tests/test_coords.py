@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from genbloch.errors import (
     GradeMismatch,
     GradeOutOfRange,
     ModeMismatch,
+    NonFiniteResult,
     NonUnitTrace,
     NotHermitian,
     ResourceLimit,
@@ -89,6 +92,16 @@ def test_decode_rejects_bad_input():
     bad[0, 1] = 0.3
     with pytest.raises(NotHermitian):
         decode(bad)
+
+
+def test_decode_overflow_typed_error():
+    # a hermitian unit-trace matrix whose projection overflows: a typed error, no warnings
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            decode(rho)
 
 
 def test_decode_linearity(rng):

@@ -11,7 +11,6 @@ from genbloch.domains import (
     DEFAULT_TOL,
     DomainVerdict,
     SampleRecord,
-    _tunnel_surface_points,
     descartes_positivity,
     figure_data,
     positivity,
@@ -30,9 +29,10 @@ from genbloch.errors import (
     NegativeDiscriminant,
     ResourceLimit,
 )
-from genbloch.invariants import frobenius_r, trace_T4, two_tensor_invariants
+from genbloch.figures import _tunnel_surface_points
+from genbloch.invariants import InvariantSet, frobenius_r, trace_T4, two_tensor_invariants
 from genbloch.linalg import char_poly, hermitian_eigenvalues
-from genbloch.spectra import closed_form_spectrum
+from genbloch.spectra import closed_form_spectrum, quartet_eigenvalues
 
 from conftest import random_coords, random_tensor, random_unit_trace_hermitian
 
@@ -216,6 +216,22 @@ def test_z_routes_agree_m2_m3(rng):
 def test_z_variable_negative_discriminant():
     with pytest.raises(NegativeDiscriminant):
         z_variable(0.1, 1.0)
+
+
+def test_one_discriminant_rule():
+    # 2 r^2 - T4 = -0.01: the m = 2 spectrum and the z variable refuse it alike
+    raised = []
+    for call in (lambda: z_variable(0.1, 0.03),
+                 lambda: quartet_eigenvalues(2, InvariantSet(r=0.1, T4=0.03))):
+        with pytest.raises(NegativeDiscriminant) as info:
+            call()
+        raised.append(type(info.value))
+    assert raised == [NegativeDiscriminant, NegativeDiscriminant]
+    # within 1e-12 of zero the discriminant counts as 0 on both routes
+    r, t4 = 0.5, 0.5 + 1e-13
+    assert z_variable(r, t4) == 0.5
+    assert quartet_eigenvalues(2, InvariantSet(r=r, T4=t4)).tolist() == pytest.approx(
+        [(1 - math.sqrt(r)) / 4] * 2 + [(1 + math.sqrt(r)) / 4] * 2)
 
 
 def test_rz_region_on_tensors(rng):
