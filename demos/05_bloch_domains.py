@@ -75,9 +75,13 @@ print("\nnon-state by its smallest eigenvalue:",
 print("non-state by the sign rule:", descartes_positivity(char_poly(rho)))
 
 # --- Monte-Carlo atlas --------------------------------------------------------------
-sset = sample_domain(2, 2, 500, seed=7)
-print(f"\n500 sampled bivectors: {100 * sset.admissible_fraction():.1f}% admissible,"
-      f" {len(sset.disagreements())} closed-form/oracle disagreements")
+# sample_domain returns a table, (column names, one array per column), as figures do
+atlas = dict(zip(*sample_domain(2, 2, 500, seed=7)))
+closed, oracle = atlas["closed_admissible"], atlas["oracle_admissible"]
+# a disagreement away from the boundary would be a wrong closed form
+disagreements = int(np.sum((closed != oracle) & (atlas["boundary_margin"] > 1e-8)))
+print(f"\n500 sampled bivectors: {100 * closed.mean():.1f}% admissible,"
+      f" {disagreements} closed-form/oracle disagreements")
 
 # --- figure datasets -----------------------------------------------------------------
 for which, kwargs in (("fig1", {}), ("fig2", {}), ("fig3", {})):

@@ -3,8 +3,11 @@
 Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
 figure, rotate, and the combined domain dispatcher.  All I/O is JSON
 (matrices, coordinates, verdicts, spectra), CSV (sample sets, figure
-datasets) or SVG (figure scatter plots).  Floats are printed at full double
-precision so repeated runs are byte-identical.  CSV and SVG are assembled
+datasets) or SVG (figure scatter plots).  `sample` and `figure` share one
+table path: each gets (column names, one array per column) from the
+library and writes it with the one CSV writer.  Floats are printed at full
+double precision so repeated runs are byte-identical, and a float that is
+not finite is refused in every format.  CSV and SVG are assembled
 column by column into one flat list of strings and joined once: each
 distinct float magnitude of a CSV is spelled once, and each SVG pixel
 coordinate is spelled from its integer count of hundredths.  Each subcommand imports the
@@ -53,11 +56,14 @@ def _emit(text: str, path: str | None) -> None:
             sys.stdout.write("\n")
 
 
+_NOT_FINITE = "result is not finite (input beyond floating-point range?)"
+
+
 def _dump_json(obj, path: str | None) -> None:
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise NonFiniteResult("result is not finite (input beyond floating-point range?)") from exc
+        raise NonFiniteResult(_NOT_FINITE) from exc
     _emit(text, path)
 
 
@@ -96,7 +102,8 @@ _BITS = np.array(["0", "1"], dtype=object)
 def _csv_text(header, columns) -> str:
     """CSV of the header line and one row per entry of the equal-length columns,
     each column of one type: booleans as 1/0, floats at full round-trip
-    precision, anything else through str."""
+    precision, anything else through str.  A float that is not finite is
+    refused with NonFiniteResult, as JSON output refuses it."""
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
     # one row per line, each cell followed by its separator
@@ -106,7 +113,10 @@ def _csv_text(header, columns) -> str:
     cells[0, ::2] = header
     floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
     if floats:
-        spelled = _spell_floats(np.concatenate([columns[j] for j in floats]))
+        values = np.concatenate([columns[j] for j in floats])
+        if not np.isfinite(values).all():
+            raise NonFiniteResult(_NOT_FINITE)
+        spelled = _spell_floats(values)
         cells[1:, [2 * j for j in floats]] = spelled.reshape(len(floats), rows).T
     for j, col in enumerate(columns):
         if col.dtype == bool:
@@ -255,26 +265,17 @@ def _cmd_validate(args) -> int:
 def _cmd_sample(args) -> int:
     from . import domains
 
-    sset = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
+    names, columns = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
-        dim = len(sset.records[0].coefficients) if sset.records else 0
-        header = (["index"] + [f"c{i}" for i in range(dim)]
-                  + ["closed_admissible", "oracle_admissible", "boundary_margin"])
-        rows = [(r.index, *r.coefficients, r.closed_admissible, r.oracle_admissible,
-                 r.boundary_margin) for r in sset.records]
-        _emit(_csv_text(header, list(zip(*rows))), args.output)
-    else:
-        payload = {
-            "m": sset.m, "k": sset.k, "n": sset.n, "seed": sset.seed, "box": sset.box,
-            "records": [{
-                "index": r.index,
-                "coefficients": list(r.coefficients),
-                "closed_admissible": r.closed_admissible,
-                "oracle_admissible": r.oracle_admissible,
-                "boundary_margin": r.boundary_margin,
-            } for r in sset.records],
-        }
-        _dump_json(payload, args.output)
+        _emit(_csv_text(names, columns), args.output)
+        return 0
+    index, *coefficients, closed, oracle, margin = (col.tolist() for col in columns)
+    records = [{"index": i, "coefficients": list(c), "closed_admissible": closed_ok,
+                "oracle_admissible": oracle_ok, "boundary_margin": mgn}
+               for i, c, closed_ok, oracle_ok, mgn in zip(index, zip(*coefficients), closed,
+                                                            oracle, margin)]
+    _dump_json({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed, "box": args.box,
+                "records": records}, args.output)
     return 0
 
 

@@ -29,13 +29,15 @@ tunnel_membership apply them to one point.  The sampler decides whole
 arrays at once too: sampled tensors go through the stacked normal-form
 engine (spectra) and the stacked LAPACK oracle (linalg), in chunks of
 CHUNK_BYTES of density matrices; both smallest eigenvalues are held to
-positivity's rule with DEFAULT_TOL.
+positivity's rule with DEFAULT_TOL.  Like figure_columns, sample_domain
+returns a table, (column names, one array per column), so a sample and a
+figure share one path to their output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,50 +205,26 @@ def descartes_positivity(poly, tol: float = DEFAULT_TOL) -> DomainVerdict:
                          invariants_used=None, tol=tol)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    index: int
-    coefficients: tuple
-    closed_admissible: bool
-    oracle_admissible: bool
-    boundary_margin: float
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    m: int
-    k: int
-    n: int
-    seed: int
-    box: float
-    records: list = field(repr=False)
-
-    def disagreements(self, margin: float = 1e-8) -> list:
-        return [rec for rec in self.records
-                if rec.closed_admissible != rec.oracle_admissible
-                and rec.boundary_margin > margin]
-
-    def admissible_fraction(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.closed_admissible for r in self.records) / len(self.records)
-
-
-def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> SampleSet:
+def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     """Monte-Carlo atlas: n grade-k tensors uniform in [-box, box]^dim, each
-    classified by the closed-form domain and by the eigenvalue oracle."""
+    classified by the closed-form domain and by the eigenvalue oracle.
+
+    Returns (column names, one array per column), as figures.figure_columns
+    does: the draw index, its coefficients c0..c{dim-1} in multi_indices
+    order, closed_admissible and oracle_admissible (bool), and the
+    boundary_margin |lambda_min| of the closed form.
+    """
     _check_m(m)
     if k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
     if n < 0 or n > 10 ** 6:
         raise ResourceLimit(f"sample count {n} out of range")
-    if not (math.isfinite(box) and box >= 0):
-        raise ResourceLimit(f"box must be a finite number >= 0, got {box!r}")
+    # the draws span [-box, box], so 2 * box must be finite as well
+    if not (math.isfinite(2.0 * box) and box >= 0):
+        raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")
     keys = list(multi_indices(2 * m, k))
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-box, box, size=(n, len(keys)))
-    if not np.isfinite(draws).all():
-        raise ValueError("non-finite tensor values")
     basis = cached_basis(m)
     min_closed = np.empty(n)
     oracle_min = np.empty(n)
@@ -256,12 +234,10 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> Sample
         min_closed[lo:lo + per] = _closed_form_minima(m, k, columns)
         rho = basis.expand({(): 1.0, **columns}) / basis.dim
         oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
-    records = [SampleRecord(index=idx, coefficients=tuple(coeffs), closed_admissible=closed_ok,
-                            oracle_admissible=oracle_ok, boundary_margin=margin)
-               for idx, (coeffs, closed_ok, oracle_ok, margin) in enumerate(zip(
-                   draws.tolist(), (min_closed >= -DEFAULT_TOL).tolist(),
-                   (oracle_min >= -DEFAULT_TOL).tolist(), np.abs(min_closed).tolist()))]
-    return SampleSet(m=m, k=k, n=n, seed=seed, box=box, records=records)
+    names = (["index"] + [f"c{i}" for i in range(len(keys))]
+             + ["closed_admissible", "oracle_admissible", "boundary_margin"])
+    return names, [np.arange(n), *draws.T, min_closed >= -DEFAULT_TOL,
+                   oracle_min >= -DEFAULT_TOL, np.abs(min_closed)]
 
 
 def _closed_form_minima(m: int, k: int, columns: dict) -> np.ndarray:

@@ -35,6 +35,11 @@ def random_tensor(rng, m, k, side=None, box=1.0):
     return AntisymTensor(m, k, side, vals)
 
 
+def table_rows(columns):
+    """One tuple of Python values per row of a table's columns."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def random_coords(rng, m, mode="standard", box=1.0):
     max_k = 2 * m if mode == "standard" else m
     side = 2 * m if mode == "standard" else 2 * m + 1

@@ -11,6 +11,8 @@ from genbloch.cli import run
 from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
 
+from conftest import table_rows
+
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
@@ -295,17 +297,17 @@ def test_validate_agrees_with_oracle_sign(tmp_path, capsys):
     # integration: validate verdict matches the oracle min-eigenvalue sign
     from genbloch.domains import sample_domain
 
-    sset = sample_domain(2, 2, 30, seed=4)
+    _, columns = sample_domain(2, 2, 30, seed=4)
     keys = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
-    for rec in sset.records:
-        if rec.boundary_margin <= 1e-8:
+    for index, *coefficients, _, oracle_admissible, margin in table_rows(columns):
+        if margin <= 1e-8:
             continue
-        vals = dict(zip(keys, rec.coefficients))
+        vals = dict(zip(keys, coefficients))
         coords = state_coords(2, grades={2: vals})
-        path = write_json(tmp_path / f"s{rec.index}.json", coords_to_json(coords))
+        path = write_json(tmp_path / f"s{index}.json", coords_to_json(coords))
         code = run(["validate", "--input", path])
         capsys.readouterr()
-        assert (code == 0) == rec.oracle_admissible
+        assert (code == 0) == oracle_admissible
 
 
 def test_domain_input_mode(g2_coords, capsys):
@@ -451,23 +453,32 @@ def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, fie
     assert len(captured.err.splitlines()) == 1 and f"field '{field}'" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate"])
-def test_nonfinite_result_exit_1(tmp_path, capsys, command):
+def _nonfinite_argv(tmp_path, command):
+    if command == "sample":
+        # |c|^2 of a draw from [-1e200, 1e200]^4 overflows, so every margin is
+        # inf; CSV refuses it as JSON does
+        return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
+                "--format", "csv"]
     # r and T4 overflow to inf; JSON has no finite spelling for them
     coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
-    path = write_json(tmp_path / "huge.json", coords_to_json(coords))
-    assert run([command, "--input", path]) == 1
+    return [command, "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
+
+
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample"])
+def test_nonfinite_result_exit_1(tmp_path, capsys, command):
+    assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
+    if command == "sample":
+        assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample"])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
-    coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
-    path = write_json(tmp_path / "huge.json", coords_to_json(coords))
+    argv = _nonfinite_argv(tmp_path, command)
     src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
-    res = subprocess.run([sys.executable, "-m", "genbloch", command, "--input", path],
+    res = subprocess.run([sys.executable, "-m", "genbloch", *argv],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 1 and res.stdout == ""
@@ -493,7 +504,7 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "-0.5"])
+@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "-0.5", "1e308"])
 def test_sample_bad_box_exit_1(capsys, box):
     assert run(["sample", "--m", "2", "--k", "2", "--samples", "1", f"--box={box}"]) == 1
     captured = capsys.readouterr()
@@ -599,15 +610,49 @@ def test_figure_writers_match_per_row(capsys, which, paper_cube):
 def test_sample_csv_matches_per_row(capsys, m, k):
     from genbloch.domains import sample_domain
 
-    sset = sample_domain(m, k, 40, seed=m + 10 * k)
-    dim = len(sset.records[0].coefficients)
+    rows = table_rows(sample_domain(m, k, 40, seed=m + 10 * k)[1])
+    dim = len(rows[0]) - 4
     header = (["index"] + [f"c{i}" for i in range(dim)]
               + ["closed_admissible", "oracle_admissible", "boundary_margin"])
-    rows = [(r.index, *r.coefficients, r.closed_admissible, r.oracle_admissible,
-             r.boundary_margin) for r in sset.records]
     assert run(["sample", "--m", str(m), "--k", str(k), "--samples", "40",
                 "--seed", str(m + 10 * k), "--format", "csv"]) == 0
     assert capsys.readouterr().out == _csv_per_row(header, rows)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2])
+def test_sample_json_matches_per_record(capsys, m, k):
+    # the record -> dict loop that the column writer replaced, as its reference
+    from genbloch.domains import sample_domain
+
+    for n in (0, 1, 40):
+        seed = m + 10 * k + n
+        records = [{
+            "index": index,
+            "coefficients": list(coefficients),
+            "closed_admissible": closed_admissible,
+            "oracle_admissible": oracle_admissible,
+            "boundary_margin": boundary_margin,
+        } for index, *coefficients, closed_admissible, oracle_admissible, boundary_margin
+            in table_rows(sample_domain(m, k, n, seed)[1])]
+        payload = {"m": m, "k": k, "n": n, "seed": seed, "box": 1.2, "records": records}
+        assert run(["sample", "--m", str(m), "--k", str(k), "--samples", str(n),
+                    "--seed", str(seed), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True,
+                                                     allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2])
+def test_sample_empty_csv_header(capsys, m, k):
+    # with no draws the header still names every coefficient column
+    argv = ["--m", str(m), "--k", str(k), "--format", "csv", "--samples"]
+    assert run(["sample", *argv, "1"]) == 0
+    header = capsys.readouterr().out.splitlines(keepends=True)[0]
+    assert run(["sample", *argv, "0"]) == 0
+    assert capsys.readouterr().out == header
+    assert run(["domain", *argv, "0"]) == 0
+    assert capsys.readouterr().out == header
 
 
 def test_writers_match_per_row_on_hand_made_columns():

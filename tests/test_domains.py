@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from genbloch.domains import (
     CHUNK_BYTES,
     DEFAULT_TOL,
     DomainVerdict,
-    SampleRecord,
     descartes_positivity,
     figure_data,
     positivity,
@@ -34,7 +34,7 @@ from genbloch.invariants import InvariantSet, frobenius_r, trace_T4, two_tensor_
 from genbloch.linalg import char_poly, hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum, quartet_eigenvalues
 
-from conftest import random_coords, random_tensor, random_unit_trace_hermitian
+from conftest import random_coords, random_tensor, random_unit_trace_hermitian, table_rows
 
 ORACLE_TOL = 1e-9
 
@@ -336,26 +336,42 @@ def test_tunnel_grid_vs_oracle_coarse():
                 assert closed == oracle_positive(tensor_config(2, 2, g))
 
 
+def _sample_table(m, k, n, seed, box=1.2):
+    """sample_domain's columns by name."""
+    names, columns = sample_domain(m, k, n, seed=seed, box=box)
+    return dict(zip(names, columns))
+
+
+def _coefficients(table):
+    return table_rows([table[f"c{i}"] for i in range(len(table) - 4)])
+
+
+def _disagreements(table, margin=1e-8):
+    """Indices of the draws whose two verdicts differ, away from the boundary."""
+    differ = table["closed_admissible"] != table["oracle_admissible"]
+    return np.flatnonzero(differ & (table["boundary_margin"] > margin)).tolist()
+
+
 def test_sample_domain_deterministic():
-    a = sample_domain(2, 2, 50, seed=11)
-    b = sample_domain(2, 2, 50, seed=11)
-    assert [r.coefficients for r in a.records] == [r.coefficients for r in b.records]
-    assert [r.closed_admissible for r in a.records] == [r.closed_admissible for r in b.records]
-    assert sample_domain(2, 1, 0, seed=3).records == []
+    a = _sample_table(2, 2, 50, seed=11)
+    b = _sample_table(2, 2, 50, seed=11)
+    assert _coefficients(a) == _coefficients(b)
+    assert a["closed_admissible"].tolist() == b["closed_admissible"].tolist()
+    assert table_rows(sample_domain(2, 1, 0, seed=3)[1]) == []
 
 
 def test_sample_domain_agreement():
-    sset = sample_domain(2, 2, 300, seed=5)
-    assert sset.disagreements(margin=1e-8) == []
-    sset3 = sample_domain(3, 2, 100, seed=5)
-    assert sset3.disagreements(margin=1e-8) == []
+    table = _sample_table(2, 2, 300, seed=5)
+    assert _disagreements(table, margin=1e-8) == []
+    table3 = _sample_table(3, 2, 100, seed=5)
+    assert _disagreements(table3, margin=1e-8) == []
 
 
 @pytest.mark.parametrize("m, box", [(4, 0.2), (5, 0.15)])
 def test_sample_domain_grade2_large_m(m, box):
-    sset = sample_domain(m, 2, 150, seed=9, box=box)
-    assert sset.disagreements(margin=1e-8) == []
-    assert {r.closed_admissible for r in sset.records} == {True, False}
+    table = _sample_table(m, 2, 150, seed=9, box=box)
+    assert _disagreements(table, margin=1e-8) == []
+    assert set(table["closed_admissible"].tolist()) == {True, False}
 
 
 def closed_form_min(m, grades):
@@ -363,20 +379,19 @@ def closed_form_min(m, grades):
 
 
 def _sample_per_draw(m, k, n, seed, box):
-    """The per-draw loop that sample_domain batches: the reference for its records."""
+    """The per-draw loop that sample_domain batches: the reference for its rows."""
     side = 2 * m
     keys = ([(i,) for i in range(1, side + 1)] if k == 1
             else [(i, j) for i in range(1, side + 1) for j in range(i + 1, side + 1)])
     draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(keys)))
-    records = []
+    rows = []
     for idx in range(n):
         tensor = AntisymTensor(m, k, side, {key: float(v) for key, v in zip(keys, draws[idx])})
         min_closed = float(closed_form_min(m, {k: tensor}))
         oracle = float(np.min(hermitian_eigenvalues(tensor_config(m, k, tensor))))
-        records.append(SampleRecord(idx, tuple(float(v) for v in draws[idx]),
-                                    min_closed >= -ORACLE_TOL, oracle >= -ORACLE_TOL,
-                                    abs(min_closed)))
-    return records
+        rows.append((idx, *(float(v) for v in draws[idx]),
+                     min_closed >= -ORACLE_TOL, oracle >= -ORACLE_TOL, abs(min_closed)))
+    return rows
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -387,12 +402,16 @@ def test_sample_domain_matches_per_draw(m, k):
         assert n > CHUNK_BYTES // (16 * 4 ** m)  # this case spans several chunks
     # boxes that put both verdicts among the draws at most m
     box = 1.2 / math.sqrt(m) if k == 1 else 1.6 / m ** 1.5
-    records = sample_domain(m, k, n, seed=m, box=box).records
-    assert records == _sample_per_draw(m, k, n, m, box)
-    for rec in records:
-        assert type(rec.closed_admissible) is bool and type(rec.oracle_admissible) is bool
-        assert type(rec.boundary_margin) is float
-        assert all(type(c) is float for c in rec.coefficients)
+    names, columns = sample_domain(m, k, n, seed=m, box=box)
+    rows = table_rows(columns)
+    assert rows == _sample_per_draw(m, k, n, m, box)
+    assert names == (["index"] + [f"c{i}" for i in range(len(rows[0]) - 4)]
+                     + ["closed_admissible", "oracle_admissible", "boundary_margin"])
+    for index, *coefficients, closed_ok, oracle_ok, margin in rows:
+        assert type(index) is int
+        assert type(closed_ok) is bool and type(oracle_ok) is bool
+        assert type(margin) is float
+        assert all(type(c) is float for c in coefficients)
 
 
 def test_closed_form_vector_with_pseudoscalar():
@@ -407,8 +426,7 @@ def test_closed_form_vector_with_pseudoscalar():
 
 
 def test_sample_domain_ball_fraction():
-    sset = sample_domain(2, 1, 1000, seed=7)
-    frac = sset.admissible_fraction()
+    frac = float(np.mean(_sample_table(2, 1, 1000, seed=7)["closed_admissible"]))
     p = (math.pi ** 2 / 2) / 2.4 ** 4
     sigma = math.sqrt(p * (1 - p) / 1000)
     assert abs(frac - p) <= 3 * sigma
@@ -419,9 +437,14 @@ def test_sample_domain_guards():
         sample_domain(2, 3, 10, seed=0)
     with pytest.raises(ResourceLimit):
         sample_domain(2, 1, -1, seed=0)
-    for box in (math.nan, math.inf, -math.inf, -0.5):
+    # 1e308 is finite, but the draws' span 2 * box is not
+    for box in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ResourceLimit):
             sample_domain(2, 1, 1, seed=0, box=box)
+    # the widest box allowed draws finite coefficients (their squares overflow)
+    with np.errstate(over="ignore", invalid="ignore"):
+        widest = _sample_table(2, 1, 3, seed=0, box=sys.float_info.max / 2)
+    assert np.isfinite(_coefficients(widest)).all()
     with pytest.raises(ResourceLimit):
         sample_domain(7, 1, 0, seed=0)
     with pytest.raises(BadIndex):
