@@ -10,7 +10,6 @@ import numpy as np
 from genbloch import (
     antisym,
     char_poly,
-    degeneracy_pattern,
     epsilon_D3,
     factorized_charpoly,
     numeric_spectrum,
@@ -56,7 +55,7 @@ print("oracle difference:", np.max(np.abs(s3.eigenvalues - oracle3.eigenvalues))
 # D3 = 0 collapses the two quartets onto each other
 g0 = antisym(3, 2, {(1, 2): 0.7, (3, 4): 0.35})
 print("\nD3 =", epsilon_D3(g0), " degeneracy:",
-      degeneracy_pattern(two_tensor_spectrum(3, g0)))
+      two_tensor_spectrum(3, g0).multiplets)
 
 # --- factorized characteristic polynomials -------------------------------------
 pred = factorized_charpoly(2, "vector", InvariantSet(r=1.0, T4=0.0))

@@ -18,19 +18,18 @@ _OWNERS = {name: module for module, names in {
                  "extended_gammas", "full_basis", "generate_gammas", "verify_algebra"),
     "coords": ("AntisymTensor", "StateCoords", "antisym", "coords_from_json", "coords_to_json",
                "decode", "encode", "state_coords", "tensor_config", "vector"),
-    "domains": ("DomainVerdict", "descartes_positivity", "min_eigenvalue_verdict", "positivity",
-                "rT4_domain", "sample_domain", "tunnel_membership", "z_from_coords",
-                "z_variable"),
+    "domains": ("DomainVerdict", "min_eigenvalue_verdict", "positivity", "sample_domain"),
     "figures": ("figure_columns", "figure_data"),
-    "invariants": ("InvariantSet", "dual_tensor", "det_identity_check", "epsilon_D3",
-                   "frobenius_r", "pfaffian", "pseudo_vector_V", "scale_dimension", "trace_T4",
-                   "two_tensor_invariants", "vector_invariants"),
-    "linalg": ("char_poly", "exp_i_hermitian", "hermitian_eigenvalues", "hermitian_eigensystem",
+    "identities": ("char_poly", "descartes_positivity", "det_identity_check", "dual_tensor",
+                   "epsilon_D3", "factorized_charpoly", "pseudo_vector_V", "quartet_eigenvalues",
+                   "rT4_domain", "scale_dimension", "tunnel_membership", "tunnel_spectrum",
+                   "z_from_coords", "z_variable"),
+    "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants",
+                   "vector_invariants"),
+    "linalg": ("exp_i_hermitian", "hermitian_eigenvalues", "hermitian_eigensystem",
                "matrix_from_json", "matrix_to_json"),
-    "spectra": ("Spectrum", "closed_form_spectrum", "degeneracy_pattern", "factorized_charpoly",
-                "normal_form_eigenvalues", "numeric_spectrum", "pure_config",
-                "quartet_eigenvalues", "spectrum_from_values", "tunnel_spectrum",
-                "two_tensor_spectrum", "vector_spectrum"),
+    "spectra": ("Spectrum", "closed_form_spectrum", "normal_form_eigenvalues", "numeric_spectrum",
+                "pure_config", "spectrum_from_values", "two_tensor_spectrum", "vector_spectrum"),
     "symmetry": ("conjugate_state", "orthogonal_from_generator", "rotate_coords", "spin_lift"),
 }.items() for name in names}
 

@@ -77,9 +77,9 @@ def _load_state(path: str, m: int | None, mode: str):
         rho = matrix_from_json(obj)
         return decode(rho, m=m, mode=mode), rho
     coords = coords_from_json(obj)
-    rho = encode(coords)
-    require_unit_trace(rho)
-    return coords, rho
+    # the scalar is the trace, exact where encode's sum may round it away
+    require_unit_trace(coords.scalar)
+    return coords, encode(coords)
 
 
 def _spell_floats(values: np.ndarray) -> np.ndarray:

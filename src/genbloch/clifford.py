@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, ModeMismatch, ResourceLimit
+from .errors import BadIndex, DimensionMismatch, ModeMismatch, ResourceLimit
 
 MAX_M = 6
 
@@ -51,6 +51,16 @@ def _check_m(m: int) -> None:
         raise BadIndex(f"m must be a positive integer, got {m!r}")
     if m > MAX_M:
         raise ResourceLimit(f"m = {m} exceeds the supported maximum {MAX_M}")
+
+
+def m_from_dim(dim: int) -> int:
+    """The package's one rule for m from a matrix dimension: m when dim = 2^m
+    with m >= 1, held to _check_m's range; else DimensionMismatch."""
+    m = dim.bit_length() - 1
+    if dim < 2 or dim != 1 << m:
+        raise DimensionMismatch(f"matrix dim {dim} is not 2^m for an integer m >= 1")
+    _check_m(m)
+    return m
 
 
 def side(m: int, mode: str = "standard") -> int:

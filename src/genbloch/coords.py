@@ -25,7 +25,6 @@ from .errors import (
     GradeMismatch,
     GradeOutOfRange,
     MalformedInput,
-    ModeMismatch,
     NonFiniteResult,
     NonUnitTrace,
 )
@@ -190,33 +189,27 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
     return StateCoords(m=m, mode=mode, scalar=float(scalar), grades=built)
 
 
-def _check_modes(coords: StateCoords, basis: clifford.CliffordBasis) -> None:
-    if coords.mode != basis.mode:
-        raise ModeMismatch(f"coords mode {coords.mode!r} != basis mode {basis.mode!r}")
-    if coords.m != basis.m:
-        raise DimensionMismatch(f"coords m={coords.m} != basis m={basis.m}")
-
-
-def encode(coords: StateCoords, basis: clifford.CliffordBasis | None = None) -> np.ndarray:
+def encode(coords: StateCoords) -> np.ndarray:
     """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices."""
-    if basis is None:
-        basis = clifford.cached_basis(coords.m, coords.mode)
-    _check_modes(coords, basis)
+    basis = clifford.cached_basis(coords.m, coords.mode)
     coeffs = {(): coords.scalar}
     for tensor in coords.grades.values():
         coeffs.update(tensor.values)
     return basis.expand(coeffs) / basis.dim
 
 
-def require_unit_trace(rho) -> None:
-    """The package's one unit-trace rule: NonUnitTrace unless |Re trace - 1| <= TRACE_TOL."""
-    tr = float(np.trace(rho).real)
+def require_unit_trace(trace) -> None:
+    """The package's one unit-trace rule: NonUnitTrace unless |Re trace - 1| <= TRACE_TOL.
+
+    A matrix meets it through np.trace, coordinates through their scalar,
+    which is exactly the trace of the matrix they encode.
+    """
+    tr = float(np.real(trace))
     if abs(tr - 1.0) > TRACE_TOL:
         raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
 
 
-def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = None,
-           mode: str = "standard") -> StateCoords:
+def decode(rho, m: int | None = None, mode: str = "standard") -> StateCoords:
     """Trace-project the hermitian part of a unit-trace matrix onto the graded coordinates.
 
     Either mode's family holds 4^m orthogonal elements, so it spans every
@@ -224,14 +217,11 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
     mode="extended" the coordinates are grades 0..m over the 2m + 1 indices.
     """
     rho = as_matrix(rho)
-    if basis is None:
-        if m is None:
-            m = int(round(np.log2(rho.shape[0])))
-        basis = clifford.cached_basis(m, mode)
+    basis = clifford.cached_basis(clifford.m_from_dim(rho.shape[0]) if m is None else m, mode)
     if rho.shape[0] != basis.dim:
         raise DimensionMismatch(f"matrix dim {rho.shape[0]} != basis dim {basis.dim}")
     rho = require_hermitian(rho)
-    require_unit_trace(rho)
+    require_unit_trace(np.trace(rho))
     # entries near the float range can overflow the projection's sums
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = basis.project(rho).real
@@ -248,11 +238,9 @@ def decode(rho, basis: clifford.CliffordBasis | None = None, m: int | None = Non
     return StateCoords(m=basis.m, mode=basis.mode, scalar=scalar, grades=built)
 
 
-def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard",
-                  basis: clifford.CliffordBasis | None = None) -> np.ndarray:
+def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard") -> np.ndarray:
     """Pure tensor configuration rho = 2^{-m} (I + G o E^{(k)})."""
-    coords = state_coords(m, mode=mode, scalar=1.0, grades={k: tensor})
-    return encode(coords, basis)
+    return encode(state_coords(m, mode=mode, scalar=1.0, grades={k: tensor}))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +268,7 @@ def entry_list(entries, name: str) -> dict:
         try:
             if not isinstance(e["idx"], list):
                 raise TypeError
-            out[tuple(e["idx"])] = float(e["val"])
+            out[tuple(e["idx"])] = wire_field(e["val"], float, name)
         except (KeyError, TypeError, ValueError):
             raise MalformedInput(f"field '{name}[{n}]': expected "
                                  f"{{idx: list, val: number}}, got {e!r:.60}") from None

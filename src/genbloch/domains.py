@@ -7,31 +7,17 @@ configuration (spectra.pure_config), the LAPACK eigenvalues otherwise.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
-coordinate norm.  Grade-2 configurations at m = 2 fill the two-invariant
-region
+coordinate norm; the (r, T4) wedge of grade-2 configurations at m = 2 and
+its elliptic tunnels are drawn by the figures module and checked point by
+point in the identities module, with the characteristic-polynomial sign
+rule.
 
-    max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2,     0 <= r <= 1,
-
-equivalently, in the variable z = 1/2 - sqrt(2 r^2 - T4), the wedge
-|r - 1/2| <= z <= 1/2; rT4_domain keeps these inequalities as a checked
-identity, and fig1 decides its whole grid by their array form.  The
-three-parameter slice (G_12, G_34, G_23) = (x, y, z) is the intersection of
-two orthogonal elliptic tunnels alpha_pm = sqrt((x +- y)^2 + z^2) <= 1.  The
-characteristic polynomial sign rule is kept as a checked identity: writing
-P(lambda) = sum_i (-1)^i a_i lambda^i, the state is positive semidefinite
-exactly when every a_i is nonnegative (all roots are real, so the rule is
-exact), but the Faddeev-LeVerrier coefficients lose their relative accuracy
-as the dimension grows, so no runtime verdict depends on it.
-
-The array forms of the (r, T4) and tunnel rules, and the figure datasets
-drawn with them, live in the figures module: rT4_domain and
-tunnel_membership apply them to one point.  The sampler decides whole
-arrays at once too: sampled tensors go through the stacked normal-form
-engine (spectra) and the stacked LAPACK oracle (linalg), in chunks of
-CHUNK_BYTES of density matrices; both smallest eigenvalues are held to
-positivity's rule with DEFAULT_TOL.  Like figure_columns, sample_domain
-returns a table, (column names, one array per column), so a sample and a
-figure share one path to their output.
+The sampler decides whole arrays at once: sampled tensors go through the
+stacked normal-form engine (spectra) and the stacked LAPACK oracle
+(linalg), in chunks of CHUNK_BYTES of density matrices; both smallest
+eigenvalues are held to positivity's rule with DEFAULT_TOL.  Like
+figures.figure_columns, sample_domain returns a table, (column names, one
+array per column), so a sample and a figure share one path to their output.
 """
 
 from __future__ import annotations
@@ -42,26 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import _check_m, cached_basis, multi_indices
-from .coords import AntisymTensor, StateCoords, antisym_matrices, sum_of_squares
-from .errors import GradeMismatch, GradeOutOfRange, ResourceLimit, UnsupportedM
-# figure_columns and figure_data live in figures and stay importable from here
-from .figures import (
-    DEFAULT_TOL,
-    _RT4_CONSTRAINTS,
-    _rT4_family,
-    _tunnel_family,
-    discriminant,
-    figure_columns,
-    figure_data,
-    require_sums_of_squares,
-)
-from .invariants import (
-    InvariantSet,
-    dual_tensor,
-    pfaffian,
-    two_tensor_invariants,
-    vector_invariants,
-)
+from .coords import StateCoords, antisym_matrices, sum_of_squares
+from .errors import GradeOutOfRange, ResourceLimit
+from .figures import DEFAULT_TOL, require_sums_of_squares
+from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
 from .linalg import hermitian_eigenvalues
 from .spectra import closed_form_spectrum, normal_form_eigenvalues, pure_config
 
@@ -92,49 +62,6 @@ class DomainVerdict:
             "invariants_used": self.invariants_used.to_dict() if self.invariants_used else None,
             "tol": self.tol,
         }
-
-
-def rT4_domain(r: float, t4: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """The (r, T4) region for grade-2 configurations at m = 2."""
-    inv = InvariantSet(r=max(r, 0.0), T4=max(t4, 0.0))
-    failed, boundary = _rT4_family(np.array([r], dtype=float), np.array([t4], dtype=float), tol)
-    violated = next((name for name, bad in zip(_RT4_CONSTRAINTS, failed[:, 0]) if bad), None)
-    return DomainVerdict(admissible=violated is None, boundary=bool(boundary[0]),
-                         violated=violated, invariants_used=inv, tol=tol)
-
-
-def z_variable(r: float, t4: float) -> float:
-    """z = 1/2 - sqrt(2 r^2 - T4); NegativeDiscriminant if 2 r^2 - T4 is genuinely negative."""
-    return 0.5 - math.sqrt(discriminant(r, t4))
-
-
-def z_from_coords(g2: AntisymTensor) -> float:
-    """z computed directly from the tensor components (not through r, T4).
-
-    side 4: z = 1/2 - 2 |G_12 G_34 - G_13 G_24 + G_14 G_23|  (the Pfaffian)
-    side 6: z = 1/2 - sqrt(sum_{i<j} Ad_ij^2) / 4 via the quadratic dual.
-    """
-    if g2.of_grade(2).side == 4:
-        return 0.5 - 2.0 * abs(pfaffian(g2.as_matrix()))
-    if g2.side == 6:
-        dual = dual_tensor(g2)
-        return 0.5 - math.sqrt(dual.norm_sq()) / 4.0
-    raise UnsupportedM(f"z_from_coords supports sides 4 and 6, got {g2.side}")
-
-
-def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Intersection of the two elliptic tunnels alpha_pm <= 1."""
-    ap, am, r, t4 = (float(v[0]) for v in _tunnel_family(np.array([[x, y, z]], dtype=float)))
-    inv = InvariantSet(r=r, T4=t4)
-    violated = None
-    if ap > 1.0 + tol:
-        violated = "tunnel_plus"
-    elif am > 1.0 + tol:
-        violated = "tunnel_minus"
-    admissible = violated is None
-    boundary = admissible and (abs(ap - 1.0) <= tol or abs(am - 1.0) <= tol)
-    return DomainVerdict(admissible=admissible, boundary=boundary, violated=violated,
-                         invariants_used=inv, tol=tol)
 
 
 def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_TOL,
@@ -172,37 +99,6 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     inv = vector_invariants(*payload) if kind == "vector" else two_tensor_invariants(payload)
     min_eig = float(closed_form_spectrum(coords).eigenvalues[0])
     return min_eigenvalue_verdict(min_eig, violated, tol, inv), route
-
-
-def descartes_positivity(poly, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Sign-rule verdict for a real-rooted characteristic polynomial.
-
-    After making the polynomial monic, a_i = (-1)^{n-i} c_i are the
-    elementary symmetric functions of the roots; the state is positive
-    semidefinite iff all a_i >= 0 (> 0 strictly for definiteness).  The
-    test runs in the rescaled variable z = n * lambda, which places the
-    roots of an n-dimensional density matrix at order one, so the -tol
-    relaxation admits boundary rank-deficient states while anything with
-    an eigenvalue meaningfully below zero still fails.  (On the raw
-    lambda coefficients an absolute tolerance would be useless: the
-    determinant compresses a clearly negative eigenvalue by the product
-    of the remaining ones, each about 1/n.)
-    """
-    c = np.asarray(poly, dtype=float)
-    if c.ndim != 1 or c.size < 2 or c[-1] == 0.0:
-        raise GradeMismatch("expected polynomial coefficients with nonzero leading term")
-    q = c / c[-1]
-    n = q.size - 1
-    a = np.array([(-1.0) ** (n - i) * q[i] * float(n) ** (n - i) for i in range(n + 1)])
-    violated = None
-    for i in range(n + 1):
-        if a[i] < -tol:
-            violated = f"coeff_{i}"
-            break
-    admissible = violated is None
-    boundary = admissible and bool(np.min(a) <= tol)
-    return DomainVerdict(admissible=admissible, boundary=boundary, violated=violated,
-                         invariants_used=None, tol=tol)
 
 
 def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:

@@ -5,19 +5,18 @@ fig1 is the (r, T4) wedge of grade-2 configurations at m = 2,
     max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2,     0 <= r <= 1,
 
 decided over its whole grid by one array form of the inequalities
-(_rT4_family), which domains.rT4_domain applies to a single point.  fig2 and
-fig3 are point clouds of the elliptic tunnel surfaces
+(_rT4_family), which identities.rT4_domain applies to a single point.  fig2
+and fig3 are point clouds of the elliptic tunnel surfaces
 alpha_pm = sqrt((x +- y)^2 + z^2) of the slice (G_12, G_34, G_23) = (x, y, z);
 fig3 keeps the points inside both tunnels (_tunnel_family, shared with
-domains.tunnel_membership).  A figure is built as columns (figure_columns),
+identities.tunnel_membership).  A figure is built as columns (figure_columns),
 one array per CSV column; figure_data reads the same columns row by row.  No
 figure has more than MAX_FIGURE_ROWS candidate rows.
 
-This module also owns the two rules on the invariants r and T4 themselves:
-both are sums of squares (require_sums_of_squares), and the discriminant
-2 r^2 - T4 under the square root of the m = 2 spectrum and of the z variable
-is nonnegative (discriminant).  It imports nothing of the package but its
-errors, so the CLI can draw a figure without loading the algebra.
+This module also owns the package's rule on the invariants r and T4
+themselves: both are sums of squares (require_sums_of_squares).  It imports
+nothing of the package but its errors, so the CLI can draw a figure without
+loading the algebra.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import BadResolution, NegativeDiscriminant, ResourceLimit
+from .errors import BadResolution, ResourceLimit
 
 DEFAULT_TOL = 1e-9
 # figure_data's largest resolution: fig1 then has about 10^6 grid rows
@@ -42,14 +41,6 @@ def require_sums_of_squares(r, t4=0.0) -> None:
     ValueError if any entry of either is below -1e-12 (scalars or arrays)."""
     if np.min(r, initial=0.0) < -1e-12 or np.min(t4, initial=0.0) < -1e-12:
         raise ValueError("r and T4 are sums of squares and must be nonnegative")
-
-
-def discriminant(r: float, t4: float) -> float:
-    """2 r^2 - T4, clamped at 0; NegativeDiscriminant if it is below -1e-12."""
-    disc = 2.0 * r * r - t4
-    if disc < -1e-12:
-        raise NegativeDiscriminant(f"2 r^2 - T4 = {disc} < 0")
-    return max(disc, 0.0)
 
 
 # the (r, T4) constraints in the order of _rT4_family's rows

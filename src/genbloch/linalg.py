@@ -1,14 +1,15 @@
 """Dense complex linear algebra kernels.
 
 The one hermiticity rule (require_hermitian), eigensystems of the hermitian
-part (LAPACK, ``numpy.linalg.eigh``), Faddeev-LeVerrier characteristic
-polynomials and the JSON field reader, all on ``complex128`` numpy arrays.
+part (LAPACK, ``numpy.linalg.eigh``) and the JSON field reader, all on
+``complex128`` numpy arrays.
 
 The eigensolver is the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, and the one engine behind
 positivity verdicts of general states and matrix exponentials.  It shares
-no code with the characteristic-polynomial path or with the normal-form
-spectra: the routes stay independently checkable against each other.
+no code with the normal-form spectra or with the characteristic polynomial
+of the identities module: the routes stay independently checkable against
+each other.
 """
 
 from __future__ import annotations
@@ -68,28 +69,6 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     return hermitian_eigensystem(h)[0]
 
 
-def char_poly(a) -> np.ndarray:
-    """Coefficients of det(A - lambda I), ascending powers of lambda.
-
-    Faddeev-LeVerrier recursion on the hermitian part of A, whose
-    coefficients are real up to rounding.
-    """
-    a = require_hermitian(as_matrix(a))
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = 1.0
-    m = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -np.trace(am) / k
-        coeffs[n - k] = c
-        m = am + c * np.eye(n, dtype=complex)
-    # Faddeev-LeVerrier yields det(lambda I - A); det(A - lambda I) flips by (-1)^n.
-    if n % 2 == 1:
-        coeffs = -coeffs
-    return coeffs.real.copy()
-
-
 def exp_i_hermitian(h, sign: int = 1) -> np.ndarray:
     """exp(sign * i * H) for hermitian H via its eigendecomposition."""
     if sign not in (1, -1):
@@ -108,12 +87,13 @@ def matrix_to_json(a) -> dict:
 
 def wire_field(value, kind: type, name: str):
     """A JSON field as kind (dict, list, float by float(), int by operator.index, which
-    refuses 2.0, "2" and True), or MalformedInput naming the field."""
+    refuses 2.0, "2" and True), or MalformedInput naming the field.  Every number of
+    an input is read here; a float refuses True, and an int beyond float range, too."""
     try:
         out = operator.index(value) if kind is int else float(value) if kind is float else value
         if isinstance(out, kind) and not isinstance(value, bool):
             return out
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise MalformedInput(f"field {name!r}: expected {kind.__name__}, got {value!r:.60}")
 
@@ -123,7 +103,8 @@ def matrix_from_json(obj) -> np.ndarray:
     dim = wire_field(obj.get("dim"), int, "dim")
     entries = wire_field(obj.get("entries"), list, "entries")
     try:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex).reshape(dim, dim)
+        flat = np.array([complex(wire_field(re, float, "entries"), wire_field(im, float, "entries"))
+                         for re, im in entries], dtype=complex).reshape(dim, dim)
     except (TypeError, ValueError):
         raise MalformedInput(f"field 'entries': expected {dim} x {dim} [re, im] pairs "
                              f"of numbers, got {len(entries)} entries") from None

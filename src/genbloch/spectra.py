@@ -16,19 +16,8 @@ eigenvalues +-mu_k, hence the eigenvalues
     lambda_s = (1 + sum_k s_k mu_k) / 2^m   over all 2^m sign vectors s,
 
 exactly, at every m and for side 2m+1 tensors as well (Bravyi,
-quant-ph/0404180).  At m = 3, grouping by s = sign(Pf G) s_1 s_2 s_3
-yields the paper's two quartets, whose monic polynomials in z = 2^m lambda
-are
-
-    Pbar_s(z) = z^4 - 4 z^3 + 2 (3 - r) z^2
-                + (4 (r - 1) - s D3 / 6) z
-                + (2 - (r + 1)^2 + T4 + s D3 / 6),      s = +-1.
-
-These coefficients were fixed against the numeric oracle (the widely
-circulated 64/3 and 256/3 prefactors on D3 overstate the cubic term by a
-factor of 512, and the linear term carries 4(r-1), not -(r-1)).  The
-quartets are a checked identity: the tests evaluate Pbar_s at the
-normal-form eigenvalues, and factorized_charpoly multiplies them out.
+quant-ph/0404180).  The paper's quartet polynomials of these values are
+checked claims of the identities module.
 
 pure_config recognises the two configurations in a StateCoords, and
 closed_form_spectrum computes their spectrum; `spectrum --closed-form` and
@@ -42,15 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import m_from_dim
 from .coords import AntisymTensor, StateCoords, require_unit_trace, vector
-from .errors import (
-    ComplexRoots,
-    GradeMismatch,
-    KindMismatch,
-    UnsupportedM,
-)
-from .figures import discriminant
-from .invariants import InvariantSet, vector_invariants
+from .errors import GradeMismatch, KindMismatch
+from .invariants import vector_invariants
 from .linalg import as_matrix, hermitian_eigenvalues
 
 CLUSTER_TOL = 1e-8
@@ -94,17 +78,12 @@ def spectrum_from_values(m: int, values) -> Spectrum:
     return Spectrum(m=m, eigenvalues=vals, multiplets=cluster_values(vals))
 
 
-def degeneracy_pattern(spectrum: Spectrum) -> list:
-    """(value, multiplicity) clusters of a spectrum."""
-    return cluster_values(spectrum.eigenvalues)
-
-
 def numeric_spectrum(rho) -> Spectrum:
     """Oracle spectrum of a unit-trace density matrix (LAPACK eigensolver)."""
     rho = as_matrix(rho)
+    m = m_from_dim(rho.shape[0])
     vals = hermitian_eigenvalues(rho)
-    require_unit_trace(rho)
-    m = int(round(math.log2(rho.shape[0])))
+    require_unit_trace(np.trace(rho))
     return spectrum_from_values(m, vals)
 
 
@@ -117,37 +96,6 @@ def vector_spectrum(m: int, g1: AntisymTensor, pseudoscalar: float | None = None
     hi = (1.0 + norm) / 2 ** m
     vals = np.array([lo] * 2 ** (m - 1) + [hi] * 2 ** (m - 1))
     return spectrum_from_values(m, vals)
-
-
-def _pbar_coefficients(r: float, t4: float, d3: float, s: float) -> np.ndarray:
-    """Ascending z-coefficients of Pbar_s."""
-    return np.array([
-        2.0 - (r + 1.0) ** 2 + t4 + s * d3 / 6.0,
-        4.0 * (r - 1.0) - s * d3 / 6.0,
-        2.0 * (3.0 - r),
-        -4.0,
-        1.0,
-    ])
-
-
-def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
-    """The m = 2 grade-2 spectrum (1 +- sqrt(r +- sqrt(2 r^2 - T4))) / 4 from (r, T4).
-
-    The (r, T4) region of the domains module is read off this form; other m
-    go through normal_form_eigenvalues, which works from the tensor itself.
-    """
-    if m != 2:
-        raise UnsupportedM(f"the (r, T4) quartet closed form is for m = 2, got m = {m}")
-    r = inv.r
-    root = math.sqrt(discriminant(r, inv.T4))
-    out = []
-    for s_out in (1.0, -1.0):
-        for s_in in (1.0, -1.0):
-            arg = r + s_in * root
-            if arg < -1e-12:
-                raise ComplexRoots(f"r - sqrt(2r^2-T4) = {arg} is negative")
-            out.append((1.0 + s_out * math.sqrt(max(arg, 0.0))) / 4.0)
-    return np.sort(np.array(out))
 
 
 def normal_form_eigenvalues(g2) -> np.ndarray:
@@ -174,14 +122,6 @@ def two_tensor_spectrum(m: int, g2: AntisymTensor) -> Spectrum:
     if g2.of_grade(2).m != m or g2.side != 2 * m:
         raise GradeMismatch("two_tensor_spectrum needs a grade-2 tensor over 2m indices")
     return spectrum_from_values(m, normal_form_eigenvalues(g2))
-
-
-def tunnel_spectrum(x: float, y: float, z: float) -> Spectrum:
-    """m = 2 family G_12 = x, G_34 = y, G_23 = z: quartet (1 +- alpha_pm)/4."""
-    ap = math.hypot(x + y, z)
-    am = math.hypot(x - y, z)
-    vals = np.array([(1 + ap) / 4, (1 - ap) / 4, (1 + am) / 4, (1 - am) / 4])
-    return spectrum_from_values(2, vals)
 
 
 def pure_config(coords: StateCoords):
@@ -223,43 +163,3 @@ def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     if kind == "vector":
         return vector_spectrum(coords.m, *payload)
     return two_tensor_spectrum(coords.m, payload)
-
-
-def _polypow(poly: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([1.0])
-    base = np.asarray(poly, dtype=float)
-    while n > 0:
-        if n & 1:
-            out = np.convolve(out, base)
-        base = np.convolve(base, base)
-        n >>= 1
-    return out
-
-
-def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarray:
-    """Monic coefficients (ascending in lambda) of det(rho - lambda I) predicted
-    by the factorized closed forms.
-
-    vector:      (lambda^2 - lambda/2^{m-1} + (1-r)/2^{2m})^{2^{m-1}}
-    two_tensor:  product of the Pbar quartets at z = 2^m lambda, each raised
-                 to 2^{m-3} (a single quartet with D3 = 0 at m = 2).
-    """
-    if config_kind == "vector":
-        base = np.array([(1.0 - inv.r) / 4 ** m, -1.0 / 2 ** (m - 1), 1.0])
-        return _polypow(base, 2 ** (m - 1))
-    if config_kind == "two_tensor":
-        if m < 2:
-            raise KindMismatch("two_tensor needs m >= 2")
-        d3 = inv.D3 if inv.D3 is not None else 0.0
-        if m != 3 and d3 != 0.0:
-            raise KindMismatch(f"a cubic invariant only exists at m = 3, got D3 = {d3}")
-        scale = np.array([(2.0 ** m) ** k for k in range(5)])
-        if m == 2:
-            lam_poly = _pbar_coefficients(inv.r, inv.T4, 0.0, 1.0) * scale
-            out = lam_poly
-        else:
-            plus = _pbar_coefficients(inv.r, inv.T4, d3, 1.0) * scale
-            minus = _pbar_coefficients(inv.r, inv.T4, d3, -1.0) * scale
-            out = _polypow(np.convolve(plus, minus), 2 ** (m - 3))
-        return out / out[-1]
-    raise KindMismatch(f"unknown configuration kind {config_kind!r}")

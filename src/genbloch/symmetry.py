@@ -77,15 +77,12 @@ def check_orthogonal(el, side: int | None = None) -> np.ndarray:
     return el
 
 
-def spin_lift(alpha: AntisymTensor, basis: clifford.CliffordBasis | None = None) -> np.ndarray:
+def spin_lift(alpha: AntisymTensor) -> np.ndarray:
     """Unitary implementing the rotation generated by alpha on the state space."""
     m = alpha.of_grade(2).m
     if alpha.side != 2 * m:
         raise ModeMismatch("spin_lift rotates the 2m standard generators")
-    if basis is None:
-        basis = clifford.cached_basis(m, "standard")
-    if basis.m != m or basis.mode != "standard":
-        raise ModeMismatch("basis must be the standard basis for the same m")
+    basis = clifford.cached_basis(m, "standard")
     # E_{ij} = i Gamma_i Gamma_j; both index orders of the repeated-index
     # sum double each stored i<j term
     return exp_i_hermitian(0.5 * basis.expand(alpha.values), sign=-1)

@@ -10,26 +10,23 @@ import time
 import numpy as np
 
 from genbloch import clifford
-from genbloch.clifford import cached_basis, chirality, extended_gammas, full_basis, generate_gammas
+from genbloch.clifford import chirality, extended_gammas, full_basis, generate_gammas
 from genbloch.coords import AntisymTensor, antisym, decode, encode, tensor_config
-from genbloch.domains import figure_data, rT4_domain, tunnel_membership, descartes_positivity
-from genbloch.invariants import (
+from genbloch.figures import figure_data
+from genbloch.identities import (
+    char_poly,
+    descartes_positivity,
     dual_tensor,
     epsilon_D3,
     epsilon_sum_D3,
-    frobenius_r,
-    pfaffian,
-    trace_T4,
-    two_tensor_invariants,
-)
-from genbloch.linalg import char_poly, hermitian_eigenvalues
-from genbloch.spectra import (
-    degeneracy_pattern,
     factorized_charpoly,
     quartet_eigenvalues,
-    two_tensor_spectrum,
-    vector_spectrum,
+    rT4_domain,
+    tunnel_membership,
 )
+from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
+from genbloch.linalg import hermitian_eigenvalues
+from genbloch.spectra import two_tensor_spectrum, vector_spectrum
 from genbloch.symmetry import conjugate_state, orthogonal_from_generator, rotate_coords, spin_lift
 
 from conftest import random_coords, random_tensor, random_unit_trace_hermitian
@@ -84,11 +81,10 @@ def test_criterion_03_codec_round_trip():
     rng = np.random.default_rng(7)
     worst = 0.0
     for m in (1, 2, 3):
-        basis = cached_basis(m)
         for _ in range(100):
             rho = random_unit_trace_hermitian(rng, 2 ** m)
-            coords = decode(rho, basis)
-            worst = max(worst, float(np.max(np.abs(encode(coords, basis) - rho))))
+            coords = decode(rho)
+            worst = max(worst, float(np.max(np.abs(encode(coords) - rho))))
     _report(3, f"encode(decode) round trip: worst residual {worst:.2e} < 1e-10", worst < 1e-10)
 
 
@@ -103,7 +99,7 @@ def test_criterion_04_vector_spectra():
             oracle = hermitian_eigenvalues(tensor_config(m, 1, g))
             worst = max(worst, float(np.max(np.abs(s.eigenvalues - oracle))))
             patterns_ok = patterns_ok and (
-                [mult for _, mult in degeneracy_pattern(s)] == [2 ** (m - 1)] * 2
+                [mult for _, mult in s.multiplets] == [2 ** (m - 1)] * 2
             )
     ok = worst < 1e-9 and patterns_ok
     _report(4, f"vector spectra vs oracle: worst |dLambda| {worst:.2e} < 1e-9, "

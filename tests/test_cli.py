@@ -415,8 +415,14 @@ _HALF = {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}
     ("invariants", dict(_G1, m=2.7), None),
     ("invariants", {"m": 2, "grades": {"1": [{"idx": [True], "val": 0.5}]}}, None),
     ("decode", dict(_HALF, dim=2.9), None),
+    # a matrix dimension that is not 2^m for an m >= 1
+    ("decode", {"dim": 0, "entries": []}, None),
+    ("validate", {"dim": 1, "entries": [[1.0, 0.0]]}, None),
+    ("spectrum", {"dim": 3, "entries": [[1 / 3 if i % 4 == 0 else 0.0, 0.0] for i in range(9)]},
+     None),
 ], ids=["idx-null", "m-null", "val-null", "grade-not-list", "idx-int", "top-level-list",
-        "entry-null", "alpha-val-null", "idx-float", "m-float", "idx-bool", "dim-float"])
+        "entry-null", "alpha-val-null", "idx-float", "m-float", "idx-bool", "dim-float",
+        "dim-0", "dim-1", "dim-3"])
 def test_malformed_json_one_line(tmp_path, capsys, command, state, alpha):
     argv = [command, "--input", write_json(tmp_path / "in.json", state)]
     if alpha is not None:
@@ -440,9 +446,16 @@ def test_malformed_json_one_line(tmp_path, capsys, command, state, alpha):
     ("rotate", _G1, {"m": 2, "alpha": 5}, "alpha"),
     ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2]}]}, "alpha[0]"),
     ("rotate", _G1, {"alpha": [{"idx": [1, 2], "val": 0.1}]}, "m"),
+    # a JSON integer beyond float range is no number
+    ("validate", {"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 10 ** 400}]}}, None,
+     "grades.2[0]"),
+    ("invariants", dict(_G1, scalar=10 ** 400), None, "scalar"),
+    ("decode", dict(_HALF, entries=[[10 ** 400, 0], [0, 0], [0, 0], [0.5, 0]]), None, "entries"),
+    ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2], "val": -10 ** 400}]}, "alpha[0]"),
 ], ids=["grades-list", "entry-not-object", "m-float", "top-level-list", "top-level-number",
         "entry-null", "entries-missing", "alpha-list", "alpha-number", "alpha-entries-number",
-        "alpha-val-missing", "alpha-m-missing"])
+        "alpha-val-missing", "alpha-m-missing", "val-huge-int", "scalar-huge-int",
+        "entry-huge-int", "alpha-val-huge-int"])
 def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, field):
     argv = [command, "--input", write_json(tmp_path / "in.json", state)]
     if alpha is not None:
@@ -469,8 +482,7 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
-    if command == "sample":
-        assert "not finite" in captured.err
+    assert "not finite" in captured.err
 
 
 @pytest.mark.parametrize("command", ["invariants", "validate", "sample"])
@@ -585,7 +597,7 @@ def _svg_per_point(points, labels, size=640) -> str:
 @pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
                                                ("fig3", False), ("fig3", True)])
 def test_figure_writers_match_per_row(capsys, which, paper_cube):
-    from genbloch.domains import figure_data
+    from genbloch.figures import figure_data
 
     cube = ["--paper-cube"] if paper_cube else []
     for resolution in range(2, 41):

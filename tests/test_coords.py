@@ -18,17 +18,16 @@ from genbloch.coords import (
     tensor_config,
     vector,
 )
-from genbloch.domains import z_from_coords
 from genbloch.errors import (
     BadIndex,
     GradeMismatch,
     GradeOutOfRange,
-    ModeMismatch,
     NonFiniteResult,
     NonUnitTrace,
     NotHermitian,
     ResourceLimit,
 )
+from genbloch.identities import z_from_coords
 from genbloch.invariants import frobenius_r
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import orthogonal_from_generator, spin_lift
@@ -78,11 +77,10 @@ def test_decode_m1_pseudoscalar():
 
 def test_roundtrip_random(rng):
     for m in (1, 2, 3):
-        basis = cached_basis(m)
         for _ in range(20):
             rho = random_unit_trace_hermitian(rng, 2 ** m)
-            coords = decode(rho, basis)
-            assert np.max(np.abs(encode(coords, basis) - rho)) < 1e-10
+            coords = decode(rho)
+            assert np.max(np.abs(encode(coords) - rho)) < 1e-10
 
 
 def test_decode_rejects_bad_input():
@@ -187,15 +185,6 @@ def test_alt_expand_chirality_direction():
     ext = state_coords(2, mode="extended", grades={1: {(5,): 1.0}})
     std = state_coords(2, grades={4: {(1, 2, 3, 4): 1.0}})
     assert np.max(np.abs(encode(ext) - encode(std))) < 1e-14
-
-
-def test_encode_basis_mismatch():
-    from genbloch.errors import DimensionMismatch
-
-    with pytest.raises(ModeMismatch):
-        encode(state_coords(2), cached_basis(2, "extended"))
-    with pytest.raises(DimensionMismatch):
-        encode(state_coords(2), cached_basis(3))
 
 
 def test_alt_project_reconstructs_everything(rng):

@@ -7,19 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
-from genbloch.domains import (
-    CHUNK_BYTES,
-    DEFAULT_TOL,
-    DomainVerdict,
-    descartes_positivity,
-    figure_data,
-    positivity,
-    rT4_domain,
-    sample_domain,
-    tunnel_membership,
-    z_from_coords,
-    z_variable,
-)
+from genbloch.domains import CHUNK_BYTES, DEFAULT_TOL, DomainVerdict, positivity, sample_domain
 from genbloch.errors import (
     BadIndex,
     BadResolution,
@@ -29,10 +17,19 @@ from genbloch.errors import (
     NegativeDiscriminant,
     ResourceLimit,
 )
-from genbloch.figures import _tunnel_surface_points
+from genbloch.figures import _tunnel_surface_points, figure_data
+from genbloch.identities import (
+    char_poly,
+    descartes_positivity,
+    quartet_eigenvalues,
+    rT4_domain,
+    tunnel_membership,
+    z_from_coords,
+    z_variable,
+)
 from genbloch.invariants import InvariantSet, frobenius_r, trace_T4, two_tensor_invariants
-from genbloch.linalg import char_poly, hermitian_eigenvalues
-from genbloch.spectra import closed_form_spectrum, quartet_eigenvalues
+from genbloch.linalg import hermitian_eigenvalues
+from genbloch.spectra import closed_form_spectrum
 
 from conftest import random_coords, random_tensor, random_unit_trace_hermitian, table_rows
 

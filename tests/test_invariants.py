@@ -12,18 +12,20 @@ from genbloch.errors import (
     UnknownName,
     UnsupportedM,
 )
-from genbloch.invariants import (
-    InvariantSet,
+from genbloch.identities import (
     det_identity_check,
     dual_identity_residual,
     dual_tensor,
     epsilon_D3,
     epsilon_sum_D3,
-    frobenius_r,
     perm_sign,
-    pfaffian,
     pseudo_vector_V,
     scale_dimension,
+)
+from genbloch.invariants import (
+    InvariantSet,
+    frobenius_r,
+    pfaffian,
     trace_T4,
     two_tensor_invariants,
     vector_invariants,

@@ -8,10 +8,10 @@ from genbloch.cli import run
 from genbloch.coords import coords_to_json, decode
 from genbloch.domains import DEFAULT_TOL, positivity
 from genbloch.errors import NotHermitian
+from genbloch.identities import char_poly
 from genbloch.linalg import (
     HERM_TOL,
     as_matrix,
-    char_poly,
     exp_i_hermitian,
     hermitian_eigenvalues,
     matrix_from_json,

@@ -9,17 +9,20 @@ from numpy.polynomial.polynomial import polyval
 
 from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
 from genbloch.errors import ComplexRoots, GradeMismatch, UnsupportedM
-from genbloch.invariants import InvariantSet, epsilon_D3, pfaffian, two_tensor_invariants
-from genbloch.linalg import char_poly, hermitian_eigenvalues
-from genbloch.spectra import (
+from genbloch.identities import (
     _pbar_coefficients,
-    degeneracy_pattern,
+    char_poly,
+    epsilon_D3,
     factorized_charpoly,
+    quartet_eigenvalues,
+    tunnel_spectrum,
+)
+from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants
+from genbloch.linalg import hermitian_eigenvalues
+from genbloch.spectra import (
     normal_form_eigenvalues,
     numeric_spectrum,
-    quartet_eigenvalues,
     spectrum_from_values,
-    tunnel_spectrum,
     two_tensor_spectrum,
     vector_spectrum,
 )
@@ -97,7 +100,7 @@ def test_two_tensor_m3_canonical_block():
     oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
     # equal amplitudes give triple roots inside each quartet: pattern 1,3,3,1
-    assert [mult for _, mult in degeneracy_pattern(s)] == [1, 3, 3, 1]
+    assert [mult for _, mult in s.multiplets] == [1, 3, 3, 1]
 
 
 def test_two_tensor_m3_generic_D3_distinct_quartets():
@@ -107,7 +110,7 @@ def test_two_tensor_m3_generic_D3_distinct_quartets():
     oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
     # D3 != 0 with unequal amplitudes: the two quartets differ, 8 distinct values
-    assert len(degeneracy_pattern(s)) == 8
+    assert len(s.multiplets) == 8
 
 
 def test_two_tensor_m3_random_vs_oracle(rng):
@@ -131,7 +134,7 @@ def test_two_tensor_m3_D3_zero_reduces_to_quartet_pattern(rng):
     # two identical quartets: each closed-form value appears twice
     assert np.allclose(s.eigenvalues[::2], expected, atol=1e-12)
     assert np.allclose(s.eigenvalues[1::2], expected, atol=1e-12)
-    pattern = degeneracy_pattern(s)
+    pattern = s.multiplets
     assert [mult for _, mult in pattern] == [2, 2, 2, 2]
 
 
@@ -283,20 +286,20 @@ def test_factorized_charpoly_two_tensor_m4_single_plane():
 
 def test_degeneracy_pattern_vector_m3():
     s = vector_spectrum(3, vector(3, [0.5, 0, 0, 0, 0, 0]))
-    assert [mult for _, mult in degeneracy_pattern(s)] == [4, 4]
+    assert [mult for _, mult in s.multiplets] == [4, 4]
 
 
 def test_degeneracy_pattern_m3_two_tensor_regimes(rng):
     # three generic planes: 8 distinct; two planes (D3=0): four pairs;
     # one plane: two 4-clusters; maximally mixed: a single cluster
     g3 = antisym(3, 2, {(1, 2): 0.61, (3, 4): 0.37, (5, 6): 0.19})
-    assert [m_ for _, m_ in degeneracy_pattern(numeric_spectrum(tensor_config(3, 2, g3)))] == [1] * 8
+    assert [m_ for _, m_ in numeric_spectrum(tensor_config(3, 2, g3)).multiplets] == [1] * 8
     g2 = antisym(3, 2, {(1, 2): 0.61, (3, 4): 0.37})
-    assert [m_ for _, m_ in degeneracy_pattern(numeric_spectrum(tensor_config(3, 2, g2)))] == [2] * 4
+    assert [m_ for _, m_ in numeric_spectrum(tensor_config(3, 2, g2)).multiplets] == [2] * 4
     g1 = antisym(3, 2, {(1, 2): 0.61})
-    assert [m_ for _, m_ in degeneracy_pattern(numeric_spectrum(tensor_config(3, 2, g1)))] == [4, 4]
+    assert [m_ for _, m_ in numeric_spectrum(tensor_config(3, 2, g1)).multiplets] == [4, 4]
     mixed = numeric_spectrum(np.eye(8) / 8)
-    assert [m_ for _, m_ in degeneracy_pattern(mixed)] == [8]
+    assert [m_ for _, m_ in mixed.multiplets] == [8]
 
 
 def test_tunnel_spectrum_frozen():
@@ -357,7 +360,7 @@ def test_grade3_configurations_empirical(rng):
         g = random_tensor(rng, 3, 3)
         vals = hermitian_eigenvalues(tensor_config(3, 3, g))
         assert np.max(np.abs(vals + vals[::-1] - 2.0 / 8.0)) < 1e-10
-        if len(degeneracy_pattern(spectrum_from_values(3, vals))) == 8:
+        if len(spectrum_from_values(3, vals).multiplets) == 8:
             distinct_seen = True
     assert distinct_seen
 
