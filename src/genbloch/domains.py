@@ -92,6 +92,8 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     lambda_min differs: the closed-form spectrum of a pure vector or grade-2
     configuration, the LAPACK eigenvalues of rho otherwise.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
     kind, payload = pure_config(coords) or (None, None)
     route, violated = _ROUTES[kind]
     if kind is None:
@@ -115,6 +117,8 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
     if n < 0 or n > 10 ** 6:
         raise ResourceLimit(f"sample count {n} out of range")
+    if seed < 0:
+        raise ResourceLimit(f"seed must be an integer >= 0, got {seed}")
     # the draws span [-box, box], so 2 * box must be finite as well
     if not (math.isfinite(2.0 * box) and box >= 0):
         raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")

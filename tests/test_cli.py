@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -230,7 +231,8 @@ def test_figure_fig2_peak_rss(tmp_path, fmt):
     code, peak_mb = _genbloch_peak_rss_mb(["figure", "fig2", "--format", fmt,
                                            "--output", str(out)])
     assert code == 0
-    assert out.read_text().count("\n") == 96_393
+    # the CSV header or the SVG open and close tags, then one line per point
+    assert out.read_text().count("\n") == {"csv": 96_393, "svg": 96_394}[fmt]
     assert peak_mb < 75
 
 
@@ -253,6 +255,15 @@ def test_figure_byte_identical(tmp_path):
     run(["figure", "fig2", "--resolution", "5", "--format", "csv", "--output", p1])
     run(["figure", "fig2", "--resolution", "5", "--format", "csv", "--output", p2])
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_output_file_matches_stdout(tmp_path, capsys, fmt):
+    argv = ["figure", "fig1", "--resolution", "5", "--format", fmt]
+    assert run(argv) == 0
+    path = tmp_path / f"fig1.{fmt}"
+    assert run(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_figure_svg(tmp_path):
@@ -349,6 +360,24 @@ def test_usage_error_exit_1(capsys):
     assert run(["spectrum"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2"])
+def test_figure_paper_cube_needs_fig3(capsys, which):
+    assert run(["figure", which, "--paper-cube", "--resolution", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert "--paper-cube applies to fig3 only" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_validate_bad_tol_exit_1(g2_coords, capsys, tol):
+    # an interior state: lambda_min = (1 - 0.6 - 0.3) / 4 > 0
+    for command in ("validate", "domain"):
+        assert run([command, "--input", g2_coords, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_diagnostic(captured)
+        assert "tol must be a finite number >= 0" in captured.err
 
 
 def test_unknown_command_exit_1(capsys):
@@ -506,6 +535,40 @@ def test_python_m_genbloch_help():
     assert res.stdout.startswith("usage: genbloch")
 
 
+# `python -m genbloch` as runpy runs it, with an atexit hook that reports
+# on stderr whether the collector was frozen when the process ended
+_PYTHON_M_AT_EXIT = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "runpy.run_module('genbloch', run_name='__main__', alter_sys=True)\n")
+
+
+def test_main_exit_contract(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-c", _PYTHON_M_AT_EXIT, *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    res = python_m("figure", "fig2")
+    assert res.returncode == 0 and res.stderr == b"frozen True\n"
+    assert run(["figure", "fig2"]) == 0
+    assert res.stdout == capsys.readouterr().out.encode()
+    path = tmp_path / "fig2.csv"
+    res_file = python_m("figure", "fig2", "--output", str(path))
+    assert res_file.returncode == 0 and res_file.stdout == b""
+    assert path.read_bytes() == res.stdout
+    hot_coords = state_coords(2, grades={1: {(1,): 1.2}})
+    hot = write_json(tmp_path / "hot.json", coords_to_json(hot_coords))
+    res = python_m("validate", "--input", hot)
+    assert res.returncode == 2 and res.stderr == b"frozen True\n"
+    assert json.loads(res.stdout)["admissible"] is False
+    # the library path keeps normal collection
+    assert run(["validate", "--input", hot]) == 2
+    assert gc.get_freeze_count() == 0
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -516,11 +579,14 @@ def test_cli_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("box", ["nan", "inf", "-inf", "-0.5", "1e308"])
-def test_sample_bad_box_exit_1(capsys, box):
-    assert run(["sample", "--m", "2", "--k", "2", "--samples", "1", f"--box={box}"]) == 1
+@pytest.mark.parametrize("flag", ["--box=nan", "--box=inf", "--box=-inf", "--box=-0.5",
+                                  "--box=1e308", "--seed=-1"],
+                         ids=["nan", "inf", "-inf", "-0.5", "1e308", "seed=-1"])
+def test_sample_bad_box_exit_1(capsys, flag):
+    assert run(["sample", "--m", "2", "--k", "2", "--samples", "1", flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
+    assert flag[2:].split("=")[0] in captured.err
 
 
 def test_sample_zero_box(capsys):

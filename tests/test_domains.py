@@ -422,6 +422,13 @@ def test_closed_form_vector_with_pseudoscalar():
         closed_form_min(2, {1: g, 2: {(1, 2): 0.5}})
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_positivity_bad_tol(tol):
+    coords = state_coords(2, grades={2: {(1, 2): 0.6}})
+    with pytest.raises(ResourceLimit, match="tol must be a finite number >= 0"):
+        positivity(coords, encode(coords), tol)
+
+
 def test_sample_domain_ball_fraction():
     frac = float(np.mean(_sample_table(2, 1, 1000, seed=7)["closed_admissible"]))
     p = (math.pi ** 2 / 2) / 2.4 ** 4
@@ -434,6 +441,8 @@ def test_sample_domain_guards():
         sample_domain(2, 3, 10, seed=0)
     with pytest.raises(ResourceLimit):
         sample_domain(2, 1, -1, seed=0)
+    with pytest.raises(ResourceLimit, match="seed must be an integer >= 0, got -1"):
+        sample_domain(2, 1, 1, seed=-1)
     # 1e308 is finite, but the draws' span 2 * box is not
     for box in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ResourceLimit):
