@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import figures
-from .errors import GenblochError, NonFiniteResult, UsageError
+from .errors import GenblochError, NonFiniteResult, NonUnitTrace, ResourceLimit, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -242,7 +242,13 @@ def _cmd_spectrum(args) -> int:
     if args.which in ("closed-form", "both"):
         out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
     if args.which in ("oracle", "both"):
-        out["oracle"] = spectra.numeric_spectrum(rho).to_dict()
+        try:
+            out["oracle"] = spectra.numeric_spectrum(rho).to_dict()
+        except NonUnitTrace as exc:
+            # _load_state held the input's own trace to the rule, so only
+            # encode can have rounded it away, against entries near the float range
+            raise ResourceLimit("encoding these coordinates rounds their unit trace away "
+                                "(input beyond floating-point range?)") from exc
     if args.which == "both":
         diff = np.abs(np.array(out["closed_form"]["eigenvalues"])
                       - np.array(out["oracle"]["eigenvalues"]))
@@ -301,23 +307,6 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _cmd_domain(args) -> int:
-    """One-stop domain subcommand: verdict, grid dataset, or Monte-Carlo samples."""
-    modes = [m for m, flag in (("--input", args.input), ("--grid", args.grid),
-                               ("--samples", args.samples is not None)) if flag]
-    if len(modes) != 1:
-        raise UsageError("domain needs exactly one of --input, --grid, --samples")
-    if args.input:
-        return _cmd_validate(args)
-    if args.grid:
-        args.which = "fig3" if args.paper_cube else "fig1"
-        return _cmd_figure(args)
-    if args.format == "svg":
-        raise UsageError("--samples supports csv or json output")
-    args.m = 2 if args.m is None else args.m
-    return _cmd_sample(args)
-
-
 def _cmd_rotate(args) -> int:
     from . import symmetry
     from .coords import antisym, coords_from_json, coords_to_json, entry_list
@@ -332,105 +321,104 @@ def _cmd_rotate(args) -> int:
     return 0
 
 
+# the flags several subcommands declare alike, each one's type, choices and default
+_SHARED_FLAGS = {
+    "--input": {"required": True},
+    "--m": {"type": int},
+    "--mode": {"choices": ["standard", "extended"], "default": "standard"},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="genbloch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("basis", help="dump or verify Clifford basis elements")
+    def command(name, func, help, *shared):
+        """Subparser name, run by func, whose first flags are the shared ones named."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        return p
+
+    p = command("basis", _cmd_basis, "dump or verify Clifford basis elements")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["standard", "extended"], default="standard")
+    p.add_argument("--mode", **_SHARED_FLAGS["--mode"])
     p.add_argument("--element", help="single element selector K:I1,I2,...")
     p.add_argument("--verify", action="store_true", help="print the residual report instead")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_basis)
 
-    p = sub.add_parser("encode", help="coords JSON -> matrix JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_encode)
+    command("encode", _cmd_encode, "coords JSON -> matrix JSON", "--input")
+    command("decode", _cmd_decode, "matrix JSON -> coords JSON", "--input", "--m", "--mode")
+    command("invariants", _cmd_invariants, "coords JSON -> invariant set JSON", "--input")
 
-    p = sub.add_parser("decode", help="matrix JSON -> coords JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=["standard", "extended"], default="standard")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("invariants", help="coords JSON -> invariant set JSON")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("spectrum", help="closed-form and/or oracle spectrum")
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=["standard", "extended"], default="standard")
+    p = command("spectrum", _cmd_spectrum, "closed-form and/or oracle spectrum",
+                "--input", "--m", "--mode")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed-form", dest="which", action="store_const", const="closed-form")
     group.add_argument("--oracle", dest="which", action="store_const", const="oracle")
     group.add_argument("--both", dest="which", action="store_const", const="both")
     p.set_defaults(which="both")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("validate", help="admissibility verdict (exit 2 when inadmissible)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=["standard", "extended"], default="standard")
+    p = command("validate", _cmd_validate, "admissibility verdict (exit 2 when inadmissible)",
+                "--input", "--m", "--mode")
     p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("sample", help="Monte-Carlo atlas of a tensor domain")
+    p = command("sample", _cmd_sample, "Monte-Carlo atlas of a tensor domain")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", type=float, default=1.2)
     p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("figure", help="figure datasets (grid / surface point clouds)")
+    p = command("figure", _cmd_figure, "figure datasets (grid / surface point clouds)")
     p.add_argument("which", choices=["fig1", "fig2", "fig3"])
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--paper-cube", action="store_true")
     p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("rotate", help="apply a rotation generator to coordinates")
-    p.add_argument("--input", required=True)
+    p = command("rotate", _cmd_rotate, "apply a rotation generator to coordinates", "--input")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_rotate)
 
+    # each answer goes to the --output file or stdout; domain hands the flag on
+    for p in sub.choices.values():
+        p.add_argument("--output")
+
+    # only the mode: _domain_args parses the rest of argv as the mode's subcommand
     p = sub.add_parser("domain", help="classify one state, emit the domain grid, "
                                       "or sample the domain")
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--input", help="coords or matrix JSON: verdict for one state")
+    p.add_argument("--input", help="coords or matrix JSON: run validate on it")
     p.add_argument("--grid", action="store_true",
-                   help="emit the (r, T4) verdict grid; with --paper-cube, the "
-                        "cube-clipped tunnel-slice point cloud instead")
-    p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", type=float, default=1.2)
-    p.add_argument("--resolution", type=int, default=101)
-    p.add_argument("--paper-cube", action="store_true")
-    p.add_argument("--mode", choices=["standard", "extended"], default="standard")
-    p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_domain)
-
+                   help="run figure fig1, or figure fig3 with --paper-cube")
+    p.add_argument("--samples", help="run sample with this count, by default "
+                                     "--m 2 --k 2 --format csv")
     return parser
+
+
+def _domain_args(parser, args, rest) -> argparse.Namespace:
+    """Parse a domain call as the subcommand its one mode runs, rest of argv
+    and all, so that subcommand's parser refuses any flag it does not declare."""
+    if [bool(args.input), args.grid, args.samples is not None].count(True) != 1:
+        raise UsageError("domain needs exactly one of --input, --grid, --samples")
+    if args.input:
+        return parser.parse_args(["validate", f"--input={args.input}", *rest])
+    if args.grid:
+        target = parser.parse_args(["figure", "fig1", *rest])
+        target.which = "fig3" if target.paper_cube else "fig1"
+        return target
+    # later flags override earlier ones, so rest overrides domain's defaults
+    return parser.parse_args(["sample", "--m", "2", "--k", "2", "--format", "csv",
+                              f"--samples={args.samples}", *rest])
 
 
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if args.command == "domain":
+            args = _domain_args(parser, args, rest)
+        elif rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
         # an overflow to inf or nan is reported once, by _dump_json's
         # NonFiniteResult, not also as numpy RuntimeWarnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):

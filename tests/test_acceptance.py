@@ -225,15 +225,13 @@ def test_criterion_08_domain_equivalence_m2():
 
 def test_criterion_09_tunnel_geometry():
     pts = np.linspace(-1.0, 1.0, 21)
-    disagreements = 0
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                closed = tunnel_membership(float(x), float(y), float(z)).admissible
-                g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
-                oracle = float(np.min(hermitian_eigenvalues(tensor_config(2, 2, g)))) >= -1e-10
-                if closed != oracle:
-                    disagreements += 1
+    xs, ys, zs = (a.ravel() for a in np.meshgrid(pts, pts, pts, indexing="ij"))
+    closed = [tunnel_membership(float(x), float(y), float(z)).admissible
+              for x, y, z in zip(xs, ys, zs)]
+    # tensor_config(2, 2, g) of every grid point, expanded as one stack
+    rho = clifford.cached_basis(2).expand({(): 1.0, (1, 2): xs, (3, 4): ys, (2, 3): zs}) / 4
+    oracle = hermitian_eigenvalues(rho)[:, 0] >= -1e-10
+    disagreements = int(np.count_nonzero(oracle != closed))
     fig3 = figure_data("fig3", 6)
     fig3_ok = True
     for x, y, z, _ in fig3["points"][::5]:

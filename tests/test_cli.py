@@ -350,6 +350,48 @@ def test_domain_requires_one_mode(capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
+def _with_state(argv, path):
+    return [path if a == "STATE" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--input", "STATE", "--paper-cube"],
+    ["--input", "STATE", "--resolution", "7", "--format", "svg"],
+    ["--samples", "2", "--paper-cube", "--format", "json"],
+    ["--grid", "--resolution", "3", "--tol", "5", "--mode", "extended", "--seed", "9"],
+    ["--input", "STATE", "--format", "json"],
+    ["--grid", "--mode", "extended"],
+])
+def test_domain_refuses_flags_its_mode_does_not_use(g2_coords, capsys, argv):
+    # each mode is validate, figure or sample, whose parser knows no such flag
+    assert run(["domain", *_with_state(argv, g2_coords)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert captured.err.startswith("genbloch: usage error: unrecognized arguments:")
+
+
+@pytest.mark.parametrize("domain, twin", [
+    (["--input", "STATE"], ["validate", "--input", "STATE"]),
+    (["--tol", "0.5", "--input", "STATE", "--mode", "extended"],
+     ["validate", "--input", "STATE", "--mode", "extended", "--tol", "0.5"]),
+    (["--grid", "--resolution", "11"], ["figure", "fig1", "--resolution", "11"]),
+    (["--grid", "--resolution", "5", "--format", "svg"],
+     ["figure", "fig1", "--resolution", "5", "--format", "svg"]),
+    (["--grid", "--paper-cube", "--resolution", "28"],
+     ["figure", "fig3", "--paper-cube", "--resolution", "28"]),
+    (["--samples", "7", "--seed", "3"],
+     ["sample", "--m", "2", "--k", "2", "--samples", "7", "--seed", "3", "--format", "csv"]),
+    (["--samples", "4", "--m", "3", "--k", "1", "--box", "0.5", "--format", "json"],
+     ["sample", "--m", "3", "--k", "1", "--samples", "4", "--box", "0.5", "--format", "json"]),
+], ids=["validate", "validate-flags", "fig1", "fig1-svg", "fig3-cube", "sample", "sample-flags"])
+def test_domain_mode_prints_its_twin(g2_coords, capsys, domain, twin):
+    answers = []
+    for argv in (["domain", *domain], twin):
+        code = run(_with_state(argv, g2_coords))
+        answers.append((code, capsys.readouterr()))
+    assert answers[0] == answers[1] and answers[0][0] == 0 and answers[0][1].out
+
+
 def test_output_dir_override(tmp_path, monkeypatch, g2_coords):
     monkeypatch.setenv("GENBLOCH_OUTPUT_DIR", str(tmp_path))
     assert run(["encode", "--input", g2_coords, "--output", "enc.json"]) == 0
@@ -415,6 +457,30 @@ def test_decode_overflow_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
         "genbloch: error: coordinates are not finite (input beyond floating-point range?)"]
+
+
+# a unit-scalar grade-2 state whose matrix rounds the 1/4 on its diagonal away
+_HUGE_G2 = {"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 1.3e200},
+                                    {"idx": [3, 4], "val": -1.3e200}]}}
+
+
+@pytest.mark.parametrize("which", ["--oracle", "--both"])
+def test_spectrum_oracle_beyond_float_range_one_line(tmp_path, capsys, which):
+    # the file's trace is its scalar, 1; the diagnostic names the float
+    # range instead of blaming the trace of the rounded matrix
+    path = write_json(tmp_path / "huge.json", _HUGE_G2)
+    assert run(["spectrum", "--input", path, which]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert "floating-point range" in captured.err and "trace 0.0" not in captured.err
+
+
+def test_spectrum_closed_form_beyond_float_range(tmp_path, capsys):
+    # the closed form needs no matrix and still answers
+    path = write_json(tmp_path / "huge.json", _HUGE_G2)
+    assert run(["spectrum", "--input", path, "--closed-form"]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [
+        -6.4999999999999995e+199, 0.25, 0.25, 6.4999999999999995e+199]
 
 
 def test_rotate_huge_generator_typed_error(tmp_path, capsys):
