@@ -5,7 +5,7 @@ figure, rotate, and the combined domain dispatcher.  All I/O is JSON
 (matrices, coordinates, verdicts, spectra), CSV (sample sets, figure
 datasets) or SVG (figure scatter plots).  `sample` and `figure` share one
 table path: each gets (column names, one array per column) from the
-library and writes it with the one CSV writer.  Floats are printed at full
+library and spells it with the one CSV writer.  Floats are printed at full
 double precision so repeated runs are byte-identical, and a float that is
 not finite is refused in every format.  CSV and SVG are assembled
 column by column into one flat list of strings and joined once: each
@@ -13,6 +13,14 @@ distinct float magnitude of a CSV is spelled once, and each SVG pixel
 coordinate is spelled from its integer count of hundredths.  Each subcommand imports the
 modules it uses when it runs, so `figure` and `domain --grid` load only the
 figures module besides this one.
+
+Each subcommand is an answer function of the parsed flags and the parsed
+JSON of its --input (and rotate's --alpha) file, returning (payload, exit
+code), the payload a JSON-able object or the CSV/SVG text.  run() alone
+touches files: it reads each input once, spells JSON once and writes stdout
+or --output once.  Coords are encoded only by encode and where the matrix is
+used (validate's min_eigenvalue route, spectrum's oracle side); coords.encode
+refuses coords whose matrix rounds their trace away.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 any error, with a one-line diagnostic
@@ -22,6 +30,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -30,7 +39,7 @@ import sys
 import numpy as np
 
 from . import figures
-from .errors import GenblochError, NonFiniteResult, NonUnitTrace, ResourceLimit, UsageError
+from .errors import GenblochError, NonFiniteResult, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,50 +47,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _emit(text: str, path: str | None) -> None:
-    """Write text, ended by a newline, to the file path or else to stdout."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if path:
-        # optional output-directory override for relative paths
-        out_dir = os.environ.get("GENBLOCH_OUTPUT_DIR")
-        if out_dir and not os.path.isabs(path):
-            path = os.path.join(out_dir, path)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 _NOT_FINITE = "result is not finite (input beyond floating-point range?)"
 
 
-def _dump_json(obj, path: str | None) -> None:
+def _json_text(obj) -> str:
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteResult(_NOT_FINITE) from exc
-    _emit(text, path)
 
 
-def _load_state(path: str, m: int | None, mode: str):
-    """Read either a matrix JSON or a coords JSON of a unit-trace state; return (coords, rho)."""
-    from .coords import coords_from_json, decode, encode, require_unit_trace
+def _state(obj, m: int | None, mode: str):
+    """(coords, rho) of a parsed matrix JSON, or (coords, None) of a parsed
+    coords JSON of a unit-trace state: an answer encodes coords only if it
+    uses their matrix."""
+    from .coords import coords_from_json, decode, require_unit_trace
     from .linalg import matrix_from_json
 
-    obj = _read_json(path)
     if isinstance(obj, dict) and "dim" in obj:
         rho = matrix_from_json(obj)
         return decode(rho, m=m, mode=mode), rho
     coords = coords_from_json(obj)
-    # the scalar is the trace, exact where encode's sum may round it away
+    # the scalar is exactly the trace of the matrix the coords encode
     require_unit_trace(coords.scalar)
-    return coords, encode(coords)
+    return coords, None
 
 
 def _spell_floats(values: np.ndarray) -> np.ndarray:
@@ -182,14 +171,13 @@ def _svg_text(xs, ys, labels, size: int = 640) -> str:
     return "".join(parts.tolist())
 
 
-def _cmd_basis(args) -> int:
+def _answer_basis(args) -> tuple:
     from . import clifford
     from .linalg import matrix_to_json
 
     basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
-        _dump_json(clifford.verify_algebra(basis), args.output)
-        return 0
+        return clifford.verify_algebra(basis), 0
     indices = basis.indices
     if args.element:
         try:
@@ -201,124 +189,100 @@ def _cmd_basis(args) -> int:
         if len(idx) != k:
             raise UsageError(f"--element grade {k} does not match {len(idx)} indices")
         indices = [idx]
-    _dump_json({f"{args.m},{len(i)},[{','.join(map(str, i))}]": matrix_to_json(basis.element(i))
-                for i in indices}, args.output)
-    return 0
+    return {f"{args.m},{len(i)},[{','.join(map(str, i))}]": matrix_to_json(basis.element(i))
+            for i in indices}, 0
 
 
-def _cmd_encode(args) -> int:
+def _answer_encode(args, state) -> tuple:
     from .coords import coords_from_json, encode
     from .linalg import matrix_to_json
 
-    coords = coords_from_json(_read_json(args.input))
-    _dump_json(matrix_to_json(encode(coords)), args.output)
-    return 0
+    return matrix_to_json(encode(coords_from_json(state))), 0
 
 
-def _cmd_decode(args) -> int:
+def _answer_decode(args, matrix) -> tuple:
     from .coords import coords_to_json, decode
     from .linalg import matrix_from_json
 
-    rho = matrix_from_json(_read_json(args.input))
-    coords = decode(rho, m=args.m, mode=args.mode)
-    _dump_json(coords_to_json(coords), args.output)
-    return 0
+    return coords_to_json(decode(matrix_from_json(matrix), m=args.m, mode=args.mode)), 0
 
 
-def _cmd_invariants(args) -> int:
+def _answer_invariants(args, state) -> tuple:
     from . import invariants
     from .coords import coords_from_json
 
-    coords = coords_from_json(_read_json(args.input))
-    _dump_json(invariants.coords_invariants(coords).to_dict(), args.output)
-    return 0
+    return invariants.coords_invariants(coords_from_json(state)).to_dict(), 0
 
 
-def _cmd_spectrum(args) -> int:
+def _answer_spectrum(args, state) -> tuple:
     from . import spectra
+    from .coords import encode
 
-    coords, rho = _load_state(args.input, args.m, args.mode)
+    coords, rho = _state(state, args.m, args.mode)
     out = {}
     if args.which in ("closed-form", "both"):
         out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
     if args.which in ("oracle", "both"):
-        try:
-            out["oracle"] = spectra.numeric_spectrum(rho).to_dict()
-        except NonUnitTrace as exc:
-            # _load_state held the input's own trace to the rule, so only
-            # encode can have rounded it away, against entries near the float range
-            raise ResourceLimit("encoding these coordinates rounds their unit trace away "
-                                "(input beyond floating-point range?)") from exc
+        out["oracle"] = spectra.numeric_spectrum(encode(coords) if rho is None else rho).to_dict()
     if args.which == "both":
         diff = np.abs(np.array(out["closed_form"]["eigenvalues"])
                       - np.array(out["oracle"]["eigenvalues"]))
         out["max_diff"] = float(np.max(diff))
     if args.which != "both":
         out = out["closed_form"] if args.which == "closed-form" else out["oracle"]
-    _dump_json(out, args.output)
-    return 0
+    return out, 0
 
 
-def _cmd_validate(args) -> int:
+def _answer_validate(args, state) -> tuple:
     from . import domains
 
-    coords, rho = _load_state(args.input, args.m, args.mode)
+    coords, rho = _state(state, args.m, args.mode)
     verdict, route = domains.positivity(coords, rho, args.tol)
-    payload = verdict.to_dict()
-    payload["route"] = route
-    _dump_json(payload, args.output)
-    return 0 if verdict.admissible else 2
+    return {**verdict.to_dict(), "route": route}, 0 if verdict.admissible else 2
 
 
-def _cmd_sample(args) -> int:
+def _answer_sample(args) -> tuple:
     from . import domains
 
     names, columns = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
-        _emit(_csv_text(names, columns), args.output)
-        return 0
+        return _csv_text(names, columns), 0
     index, *coefficients, closed, oracle, margin = (col.tolist() for col in columns)
     records = [{"index": i, "coefficients": list(c), "closed_admissible": closed_ok,
                 "oracle_admissible": oracle_ok, "boundary_margin": mgn}
                for i, c, closed_ok, oracle_ok, mgn in zip(index, zip(*coefficients), closed,
                                                             oracle, margin)]
-    _dump_json({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed, "box": args.box,
-                "records": records}, args.output)
-    return 0
+    return {"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed, "box": args.box,
+            "records": records}, 0
 
 
-def _cmd_figure(args) -> int:
+def _answer_figure(args) -> tuple:
     if args.paper_cube and args.which != "fig3":
         raise UsageError("--paper-cube applies to fig3 only")
     if args.format == "json":
-        _dump_json(figures.figure_data(args.which, args.resolution, paper_cube=args.paper_cube),
-                   args.output)
-        return 0
+        return figures.figure_data(args.which, args.resolution, paper_cube=args.paper_cube), 0
     names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
     if args.format == "csv":
-        _emit(_csv_text(names, columns), args.output)
-    elif args.which == "fig1":
+        return _csv_text(names, columns), 0
+    if args.which == "fig1":
         r, t4, admissible, _ = columns
-        _emit(_svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), args.output)
-    else:
-        x, y, _, surface_id = columns
-        _emit(_svg_text(x, y, surface_id), args.output)
-    return 0
+        return _svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), 0
+    x, y, _, surface_id = columns
+    return _svg_text(x, y, surface_id), 0
 
 
-def _cmd_rotate(args) -> int:
+def _answer_rotate(args, state, alpha_file) -> tuple:
     from . import symmetry
     from .coords import antisym, coords_from_json, coords_to_json, entry_list
     from .linalg import wire_field
 
-    coords = coords_from_json(_read_json(args.input))
-    alpha_obj = wire_field(_read_json(args.alpha), dict, "alpha file")
+    coords = coords_from_json(state)
+    alpha_obj = wire_field(alpha_file, dict, "alpha file")
     entries = entry_list(alpha_obj.get("alpha", []), "alpha")
     alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2, entries)
     el = symmetry.orthogonal_from_generator(alpha)
-    _dump_json(coords_to_json(symmetry.rotate_coords(coords, el)), args.output)
-    return 0
+    return coords_to_json(symmetry.rotate_coords(coords, el)), 0
 
 
 # the flags several subcommands declare alike, each one's type, choices and default
@@ -341,17 +305,17 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = command("basis", _cmd_basis, "dump or verify Clifford basis elements")
+    p = command("basis", _answer_basis, "dump or verify Clifford basis elements")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", **_SHARED_FLAGS["--mode"])
     p.add_argument("--element", help="single element selector K:I1,I2,...")
     p.add_argument("--verify", action="store_true", help="print the residual report instead")
 
-    command("encode", _cmd_encode, "coords JSON -> matrix JSON", "--input")
-    command("decode", _cmd_decode, "matrix JSON -> coords JSON", "--input", "--m", "--mode")
-    command("invariants", _cmd_invariants, "coords JSON -> invariant set JSON", "--input")
+    command("encode", _answer_encode, "coords JSON -> matrix JSON", "--input")
+    command("decode", _answer_decode, "matrix JSON -> coords JSON", "--input", "--m", "--mode")
+    command("invariants", _answer_invariants, "coords JSON -> invariant set JSON", "--input")
 
-    p = command("spectrum", _cmd_spectrum, "closed-form and/or oracle spectrum",
+    p = command("spectrum", _answer_spectrum, "closed-form and/or oracle spectrum",
                 "--input", "--m", "--mode")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed-form", dest="which", action="store_const", const="closed-form")
@@ -359,11 +323,11 @@ def build_parser() -> _Parser:
     group.add_argument("--both", dest="which", action="store_const", const="both")
     p.set_defaults(which="both")
 
-    p = command("validate", _cmd_validate, "admissibility verdict (exit 2 when inadmissible)",
+    p = command("validate", _answer_validate, "admissibility verdict (exit 2 when inadmissible)",
                 "--input", "--m", "--mode")
     p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
 
-    p = command("sample", _cmd_sample, "Monte-Carlo atlas of a tensor domain")
+    p = command("sample", _answer_sample, "Monte-Carlo atlas of a tensor domain")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -371,13 +335,13 @@ def build_parser() -> _Parser:
     p.add_argument("--box", type=float, default=1.2)
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
-    p = command("figure", _cmd_figure, "figure datasets (grid / surface point clouds)")
+    p = command("figure", _answer_figure, "figure datasets (grid / surface point clouds)")
     p.add_argument("which", choices=["fig1", "fig2", "fig3"])
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--paper-cube", action="store_true")
     p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
 
-    p = command("rotate", _cmd_rotate, "apply a rotation generator to coordinates", "--input")
+    p = command("rotate", _answer_rotate, "apply a rotation generator to coordinates", "--input")
     p.add_argument("--alpha", required=True)
 
     # each answer goes to the --output file or stdout; domain hands the flag on
@@ -412,6 +376,7 @@ def _domain_args(parser, args, rest) -> argparse.Namespace:
 
 
 def run(argv) -> int:
+    """Parse argv, read the input files, answer, write the answer; return the exit code."""
     parser = build_parser()
     try:
         args, rest = parser.parse_known_args(argv)
@@ -419,10 +384,23 @@ def run(argv) -> int:
             args = _domain_args(parser, args, rest)
         elif rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
-        # an overflow to inf or nan is reported once, by _dump_json's
-        # NonFiniteResult, not also as numpy RuntimeWarnings on stderr
+        # an overflow to inf or nan is reported once, by NonFiniteResult,
+        # not also as numpy RuntimeWarnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            docs = []
+            for path in (getattr(args, "input", None), getattr(args, "alpha", None)):
+                if path is not None:
+                    with open(path, "r", encoding="utf-8") as fh:
+                        docs.append(json.load(fh))
+            payload, code = args.func(args, *docs)
+            text = payload if isinstance(payload, str) else _json_text(payload)
+        # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
+        path = args.output and os.path.join(os.environ.get("GENBLOCH_OUTPUT_DIR", ""),
+                                            args.output)
+        sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+        with sink as out:
+            out.write(text if text.endswith("\n") else text + "\n")
+        return code
     except UsageError as exc:
         print(f"genbloch: usage error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,7 @@ from .errors import (
     MalformedInput,
     NonFiniteResult,
     NonUnitTrace,
+    ResourceLimit,
 )
 from .linalg import as_matrix, require_hermitian, wire_field
 
@@ -190,12 +191,17 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
 
 
 def encode(coords: StateCoords) -> np.ndarray:
-    """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices."""
+    """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices,
+    or ResourceLimit unless its trace lies within TRACE_TOL of the scalar coordinate."""
     basis = clifford.cached_basis(coords.m, coords.mode)
     coeffs = {(): coords.scalar}
     for tensor in coords.grades.values():
         coeffs.update(tensor.values)
-    return basis.expand(coeffs) / basis.dim
+    rho = basis.expand(coeffs) / basis.dim
+    if not abs(np.trace(rho).real - coords.scalar) <= TRACE_TOL:
+        raise ResourceLimit("encoding these coordinates rounds their unit trace away "
+                            "(input beyond floating-point range?)")
+    return rho
 
 
 def require_unit_trace(trace) -> None:
@@ -278,7 +284,12 @@ def entry_list(entries, name: str) -> dict:
 def coords_from_json(obj) -> StateCoords:
     obj = wire_field(obj, dict, "coords")
     m = wire_field(obj.get("m"), int, "m")
-    grades = {int(k): entry_list(v, f"grades.{k}")
-              for k, v in wire_field(obj.get("grades") or {}, dict, "grades").items()}
+    grades = {}
+    for k, v in wire_field(obj.get("grades") or {}, dict, "grades").items():
+        try:
+            grade = int(k)
+        except ValueError:
+            raise MalformedInput(f"field 'grades': expected int keys, got {k!r:.60}") from None
+        grades[grade] = entry_list(v, f"grades.{k}")
     return state_coords(m, mode=obj.get("mode", "standard"), grades=grades,
                         scalar=wire_field(obj.get("scalar", 1.0), float, "scalar"))

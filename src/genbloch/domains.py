@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import _check_m, cached_basis, multi_indices
-from .coords import StateCoords, antisym_matrices, sum_of_squares
+from .coords import StateCoords, antisym_matrices, encode, sum_of_squares
 from .errors import GradeOutOfRange, ResourceLimit
 from .figures import DEFAULT_TOL, require_sums_of_squares
 from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
@@ -86,7 +86,8 @@ _ROUTES = {
 
 
 def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
-    """(verdict, route) for a state given both as coords and as its density matrix rho.
+    """(verdict, route) for a state given as coords and as its density matrix
+    rho, or None to encode the coords only on the route that needs the matrix.
 
     Every route applies one rule, lambda_min >= -tol; only the source of
     lambda_min differs: the closed-form spectrum of a pure vector or grade-2
@@ -97,6 +98,7 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     kind, payload = pure_config(coords) or (None, None)
     route, violated = _ROUTES[kind]
     if kind is None:
+        rho = encode(coords) if rho is None else rho
         return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), violated, tol), route
     inv = vector_invariants(*payload) if kind == "vector" else two_tensor_invariants(payload)
     min_eig = float(closed_form_spectrum(coords).eigenvalues[0])

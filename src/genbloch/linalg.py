@@ -14,6 +14,7 @@ each other.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -88,10 +89,12 @@ def matrix_to_json(a) -> dict:
 def wire_field(value, kind: type, name: str):
     """A JSON field as kind (dict, list, float by float(), int by operator.index, which
     refuses 2.0, "2" and True), or MalformedInput naming the field.  Every number of
-    an input is read here; a float refuses True, and an int beyond float range, too."""
+    an input is read here; a float refuses True, an int beyond float range and a
+    value that is not finite (json.load reads Infinity, NaN and 1e400), too."""
     try:
         out = operator.index(value) if kind is int else float(value) if kind is float else value
-        if isinstance(out, kind) and not isinstance(value, bool):
+        if (isinstance(out, kind) and not isinstance(value, bool)
+                and (kind is not float or math.isfinite(out))):
             return out
     except (TypeError, ValueError, OverflowError):
         pass
@@ -105,6 +108,8 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         flat = np.array([complex(wire_field(re, float, "entries"), wire_field(im, float, "entries"))
                          for re, im in entries], dtype=complex).reshape(dim, dim)
+    except MalformedInput:
+        raise
     except (TypeError, ValueError):
         raise MalformedInput(f"field 'entries': expected {dim} x {dim} [re, im] pairs "
                              f"of numbers, got {len(entries)} entries") from None

@@ -257,13 +257,44 @@ def test_figure_byte_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
-def test_output_file_matches_stdout(tmp_path, capsys, fmt):
-    argv = ["figure", "fig1", "--resolution", "5", "--format", fmt]
-    assert run(argv) == 0
-    path = tmp_path / f"fig1.{fmt}"
-    assert run(argv + ["--output", str(path)]) == 0
-    assert path.read_bytes() == capsys.readouterr().out.encode()
+@pytest.mark.parametrize("argv, code", [
+    (["figure", "fig1", "--resolution", "5", "--format", "csv"], 0),
+    (["figure", "fig1", "--resolution", "5", "--format", "json"], 0),
+    (["figure", "fig1", "--resolution", "5", "--format", "svg"], 0),
+    (["basis", "--m", "2", "--verify"], 0),
+    (["basis", "--m", "2", "--element", "2:1,3"], 0),
+    (["encode", "--input", "STATE"], 0),
+    (["decode", "--input", "MATRIX"], 0),
+    (["invariants", "--input", "STATE"], 0),
+    (["spectrum", "--input", "STATE", "--both"], 0),
+    (["rotate", "--input", "STATE", "--alpha", "ALPHA"], 0),
+    (["validate", "--input", "STATE"], 0),
+    (["validate", "--input", "HOT"], 2),
+    (["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "csv"], 0),
+    (["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "json"], 0),
+    (["domain", "--input", "STATE"], 0),
+    (["domain", "--grid", "--resolution", "5"], 0),
+    (["domain", "--samples", "5"], 0),
+], ids=["csv", "json", "svg", "basis-verify", "basis-element", "encode", "decode", "invariants",
+        "spectrum-both", "rotate", "validate-0", "validate-2", "sample-csv", "sample-json",
+        "domain-input", "domain-grid", "domain-samples"])
+def test_output_file_matches_stdout(tmp_path, capsys, argv, code):
+    coords = state_coords(2, grades={2: {(1, 2): 0.6, (3, 4): 0.3}})
+    files = {
+        "STATE": write_json(tmp_path / "state.json", coords_to_json(coords)),
+        "MATRIX": write_json(tmp_path / "rho.json", matrix_to_json(np.eye(4) / 4)),
+        "ALPHA": write_json(tmp_path / "alpha.json",
+                            {"m": 2, "alpha": [{"idx": [1, 3], "val": 0.4}]}),
+        "HOT": write_json(tmp_path / "hot.json",
+                          coords_to_json(state_coords(2, grades={1: {(1,): 1.2}}))),
+    }
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv) == code
+    path = tmp_path / "out"
+    assert run(argv + ["--output", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
+    assert path.read_bytes() == captured.out.encode()
 
 
 def test_figure_svg(tmp_path):
@@ -479,8 +510,57 @@ def test_spectrum_closed_form_beyond_float_range(tmp_path, capsys):
     # the closed form needs no matrix and still answers
     path = write_json(tmp_path / "huge.json", _HUGE_G2)
     assert run(["spectrum", "--input", path, "--closed-form"]) == 0
-    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [
-        -6.4999999999999995e+199, 0.25, 0.25, 6.4999999999999995e+199]
+    lo, hi = -6.4999999999999995e+199, 6.4999999999999995e+199
+    assert capsys.readouterr().out == json.dumps(
+        {"eigenvalues": [lo, 0.25, 0.25, hi], "m": 2, "multiplets": [[lo, 1], [0.25, 2], [hi, 1]]},
+        indent=2) + "\n"
+
+
+_TRACE_LOSS = ("genbloch: error: encoding these coordinates rounds their unit trace away "
+               "(input beyond floating-point range?)")
+
+
+@pytest.mark.parametrize("command, grades", [
+    ("encode", {}),
+    # a grade-1 entry moves validate off the closed form onto the matrix
+    ("validate", {"1": [{"idx": [1], "val": 0.1}]}),
+], ids=["encode", "validate-min-eigenvalue"])
+def test_trace_loss_refused(tmp_path, capsys, command, grades):
+    # the unit scalar is lost from the matrix of these coords, as in spectrum --oracle
+    state = dict(_HUGE_G2, grades={**_HUGE_G2["grades"], **grades})
+    assert run([command, "--input", write_json(tmp_path / "huge.json", state)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [_TRACE_LOSS]
+
+
+def test_encode_scalar_not_one(tmp_path, capsys):
+    # encode keeps any scalar as the trace; only the state-reading subcommands need it 1
+    path = write_json(tmp_path / "c.json", {"m": 2, "scalar": 2.0,
+                                            "grades": {"1": [{"idx": [1], "val": 0.5}]}})
+    assert run(["encode", "--input", path]) == 0
+    assert np.trace(matrix_from_json(json.loads(capsys.readouterr().out))) == 2.0
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--closed-form"]],
+                         ids=["validate", "spectrum-closed-form"])
+@pytest.mark.parametrize("grades", [{1: {(1,): 0.5, (3,): -0.2}}, {2: {(1, 2): 0.6, (3, 4): 0.3}}],
+                         ids=["vector", "grade2"])
+def test_pure_coords_answered_without_encoding(tmp_path, capsys, monkeypatch, argv, grades):
+    # a pure vector or grade-2 state is answered from its coords alone
+    from genbloch.coords import encode
+
+    def refuse(coords):
+        raise AssertionError("encode called")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("genbloch") and getattr(module, "encode", None) is encode:
+            monkeypatch.setattr(module, "encode", refuse)
+    path = write_json(tmp_path / "c.json", coords_to_json(state_coords(2, grades=grades)))
+    assert run([*argv, "--input", path]) == 0, capsys.readouterr().err
+    # a state without a closed form does reach the patched encode
+    mixed = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
+    with pytest.raises(AssertionError, match="encode called"):
+        run(["validate", "--input", write_json(tmp_path / "mixed.json", coords_to_json(mixed))])
 
 
 def test_rotate_huge_generator_typed_error(tmp_path, capsys):
@@ -547,10 +627,19 @@ def test_malformed_json_one_line(tmp_path, capsys, command, state, alpha):
     ("invariants", dict(_G1, scalar=10 ** 400), None, "scalar"),
     ("decode", dict(_HALF, entries=[[10 ** 400, 0], [0, 0], [0, 0], [0.5, 0]]), None, "entries"),
     ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2], "val": -10 ** 400}]}, "alpha[0]"),
+    # json.dumps spells these Infinity and NaN, which json.load reads back as floats
+    ("validate", {"m": 2, "grades": {"1": [{"idx": [1], "val": float("inf")}]}}, None,
+     "grades.1[0]"),
+    ("invariants", dict(_G1, scalar=float("nan")), None, "scalar"),
+    ("decode", dict(_HALF, entries=[[0.5, 0], [0, 0], [0, 0], [float("-inf"), 0]]), None,
+     "entries"),
+    ("rotate", _G1, {"m": 2, "alpha": [{"idx": [1, 2], "val": float("nan")}]}, "alpha[0]"),
+    ("validate", {"m": 2, "grades": {"x": [{"idx": [1], "val": 0.5}]}}, None, "grades"),
 ], ids=["grades-list", "entry-not-object", "m-float", "top-level-list", "top-level-number",
         "entry-null", "entries-missing", "alpha-list", "alpha-number", "alpha-entries-number",
         "alpha-val-missing", "alpha-m-missing", "val-huge-int", "scalar-huge-int",
-        "entry-huge-int", "alpha-val-huge-int"])
+        "entry-huge-int", "alpha-val-huge-int", "val-infinity", "scalar-nan", "entry-infinity",
+        "alpha-val-nan", "grade-key-x"])
 def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, field):
     argv = [command, "--input", write_json(tmp_path / "in.json", state)]
     if alpha is not None:

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -22,6 +24,7 @@ from genbloch.errors import (
     BadIndex,
     GradeMismatch,
     GradeOutOfRange,
+    MalformedInput,
     NonFiniteResult,
     NonUnitTrace,
     NotHermitian,
@@ -217,6 +220,39 @@ def test_coords_json_roundtrip():
     }
     back = coords_from_json(obj)
     assert back.grade(2).get((1, 2)) == 0.6
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"m": 2, "grades": {"1": [{"idx": [1], "val": Infinity}]}}', "grades.1[0]"),
+    ('{"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 1e400}]}}', "grades.2[0]"),
+    ('{"m": 2, "grades": {"1": [{"idx": [1], "val": NaN}]}}', "grades.1[0]"),
+    ('{"m": 2, "scalar": -Infinity}', "scalar"),
+    ('{"m": 2, "grades": {"x": [{"idx": [1], "val": 0.5}]}}', "grades"),
+    ('{"m": 2, "grades": {"1.0": [{"idx": [1], "val": 0.5}]}}', "grades"),
+], ids=["val-infinity", "val-1e400", "val-nan", "scalar-infinity", "grade-key-x",
+        "grade-key-float"])
+def test_coords_from_json_refuses_non_numbers(text, field):
+    # json.load reads Infinity, NaN and 1e400 as floats that are no finite number
+    with pytest.raises(MalformedInput, match=re.escape(f"field '{field}'")):
+        coords_from_json(json.loads(text))
+
+
+_HUGE_G2 = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
+
+
+@pytest.mark.parametrize("scalar", [1.0, 0.5, 2.0, 0.0])
+def test_encode_keeps_the_scalar_as_trace(scalar):
+    coords = state_coords(2, scalar=scalar, grades={1: {(1,): 0.5}, 2: {(1, 3): -0.2}})
+    assert np.trace(encode(coords)).real == scalar
+
+
+@pytest.mark.parametrize("coords", [_HUGE_G2, state_coords(2, scalar=float("nan"))],
+                         ids=["rounded-away", "nan"])
+def test_encode_refuses_trace_loss(coords):
+    # the 1/4 on the diagonal is below the last digit of the 1.3e200 entries,
+    # so the encoded matrix has trace 0; a NaN trace is refused as well
+    with pytest.raises(ResourceLimit, match="floating-point range"):
+        encode(coords)
 
 
 def test_full_basis_extended_certificate():

@@ -7,7 +7,7 @@ from numpy.polynomial.polynomial import polyval
 from genbloch.cli import run
 from genbloch.coords import coords_to_json, decode
 from genbloch.domains import DEFAULT_TOL, positivity
-from genbloch.errors import NotHermitian
+from genbloch.errors import MalformedInput, NotHermitian
 from genbloch.identities import char_poly
 from genbloch.linalg import (
     HERM_TOL,
@@ -17,6 +17,7 @@ from genbloch.linalg import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
+    wire_field,
 )
 from genbloch.spectra import numeric_spectrum
 
@@ -122,6 +123,19 @@ def test_matrix_json_roundtrip(rng):
     obj = matrix_to_json(a)
     assert obj["dim"] == 3 and len(obj["entries"]) == 9
     assert np.array_equal(matrix_from_json(obj), a)
+
+
+@pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_matrix_from_json_refuses_non_finite(entry):
+    text = '{"dim": 2, "entries": [[%s, 0], [0, 0], [0, 0], [0.5, 0]]}' % entry
+    with pytest.raises(MalformedInput, match="field 'entries'"):
+        matrix_from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_wire_float_refuses_non_finite(value):
+    with pytest.raises(MalformedInput, match="field 'val': expected float"):
+        wire_field(value, float, "val")
 
 
 def _layouts(h):
