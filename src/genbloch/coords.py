@@ -81,7 +81,7 @@ class AntisymTensor:
             if len(clifford.multi_index(key, self.side)) != self.k:
                 raise BadIndex(f"key {key} has grade {len(key)}, expected {self.k}")
             if not np.isfinite(val):
-                raise ValueError(f"non-finite value at {key}")
+                raise MalformedInput(f"non-finite value at {key}")
 
     def get(self, indices) -> float:
         """Signed component for an arbitrary index order."""
@@ -158,6 +158,8 @@ class StateCoords:
     grades: dict = field(repr=False)  # grade k -> AntisymTensor
 
     def __post_init__(self):
+        if not np.isfinite(self.scalar):
+            raise MalformedInput(f"non-finite scalar {self.scalar}")
         for k, tensor in self.grades.items():
             _check_grade(self.m, k, self.mode)
             if tensor.of_grade(k).side != self.side or tensor.m != self.m:
@@ -199,7 +201,7 @@ def encode(coords: StateCoords) -> np.ndarray:
         coeffs.update(tensor.values)
     rho = basis.expand(coeffs) / basis.dim
     if not abs(np.trace(rho).real - coords.scalar) <= TRACE_TOL:
-        raise ResourceLimit("encoding these coordinates rounds their unit trace away "
+        raise ResourceLimit("encoding these coordinates rounds their trace away "
                             "(input beyond floating-point range?)")
     return rho
 

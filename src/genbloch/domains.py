@@ -2,7 +2,7 @@
 
 One rule decides every state (positivity): it is admissible when its
 smallest eigenvalue is >= -tol.  Only the source of lambda_min depends on
-the route: the closed-form spectrum of a pure vector or grade-2
+the route: the closed form spectra.sign_sums of a pure vector or grade-2
 configuration (spectra.pure_config), the LAPACK eigenvalues otherwise.
 
 In closed form the rule draws the paper's regions.  Vector configurations
@@ -13,11 +13,11 @@ point in the identities module, with the characteristic-polynomial sign
 rule.
 
 The sampler decides whole arrays at once: sampled tensors go through the
-stacked normal-form engine (spectra) and the stacked LAPACK oracle
-(linalg), in chunks of CHUNK_BYTES of density matrices; both smallest
-eigenvalues are held to positivity's rule with DEFAULT_TOL.  Like
-figures.figure_columns, sample_domain returns a table, (column names, one
-array per column), so a sample and a figure share one path to their output.
+same closed form, stacked, and the stacked LAPACK oracle (linalg), in
+chunks of CHUNK_BYTES of density matrices; both smallest eigenvalues are
+held to positivity's rule with DEFAULT_TOL.  Like figures.figure_columns,
+sample_domain returns a table, (column names, one array per column), so a
+sample and a figure share one path to their output.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ import numpy as np
 from .clifford import _check_m, cached_basis, multi_indices
 from .coords import StateCoords, antisym_matrices, encode, sum_of_squares
 from .errors import GradeOutOfRange, ResourceLimit
-from .figures import DEFAULT_TOL, require_sums_of_squares
+from .figures import DEFAULT_TOL
 from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
 from .linalg import hermitian_eigenvalues
-from .spectra import closed_form_spectrum, normal_form_eigenvalues, pure_config
+from .spectra import normal_form_amplitudes, pure_amplitudes, pure_config, sign_sums
 
 # sample_domain classifies draws in chunks whose rho stack takes this many
 # bytes, so its peak memory does not grow with the sample count
@@ -90,8 +90,8 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     rho, or None to encode the coords only on the route that needs the matrix.
 
     Every route applies one rule, lambda_min >= -tol; only the source of
-    lambda_min differs: the closed-form spectrum of a pure vector or grade-2
-    configuration, the LAPACK eigenvalues of rho otherwise.
+    lambda_min differs: the closed form (spectra.sign_sums) of a pure vector
+    or grade-2 configuration, the LAPACK eigenvalues of rho otherwise.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
@@ -101,7 +101,7 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
         rho = encode(coords) if rho is None else rho
         return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), violated, tol), route
     inv = vector_invariants(*payload) if kind == "vector" else two_tensor_invariants(payload)
-    min_eig = float(closed_form_spectrum(coords).eigenvalues[0])
+    min_eig = float(sign_sums(coords.scalar, pure_amplitudes(coords.m, kind, payload))[0])
     return min_eigenvalue_verdict(min_eig, violated, tol, inv), route
 
 
@@ -145,7 +145,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
 def _closed_form_minima(m: int, k: int, columns: dict) -> np.ndarray:
     """Smallest closed-form eigenvalue of each tensor of a grade-k stack given as {key: values}."""
     if k == 1:
-        r = sum_of_squares(columns.values())
-        require_sums_of_squares(r)
-        return (1.0 - np.sqrt(r)) / 2 ** m
-    return normal_form_eigenvalues(antisym_matrices(2 * m, columns))[:, 0]
+        mu = normal_form_amplitudes(m, "vector", sum_of_squares(columns.values()))
+    else:
+        mu = normal_form_amplitudes(m, "two_tensor", antisym_matrices(2 * m, columns))
+    return sign_sums(1.0, mu)[:, 0]

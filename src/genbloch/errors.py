@@ -83,7 +83,8 @@ class BadResolution(GenblochError, ValueError):
 
 
 class MalformedInput(GenblochError, ValueError):
-    """A JSON input field is missing or of the wrong kind; the message names it."""
+    """An input is missing, of the wrong kind or not finite: a JSON field, or a
+    value handed to a library constructor; the message names it."""
 
 
 class UsageError(GenblochError, ValueError):

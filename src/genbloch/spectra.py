@@ -1,32 +1,27 @@
-"""Closed-form probability spectra for vector and 2-tensor configurations.
+"""Closed-form probability spectra of pure vector and 2-tensor configurations.
 
-Vector configurations (grade 1, optionally with the top-grade pseudoscalar
-coordinate p) have the doublet spectrum
+A pure configuration rho = 2^{-m}(c I + X) splits into m commuting terms
+with eigenvalues +-mu_k, its normal-form amplitudes, so its eigenvalues are
 
-    lambda = (1 +- n) / 2^m,   n^2 = sum_i G_i^2 + p^2,
+    lambda_s = (c + sum_k s_k mu_k) / 2^m   over all 2^m sign vectors s,
 
-each value with multiplicity 2^{m-1}.
-
+exactly, at every m and every scalar coordinate c: one formula, sign_sums.
+A vector (grade 1, with the top-grade pseudoscalar p or in extended mode)
+has mu = (n, 0, ..., 0), n^2 = sum_i G_i^2 + p^2: the doublet (c +- n) / 2^m.
 The generators are a Jordan-Wigner set of Majorana operators, so a grade-2
-configuration G o E^{(2)} is a quadratic Majorana form.  Rotating G to its
-real antisymmetric normal form (2x2 blocks with amplitudes mu_1..mu_m, the
-paired singular values of G) splits it into m commuting terms with
-eigenvalues +-mu_k, hence the eigenvalues
-
-    lambda_s = (1 + sum_k s_k mu_k) / 2^m   over all 2^m sign vectors s,
-
-exactly, at every m and for side 2m+1 tensors as well (Bravyi,
-quant-ph/0404180).  The paper's quartet polynomials of these values are
-checked claims of the identities module.
+configuration G o E^{(2)} is a quadratic Majorana form, and rotating G to
+its real antisymmetric normal form leaves mu_1..mu_m, the paired singular
+values of G, for side 2m+1 tensors as well (Bravyi, quant-ph/0404180).  The
+paper's quartet polynomials of these values are checked claims of the
+identities module.
 
 pure_config recognises the two configurations in a StateCoords, and
-closed_form_spectrum computes their spectrum; `spectrum --closed-form` and
-the positivity verdict of the domains module both go through it.
+normal_form_amplitudes gives their amplitudes, of one state or a stack;
+closed_form_spectrum and the domains module take every spectrum from them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,53 +82,51 @@ def numeric_spectrum(rho) -> Spectrum:
     return spectrum_from_values(m, vals)
 
 
-def vector_spectrum(m: int, g1: AntisymTensor, pseudoscalar: float | None = None) -> Spectrum:
-    """Doublet spectrum (1 +- norm)/2^m, each side 2^{m-1}-fold."""
-    if g1.of_grade(1).m != m or g1.side != 2 * m:
-        raise GradeMismatch("vector_spectrum needs a grade-1 tensor over 2m indices")
-    norm = math.sqrt(vector_invariants(g1, pseudoscalar).r)
-    lo = (1.0 - norm) / 2 ** m
-    hi = (1.0 + norm) / 2 ** m
-    vals = np.array([lo] * 2 ** (m - 1) + [hi] * 2 ** (m - 1))
-    return spectrum_from_values(m, vals)
+def sign_sums(scalar, mu) -> np.ndarray:
+    """Sorted eigenvalues (scalar + sum_k s_k mu_k) / 2^m over all 2^m sign vectors s.
+
+    mu is a (..., m) array of normal-form amplitudes; the result is (..., 2^m).
+    """
+    m = mu.shape[-1]
+    signs = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
+    # one (2^m, m) @ (m,) product per row keeps each sum in one order
+    return np.sort((scalar + (signs @ mu[..., None])[..., 0]) / 2 ** m, axis=-1)
+
+
+def normal_form_amplitudes(m: int, kind: str, x) -> np.ndarray:
+    """Normal-form amplitudes mu_1..mu_m, shape (..., m), of pure configurations.
+
+    "vector": x is the squared norm r (vector_invariants(...).r), a number or
+    an array, and mu = (sqrt(r), 0, ..., 0).  "two_tensor": x is a (..., side,
+    side) stack of antisymmetric matrices, whose singular values come in
+    equal pairs; one of each of the m largest pairs is kept (side 2m+1 has
+    one more, zero, which is dropped).
+    """
+    if kind == "vector":
+        r = np.asarray(x, dtype=float)
+        return np.concatenate([np.sqrt(r)[..., None], np.zeros(r.shape + (m - 1,))], axis=-1)
+    return np.linalg.svd(x, compute_uv=False)[..., : 2 * m : 2]
 
 
 def normal_form_eigenvalues(g2) -> np.ndarray:
     """Sorted eigenvalues (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}).
 
-    mu_1..mu_m are the normal-form amplitudes of G: the singular values of
-    its antisymmetric matrix come in equal pairs, and one of each of the m
-    largest pairs is kept (a side 2m+1 tensor has one more singular value,
-    zero, which is dropped).  The sign vectors s run over all 2^m choices.
     g2 is a grade-2 AntisymTensor, or a (..., side, side) stack of
     antisymmetric matrices with m = side // 2, giving (..., 2^m) values.
     """
     if isinstance(g2, AntisymTensor):
         g2 = g2.as_matrix()
-    m = g2.shape[-1] // 2
-    mu = np.linalg.svd(g2, compute_uv=False)[..., : 2 * m : 2]
-    signs = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
-    # one (2^m, m) @ (m,) product per matrix keeps each sum in one order
-    return np.sort((1.0 + (signs @ mu[..., None])[..., 0]) / 2 ** m, axis=-1)
-
-
-def two_tensor_spectrum(m: int, g2: AntisymTensor) -> Spectrum:
-    """Closed-form spectrum of rho = 2^{-m}(I + G o E^{(2)}), exact at every m."""
-    if g2.of_grade(2).m != m or g2.side != 2 * m:
-        raise GradeMismatch("two_tensor_spectrum needs a grade-2 tensor over 2m indices")
-    return spectrum_from_values(m, normal_form_eigenvalues(g2))
+    return sign_sums(1.0, normal_form_amplitudes(g2.shape[-1] // 2, "two_tensor", g2))
 
 
 def pure_config(coords: StateCoords):
     """(kind, payload) when the coords are a pure tensor configuration, else None.
 
     "vector": payload (grade-1 tensor over 2m indices, pseudoscalar or None),
-    for unit scalar plus grades 1 and 2m in standard mode or grade 1 in
-    extended mode; the scalar alone counts too.  "two_tensor": payload the
-    grade-2 tensor of a standard-mode state with no other grade.
+    for grades 1 and 2m in standard mode or grade 1 in extended mode; the
+    scalar alone counts too.  "two_tensor": payload the grade-2 tensor of a
+    standard-mode state with no other grade.
     """
-    if abs(coords.scalar - 1.0) > 1e-10:
-        return None
     m = coords.m
     active = {k for k, t in coords.grades.items() if any(v != 0.0 for v in t.values.values())}
     if coords.mode == "extended":
@@ -154,12 +147,15 @@ def pure_config(coords: StateCoords):
     return None
 
 
+def pure_amplitudes(m: int, kind: str, payload) -> np.ndarray:
+    """normal_form_amplitudes of a configuration from its pure_config (kind, payload)."""
+    x = vector_invariants(*payload).r if kind == "vector" else payload.as_matrix()
+    return normal_form_amplitudes(m, kind, x)
+
+
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a pure vector or grade-2 configuration (see pure_config)."""
     pure = pure_config(coords)
     if pure is None:
         raise KindMismatch("no closed form: input is not a pure vector or 2-tensor configuration")
-    kind, payload = pure
-    if kind == "vector":
-        return vector_spectrum(coords.m, *payload)
-    return two_tensor_spectrum(coords.m, payload)
+    return spectrum_from_values(coords.m, sign_sums(coords.scalar, pure_amplitudes(coords.m, *pure)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from genbloch import clifford
 from genbloch.clifford import chirality, extended_gammas, full_basis, generate_gammas
-from genbloch.coords import AntisymTensor, antisym, decode, encode, tensor_config
+from genbloch.coords import AntisymTensor, antisym, decode, encode, state_coords, tensor_config
 from genbloch.figures import figure_data
 from genbloch.identities import (
     char_poly,
@@ -26,7 +26,7 @@ from genbloch.identities import (
 )
 from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
-from genbloch.spectra import two_tensor_spectrum, vector_spectrum
+from genbloch.spectra import closed_form_spectrum
 from genbloch.symmetry import conjugate_state, orthogonal_from_generator, rotate_coords, spin_lift
 
 from conftest import random_coords, random_tensor, random_unit_trace_hermitian
@@ -95,7 +95,7 @@ def test_criterion_04_vector_spectra():
     for m in (1, 2, 3, 4):
         for _ in range(50):
             g = random_tensor(rng, m, 1)
-            s = vector_spectrum(m, g)
+            s = closed_form_spectrum(state_coords(m, grades={1: g}))
             oracle = hermitian_eigenvalues(tensor_config(m, 1, g))
             worst = max(worst, float(np.max(np.abs(s.eigenvalues - oracle))))
             patterns_ok = patterns_ok and (
@@ -111,7 +111,7 @@ def test_criterion_05_two_tensor_spectra():
     worst2 = 0.0
     for _ in range(200):
         g = random_tensor(rng, 2, 2)
-        s = two_tensor_spectrum(2, g)
+        s = closed_form_spectrum(state_coords(2, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(2, 2, g))
         worst2 = max(worst2, float(np.max(np.abs(s.eigenvalues - oracle))))
 
@@ -122,7 +122,7 @@ def test_criterion_05_two_tensor_spectra():
         inv = two_tensor_invariants(g)
         if abs(inv.D3) > 1e-6:
             d3_nonzero_seen += 1
-        s = two_tensor_spectrum(3, g)
+        s = closed_form_spectrum(state_coords(3, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
         worst3 = max(worst3, float(np.max(np.abs(s.eigenvalues - oracle))))
 
@@ -131,7 +131,7 @@ def test_criterion_05_two_tensor_spectra():
     for _ in range(20):
         a, b = rng.uniform(-1, 1, size=2)
         g = antisym(3, 2, {(1, 2): a, (3, 4): b})
-        vals = two_tensor_spectrum(3, g).eigenvalues
+        vals = closed_form_spectrum(state_coords(3, grades={2: g})).eigenvalues
         r = a * a + b * b
         root = math.sqrt(max(2 * r * r - (2 * a ** 4 + 2 * b ** 4), 0.0))
         expected = np.sort(np.array([

@@ -61,6 +61,18 @@ def test_validate_route_independent(tmp_path, capsys, grades, extra):
     assert answers[0] == answers[1] == (0, True)
 
 
+def test_near_unit_scalar_keeps_the_closed_form(tmp_path, capsys):
+    # a scalar within the unit-trace tolerance enters the closed form: the
+    # vector stays on its route and spectrum --closed-form answers
+    coords = {"m": 2, "scalar": 1.000000005, "grades": {"1": [{"idx": [1], "val": 0.5}]}}
+    path = write_json(tmp_path / "near.json", coords)
+    assert run(["validate", "--input", path]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "vector_ball"
+    assert run(["spectrum", "--closed-form", "--input", path]) == 0
+    lo, hi = (1.000000005 - 0.5) / 4, (1.000000005 + 0.5) / 4
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [lo, lo, hi, hi]
+
+
 def test_validate_descartes_route(tmp_path, capsys):
     coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
     path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
@@ -516,7 +528,7 @@ def test_spectrum_closed_form_beyond_float_range(tmp_path, capsys):
         indent=2) + "\n"
 
 
-_TRACE_LOSS = ("genbloch: error: encoding these coordinates rounds their unit trace away "
+_TRACE_LOSS = ("genbloch: error: encoding these coordinates rounds their trace away "
                "(input beyond floating-point range?)")
 
 

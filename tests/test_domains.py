@@ -6,7 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
+from genbloch import domains, spectra
+from genbloch.coords import (
+    AntisymTensor,
+    antisym,
+    encode,
+    state_coords,
+    sum_of_squares,
+    tensor_config,
+    vector,
+)
 from genbloch.domains import CHUNK_BYTES, DEFAULT_TOL, DomainVerdict, positivity, sample_domain
 from genbloch.errors import (
     BadIndex,
@@ -409,6 +418,40 @@ def test_sample_domain_matches_per_draw(m, k):
         assert type(closed_ok) is bool and type(oracle_ok) is bool
         assert type(margin) is float
         assert all(type(c) is float for c in coefficients)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_sample_domain_vector_margin_is_the_doublet(m):
+    # the sampler's vector minima come from the one closed form, bit for bit
+    # the doublet formula |1 - sqrt(r)| / 2^m written out here
+    _, columns = sample_domain(m, 1, 50, seed=m, box=1.2 / math.sqrt(m))
+    r = sum_of_squares(columns[1:1 + 2 * m])
+    assert np.array_equal(columns[-1], np.abs((1 - np.sqrt(r)) / 2 ** m))
+
+
+@pytest.mark.parametrize("grades", [
+    {1: {(1,): 0.3}, 4: {(1, 2, 3, 4): 0.2}},
+    {2: {(1, 2): 0.6, (3, 4): 0.3}},
+    {1: {(1,): 0.3}, 2: {(1, 2): 0.2}},
+], ids=["vector", "grade2", "mixed"])
+def test_positivity_classifies_once(monkeypatch, grades):
+    # positivity recognises the configuration once and takes the closed form
+    # from it, without asking closed_form_spectrum to recognise it again
+    calls = []
+
+    def counting(coords, _pure_config=spectra.pure_config):
+        calls.append(coords)
+        return _pure_config(coords)
+
+    def refused(coords):
+        raise AssertionError("positivity called closed_form_spectrum")
+
+    for module in (domains, spectra):
+        monkeypatch.setattr(module, "pure_config", counting)
+        monkeypatch.setattr(module, "closed_form_spectrum", refused, raising=False)
+    coords = state_coords(2, grades=grades)
+    verdict, _ = positivity(coords, None)
+    assert len(calls) == 1 and calls[0] is coords and verdict.admissible
 
 
 def test_closed_form_vector_with_pseudoscalar():

@@ -17,14 +17,14 @@ from genbloch.identities import (
     quartet_eigenvalues,
     tunnel_spectrum,
 )
-from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants
+from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants, vector_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
+    closed_form_spectrum,
     normal_form_eigenvalues,
     numeric_spectrum,
+    pure_config,
     spectrum_from_values,
-    two_tensor_spectrum,
-    vector_spectrum,
 )
 from genbloch.symmetry import orthogonal_from_generator
 
@@ -39,21 +39,21 @@ def rank2_tensor(rng, m, mu1, mu2):
 
 
 def test_vector_spectrum_m1_pure():
-    s = vector_spectrum(1, vector(1, [1, 0]))
+    s = closed_form_spectrum(state_coords(1, grades={1: vector(1, [1, 0])}))
     assert np.allclose(s.eigenvalues, [0.0, 1.0], atol=1e-14)
     oracle = hermitian_eigenvalues(tensor_config(1, 1, vector(1, [1, 0])))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-12
 
 
 def test_vector_spectrum_m3_zero():
-    s = vector_spectrum(3, vector(3, [0] * 6))
+    s = closed_form_spectrum(state_coords(3, grades={1: vector(3, [0] * 6)}))
     assert np.allclose(s.eigenvalues, [1 / 8] * 8, atol=1e-15)
 
 
 def test_vector_spectrum_with_pseudoscalar():
-    s = vector_spectrum(2, vector(2, [0.6, 0, 0, 0]), pseudoscalar=0.8)
-    assert np.allclose(s.eigenvalues, [0, 0, 0.5, 0.5], atol=1e-14)
     coords = state_coords(2, grades={1: vector(2, [0.6, 0, 0, 0]), 4: {(1, 2, 3, 4): 0.8}})
+    s = closed_form_spectrum(coords)
+    assert np.allclose(s.eigenvalues, [0, 0, 0.5, 0.5], atol=1e-14)
     oracle = hermitian_eigenvalues(encode(coords))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-12
 
@@ -62,7 +62,7 @@ def test_vector_closed_vs_oracle(rng):
     for m in (1, 2, 3, 4):
         for _ in range(20):
             g = random_tensor(rng, m, 1)
-            s = vector_spectrum(m, g)
+            s = closed_form_spectrum(state_coords(m, grades={1: g}))
             oracle = hermitian_eigenvalues(tensor_config(m, 1, g))
             assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
             assert [mult for _, mult in s.multiplets] == [2 ** (m - 1)] * 2
@@ -70,21 +70,21 @@ def test_vector_closed_vs_oracle(rng):
 
 def test_two_tensor_m2_frozen():
     g = antisym(2, 2, {(1, 2): 0.6, (3, 4): 0.3})
-    s = two_tensor_spectrum(2, g)
+    s = closed_form_spectrum(state_coords(2, grades={2: g}))
     assert np.allclose(s.eigenvalues, [0.025, 0.175, 0.325, 0.475], atol=1e-15)
     oracle = hermitian_eigenvalues(tensor_config(2, 2, g))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-12
 
 
 def test_two_tensor_m2_zero():
-    s = two_tensor_spectrum(2, antisym(2, 2, {}))
+    s = closed_form_spectrum(state_coords(2, grades={2: antisym(2, 2, {})}))
     assert np.allclose(s.eigenvalues, [0.25] * 4, atol=1e-15)
 
 
 def test_two_tensor_m2_random_vs_oracle(rng):
     for _ in range(50):
         g = random_tensor(rng, 2, 2)
-        s = two_tensor_spectrum(2, g)
+        s = closed_form_spectrum(state_coords(2, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(2, 2, g))
         assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
 
@@ -96,7 +96,7 @@ def test_two_tensor_m3_canonical_block():
     assert abs(inv.r - 1.0) < 1e-12
     assert abs(inv.T4 - 2.0 / 3.0) < 1e-12
     assert abs(inv.D3 - 16 / math.sqrt(3)) < 1e-12
-    s = two_tensor_spectrum(3, g)
+    s = closed_form_spectrum(state_coords(3, grades={2: g}))
     oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
     # equal amplitudes give triple roots inside each quartet: pattern 1,3,3,1
@@ -106,7 +106,7 @@ def test_two_tensor_m3_canonical_block():
 def test_two_tensor_m3_generic_D3_distinct_quartets():
     g = antisym(3, 2, {(1, 2): 0.61, (3, 4): 0.37, (5, 6): 0.19})
     assert abs(epsilon_D3(g)) > 1e-3
-    s = two_tensor_spectrum(3, g)
+    s = closed_form_spectrum(state_coords(3, grades={2: g}))
     oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
     assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
     # D3 != 0 with unequal amplitudes: the two quartets differ, 8 distinct values
@@ -116,7 +116,7 @@ def test_two_tensor_m3_generic_D3_distinct_quartets():
 def test_two_tensor_m3_random_vs_oracle(rng):
     for _ in range(50):
         g = random_tensor(rng, 3, 2)
-        s = two_tensor_spectrum(3, g)
+        s = closed_form_spectrum(state_coords(3, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(3, 2, g))
         assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
 
@@ -125,7 +125,7 @@ def test_two_tensor_m3_D3_zero_reduces_to_quartet_pattern(rng):
     a, b = 0.7, 0.35
     g = antisym(3, 2, {(1, 2): a, (3, 4): b})
     assert abs(epsilon_D3(g)) < 1e-14
-    s = two_tensor_spectrum(3, g)
+    s = closed_form_spectrum(state_coords(3, grades={2: g}))
     r = a * a + b * b
     root = math.sqrt(2 * r * r - (2 * a ** 4 + 2 * b ** 4))
     expected = sorted(
@@ -200,7 +200,7 @@ def test_two_tensor_m4_rank2_class(rng):
     for _ in range(10):
         mu1, mu2 = rng.uniform(-1, 1, size=2)
         g = rank2_tensor(rng, 4, mu1, mu2)
-        s = two_tensor_spectrum(4, g)
+        s = closed_form_spectrum(state_coords(4, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(4, 2, g))
         assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
 
@@ -210,7 +210,7 @@ def test_two_tensor_m4_m5_generic_vs_oracle(rng):
     tensors = [antisym(4, 2, {(1, 2): 0.9, (3, 4): 0.5, (5, 6): 0.2})]
     tensors += [random_tensor(rng, m, 2) for m in (4, 4, 5, 5)]
     for g in tensors:
-        s = two_tensor_spectrum(g.m, g)
+        s = closed_form_spectrum(state_coords(g.m, grades={2: g}))
         oracle = hermitian_eigenvalues(tensor_config(g.m, 2, g))
         assert np.max(np.abs(s.eigenvalues - oracle)) < 1e-9
 
@@ -239,11 +239,51 @@ def test_normal_form_matches_oracle(g):
     assert np.max(np.abs(normal_form_eigenvalues(g) - oracle)) < 1e-9
 
 
+def _vector_configs(rng, m):
+    """A vector, a vector plus pseudoscalar and an extended-mode vector at m."""
+    side = 2 * m
+    v = rng.uniform(-0.5, 0.5, size=side)
+    p = float(rng.uniform(-0.5, 0.5))
+    yield state_coords(m, grades={1: vector(m, v)})
+    yield state_coords(m, grades={1: vector(m, v), side: {tuple(range(1, side + 1)): p}})
+    yield state_coords(m, mode="extended", grades={1: vector(m, [*v, p], side=side + 1)})
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_vector_closed_form_is_the_doublet(rng, m):
+    # the sign sum over mu = (|v|, 0, ..., 0) is, bit for bit, the doublet
+    # formula (1 -+ |v|) / 2^m written out here
+    for _ in range(20):
+        for coords in _vector_configs(rng, m):
+            kind, payload = pure_config(coords)
+            assert kind == "vector"
+            norm = math.sqrt(vector_invariants(*payload).r)
+            lo = (1.0 - norm) / 2 ** m
+            hi = (1.0 + norm) / 2 ** m
+            doublet = np.array([lo] * 2 ** (m - 1) + [hi] * 2 ** (m - 1))
+            assert np.array_equal(closed_form_spectrum(coords).eigenvalues, doublet)
+
+
+@pytest.mark.parametrize("scalar", [0.5, 1 + 5e-9], ids=["half", "near-one"])
+@pytest.mark.parametrize("m, grades", [
+    (2, {1: {(1,): 0.3, (3,): -0.4}, 4: {(1, 2, 3, 4): 0.2}}),
+    (3, {2: {(1, 2): 0.4, (3, 4): -0.2, (1, 5): 0.1, (2, 6): 0.3}}),
+], ids=["vector", "grade2"])
+def test_closed_form_at_every_scalar(scalar, m, grades):
+    # the scalar enters the formula, so the closed form is the spectrum of
+    # the encoded matrix whatever its trace
+    coords = state_coords(m, scalar=scalar, grades=grades)
+    oracle = hermitian_eigenvalues(encode(coords))
+    assert np.max(np.abs(closed_form_spectrum(coords).eigenvalues - oracle)) < 1e-12
+
+
 def test_two_tensor_grade_checks():
+    # a tensor of the wrong grade is refused where the state is built,
+    # before any closed form is asked for
     with pytest.raises(GradeMismatch):
-        two_tensor_spectrum(2, antisym(2, 1, {(1,): 1.0}))
+        state_coords(2, grades={2: antisym(2, 1, {(1,): 1.0})})
     with pytest.raises(GradeMismatch):
-        vector_spectrum(2, antisym(2, 2, {(1, 2): 1.0}))
+        state_coords(2, grades={1: antisym(2, 2, {(1, 2): 1.0})})
 
 
 def test_factorized_charpoly_vector_frozen():
@@ -285,7 +325,7 @@ def test_factorized_charpoly_two_tensor_m4_single_plane():
 
 
 def test_degeneracy_pattern_vector_m3():
-    s = vector_spectrum(3, vector(3, [0.5, 0, 0, 0, 0, 0]))
+    s = closed_form_spectrum(state_coords(3, grades={1: vector(3, [0.5, 0, 0, 0, 0, 0])}))
     assert [mult for _, mult in s.multiplets] == [4, 4]
 
 
@@ -317,7 +357,7 @@ def test_tunnel_agrees_with_two_tensor(rng):
         x, y, z = rng.uniform(-1, 1, size=3)
         g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
         a = tunnel_spectrum(x, y, z).eigenvalues
-        b = two_tensor_spectrum(2, g).eigenvalues
+        b = closed_form_spectrum(state_coords(2, grades={2: g})).eigenvalues
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -340,15 +380,17 @@ def test_numeric_spectrum_within_hermiticity_tolerance():
 def test_spectrum_sums_to_one(rng):
     for m in (2, 3):
         g = random_tensor(rng, m, 2)
-        assert abs(np.sum(two_tensor_spectrum(m, g).eigenvalues) - 1.0) < 1e-10
+        s = closed_form_spectrum(state_coords(m, grades={2: g}))
+        assert abs(np.sum(s.eigenvalues) - 1.0) < 1e-10
 
 
 def test_vector_scale_homogeneity():
     # deviations from the mixed value scale linearly with the tensor
     g = vector(3, [0.4, 0.2, 0, 0, 0.1, 0])
-    base = vector_spectrum(3, g).eigenvalues - 1 / 8
+    base = closed_form_spectrum(state_coords(3, grades={1: g})).eigenvalues - 1 / 8
     for s in (0.25, 0.5):
-        scaled = vector_spectrum(3, g.scaled(s)).eigenvalues - 1 / 8
+        scaled = closed_form_spectrum(state_coords(3, grades={1: g.scaled(s)})).eigenvalues
+        scaled = scaled - 1 / 8
         assert np.max(np.abs(scaled - s * base)) < 1e-12
 
 
