@@ -19,7 +19,7 @@ from genbloch import (
     char_poly,
     descartes_positivity,
     encode,
-    figure_data,
+    figure_columns,
     hermitian_eigenvalues,
     min_eigenvalue_verdict,
     positivity,
@@ -84,10 +84,10 @@ print(f"\n500 sampled bivectors: {100 * closed.mean():.1f}% admissible,"
       f" {disagreements} closed-form/oracle disagreements")
 
 # --- figure datasets -----------------------------------------------------------------
-for which, kwargs in (("fig1", {}), ("fig2", {}), ("fig3", {})):
-    data = figure_data(which, 21, **kwargs)
-    rows = data.get("grid", data.get("points"))
-    cols = data.get("grid_columns", data.get("columns"))
+# figure_columns returns a table too: (column names, one array per column)
+for which in ("fig1", "fig2", "fig3"):
+    cols, columns = figure_columns(which, 21)
+    rows = list(zip(*(col.tolist() for col in columns)))
     path = os.path.join(OUT, f"{which}.csv")
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")

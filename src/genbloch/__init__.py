@@ -19,7 +19,7 @@ _OWNERS = {name: module for module, names in {
     "coords": ("AntisymTensor", "StateCoords", "antisym", "coords_from_json", "coords_to_json",
                "decode", "encode", "state_coords", "tensor_config", "vector"),
     "domains": ("DomainVerdict", "min_eigenvalue_verdict", "positivity", "sample_domain"),
-    "figures": ("figure_columns", "figure_data"),
+    "figures": ("figure_columns",),
     "identities": ("char_poly", "descartes_positivity", "det_identity_check", "dual_tensor",
                    "epsilon_D3", "factorized_charpoly", "pseudo_vector_V", "quartet_eigenvalues",
                    "rT4_domain", "scale_dimension", "tunnel_membership", "tunnel_spectrum",

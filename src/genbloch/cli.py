@@ -1,26 +1,23 @@
 """Command-line front end.
 
 Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
-figure, rotate, and the combined domain dispatcher.  All I/O is JSON
-(matrices, coordinates, verdicts, spectra), CSV (sample sets, figure
-datasets) or SVG (figure scatter plots).  `sample` and `figure` share one
-table path: each gets (column names, one array per column) from the
-library and spells it with the one CSV writer.  Floats are printed at full
-double precision so repeated runs are byte-identical, and a float that is
-not finite is refused in every format.  CSV and SVG are assembled
-column by column into one flat list of strings and joined once: each
-distinct float magnitude of a CSV is spelled once, and each SVG pixel
-coordinate is spelled from its integer count of hundredths.  Each subcommand imports the
-modules it uses when it runs, so `figure` and `domain --grid` load only the
-figures module besides this one.
+figure, rotate, and the combined domain dispatcher.  Input is JSON; output
+is JSON, CSV or SVG.  `sample` and `figure` share one table path: the
+library gives (column names, one array per column), and one cell-grid
+writer (_table_text) spells every CSV and JSON table from it with that
+format's separators, each distinct float magnitude once and at full double
+precision, so repeated runs are byte-identical.  A float that is not finite
+is refused in every format.  SVG pixel coordinates are spelled from integer
+counts of hundredths.  Each subcommand imports what it uses when it runs,
+so `figure` and `domain --grid` load only the figures module besides this.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
-code), the payload a JSON-able object or the CSV/SVG text.  run() alone
-touches files: it reads each input once, spells JSON once and writes stdout
-or --output once.  Coords are encoded only by encode and where the matrix is
-used (validate's min_eigenvalue route, spectrum's oracle side); coords.encode
-refuses coords whose matrix rounds their trace away.
+code), the payload a JSON-able object or the finished text.  run() alone
+touches files: it reads each input once and writes stdout or --output once.
+Coords are encoded only by encode and where the matrix is used (validate's
+min_eigenvalue route, spectrum's oracle side); coords.encode refuses coords
+whose matrix rounds their trace away.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 any error, with a one-line diagnostic
@@ -39,7 +36,7 @@ import sys
 import numpy as np
 
 from . import figures
-from .errors import GenblochError, NonFiniteResult, UsageError
+from .errors import GenblochError, MalformedInput, NonFiniteResult, UsageError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +54,7 @@ def _json_text(obj) -> str:
         raise NonFiniteResult(_NOT_FINITE) from exc
 
 
-def _state(obj, m: int | None, mode: str):
+def _state(obj, mode: str):
     """(coords, rho) of a parsed matrix JSON, or (coords, None) of a parsed
     coords JSON of a unit-trace state: an answer encodes coords only if it
     uses their matrix."""
@@ -66,7 +63,7 @@ def _state(obj, m: int | None, mode: str):
 
     if isinstance(obj, dict) and "dim" in obj:
         rho = matrix_from_json(obj)
-        return decode(rho, m=m, mode=mode), rho
+        return decode(rho, mode=mode), rho
     coords = coords_from_json(obj)
     # the scalar is exactly the trace of the matrix the coords encode
     require_unit_trace(coords.scalar)
@@ -87,34 +84,68 @@ def _spell_floats(values: np.ndarray) -> np.ndarray:
     return np.concatenate([text, "-" + text])[where + len(text) * negative]
 
 
-_BITS = np.array(["0", "1"], dtype=object)
+# a table's booleans (false, true) and the spelling of its strings, per format
+_CSV = (np.array(["0", "1"], dtype=object), str)
+_JSON = (np.array(["false", "true"], dtype=object), json.dumps)
 
 
-def _csv_text(header, columns) -> str:
-    """CSV of the header line and one row per entry of the equal-length columns,
-    each column of one type: booleans as 1/0, floats at full round-trip
-    precision, anything else through str.  A float that is not finite is
-    refused with NonFiniteResult, as JSON output refuses it."""
+def _table_text(columns, leads, tail, words, head) -> str:
+    """Per row of the equal-length columns: leads[0], its cell of the first
+    column, leads[1], ..., its cell of the last column, tail; head stands in
+    for the first leads[0] and is the whole text of a table without rows.
+
+    Cells: booleans are words[0][1]/[0], floats at full round-trip precision,
+    ints through str, anything else (strings) through words[1], each distinct
+    value once.  A float that is not finite is refused with NonFiniteResult.
+    """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
-    # one row per line, each cell followed by its separator
-    cells = np.empty((rows + 1, 2 * len(header)), dtype=object)
-    cells[:, 1::2] = ","
-    cells[:, -1:] = "\n"
-    cells[0, ::2] = header
+    cells = np.empty((rows, 2 * len(columns) + 1), dtype=object)
+    cells[:, :-1:2] = leads
+    cells[:, -1] = tail
+    cells[:1, 0] = head
     floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
     if floats:
         values = np.concatenate([columns[j] for j in floats])
         if not np.isfinite(values).all():
             raise NonFiniteResult(_NOT_FINITE)
-        spelled = _spell_floats(values)
-        cells[1:, [2 * j for j in floats]] = spelled.reshape(len(floats), rows).T
+        cells[:, [2 * j + 1 for j in floats]] = _spell_floats(values).reshape(len(floats), rows).T
+    bits, spell = words
     for j, col in enumerate(columns):
         if col.dtype == bool:
-            cells[1:, 2 * j] = _BITS[col.astype(np.uint8)]
+            cells[:, 2 * j + 1] = bits[col.astype(np.uint8)]
+        elif col.dtype.kind in "iu":
+            cells[:, 2 * j + 1] = list(map(str, col.tolist()))
         elif col.dtype != np.float64:
-            cells[1:, 2 * j] = list(map(str, col.tolist()))
-    return "".join(cells.ravel().tolist())
+            spelled = {v: spell(v) for v in set(col.tolist())}
+            cells[:, 2 * j + 1] = [spelled[v] for v in col.tolist()]
+    cells = cells.ravel().tolist()  # the grid's pointers go before the text is built
+    return "".join(cells) or head
+
+
+def _csv_text(header, columns) -> str:
+    """CSV of the header line and one line per row of the columns."""
+    leads = ["", *[","] * (len(columns) - 1)]
+    return _table_text(columns, leads, "\n", _CSV, ",".join(header) + "\n")
+
+
+def _json_list(columns, leads=None, tail="\n    ]") -> str:
+    """json.dumps(indent=2) of a list, one item per row of the columns, as the
+    value of a document's key: the row as a list, or else leads[0] opens an
+    item after a comma and tail closes it."""
+    leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
+    if not len(columns[0]):
+        return "[]"
+    return _table_text(columns, leads, tail, _JSON, "[" + leads[0][1:]) + "\n  ]"
+
+
+def _json_document(fields: dict, tables: dict) -> str:
+    """json.dumps({**fields, **tables}, indent=2, sort_keys=True) and a newline,
+    each table already spelled as the value of its key (_json_list)."""
+    values = {**{key: _json_text(v).replace("\n", "\n  ") for key, v in fields.items()}, **tables}
+    # each key after a comma; the first comma makes way for the opening brace
+    parts = [part for key in sorted(values) for part in (f",\n  {json.dumps(key)}: ", values[key])]
+    return "".join(["{", parts[0][1:], *parts[1:], "\n}\n"])
 
 
 _CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
@@ -204,7 +235,7 @@ def _answer_decode(args, matrix) -> tuple:
     from .coords import coords_to_json, decode
     from .linalg import matrix_from_json
 
-    return coords_to_json(decode(matrix_from_json(matrix), m=args.m, mode=args.mode)), 0
+    return coords_to_json(decode(matrix_from_json(matrix), mode=args.mode)), 0
 
 
 def _answer_invariants(args, state) -> tuple:
@@ -218,7 +249,7 @@ def _answer_spectrum(args, state) -> tuple:
     from . import spectra
     from .coords import encode
 
-    coords, rho = _state(state, args.m, args.mode)
+    coords, rho = _state(state, args.mode)
     out = {}
     if args.which in ("closed-form", "both"):
         out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
@@ -236,7 +267,7 @@ def _answer_spectrum(args, state) -> tuple:
 def _answer_validate(args, state) -> tuple:
     from . import domains
 
-    coords, rho = _state(state, args.m, args.mode)
+    coords, rho = _state(state, args.mode)
     verdict, route = domains.positivity(coords, rho, args.tol)
     return {**verdict.to_dict(), "route": route}, 0 if verdict.admissible else 2
 
@@ -247,24 +278,32 @@ def _answer_sample(args) -> tuple:
     names, columns = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
         return _csv_text(names, columns), 0
-    index, *coefficients, closed, oracle, margin = (col.tolist() for col in columns)
-    records = [{"index": i, "coefficients": list(c), "closed_admissible": closed_ok,
-                "oracle_admissible": oracle_ok, "boundary_margin": mgn}
-               for i, c, closed_ok, oracle_ok, mgn in zip(index, zip(*coefficients), closed,
-                                                            oracle, margin)]
-    return {"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed, "box": args.box,
-            "records": records}, 0
+    # each record's keys in sorted order, its coefficients one list
+    index, *coefficients, closed, oracle, margin = columns
+    leads = [',\n    {\n      "boundary_margin": ', ',\n      "closed_admissible": ',
+             ',\n      "coefficients": [\n        ', *[",\n        "] * (len(coefficients) - 1),
+             '\n      ],\n      "index": ', ',\n      "oracle_admissible": ']
+    records = _json_list([margin, closed, *coefficients, index, oracle], leads, "\n    }")
+    return _json_document({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed,
+                           "box": args.box}, {"records": records}), 0
 
 
 def _answer_figure(args) -> tuple:
     if args.paper_cube and args.which != "fig3":
         raise UsageError("--paper-cube applies to fig3 only")
-    if args.format == "json":
-        return figures.figure_data(args.which, args.resolution, paper_cube=args.paper_cube), 0
     names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
     if args.format == "csv":
         return _csv_text(names, columns), 0
+    if args.format == "json":
+        fields = {"which": args.which, "resolution": args.resolution, "columns": names}
+        tables = {"points": columns}
+        if args.which == "fig1":
+            fields["grid_columns"] = fields.pop("columns")
+            tables = {"grid": columns, **figures.boundary_curves(args.resolution)}
+        elif args.which == "fig3":
+            fields["paper_cube"] = args.paper_cube
+        return _json_document(fields, {key: _json_list(cols) for key, cols in tables.items()}), 0
     if args.which == "fig1":
         r, t4, admissible, _ = columns
         return _svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), 0
@@ -288,7 +327,7 @@ def _answer_rotate(args, state, alpha_file) -> tuple:
 # the flags several subcommands declare alike, each one's type, choices and default
 _SHARED_FLAGS = {
     "--input": {"required": True},
-    "--m": {"type": int},
+    "--m": {"type": int, "required": True},
     "--mode": {"choices": ["standard", "extended"], "default": "standard"},
 }
 
@@ -305,18 +344,16 @@ def build_parser() -> _Parser:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = command("basis", _answer_basis, "dump or verify Clifford basis elements")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", **_SHARED_FLAGS["--mode"])
+    p = command("basis", _answer_basis, "dump or verify Clifford basis elements", "--m", "--mode")
     p.add_argument("--element", help="single element selector K:I1,I2,...")
     p.add_argument("--verify", action="store_true", help="print the residual report instead")
 
     command("encode", _answer_encode, "coords JSON -> matrix JSON", "--input")
-    command("decode", _answer_decode, "matrix JSON -> coords JSON", "--input", "--m", "--mode")
+    command("decode", _answer_decode, "matrix JSON -> coords JSON", "--input", "--mode")
     command("invariants", _answer_invariants, "coords JSON -> invariant set JSON", "--input")
 
     p = command("spectrum", _answer_spectrum, "closed-form and/or oracle spectrum",
-                "--input", "--m", "--mode")
+                "--input", "--mode")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed-form", dest="which", action="store_const", const="closed-form")
     group.add_argument("--oracle", dest="which", action="store_const", const="oracle")
@@ -324,11 +361,10 @@ def build_parser() -> _Parser:
     p.set_defaults(which="both")
 
     p = command("validate", _answer_validate, "admissibility verdict (exit 2 when inadmissible)",
-                "--input", "--m", "--mode")
+                "--input", "--mode")
     p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
 
-    p = command("sample", _answer_sample, "Monte-Carlo atlas of a tensor domain")
-    p.add_argument("--m", type=int, required=True)
+    p = command("sample", _answer_sample, "Monte-Carlo atlas of a tensor domain", "--m")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -391,7 +427,10 @@ def run(argv) -> int:
             for path in (getattr(args, "input", None), getattr(args, "alpha", None)):
                 if path is not None:
                     with open(path, "r", encoding="utf-8") as fh:
-                        docs.append(json.load(fh))
+                        try:
+                            docs.append(json.load(fh))
+                        except RecursionError:
+                            raise MalformedInput(f"{path}: JSON nested too deeply") from None
             payload, code = args.func(args, *docs)
             text = payload if isinstance(payload, str) else _json_text(payload)
         # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
@@ -404,10 +443,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"genbloch: usage error: {exc}", file=sys.stderr)
         return 1
-    except GenblochError as exc:
-        print(f"genbloch: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (GenblochError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"genbloch: error: {exc}", file=sys.stderr)
         return 1
 

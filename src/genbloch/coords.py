@@ -217,7 +217,7 @@ def require_unit_trace(trace) -> None:
         raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
 
 
-def decode(rho, m: int | None = None, mode: str = "standard") -> StateCoords:
+def decode(rho, mode: str = "standard") -> StateCoords:
     """Trace-project the hermitian part of a unit-trace matrix onto the graded coordinates.
 
     Either mode's family holds 4^m orthogonal elements, so it spans every
@@ -225,9 +225,7 @@ def decode(rho, m: int | None = None, mode: str = "standard") -> StateCoords:
     mode="extended" the coordinates are grades 0..m over the 2m + 1 indices.
     """
     rho = as_matrix(rho)
-    basis = clifford.cached_basis(clifford.m_from_dim(rho.shape[0]) if m is None else m, mode)
-    if rho.shape[0] != basis.dim:
-        raise DimensionMismatch(f"matrix dim {rho.shape[0]} != basis dim {basis.dim}")
+    basis = clifford.cached_basis(clifford.m_from_dim(rho.shape[0]), mode)
     rho = require_hermitian(rho)
     require_unit_trace(np.trace(rho))
     # entries near the float range can overflow the projection's sums

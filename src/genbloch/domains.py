@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import _check_m, cached_basis, multi_indices
-from .coords import StateCoords, antisym_matrices, encode, sum_of_squares
+from .coords import StateCoords, antisym_matrices, encode, require_unit_trace, sum_of_squares
 from .errors import GradeOutOfRange, ResourceLimit
 from .figures import DEFAULT_TOL
 from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
@@ -92,9 +92,11 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     Every route applies one rule, lambda_min >= -tol; only the source of
     lambda_min differs: the closed form (spectra.sign_sums) of a pure vector
     or grade-2 configuration, the LAPACK eigenvalues of rho otherwise.
+    Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
+    require_unit_trace(coords.scalar)
     kind, payload = pure_config(coords) or (None, None)
     route, violated = _ROUTES[kind]
     if kind is None:

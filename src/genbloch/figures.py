@@ -10,8 +10,9 @@ and fig3 are point clouds of the elliptic tunnel surfaces
 alpha_pm = sqrt((x +- y)^2 + z^2) of the slice (G_12, G_34, G_23) = (x, y, z);
 fig3 keeps the points inside both tunnels (_tunnel_family, shared with
 identities.tunnel_membership).  A figure is built as columns (figure_columns),
-one array per CSV column; figure_data reads the same columns row by row.  No
-figure has more than MAX_FIGURE_ROWS candidate rows.
+one array per column of every output format, and fig1's two boundary curves
+as (r, T4) columns (boundary_curves).  No figure has more than
+MAX_FIGURE_ROWS candidate rows.
 
 This module also owns the package's rule on the invariants r and T4
 themselves: both are sums of squares (require_sums_of_squares).  It imports
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import BadResolution, ResourceLimit
 
 DEFAULT_TOL = 1e-9
-# figure_data's largest resolution: fig1 then has about 10^6 grid rows
+# a figure's largest resolution: fig1 then has about 10^6 grid rows
 MAX_RESOLUTION = 1001
 # a figure's largest candidate row count: fig1's resolution^2 grid rows, or
 # 2 resolution (3 resolution + 1) points on each tunnel surface of fig2 (two
@@ -76,12 +77,6 @@ def _tunnel_family(pts: np.ndarray):
     return np.hypot(x + y, z), np.hypot(x - y, z), r, t4
 
 
-def _tunnel_admissible(pts: np.ndarray) -> np.ndarray:
-    """tunnel_membership(x, y, z).admissible for every (x, y, z) row."""
-    ap, am, _, _ = _tunnel_family(pts)
-    return (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
-
-
 def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> np.ndarray:
     """Parametric points of alpha_kind = level inside the box, one (x, y, z) row each."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
@@ -98,8 +93,6 @@ def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float)
     return pts[np.all(np.abs(pts) <= box, axis=1)]
 
 
-_FIG1_COLUMNS = ("r", "T4", "admissible", "on_boundary")
-_SURFACE_COLUMNS = ("x", "y", "z", "surface_id")
 # (kind, level) of the tunnel surfaces drawn in fig2 and fig3
 _SURFACES = {
     "fig2": (("alpha_plus", 1.0), ("alpha_minus", 1.0)),
@@ -124,7 +117,8 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     for kind, level in _SURFACES[which]:
         pts = _tunnel_surface_points(kind, level, resolution, box=1.5)
         if which == "fig3":
-            keep = _tunnel_admissible(pts)
+            ap, am, _, _ = _tunnel_family(pts)
+            keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
             if paper_cube:
                 keep &= np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
             pts = pts[keep]
@@ -133,11 +127,6 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     x, y, z = np.concatenate(parts).T
     # an object column shares one str per surface among all its rows
     return [x, y, z, np.repeat(np.array(tags, dtype=object), [len(pts) for pts in parts])]
-
-
-def _rows(columns: list) -> list:
-    """One tuple of Python scalars per row of the columns."""
-    return list(zip(*(col.tolist() for col in columns)))
 
 
 def _check_figure(which: str, resolution) -> int:
@@ -161,51 +150,25 @@ def _check_figure(which: str, resolution) -> int:
 def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tuple:
     """(column names, one array per column) of a figure dataset.
 
-    The columns of figure_data's rows: fig1 gives r, T4 (float) and
-    admissible, on_boundary (bool); fig2 and fig3 give x, y, z (float) and
-    surface_id (str).
+    fig1 gives its (r, T4) grid as r, T4 (float) and admissible, on_boundary
+    (bool); fig2 (alpha_pm = 1 over [-1.5, 1.5]^3) and fig3 (alpha_plus in
+    {1, 0.1}, alpha_minus in {1, 0.01}, clipped to the admissible set and
+    optionally to the paper's unit cube) give surface points as x, y, z
+    (float) and surface_id (str).
     """
     resolution = _check_figure(which, resolution)
     if which == "fig1":
-        return list(_FIG1_COLUMNS), _fig1_columns(resolution)
-    return list(_SURFACE_COLUMNS), _surface_columns(which, resolution, paper_cube)
+        return ["r", "T4", "admissible", "on_boundary"], _fig1_columns(resolution)
+    return ["x", "y", "z", "surface_id"], _surface_columns(which, resolution, paper_cube)
 
 
-def _fig1(resolution: int) -> dict:
+def boundary_curves(resolution: int) -> dict:
+    """fig1's two boundary curves, each as (r, T4) columns of resolution points:
+    curve_upper T4 = 2 r^2 over 0 <= r <= 1 and curve_lower T4 = (r + 1)^2 - 2
+    over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
+    resolution = _check_figure("fig1", resolution)
     rs = np.linspace(0.0, 1.0, resolution)
-    curve_upper = [(float(r), float(2.0 * r * r)) for r in rs]
-    lo = math.sqrt(2.0) - 1.0
-    curve_lower = [(float(r), float((r + 1.0) ** 2 - 2.0))
-                   for r in np.linspace(lo, 1.0, resolution)]
-    return {
-        "which": "fig1",
-        "resolution": resolution,
-        "grid_columns": list(_FIG1_COLUMNS),
-        "grid": _rows(_fig1_columns(resolution)),
-        "curve_upper": curve_upper,
-        "curve_lower": curve_lower,
-    }
-
-
-def figure_data(which: str, resolution: int, paper_cube: bool = False) -> dict:
-    """Datasets behind the three diagnostic figures, one tuple per row.
-
-    fig1: (r, T4) grid with verdicts plus the two boundary curves.
-    fig2: point clouds of the iso-surfaces alpha_pm = 1 over [-1.5, 1.5]^3.
-    fig3: surface points alpha_plus in {1, 0.1}, alpha_minus in {1, 0.01}
-          clipped to the admissible intersection (optionally to the paper's
-          unit cube).
-    The rows are figure_columns read row by row.
-    """
-    resolution = _check_figure(which, resolution)
-    if which == "fig1":
-        return _fig1(resolution)
-    data = {
-        "which": which,
-        "resolution": resolution,
-        "columns": list(_SURFACE_COLUMNS),
-        "points": _rows(_surface_columns(which, resolution, paper_cube)),
-    }
-    if which == "fig3":
-        data["paper_cube"] = paper_cube
-    return data
+    lows = np.linspace(math.sqrt(2.0) - 1.0, 1.0, resolution)
+    # point by point: the array square x * x can differ from pow in the last bit
+    return {"curve_upper": [rs, 2.0 * rs * rs],
+            "curve_lower": [lows, np.array([(r + 1.0) ** 2 - 2.0 for r in lows])]}

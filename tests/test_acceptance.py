@@ -12,7 +12,7 @@ import numpy as np
 from genbloch import clifford
 from genbloch.clifford import chirality, extended_gammas, full_basis, generate_gammas
 from genbloch.coords import AntisymTensor, antisym, decode, encode, state_coords, tensor_config
-from genbloch.figures import figure_data
+from genbloch.figures import boundary_curves, figure_columns
 from genbloch.identities import (
     char_poly,
     descartes_positivity,
@@ -29,7 +29,7 @@ from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
 from genbloch.symmetry import conjugate_state, orthogonal_from_generator, rotate_coords, spin_lift
 
-from conftest import random_coords, random_tensor, random_unit_trace_hermitian
+from conftest import random_coords, random_tensor, random_unit_trace_hermitian, table_rows
 
 
 def _report(num, description, ok):
@@ -232,9 +232,9 @@ def test_criterion_09_tunnel_geometry():
     rho = clifford.cached_basis(2).expand({(): 1.0, (1, 2): xs, (3, 4): ys, (2, 3): zs}) / 4
     oracle = hermitian_eigenvalues(rho)[:, 0] >= -1e-10
     disagreements = int(np.count_nonzero(oracle != closed))
-    fig3 = figure_data("fig3", 6)
+    fig3 = table_rows(figure_columns("fig3", 6)[1])
     fig3_ok = True
-    for x, y, z, _ in fig3["points"][::5]:
+    for x, y, z, _ in fig3[::5]:
         g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
         fig3_ok = fig3_ok and float(np.min(hermitian_eigenvalues(tensor_config(2, 2, g)))) >= -1e-8
     ok = disagreements == 0 and fig3_ok
@@ -256,14 +256,15 @@ def test_criterion_10_descartes_fallback():
 
 
 def test_criterion_11_figure_reproduction():
-    data = figure_data("fig1", 101)
-    rows_ok = len(data["grid"]) == 101 * 101
-    for r, t4, adm, _ in data["grid"]:
+    grid = table_rows(figure_columns("fig1", 101)[1])
+    curves = {key: table_rows(curve) for key, curve in boundary_curves(101).items()}
+    rows_ok = len(grid) == 101 * 101
+    for r, t4, adm, _ in grid:
         expected = (max((r + 1.0) ** 2 - 2.0, 0.0) - 1e-9 <= t4 <= 2.0 * r * r + 1e-9
                     and 0.0 <= r <= 1.0 + 1e-9)
         rows_ok = rows_ok and adm == expected
-    upper_end = data["curve_upper"][-1]
-    lower_end = data["curve_lower"][-1]
+    upper_end = curves["curve_upper"][-1]
+    lower_end = curves["curve_lower"][-1]
     curves_ok = (abs(upper_end[0] - 1.0) < 1e-15 and abs(upper_end[1] - 2.0) < 1e-12
                  and abs(lower_end[0] - 1.0) < 1e-15 and abs(lower_end[1] - 2.0) < 1e-12)
     _report(11, "fig1 admissible set matches the inequality row-by-row at resolution 101; "

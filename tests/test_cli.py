@@ -234,17 +234,19 @@ def test_sample_m6_peak_rss(tmp_path):
     assert peak_mb < 80
 
 
-@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
-    # fig2 at its default resolution writes 96,392 points from columns: 67 MB
-    # (CSV) and 61 MB (SVG) on Linux x86-64, Python 3.11, numpy 2.4.  The bound
-    # sits below the 77 MB that one row tuple per point takes there.
+    # fig2 at its default resolution writes 96,392 points from columns: 58 MB
+    # (CSV), 60 MB (SVG) and 62 MB (JSON) on Linux x86-64, Python 3.11, numpy
+    # 2.4.  The bound sits below the 77 MB that one row tuple per point takes
+    # there, and the 98 MB of JSON dumped from row tuples.
     out = tmp_path / f"fig2.{fmt}"
     code, peak_mb = _genbloch_peak_rss_mb(["figure", "fig2", "--format", fmt,
                                            "--output", str(out)])
     assert code == 0
-    # the CSV header or the SVG open and close tags, then one line per point
-    assert out.read_text().count("\n") == {"csv": 96_393, "svg": 96_394}[fmt]
+    # the CSV header or the SVG open and close tags, then one line per point;
+    # JSON spends six lines on each point and twelve on the rest
+    assert out.read_text().count("\n") == {"csv": 96_393, "svg": 96_394, "json": 578_364}[fmt]
     assert peak_mb < 75
 
 
@@ -492,6 +494,36 @@ def test_coords_scalar_not_one_refused(tmp_path, capsys, argv):
     assert "trace 2.0 differs from 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "deep.json"],
+    ["decode", "--input", "deep.json"],
+    ["spectrum", "--input", "deep.json"],
+    ["encode", "--input", "deep.json"],
+    ["rotate", "--input", "ok.json", "--alpha", "deep.json"],
+], ids=["validate", "decode", "spectrum", "encode", "rotate-alpha"])
+def test_deeply_nested_input_one_line(tmp_path, capsys, monkeypatch, argv):
+    # json.load recurses once per bracket; past Python's recursion limit the
+    # file is refused with one line, not a traceback
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    write_json(tmp_path / "ok.json", _G1)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "genbloch: error: deep.json: JSON nested too deeply"]
+
+
+@pytest.mark.parametrize("command", ["decode", "spectrum", "validate"])
+@pytest.mark.parametrize("flag", [["--m", "2"], ["--m=2"], ["--m", "5"]], ids=["m-2", "m=2", "m-5"])
+def test_m_flag_refused_on_state_inputs(tmp_path, capsys, command, flag):
+    # a state's m comes from its matrix dimension or its coords, never from a flag
+    path = write_json(tmp_path / "rho.json", matrix_to_json(np.eye(4) / 4))
+    assert run([command, "--input", path, *flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert captured.err.startswith("genbloch: usage error:")
+
+
 def test_decode_overflow_one_line(tmp_path, capsys):
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 3] = rho[3, 0] = 1.7e308
@@ -663,17 +695,17 @@ def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, fie
 
 
 def _nonfinite_argv(tmp_path, command):
-    if command == "sample":
+    if command.startswith("sample"):
         # |c|^2 of a draw from [-1e200, 1e200]^4 overflows, so every margin is
-        # inf; CSV refuses it as JSON does
+        # inf; CSV and JSON refuse it alike
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
-                "--format", "csv"]
+                "--format", "json" if command == "sample-json" else "csv"]
     # r and T4 overflow to inf; JSON has no finite spelling for them
     coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
     return [command, "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
@@ -681,7 +713,7 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
     argv = _nonfinite_argv(tmp_path, command)
@@ -776,8 +808,8 @@ def test_figure_resolution_limit(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
     # the largest resolution passes validation (the dataset itself is not built here)
-    monkeypatch.setattr(figures, "_fig1", lambda resolution: {"resolution": resolution})
-    assert figures.figure_data("fig1", figures.MAX_RESOLUTION) == {"resolution": 1001}
+    monkeypatch.setattr(figures, "_fig1_columns", lambda resolution: {"resolution": resolution})
+    assert figures.figure_columns("fig1", figures.MAX_RESOLUTION)[1] == {"resolution": 1001}
 
 
 def test_csv_row_numpy_scalars():
@@ -830,17 +862,16 @@ def _svg_per_point(points, labels, size=640) -> str:
 @pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
                                                ("fig3", False), ("fig3", True)])
 def test_figure_writers_match_per_row(capsys, which, paper_cube):
-    from genbloch.figures import figure_data
+    from genbloch.figures import figure_columns
 
     cube = ["--paper-cube"] if paper_cube else []
     for resolution in range(2, 41):
-        data = figure_data(which, resolution, paper_cube=paper_cube)
+        header, columns = figure_columns(which, resolution, paper_cube=paper_cube)
+        rows = table_rows(columns)
         if which == "fig1":
-            header, rows = data["grid_columns"], data["grid"]
             points = [(r, t4) for r, t4, _, _ in rows]
             labels = ["admissible" if adm else "inadmissible" for _, _, adm, _ in rows]
         else:
-            header, rows = data["columns"], data["points"]
             points = [(x, y) for x, y, _, _ in rows]
             labels = [sid for _, _, _, sid in rows]
         argv = ["figure", which, "--resolution", str(resolution), *cube]
@@ -870,7 +901,7 @@ def test_sample_json_matches_per_record(capsys, m, k):
     # the record -> dict loop that the column writer replaced, as its reference
     from genbloch.domains import sample_domain
 
-    for n in (0, 1, 40):
+    for n in (0, 1, 40, 800):
         seed = m + 10 * k + n
         records = [{
             "index": index,
@@ -885,6 +916,36 @@ def test_sample_json_matches_per_record(capsys, m, k):
                     "--seed", str(seed), "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True,
                                                      allow_nan=False) + "\n"
+
+
+def _figure_json_per_row(which, resolution, paper_cube) -> str:
+    """The row dump that figure JSON was once built from, as its reference:
+    the columns as Python rows, fig1's boundary curves one point at a time."""
+    from genbloch.figures import figure_columns
+
+    names, columns = figure_columns(which, resolution, paper_cube=paper_cube)
+    data = {"which": which, "resolution": resolution}
+    if which == "fig1":
+        rs = np.linspace(0.0, 1.0, resolution)
+        lows = np.linspace(np.sqrt(2.0) - 1.0, 1.0, resolution)
+        data.update(grid_columns=names, grid=table_rows(columns),
+                    curve_upper=[(float(r), float(2.0 * r * r)) for r in rs],
+                    curve_lower=[(float(r), float((r + 1.0) ** 2 - 2.0)) for r in lows])
+    else:
+        data.update(columns=names, points=table_rows(columns))
+        if which == "fig3":
+            data["paper_cube"] = paper_cube
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
+                                               ("fig3", False), ("fig3", True)])
+def test_figure_json_matches_per_row(capsys, which, paper_cube):
+    cube = ["--paper-cube"] if paper_cube else []
+    for resolution in [*range(2, 41), 101]:
+        assert run(["figure", which, "--resolution", str(resolution), "--format", "json",
+                    *cube]) == 0
+        assert capsys.readouterr().out == _figure_json_per_row(which, resolution, paper_cube)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -979,12 +1040,12 @@ def test_figure_row_limit(capsys, monkeypatch):
     # at the limit a dataset is built; one row above it, it is refused
     for which in ("fig2", "fig3"):
         monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5))
-        assert len(figures.figure_data(which, 5)["points"]) > 0
+        assert len(table_rows(figures.figure_columns(which, 5)[1])) > 0
         monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5) - 1)
         with pytest.raises(ResourceLimit):
-            figures.figure_data(which, 5)
+            figures.figure_columns(which, 5)
     monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5)
-    assert len(figures.figure_data("fig1", 5)["grid"]) == 25
+    assert len(table_rows(figures.figure_columns("fig1", 5)[1])) == 25
     monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5 - 1)
     with pytest.raises(ResourceLimit):
         figures.figure_columns("fig1", 5)

@@ -24,9 +24,10 @@ from genbloch.errors import (
     GradeOutOfRange,
     KindMismatch,
     NegativeDiscriminant,
+    NonUnitTrace,
     ResourceLimit,
 )
-from genbloch.figures import _tunnel_surface_points, figure_data
+from genbloch.figures import _tunnel_surface_points, boundary_curves, figure_columns
 from genbloch.identities import (
     char_poly,
     descartes_positivity,
@@ -144,7 +145,7 @@ def test_fig1_matches_per_point(resolution):
     t4s = np.linspace(0.0, 2.0, resolution)
     expected = [(float(r), float(t4), *_rT4_per_point(float(r), float(t4))[:2])
                 for r in rs for t4 in t4s]
-    grid = figure_data("fig1", resolution)["grid"]
+    grid = table_rows(figure_columns("fig1", resolution)[1])
     assert grid == expected
     assert all(type(v) is float for row in grid for v in row[:2])
     assert all(type(v) is bool for row in grid for v in row[2:])
@@ -465,6 +466,17 @@ def test_closed_form_vector_with_pseudoscalar():
         closed_form_min(2, {1: g, 2: {(1, 2): 0.5}})
 
 
+@pytest.mark.parametrize("grades", [
+    {1: {(1,): 1.5}},
+    {1: {(1,): 1.5}, 2: {(1, 2): 0.2}},
+], ids=["vector_ball", "min_eigenvalue"])
+@pytest.mark.parametrize("scalar", [2.0, 1.0 + 2e-8, 0.0])
+def test_positivity_refuses_non_unit_trace(grades, scalar):
+    # coords whose trace is not 1 are no state on any route, closed form or LAPACK
+    with pytest.raises(NonUnitTrace):
+        positivity(state_coords(2, scalar=scalar, grades=grades), None)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
 def test_positivity_bad_tol(tol):
     coords = state_coords(2, grades={2: {(1, 2): 0.6}})
@@ -501,7 +513,8 @@ def test_sample_domain_guards():
 
 
 def test_fig1_matches_inequality():
-    data = figure_data("fig1", 21)
+    data = {"grid": table_rows(figure_columns("fig1", 21)[1]),
+            **{key: table_rows(curve) for key, curve in boundary_curves(21).items()}}
     assert len(data["grid"]) == 21 * 21
     for r, t4, adm, _ in data["grid"]:
         expected = (max((r + 1) ** 2 - 2, 0.0) - 1e-9 <= t4 <= 2 * r * r + 1e-9
@@ -513,7 +526,7 @@ def test_fig1_matches_inequality():
 
 
 def test_fig2_points_on_surfaces():
-    data = figure_data("fig2", 8)
+    data = {"points": table_rows(figure_columns("fig2", 8)[1])}
     assert data["points"], "fig2 emitted no points"
     for x, y, z, sid in data["points"]:
         if sid.startswith("alpha_plus"):
@@ -525,7 +538,7 @@ def test_fig2_points_on_surfaces():
 
 
 def test_fig3_points_admissible_and_oracle_positive():
-    data = figure_data("fig3", 6)
+    data = {"points": table_rows(figure_columns("fig3", 6)[1])}
     assert data["points"]
     for x, y, z, _ in data["points"]:
         assert tunnel_membership(x, y, z).admissible
@@ -569,14 +582,14 @@ def test_fig3_matches_tunnel_membership(resolution):
                 if in_cube(x) and in_cube(y) and in_cube(z):
                     expected[True].append(row)
     for paper_cube in (False, True):
-        points = figure_data("fig3", resolution, paper_cube=paper_cube)["points"]
+        points = table_rows(figure_columns("fig3", resolution, paper_cube=paper_cube)[1])
         assert points == expected[paper_cube]
     assert 0 < len(expected[True]) < len(expected[False])
 
 
 def test_fig3_paper_cube_subset():
-    full = figure_data("fig3", 6)
-    cube = figure_data("fig3", 6, paper_cube=True)
+    full = {"points": table_rows(figure_columns("fig3", 6)[1])}
+    cube = {"points": table_rows(figure_columns("fig3", 6, paper_cube=True)[1])}
     assert set(cube["points"]) <= set(full["points"])
     for x, y, z, _ in cube["points"]:
         assert -1e-9 <= x <= 1 + 1e-9 and -1e-9 <= y <= 1 + 1e-9 and -1e-9 <= z <= 1 + 1e-9
@@ -584,6 +597,6 @@ def test_fig3_paper_cube_subset():
 
 def test_figure_bad_resolution():
     with pytest.raises(BadResolution):
-        figure_data("fig1", 1)
+        figure_columns("fig1", 1)
     with pytest.raises(BadResolution):
-        figure_data("fig9", 10)
+        figure_columns("fig9", 10)

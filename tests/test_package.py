@@ -68,6 +68,6 @@ def test_public_names_resolve():
     for name in genbloch.__all__:
         assert getattr(genbloch, name) is not None
     assert set(genbloch.__all__) <= set(dir(genbloch))
-    assert genbloch.figure_data is genbloch.figures.figure_data
+    assert genbloch.figure_columns is genbloch.figures.figure_columns
     with pytest.raises(AttributeError):
         genbloch.no_such_name
