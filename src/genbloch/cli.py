@@ -8,8 +8,11 @@ writer (_table_text) spells every CSV and JSON table from it with that
 format's separators, each distinct float magnitude once and at full double
 precision, so repeated runs are byte-identical.  A float that is not finite
 is refused in every format.  SVG pixel coordinates are spelled from integer
-counts of hundredths.  Each subcommand imports what it uses when it runs,
-so `figure` and `domain --grid` load only the figures module besides this.
+counts of hundredths.  encode and basis print matrix JSON and decode and
+rotate coords JSON through the same writer.  Each subcommand imports what
+it uses when it runs, so `figure` and `domain --grid` load only the figures
+module besides this, and no call loads dataclasses: the package's records
+are plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
@@ -19,14 +22,23 @@ Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode refuses coords
 whose matrix rounds their trace away.
 
+A call builds only the parser it uses: when argv names a subcommand first,
+run() builds that subcommand alone (domain builds its own, then the one its
+mode hands off to); with no arguments, -h/--help or an unknown name it
+builds them all, so those messages list every subcommand.  No parser
+expands an abbreviated flag.  run() flushes what it wrote inside its error
+handling; main() then runs the atexit handlers, flushes stderr and ends the
+process with os._exit, sparing it the teardown of every module.
+
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
-pipelines can partition corpora), 1 any error, with a one-line diagnostic
-on stderr.
+pipelines can partition corpora), 1 any error, a failed write of the answer
+included, with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import json
@@ -58,11 +70,12 @@ def _state(obj, mode: str):
     """(coords, rho) of a parsed matrix JSON, or (coords, None) of a parsed
     coords JSON of a unit-trace state: an answer encodes coords only if it
     uses their matrix."""
+    from .clifford import m_from_dim
     from .coords import coords_from_json, decode, require_unit_trace
     from .linalg import matrix_from_json
 
     if isinstance(obj, dict) and "dim" in obj:
-        rho = matrix_from_json(obj)
+        rho = matrix_from_json(obj, m_from_dim)
         return decode(rho, mode=mode), rho
     coords = coords_from_json(obj)
     # the scalar is exactly the trace of the matrix the coords encode
@@ -140,12 +153,38 @@ def _json_list(columns, leads=None, tail="\n    ]") -> str:
 
 
 def _json_document(fields: dict, tables: dict) -> str:
-    """json.dumps({**fields, **tables}, indent=2, sort_keys=True) and a newline,
-    each table already spelled as the value of its key (_json_list)."""
+    """json.dumps({**fields, **tables}, indent=2, sort_keys=True), each table
+    already spelled as the value of its key (_json_list, or a _json_document
+    indented by two spaces)."""
     values = {**{key: _json_text(v).replace("\n", "\n  ") for key, v in fields.items()}, **tables}
+    if not values:
+        return "{}"
     # each key after a comma; the first comma makes way for the opening brace
     parts = [part for key in sorted(values) for part in (f",\n  {json.dumps(key)}: ", values[key])]
-    return "".join(["{", parts[0][1:], *parts[1:], "\n}\n"])
+    return "".join(["{", parts[0][1:], *parts[1:], "\n}"])
+
+
+def _matrix_text(a) -> str:
+    """json.dumps(linalg.matrix_to_json(a), indent=2, sort_keys=True)."""
+    from .linalg import as_matrix
+
+    a = as_matrix(a)
+    flat = a.ravel()
+    return _json_document({"dim": a.shape[0]}, {"entries": _json_list([flat.real, flat.imag])})
+
+
+def _coords_text(coords) -> str:
+    """json.dumps(coords.coords_to_json(coords), indent=2, sort_keys=True)."""
+    grades = {}
+    for k, tensor in coords.grades.items():
+        keys = sorted(tensor.values)
+        idx = np.array(keys, dtype=np.int64).reshape(len(keys), k).T
+        val = np.array([tensor.values[key] for key in keys], dtype=np.float64)
+        leads = [',\n    {\n      "idx": [\n        ', *[",\n        "] * (k - 1),
+                 '\n      ],\n      "val": ']
+        grades[str(k)] = _json_list([*idx, val], leads, "\n    }")
+    return _json_document({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
+                          {"grades": _json_document({}, grades).replace("\n", "\n  ")})
 
 
 _CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
@@ -204,7 +243,6 @@ def _svg_text(xs, ys, labels, size: int = 640) -> str:
 
 def _answer_basis(args) -> tuple:
     from . import clifford
-    from .linalg import matrix_to_json
 
     basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
@@ -220,22 +258,23 @@ def _answer_basis(args) -> tuple:
         if len(idx) != k:
             raise UsageError(f"--element grade {k} does not match {len(idx)} indices")
         indices = [idx]
-    return {f"{args.m},{len(i)},[{','.join(map(str, i))}]": matrix_to_json(basis.element(i))
-            for i in indices}, 0
+    return _json_document({}, {f"{args.m},{len(i)},[{','.join(map(str, i))}]":
+                               _matrix_text(basis.element(i)).replace("\n", "\n  ")
+                               for i in indices}), 0
 
 
 def _answer_encode(args, state) -> tuple:
     from .coords import coords_from_json, encode
-    from .linalg import matrix_to_json
 
-    return matrix_to_json(encode(coords_from_json(state))), 0
+    return _matrix_text(encode(coords_from_json(state))), 0
 
 
 def _answer_decode(args, matrix) -> tuple:
-    from .coords import coords_to_json, decode
+    from .clifford import m_from_dim
+    from .coords import decode
     from .linalg import matrix_from_json
 
-    return coords_to_json(decode(matrix_from_json(matrix), mode=args.mode)), 0
+    return _coords_text(decode(matrix_from_json(matrix, m_from_dim), mode=args.mode)), 0
 
 
 def _answer_invariants(args, state) -> tuple:
@@ -313,7 +352,7 @@ def _answer_figure(args) -> tuple:
 
 def _answer_rotate(args, state, alpha_file) -> tuple:
     from . import symmetry
-    from .coords import antisym, coords_from_json, coords_to_json, entry_list
+    from .coords import antisym, coords_from_json, entry_list
     from .linalg import wire_field
 
     coords = coords_from_json(state)
@@ -321,7 +360,7 @@ def _answer_rotate(args, state, alpha_file) -> tuple:
     entries = entry_list(alpha_obj.get("alpha", []), "alpha")
     alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2, entries)
     el = symmetry.orthogonal_from_generator(alpha)
-    return coords_to_json(symmetry.rotate_coords(coords, el)), 0
+    return _coords_text(symmetry.rotate_coords(coords, el)), 0
 
 
 # the flags several subcommands declare alike, each one's type, choices and default
@@ -331,93 +370,102 @@ _SHARED_FLAGS = {
     "--mode": {"choices": ["standard", "extended"], "default": "standard"},
 }
 
+# subcommand -> (help, answer function, the shared flags it declares first),
+# in the order the top-level help lists them
+_COMMANDS = {
+    "basis": ("dump or verify Clifford basis elements", _answer_basis, ("--m", "--mode")),
+    "encode": ("coords JSON -> matrix JSON", _answer_encode, ("--input",)),
+    "decode": ("matrix JSON -> coords JSON", _answer_decode, ("--input", "--mode")),
+    "invariants": ("coords JSON -> invariant set JSON", _answer_invariants, ("--input",)),
+    "spectrum": ("closed-form and/or oracle spectrum", _answer_spectrum, ("--input", "--mode")),
+    "validate": ("admissibility verdict (exit 2 when inadmissible)", _answer_validate,
+                 ("--input", "--mode")),
+    "sample": ("Monte-Carlo atlas of a tensor domain", _answer_sample, ("--m",)),
+    "figure": ("figure datasets (grid / surface point clouds)", _answer_figure, ()),
+    "rotate": ("apply a rotation generator to coordinates", _answer_rotate, ("--input",)),
+    "domain": ("classify one state, emit the domain grid, or sample the domain", None, ()),
+}
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="genbloch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *shared):
-        """Subparser name, run by func, whose first flags are the shared ones named."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        for flag in shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        return p
-
-    p = command("basis", _answer_basis, "dump or verify Clifford basis elements", "--m", "--mode")
-    p.add_argument("--element", help="single element selector K:I1,I2,...")
-    p.add_argument("--verify", action="store_true", help="print the residual report instead")
-
-    command("encode", _answer_encode, "coords JSON -> matrix JSON", "--input")
-    command("decode", _answer_decode, "matrix JSON -> coords JSON", "--input", "--mode")
-    command("invariants", _answer_invariants, "coords JSON -> invariant set JSON", "--input")
-
-    p = command("spectrum", _answer_spectrum, "closed-form and/or oracle spectrum",
-                "--input", "--mode")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--closed-form", dest="which", action="store_const", const="closed-form")
-    group.add_argument("--oracle", dest="which", action="store_const", const="oracle")
-    group.add_argument("--both", dest="which", action="store_const", const="both")
-    p.set_defaults(which="both")
-
-    p = command("validate", _answer_validate, "admissibility verdict (exit 2 when inadmissible)",
-                "--input", "--mode")
-    p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
-
-    p = command("sample", _answer_sample, "Monte-Carlo atlas of a tensor domain", "--m")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", type=float, default=1.2)
-    p.add_argument("--format", choices=["csv", "json"], default="json")
-
-    p = command("figure", _answer_figure, "figure datasets (grid / surface point clouds)")
-    p.add_argument("which", choices=["fig1", "fig2", "fig3"])
-    p.add_argument("--resolution", type=int, default=101)
-    p.add_argument("--paper-cube", action="store_true")
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-
-    p = command("rotate", _answer_rotate, "apply a rotation generator to coordinates", "--input")
-    p.add_argument("--alpha", required=True)
-
+def _declare(sub, name: str) -> None:
+    """Add subcommand name to the subparsers action sub."""
+    help, func, shared = _COMMANDS[name]
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    if name == "basis":
+        p.add_argument("--element", help="single element selector K:I1,I2,...")
+        p.add_argument("--verify", action="store_true", help="print the residual report instead")
+    elif name == "spectrum":
+        group = p.add_mutually_exclusive_group()
+        for which in ("closed-form", "oracle", "both"):
+            group.add_argument(f"--{which}", dest="which", action="store_const", const=which)
+        p.set_defaults(which="both")
+    elif name == "validate":
+        p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
+    elif name == "sample":
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--samples", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--box", type=float, default=1.2)
+        p.add_argument("--format", choices=["csv", "json"], default="json")
+    elif name == "figure":
+        p.add_argument("which", choices=["fig1", "fig2", "fig3"])
+        p.add_argument("--resolution", type=int, default=101)
+        p.add_argument("--paper-cube", action="store_true")
+        p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+    elif name == "rotate":
+        p.add_argument("--alpha", required=True)
+    elif name == "domain":
+        # only the mode: _domain_args parses the rest of argv as the mode's subcommand
+        p.add_argument("--input", help="coords or matrix JSON: run validate on it")
+        p.add_argument("--grid", action="store_true",
+                       help="run figure fig1, or figure fig3 with --paper-cube")
+        p.add_argument("--samples", help="run sample with this count, by default "
+                                         "--m 2 --k 2 --format csv")
+        return
+    p.set_defaults(func=func)
     # each answer goes to the --output file or stdout; domain hands the flag on
-    for p in sub.choices.values():
-        p.add_argument("--output")
+    p.add_argument("--output")
 
-    # only the mode: _domain_args parses the rest of argv as the mode's subcommand
-    p = sub.add_parser("domain", help="classify one state, emit the domain grid, "
-                                      "or sample the domain")
-    p.add_argument("--input", help="coords or matrix JSON: run validate on it")
-    p.add_argument("--grid", action="store_true",
-                   help="run figure fig1, or figure fig3 with --paper-cube")
-    p.add_argument("--samples", help="run sample with this count, by default "
-                                     "--m 2 --k 2 --format csv")
+
+def build_parser(names=_COMMANDS) -> _Parser:
+    """The genbloch parser with the subcommands named, by default every one.
+
+    A subcommand's help and usage errors are the same whichever others are
+    built beside it.  No parser expands an abbreviated flag.
+    """
+    parser = _Parser(prog="genbloch", description=__doc__, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        _declare(sub, name)
     return parser
 
 
-def _domain_args(parser, args, rest) -> argparse.Namespace:
+def _domain_args(args, rest) -> argparse.Namespace:
     """Parse a domain call as the subcommand its one mode runs, rest of argv
     and all, so that subcommand's parser refuses any flag it does not declare."""
     if [bool(args.input), args.grid, args.samples is not None].count(True) != 1:
         raise UsageError("domain needs exactly one of --input, --grid, --samples")
     if args.input:
-        return parser.parse_args(["validate", f"--input={args.input}", *rest])
+        return build_parser(["validate"]).parse_args(["validate", f"--input={args.input}", *rest])
     if args.grid:
-        target = parser.parse_args(["figure", "fig1", *rest])
+        target = build_parser(["figure"]).parse_args(["figure", "fig1", *rest])
         target.which = "fig3" if target.paper_cube else "fig1"
         return target
     # later flags override earlier ones, so rest overrides domain's defaults
-    return parser.parse_args(["sample", "--m", "2", "--k", "2", "--format", "csv",
-                              f"--samples={args.samples}", *rest])
+    return build_parser(["sample"]).parse_args(["sample", "--m", "2", "--k", "2", "--format",
+                                                "csv", f"--samples={args.samples}", *rest])
 
 
 def run(argv) -> int:
     """Parse argv, read the input files, answer, write the answer; return the exit code."""
-    parser = build_parser()
+    # a call that names its subcommand first builds only that one's parser
+    parser = build_parser([argv[0]] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args, rest = parser.parse_known_args(argv)
         if args.command == "domain":
-            args = _domain_args(parser, args, rest)
+            args = _domain_args(args, rest)
         elif rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
         # an overflow to inf or nan is reported once, by NonFiniteResult,
@@ -439,6 +487,7 @@ def run(argv) -> int:
         sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
         with sink as out:
             out.write(text if text.endswith("\n") else text + "\n")
+            out.flush()  # a failed write is reported here, not at exit
         return code
     except UsageError as exc:
         print(f"genbloch: usage error: {exc}", file=sys.stderr)
@@ -450,7 +499,11 @@ def run(argv) -> int:
 
 def main() -> None:
     code = run(sys.argv[1:])
-    # the process is ending, so nothing it allocated needs collecting;
-    # freezing spares the shutdown from collecting and freeing the import graph
+    # the process is ending, so nothing it allocated needs collecting: freezing
+    # spares the atexit handlers a collection, and os._exit skips the teardown
+    # of every module; run() has flushed stdout, so what exit still owes is
+    # the handlers and stderr
     gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(code)

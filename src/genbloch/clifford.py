@@ -28,7 +28,6 @@ all generators, anticommuting with each) and builds grades 0..m over the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -44,6 +43,26 @@ _PHASES = np.array([1.0, 1j, -1.0, -1j])
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class Record:
+    """Base of the package's immutable records: a subclass's __init__ sets its
+    __slots__ once, in order, through _set; assigning or deleting an attribute
+    later raises.  copy and pickle rebuild a record through its __init__."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _check_m(m: int) -> None:
@@ -187,20 +206,18 @@ def basis_element(m: int, indices, mode: str = "standard") -> np.ndarray:
     return _dense(m, x, z, p + len(idx) * (len(idx) - 1) // 2)
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordBasis:
+class CliffordBasis(Record):
     """The 4^m graded elements E_A = i^p X^x Z^z as one Pauli-string table.
 
     rows maps each increasing multi-index A to its row of the x, z, p
     arrays; rows run grade by grade, lexicographically within a grade.
     """
 
-    m: int
-    mode: str
-    rows: dict = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
+    __slots__ = ("m", "mode", "rows", "x", "z", "p")
+
+    def __init__(self, m: int, mode: str, rows: dict, x: np.ndarray, z: np.ndarray,
+                 p: np.ndarray):
+        self._set(m, mode, rows, x, z, p)
 
     @property
     def dim(self) -> int:

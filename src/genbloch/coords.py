@@ -14,8 +14,6 @@ deliberately NOT validated here; deciding it is the job of the domains module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import clifford
@@ -60,20 +58,17 @@ def antisym_matrices(side: int, entries: dict) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True, eq=False)
-class AntisymTensor:
+class AntisymTensor(clifford.Record):
     """Grade-k totally antisymmetric real array over indices 1..side.
 
     Only strictly increasing index tuples are stored; odd permutations are
     implied by sign, absent keys are zero.
     """
 
-    m: int
-    k: int
-    side: int
-    values: dict = field(repr=False)
+    __slots__ = ("m", "k", "side", "values")
 
-    def __post_init__(self):
+    def __init__(self, m: int, k: int, side: int, values: dict):
+        self._set(m, k, side, values)
         clifford._check_m(self.m)  # bounds side, and with it every multi-index table
         if self.side not in (2 * self.m, 2 * self.m + 1):
             raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
@@ -148,16 +143,13 @@ def _check_grade(m: int, k: int, mode: str) -> None:
         raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class StateCoords:
+class StateCoords(clifford.Record):
     """Scalar plus one antisymmetric tensor per grade: the dual coordinates of a state."""
 
-    m: int
-    mode: str
-    scalar: float
-    grades: dict = field(repr=False)  # grade k -> AntisymTensor
+    __slots__ = ("m", "mode", "scalar", "grades")
 
-    def __post_init__(self):
+    def __init__(self, m: int, mode: str, scalar: float, grades: dict):
+        self._set(m, mode, scalar, grades)  # grades: grade k -> AntisymTensor
         if not np.isfinite(self.scalar):
             raise MalformedInput(f"non-finite scalar {self.scalar}")
         for k, tensor in self.grades.items():

@@ -23,11 +23,10 @@ sample and a figure share one path to their output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import _check_m, cached_basis, multi_indices
+from .clifford import Record, _check_m, cached_basis, multi_indices
 from .coords import StateCoords, antisym_matrices, encode, require_unit_trace, sum_of_squares
 from .errors import GradeOutOfRange, ResourceLimit
 from .figures import DEFAULT_TOL
@@ -40,17 +39,14 @@ from .spectra import normal_form_amplitudes, pure_amplitudes, pure_config, sign_
 CHUNK_BYTES = 2 ** 20
 
 
-@dataclass(frozen=True)
-class DomainVerdict:
+class DomainVerdict(Record):
     """Admissibility decision with the active/violated constraint named."""
 
-    admissible: bool
-    boundary: bool
-    violated: str | None
-    invariants_used: InvariantSet | None
-    tol: float
+    __slots__ = ("admissible", "boundary", "violated", "invariants_used", "tol")
 
-    def __post_init__(self):
+    def __init__(self, admissible: bool, boundary: bool, violated: str | None,
+                 invariants_used: InvariantSet | None, tol: float):
+        self._set(admissible, boundary, violated, invariants_used, tol)
         if self.admissible and self.violated is not None:
             raise ValueError("admissible verdicts cannot carry a violated constraint")
 

@@ -14,10 +14,9 @@ checked claims of the identities module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .clifford import Record
 from .coords import AntisymTensor, StateCoords
 from .errors import DimensionMismatch, InvariantMismatch
 from .figures import require_sums_of_squares
@@ -60,16 +59,13 @@ def trace_T4(g: AntisymTensor) -> float:
     return float(np.trace(gtg @ gtg))
 
 
-@dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(Record):
     """Named invariants with their scale dimensions fixed by construction."""
 
-    r: float
-    T4: float
-    D3: float | None = None
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("r", "T4", "D3", "extras")
 
-    def __post_init__(self):
+    def __init__(self, r: float, T4: float, D3: float | None = None, extras: dict | None = None):
+        self._set(r, T4, D3, {} if extras is None else extras)
         require_sums_of_squares(self.r, self.T4)
 
     def to_dict(self) -> dict:

@@ -101,11 +101,18 @@ def wire_field(value, kind: type, name: str):
     raise MalformedInput(f"field {name!r}: expected {kind.__name__}, got {value!r:.60}")
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def matrix_from_json(obj, dim_rule=None) -> np.ndarray:
+    """The matrix of the wire format.  Its dim is held to dim_rule, when given
+    (a state's to clifford.m_from_dim), and the count of its entries to dim^2
+    before any entry is read."""
     obj = wire_field(obj, dict, "matrix")
     dim = wire_field(obj.get("dim"), int, "dim")
     entries = wire_field(obj.get("entries"), list, "entries")
+    if dim_rule is not None:
+        dim_rule(dim)
     try:
+        if len(entries) != dim * dim:
+            raise ValueError
         flat = np.array([complex(wire_field(re, float, "entries"), wire_field(im, float, "entries"))
                          for re, im in entries], dtype=complex).reshape(dim, dim)
     except MalformedInput:

@@ -22,11 +22,9 @@ closed_form_spectrum and the domains module take every spectrum from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .clifford import m_from_dim
+from .clifford import Record, m_from_dim
 from .coords import AntisymTensor, StateCoords, require_unit_trace, vector
 from .errors import GradeMismatch, KindMismatch
 from .invariants import vector_invariants
@@ -50,13 +48,13 @@ def cluster_values(values) -> list:
     return clusters
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Sorted eigenvalues with their multiplet structure."""
 
-    m: int
-    eigenvalues: np.ndarray
-    multiplets: list
+    __slots__ = ("m", "eigenvalues", "multiplets")
+
+    def __init__(self, m: int, eigenvalues: np.ndarray, multiplets: list):
+        self._set(m, eigenvalues, multiplets)
 
     def to_dict(self) -> dict:
         return {

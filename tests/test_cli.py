@@ -1049,3 +1049,170 @@ def test_figure_row_limit(capsys, monkeypatch):
     monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5 - 1)
     with pytest.raises(ResourceLimit):
         figures.figure_columns("fig1", 5)
+
+
+_COMMAND_NAMES = ["basis", "encode", "decode", "invariants", "spectrum", "validate", "sample",
+                  "figure", "rotate", "domain"]
+
+
+def _parsed(parser, argv, capsys):
+    """What parsing argv gives: its namespace, or its usage error, or its help text."""
+    from genbloch.errors import UsageError
+
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return f"usage error: {exc}"
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_one_subparser_parses_as_the_full_parser(capsys, name):
+    from genbloch.cli import build_parser
+
+    alone, full = build_parser([name]), build_parser()
+    # help; a missing required flag; bad choices; a bad type; an unknown flag;
+    # an abbreviated flag
+    calls = [[name, "--help"], [name], [name, "--mode", "odd"], [name, "fig9"],
+             [name, "--format", "xml"], [name, "--m", "x"], [name, "--bogus"],
+             [name, "--inp", "x.json"], [name, "--m", "2", "--k", "1", "--samples", "3"],
+             [name, "fig1", "--format", "svg"], [name, "--input", "x.json", "--alpha", "a.json"]]
+    for argv in calls:
+        assert _parsed(alone, argv, capsys) == _parsed(full, argv, capsys), argv
+    help_code, help_text = _parsed(alone, [name, "--help"], capsys)
+    assert help_code == 0 and help_text.startswith(f"usage: genbloch {name} [-h]")
+
+
+def test_run_builds_only_the_named_subcommand(monkeypatch, capsys, g2_coords):
+    from genbloch import cli
+
+    declared = []
+    declare = cli._declare
+    monkeypatch.setattr(cli, "_declare", lambda sub, name: declared.append(name)
+                        or declare(sub, name))
+    for argv, names in [(["validate", "--input", g2_coords], ["validate"]),
+                        (["domain", "--input", g2_coords], ["domain", "validate"]),
+                        (["domain", "--samples", "2"], ["domain", "sample"]),
+                        (["domain", "--grid", "--resolution", "3"], ["domain", "figure"]),
+                        (["bogus"], _COMMAND_NAMES), ([], _COMMAND_NAMES)]:
+        declared.clear()
+        run(argv)
+        assert declared == names, argv
+    capsys.readouterr()
+    # -h and --help list every subcommand
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit):
+            run([flag])
+        assert "{" + ",".join(_COMMAND_NAMES) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--m", "2"], ["--m", "standard"], ["--mod", "extended"]],
+                         ids=["m-2", "m-standard", "mod"])
+def test_abbreviated_flag_refused(g2_coords, capsys, argv):
+    # argparse would read --m and --mod as --mode
+    assert run(["validate", "--input", g2_coords, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"genbloch: usage error: unrecognized arguments: {' '.join(argv)}"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_write_failure_one_line(g2_coords, unbuffered):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        res = subprocess.run([sys.executable, "-m", "genbloch", "validate", "--input", g2_coords],
+                             env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["genbloch: error: [Errno 28] No space left on device"]
+
+
+def test_matrix_dim_refused_before_entries(tmp_path, capsys):
+    # 128 x 128 entries that are not [re, im] pairs: the dimension is refused first
+    path = write_json(tmp_path / "m7.json", {"dim": 128, "entries": ["x"] * 128 ** 2})
+    assert run(["decode", "--input", path]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "genbloch: error: m = 7 exceeds the supported maximum 6"]
+    with pytest.raises(genbloch.errors.MalformedInput, match="expected 4 x 4"):
+        matrix_from_json({"dim": 4, "entries": [[0.25, 0.0]] * 15})
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _signed_zero_coords(rng, m, mode):
+    """Coords with every grade of the family filled, a third of the values -0.0."""
+    from genbloch.clifford import cached_basis
+
+    basis = cached_basis(m, mode)
+    values = rng.standard_normal(len(basis.indices))
+    values[::3] = -0.0
+    grades = {}
+    for idx, val in zip(basis.indices[1:], values[1:]):
+        grades.setdefault(len(idx), {})[idx] = val
+    return state_coords(m, mode=mode, scalar=values[0], grades=grades)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_matrix_and_coords_json_match_json_dumps(rng, m, mode):
+    from genbloch.cli import _coords_text, _matrix_text
+    from genbloch.coords import encode
+
+    coords = _signed_zero_coords(rng, m, mode)
+    assert _coords_text(coords) == _dumps(coords_to_json(coords))
+    empty = state_coords(m, mode=mode, grades={1: {}})
+    assert _coords_text(empty) == _dumps(coords_to_json(empty))
+    bare = state_coords(m, mode=mode)
+    assert _coords_text(bare) == _dumps(coords_to_json(bare))
+    rho = encode(coords)
+    rho[::2] *= -1.0
+    rho.imag[1::3] = -0.0
+    assert _matrix_text(rho) == _dumps(matrix_to_json(rho))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_matrix_and_coords_answers_match_json_dumps(tmp_path, capsys, m):
+    from genbloch.clifford import cached_basis
+    from genbloch.coords import antisym, decode, encode
+    from genbloch.symmetry import orthogonal_from_generator, rotate_coords
+
+    coords = state_coords(m, grades={1: {(1,): 0.3, (2,): -0.0}, 2: {(1, 2): 0.2}})
+    state = write_json(tmp_path / "c.json", coords_to_json(coords))
+    rho = encode(coords)
+    matrix = write_json(tmp_path / "rho.json", matrix_to_json(rho))
+    alpha = write_json(tmp_path / "a.json", {"m": m, "alpha": [{"idx": [1, 2], "val": 0.4}]})
+    rotated = rotate_coords(coords, orthogonal_from_generator(antisym(m, 2, {(1, 2): 0.4})))
+    basis = cached_basis(m)
+    for argv, expected in [
+        (["encode", "--input", state], matrix_to_json(rho)),
+        (["decode", "--input", matrix, "--mode", "extended"],
+         coords_to_json(decode(rho, mode="extended"))),
+        (["rotate", "--input", state, "--alpha", alpha], coords_to_json(rotated)),
+        (["basis", "--m", str(m)], {f"{m},{len(i)},[{','.join(map(str, i))}]":
+                                    matrix_to_json(basis.element(i)) for i in basis.indices}),
+        (["basis", "--m", str(m), "--element", "1:2"], {f"{m},1,[2]":
+                                                        matrix_to_json(basis.element((2,)))}),
+    ]:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == _dumps(expected) + "\n", argv
+
+
+def test_coords_json_refuses_non_finite():
+    from types import SimpleNamespace
+
+    from genbloch.cli import _coords_text
+    from genbloch.errors import NonFiniteResult
+
+    for value in (float("nan"), float("inf"), -float("inf")):
+        tensor = SimpleNamespace(values={(1,): 0.5, (2,): value})
+        coords = SimpleNamespace(m=1, mode="standard", scalar=1.0, grades={1: tensor})
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            _coords_text(coords)

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -61,7 +63,10 @@ def test_cli_calls_load_no_identities(tmp_path, argv):
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout
-    assert "genbloch.identities" not in res.stderr.split()
+    loaded = res.stderr.split()
+    assert "genbloch.identities" not in loaded
+    # the records are plain __slots__ classes: no call generates dataclass code
+    assert "dataclasses" not in loaded
 
 
 def test_public_names_resolve():
@@ -71,3 +76,70 @@ def test_public_names_resolve():
     assert genbloch.figure_columns is genbloch.figures.figure_columns
     with pytest.raises(AttributeError):
         genbloch.no_such_name
+
+
+def _records():
+    from genbloch import (CliffordBasis, DomainVerdict, InvariantSet, Spectrum, antisym,
+                          cached_basis, state_coords)
+
+    basis = cached_basis(1)
+    return [
+        CliffordBasis(basis.m, basis.mode, basis.rows, basis.x, basis.z, basis.p),
+        antisym(2, 1, {(1,): 0.5}),
+        state_coords(2, grades={1: {(1,): 0.5}}),
+        InvariantSet(0.5, 0.1),
+        Spectrum(1, [0.25, 0.75], [(0.25, 1), (0.75, 1)]),
+        DomainVerdict(True, False, None, None, 1e-9),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["CliffordBasis", "AntisymTensor", "StateCoords",
+                                                 "InvariantSet", "Spectrum", "DomainVerdict"])
+def test_records_are_immutable(index):
+    record = _records()[index]
+    for name in type(record).__slots__:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.other = 1
+    # copy and pickle go through the constructor
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert pickle.dumps(twin) == pickle.dumps(record)
+
+
+def test_record_constructors_keep_their_defaults_and_checks():
+    from genbloch import AntisymTensor, DomainVerdict, InvariantSet, StateCoords
+    from genbloch.errors import (BadIndex, DimensionMismatch, GradeMismatch, GradeOutOfRange,
+                                 MalformedInput, ResourceLimit)
+
+    first, second = InvariantSet(r=0.5, T4=0.1), InvariantSet(0.5, 0.1)
+    assert (first.D3, first.extras) == (None, {})
+    assert first.extras is not second.extras
+    assert InvariantSet(0.5, 0.1, 2.0, {"pfaffian": 1.0}).extras == {"pfaffian": 1.0}
+    with pytest.raises(ValueError, match="sums of squares"):
+        InvariantSet(r=-1.0, T4=0.0)
+    with pytest.raises(ValueError, match="violated constraint"):
+        DomainVerdict(admissible=True, boundary=False, violated="x", invariants_used=None,
+                      tol=1e-9)
+    with pytest.raises(ResourceLimit, match="m = 7 exceeds"):
+        AntisymTensor(7, 1, 14, {})
+    with pytest.raises(DimensionMismatch, match="side 3 invalid"):
+        AntisymTensor(m=2, k=1, side=3, values={})
+    with pytest.raises(BadIndex, match="has grade 2, expected 1"):
+        AntisymTensor(2, 1, 4, {(1, 2): 0.5})
+    with pytest.raises(MalformedInput, match="non-finite value"):
+        AntisymTensor(2, 1, 4, {(1,): float("nan")})
+    tensor = AntisymTensor(2, 1, 4, {(1,): 0.5})
+    with pytest.raises(MalformedInput, match="non-finite scalar"):
+        StateCoords(2, "standard", float("inf"), {})
+    with pytest.raises(GradeOutOfRange):
+        StateCoords(2, "standard", 1.0, {5: tensor})
+    with pytest.raises(GradeMismatch):
+        StateCoords(2, "standard", 1.0, {2: tensor})
+    with pytest.raises(DimensionMismatch, match="wrong shape metadata"):
+        StateCoords(m=2, mode="extended", scalar=1.0, grades={1: tensor})
