@@ -1,10 +1,12 @@
 """Closed-form spectra against the eigensolver oracle.
 
 One formula, (scalar + sum_k s_k mu_k) / 2^m over the normal-form
-amplitudes mu, gives every pure configuration's spectrum: vector
-configurations give doublets, grade-2 configurations give quartets governed
-by the invariants (r, T4, D3); the factorized characteristic polynomials
-reproduce the dense computation coefficient by coefficient.
+amplitudes mu of the bordered matrix M = [[0, v^T], [-v, G]], gives the
+spectrum of every state in the so(2m+2) family: vector configurations give
+doublets, grade-2 configurations give quartets governed by the invariants
+(r, T4, D3), and grades 1 and 2 together take their sign vectors from the
+chirality sign Pf(M); the factorized characteristic polynomials reproduce
+the dense computation coefficient by coefficient.
 """
 
 import numpy as np
@@ -52,6 +54,13 @@ g = antisym(2, 2, {(1, 2): 0.6, (3, 4): 0.3})
 s = closed_form_spectrum(state_coords(2, grades={2: g}))
 print("\nm=2 quartet:", s.eigenvalues)
 print("same three-coordinate family:", tunnel_spectrum(0.6, 0.3, 0.0).eigenvalues)
+
+# --- grades 1 and 2 together: the bordered matrix M ---------------------------
+mixed = state_coords(2, mode="extended", grades={
+    1: {(1,): 0.2, (5,): -0.3}, 2: {(1, 2): 0.25, (3, 5): 0.1, (2, 4): -0.15}})
+s_mixed = closed_form_spectrum(mixed).eigenvalues
+print("\nm=2 extended grades 1 and 2:", s_mixed)
+print("oracle difference:", np.max(np.abs(s_mixed - hermitian_eigenvalues(encode(mixed)))))
 
 # --- m=3 octets and the cubic invariant ---------------------------------------
 a = 1 / np.sqrt(3)

@@ -28,8 +28,8 @@ _OWNERS = {name: module for module, names in {
                    "vector_invariants"),
     "linalg": ("exp_i_hermitian", "hermitian_eigenvalues", "hermitian_eigensystem",
                "matrix_from_json", "matrix_to_json"),
-    "spectra": ("Spectrum", "closed_form_spectrum", "normal_form_eigenvalues", "numeric_spectrum",
-                "pure_config", "spectrum_from_values"),
+    "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "normal_form_eigenvalues",
+                "numeric_spectrum", "spectrum_from_values"),
     "symmetry": ("conjugate_state", "orthogonal_from_generator", "rotate_coords", "spin_lift"),
 }.items() for name in names}
 

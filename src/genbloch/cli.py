@@ -87,14 +87,19 @@ def _spell_floats(values: np.ndarray) -> np.ndarray:
     """repr of each float64 of values.
 
     Each distinct magnitude is spelled once, and a value whose sign bit is
-    set (-0.0 too) is that spelling after "-"; NaN is "nan" whatever its sign.
+    set (-0.0 too) is that spelling after "-", built once for each magnitude
+    that occurs negative; NaN is "nan" whatever its sign.
     """
     bits = values.view(np.int64)
     magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
     # float's own repr: numpy 2 spells a numpy float as np.float64(...)
     text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
     negative = (bits < 0) & ~np.isnan(values)
-    return np.concatenate([text, "-" + text])[where + len(text) * negative]
+    minus = np.zeros(len(text), dtype=bool)
+    minus[where[negative]] = True
+    # the negative spellings follow text, in the order of their magnitudes
+    index = np.where(negative, len(text) - 1 + np.cumsum(minus)[where], where)
+    return np.concatenate([text, "-" + text[minus]])[index]
 
 
 # a table's booleans (false, true) and the spelling of its strings, per format

@@ -2,8 +2,10 @@
 
 One rule decides every state (positivity): it is admissible when its
 smallest eigenvalue is >= -tol.  Only the source of lambda_min depends on
-the route: the closed form spectra.sign_sums of a pure vector or grade-2
-configuration (spectra.pure_config), the LAPACK eigenvalues otherwise.
+the route: the closed form spectra.sign_sums of a state in the so(2m+2)
+family (spectra.bordered_parts), the LAPACK eigenvalues otherwise.  The
+route is named by the parts of the bordered matrix M = [[0, v^T], [-v, G]]
+the state has: a vector (v alone), a grade-2 tensor (G alone) or both.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -27,12 +29,13 @@ import math
 import numpy as np
 
 from .clifford import Record, _check_m, cached_basis, multi_indices
-from .coords import StateCoords, antisym_matrices, encode, require_unit_trace, sum_of_squares
+from .coords import (StateCoords, antisym_matrices, encode, require_unit_trace,
+                     sum_of_squares, vector)
 from .errors import GradeOutOfRange, ResourceLimit
 from .figures import DEFAULT_TOL
 from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
 from .linalg import hermitian_eigenvalues
-from .spectra import normal_form_amplitudes, pure_amplitudes, pure_config, sign_sums
+from .spectra import bordered_parts, normal_form_amplitudes, sign_sums
 
 # sample_domain classifies draws in chunks whose rho stack takes this many
 # bytes, so its peak memory does not grow with the sample count
@@ -73,10 +76,12 @@ def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_T
     )
 
 
-# spectra.pure_config kind -> (route, constraint named when lambda_min < -tol)
+# (v present, G present) of spectra.bordered_parts, or None outside the
+# family -> (route, constraint named when lambda_min < -tol)
 _ROUTES = {
-    "vector": ("vector_ball", "bloch_ball"),
-    "two_tensor": ("quartet_roots", "quartet_positivity"),
+    (True, False): ("vector_ball", "bloch_ball"),
+    (False, True): ("quartet_roots", "quartet_positivity"),
+    (True, True): ("normal_form", "positivity"),
     None: ("min_eigenvalue", "positivity"),
 }
 
@@ -86,20 +91,32 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     rho, or None to encode the coords only on the route that needs the matrix.
 
     Every route applies one rule, lambda_min >= -tol; only the source of
-    lambda_min differs: the closed form (spectra.sign_sums) of a pure vector
-    or grade-2 configuration, the LAPACK eigenvalues of rho otherwise.
-    Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
+    lambda_min differs: the closed form (spectra.sign_sums) of a state in
+    the so(2m+2) family, the LAPACK eigenvalues of rho otherwise.  Coords
+    whose scalar (the trace) is not 1 are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
     require_unit_trace(coords.scalar)
-    kind, payload = pure_config(coords) or (None, None)
-    route, violated = _ROUTES[kind]
-    if kind is None:
+    parts = bordered_parts(coords)
+    route, violated = _ROUTES[None if parts is None else tuple(x is not None for x in parts)]
+    if parts is None:
         rho = encode(coords) if rho is None else rho
         return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), violated, tol), route
-    inv = vector_invariants(*payload) if kind == "vector" else two_tensor_invariants(payload)
-    min_eig = float(sign_sums(coords.scalar, pure_amplitudes(coords.m, kind, payload))[0])
+    v, g = parts
+    mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
+    if g is None:
+        p = (-1) ** coords.m * float(v[-1])
+        inv = vector_invariants(vector(coords.m, v[:-1]), p if p != 0.0 else None)
+    elif v is None:
+        inv = two_tensor_invariants(g)
+    else:
+        # the invariants of M as a grade-2 tensor, with its normal form
+        inv = InvariantSet(r=float(sum_of_squares(v)) + g.norm_sq(),
+                           T4=2.0 * float(np.sum(mu ** 4)),
+                           extras={"normal_form_amplitudes": mu.tolist(),
+                                   "pfaffian_sign": float(np.sign(pf))})
+    min_eig = float(sign_sums(coords.scalar, mu, pf)[0])
     return min_eigenvalue_verdict(min_eig, violated, tol, inv), route
 
 
@@ -130,8 +147,11 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     oracle_min = np.empty(n)
     per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
     for lo in range(0, n, per):
-        columns = dict(zip(keys, draws[lo:lo + per].T))
-        min_closed[lo:lo + per] = _closed_form_minima(m, k, columns)
+        chunk = draws[lo:lo + per]
+        columns = dict(zip(keys, chunk.T))
+        # a grade-1 draw is v itself, a grade-2 draw G
+        v, g = (chunk, None) if k == 1 else (None, antisym_matrices(2 * m, columns))
+        min_closed[lo:lo + per] = sign_sums(1.0, *normal_form_amplitudes(m, v, g))[:, 0]
         rho = basis.expand({(): 1.0, **columns}) / basis.dim
         oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
     names = (["index"] + [f"c{i}" for i in range(len(keys))]
@@ -139,11 +159,3 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     return names, [np.arange(n), *draws.T, min_closed >= -DEFAULT_TOL,
                    oracle_min >= -DEFAULT_TOL, np.abs(min_closed)]
 
-
-def _closed_form_minima(m: int, k: int, columns: dict) -> np.ndarray:
-    """Smallest closed-form eigenvalue of each tensor of a grade-k stack given as {key: values}."""
-    if k == 1:
-        mu = normal_form_amplitudes(m, "vector", sum_of_squares(columns.values()))
-    else:
-        mu = normal_form_amplitudes(m, "two_tensor", antisym_matrices(2 * m, columns))
-    return sign_sums(1.0, mu)[:, 0]

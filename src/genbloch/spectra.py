@@ -1,23 +1,24 @@
-"""Closed-form probability spectra of pure vector and 2-tensor configurations.
+"""Closed-form probability spectra of the so(2m+2) family of states.
 
-A pure configuration rho = 2^{-m}(c I + X) splits into m commuting terms
-with eigenvalues +-mu_k, its normal-form amplitudes, so its eigenvalues are
+The family is the scalar with the extended-mode grades 1 and 2 over the
+2m + 1 indices, v and the matrix G, or the standard-mode grades 1, 2, 2m - 1
+and 2m, which are the same coordinates through E_{1..2m} = (-1)^m E_{2m+1}
+and E_{1..2m minus a} = (-1)^{a+1} E_{a,2m+1}; every state at m <= 2 is in
+it.  Such a state is a quadratic form in 2m + 2 Majorana operators on one
+chirality, so with mu_0..mu_m the paired singular values of the bordered
+matrix M = [[0, v^T], [-v, G]] the eigenvalues of rho = 2^{-m}(c I + X) are
 
-    lambda_s = (c + sum_k s_k mu_k) / 2^m   over all 2^m sign vectors s,
+    lambda_s = (c + sum_k s_k mu_k) / 2^m
 
-exactly, at every m and every scalar coordinate c: one formula, sign_sums.
-A vector (grade 1, with the top-grade pseudoscalar p or in extended mode)
-has mu = (n, 0, ..., 0), n^2 = sum_i G_i^2 + p^2: the doublet (c +- n) / 2^m.
-The generators are a Jordan-Wigner set of Majorana operators, so a grade-2
-configuration G o E^{(2)} is a quadratic Majorana form, and rotating G to
-its real antisymmetric normal form leaves mu_1..mu_m, the paired singular
-values of G, for side 2m+1 tensors as well (Bravyi, quant-ph/0404180).  The
-paper's quartet polynomials of these values are checked claims of the
-identities module.
+over the 2^m sign vectors s with prod_k s_k = (-1)^m sign Pf(M), exactly,
+at every m and scalar c (Bravyi, quant-ph/0404180).  A vector has
+mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
+has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
+claims of the identities module.
 
-pure_config recognises the two configurations in a StateCoords, and
-normal_form_amplitudes gives their amplitudes, of one state or a stack;
-closed_form_spectrum and the domains module take every spectrum from them.
+bordered_parts recognises (v, G) in a StateCoords, normal_form_amplitudes
+gives (mu, Pf M) of one state or a stack, and sign_sums the eigenvalues;
+closed_form_spectrum and the domains module take every closed form from them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import Record, m_from_dim
-from .coords import AntisymTensor, StateCoords, require_unit_trace, vector
+from .coords import AntisymTensor, StateCoords, require_unit_trace, sum_of_squares
 from .errors import GradeMismatch, KindMismatch
-from .invariants import vector_invariants
+from .invariants import pfaffian
 from .linalg import as_matrix, hermitian_eigenvalues
 
 CLUSTER_TOL = 1e-8
@@ -80,30 +81,51 @@ def numeric_spectrum(rho) -> Spectrum:
     return spectrum_from_values(m, vals)
 
 
-def sign_sums(scalar, mu) -> np.ndarray:
-    """Sorted eigenvalues (scalar + sum_k s_k mu_k) / 2^m over all 2^m sign vectors s.
+def sign_sums(scalar, mu, pf) -> np.ndarray:
+    """Sorted eigenvalues (scalar + sum_k s_k mu_k) / 2^m over the 2^m sign
+    vectors s with prod_k s_k = (-1)^m sign pf, taken as (-1)^m when pf is 0.
 
-    mu is a (..., m) array of normal-form amplitudes; the result is (..., 2^m).
+    mu is a (..., m + 1) array of normal-form amplitudes and pf the (...)
+    Pfaffians of normal_form_amplitudes; the result is (..., 2^m).  Each sum
+    is added left to right, elementwise, so a stack gives each state's own
+    values bit for bit.
     """
-    m = mu.shape[-1]
-    signs = 1 - 2 * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
-    # one (2^m, m) @ (m,) product per row keeps each sum in one order
-    return np.sort((scalar + (signs @ mu[..., None])[..., 0]) / 2 ** m, axis=-1)
+    m = mu.shape[-1] - 1
+    bits = (np.arange(2 ** m)[:, None] >> np.arange(m)) & 1
+    # s_0..s_{m-1} run over every sign vector; s_m makes the product the chirality
+    chirality = (-1) ** m * np.where(np.asarray(pf) < 0, -1, 1)
+    last = chirality[..., None] * (1 - 2 * (bits.sum(axis=1) % 2))
+    total = 0.0
+    for k in range(m):
+        total = total + (1 - 2 * bits[:, k]) * mu[..., k, None]
+    total = total + last * mu[..., m, None]
+    return np.sort((scalar + total) / 2 ** m, axis=-1)
 
 
-def normal_form_amplitudes(m: int, kind: str, x) -> np.ndarray:
-    """Normal-form amplitudes mu_1..mu_m, shape (..., m), of pure configurations.
+def normal_form_amplitudes(m: int, v=None, g=None) -> tuple:
+    """(mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side 2m + 2:
+    its paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1), and its
+    Pfaffian, shape (...).
 
-    "vector": x is the squared norm r (vector_invariants(...).r), a number or
-    an array, and mu = (sqrt(r), 0, ..., 0).  "two_tensor": x is a (..., side,
-    side) stack of antisymmetric matrices, whose singular values come in
-    equal pairs; one of each of the m largest pairs is kept (side 2m+1 has
-    one more, zero, which is dropped).
+    v is a (..., n) array and g a (..., n', n') array of antisymmetric
+    matrices over the first n, n' <= 2m + 1 extended indices, or None for a
+    state without that part.  Without g, M has rank 2 and mu is (|v|, 0, ...,
+    0), |v| the square root of v's squares added left to right, so the
+    doublet comes out exact.
     """
-    if kind == "vector":
-        r = np.asarray(x, dtype=float)
-        return np.concatenate([np.sqrt(r)[..., None], np.zeros(r.shape + (m - 1,))], axis=-1)
-    return np.linalg.svd(x, compute_uv=False)[..., : 2 * m : 2]
+    shape = v.shape[:-1] if v is not None else np.shape(g)[:-2] if g is not None else ()
+    bordered = np.zeros(shape + (2 * m + 2, 2 * m + 2))
+    mu = np.zeros(shape + (m + 1,))
+    if v is not None:
+        bordered[..., 0, 1:v.shape[-1] + 1] = v
+        bordered[..., 1:v.shape[-1] + 1, 0] = -v
+    if g is not None:
+        side = np.shape(g)[-1]
+        bordered[..., 1:side + 1, 1:side + 1] = g
+        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
+    elif v is not None:
+        mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
+    return mu, pfaffian(bordered)
 
 
 def normal_form_eigenvalues(g2) -> np.ndarray:
@@ -114,46 +136,47 @@ def normal_form_eigenvalues(g2) -> np.ndarray:
     """
     if isinstance(g2, AntisymTensor):
         g2 = g2.as_matrix()
-    return sign_sums(1.0, normal_form_amplitudes(g2.shape[-1] // 2, "two_tensor", g2))
+    return sign_sums(1.0, *normal_form_amplitudes(g2.shape[-1] // 2, None, g2))
 
 
-def pure_config(coords: StateCoords):
-    """(kind, payload) when the coords are a pure tensor configuration, else None.
+def bordered_parts(coords: StateCoords):
+    """(v, G) when coords lie in the so(2m+2) family, else None.
 
-    "vector": payload (grade-1 tensor over 2m indices, pseudoscalar or None),
-    for grades 1 and 2m in standard mode or grade 1 in extended mode; the
-    scalar alone counts too.  "two_tensor": payload the grade-2 tensor of a
-    standard-mode state with no other grade.
+    v is the grade-1 part as an array over the 2m + 1 extended indices,
+    None for a state with a grade-2 part and no grade-1 part; G is the
+    grade-2 part as a grade-2 AntisymTensor, over the first 2m indices when
+    a standard-mode state has no grade 2m - 1, None for a state without one.
+    A grade counts when it has a nonzero entry; the scalar alone is v = 0.
     """
-    m = coords.m
-    active = {k for k, t in coords.grades.items() if any(v != 0.0 for v in t.values.values())}
-    if coords.mode == "extended":
-        # an extended vector is a standard vector plus pseudoscalar in disguise:
-        # the (2m+1)-th generator equals (-1)^m times the top-grade element
-        if active <= {1}:
-            g1 = coords.grade(1)
-            comps = [g1.get((i,)) for i in range(1, coords.side)]
-            pseudo = (-1.0) ** m * g1.get((coords.side,))
-            return "vector", (vector(m, comps), pseudo if pseudo != 0.0 else None)
+    m, n, standard = coords.m, 2 * coords.m + 1, coords.mode == "standard"
+    active = [k for k, t in sorted(coords.grades.items())
+              if any(x != 0.0 for x in t.values.values())]
+    if not set(active) <= ({1, 2, 2 * m - 1, 2 * m} if standard else {1, 2}):
         return None
-    top = coords.side
-    if active <= {1, top}:
-        pseudo = coords.grade(top).get(tuple(range(1, top + 1))) if top in active else None
-        return "vector", (coords.grade(1), pseudo)
-    if active == {2}:
-        return "two_tensor", coords.grade(2)
-    return None
-
-
-def pure_amplitudes(m: int, kind: str, payload) -> np.ndarray:
-    """normal_form_amplitudes of a configuration from its pure_config (kind, payload)."""
-    x = vector_invariants(*payload).r if kind == "vector" else payload.as_matrix()
-    return normal_form_amplitudes(m, kind, x)
+    v, g = np.zeros(n), {}
+    for k in active:
+        for key, x in coords.grades[k].items():
+            if standard and k == 2 * m:  # E_{1..2m} = (-1)^m E_{2m+1}
+                key, x = (n,), (-1) ** m * x
+            elif standard and k == 2 * m - 1 and m > 1:  # E_{1..2m - a} = (-1)^{a+1} E_{a,2m+1}
+                (a,) = set(range(1, n)) - set(key)
+                key, x = (a, n), (-1) ** (a + 1) * x
+            if len(key) == 1:
+                v[key[0] - 1] = x
+            else:
+                g[key] = x
+    if not g:
+        return v, None
+    side = n if not standard or 2 * m - 1 in active else 2 * m
+    return (v if v.any() else None), AntisymTensor(m, 2, side, g)
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
-    """Closed-form spectrum of a pure vector or grade-2 configuration (see pure_config)."""
-    pure = pure_config(coords)
-    if pure is None:
-        raise KindMismatch("no closed form: input is not a pure vector or 2-tensor configuration")
-    return spectrum_from_values(coords.m, sign_sums(coords.scalar, pure_amplitudes(coords.m, *pure)))
+    """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
+    parts = bordered_parts(coords)
+    if parts is None:
+        raise KindMismatch("no closed form: input is outside the so(2m+2) family "
+                           "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")
+    v, g = parts
+    mu_pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
+    return spectrum_from_values(coords.m, sign_sums(coords.scalar, *mu_pf))

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,10 +75,22 @@ def test_near_unit_scalar_keeps_the_closed_form(tmp_path, capsys):
 
 
 def test_validate_descartes_route(tmp_path, capsys):
-    coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
+    coords = state_coords(3, grades={1: {(1,): 0.3}, 3: {(1, 2, 3): 0.2}})
     path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
     assert run(["validate", "--input", path]) == 0
     assert json.loads(capsys.readouterr().out)["route"] == "min_eigenvalue"
+
+
+def test_validate_normal_form_route(tmp_path, capsys):
+    # grades 1 and 2 together: the bordered matrix's normal form, no matrix
+    coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
+    path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
+    assert run(["validate", "--input", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["route"] == "normal_form" and out["admissible"] is True
+    extras = out["invariants_used"]["extras"]
+    assert extras["normal_form_amplitudes"] == pytest.approx([math.hypot(0.3, 0.2), 0.0, 0.0])
+    assert extras["pfaffian_sign"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--oracle"]],
@@ -564,17 +577,26 @@ _TRACE_LOSS = ("genbloch: error: encoding these coordinates rounds their trace a
                "(input beyond floating-point range?)")
 
 
-@pytest.mark.parametrize("command, grades", [
-    ("encode", {}),
-    # a grade-1 entry moves validate off the closed form onto the matrix
-    ("validate", {"1": [{"idx": [1], "val": 0.1}]}),
+@pytest.mark.parametrize("command, m, grades", [
+    ("encode", 2, {}),
+    # a grade-3 entry at m = 3 moves validate off the closed form onto the matrix
+    ("validate", 3, {"3": [{"idx": [1, 2, 3], "val": 0.1}]}),
 ], ids=["encode", "validate-min-eigenvalue"])
-def test_trace_loss_refused(tmp_path, capsys, command, grades):
+def test_trace_loss_refused(tmp_path, capsys, command, m, grades):
     # the unit scalar is lost from the matrix of these coords, as in spectrum --oracle
-    state = dict(_HUGE_G2, grades={**_HUGE_G2["grades"], **grades})
+    state = dict(_HUGE_G2, m=m, grades={**_HUGE_G2["grades"], **grades})
     assert run([command, "--input", write_json(tmp_path / "huge.json", state)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [_TRACE_LOSS]
+
+
+def test_trace_loss_state_with_a_vector_has_the_closed_form(tmp_path, capsys):
+    # grades 1 and 2 at m = 2 need no matrix: spectrum --closed-form answers
+    state = dict(_HUGE_G2, grades={**_HUGE_G2["grades"], "1": [{"idx": [1], "val": 0.1}]})
+    path = write_json(tmp_path / "h.json", state)
+    assert run(["spectrum", "--closed-form", "--input", path]) == 0
+    lo, hi = -6.4999999999999995e+199, 6.4999999999999995e+199
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [lo, 0.25, 0.25, hi]
 
 
 def test_encode_scalar_not_one(tmp_path, capsys):
@@ -587,10 +609,11 @@ def test_encode_scalar_not_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--closed-form"]],
                          ids=["validate", "spectrum-closed-form"])
-@pytest.mark.parametrize("grades", [{1: {(1,): 0.5, (3,): -0.2}}, {2: {(1, 2): 0.6, (3, 4): 0.3}}],
-                         ids=["vector", "grade2"])
+@pytest.mark.parametrize("grades", [{1: {(1,): 0.5, (3,): -0.2}}, {2: {(1, 2): 0.6, (3, 4): 0.3}},
+                                    {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}],
+                         ids=["vector", "grade2", "vector-grade2"])
 def test_pure_coords_answered_without_encoding(tmp_path, capsys, monkeypatch, argv, grades):
-    # a pure vector or grade-2 state is answered from its coords alone
+    # a state of the so(6) family is answered from its coords alone
     from genbloch.coords import encode
 
     def refuse(coords):
@@ -602,7 +625,7 @@ def test_pure_coords_answered_without_encoding(tmp_path, capsys, monkeypatch, ar
     path = write_json(tmp_path / "c.json", coords_to_json(state_coords(2, grades=grades)))
     assert run([*argv, "--input", path]) == 0, capsys.readouterr().err
     # a state without a closed form does reach the patched encode
-    mixed = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
+    mixed = state_coords(3, grades={1: {(1,): 0.3}, 3: {(1, 2, 3): 0.2}})
     with pytest.raises(AssertionError, match="encode called"):
         run(["validate", "--input", write_json(tmp_path / "mixed.json", coords_to_json(mixed))])
 
@@ -961,8 +984,17 @@ def test_sample_empty_csv_header(capsys, m, k):
     assert capsys.readouterr().out == header
 
 
+def _spell_floats_concatenated(values):
+    """The float speller's earlier rule: "-" + text built for every distinct magnitude."""
+    bits = values.view(np.int64)
+    magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
+    text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
+    negative = (bits < 0) & ~np.isnan(values)
+    return np.concatenate([text, "-" + text])[where + len(text) * negative]
+
+
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.cli import _csv_text, _svg_text
+    from genbloch.cli import _csv_text, _spell_floats, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -972,7 +1004,14 @@ def test_writers_match_per_row_on_hand_made_columns():
         [True, False, False, True, True, False, True],
         [0, -3, 7, 2 ** 40, np.int64(5), 1, 0],
         ["a", "b", "a", "alpha_plus=1", "", "b", "a"],
+        [0.5, 2.0, 0.5, 1e-300, 3.0, 0.0, 7.25],
+        [-0.5, -2.0, -0.5, -1e-300, -3.0, -0.0, -7.25],
     ]
+    # the speller against its earlier rule: -0.0, NaN with its sign bit set,
+    # and each float column, all-positive and all-negative ones included
+    signed = [np.array([-0.0]), np.array([np.copysign(np.nan, -1.0), np.nan, 0.5, -0.5, -0.0])]
+    for values in signed + [np.array(col, dtype=float) for col in columns[:2] + columns[6:]]:
+        assert _spell_floats(values).tolist() == _spell_floats_concatenated(values).tolist()
     header = [f"col{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
     assert _csv_text(header, columns) == _csv_per_row(header, rows)

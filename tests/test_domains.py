@@ -152,23 +152,29 @@ def test_fig1_matches_per_point(resolution):
 
 
 CASE_KINDS = ["vector", "vector_pseudoscalar", "extended_vector", "grade2",
-              "mixed_standard", "mixed_extended"]
+              "mixed_standard", "mixed_extended", "bordered_standard", "bordered_extended"]
 
 
 def _case_coords(m, kind, rng):
     """Unit-scalar coords of one positivity route, before scaling."""
-    mode = "extended" if kind in ("extended_vector", "mixed_extended") else "standard"
+    mode = "extended" if kind.endswith("extended") else "standard"
     if kind.startswith("mixed"):
         return random_coords(rng, m, mode=mode)
     if kind == "grade2":
         return state_coords(m, grades={2: random_tensor(rng, m, 2)})
+    if kind.startswith("bordered"):
+        # the so(2m+2) family: standard grades {1, 2, 2m - 1, 2m}, extended {1, 2}
+        side = 2 * m + (mode == "extended")
+        ks = {1, 2} & {*range(1, m + 1)} if mode == "extended" else {1, 2, 2 * m - 1, 2 * m}
+        return state_coords(m, mode=mode,
+                            grades={k: random_tensor(rng, m, k, side=side) for k in ks})
     grades = {1: random_tensor(rng, m, 1, side=2 * m + (mode == "extended"))}
     if kind == "vector_pseudoscalar":
         grades[2 * m] = {tuple(range(1, 2 * m + 1)): float(rng.uniform(-1.0, 1.0))}
     return state_coords(m, mode=mode, grades=grades)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=260, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(range(1, 7)), st.sampled_from(CASE_KINDS), st.integers(0, 2 ** 32 - 1),
        st.one_of(st.floats(-0.5, 0.5), st.sampled_from([-3e-6, 3e-6])),
        st.sampled_from([DEFAULT_TOL, 1e-3]), st.booleans())
@@ -190,6 +196,8 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     assert verdict.tol == tol
     if m == 1:
         expected = "vector_ball"  # every one-qubit state is a vector plus pseudoscalar
+    elif kind.startswith("bordered") or (kind.startswith("mixed") and m == 2):
+        expected = "normal_form"  # every two-qubit state is in the so(6) family
     else:
         expected = {"grade2": "quartet_roots", "mixed_standard": "min_eigenvalue",
                     "mixed_extended": "min_eigenvalue"}.get(kind, "vector_ball")
@@ -440,15 +448,15 @@ def test_positivity_classifies_once(monkeypatch, grades):
     # from it, without asking closed_form_spectrum to recognise it again
     calls = []
 
-    def counting(coords, _pure_config=spectra.pure_config):
+    def counting(coords, _bordered_parts=spectra.bordered_parts):
         calls.append(coords)
-        return _pure_config(coords)
+        return _bordered_parts(coords)
 
     def refused(coords):
         raise AssertionError("positivity called closed_form_spectrum")
 
     for module in (domains, spectra):
-        monkeypatch.setattr(module, "pure_config", counting)
+        monkeypatch.setattr(module, "bordered_parts", counting)
         monkeypatch.setattr(module, "closed_form_spectrum", refused, raising=False)
     coords = state_coords(2, grades=grades)
     verdict, _ = positivity(coords, None)
@@ -463,7 +471,14 @@ def test_closed_form_vector_with_pseudoscalar():
     # sum() from Python 3.12 on) gives 1 + 2^-51 and a margin of -2^-55
     assert closed_form_min(3, {1: vector(3, [1.0, 1e-8, 1e-8, 1e-8, 1e-8, 0.0])}) == 0.0
     with pytest.raises(KindMismatch):
-        closed_form_min(2, {1: g, 2: {(1, 2): 0.5}})
+        closed_form_min(3, {1: vector(3, [0.6, 0.0, 0.0, 0.0, 0.0, 0.0]), 3: {(1, 2, 3): 0.5}})
+
+
+def test_closed_form_vector_with_grade2():
+    # a vector with a grade-2 part is in the so(6) family at m = 2
+    coords = state_coords(2, grades={1: vector(2, [0.6, 0.0, 0.0, 0.0]), 2: {(1, 2): 0.5}})
+    oracle = hermitian_eigenvalues(encode(coords))
+    assert np.max(np.abs(closed_form_spectrum(coords).eigenvalues - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("grades", [

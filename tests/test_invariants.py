@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genbloch.coords import AntisymTensor, antisym
 from genbloch.errors import (
@@ -88,6 +90,44 @@ def test_D3_brute_vs_pfaffian(rng):
         brute = epsilon_sum_D3(g)
         fast = 48.0 * pfaffian(g.as_matrix())
         assert abs(brute - fast) < 1e-10 * max(1.0, abs(brute))
+
+
+def _pfaffian_by_matchings(a):
+    """Pfaffian by expansion along the first row: the exponential reference."""
+    n = len(a)
+    if n % 2:
+        return 0.0
+    if n == 0:
+        return 1.0
+    total = 0.0
+    for pos, j in enumerate(range(1, n)):
+        rest = [k for k in range(1, n) if k != j]
+        total += (-1.0) ** pos * a[0, j] * _pfaffian_by_matchings(a[np.ix_(rest, rest)])
+    return total
+
+
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 14), st.integers(0, 2 ** 32 - 1), st.none() | st.integers(0, 13))
+def test_pfaffian_elimination(n, seed, zero_row):
+    # Parlett-Reid elimination: Pf^2 = det, the sign of the matching
+    # expansion, and a stack gives each matrix's own value bit for bit
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a = a - a.T
+    if zero_row is not None and zero_row < n:
+        a[zero_row, :] = a[:, zero_row] = 0.0
+    pf = pfaffian(a)
+    if n == 0:
+        assert pf == 1.0
+    if n % 2 or zero_row is not None and zero_row < n:
+        assert pf == 0.0
+    else:
+        det = np.linalg.det(a) if n else 1.0
+        assert abs(pf * pf - det) <= 1e-10 * abs(det)
+    if n <= 8:
+        assert np.sign(pf) == np.sign(_pfaffian_by_matchings(a))
+    stack = np.stack([a, -a, 3.0 * a, np.zeros((n, n)), a[::-1, ::-1]]).reshape(5, 1, n, n)
+    assert np.array_equal(pfaffian(stack), np.array([[pfaffian(x[0])] for x in stack]))
 
 
 def test_D3_needs_six_indices():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from genbloch.coords import AntisymTensor, antisym, encode, state_coords, tensor_config, vector
+from genbloch.clifford import basis_element
+from genbloch.coords import (
+    AntisymTensor,
+    antisym,
+    decode,
+    encode,
+    state_coords,
+    tensor_config,
+    vector,
+)
 from genbloch.errors import ComplexRoots, GradeMismatch, UnsupportedM
 from genbloch.identities import (
     _pbar_coefficients,
@@ -20,10 +30,10 @@ from genbloch.identities import (
 from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants, vector_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
+    bordered_parts,
     closed_form_spectrum,
     normal_form_eigenvalues,
     numeric_spectrum,
-    pure_config,
     spectrum_from_values,
 )
 from genbloch.symmetry import orthogonal_from_generator
@@ -255,13 +265,80 @@ def test_vector_closed_form_is_the_doublet(rng, m):
     # formula (1 -+ |v|) / 2^m written out here
     for _ in range(20):
         for coords in _vector_configs(rng, m):
-            kind, payload = pure_config(coords)
-            assert kind == "vector"
-            norm = math.sqrt(vector_invariants(*payload).r)
+            v, g = bordered_parts(coords)
+            assert g is None
+            norm = math.sqrt(vector_invariants(vector(m, v[:-1]), float(v[-1])).r)
             lo = (1.0 - norm) / 2 ** m
             hi = (1.0 + norm) / 2 ** m
             doublet = np.array([lo] * 2 ** (m - 1) + [hi] * 2 ** (m - 1))
             assert np.array_equal(closed_form_spectrum(coords).eigenvalues, doublet)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_standard_phase_map(m):
+    # standard grades 2m and 2m - 1 are extended grades 1 and 2:
+    # E_{1..2m} = (-1)^m E_{2m+1} and E_{1..2m minus a} = (-1)^{a+1} E_{a,2m+1}
+    n = 2 * m + 1
+    assert np.array_equal(basis_element(m, tuple(range(1, n))),
+                          (-1) ** m * basis_element(m, (n,), "extended"))
+    for a in range(1, n):
+        assert np.array_equal(basis_element(m, tuple(i for i in range(1, n) if i != a)),
+                              (-1) ** (a + 1) * basis_element(m, (a, n), "extended"))
+
+
+@lru_cache(maxsize=None)
+def _phase_map(m, mode):
+    """{extended key of grade 1 or 2: (key in mode, sign)}: E^ext_K = sign E_J, from the basis."""
+    out = {}
+    for k in (1, 2):
+        for key in itertools.combinations(range(1, 2 * m + 2), k):
+            coords = decode((np.eye(2 ** m) + basis_element(m, key, "extended")) / 2 ** m, mode)
+            ((_, tensor),) = coords.grades.items()
+            ((target, sign),) = tensor.values.items()
+            out[key] = target, sign
+    return out
+
+
+@st.composite
+def bordered_matrices(draw, m):
+    """(M, sign Pf M) with M = O canon O^T, O in O(2m+2) of either determinant
+    and canon's amplitudes with repeated and zero values."""
+    amplitude = st.sampled_from([0.0, 0.25, -0.25, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    mu = draw(st.lists(amplitude, min_size=m + 1, max_size=m + 1))
+    n = 2 * m + 2
+    canon = np.zeros((n, n))
+    for k, x in enumerate(mu):
+        canon[2 * k, 2 * k + 1], canon[2 * k + 1, 2 * k] = x, -x
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    det = draw(st.sampled_from([1.0, -1.0]))
+    o[:, 0] *= det * np.sign(np.linalg.det(o))
+    # Pf(O A O^T) = det(O) Pf(A), and Pf(canon) = prod_k mu_k
+    return o @ canon @ o.T, det * np.prod(np.sign(mu))
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", range(1, 7))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bordered_closed_form_matches_oracle(m, mode, data):
+    # M read back into coords through the phase map: its closed form is the
+    # LAPACK spectrum, and the spectrum of M's own amplitudes and chirality
+    bordered, pf_sign = data.draw(bordered_matrices(m))
+    grades = {}
+    for key, (target, sign) in _phase_map(m, mode).items():
+        x = bordered[0, key[0]] if len(key) == 1 else bordered[key[0], key[1]]
+        entries = grades.setdefault(len(target), {})
+        entries[target] = entries.get(target, 0.0) + sign * x
+    coords = state_coords(m, mode, grades=grades)
+    closed = closed_form_spectrum(coords).eigenvalues
+    tol = 1e-12 * max(1.0, np.linalg.norm(bordered, 2))
+    assert np.max(np.abs(closed - hermitian_eigenvalues(encode(coords)))) <= tol
+    mu = np.linalg.svd(bordered, compute_uv=False)[::2]
+    chirality = (-1) ** m * (pf_sign if pf_sign else 1.0)
+    own = [(1 + np.dot(s, mu)) / 2 ** m
+           for s in itertools.product((1, -1), repeat=m + 1) if np.prod(s) == chirality]
+    assert np.max(np.abs(closed - np.sort(own))) <= tol
 
 
 @pytest.mark.parametrize("scalar", [0.5, 1 + 5e-9], ids=["half", "near-one"])
