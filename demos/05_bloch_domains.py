@@ -1,8 +1,9 @@
 """Generalized Bloch spheres: where a parameter vector stays a state.
 
 One rule decides every state: its smallest eigenvalue is >= -tol
-(positivity), taken from a closed form for pure vector and grade-2
-configurations and from the eigensolver otherwise.  Vector configurations
+(positivity), taken from the bordered normal form for every state of the
+so(2m+2) family (route normal_form, reported by the amplitudes mu and the
+sign of Pf M) and from the eigensolver otherwise.  Vector configurations
 then live in a ball; grade-2 configurations at m = 2 live in the
 two-invariant wedge max((r+1)^2 - 2, 0) <= T4 <= 2 r^2, equivalently the
 intersection of two elliptic tunnels in the three-coordinate slice; the
@@ -41,11 +42,12 @@ os.makedirs(OUT, exist_ok=True)
 for grades in ({1: vector(2, [0.6, 0, 0, 0]), 4: {(1, 2, 3, 4): 0.8}},
                {1: vector(2, [1.1, 0, 0, 0])}):
     coords = state_coords(2, grades=grades)
-    print(*positivity(coords, encode(coords)))
+    verdict, route = positivity(coords, encode(coords))
+    print(route, verdict.to_dict())
 
 # --- the (r, T4) wedge ----------------------------------------------------------
 for r, t4 in ((1.0, 2.0), (0.5, 0.4), (0.5, 0.6)):
-    print(f"(r, T4) = ({r}, {t4}):", rT4_domain(r, t4))
+    print(f"(r, T4) = ({r}, {t4}):", rT4_domain(r, t4).to_dict())
 
 # z = 1/2 - sqrt(2 r^2 - T4) computed two independent ways
 g = antisym(2, 2, {(1, 2): 0.6, (3, 4): 0.3})
@@ -54,7 +56,7 @@ print("\nz via invariants:", z_variable(inv.r, inv.T4), " via components:", z_fr
 
 # --- tunnels ---------------------------------------------------------------------
 for xyz in ((0, 0, 0), (0.5, 0.5, 0), (1, 1, 0)):
-    print(f"tunnel{xyz}:", tunnel_membership(*xyz))
+    print(f"tunnel{xyz}:", tunnel_membership(*xyz).to_dict())
 
 # closed form agrees with the eigensolver across the whole slice
 pts = np.linspace(-1, 1, 11)
@@ -71,8 +73,8 @@ print("grid disagreements:", bad)
 # --- beyond pure configurations: smallest eigenvalue, and the sign rule -------------
 rho = np.diag([1.1, -0.1, 0.0, 0.0])
 print("\nnon-state by its smallest eigenvalue:",
-      min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), "positivity"))
-print("non-state by the sign rule:", descartes_positivity(char_poly(rho)))
+      min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0])).to_dict())
+print("non-state by the sign rule:", descartes_positivity(char_poly(rho)).to_dict())
 
 # --- Monte-Carlo atlas --------------------------------------------------------------
 # sample_domain returns a table, (column names, one array per column), as figures do

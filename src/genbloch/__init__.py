@@ -24,12 +24,11 @@ _OWNERS = {name: module for module, names in {
                    "epsilon_D3", "factorized_charpoly", "pseudo_vector_V", "quartet_eigenvalues",
                    "rT4_domain", "scale_dimension", "tunnel_membership", "tunnel_spectrum",
                    "z_from_coords", "z_variable"),
-    "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants",
-                   "vector_invariants"),
+    "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants"),
     "linalg": ("exp_i_hermitian", "hermitian_eigenvalues", "hermitian_eigensystem",
                "matrix_from_json", "matrix_to_json"),
-    "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "normal_form_eigenvalues",
-                "numeric_spectrum", "spectrum_from_values"),
+    "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "normal_form",
+                "normal_form_eigenvalues", "numeric_spectrum", "spectrum_from_values"),
     "symmetry": ("conjugate_state", "orthogonal_from_generator", "rotate_coords", "spin_lift"),
 }.items() for name in names}
 

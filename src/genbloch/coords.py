@@ -111,7 +111,7 @@ class AntisymTensor(clifford.Record):
         if mat.shape != (side, side):
             raise DimensionMismatch(f"matrix shape {mat.shape} != ({side},{side})")
         if np.max(np.abs(mat + mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("matrix is not antisymmetric")
+            raise MalformedInput("matrix is not antisymmetric")
         vals = {(i, j): float(mat[i - 1, j - 1]) for i, j in clifford.multi_indices(side, 2)
                 if mat[i - 1, j - 1] != 0.0}
         return AntisymTensor(m, 2, side, vals)

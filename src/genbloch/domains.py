@@ -1,11 +1,12 @@
 """Admissibility of parameter configurations: generalized Bloch spheres.
 
 One rule decides every state (positivity): it is admissible when its
-smallest eigenvalue is >= -tol.  Only the source of lambda_min depends on
-the route: the closed form spectra.sign_sums of a state in the so(2m+2)
-family (spectra.bordered_parts), the LAPACK eigenvalues otherwise.  The
-route is named by the parts of the bordered matrix M = [[0, v^T], [-v, G]]
-the state has: a vector (v alone), a grade-2 tensor (G alone) or both.
+smallest eigenvalue is >= -tol, and the constraint an inadmissible state
+violates is "positivity".  Two routes give lambda_min: "normal_form", the
+closed form spectra.sign_sums of a state in the so(2m+2) family
+(spectra.normal_form), reported by the invariants it uses, the amplitudes
+mu and the sign of Pf M of the bordered matrix M = [[0, v^T], [-v, G]];
+and "min_eigenvalue", the LAPACK eigenvalues of any other state.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -29,13 +30,12 @@ import math
 import numpy as np
 
 from .clifford import Record, _check_m, cached_basis, multi_indices
-from .coords import (StateCoords, antisym_matrices, encode, require_unit_trace,
-                     sum_of_squares, vector)
+from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
 from .errors import GradeOutOfRange, ResourceLimit
 from .figures import DEFAULT_TOL
-from .invariants import InvariantSet, two_tensor_invariants, vector_invariants
+from .invariants import InvariantSet
 from .linalg import hermitian_eigenvalues
-from .spectra import bordered_parts, normal_form_amplitudes, sign_sums
+from .spectra import normal_form, normal_form_amplitudes, sign_sums
 
 # sample_domain classifies draws in chunks whose rho stack takes this many
 # bytes, so its peak memory does not grow with the sample count
@@ -63,61 +63,42 @@ class DomainVerdict(Record):
         }
 
 
-def min_eigenvalue_verdict(min_eig: float, violated: str, tol: float = DEFAULT_TOL,
+def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
                            invariants_used: InvariantSet | None = None) -> DomainVerdict:
     """Positivity verdict from a smallest eigenvalue: admissible when it is >= -tol."""
     admissible = min_eig >= -tol
     return DomainVerdict(
         admissible=admissible,
         boundary=admissible and abs(min_eig) <= tol,
-        violated=None if admissible else violated,
+        violated=None if admissible else "positivity",
         invariants_used=invariants_used,
         tol=tol,
     )
-
-
-# (v present, G present) of spectra.bordered_parts, or None outside the
-# family -> (route, constraint named when lambda_min < -tol)
-_ROUTES = {
-    (True, False): ("vector_ball", "bloch_ball"),
-    (False, True): ("quartet_roots", "quartet_positivity"),
-    (True, True): ("normal_form", "positivity"),
-    None: ("min_eigenvalue", "positivity"),
-}
 
 
 def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     """(verdict, route) for a state given as coords and as its density matrix
     rho, or None to encode the coords only on the route that needs the matrix.
 
-    Every route applies one rule, lambda_min >= -tol; only the source of
-    lambda_min differs: the closed form (spectra.sign_sums) of a state in
-    the so(2m+2) family, the LAPACK eigenvalues of rho otherwise.  Coords
-    whose scalar (the trace) is not 1 are no state: NonUnitTrace.
+    A state of the so(2m+2) family takes route "normal_form": lambda_min from
+    spectra.sign_sums, reported by r, T4 = 2 sum mu^4 and the amplitudes mu
+    with the sign of Pf M.  Every other state takes route "min_eigenvalue":
+    the LAPACK eigenvalues of rho.  Coords whose scalar (the trace) is not 1
+    are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
     require_unit_trace(coords.scalar)
-    parts = bordered_parts(coords)
-    route, violated = _ROUTES[None if parts is None else tuple(x is not None for x in parts)]
-    if parts is None:
+    found = normal_form(coords)
+    if found is None:
         rho = encode(coords) if rho is None else rho
-        return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), violated, tol), route
-    v, g = parts
-    mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
-    if g is None:
-        p = (-1) ** coords.m * float(v[-1])
-        inv = vector_invariants(vector(coords.m, v[:-1]), p if p != 0.0 else None)
-    elif v is None:
-        inv = two_tensor_invariants(g)
-    else:
-        # the invariants of M as a grade-2 tensor, with its normal form
-        inv = InvariantSet(r=float(sum_of_squares(v)) + g.norm_sq(),
-                           T4=2.0 * float(np.sum(mu ** 4)),
-                           extras={"normal_form_amplitudes": mu.tolist(),
-                                   "pfaffian_sign": float(np.sign(pf))})
+        return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), tol), "min_eigenvalue"
+    mu, pf, r = found
+    inv = InvariantSet(r=r, T4=2.0 * float(np.sum(mu ** 4)),
+                       extras={"normal_form_amplitudes": mu.tolist(),
+                               "pfaffian_sign": float(np.sign(pf))})
     min_eig = float(sign_sums(coords.scalar, mu, pf)[0])
-    return min_eigenvalue_verdict(min_eig, violated, tol, inv), route
+    return min_eigenvalue_verdict(min_eig, tol, inv), "normal_form"
 
 
 def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import BadResolution, ResourceLimit
+from .errors import BadResolution, MalformedInput, ResourceLimit
 
 DEFAULT_TOL = 1e-9
 # a figure's largest resolution: fig1 then has about 10^6 grid rows
@@ -39,9 +39,9 @@ MAX_FIGURE_ROWS = 2 ** 20
 
 def require_sums_of_squares(r, t4=0.0) -> None:
     """The package's one (r, T4) sign rule: both are sums of squares, so
-    ValueError if any entry of either is below -1e-12 (scalars or arrays)."""
+    MalformedInput if any entry of either is below -1e-12 (scalars or arrays)."""
     if np.min(r, initial=0.0) < -1e-12 or np.min(t4, initial=0.0) < -1e-12:
-        raise ValueError("r and T4 are sums of squares and must be nonnegative")
+        raise MalformedInput("r and T4 are sums of squares and must be nonnegative")
 
 
 # the (r, T4) constraints in the order of _rT4_family's rows
@@ -68,7 +68,7 @@ def _tunnel_family(pts: np.ndarray):
     coordinates must be finite.
     """
     if not np.isfinite(pts).all():
-        raise ValueError("non-finite tunnel coordinates")
+        raise MalformedInput("non-finite tunnel coordinates")
     x, y, z = pts.T
     xx, yy, zz = x * x, y * y, z * z
     r = xx + yy + zz

@@ -102,16 +102,6 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
 
 
-def vector_invariants(g: AntisymTensor, pseudoscalar: float | None = None) -> InvariantSet:
-    """Quadratic invariant of a vector configuration (optionally with pseudoscalar)."""
-    norm_sq = g.of_grade(1).norm_sq()
-    extras = {"vector_norm_sq": norm_sq}
-    if pseudoscalar is not None:
-        norm_sq += float(pseudoscalar) ** 2
-        extras["pseudoscalar"] = float(pseudoscalar)
-    return InvariantSet(r=norm_sq, T4=0.0, D3=None, extras=extras)
-
-
 def coords_invariants(coords: StateCoords) -> InvariantSet:
     """Invariants of whatever grades a coordinate set carries.
 

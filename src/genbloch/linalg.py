@@ -1,12 +1,12 @@
 """Dense complex linear algebra kernels.
 
-The one hermiticity rule (require_hermitian), eigensystems of the hermitian
-part (LAPACK, ``numpy.linalg.eigh``) and the JSON field reader, all on
-``complex128`` numpy arrays.
+The one hermiticity rule (require_hermitian), LAPACK eigenvalues of the
+hermitian part (``numpy.linalg.eigvalsh``; ``eigh`` only for exponentials)
+and the JSON field reader, all on ``complex128`` numpy arrays.
 
-The eigensolver is the ground-truth oracle used to validate every
+The eigenvalues are the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, and the one engine behind
-positivity verdicts of general states and matrix exponentials.  It shares
+positivity verdicts of general states.  They share
 no code with the normal-form spectra or with the characteristic polynomial
 of the identities module: the routes stay independently checkable against
 each other.
@@ -19,7 +19,7 @@ import operator
 
 import numpy as np
 
-from .errors import MalformedInput, NotHermitian
+from .errors import DimensionMismatch, MalformedInput, NotHermitian
 
 HERM_TOL = 1e-10
 
@@ -28,9 +28,9 @@ def _as_square(a) -> np.ndarray:
     """Coerce to complex128 with square trailing dims, validating finiteness."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise MalformedInput("matrix has non-finite entries")
     return m
 
 
@@ -38,7 +38,7 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex128 array, validating shape and finiteness."""
     m = _as_square(a)
     if m.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -66,8 +66,8 @@ def hermitian_eigensystem(h):
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending real eigenvalues of a hermitian matrix (..., n for a stack)."""
-    return hermitian_eigensystem(h)[0]
+    """Ascending eigenvalues of the hermitian part of a matrix (..., n for a stack)."""
+    return np.linalg.eigvalsh(require_hermitian(h))
 
 
 def exp_i_hermitian(h, sign: int = 1) -> np.ndarray:

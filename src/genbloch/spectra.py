@@ -18,7 +18,8 @@ claims of the identities module.
 
 bordered_parts recognises (v, G) in a StateCoords, normal_form_amplitudes
 gives (mu, Pf M) of one state or a stack, and sign_sums the eigenvalues;
-closed_form_spectrum and the domains module take every closed form from them.
+normal_form joins the first two for one StateCoords, and closed_form_spectrum
+and the domains module's positivity verdict both take it from there.
 """
 
 from __future__ import annotations
@@ -142,9 +143,8 @@ def normal_form_eigenvalues(g2) -> np.ndarray:
 def bordered_parts(coords: StateCoords):
     """(v, G) when coords lie in the so(2m+2) family, else None.
 
-    v is the grade-1 part as an array over the 2m + 1 extended indices,
-    None for a state with a grade-2 part and no grade-1 part; G is the
-    grade-2 part as a grade-2 AntisymTensor, over the first 2m indices when
+    v is the grade-1 part as an array over the 2m + 1 extended indices
+    (zeros for a state without one); G is the grade-2 part as a grade-2 AntisymTensor, over the first 2m indices when
     a standard-mode state has no grade 2m - 1, None for a state without one.
     A grade counts when it has a nonzero entry; the scalar alone is v = 0.
     """
@@ -168,15 +168,26 @@ def bordered_parts(coords: StateCoords):
     if not g:
         return v, None
     side = n if not standard or 2 * m - 1 in active else 2 * m
-    return (v if v.any() else None), AntisymTensor(m, 2, side, g)
+    return v, AntisymTensor(m, 2, side, g)
+
+
+def normal_form(coords: StateCoords):
+    """(mu, Pf M, r) of a state of the so(2m+2) family (see bordered_parts), or
+    None outside it; r is the sum of squares of v and then of G's entries."""
+    parts = bordered_parts(coords)
+    if parts is None:
+        return None
+    v, g = parts
+    mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
+    r = float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())
+    return mu, pf, r
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
-    parts = bordered_parts(coords)
-    if parts is None:
+    found = normal_form(coords)
+    if found is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "
                            "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")
-    v, g = parts
-    mu_pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
-    return spectrum_from_values(coords.m, sign_sums(coords.scalar, *mu_pf))
+    mu, pf, _ = found
+    return spectrum_from_values(coords.m, sign_sums(coords.scalar, mu, pf))

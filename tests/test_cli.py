@@ -36,7 +36,7 @@ def test_validate_mixed_state(mixed_coords, capsys):
     assert run(["validate", "--input", mixed_coords]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["admissible"] is True
-    assert out["route"] == "vector_ball"
+    assert out["route"] == "normal_form"
 
 
 def test_validate_inadmissible_exits_2(tmp_path, capsys):
@@ -44,7 +44,7 @@ def test_validate_inadmissible_exits_2(tmp_path, capsys):
     path = write_json(tmp_path / "hot.json", coords_to_json(coords))
     assert run(["validate", "--input", path]) == 2
     out = json.loads(capsys.readouterr().out)
-    assert out["admissible"] is False and out["violated"] == "bloch_ball"
+    assert out["admissible"] is False and out["violated"] == "positivity"
 
 
 @pytest.mark.parametrize("grades, extra", [
@@ -68,7 +68,7 @@ def test_near_unit_scalar_keeps_the_closed_form(tmp_path, capsys):
     coords = {"m": 2, "scalar": 1.000000005, "grades": {"1": [{"idx": [1], "val": 0.5}]}}
     path = write_json(tmp_path / "near.json", coords)
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "vector_ball"
+    assert json.loads(capsys.readouterr().out)["route"] == "normal_form"
     assert run(["spectrum", "--closed-form", "--input", path]) == 0
     lo, hi = (1.000000005 - 0.5) / 4, (1.000000005 + 0.5) / 4
     assert json.loads(capsys.readouterr().out)["eigenvalues"] == [lo, lo, hi, hi]
@@ -82,15 +82,25 @@ def test_validate_descartes_route(tmp_path, capsys):
 
 
 def test_validate_normal_form_route(tmp_path, capsys):
-    # grades 1 and 2 together: the bordered matrix's normal form, no matrix
-    coords = state_coords(2, grades={1: {(1,): 0.3}, 2: {(1, 2): 0.2}})
-    path = write_json(tmp_path / "mixedgrades.json", coords_to_json(coords))
-    assert run(["validate", "--input", path]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["route"] == "normal_form" and out["admissible"] is True
-    extras = out["invariants_used"]["extras"]
-    assert extras["normal_form_amplitudes"] == pytest.approx([math.hypot(0.3, 0.2), 0.0, 0.0])
-    assert extras["pfaffian_sign"] == 0.0
+    # every state of the so(2m+2) family, vector, grade 2 or both, is reported
+    # by the invariants its verdict uses: r, T4 = 2 sum mu^4, mu and sign Pf M
+    for m, mode, grades, mu in [
+        (2, "standard", {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}, [math.hypot(0.3, 0.2), 0.0, 0.0]),
+        # a one-qubit extended vector has no pseudoscalar to report
+        (1, "extended", {1: {(1,): 0.3, (3,): 0.4}}, [0.5, 0.0]),
+        # a pseudoscalar alone has no vector norm to report
+        (2, "standard", {4: {(1, 2, 3, 4): 0.6}}, [0.6, 0.0, 0.0]),
+    ]:
+        coords = state_coords(m, mode=mode, grades=grades)
+        path = write_json(tmp_path / "family.json", coords_to_json(coords))
+        assert run(["validate", "--input", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["route"] == "normal_form" and out["admissible"] is True
+        used = out["invariants_used"]
+        assert used["r"] == pytest.approx(sum(x * x for x in mu)) and used["D3"] is None
+        assert used["T4"] == pytest.approx(2 * sum(x ** 4 for x in mu))
+        assert used["extras"] == {"normal_form_amplitudes": pytest.approx(mu),
+                                  "pfaffian_sign": 0.0}
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--oracle"]],
@@ -129,15 +139,15 @@ def test_validate_two_tensor_routes(tmp_path, capsys):
     c2 = state_coords(2, grades={2: {(1, 2): 0.5}})
     path = write_json(tmp_path / "t2.json", coords_to_json(c2))
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
+    assert json.loads(capsys.readouterr().out)["route"] == "normal_form"
     c3 = state_coords(3, grades={2: {(1, 2): 0.4, (3, 4): 0.2}})
     path = write_json(tmp_path / "t3.json", coords_to_json(c3))
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
+    assert json.loads(capsys.readouterr().out)["route"] == "normal_form"
     c5 = state_coords(5, grades={2: {(1, 2): 0.4, (3, 4): 0.2, (5, 6): 0.1, (7, 8): 0.05}})
     path = write_json(tmp_path / "t5.json", coords_to_json(c5))
     assert run(["validate", "--input", path]) == 0
-    assert json.loads(capsys.readouterr().out)["route"] == "quartet_roots"
+    assert json.loads(capsys.readouterr().out)["route"] == "normal_form"
 
 
 def test_spectrum_both_matches(g2_coords, capsys):
@@ -382,7 +392,7 @@ def test_validate_agrees_with_oracle_sign(tmp_path, capsys):
 def test_domain_input_mode(g2_coords, capsys):
     assert run(["domain", "--input", g2_coords]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["route"] == "quartet_roots" and out["admissible"] is True
+    assert out["route"] == "normal_form" and out["admissible"] is True
 
 
 def test_domain_grid_mode(tmp_path):
@@ -723,12 +733,17 @@ def _nonfinite_argv(tmp_path, command):
         # inf; CSV and JSON refuse it alike
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
                 "--format", "json" if command == "sample-json" else "csv"]
+    if command == "validate-vector":
+        # r = 1e200 is finite, but T4 = 2 mu^4 overflows to inf
+        coords = state_coords(2, grades={1: {(1,): 1e100}})
+        return ["validate", "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
     # r and T4 overflow to inf; JSON has no finite spelling for them
     coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
     return [command, "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
+                                     "sample-json"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
@@ -736,7 +751,8 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
+                                     "sample-json"])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
     argv = _nonfinite_argv(tmp_path, command)

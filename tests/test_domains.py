@@ -55,7 +55,7 @@ def vector_verdict(g1, pseudoscalar=None):
     grades = {1: g1} if pseudoscalar is None else {1: g1, 4: {(1, 2, 3, 4): pseudoscalar}}
     coords = state_coords(2, grades=grades)
     verdict, route = positivity(coords, encode(coords))
-    assert route == "vector_ball"
+    assert route == "normal_form"
     return verdict
 
 
@@ -72,7 +72,7 @@ def test_vector_domain_boundary_with_pseudoscalar():
 def test_vector_domain_inadmissible_matches_oracle():
     g = vector(2, [1.1, 0, 0, 0])
     v = vector_verdict(g)
-    assert not v.admissible and v.violated == "bloch_ball"
+    assert not v.admissible and v.violated == "positivity"
     assert not oracle_positive(tensor_config(2, 1, g))
 
 
@@ -194,14 +194,23 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     verdict, route = positivity(coords, rho, tol)
     assert verdict.admissible == (lam >= -tol)
     assert verdict.tol == tol
-    if m == 1:
-        expected = "vector_ball"  # every one-qubit state is a vector plus pseudoscalar
-    elif kind.startswith("bordered") or (kind.startswith("mixed") and m == 2):
-        expected = "normal_form"  # every two-qubit state is in the so(6) family
-    else:
-        expected = {"grade2": "quartet_roots", "mixed_standard": "min_eigenvalue",
-                    "mixed_extended": "min_eigenvalue"}.get(kind, "vector_ball")
-    assert route == expected
+    assert verdict.violated == (None if verdict.admissible else "positivity")
+    # every one- and two-qubit state is in the so(2m+2) family, and so is
+    # every kind but a mixed one at any m
+    if kind.startswith("mixed") and m > 2:
+        assert route == "min_eigenvalue" and verdict.invariants_used is None
+        return
+    assert route == "normal_form"
+    used = verdict.invariants_used.to_dict()
+    v, g = spectra.bordered_parts(coords)
+    mu, pf = spectra.normal_form_amplitudes(m, v, None if g is None else g.as_matrix())
+    assert used["r"] == pytest.approx(sum(t.norm_sq() for t in coords.grades.values()), rel=1e-12)
+    # bit for bit: v's squares in index order, then G's entries
+    assert used["r"] == float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())
+    assert used["T4"] == 2.0 * float(np.sum(mu ** 4)) and used["D3"] is None
+    assert used["extras"]["normal_form_amplitudes"] == mu.tolist()
+    assert used["extras"]["pfaffian_sign"] == float(np.sign(pf))
+    assert not {"pseudoscalar", "vector_norm_sq", "pfaffian"} & set(used["extras"])
 
 
 def test_domain_verdict_consistency():
@@ -455,8 +464,8 @@ def test_positivity_classifies_once(monkeypatch, grades):
     def refused(coords):
         raise AssertionError("positivity called closed_form_spectrum")
 
+    monkeypatch.setattr(spectra, "bordered_parts", counting)
     for module in (domains, spectra):
-        monkeypatch.setattr(module, "bordered_parts", counting)
         monkeypatch.setattr(module, "closed_form_spectrum", refused, raising=False)
     coords = state_coords(2, grades=grades)
     verdict, _ = positivity(coords, None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbloch.coords import AntisymTensor, antisym
+from genbloch.coords import AntisymTensor, antisym, state_coords
 from genbloch.errors import (
     BadIndex,
     DimensionMismatch,
@@ -30,8 +30,8 @@ from genbloch.invariants import (
     pfaffian,
     trace_T4,
     two_tensor_invariants,
-    vector_invariants,
 )
+from genbloch.spectra import normal_form
 from genbloch.symmetry import orthogonal_from_generator
 
 from conftest import random_tensor
@@ -260,8 +260,9 @@ def test_invariant_set_builders(rng):
     inv = two_tensor_invariants(g)
     assert inv.r >= 0 and inv.T4 >= 0 and inv.D3 is not None
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
-    v = vector_invariants(antisym(2, 1, {(1,): 0.6}), pseudoscalar=0.8)
-    assert abs(v.r - 1.0) < 1e-15
+    # a vector's r adds the pseudoscalar's square (the normal form's r)
+    _, _, r = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
+    assert abs(r - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
 

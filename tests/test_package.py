@@ -5,9 +5,11 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import genbloch
+from genbloch import coords, errors, figures, invariants, linalg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
 
@@ -110,6 +112,23 @@ def test_records_are_immutable(index):
     for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record)
         assert pickle.dumps(twin) == pickle.dumps(record)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: linalg.hermitian_eigenvalues(np.zeros((2, 3))), "DimensionMismatch"),
+    (lambda: linalg.as_matrix(np.zeros((2, 2, 2))), "DimensionMismatch"),
+    (lambda: linalg.hermitian_eigenvalues(np.diag([1.0, np.nan])), "MalformedInput"),
+    (lambda: figures.require_sums_of_squares(-1.0), "MalformedInput"),
+    (lambda: invariants.InvariantSet(r=0.5, T4=-1.0), "MalformedInput"),
+    (lambda: figures._tunnel_family(np.array([[0.0, np.inf, 0.0]])), "MalformedInput"),
+    (lambda: coords.AntisymTensor.from_matrix(2, np.ones((4, 4))), "MalformedInput"),
+], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
+        "non-finite-tunnel", "not-antisymmetric"])
+def test_caller_input_errors_are_typed(call, error):
+    # a documented GenblochError, still a ValueError for callers that catch that
+    with pytest.raises(getattr(errors, error)) as info:
+        call()
+    assert isinstance(info.value, errors.GenblochError) and isinstance(info.value, ValueError)
 
 
 def test_record_constructors_keep_their_defaults_and_checks():

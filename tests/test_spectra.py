@@ -27,7 +27,7 @@ from genbloch.identities import (
     quartet_eigenvalues,
     tunnel_spectrum,
 )
-from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants, vector_invariants
+from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
     bordered_parts,
@@ -262,12 +262,17 @@ def _vector_configs(rng, m):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_vector_closed_form_is_the_doublet(rng, m):
     # the sign sum over mu = (|v|, 0, ..., 0) is, bit for bit, the doublet
-    # formula (1 -+ |v|) / 2^m written out here
+    # formula (1 -+ |v|) / 2^m written out here, |v|^2 added over the nonzero
+    # grade-1 entries in index order, then the (2m+1)-th
     for _ in range(20):
         for coords in _vector_configs(rng, m):
             v, g = bordered_parts(coords)
             assert g is None
-            norm = math.sqrt(vector_invariants(vector(m, v[:-1]), float(v[-1])).r)
+            norm_sq = 0.0
+            for x in v[:-1]:
+                if x != 0.0:
+                    norm_sq = norm_sq + float(x) * float(x)
+            norm = math.sqrt(norm_sq + float(v[-1]) ** 2)
             lo = (1.0 - norm) / 2 ** m
             hi = (1.0 + norm) / 2 ** m
             doublet = np.array([lo] * 2 ** (m - 1) + [hi] * 2 ** (m - 1))
