@@ -10,7 +10,6 @@ import numpy as np
 from genbloch import (
     AntisymTensor,
     antisym,
-    conjugate_state,
     dual_tensor,
     encode,
     epsilon_D3,
@@ -19,15 +18,17 @@ from genbloch import (
     orthogonal_from_generator,
     pseudo_vector_V,
     rotate_coords,
-    spin_lift,
     state_coords,
     trace_T4,
 )
+from genbloch.identities import conjugate_state, spin_lift
 
 np.set_printoptions(precision=5, suppress=True)
 rng = np.random.default_rng(1)
 
 # --- the lift ---------------------------------------------------------------
+# rotate_coords moves coordinates with L alone; the spin lift U, the Clifford
+# side of the same rotation, is a checked claim of the identities module
 alpha = antisym(2, 2, {(1, 2): 0.7, (1, 3): -0.2, (2, 4): 0.4})
 el = orthogonal_from_generator(alpha)
 u = spin_lift(alpha)

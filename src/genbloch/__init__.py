@@ -14,22 +14,22 @@ from importlib import import_module
 
 # public name -> the module that defines it
 _OWNERS = {name: module for module, names in {
-    "clifford": ("CliffordBasis", "basis_element", "cached_basis", "chirality",
-                 "extended_gammas", "full_basis", "generate_gammas", "verify_algebra"),
+    "clifford": ("CliffordBasis", "basis_element", "cached_basis", "full_basis",
+                 "verify_algebra"),
     "coords": ("AntisymTensor", "StateCoords", "antisym", "coords_from_json", "coords_to_json",
                "decode", "encode", "state_coords", "tensor_config", "vector"),
     "domains": ("DomainVerdict", "min_eigenvalue_verdict", "positivity", "sample_domain"),
     "figures": ("figure_columns",),
-    "identities": ("char_poly", "descartes_positivity", "det_identity_check", "dual_tensor",
-                   "epsilon_D3", "factorized_charpoly", "pseudo_vector_V", "quartet_eigenvalues",
-                   "rT4_domain", "scale_dimension", "tunnel_membership", "tunnel_spectrum",
-                   "z_from_coords", "z_variable"),
+    "identities": ("char_poly", "conjugate_state", "descartes_positivity", "det_identity_check",
+                   "dual_tensor", "epsilon_D3", "factorized_charpoly", "pseudo_vector_V",
+                   "quartet_eigenvalues", "rT4_domain", "scale_dimension", "spin_lift",
+                   "tunnel_membership", "tunnel_spectrum", "z_from_coords", "z_variable"),
     "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants"),
-    "linalg": ("exp_i_hermitian", "hermitian_eigenvalues", "hermitian_eigensystem",
-               "matrix_from_json", "matrix_to_json"),
+    "linalg": ("exp_minus_i_hermitian", "hermitian_eigenvalues", "matrix_from_json",
+               "matrix_to_json"),
     "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "normal_form",
-                "normal_form_eigenvalues", "numeric_spectrum", "spectrum_from_values"),
-    "symmetry": ("conjugate_state", "orthogonal_from_generator", "rotate_coords", "spin_lift"),
+                "numeric_spectrum", "spectrum_from_values"),
+    "symmetry": ("orthogonal_from_generator", "rotate_coords"),
 }.items() for name in names}
 
 __all__ = sorted(_OWNERS)

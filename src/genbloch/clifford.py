@@ -48,7 +48,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Record:
     """Base of the package's immutable records: a subclass's __init__ sets its
     __slots__ once, in order, through _set; assigning or deleting an attribute
-    later raises.  copy and pickle rebuild a record through its __init__."""
+    later raises.  copy and pickle rebuild a record through its __init__, and
+    repr spells Name(slot=value, ...) in __slots__ order."""
 
     __slots__ = ()
 
@@ -60,6 +61,10 @@ class Record:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -134,24 +139,6 @@ def _generator_strings(m: int, mode: str = "standard") -> tuple:
         x, z, p = _product(gens)
         gens.append((x, z, (p + 3 * m) % 4))
     return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def generate_gammas(m: int) -> tuple:
-    """The 2m generators for m qubits: hermitian, traceless, dim 2^m."""
-    return tuple(_freeze(_dense(m, *g)) for g in _generator_strings(m))
-
-
-@lru_cache(maxsize=None)
-def chirality(m: int) -> np.ndarray:
-    """Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}; squares to I, anticommutes with all generators."""
-    return _freeze(_dense(m, *_generator_strings(m, "extended")[-1]))
-
-
-@lru_cache(maxsize=None)
-def extended_gammas(m: int) -> tuple:
-    """The 2m+1 mutually anticommuting elements: generators plus chirality."""
-    return generate_gammas(m) + (chirality(m),)
 
 
 @lru_cache(maxsize=None)
@@ -290,12 +277,6 @@ def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
 def cached_basis(m: int, mode: str = "standard") -> CliffordBasis:
     """Shared immutable basis (construction is deterministic, so caching is safe)."""
     return full_basis(m, mode)
-
-
-def element_stack(basis: CliffordBasis) -> tuple:
-    """(ordered index list, stacked dense elements), built on each call."""
-    order = basis.indices
-    return order, np.stack([basis.element(idx) for idx in order])
 
 
 def verify_algebra(basis: CliffordBasis) -> dict:

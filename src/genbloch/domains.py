@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import Record, _check_m, cached_basis, multi_indices
 from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
-from .errors import GradeOutOfRange, ResourceLimit
+from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
 from .figures import DEFAULT_TOL
 from .invariants import InvariantSet
 from .linalg import hermitian_eigenvalues
@@ -51,7 +51,7 @@ class DomainVerdict(Record):
                  invariants_used: InvariantSet | None, tol: float):
         self._set(admissible, boundary, violated, invariants_used, tol)
         if self.admissible and self.violated is not None:
-            raise ValueError("admissible verdicts cannot carry a violated constraint")
+            raise MalformedInput("admissible verdicts cannot carry a violated constraint")
 
     def to_dict(self) -> dict:
         return {

@@ -3,6 +3,16 @@
 Tests and demos check each claim against the engine; no answer depends on
 one.  This module imports the engine, and no engine module imports it.
 
+spin_lift is the Clifford side of a rotation: for a generator alpha,
+U = exp(-(i/2) sum_{i<j} alpha_{ij} E_{ij}) satisfies
+U Gamma_i U^dag = sum_k L[i, k] Gamma_k with L = symmetry.orthogonal_from_generator(alpha),
+and the compatibility identity that fixes the sign conventions is
+
+    encode(rotate_coords(G, L)) = U^dag encode(G) U      (conjugate_state).
+
+rotate_coords uses no Clifford algebra, so the identity checks one engine
+against another.
+
 char_poly is the Faddeev-LeVerrier characteristic polynomial.  Writing
 P(lambda) = sum_i (-1)^i a_i lambda^i, a state is positive semidefinite
 exactly when every a_i >= 0 (its roots are real); descartes_positivity
@@ -45,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import multi_indices, normalize_key
+from .clifford import cached_basis, multi_indices, normalize_key
 from .coords import AntisymTensor
 from .domains import DomainVerdict
 from .errors import (
@@ -54,14 +64,16 @@ from .errors import (
     GradeMismatch,
     InvariantMismatch,
     KindMismatch,
+    ModeMismatch,
     NegativeDiscriminant,
     UnknownName,
     UnsupportedM,
 )
 from .figures import DEFAULT_TOL, _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
 from .invariants import InvariantSet, frobenius_r, pfaffian, trace_T4
-from .linalg import as_matrix, require_hermitian
+from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian
 from .spectra import Spectrum, spectrum_from_values
+from .symmetry import check_orthogonal
 
 
 def char_poly(a) -> np.ndarray:
@@ -84,6 +96,25 @@ def char_poly(a) -> np.ndarray:
     if n % 2 == 1:
         coeffs = -coeffs
     return coeffs.real.copy()
+
+
+def spin_lift(alpha: AntisymTensor) -> np.ndarray:
+    """U = exp(-(i/2) sum_{i<j} alpha_{ij} E_{ij}), the unitary of the rotation alpha generates.
+
+    E_{ij} = i Gamma_i Gamma_j; the repeated-index sum over both orders,
+    -(i/4) sum_{i,j}, doubles each stored i < j term.
+    """
+    m = alpha.of_grade(2).m
+    if alpha.side != 2 * m:
+        raise ModeMismatch("spin_lift rotates the 2m standard generators")
+    return exp_minus_i_hermitian(0.5 * cached_basis(m, "standard").expand(alpha.values))
+
+
+def conjugate_state(rho, u) -> np.ndarray:
+    """U^dag rho U; the spectrum is preserved by similarity."""
+    rho = as_matrix(rho)
+    u = check_orthogonal(as_matrix(u), rho.shape[0])
+    return u.conj().T @ rho @ u
 
 
 def discriminant(r: float, t4: float) -> float:
@@ -235,7 +266,7 @@ def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
     """The m = 2 grade-2 spectrum (1 +- sqrt(r +- sqrt(2 r^2 - T4))) / 4 from (r, T4).
 
     The (r, T4) region of the domains module is read off this form; other m
-    go through normal_form_eigenvalues, which works from the tensor itself.
+    go through spectra.closed_form_spectrum, which works from the tensor itself.
     """
     if m != 2:
         raise UnsupportedM(f"the (r, T4) quartet closed form is for m = 2, got m = {m}")

@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels.
 
 The one hermiticity rule (require_hermitian), LAPACK eigenvalues of the
-hermitian part (``numpy.linalg.eigvalsh``; ``eigh`` only for exponentials)
+hermitian part (``numpy.linalg.eigvalsh``; ``eigh`` only for exp(-i H))
 and the JSON field reader, all on ``complex128`` numpy arrays.
 
 The eigenvalues are the ground-truth oracle used to validate every
@@ -59,24 +59,15 @@ def require_hermitian(a) -> np.ndarray:
     return a / 2 + adj / 2 if res.any() else a
 
 
-def hermitian_eigensystem(h):
-    """Eigenvalues (ascending) and eigenvector columns (LAPACK) of the hermitian
-    part of a matrix, or of each matrix of a (..., n, n) stack."""
-    return np.linalg.eigh(require_hermitian(h))
-
-
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of the hermitian part of a matrix (..., n for a stack)."""
     return np.linalg.eigvalsh(require_hermitian(h))
 
 
-def exp_i_hermitian(h, sign: int = 1) -> np.ndarray:
-    """exp(sign * i * H) for hermitian H via its eigendecomposition."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    w, v = hermitian_eigensystem(h)
-    phases = np.exp(1j * sign * w)
-    return (v * phases) @ v.conj().T
+def exp_minus_i_hermitian(h) -> np.ndarray:
+    """exp(-i H) for hermitian H via its LAPACK eigendecomposition."""
+    w, v = np.linalg.eigh(require_hermitian(h))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def matrix_to_json(a) -> dict:

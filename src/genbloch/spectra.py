@@ -129,17 +129,6 @@ def normal_form_amplitudes(m: int, v=None, g=None) -> tuple:
     return mu, pfaffian(bordered)
 
 
-def normal_form_eigenvalues(g2) -> np.ndarray:
-    """Sorted eigenvalues (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}).
-
-    g2 is a grade-2 AntisymTensor, or a (..., side, side) stack of
-    antisymmetric matrices with m = side // 2, giving (..., 2^m) values.
-    """
-    if isinstance(g2, AntisymTensor):
-        g2 = g2.as_matrix()
-    return sign_sums(1.0, *normal_form_amplitudes(g2.shape[-1] // 2, None, g2))
-
-
 def bordered_parts(coords: StateCoords):
     """(v, G) when coords lie in the so(2m+2) family, else None.
 

@@ -1,30 +1,20 @@
-"""Rotations of tensor coordinates and their unitary lift on states.
+"""Rotations of tensor coordinates by an orthogonal matrix.
 
-Conventions (fixed once, verified by the compatibility identity below):
+Conventions:
 
 * A generator is a grade-2 antisymmetric parameter array alpha_{ij}, i < j.
   Its orthogonal matrix is L = exp(A) with A[j, i] = +alpha_{ij} (A is the
   transpose of the tensor's own antisymmetric matrix), so a
   single alpha_{12} = theta rotates axis 1 toward axis 2 by theta
   (L = [[cos, -sin], [sin, cos]] on that plane) and det L = +1.
-
-* The unitary lift is U = exp(-(i/4) sum_{i,j} alpha_{ij} * i Gamma_i Gamma_j)
-  with the sum over both index orders, i.e. exp(-(i/2) sum_{i<j} ...).
-
-* These satisfy  U Gamma_i U^dag = sum_k L[i, k] Gamma_k, and the normative
-  compatibility identity
-
-      encode(rotate_coords(G, L)) = U^dag encode(G) U .
+  L = exp(A) is exp(-i H) for the hermitian H = iA, from the one hermitian
+  eigensolver in linalg.
 
 * Grade-k coordinates transform through the k-th compound (exterior power)
   of L:  G'_I = sum_J det(L[I, J]) G_J over increasing k-tuples, which is
   the antisymmetrized k-fold product L x ... x L.  The rule uses no
-  Clifford algebra, so comparing it with the spin-lift conjugation below
-  checks one engine against another.
-
-* Both exponentials come from the one hermitian eigensolver in linalg:
-  L = exp(A) is exp(-i H) for the hermitian H = iA, and U is exp(-i H)
-  for the hermitian H = (1/2) sum_{i<j} alpha_{ij} i Gamma_i Gamma_j.
+  Clifford algebra, so the compatibility identity with the spin lift of the
+  same generator (identities.spin_lift) checks one engine against another.
 """
 
 from __future__ import annotations
@@ -33,8 +23,8 @@ import numpy as np
 
 from . import clifford
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, ModeMismatch, NotUnitary
-from .linalg import as_matrix, exp_i_hermitian
+from .errors import DimensionMismatch, NotUnitary
+from .linalg import exp_minus_i_hermitian
 
 ORTHO_TOL = 1e-10
 
@@ -56,7 +46,7 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     if err > ORTHO_TOL:
         raise NotUnitary(f"rotation angle {theta_max:.3e} rad: exp(A) is known only to "
                          f"{err:.1e}, above {ORTHO_TOL:.0e}")
-    el = exp_i_hermitian(1j * a, sign=-1)
+    el = exp_minus_i_hermitian(1j * a)
     imag = float(np.max(np.abs(el.imag)))
     if imag > ORTHO_TOL:
         raise NotUnitary(f"exponential of the generator has imaginary residue {imag:.3e}")
@@ -75,17 +65,6 @@ def check_orthogonal(el, side: int | None = None) -> np.ndarray:
     if res > ORTHO_TOL:
         raise NotUnitary(f"matrix is not orthogonal: residual {res:.3e} exceeds {ORTHO_TOL:.0e}")
     return el
-
-
-def spin_lift(alpha: AntisymTensor) -> np.ndarray:
-    """Unitary implementing the rotation generated by alpha on the state space."""
-    m = alpha.of_grade(2).m
-    if alpha.side != 2 * m:
-        raise ModeMismatch("spin_lift rotates the 2m standard generators")
-    basis = clifford.cached_basis(m, "standard")
-    # E_{ij} = i Gamma_i Gamma_j; both index orders of the repeated-index
-    # sum double each stored i<j term
-    return exp_i_hermitian(0.5 * basis.expand(alpha.values), sign=-1)
 
 
 def rotate_coords(coords: StateCoords, el) -> StateCoords:
@@ -108,9 +87,3 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
         new_grades[k] = AntisymTensor(coords.m, k, side, vals)
     return StateCoords(m=coords.m, mode=coords.mode, scalar=coords.scalar, grades=new_grades)
 
-
-def conjugate_state(rho, u) -> np.ndarray:
-    """U^dag rho U; the spectrum is preserved by similarity."""
-    rho = as_matrix(rho)
-    u = check_orthogonal(as_matrix(u), rho.shape[0])
-    return u.conj().T @ rho @ u

@@ -3,11 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from genbloch.clifford import basis_element, side
 from genbloch.coords import AntisymTensor, state_coords
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def gammas(m, mode="standard"):
+    """Gamma_1 .. Gamma_side as dense matrices; extended mode appends Gamma_{2m+1}."""
+    return [basis_element(m, (i,), mode) for i in range(1, side(m, mode) + 1)]
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -10,11 +10,12 @@ import time
 import numpy as np
 
 from genbloch import clifford
-from genbloch.clifford import chirality, extended_gammas, full_basis, generate_gammas
+from genbloch.clifford import basis_element, full_basis
 from genbloch.coords import AntisymTensor, antisym, decode, encode, state_coords, tensor_config
 from genbloch.figures import boundary_curves, figure_columns
 from genbloch.identities import (
     char_poly,
+    conjugate_state,
     descartes_positivity,
     dual_tensor,
     epsilon_D3,
@@ -22,14 +23,15 @@ from genbloch.identities import (
     factorized_charpoly,
     quartet_eigenvalues,
     rT4_domain,
+    spin_lift,
     tunnel_membership,
 )
 from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
-from genbloch.symmetry import conjugate_state, orthogonal_from_generator, rotate_coords, spin_lift
+from genbloch.symmetry import orthogonal_from_generator, rotate_coords
 
-from conftest import random_coords, random_tensor, random_unit_trace_hermitian, table_rows
+from conftest import gammas, random_coords, random_tensor, random_unit_trace_hermitian, table_rows
 
 
 def _report(num, description, ok):
@@ -38,20 +40,17 @@ def _report(num, description, ok):
 
 
 def test_criterion_01_algebra_generation():
-    generate_gammas.cache_clear()
-    chirality.cache_clear()
-    extended_gammas.cache_clear()
     start = time.perf_counter()
     ok = True
     for m in range(1, 6):
-        gams = generate_gammas(m)
+        gams = gammas(m)
         eye2 = 2.0 * np.eye(2 ** m)
         for i in range(2 * m):
             for j in range(i, 2 * m):
                 anti = gams[i] @ gams[j] + gams[j] @ gams[i]
                 target = eye2 if i == j else np.zeros_like(anti)
                 ok = ok and np.array_equal(anti, target)
-        chi = chirality(m)
+        chi = basis_element(m, (2 * m + 1,), "extended")
         for g in gams:
             ok = ok and np.max(np.abs(chi @ g + g @ chi)) == 0.0
     elapsed = time.perf_counter() - start
@@ -63,11 +62,13 @@ def test_criterion_02_basis_orthogonality():
     worst = 0.0
     for m in range(1, 5):
         basis = full_basis(m)
-        order, stack = clifford.element_stack(basis)
+        order = basis.indices
+        stack = np.stack([basis.element(idx) for idx in order])
         gram = np.einsum("aij,bji->ab", stack, stack)
         worst = max(worst, float(np.max(np.abs(gram - 2 ** m * np.eye(len(order))))))
     basis5 = full_basis(5)
-    order5, stack5 = clifford.element_stack(basis5)
+    order5 = basis5.indices
+    stack5 = np.stack([basis5.element(idx) for idx in order5])
     rng = np.random.default_rng(12345)
     for _ in range(200):
         a, b = rng.integers(0, len(order5), size=2)

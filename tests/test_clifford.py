@@ -8,16 +8,13 @@ from genbloch.clifford import (
     CliffordBasis,
     basis_element,
     cached_basis,
-    chirality,
-    extended_gammas,
     full_basis,
-    generate_gammas,
     verify_algebra,
 )
 from genbloch.coords import AntisymTensor, antisym
 from genbloch.errors import BadIndex, ResourceLimit
 
-from conftest import SIGMA1, SIGMA2, SIGMA3
+from conftest import SIGMA1, SIGMA2, SIGMA3, gammas
 
 
 @pytest.mark.parametrize("idx", [(1.7, 2.2), (True, 2), (1.0, 2.0)],
@@ -35,7 +32,7 @@ def test_multi_index_entries_must_be_ints(build, idx):
 
 
 def test_m1_generators_are_sigma12():
-    g = generate_gammas(1)
+    g = gammas(1)
     assert len(g) == 2
     assert np.array_equal(g[0], SIGMA1)
     assert np.array_equal(g[1], SIGMA2)
@@ -43,7 +40,7 @@ def test_m1_generators_are_sigma12():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_anticommutation_exact(m):
-    g = generate_gammas(m)
+    g = gammas(m)
     assert len(g) == 2 * m
     eye2 = 2.0 * np.eye(2 ** m)
     for i in range(2 * m):
@@ -54,22 +51,22 @@ def test_anticommutation_exact(m):
 
 
 def test_m3_traceless_and_normalized():
-    for g in generate_gammas(3):
+    for g in gammas(3):
         assert g.shape == (8, 8)
         assert abs(np.trace(g)) == 0.0
         assert abs(np.trace(g @ g) - 8.0) == 0.0
 
 
 def test_chirality_m1_is_sigma3():
-    assert np.array_equal(chirality(1), SIGMA3)
+    assert np.array_equal(basis_element(1, (3,), "extended"), SIGMA3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_chirality_algebra(m):
-    c = chirality(m)
+    c = basis_element(m, (2 * m + 1,), "extended")
     assert np.array_equal(c, c.conj().T)
     assert np.array_equal(c @ c, np.eye(2 ** m) + 0j)
-    for g in generate_gammas(m):
+    for g in gammas(m):
         assert np.max(np.abs(c @ g + g @ c)) == 0.0
 
 
@@ -153,8 +150,8 @@ def _kron_iteration(m):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_generators_follow_kron_iteration(m):
     dense = _kron_iteration(m)
-    assert len(generate_gammas(m)) == len(dense)
-    for g, want in zip(generate_gammas(m), dense):
+    assert len(gammas(m)) == len(dense)
+    for g, want in zip(gammas(m), dense):
         assert np.array_equal(g, want)
 
 
@@ -170,7 +167,7 @@ def _dense_product(gams, idx):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_table_matches_dense_products(m, mode):
     b = full_basis(m, mode)
-    gams = generate_gammas(m) if mode == "standard" else extended_gammas(m)
+    gams = gammas(m, mode)
     indices = b.indices
     if m == 6:
         rng = np.random.default_rng(6)
@@ -180,7 +177,7 @@ def test_table_matches_dense_products(m, mode):
 
 
 def test_extended_gammas_m1():
-    g = extended_gammas(1)
+    g = gammas(1, "extended")
     assert len(g) == 3
     assert np.array_equal(g[0], SIGMA1)
     assert np.array_equal(g[1], SIGMA2)
@@ -188,7 +185,7 @@ def test_extended_gammas_m1():
 
 
 def test_extended_gammas_m2_anticommute_exactly():
-    g = extended_gammas(2)
+    g = gammas(2, "extended")
     assert len(g) == 5
     for i in range(5):
         for j in range(5):
@@ -198,7 +195,7 @@ def test_extended_gammas_m2_anticommute_exactly():
 
 
 def test_extended_gammas_m3_squares():
-    for g in extended_gammas(3):
+    for g in gammas(3, "extended"):
         assert np.array_equal(g @ g, np.eye(8) + 0j)
 
 
@@ -230,7 +227,7 @@ def test_verify_algebra_detects_tampering():
 def test_products_close_in_span(rng):
     # random triple products of generators expand fully over the 4^m elements
     b = full_basis(2)
-    gams = generate_gammas(2)
+    gams = gammas(2)
     for _ in range(10):
         i, j, k = rng.integers(0, 4, size=3)
         prod = gams[i] @ gams[j] @ gams[k]
@@ -244,4 +241,4 @@ def test_products_close_in_span(rng):
 
 def test_resource_limit():
     with pytest.raises(ResourceLimit):
-        generate_gammas(7)
+        gammas(7)

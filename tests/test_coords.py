@@ -30,10 +30,10 @@ from genbloch.errors import (
     NotHermitian,
     ResourceLimit,
 )
-from genbloch.identities import z_from_coords
+from genbloch.identities import spin_lift, z_from_coords
 from genbloch.invariants import frobenius_r
 from genbloch.linalg import hermitian_eigenvalues
-from genbloch.symmetry import orthogonal_from_generator, spin_lift
+from genbloch.symmetry import orthogonal_from_generator
 
 from conftest import SIGMA1, SIGMA3, random_coords, random_unit_trace_hermitian
 

@@ -12,7 +12,7 @@ from genbloch.identities import char_poly
 from genbloch.linalg import (
     HERM_TOL,
     as_matrix,
-    exp_i_hermitian,
+    exp_minus_i_hermitian,
     hermitian_eigenvalues,
     matrix_from_json,
     matrix_to_json,
@@ -77,7 +77,7 @@ def test_not_hermitian_rejected():
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
-        exp_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        exp_minus_i_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_char_poly_identity():
@@ -102,18 +102,18 @@ def test_char_poly_requires_hermitian():
 
 
 def test_exp_zero_is_identity():
-    assert np.allclose(exp_i_hermitian(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    assert np.allclose(exp_minus_i_hermitian(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
 
 def test_exp_pauli_rotation():
-    u = exp_i_hermitian((np.pi / 2) * SIGMA2, sign=-1)
+    u = exp_minus_i_hermitian((np.pi / 2) * SIGMA2)
     assert np.max(np.abs(u - (-1j) * SIGMA2)) < 1e-12
     assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
 
 def test_exp_unitary_random(rng):
     h = random_hermitian(rng, 8)
-    u = exp_i_hermitian(h)
+    u = exp_minus_i_hermitian(-h)
     assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-10
     assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
@@ -153,7 +153,7 @@ def test_complex_layouts_match_c_order(rng, layout):
     c = np.ascontiguousarray(a)
     assert np.array_equal(as_matrix(a), c)
     assert np.array_equal(hermitian_eigenvalues(a), hermitian_eigenvalues(c))
-    assert np.array_equal(exp_i_hermitian(a), exp_i_hermitian(c))
+    assert np.array_equal(exp_minus_i_hermitian(a), exp_minus_i_hermitian(c))
     assert np.array_equal(char_poly(a), char_poly(c))
     assert np.array_equal(numeric_spectrum(a).eigenvalues, numeric_spectrum(c).eigenvalues)
     assert coords_to_json(decode(a)) == coords_to_json(decode(c))

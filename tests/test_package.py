@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import genbloch
-from genbloch import coords, errors, figures, invariants, linalg
+from genbloch import coords, domains, errors, figures, invariants, linalg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
 
@@ -114,6 +114,18 @@ def test_records_are_immutable(index):
         assert pickle.dumps(twin) == pickle.dumps(record)
 
 
+@pytest.mark.parametrize("index", range(6), ids=["CliffordBasis", "AntisymTensor", "StateCoords",
+                                                 "InvariantSet", "Spectrum", "DomainVerdict"])
+def test_records_print_their_fields(index):
+    record = _records()[index]
+    text = repr(record)
+    assert text.startswith(f"{type(record).__name__}(") and "object at 0x" not in text
+    assert all(f"{name}=" in text for name in type(record).__slots__)
+    if index == 5:
+        assert text == ("DomainVerdict(admissible=True, boundary=False, violated=None, "
+                        "invariants_used=None, tol=1e-09)")
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: linalg.hermitian_eigenvalues(np.zeros((2, 3))), "DimensionMismatch"),
     (lambda: linalg.as_matrix(np.zeros((2, 2, 2))), "DimensionMismatch"),
@@ -122,8 +134,9 @@ def test_records_are_immutable(index):
     (lambda: invariants.InvariantSet(r=0.5, T4=-1.0), "MalformedInput"),
     (lambda: figures._tunnel_family(np.array([[0.0, np.inf, 0.0]])), "MalformedInput"),
     (lambda: coords.AntisymTensor.from_matrix(2, np.ones((4, 4))), "MalformedInput"),
+    (lambda: domains.DomainVerdict(True, False, "positivity", None, 1e-9), "MalformedInput"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
-        "non-finite-tunnel", "not-antisymmetric"])
+        "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:

@@ -32,13 +32,19 @@ from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
     bordered_parts,
     closed_form_spectrum,
-    normal_form_eigenvalues,
+    normal_form_amplitudes,
     numeric_spectrum,
+    sign_sums,
     spectrum_from_values,
 )
 from genbloch.symmetry import orthogonal_from_generator
 
 from conftest import random_tensor
+
+
+def normal_form_eigenvalues(g):
+    """Sorted (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}), m = side // 2."""
+    return sign_sums(1.0, *normal_form_amplitudes(g.side // 2, None, g.as_matrix()))
 
 
 def rank2_tensor(rng, m, mu1, mu2):

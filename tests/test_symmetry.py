@@ -3,18 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from genbloch.clifford import cached_basis, generate_gammas
+from genbloch.clifford import cached_basis
 from genbloch.coords import antisym, decode, encode, state_coords, vector
 from genbloch.errors import NotUnitary
+from genbloch.identities import conjugate_state, spin_lift
 from genbloch.linalg import hermitian_eigenvalues
-from genbloch.symmetry import (
-    conjugate_state,
-    orthogonal_from_generator,
-    rotate_coords,
-    spin_lift,
-)
+from genbloch.symmetry import orthogonal_from_generator, rotate_coords
 
-from conftest import random_coords, random_tensor, random_unit_trace_hermitian
+from conftest import gammas, random_coords, random_tensor, random_unit_trace_hermitian
 
 
 def test_orthogonal_identity():
@@ -56,7 +52,7 @@ def test_spin_lift_identity():
 
 def test_spin_lift_pi_rotation_m1():
     u = spin_lift(antisym(1, 2, {(1, 2): np.pi}))
-    g1 = generate_gammas(1)[0]
+    g1 = gammas(1)[0]
     assert np.max(np.abs(u @ g1 @ u.conj().T + g1)) < 1e-12
 
 
@@ -66,7 +62,7 @@ def test_spin_lift_conjugation_matches_rotation(rng):
         alpha = random_tensor(rng, m, 2)
         u = spin_lift(alpha)
         el = orthogonal_from_generator(alpha)
-        gams = generate_gammas(m)
+        gams = gammas(m)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2 ** m))) < 1e-10
         for i in range(2 * m):
             lhs = u @ gams[i] @ u.conj().T
@@ -133,7 +129,7 @@ def test_group_composition_on_disjoint_planes(rng):
     a2 = antisym(2, 2, {(3, 4): phi})
     u = spin_lift(a1) @ spin_lift(a2)
     el = orthogonal_from_generator(a1) @ orthogonal_from_generator(a2)
-    gams = generate_gammas(2)
+    gams = gammas(2)
     for i in range(4):
         lhs = u @ gams[i] @ u.conj().T
         rhs = sum(el[i, k] * gams[k] for k in range(4))
