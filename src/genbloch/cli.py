@@ -6,18 +6,22 @@ is JSON, CSV or SVG.  `sample` and `figure` share one table path: the
 library gives (column names, one array per column), and one cell-grid
 writer (_table_text) spells every CSV and JSON table from it with that
 format's separators, each distinct float magnitude once and at full double
-precision, so repeated runs are byte-identical.  A float that is not finite
-is refused in every format.  SVG pixel coordinates are spelled from integer
-counts of hundredths.  encode and basis print matrix JSON and decode and
-rotate coords JSON through the same writer.  Each subcommand imports what
-it uses when it runs, so `figure` and `domain --grid` load only the figures
-module besides this, and no call loads dataclasses: the package's records
-are plain __slots__ classes.
+precision, so repeated runs are byte-identical; a negative float's "-" ends
+the lead, the separator text before its cell.  A float that is not finite
+is refused in every format.  An SVG pixel coordinate is two cells, spelled
+from its integer count of hundredths.  CSV and SVG text is joined in blocks
+of _BLOCK_ROWS rows; a JSON document, which nests its tables, is one str.
+encode and basis print matrix JSON and decode and rotate coords JSON
+through the same writer.  Each subcommand imports what it uses when it
+runs, so `figure` and `domain --grid` load only the figures module besides
+this, and no call loads dataclasses: the package's records are plain
+__slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
-code), the payload a JSON-able object or the finished text.  run() alone
-touches files: it reads each input once and writes stdout or --output once.
+code), the payload a JSON-able object, the finished text or its list of
+row blocks.  run() alone touches files: it reads each input once and
+writes the answer's text, block by block, at one write site.
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode refuses coords
 whose matrix rounds their trace away.
@@ -83,51 +87,66 @@ def _state(obj, mode: str):
     return coords, None
 
 
-def _spell_floats(values: np.ndarray) -> np.ndarray:
-    """repr of each float64 of values.
-
-    Each distinct magnitude is spelled once, and a value whose sign bit is
-    set (-0.0 too) is that spelling after "-", built once for each magnitude
-    that occurs negative; NaN is "nan" whatever its sign.
+def _spell_floats(values: np.ndarray) -> tuple:
+    """(text, negative) of the float64 values: text[i] is the repr of the
+    magnitude of values[i], and negative[i] whether its sign bit is set (-0.0
+    too) and it is not NaN, so that repr(values[i]) is "-" + text[i] where
+    negative[i] holds and text[i] elsewhere.  Each distinct magnitude is
+    spelled once.
     """
     bits = values.view(np.int64)
     magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
     # float's own repr: numpy 2 spells a numpy float as np.float64(...)
     text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
-    negative = (bits < 0) & ~np.isnan(values)
-    minus = np.zeros(len(text), dtype=bool)
-    minus[where[negative]] = True
-    # the negative spellings follow text, in the order of their magnitudes
-    index = np.where(negative, len(text) - 1 + np.cumsum(minus)[where], where)
-    return np.concatenate([text, "-" + text[minus]])[index]
+    return text[where], (bits < 0) & ~np.isnan(values)
 
 
 # a table's booleans (false, true) and the spelling of its strings, per format
 _CSV = (np.array(["0", "1"], dtype=object), str)
 _JSON = (np.array(["false", "true"], dtype=object), json.dumps)
 
+# rows per block of CSV and SVG text: run() writes a table block by block
+_BLOCK_ROWS = 8192
 
-def _table_text(columns, leads, tail, words, head) -> str:
+
+def _row_blocks(cells: np.ndarray) -> list:
+    """The text of each block of _BLOCK_ROWS rows of a grid of cells."""
+    return ["".join(cells[i:i + _BLOCK_ROWS].ravel().tolist())
+            for i in range(0, len(cells), _BLOCK_ROWS)]
+
+
+def _table_text(columns, leads, tail, words, head) -> list:
     """Per row of the equal-length columns: leads[0], its cell of the first
     column, leads[1], ..., its cell of the last column, tail; head stands in
     for the first leads[0] and is the whole text of a table without rows.
+    The text comes as one str per block of _BLOCK_ROWS rows.
 
     Cells: booleans are words[0][1]/[0], floats at full round-trip precision,
     ints through str, anything else (strings) through words[1], each distinct
-    value once.  A float that is not finite is refused with NonFiniteResult.
+    value once.  A negative float's "-" ends the lead before it.  A float
+    that is not finite is refused with NonFiniteResult before any block is
+    built.
     """
     columns = [np.asarray(col) for col in columns]
     rows = len(columns[0]) if columns else 0
+    if not rows:
+        return [head]
     cells = np.empty((rows, 2 * len(columns) + 1), dtype=object)
     cells[:, :-1:2] = leads
     cells[:, -1] = tail
-    cells[:1, 0] = head
+    cells[0, 0] = head
     floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
     if floats:
         values = np.concatenate([columns[j] for j in floats])
         if not np.isfinite(values).all():
             raise NonFiniteResult(_NOT_FINITE)
-        cells[:, [2 * j + 1 for j in floats]] = _spell_floats(values).reshape(len(floats), rows).T
+        text, negative = _spell_floats(values)
+        cells[:, [2 * j + 1 for j in floats]] = text.reshape(len(floats), rows).T
+        for j, minus in zip(floats, negative.reshape(len(floats), rows)):
+            cells[minus, 2 * j] = leads[j] + "-"
+        # the first row's first lead is head, which takes its "-" the same way
+        if floats[0] == 0 and negative[0]:
+            cells[0, 0] = head + "-"
     bits, spell = words
     for j, col in enumerate(columns):
         if col.dtype == bool:
@@ -137,12 +156,11 @@ def _table_text(columns, leads, tail, words, head) -> str:
         elif col.dtype != np.float64:
             spelled = {v: spell(v) for v in set(col.tolist())}
             cells[:, 2 * j + 1] = [spelled[v] for v in col.tolist()]
-    cells = cells.ravel().tolist()  # the grid's pointers go before the text is built
-    return "".join(cells) or head
+    return _row_blocks(cells)
 
 
-def _csv_text(header, columns) -> str:
-    """CSV of the header line and one line per row of the columns."""
+def _csv_text(header, columns) -> list:
+    """CSV of the header line and one line per row of the columns, in row blocks."""
     leads = ["", *[","] * (len(columns) - 1)]
     return _table_text(columns, leads, "\n", _CSV, ",".join(header) + "\n")
 
@@ -154,7 +172,7 @@ def _json_list(columns, leads=None, tail="\n    ]") -> str:
     leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
     if not len(columns[0]):
         return "[]"
-    return _table_text(columns, leads, tail, _JSON, "[" + leads[0][1:]) + "\n  ]"
+    return "".join(_table_text(columns, leads, tail, _JSON, "[" + leads[0][1:])) + "\n  ]"
 
 
 def _json_document(fields: dict, tables: dict) -> str:
@@ -195,28 +213,31 @@ def _coords_text(coords) -> str:
 _CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
 
 
-def _spell_hundredths(values: np.ndarray, top: int) -> np.ndarray:
-    """"{:.2f}".format(v) for each float64 v of values.
+def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
+    """"{:.2f}".format(v) for each float64 v of values, as two cells whose
+    concatenation is that spelling.
 
     A v in (0, top] is spelled from its nearest count of hundredths k as
-    f"{k // 100}." + f"{k % 100:02d}", both from small string tables.  That
+    f"{k // 100}." and f"{k % 100:02d}", both from small string tables.  That
     is format's rounding unless 100 v lies within 1e-6 of a tie k + 1/2,
     which format settles half-even on the exact binary value; such values,
-    and any outside (0, top], go through format itself.
+    and any outside (0, top], are "{:.2f}".format(v) and "".
     """
     hundredths = values * 100.0
     k = np.rint(hundredths)
     table = (values > 0) & (k <= 100 * top) & (np.abs(hundredths - k) < 0.5 - 1e-6)
     whole = np.array([f"{i}." for i in range(top + 1)], dtype=object)
     k = k[table].astype(np.intp)
-    out = np.empty(len(values), dtype=object)
-    out[table] = whole[k // 100] + _CENTS[k % 100]
-    out[~table] = list(map("{:.2f}".format, values[~table].tolist()))
-    return out
+    first = np.empty(len(values), dtype=object)
+    second = np.full(len(values), "", dtype=object)
+    first[table] = whole[k // 100]
+    second[table] = _CENTS[k % 100]
+    first[~table] = list(map("{:.2f}".format, values[~table].tolist()))
+    return first, second
 
 
-def _svg_text(xs, ys, labels, size: int = 640) -> str:
-    """Flat scatter of the (x, y) points colored by label."""
+def _svg_text(xs, ys, labels, size: int = 640) -> list:
+    """Flat scatter of the (x, y) points colored by label, in row blocks."""
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
@@ -229,21 +250,17 @@ def _svg_text(xs, ys, labels, size: int = 640) -> str:
     # that every pixel coordinate is the same double as one point at a time
     px = margin + (xs - x0) / span_x * scale
     py = size - margin - (ys - y0) / span_y * scale
-    label_list = sorted(set(labels))
-    tail = {lab: f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
-            for i, lab in enumerate(label_list)}
-    # the whole document as one flat list: header, five strings per point, footer
-    parts = np.empty(2 + 5 * len(px), dtype=object)
-    parts[0] = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-                f'viewBox="0 0 {size} {size}">')
-    points = parts[1:-1].reshape(-1, 5)
+    # seven cells per point: each pixel coordinate is two
+    points = np.empty((len(px), 7), dtype=object)
     points[:, 0] = '\n<circle cx="'
-    points[:, 1] = _spell_hundredths(px, size)
-    points[:, 2] = '" cy="'
-    points[:, 3] = _spell_hundredths(py, size)
-    points[:, 4] = [tail[lab] for lab in labels]
-    parts[-1] = "\n</svg>"
-    return "".join(parts.tolist())
+    points[:, 1], points[:, 2] = _spell_hundredths(px, size)
+    points[:, 3] = '" cy="'
+    points[:, 4], points[:, 5] = _spell_hundredths(py, size)
+    labels = np.asarray(labels)
+    for i, lab in enumerate(sorted(set(labels.tolist()))):
+        points[labels == lab, 6] = f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">', *_row_blocks(points), "\n</svg>"]
 
 
 def _answer_basis(args) -> tuple:
@@ -485,13 +502,15 @@ def run(argv) -> int:
                         except RecursionError:
                             raise MalformedInput(f"{path}: JSON nested too deeply") from None
             payload, code = args.func(args, *docs)
-            text = payload if isinstance(payload, str) else _json_text(payload)
+            # CSV and SVG come as a list of row blocks, JSON as one str or an object
+            blocks = (payload if isinstance(payload, list)
+                      else [payload if isinstance(payload, str) else _json_text(payload)])
         # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
         path = args.output and os.path.join(os.environ.get("GENBLOCH_OUTPUT_DIR", ""),
                                             args.output)
         sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
         with sink as out:
-            out.write(text if text.endswith("\n") else text + "\n")
+            out.writelines(blocks if blocks[-1].endswith("\n") else [*blocks, "\n"])
             out.flush()  # a failed write is reported here, not at exit
         return code
     except UsageError as exc:

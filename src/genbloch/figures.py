@@ -59,17 +59,17 @@ def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
     return failed, boundary
 
 
-def _tunnel_family(pts: np.ndarray):
-    """alpha_+, alpha_-, r and T4 of G_12 = x, G_34 = y, G_23 = z per (x, y, z) row.
+def _tunnel_family(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """alpha_+, alpha_-, r and T4 of G_12 = x, G_34 = y, G_23 = z per point of
+    the equal-length columns.
 
     alpha_pm = sqrt((x +- y)^2 + z^2).  T4 = trace(G^4) is the squared
     Frobenius norm of G^2, whose nonzero entries are -x^2, -(x^2 + z^2),
     -(y^2 + z^2), -y^2 on the diagonal and xz, yz twice each off it.  The
     coordinates must be finite.
     """
-    if not np.isfinite(pts).all():
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all()):
         raise MalformedInput("non-finite tunnel coordinates")
-    x, y, z = pts.T
     xx, yy, zz = x * x, y * y, z * z
     r = xx + yy + zz
     t4 = xx * xx + (xx + zz) ** 2 + (yy + zz) ** 2 + yy * yy + 2.0 * zz * (xx + yy)
@@ -77,8 +77,8 @@ def _tunnel_family(pts: np.ndarray):
     return np.hypot(x + y, z), np.hypot(x - y, z), r, t4
 
 
-def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> np.ndarray:
-    """Parametric points of alpha_kind = level inside the box, one (x, y, z) row each."""
+def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> tuple:
+    """Parametric points of alpha_kind = level inside the box, as x, y, z columns."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     ts = np.linspace(-2.0 * box, 2.0 * box, 3 * resolution + 1)
     # math.cos/sin (not np.cos/sin, which may differ in the last bit) keep the
@@ -89,8 +89,9 @@ def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float)
         x, y = (u + ts) / 2.0, (u - ts) / 2.0
     else:
         x, y = (ts + u) / 2.0, (ts - u) / 2.0
-    pts = np.stack(np.broadcast_arrays(x, y, z), axis=-1).reshape(-1, 3)
-    return pts[np.all(np.abs(pts) <= box, axis=1)]
+    x, y, z = x.ravel(), y.ravel(), np.repeat(z.ravel(), len(ts))
+    inside = (np.abs(x) <= box) & (np.abs(y) <= box) & (np.abs(z) <= box)
+    return x[inside], y[inside], z[inside]
 
 
 # (kind, level) of the tunnel surfaces drawn in fig2 and fig3
@@ -115,18 +116,19 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     (the admissible ones, optionally only those in the paper's unit cube)."""
     parts, tags = [], []
     for kind, level in _SURFACES[which]:
-        pts = _tunnel_surface_points(kind, level, resolution, box=1.5)
+        x, y, z = _tunnel_surface_points(kind, level, resolution, box=1.5)
         if which == "fig3":
-            ap, am, _, _ = _tunnel_family(pts)
+            ap, am, _, _ = _tunnel_family(x, y, z)
             keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
             if paper_cube:
-                keep &= np.all((pts >= -1e-12) & (pts <= 1 + 1e-12), axis=1)
-            pts = pts[keep]
-        parts.append(pts)
+                for col in (x, y, z):
+                    keep &= (col >= -1e-12) & (col <= 1 + 1e-12)
+            x, y, z = x[keep], y[keep], z[keep]
+        parts.append((x, y, z))
         tags.append(f"{kind}={level:g}")
-    x, y, z = np.concatenate(parts).T
+    x, y, z = (np.concatenate(cols) for cols in zip(*parts))
     # an object column shares one str per surface among all its rows
-    return [x, y, z, np.repeat(np.array(tags, dtype=object), [len(pts) for pts in parts])]
+    return [x, y, z, np.repeat(np.array(tags, dtype=object), [len(cols[0]) for cols in parts])]
 
 
 def _check_figure(which: str, resolution) -> int:

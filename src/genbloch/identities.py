@@ -360,7 +360,8 @@ def z_from_coords(g2: AntisymTensor) -> float:
 
 def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Intersection of the two elliptic tunnels alpha_pm <= 1."""
-    ap, am, r, t4 = (float(v[0]) for v in _tunnel_family(np.array([[x, y, z]], dtype=float)))
+    columns = np.array([[x], [y], [z]], dtype=float)
+    ap, am, r, t4 = (float(v[0]) for v in _tunnel_family(*columns))
     inv = InvariantSet(r=r, T4=t4)
     violated = None
     if ap > 1.0 + tol:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import genbloch
 from genbloch.cli import run
@@ -259,8 +262,8 @@ def test_sample_m6_peak_rss(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
-    # fig2 at its default resolution writes 96,392 points from columns: 58 MB
-    # (CSV), 60 MB (SVG) and 62 MB (JSON) on Linux x86-64, Python 3.11, numpy
+    # fig2 at its default resolution writes 96,392 points from columns: 56 MB
+    # (CSV), 45 MB (SVG) and 60 MB (JSON) on Linux x86-64, Python 3.11, numpy
     # 2.4.  The bound sits below the 77 MB that one row tuple per point takes
     # there, and the 98 MB of JSON dumped from row tuples.
     out = tmp_path / f"fig2.{fmt}"
@@ -855,7 +858,8 @@ def test_csv_row_numpy_scalars():
     from genbloch.cli import _csv_text
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
-    assert _csv_text(list("abcdefg"), [[v] for v in row]) == "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
+    assert "".join(_csv_text(list("abcdefg"), [[v] for v in row])) == \
+        "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
 
 
 # The per-cell CSV and per-point SVG writers that the column writers
@@ -1009,8 +1013,18 @@ def _spell_floats_concatenated(values):
     return np.concatenate([text, "-" + text])[where + len(text) * negative]
 
 
+def _spelled(values):
+    """The full spellings the float speller's pieces stand for: "-" plus the
+    magnitude's text where the sign mask is set, the text alone elsewhere."""
+    from genbloch.cli import _spell_floats
+
+    text, negative = _spell_floats(values)
+    assert text.shape == negative.shape == values.shape
+    return [("-" if minus else "") + t for t, minus in zip(text.tolist(), negative.tolist())]
+
+
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.cli import _csv_text, _spell_floats, _svg_text
+    from genbloch.cli import _csv_text, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -1027,21 +1041,94 @@ def test_writers_match_per_row_on_hand_made_columns():
     # and each float column, all-positive and all-negative ones included
     signed = [np.array([-0.0]), np.array([np.copysign(np.nan, -1.0), np.nan, 0.5, -0.5, -0.0])]
     for values in signed + [np.array(col, dtype=float) for col in columns[:2] + columns[6:]]:
-        assert _spell_floats(values).tolist() == _spell_floats_concatenated(values).tolist()
+        assert _spelled(values) == _spell_floats_concatenated(values).tolist()
     header = [f"col{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
-    assert _csv_text(header, columns) == _csv_per_row(header, rows)
-    assert _csv_text(header, [[] for _ in columns]) == _csv_per_row(header, [])
-    assert _csv_text(header, []) == _csv_per_row(header, [])
+    assert "".join(_csv_text(header, columns)) == _csv_per_row(header, rows)
+    assert "".join(_csv_text(header, [[] for _ in columns])) == _csv_per_row(header, [])
+    assert "".join(_csv_text(header, [])) == _csv_per_row(header, [])
     xs, ys, labels = columns[0], columns[1], columns[5]
-    assert _svg_text(xs, ys, labels) == _svg_per_point(list(zip(xs, ys)), labels)
+    assert "".join(_svg_text(xs, ys, labels)) == _svg_per_point(list(zip(xs, ys)), labels)
     # zero rows: both writers fall back to x = y = 0
-    assert _svg_text([], [], []) == _svg_per_point([], [])
+    assert "".join(_svg_text([], [], [])) == _svg_per_point([], [])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e16, -1e16]
+# (whole blocks, rows past them): one row short of a block, a block, one row
+# over, and two blocks and one row
+_BLOCK_SHAPES = [(1, -1), (1, 0), (1, 1), (2, 1)]
+
+
+@settings(max_examples=2, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from(_BLOCK_SHAPES),
+       floats=st.lists(st.floats(-1e16, 1e16), max_size=6),
+       words=st.lists(st.text(max_size=4), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=_BLOCK_SHAPES[0], floats=[], words=["a"], seed=0)
+@example(shape=_BLOCK_SHAPES[1], floats=[0.1, -0.1], words=["", "b"], seed=1)
+@example(shape=_BLOCK_SHAPES[2], floats=[-2.5], words=["alpha_plus=1"], seed=2)
+@example(shape=_BLOCK_SHAPES[3], floats=[1.0 / 3.0], words=["a", "b", "c"], seed=3)
+def test_row_blocks_match_per_row(shape, floats, words, seed):
+    # columns of every cell kind, the floats of both signs with the edge values
+    # among them
+    from unittest import mock
+
+    from genbloch import domains
+    from genbloch.cli import _BLOCK_ROWS, _answer_sample, _csv_text, _svg_text
+
+    blocks, extra = shape
+    rows = blocks * _BLOCK_ROWS + extra
+    blocks += extra > 0
+    rng = np.random.default_rng(seed)
+    pool = np.array(_EDGE_FLOATS + floats)
+    draw = lambda: pool[rng.integers(0, len(pool), rows)]  # noqa: E731
+    columns = [draw(), rng.integers(-10 ** 6, 10 ** 6, rows), rng.integers(0, 2, rows) == 1,
+               np.array(words, dtype=object)[rng.integers(0, len(words), rows)], draw()]
+    header = [f"col{i}" for i in range(len(columns))]
+    text = _csv_text(header, columns)
+    assert len(text) == blocks and all(block.endswith("\n") for block in text)
+    assert "".join(text) == _csv_per_row(header, table_rows(columns))
+    xs, ys, labels = columns[0], columns[4], columns[3]
+    text = _svg_text(xs, ys, labels)
+    assert len(text) == blocks + 2
+    assert "".join(text) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())), labels.tolist())
+    # a sample document: each record's keys sorted, its coefficients one list
+    sample = [np.arange(rows), columns[0], columns[2], ~columns[2], columns[4]]
+    args = argparse.Namespace(m=2, k=1, samples=rows, seed=seed, box=1.2, format="json")
+    with mock.patch.object(domains, "sample_domain", lambda *_: (None, sample)):
+        text = _answer_sample(args)[0]
+    records = [{"index": i, "coefficients": [c], "closed_admissible": closed,
+                "oracle_admissible": oracle, "boundary_margin": margin}
+               for i, c, closed, oracle, margin in table_rows(sample)]
+    payload = {"m": 2, "k": 1, "n": rows, "seed": seed, "box": 1.2, "records": records}
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_first_float_cell_negative(tmp_path, capsys):
+    # a table's first cell takes its "-" after the head, not after a row lead
+    from genbloch.cli import _csv_text, _json_document, _json_list
+    from genbloch.clifford import basis_element
+    from genbloch.coords import decode, encode
+
+    assert "".join(_csv_text(["x", "y"], [[-0.5, 1.0], [-0.0, -2.0]])) == \
+        "x,y\n-0.5,-0.0\n1.0,-2.0\n"
+    rows = [[-0.0, 2.5], [1e16, -5e-324]]
+    points = _json_list([np.array(col) for col in zip(*rows)])
+    assert _json_document({}, {"points": points}) == json.dumps({"points": rows}, indent=2)
+    # a matrix whose entries open with -1.0: E_12 = -sigma_3 at m = 1
+    assert run(["basis", "--m", "1", "--element", "2:1,2"]) == 0
+    expected = {"1,2,[1,2]": matrix_to_json(basis_element(1, (1, 2)))}
+    assert expected["1,2,[1,2]"]["entries"][0][0] == -1.0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    # decode of a state whose first coordinate is negative
+    rho = encode(state_coords(2, grades={1: {(1,): -0.25}, 2: {(1, 2): -0.125}}))
+    assert run(["decode", "--input", write_json(tmp_path / "rho.json", matrix_to_json(rho))]) == 0
+    expected = coords_to_json(decode(rho))
+    assert expected["grades"]["1"][0]["val"] < 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_float_speller_matches_repr(rng):
-    from genbloch.cli import _spell_floats
-
     # magnitudes are spelled once and negatives prefixed: every sign, NaN of
     # either sign, infinities, subnormals, and values that occur with both signs
     nan = np.float64(np.nan)
@@ -1051,7 +1138,7 @@ def test_float_speller_matches_repr(rng):
     mirrored = np.concatenate([spread[:1000], -spread[:1000]])
     for values in (edges, spread, mirrored, np.array([])):
         expected = list(map(float.__repr__, values.tolist()))
-        assert _spell_floats(values).tolist() == expected
+        assert _spelled(values) == expected
 
 
 def test_pixel_speller_matches_format(rng):
@@ -1065,7 +1152,8 @@ def test_pixel_speller_matches_format(rng):
                       640.0, 640.004, 640.005, 640.006, 1e6, np.nan])
     for values in (ties, rng.uniform(20.0, 620.0, 10 ** 6), edges):
         expected = list(map("{:.2f}".format, values.tolist()))
-        assert _spell_hundredths(values, 640).tolist() == expected
+        first, second = _spell_hundredths(values, 640)
+        assert [a + b for a, b in zip(first.tolist(), second.tolist())] == expected
 
 
 def test_figure_row_limit(capsys, monkeypatch):

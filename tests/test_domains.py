@@ -596,9 +596,9 @@ def test_fig3_matches_tunnel_membership(resolution):
     for kind, level in [("alpha_plus", 1.0), ("alpha_plus", 0.1),
                         ("alpha_minus", 1.0), ("alpha_minus", 0.01)]:
         candidates = _surface_points_per_point(kind, level, resolution, 1.5)
+        columns = _tunnel_surface_points(kind, level, resolution, 1.5)
         # bit for bit, signed zeros included
-        assert (np.array(candidates).tobytes()
-                == _tunnel_surface_points(kind, level, resolution, 1.5).tobytes())
+        assert np.array(candidates).tobytes() == np.column_stack(columns).tobytes()
         for x, y, z in candidates:
             if tunnel_membership(x, y, z).admissible:
                 row = (x, y, z, f"{kind}={level:g}")
