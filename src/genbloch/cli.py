@@ -211,6 +211,7 @@ def _coords_text(coords) -> str:
 
 
 _CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
+_SVG_SIZE = 640  # the width and height of every SVG figure, in pixels
 
 
 def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
@@ -236,7 +237,7 @@ def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
     return first, second
 
 
-def _svg_text(xs, ys, labels, size: int = 640) -> list:
+def _svg_text(xs, ys, labels) -> list:
     """Flat scatter of the (x, y) points colored by label, in row blocks."""
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
@@ -245,22 +246,22 @@ def _svg_text(xs, ys, labels, size: int = 640) -> list:
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     margin = 20
-    scale = size - 2 * margin
+    scale = _SVG_SIZE - 2 * margin
     # the per-point formula's order of operations, kept over the arrays so
     # that every pixel coordinate is the same double as one point at a time
     px = margin + (xs - x0) / span_x * scale
-    py = size - margin - (ys - y0) / span_y * scale
+    py = _SVG_SIZE - margin - (ys - y0) / span_y * scale
     # seven cells per point: each pixel coordinate is two
     points = np.empty((len(px), 7), dtype=object)
     points[:, 0] = '\n<circle cx="'
-    points[:, 1], points[:, 2] = _spell_hundredths(px, size)
+    points[:, 1], points[:, 2] = _spell_hundredths(px, _SVG_SIZE)
     points[:, 3] = '" cy="'
-    points[:, 4], points[:, 5] = _spell_hundredths(py, size)
+    points[:, 4], points[:, 5] = _spell_hundredths(py, _SVG_SIZE)
     labels = np.asarray(labels)
     for i, lab in enumerate(sorted(set(labels.tolist()))):
         points[labels == lab, 6] = f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">', *_row_blocks(points), "\n</svg>"]
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">', *_row_blocks(points), "\n</svg>"]
 
 
 def _answer_basis(args) -> tuple:

@@ -4,9 +4,9 @@ One rule decides every state (positivity): it is admissible when its
 smallest eigenvalue is >= -tol, and the constraint an inadmissible state
 violates is "positivity".  Two routes give lambda_min: "normal_form", the
 closed form spectra.sign_sums of a state in the so(2m+2) family
-(spectra.normal_form), reported by the invariants it uses, the amplitudes
-mu and the sign of Pf M of the bordered matrix M = [[0, v^T], [-v, G]];
-and "min_eigenvalue", the LAPACK eigenvalues of any other state.
+(spectra.normal_form), reported by the invariants it uses: r and T4 of the
+bordered matrix M = [[0, v^T], [-v, G]] (invariants.bordered_invariants), mu
+and the sign of Pf M; and "min_eigenvalue", LAPACK's for any other state.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -33,7 +33,7 @@ from .clifford import Record, _check_m, cached_basis, multi_indices
 from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
 from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
 from .figures import DEFAULT_TOL
-from .invariants import InvariantSet
+from .invariants import InvariantSet, bordered_invariants
 from .linalg import hermitian_eigenvalues
 from .spectra import normal_form, normal_form_amplitudes, sign_sums
 
@@ -81,10 +81,10 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     rho, or None to encode the coords only on the route that needs the matrix.
 
     A state of the so(2m+2) family takes route "normal_form": lambda_min from
-    spectra.sign_sums, reported by r, T4 = 2 sum mu^4 and the amplitudes mu
-    with the sign of Pf M.  Every other state takes route "min_eigenvalue":
-    the LAPACK eigenvalues of rho.  Coords whose scalar (the trace) is not 1
-    are no state: NonUnitTrace.
+    spectra.sign_sums, reported by invariants.bordered_invariants and the
+    amplitudes mu with the sign of Pf M.  Every other state takes route
+    "min_eigenvalue": the LAPACK eigenvalues of rho.  Coords whose scalar
+    (the trace) is not 1 are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
@@ -93,10 +93,9 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     if found is None:
         rho = encode(coords) if rho is None else rho
         return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), tol), "min_eigenvalue"
-    mu, pf, r = found
-    inv = InvariantSet(r=r, T4=2.0 * float(np.sum(mu ** 4)),
-                       extras={"normal_form_amplitudes": mu.tolist(),
-                               "pfaffian_sign": float(np.sign(pf))})
+    v, g, mu, pf = found
+    inv = bordered_invariants(v, g, {"normal_form_amplitudes": mu.tolist(),
+                                     "pfaffian_sign": float(np.sign(pf))})
     min_eig = float(sign_sums(coords.scalar, mu, pf)[0])
     return min_eigenvalue_verdict(min_eig, tol, inv), "normal_form"
 

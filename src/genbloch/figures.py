@@ -14,10 +14,9 @@ one array per column of every output format, and fig1's two boundary curves
 as (r, T4) columns (boundary_curves).  No figure has more than
 MAX_FIGURE_ROWS candidate rows.
 
-This module also owns the package's rule on the invariants r and T4
-themselves: both are sums of squares (require_sums_of_squares).  It imports
-nothing of the package but its errors, so the CLI can draw a figure without
-loading the algebra.
+The module computes no invariant: fig1's r and T4 are grid values, and the
+tunnels need only alpha_pm.  It imports nothing of the package but its
+errors, so the CLI can draw a figure without loading the algebra.
 """
 
 from __future__ import annotations
@@ -37,13 +36,6 @@ MAX_RESOLUTION = 1001
 MAX_FIGURE_ROWS = 2 ** 20
 
 
-def require_sums_of_squares(r, t4=0.0) -> None:
-    """The package's one (r, T4) sign rule: both are sums of squares, so
-    MalformedInput if any entry of either is below -1e-12 (scalars or arrays)."""
-    if np.min(r, initial=0.0) < -1e-12 or np.min(t4, initial=0.0) < -1e-12:
-        raise MalformedInput("r and T4 are sums of squares and must be nonnegative")
-
-
 # the (r, T4) constraints in the order of _rT4_family's rows
 _RT4_CONSTRAINTS = ("r_negative", "r_upper", "T4_upper", "T4_lower")
 
@@ -60,21 +52,11 @@ def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
 
 
 def _tunnel_family(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """alpha_+, alpha_-, r and T4 of G_12 = x, G_34 = y, G_23 = z per point of
-    the equal-length columns.
-
-    alpha_pm = sqrt((x +- y)^2 + z^2).  T4 = trace(G^4) is the squared
-    Frobenius norm of G^2, whose nonzero entries are -x^2, -(x^2 + z^2),
-    -(y^2 + z^2), -y^2 on the diagonal and xz, yz twice each off it.  The
-    coordinates must be finite.
-    """
+    """alpha_pm = sqrt((x +- y)^2 + z^2) of G_12 = x, G_34 = y, G_23 = z per
+    point of the equal-length columns, which must be finite."""
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all()):
         raise MalformedInput("non-finite tunnel coordinates")
-    xx, yy, zz = x * x, y * y, z * z
-    r = xx + yy + zz
-    t4 = xx * xx + (xx + zz) ** 2 + (yy + zz) ** 2 + yy * yy + 2.0 * zz * (xx + yy)
-    require_sums_of_squares(r, t4)
-    return np.hypot(x + y, z), np.hypot(x - y, z), r, t4
+    return np.hypot(x + y, z), np.hypot(x - y, z)
 
 
 def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> tuple:
@@ -118,7 +100,7 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     for kind, level in _SURFACES[which]:
         x, y, z = _tunnel_surface_points(kind, level, resolution, box=1.5)
         if which == "fig3":
-            ap, am, _, _ = _tunnel_family(x, y, z)
+            ap, am = _tunnel_family(x, y, z)
             keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
             if paper_cube:
                 for col in (x, y, z):

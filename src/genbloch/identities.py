@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import cached_basis, multi_indices, normalize_key
-from .coords import AntisymTensor
+from .coords import AntisymTensor, antisym
 from .domains import DomainVerdict
 from .errors import (
     ComplexRoots,
@@ -359,10 +359,10 @@ def z_from_coords(g2: AntisymTensor) -> float:
 
 
 def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """Intersection of the two elliptic tunnels alpha_pm <= 1."""
-    columns = np.array([[x], [y], [z]], dtype=float)
-    ap, am, r, t4 = (float(v[0]) for v in _tunnel_family(*columns))
-    inv = InvariantSet(r=r, T4=t4)
+    """Intersection of the elliptic tunnels alpha_pm <= 1, with r and T4 of G(x, y, z)."""
+    ap, am = (float(v[0]) for v in _tunnel_family(*np.array([[x], [y], [z]], dtype=float)))
+    g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
+    inv = InvariantSet(r=frobenius_r(g), T4=trace_T4(g))
     violated = None
     if ap > 1.0 + tol:
         violated = "tunnel_plus"

@@ -11,7 +11,8 @@ D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
 computes it; the epsilon sum itself and the dual-tensor identities are
 checked claims of the identities module.  pfaffian is Parlett-Reid
 elimination, O(n^3) on one matrix or a stack; the spectra module takes the
-chirality of its closed form from it too, at side 2m + 2.
+chirality of its closed form from it too, at side 2m + 2.  Every r and T4
+of the package comes from frobenius_r and trace_T4 (bordered_invariants).
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import math
 import numpy as np
 
 from .clifford import Record
-from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, InvariantMismatch
-from .figures import require_sums_of_squares
+from .coords import AntisymTensor, StateCoords, antisym_matrices, sum_of_squares
+from .errors import DimensionMismatch, InvariantMismatch, MalformedInput
 
 
 def pfaffian(a):
@@ -67,11 +67,17 @@ def frobenius_r(g: AntisymTensor) -> float:
     return g.of_grade(2).norm_sq()
 
 
-def trace_T4(g: AntisymTensor) -> float:
-    """T4 = trace((G^T G)^2) on the full antisymmetric matrix."""
-    mat = g.as_matrix()
+def trace_T4(g) -> float:
+    """T4 = trace((G^T G)^2) of a grade-2 AntisymTensor or an antisymmetric array."""
+    mat = g.as_matrix() if isinstance(g, AntisymTensor) else g
     gtg = mat.T @ mat
     return float(np.trace(gtg @ gtg))
+
+
+def require_sums_of_squares(r, t4=0.0) -> None:
+    """The one (r, T4) sign rule: sums of squares, so MalformedInput below -1e-12."""
+    if r < -1e-12 or t4 < -1e-12:
+        raise MalformedInput("r and T4 are sums of squares and must be nonnegative")
 
 
 class InvariantSet(Record):
@@ -100,6 +106,19 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     if g.side == 6:
         d3 = 48.0 * extras["pfaffian"]
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
+
+
+def bordered_invariants(v, g: AntisymTensor | None, extras: dict) -> InvariantSet:
+    """r and T4 of M = [[0, v^T], [-v, G]], v a grade-1 part (an array) and G a
+    grade-2 part or None: r adds v's squares, then frobenius_r(G); T4 is
+    trace_T4(M), or trace_T4(G) when v = 0, so a grade-2 state has the r and
+    T4 of two_tensor_invariants bit for bit."""
+    r = float(sum_of_squares(v)) + (0.0 if g is None else frobenius_r(g))
+    if g is not None and not v.any():
+        return InvariantSet(r=r, T4=trace_T4(g), extras=extras)
+    entries = {(1, i + 2): x for i, x in enumerate(v)}
+    entries.update({(i + 1, j + 1): x for (i, j), x in ({} if g is None else g.items())})
+    return InvariantSet(r=r, T4=trace_T4(antisym_matrices(len(v) + 1, entries)), extras=extras)
 
 
 def coords_invariants(coords: StateCoords) -> InvariantSet:

@@ -161,15 +161,13 @@ def bordered_parts(coords: StateCoords):
 
 
 def normal_form(coords: StateCoords):
-    """(mu, Pf M, r) of a state of the so(2m+2) family (see bordered_parts), or
-    None outside it; r is the sum of squares of v and then of G's entries."""
+    """(v, G, mu, Pf M) of a state of the so(2m+2) family: its parts (see
+    bordered_parts) and their amplitudes, or None outside it."""
     parts = bordered_parts(coords)
     if parts is None:
         return None
     v, g = parts
-    mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
-    r = float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())
-    return mu, pf, r
+    return (v, g, *normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix()))
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
@@ -178,5 +176,5 @@ def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     if found is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "
                            "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")
-    mu, pf, _ = found
+    _, _, mu, pf = found
     return spectrum_from_values(coords.m, sign_sums(coords.scalar, mu, pf))

@@ -16,7 +16,7 @@ from genbloch.cli import run
 from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
 
-from conftest import table_rows
+from conftest import random_tensor, table_rows
 
 
 def write_json(path, obj):
@@ -86,7 +86,8 @@ def test_validate_descartes_route(tmp_path, capsys):
 
 def test_validate_normal_form_route(tmp_path, capsys):
     # every state of the so(2m+2) family, vector, grade 2 or both, is reported
-    # by the invariants its verdict uses: r, T4 = 2 sum mu^4, mu and sign Pf M
+    # by the invariants its verdict uses: r, T4 = trace((M^T M)^2), which is
+    # 2 sum mu^4, mu and sign Pf M
     for m, mode, grades, mu in [
         (2, "standard", {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}, [math.hypot(0.3, 0.2), 0.0, 0.0]),
         # a one-qubit extended vector has no pseudoscalar to report
@@ -104,6 +105,27 @@ def test_validate_normal_form_route(tmp_path, capsys):
         assert used["T4"] == pytest.approx(2 * sum(x ** 4 for x in mu))
         assert used["extras"] == {"normal_form_amplitudes": pytest.approx(mu),
                                   "pfaffian_sign": 0.0}
+
+
+def test_validate_reports_the_invariants_commands_r_and_T4(tmp_path, capsys):
+    # a grade-2 state's verdict reports the r and T4 that the invariants
+    # command prints, bit for bit, at every m and in both modes
+    rng = np.random.default_rng(25)
+    states = [state_coords(3, grades={2: {(1, 2): 0.1, (3, 4): 0.1, (5, 6): 0.1}})]
+    for m in range(2, 7):
+        for mode in ("standard", "extended"):
+            side = 2 * m + (mode == "extended")
+            states += [state_coords(m, mode=mode, grades={2: random_tensor(rng, m, 2, side=side)})
+                       for _ in range(3)]
+    for coords in states:
+        path = write_json(tmp_path / "g2.json", coords_to_json(coords))
+        assert run(["validate", "--input", path]) in (0, 2)
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["route"] == "normal_form"
+        assert run(["invariants", "--input", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        used = verdict["invariants_used"]
+        assert (used["r"], used["T4"]) == (report["r"], report["T4"])
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--oracle"]],
@@ -737,7 +759,7 @@ def _nonfinite_argv(tmp_path, command):
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
                 "--format", "json" if command == "sample-json" else "csv"]
     if command == "validate-vector":
-        # r = 1e200 is finite, but T4 = 2 mu^4 overflows to inf
+        # r = 1e200 is finite, but T4 = trace((M^T M)^2) overflows to inf
         coords = state_coords(2, grades={1: {(1,): 1e100}})
         return ["validate", "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
     # r and T4 overflow to inf; JSON has no finite spelling for them

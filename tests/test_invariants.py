@@ -26,6 +26,7 @@ from genbloch.identities import (
 )
 from genbloch.invariants import (
     InvariantSet,
+    bordered_invariants,
     frobenius_r,
     pfaffian,
     trace_T4,
@@ -54,6 +55,18 @@ def test_frobenius_rotation_invariance(rng):
 def test_trace_T4_block():
     g = antisym(2, 2, {(1, 2): 0.7, (3, 4): -0.4})
     assert abs(trace_T4(g) - (2 * 0.7 ** 4 + 2 * 0.4 ** 4)) < 1e-14
+
+
+def test_tunnel_expansion_is_trace_T4():
+    # G(x, y, z) with G_12 = x, G_34 = y, G_23 = z: G^2 has -x^2, -(x^2 + z^2),
+    # -(y^2 + z^2), -y^2 on the diagonal and xz, yz twice each off it, so
+    # trace(G^4) is the sum of their squares
+    for x, y, z in np.random.default_rng(7).uniform(-1.5, 1.5, size=(200, 3)):
+        xx, yy, zz = x * x, y * y, z * z
+        expansion = xx * xx + (xx + zz) ** 2 + (yy + zz) ** 2 + yy * yy + 2.0 * zz * (xx + yy)
+        g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
+        assert trace_T4(g) == pytest.approx(expansion, rel=16 * np.finfo(float).eps)
+        assert frobenius_r(g) == pytest.approx(xx + yy + zz, rel=4 * np.finfo(float).eps)
 
 
 def test_trace_T4_frozen():
@@ -260,9 +273,9 @@ def test_invariant_set_builders(rng):
     inv = two_tensor_invariants(g)
     assert inv.r >= 0 and inv.T4 >= 0 and inv.D3 is not None
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
-    # a vector's r adds the pseudoscalar's square (the normal form's r)
-    _, _, r = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
-    assert abs(r - 1.0) < 1e-15
+    # a vector's r adds the pseudoscalar's square (the normal_form verdict's r)
+    v, g, _, _ = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
+    assert abs(bordered_invariants(v, g, {}).r - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
 

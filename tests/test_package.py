@@ -130,7 +130,7 @@ def test_records_print_their_fields(index):
     (lambda: linalg.hermitian_eigenvalues(np.zeros((2, 3))), "DimensionMismatch"),
     (lambda: linalg.as_matrix(np.zeros((2, 2, 2))), "DimensionMismatch"),
     (lambda: linalg.hermitian_eigenvalues(np.diag([1.0, np.nan])), "MalformedInput"),
-    (lambda: figures.require_sums_of_squares(-1.0), "MalformedInput"),
+    (lambda: invariants.require_sums_of_squares(-1.0), "MalformedInput"),
     (lambda: invariants.InvariantSet(r=0.5, T4=-1.0), "MalformedInput"),
     (lambda: figures._tunnel_family(*np.array([[0.0], [np.inf], [0.0]])), "MalformedInput"),
     (lambda: coords.AntisymTensor.from_matrix(2, np.ones((4, 4))), "MalformedInput"),
