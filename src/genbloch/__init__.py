@@ -12,6 +12,9 @@ one module of the package, such as the CLI, loads only what it needs.
 
 from importlib import import_module
 
+# the tolerance of every admissibility rule, kept here so the CLI reads it without numpy
+DEFAULT_TOL = 1e-9
+
 # public name -> the module that defines it
 _OWNERS = {name: module for module, names in {
     "clifford": ("CliffordBasis", "basis_element", "cached_basis", "full_basis",

@@ -2,26 +2,22 @@
 
 Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
 figure, rotate, and the combined domain dispatcher.  Input is JSON; output
-is JSON, CSV or SVG.  `sample` and `figure` share one table path: the
-library gives (column names, one array per column), and one cell-grid
-writer (_table_text) spells every CSV and JSON table from it with that
-format's separators, each distinct float magnitude once and at full double
-precision, so repeated runs are byte-identical; a negative float's "-" ends
-the lead, the separator text before its cell.  A float that is not finite
-is refused in every format.  An SVG pixel coordinate is two cells, spelled
-from its integer count of hundredths.  CSV and SVG text is joined in blocks
-of _BLOCK_ROWS rows; a JSON document, which nests its tables, is one str.
-encode and basis print matrix JSON and decode and rotate coords JSON
-through the same writer.  Each subcommand imports what it uses when it
-runs, so `figure` and `domain --grid` load only the figures module besides
-this, and no call loads dataclasses: the package's records are plain
+is JSON, CSV or SVG.  The answers that print a table, a matrix or coords
+(basis, encode, decode, sample, figure, rotate) spell it with the writers of
+the text module; the others print a JSON object through _json_text.  Each
+subcommand imports what it uses when it runs: importing this module loads
+only the package and its errors, so help and usage errors load no numpy,
+and `figure` and `domain --grid` load only the figures and text modules
+besides this.  No call loads dataclasses: the package's records are plain
 __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
 code), the payload a JSON-able object, the finished text or its list of
 row blocks.  run() alone touches files: it reads each input once and
-writes the answer's text, block by block, at one write site.
+writes the answer's text, block by block, at one write site.  It parses
+argv and reads the inputs before it imports numpy, so a refused argv or
+input file costs no numpy import.
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode refuses coords
 whose matrix rounds their trace away.
@@ -49,9 +45,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import figures
+from . import DEFAULT_TOL
 from .errors import GenblochError, MalformedInput, NonFiniteResult, UsageError
 
 
@@ -87,185 +81,9 @@ def _state(obj, mode: str):
     return coords, None
 
 
-def _spell_floats(values: np.ndarray) -> tuple:
-    """(text, negative) of the float64 values: text[i] is the repr of the
-    magnitude of values[i], and negative[i] whether its sign bit is set (-0.0
-    too) and it is not NaN, so that repr(values[i]) is "-" + text[i] where
-    negative[i] holds and text[i] elsewhere.  Each distinct magnitude is
-    spelled once.
-    """
-    bits = values.view(np.int64)
-    magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
-    # float's own repr: numpy 2 spells a numpy float as np.float64(...)
-    text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
-    return text[where], (bits < 0) & ~np.isnan(values)
-
-
-# a table's booleans (false, true) and the spelling of its strings, per format
-_CSV = (np.array(["0", "1"], dtype=object), str)
-_JSON = (np.array(["false", "true"], dtype=object), json.dumps)
-
-# rows per block of CSV and SVG text: run() writes a table block by block
-_BLOCK_ROWS = 8192
-
-
-def _row_blocks(cells: np.ndarray) -> list:
-    """The text of each block of _BLOCK_ROWS rows of a grid of cells."""
-    return ["".join(cells[i:i + _BLOCK_ROWS].ravel().tolist())
-            for i in range(0, len(cells), _BLOCK_ROWS)]
-
-
-def _table_text(columns, leads, tail, words, head) -> list:
-    """Per row of the equal-length columns: leads[0], its cell of the first
-    column, leads[1], ..., its cell of the last column, tail; head stands in
-    for the first leads[0] and is the whole text of a table without rows.
-    The text comes as one str per block of _BLOCK_ROWS rows.
-
-    Cells: booleans are words[0][1]/[0], floats at full round-trip precision,
-    ints through str, anything else (strings) through words[1], each distinct
-    value once.  A negative float's "-" ends the lead before it.  A float
-    that is not finite is refused with NonFiniteResult before any block is
-    built.
-    """
-    columns = [np.asarray(col) for col in columns]
-    rows = len(columns[0]) if columns else 0
-    if not rows:
-        return [head]
-    cells = np.empty((rows, 2 * len(columns) + 1), dtype=object)
-    cells[:, :-1:2] = leads
-    cells[:, -1] = tail
-    cells[0, 0] = head
-    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
-    if floats:
-        values = np.concatenate([columns[j] for j in floats])
-        if not np.isfinite(values).all():
-            raise NonFiniteResult(_NOT_FINITE)
-        text, negative = _spell_floats(values)
-        cells[:, [2 * j + 1 for j in floats]] = text.reshape(len(floats), rows).T
-        for j, minus in zip(floats, negative.reshape(len(floats), rows)):
-            cells[minus, 2 * j] = leads[j] + "-"
-        # the first row's first lead is head, which takes its "-" the same way
-        if floats[0] == 0 and negative[0]:
-            cells[0, 0] = head + "-"
-    bits, spell = words
-    for j, col in enumerate(columns):
-        if col.dtype == bool:
-            cells[:, 2 * j + 1] = bits[col.astype(np.uint8)]
-        elif col.dtype.kind in "iu":
-            cells[:, 2 * j + 1] = list(map(str, col.tolist()))
-        elif col.dtype != np.float64:
-            spelled = {v: spell(v) for v in set(col.tolist())}
-            cells[:, 2 * j + 1] = [spelled[v] for v in col.tolist()]
-    return _row_blocks(cells)
-
-
-def _csv_text(header, columns) -> list:
-    """CSV of the header line and one line per row of the columns, in row blocks."""
-    leads = ["", *[","] * (len(columns) - 1)]
-    return _table_text(columns, leads, "\n", _CSV, ",".join(header) + "\n")
-
-
-def _json_list(columns, leads=None, tail="\n    ]") -> str:
-    """json.dumps(indent=2) of a list, one item per row of the columns, as the
-    value of a document's key: the row as a list, or else leads[0] opens an
-    item after a comma and tail closes it."""
-    leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
-    if not len(columns[0]):
-        return "[]"
-    return "".join(_table_text(columns, leads, tail, _JSON, "[" + leads[0][1:])) + "\n  ]"
-
-
-def _json_document(fields: dict, tables: dict) -> str:
-    """json.dumps({**fields, **tables}, indent=2, sort_keys=True), each table
-    already spelled as the value of its key (_json_list, or a _json_document
-    indented by two spaces)."""
-    values = {**{key: _json_text(v).replace("\n", "\n  ") for key, v in fields.items()}, **tables}
-    if not values:
-        return "{}"
-    # each key after a comma; the first comma makes way for the opening brace
-    parts = [part for key in sorted(values) for part in (f",\n  {json.dumps(key)}: ", values[key])]
-    return "".join(["{", parts[0][1:], *parts[1:], "\n}"])
-
-
-def _matrix_text(a) -> str:
-    """json.dumps(linalg.matrix_to_json(a), indent=2, sort_keys=True)."""
-    from .linalg import as_matrix
-
-    a = as_matrix(a)
-    flat = a.ravel()
-    return _json_document({"dim": a.shape[0]}, {"entries": _json_list([flat.real, flat.imag])})
-
-
-def _coords_text(coords) -> str:
-    """json.dumps(coords.coords_to_json(coords), indent=2, sort_keys=True)."""
-    grades = {}
-    for k, tensor in coords.grades.items():
-        keys = sorted(tensor.values)
-        idx = np.array(keys, dtype=np.int64).reshape(len(keys), k).T
-        val = np.array([tensor.values[key] for key in keys], dtype=np.float64)
-        leads = [',\n    {\n      "idx": [\n        ', *[",\n        "] * (k - 1),
-                 '\n      ],\n      "val": ']
-        grades[str(k)] = _json_list([*idx, val], leads, "\n    }")
-    return _json_document({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
-                          {"grades": _json_document({}, grades).replace("\n", "\n  ")})
-
-
-_CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
-_SVG_SIZE = 640  # the width and height of every SVG figure, in pixels
-
-
-def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
-    """"{:.2f}".format(v) for each float64 v of values, as two cells whose
-    concatenation is that spelling.
-
-    A v in (0, top] is spelled from its nearest count of hundredths k as
-    f"{k // 100}." and f"{k % 100:02d}", both from small string tables.  That
-    is format's rounding unless 100 v lies within 1e-6 of a tie k + 1/2,
-    which format settles half-even on the exact binary value; such values,
-    and any outside (0, top], are "{:.2f}".format(v) and "".
-    """
-    hundredths = values * 100.0
-    k = np.rint(hundredths)
-    table = (values > 0) & (k <= 100 * top) & (np.abs(hundredths - k) < 0.5 - 1e-6)
-    whole = np.array([f"{i}." for i in range(top + 1)], dtype=object)
-    k = k[table].astype(np.intp)
-    first = np.empty(len(values), dtype=object)
-    second = np.full(len(values), "", dtype=object)
-    first[table] = whole[k // 100]
-    second[table] = _CENTS[k % 100]
-    first[~table] = list(map("{:.2f}".format, values[~table].tolist()))
-    return first, second
-
-
-def _svg_text(xs, ys, labels) -> list:
-    """Flat scatter of the (x, y) points colored by label, in row blocks."""
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
-    y0, y1 = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
-    span_x = (x1 - x0) or 1.0
-    span_y = (y1 - y0) or 1.0
-    margin = 20
-    scale = _SVG_SIZE - 2 * margin
-    # the per-point formula's order of operations, kept over the arrays so
-    # that every pixel coordinate is the same double as one point at a time
-    px = margin + (xs - x0) / span_x * scale
-    py = _SVG_SIZE - margin - (ys - y0) / span_y * scale
-    # seven cells per point: each pixel coordinate is two
-    points = np.empty((len(px), 7), dtype=object)
-    points[:, 0] = '\n<circle cx="'
-    points[:, 1], points[:, 2] = _spell_hundredths(px, _SVG_SIZE)
-    points[:, 3] = '" cy="'
-    points[:, 4], points[:, 5] = _spell_hundredths(py, _SVG_SIZE)
-    labels = np.asarray(labels)
-    for i, lab in enumerate(sorted(set(labels.tolist()))):
-        points[labels == lab, 6] = f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">', *_row_blocks(points), "\n</svg>"]
-
-
 def _answer_basis(args) -> tuple:
     from . import clifford
+    from .text import _json_document, _matrix_text
 
     basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
@@ -288,6 +106,7 @@ def _answer_basis(args) -> tuple:
 
 def _answer_encode(args, state) -> tuple:
     from .coords import coords_from_json, encode
+    from .text import _matrix_text
 
     return _matrix_text(encode(coords_from_json(state))), 0
 
@@ -296,6 +115,7 @@ def _answer_decode(args, matrix) -> tuple:
     from .clifford import m_from_dim
     from .coords import decode
     from .linalg import matrix_from_json
+    from .text import _coords_text
 
     return _coords_text(decode(matrix_from_json(matrix, m_from_dim), mode=args.mode)), 0
 
@@ -308,10 +128,13 @@ def _answer_invariants(args, state) -> tuple:
 
 
 def _answer_spectrum(args, state) -> tuple:
+    # a refused state loads no spectra
+    coords, rho = _state(state, args.mode)
+    import numpy as np
+
     from . import spectra
     from .coords import encode
 
-    coords, rho = _state(state, args.mode)
     out = {}
     if args.which in ("closed-form", "both"):
         out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
@@ -327,15 +150,17 @@ def _answer_spectrum(args, state) -> tuple:
 
 
 def _answer_validate(args, state) -> tuple:
+    # a refused state loads no domains, invariants or spectra
+    coords, rho = _state(state, args.mode)
     from . import domains
 
-    coords, rho = _state(state, args.mode)
     verdict, route = domains.positivity(coords, rho, args.tol)
     return {**verdict.to_dict(), "route": route}, 0 if verdict.admissible else 2
 
 
 def _answer_sample(args) -> tuple:
     from . import domains
+    from .text import _csv_text, _json_document, _json_list
 
     names, columns = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
@@ -353,6 +178,11 @@ def _answer_sample(args) -> tuple:
 def _answer_figure(args) -> tuple:
     if args.paper_cube and args.which != "fig3":
         raise UsageError("--paper-cube applies to fig3 only")
+    import numpy as np
+
+    from . import figures
+    from .text import _csv_text, _json_document, _json_list, _svg_text
+
     names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
     if args.format == "csv":
@@ -377,6 +207,7 @@ def _answer_rotate(args, state, alpha_file) -> tuple:
     from . import symmetry
     from .coords import antisym, coords_from_json, entry_list
     from .linalg import wire_field
+    from .text import _coords_text
 
     coords = coords_from_json(state)
     alpha_obj = wire_field(alpha_file, dict, "alpha file")
@@ -425,7 +256,7 @@ def _declare(sub, name: str) -> None:
             group.add_argument(f"--{which}", dest="which", action="store_const", const=which)
         p.set_defaults(which="both")
     elif name == "validate":
-        p.add_argument("--tol", type=float, default=figures.DEFAULT_TOL)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     elif name == "sample":
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--samples", type=int, required=True)
@@ -491,17 +322,19 @@ def run(argv) -> int:
             args = _domain_args(args, rest)
         elif rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        docs = []
+        for path in (getattr(args, "input", None), getattr(args, "alpha", None)):
+            if path is not None:
+                with open(path, "r", encoding="utf-8") as fh:
+                    try:
+                        docs.append(json.load(fh))
+                    except RecursionError:
+                        raise MalformedInput(f"{path}: JSON nested too deeply") from None
+        import numpy as np
+
         # an overflow to inf or nan is reported once, by NonFiniteResult,
         # not also as numpy RuntimeWarnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            docs = []
-            for path in (getattr(args, "input", None), getattr(args, "alpha", None)):
-                if path is not None:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        try:
-                            docs.append(json.load(fh))
-                        except RecursionError:
-                            raise MalformedInput(f"{path}: JSON nested too deeply") from None
             payload, code = args.func(args, *docs)
             # CSV and SVG come as a list of row blocks, JSON as one str or an object
             blocks = (payload if isinstance(payload, list)

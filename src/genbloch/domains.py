@@ -29,10 +29,10 @@ import math
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .clifford import Record, _check_m, cached_basis, multi_indices
 from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
 from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
-from .figures import DEFAULT_TOL
 from .invariants import InvariantSet, bordered_invariants
 from .linalg import hermitian_eigenvalues
 from .spectra import normal_form, normal_form_amplitudes, sign_sums
@@ -93,9 +93,9 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     if found is None:
         rho = encode(coords) if rho is None else rho
         return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), tol), "min_eigenvalue"
-    v, g, mu, pf = found
-    inv = bordered_invariants(v, g, {"normal_form_amplitudes": mu.tolist(),
-                                     "pfaffian_sign": float(np.sign(pf))})
+    bordered, g, mu, pf = found
+    inv = bordered_invariants(bordered, g, {"normal_form_amplitudes": mu.tolist(),
+                                            "pfaffian_sign": float(np.sign(pf))})
     min_eig = float(sign_sums(coords.scalar, mu, pf)[0])
     return min_eigenvalue_verdict(min_eig, tol, inv), "normal_form"
 

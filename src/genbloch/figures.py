@@ -15,8 +15,9 @@ as (r, T4) columns (boundary_curves).  No figure has more than
 MAX_FIGURE_ROWS candidate rows.
 
 The module computes no invariant: fig1's r and T4 are grid values, and the
-tunnels need only alpha_pm.  It imports nothing of the package but its
-errors, so the CLI can draw a figure without loading the algebra.
+tunnels need only alpha_pm.  It imports nothing of the package but
+DEFAULT_TOL and the errors, so the CLI can draw a figure without loading
+the algebra.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import math
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .errors import BadResolution, MalformedInput, ResourceLimit
 
-DEFAULT_TOL = 1e-9
 # a figure's largest resolution: fig1 then has about 10^6 grid rows
 MAX_RESOLUTION = 1001
 # a figure's largest candidate row count: fig1's resolution^2 grid rows, or

@@ -55,6 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import DEFAULT_TOL
 from .clifford import cached_basis, multi_indices, normalize_key
 from .coords import AntisymTensor, antisym
 from .domains import DomainVerdict
@@ -69,7 +70,7 @@ from .errors import (
     UnknownName,
     UnsupportedM,
 )
-from .figures import DEFAULT_TOL, _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
+from .figures import _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
 from .invariants import InvariantSet, frobenius_r, pfaffian, trace_T4
 from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian
 from .spectra import Spectrum, spectrum_from_values

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .clifford import Record
-from .coords import AntisymTensor, StateCoords, antisym_matrices, sum_of_squares
+from .coords import AntisymTensor, StateCoords, sum_of_squares
 from .errors import DimensionMismatch, InvariantMismatch, MalformedInput
 
 
@@ -108,17 +108,16 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
 
 
-def bordered_invariants(v, g: AntisymTensor | None, extras: dict) -> InvariantSet:
-    """r and T4 of M = [[0, v^T], [-v, G]], v a grade-1 part (an array) and G a
-    grade-2 part or None: r adds v's squares, then frobenius_r(G); T4 is
-    trace_T4(M), or trace_T4(G) when v = 0, so a grade-2 state has the r and
-    T4 of two_tensor_invariants bit for bit."""
+def bordered_invariants(bordered, g: AntisymTensor | None, extras: dict) -> InvariantSet:
+    """r and T4 of the bordered matrix M = [[0, v^T], [-v, G]] of a grade-1
+    part v and the grade-2 part G or None, as spectra.normal_form gives them:
+    r adds v's squares, then frobenius_r(G); T4 is trace_T4(M), or
+    trace_T4(G) when v = 0, so a grade-2 state has the r and T4 of
+    two_tensor_invariants bit for bit."""
+    v = bordered[0, 1:]
     r = float(sum_of_squares(v)) + (0.0 if g is None else frobenius_r(g))
-    if g is not None and not v.any():
-        return InvariantSet(r=r, T4=trace_T4(g), extras=extras)
-    entries = {(1, i + 2): x for i, x in enumerate(v)}
-    entries.update({(i + 1, j + 1): x for (i, j), x in ({} if g is None else g.items())})
-    return InvariantSet(r=r, T4=trace_T4(antisym_matrices(len(v) + 1, entries)), extras=extras)
+    t4 = trace_T4(g if g is not None and not v.any() else bordered)
+    return InvariantSet(r=r, T4=t4, extras=extras)
 
 
 def coords_invariants(coords: StateCoords) -> InvariantSet:

@@ -877,7 +877,7 @@ def test_figure_resolution_limit(capsys, monkeypatch):
 
 
 def test_csv_row_numpy_scalars():
-    from genbloch.cli import _csv_text
+    from genbloch.text import _csv_text
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
     assert "".join(_csv_text(list("abcdefg"), [[v] for v in row])) == \
@@ -1038,7 +1038,7 @@ def _spell_floats_concatenated(values):
 def _spelled(values):
     """The full spellings the float speller's pieces stand for: "-" plus the
     magnitude's text where the sign mask is set, the text alone elsewhere."""
-    from genbloch.cli import _spell_floats
+    from genbloch.text import _spell_floats
 
     text, negative = _spell_floats(values)
     assert text.shape == negative.shape == values.shape
@@ -1046,7 +1046,7 @@ def _spelled(values):
 
 
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.cli import _csv_text, _svg_text
+    from genbloch.text import _csv_text, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -1096,7 +1096,8 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
     from unittest import mock
 
     from genbloch import domains
-    from genbloch.cli import _BLOCK_ROWS, _answer_sample, _csv_text, _svg_text
+    from genbloch.cli import _answer_sample
+    from genbloch.text import _BLOCK_ROWS, _csv_text, _svg_text
 
     blocks, extra = shape
     rows = blocks * _BLOCK_ROWS + extra
@@ -1128,7 +1129,7 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
 
 def test_first_float_cell_negative(tmp_path, capsys):
     # a table's first cell takes its "-" after the head, not after a row lead
-    from genbloch.cli import _csv_text, _json_document, _json_list
+    from genbloch.text import _csv_text, _json_document, _json_list
     from genbloch.clifford import basis_element
     from genbloch.coords import decode, encode
 
@@ -1164,7 +1165,7 @@ def test_float_speller_matches_repr(rng):
 
 
 def test_pixel_speller_matches_format(rng):
-    from genbloch.cli import _spell_hundredths
+    from genbloch.text import _spell_hundredths
 
     # every k/800 in [20, 620]: the exact half-hundredth ties (such as 20.125,
     # which format rounds half-even) and the near-ties around every x.xx5
@@ -1328,7 +1329,7 @@ def _signed_zero_coords(rng, m, mode):
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 def test_matrix_and_coords_json_match_json_dumps(rng, m, mode):
-    from genbloch.cli import _coords_text, _matrix_text
+    from genbloch.text import _coords_text, _matrix_text
     from genbloch.coords import encode
 
     coords = _signed_zero_coords(rng, m, mode)
@@ -1373,7 +1374,7 @@ def test_matrix_and_coords_answers_match_json_dumps(tmp_path, capsys, m):
 def test_coords_json_refuses_non_finite():
     from types import SimpleNamespace
 
-    from genbloch.cli import _coords_text
+    from genbloch.text import _coords_text
     from genbloch.errors import NonFiniteResult
 
     for value in (float("nan"), float("inf"), -float("inf")):

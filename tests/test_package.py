@@ -13,9 +13,53 @@ from genbloch import coords, domains, errors, figures, invariants, linalg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
 
-# prints the modules loaded by one CLI call on stderr, after its output on stdout
-_LOADED = ("import sys; from genbloch.cli import run; code = run(sys.argv[1:]); "
-           "print(' '.join(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
+# prints the modules loaded by one CLI call on stderr, after its output on
+# stdout and its diagnostics, also when argparse exits (--help)
+_LOADED = ("import sys\nfrom genbloch.cli import run\ntry:\n    code = run(sys.argv[1:])\n"
+           "finally:\n    print(' '.join(sorted(sys.modules)), file=sys.stderr)\nsys.exit(code)")
+
+
+def _call(argv, cwd=None) -> tuple:
+    """(exit code, stdout, stderr lines, modules loaded) of one CLI call in a
+    fresh interpreter."""
+    res = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd,
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    *diagnostics, loaded = res.stderr.splitlines() or [""]
+    return res.returncode, res.stdout, diagnostics, set(loaded.split())
+
+
+def _genbloch(loaded) -> set:
+    return {m for m in loaded if m.startswith("genbloch")}
+
+
+def test_cli_import_loads_no_numpy():
+    res = subprocess.run([sys.executable, "-c", "import sys, genbloch.cli; "
+                          "print(' '.join(sorted(sys.modules)))"],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert "numpy" not in loaded
+    assert _genbloch(loaded) == {"genbloch", "genbloch.cli", "genbloch.errors"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["validate", "--bogus"], 1),
+    (["validate", "--input", "missing.json"], 1),
+    (["validate", "--input", "malformed.json"], 1),
+], ids=["help", "usage-error", "missing-input", "malformed-input"])
+def test_help_and_refused_calls_load_no_numpy(tmp_path, argv, code):
+    (tmp_path / "malformed.json").write_text('{"m": 2, "grades": ')
+    got, out, diagnostics, loaded = _call(argv, cwd=tmp_path)
+    assert got == code, diagnostics
+    if code:
+        assert out == "" and len(diagnostics) == 1 and diagnostics[0].startswith("genbloch:")
+    else:
+        assert out.startswith("usage: genbloch") and diagnostics == []
+    assert "numpy" not in loaded
+    assert _genbloch(loaded) == {"genbloch", "genbloch.cli", "genbloch.errors"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -23,20 +67,22 @@ _LOADED = ("import sys; from genbloch.cli import run; code = run(sys.argv[1:]); 
     ["domain", "--grid", "--paper-cube", "--resolution", "3"],
 ])
 def test_figure_calls_load_only_figures(argv):
-    res = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                         env=dict(os.environ, PYTHONPATH=SRC),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout
-    loaded = set(res.stderr.split())
-    assert {m for m in loaded if m.startswith("genbloch")} == {
-        "genbloch", "genbloch.cli", "genbloch.errors", "genbloch.figures"}
+    code, out, diagnostics, loaded = _call(argv)
+    assert code == 0, diagnostics
+    assert out
+    assert _genbloch(loaded) == {
+        "genbloch", "genbloch.cli", "genbloch.errors", "genbloch.figures", "genbloch.text"}
     assert "dataclasses" not in loaded
 
 
 _STATE = {"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 0.6}, {"idx": [3, 4], "val": 0.3}]}}
 _MATRIX = {"dim": 2, "entries": [[0.75, 0.0], [0.0, 0.0], [0.0, 0.0], [0.25, 0.0]]}
 _ALPHA = {"m": 2, "alpha": [{"idx": [1, 3], "val": 0.4}]}
+
+
+def _write_inputs(tmp_path) -> None:
+    for name, obj in (("state", _STATE), ("matrix", _MATRIX), ("alpha", _ALPHA)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
 
 
 @pytest.mark.parametrize("argv", [
@@ -58,17 +104,40 @@ _ALPHA = {"m": 2, "alpha": [{"idx": [1, 3], "val": 0.4}]}
 ], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")))
 def test_cli_calls_load_no_identities(tmp_path, argv):
     # the paper's identities are checked claims: no CLI answer depends on them
-    for name, obj in (("state", _STATE), ("matrix", _MATRIX), ("alpha", _ALPHA)):
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-    res = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
-                         env=dict(os.environ, PYTHONPATH=SRC),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout
-    loaded = res.stderr.split()
+    _write_inputs(tmp_path)
+    code, out, diagnostics, loaded = _call(argv, cwd=tmp_path)
+    assert code == 0, diagnostics
+    assert out
     assert "genbloch.identities" not in loaded
     # the records are plain __slots__ classes: no call generates dataclass code
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "state.json"],
+    ["spectrum", "--both", "--input", "state.json"],
+    ["invariants", "--input", "state.json"],
+], ids=lambda argv: argv[0])
+def test_object_answers_load_no_writers(tmp_path, argv):
+    # an answer printed as one JSON object needs neither figures nor the table writers
+    _write_inputs(tmp_path)
+    code, out, diagnostics, loaded = _call(argv, cwd=tmp_path)
+    assert code == 0, diagnostics
+    assert json.loads(out)
+    assert not {"genbloch.figures", "genbloch.text"} & loaded
+
+
+@pytest.mark.parametrize("command, m, idx", [
+    ("validate", 7, [1]),
+    ("spectrum", 7, [1]),
+    ("validate", 2, [15]),
+], ids=["validate-m7", "spectrum-m7", "validate-bad-idx"])
+def test_refused_state_loads_no_domains(tmp_path, command, m, idx):
+    state = {"m": m, "grades": {"1": [{"idx": idx, "val": 0.1}]}}
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    code, out, diagnostics, loaded = _call([command, "--input", "state.json"], cwd=tmp_path)
+    assert code == 1 and out == "" and len(diagnostics) == 1, diagnostics
+    assert not {"genbloch.domains", "genbloch.invariants", "genbloch.spectra"} & loaded
 
 
 def test_public_names_resolve():
