@@ -46,22 +46,12 @@ import os
 import sys
 
 from . import DEFAULT_TOL
-from .errors import GenblochError, MalformedInput, NonFiniteResult, UsageError
+from .errors import GenblochError, MalformedInput, UsageError, _json_text
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-_NOT_FINITE = "result is not finite (input beyond floating-point range?)"
-
-
-def _json_text(obj) -> str:
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NonFiniteResult(_NOT_FINITE) from exc
 
 
 def _state(obj, mode: str):

@@ -131,7 +131,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
         columns = dict(zip(keys, chunk.T))
         # a grade-1 draw is v itself, a grade-2 draw G
         v, g = (chunk, None) if k == 1 else (None, antisym_matrices(2 * m, columns))
-        min_closed[lo:lo + per] = sign_sums(1.0, *normal_form_amplitudes(m, v, g))[:, 0]
+        min_closed[lo:lo + per] = sign_sums(1.0, *normal_form_amplitudes(m, v, g)[1:])[:, 0]
         rho = basis.expand({(): 1.0, **columns}) / basis.dim
         oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
     names = (["index"] + [f"c{i}" for i in range(len(keys))]

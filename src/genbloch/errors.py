@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON spelling of
+an answer, which refuses a value that is not finite."""
+
+import json
 
 
 class GenblochError(Exception):
@@ -72,6 +75,9 @@ class InvariantMismatch(GenblochError, ArithmeticError):
 class NonFiniteResult(GenblochError, ValueError):
     """A result holds inf or NaN, which has no JSON spelling."""
 
+    def __init__(self, message="result is not finite (input beyond floating-point range?)"):
+        super().__init__(message)
+
 
 class NegativeDiscriminant(ComplexRoots, ValueError):
     """2 r^2 - T4 is negative, so sqrt(2 r^2 - T4) in the m = 2 spectrum and in
@@ -89,3 +95,11 @@ class MalformedInput(GenblochError, ValueError):
 
 class UsageError(GenblochError, ValueError):
     """Bad command-line arguments."""
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), refusing inf and NaN."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult() from exc

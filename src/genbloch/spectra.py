@@ -16,12 +16,11 @@ mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
 has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the identities module.
 
-bordered_parts recognises (v, G) in a StateCoords, bordered_amplitudes
-builds M and gives (mu, Pf M) of one state or a stack (normal_form_amplitudes
-gives the amplitudes alone), and sign_sums the eigenvalues; normal_form joins
-the first two for one StateCoords, and closed_form_spectrum and the domains
-module's positivity verdict both take it from there, the verdict's r and T4
-from the same M.
+bordered_parts recognises (v, G) in a StateCoords, normal_form_amplitudes
+builds M and gives (M, mu, Pf M) of one state or a stack, and sign_sums the
+eigenvalues; normal_form joins the first two for one StateCoords, and
+closed_form_spectrum and the domains module's positivity verdict both take
+it from there, the verdict's r and T4 from the same M.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
     return np.sort((scalar + total) / 2 ** m, axis=-1)
 
 
-def bordered_amplitudes(m: int, v=None, g=None) -> tuple:
+def normal_form_amplitudes(m: int, v=None, g=None) -> tuple:
     """(M, mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side
     2m + 2, shape (..., 2m + 2, 2m + 2): M, its paired singular values
     mu_0 >= ... >= mu_m, shape (..., m + 1), and its Pfaffian, shape (...).
@@ -129,11 +128,6 @@ def bordered_amplitudes(m: int, v=None, g=None) -> tuple:
     elif v is not None:
         mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
     return bordered, mu, pfaffian(bordered)
-
-
-def normal_form_amplitudes(m: int, v=None, g=None) -> tuple:
-    """(mu, Pf M) of bordered_amplitudes."""
-    return bordered_amplitudes(m, v, g)[1:]
 
 
 def bordered_parts(coords: StateCoords):
@@ -175,7 +169,7 @@ def normal_form(coords: StateCoords):
     if parts is None:
         return None
     v, g = parts
-    bordered, mu, pf = bordered_amplitudes(coords.m, v, None if g is None else g.as_matrix())
+    bordered, mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
     return bordered, g, mu, pf
 
 

@@ -19,8 +19,7 @@ import json
 
 import numpy as np
 
-from .cli import _NOT_FINITE, _json_text
-from .errors import NonFiniteResult
+from .errors import NonFiniteResult, _json_text
 
 
 def _spell_floats(values: np.ndarray) -> tuple:
@@ -75,7 +74,7 @@ def _table_text(columns, leads, tail, words, head) -> list:
     if floats:
         values = np.concatenate([columns[j] for j in floats])
         if not np.isfinite(values).all():
-            raise NonFiniteResult(_NOT_FINITE)
+            raise NonFiniteResult()
         text, negative = _spell_floats(values)
         cells[:, [2 * j + 1 for j in floats]] = text.reshape(len(floats), rows).T
         for j, minus in zip(floats, negative.reshape(len(floats), rows)):

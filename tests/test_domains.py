@@ -203,7 +203,7 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     assert route == "normal_form"
     used = verdict.invariants_used.to_dict()
     v, g = spectra.bordered_parts(coords)
-    mu, pf = spectra.normal_form_amplitudes(m, v, None if g is None else g.as_matrix())
+    _, mu, pf = spectra.normal_form_amplitudes(m, v, None if g is None else g.as_matrix())
     assert used["r"] == pytest.approx(sum(t.norm_sq() for t in coords.grades.values()), rel=1e-12)
     # bit for bit: v's squares in index order, then G's entries
     assert used["r"] == float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())

@@ -274,8 +274,8 @@ def test_invariant_set_builders(rng):
     assert inv.r >= 0 and inv.T4 >= 0 and inv.D3 is not None
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
     # a vector's r adds the pseudoscalar's square (the normal_form verdict's r)
-    v, g, _, _ = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
-    assert abs(bordered_invariants(v, g, {}).r - 1.0) < 1e-15
+    bordered, g, _, _ = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
+    assert abs(bordered_invariants(bordered, g, {}).r - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
 

@@ -44,7 +44,7 @@ from conftest import random_tensor
 
 def normal_form_eigenvalues(g):
     """Sorted (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}), m = side // 2."""
-    return sign_sums(1.0, *normal_form_amplitudes(g.side // 2, None, g.as_matrix()))
+    return sign_sums(1.0, *normal_form_amplitudes(g.side // 2, None, g.as_matrix())[1:])
 
 
 def rank2_tensor(rng, m, mu1, mu2):
