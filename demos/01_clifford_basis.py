@@ -10,7 +10,7 @@ chirality is the extended-mode index 2m + 1.
 import numpy as np
 
 from genbloch import basis_element, full_basis, verify_algebra
-from genbloch.clifford import side
+from genbloch.clifford import index_mask, side
 
 np.set_printoptions(precision=3, suppress=True, linewidth=120)
 
@@ -60,13 +60,15 @@ print("\nm=1 grade-2 element (the pseudoscalar direction):")
 print(basis_element(1, (1, 2)))
 
 # --- Pauli strings and the exact certificate --------------------------------
-# every element is one phased Pauli string i^p X^x Z^z, stored as (x, z, p);
+# every element is one phased Pauli string i^p X^x Z^z, stored as (x, z, p)
+# at the bitmask of its multi-index (index i is bit i - 1);
 # trace(E_A E_B) = 2^m delta_AB holds because the (x, z) masks are distinct,
 # so verify_algebra checks all 4^m x 4^m pairs exactly, at every m
 b2 = full_basis(2)
-for idx in b2.indices_of_grade(2)[:3]:
-    row = b2.rows[idx]
-    print(f"m=2 element {idx}: x={b2.x[row]:02b} z={b2.z[row]:02b} p={b2.p[row]}")
+for idx in [(1, 2), (1, 3), (1, 4)]:
+    mask, _ = index_mask(idx, b2.side)
+    print(f"m=2 element {idx}: mask={mask:04b} x={b2.x[mask]:02b} z={b2.z[mask]:02b} "
+          f"p={b2.p[mask]}")
 for m in (2, 6):
     report = verify_algebra(full_basis(m))
     print(f"\nm = {m} residual report: {report}")

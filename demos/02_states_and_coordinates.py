@@ -43,7 +43,7 @@ h = (a + a.conj().T) / 2
 h = h / np.trace(h).real
 coords3 = decode(h)
 print("\nrandom m=3 state decodes into grades:",
-      {k: len(t.values) for k, t in coords3.grades.items()})
+      {k: len(entries) for k, entries in coords3.grades.items()})
 print("round-trip residual:", np.max(np.abs(encode(coords3) - h)))
 
 # --- tensor configurations ---------------------------------------------------

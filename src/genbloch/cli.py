@@ -201,8 +201,8 @@ def _answer_rotate(args, state, alpha_file) -> tuple:
 
     coords = coords_from_json(state)
     alpha_obj = wire_field(alpha_file, dict, "alpha file")
-    entries = entry_list(alpha_obj.get("alpha", []), "alpha")
-    alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2, entries)
+    alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2,
+                    entry_list(alpha_obj.get("alpha", []), "alpha"))
     el = symmetry.orthogonal_from_generator(alpha)
     return _coords_text(symmetry.rotate_coords(coords, el)), 0
 
@@ -279,7 +279,8 @@ def build_parser(names=_COMMANDS) -> _Parser:
     A subcommand's help and usage errors are the same whichever others are
     built beside it.  No parser expands an abbreviated flag.
     """
-    parser = _Parser(prog="genbloch", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="genbloch", allow_abbrev=False, description="Graded Clifford "
+                     "coordinates of m-qubit states: codec, invariants, spectra, Bloch domains.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in names:
         _declare(sub, name)

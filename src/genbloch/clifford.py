@@ -17,8 +17,12 @@ kron(I, sigma3); on masks (x, z, p) -> (2x + 1, 2z, p), plus (1, 1, 1) and
 
 are single strings, hermitian (p = |x & z| mod 2) and trace-orthogonal,
 trace(E_A E_B) = 2^m delta_AB, because their 4^m (x, z) pairs are distinct.
-Two strings anticommute iff |z1 & x2| + |x1 & z2| is odd.  CliffordBasis
-stores only the (x, z, p) table; dense matrices are built on request.
+Two strings anticommute iff |z1 & x2| + |x1 & z2| is odd.
+
+A multi-index is keyed by its bitmask, index i being bit i - 1
+(index_mask), and its grade is the count of bits set.  CliffordBasis holds
+(x, z, p) at every mask of 1..side and the family's masks in wire order;
+dense matrices are built on request.
 
 "extended" mode appends the top element Gamma_{2m+1} (the phased product of
 all generators, anticommuting with each) and builds grades 0..m over the
@@ -27,13 +31,11 @@ all generators, anticommuting with each) and builds grades 0..m over the
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadIndex, DimensionMismatch, ModeMismatch, ResourceLimit
+from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, ResourceLimit
 
 MAX_M = 6
 
@@ -108,103 +110,58 @@ def _signs(m: int) -> np.ndarray:
     return _freeze(h)
 
 
-def _product(strings) -> tuple:
-    """Product of phased Pauli strings (x, z, p), left to right."""
-    x = z = p = 0
-    for x2, z2, p2 in strings:
-        p += p2 + 2 * (z & x2).bit_count()
-        x ^= x2
-        z ^= z2
-    return x, z, p % 4
-
-
-def _dense(m: int, x: int, z: int, p: int) -> np.ndarray:
-    """The 2^m x 2^m matrix i^p X^x Z^z."""
-    r = np.arange(2 ** m)
-    out = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    out[r ^ x, r] = _PHASES[p % 4] * _signs(m)[z] + 0j  # + 0j clears signed zeros
-    return out
-
-
-@lru_cache(maxsize=None)
-def _generator_strings(m: int, mode: str = "standard") -> tuple:
-    """(x, z, p) of Gamma_1 .. Gamma_side by the Pauli iteration."""
-    _check_m(m)
-    side(m, mode)  # rejects an unknown mode
-    gens = [(1, 0, 0), (1, 1, 1)]
-    for _ in range(m - 1):
-        gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
-    if mode == "extended":
-        # Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}, and (-i)^m = i^{3m}
-        x, z, p = _product(gens)
-        gens.append((x, z, (p + 3 * m) % 4))
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def multi_indices(side: int, k: int) -> MappingProxyType:
-    """Read-only table of the increasing k-tuples of 1..side, in lexicographic order."""
-    return MappingProxyType(dict.fromkeys(itertools.combinations(range(1, side + 1), k)))
-
-
-def _int_key(indices) -> tuple:
-    """indices as a tuple, or BadIndex unless each is a Python int (no bool, float, numpy int)."""
-    key = tuple(indices)
-    if any(type(i) is not int for i in key):
-        raise BadIndex(f"indices {key} must be Python ints")
-    return key
-
-
-def normalize_key(indices) -> tuple[tuple, int]:
-    """Sort a multi-index (see _int_key), returning (increasing tuple, permutation sign).
-
-    This is the package's one permutation parity: the sign of the swaps an
-    insertion sort makes.  A repeated index is BadIndex.
+def index_mask(indices, side: int, increasing: bool = False) -> tuple:
+    """(mask, sign) of a multi-index over 1..side in any order: index i is bit
+    i - 1 of mask, and sign is the parity of the permutation that sorts the
+    indices.  The package's one multi-index rule and permutation parity:
+    BadIndex unless each index is a Python int (no bool, float or numpy int),
+    none repeats and each lies within 1..side, increasing strictly if asked.
     """
-    idx = list(_int_key(indices))
-    sign = 1
-    # insertion sort, counting swaps
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    if any(idx[i] == idx[i + 1] for i in range(len(idx) - 1)):
-        raise BadIndex(f"repeated index in {tuple(indices)}")
-    return tuple(idx), sign
+    key = tuple(indices)
+    if not set(map(type, key)) <= {int}:
+        raise BadIndex(f"indices {key} must be Python ints")
+    if len(set(key)) < len(key):
+        raise BadIndex(f"repeated index in {key}")
+    mask = swaps = 0
+    if not key or 0 < min(key) and max(key) <= side:
+        for i in key:
+            swaps += (mask >> i).bit_count()  # the greater indices placed before i
+            mask |= 1 << (i - 1)
+        if not (increasing and swaps):
+            return mask, -1 if swaps % 2 else 1
+    raise BadIndex(f"indices {key} are not strictly increasing within 1..{side}")
 
 
-def multi_index(indices, side: int) -> tuple:
-    """The package's one multi-index rule: indices as a tuple of ints (see
-    _int_key) increasing strictly within 1..side, or BadIndex."""
-    key = _int_key(indices)
-    if key not in multi_indices(side, len(key)):
-        raise BadIndex(f"indices {key} are not strictly increasing within 1..{side}")
-    return key
+def mask_indices(masks, k: int, side: int) -> np.ndarray:
+    """The (n, k) array of the increasing 1-based indices of n masks, or
+    GradeMismatch unless each mask sets k of the bits 0..side-1 and no other."""
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(side)) & 1
+    if (bits.sum(axis=1) != k).any() or (masks >> side).any():
+        raise GradeMismatch(f"masks {masks[:4].tolist()} are not of grade {k} over 1..{side}")
+    return np.nonzero(bits)[1].reshape(len(masks), k) + 1
 
 
 def basis_element(m: int, indices, mode: str = "standard") -> np.ndarray:
     """Graded basis element for a strictly increasing multi-index (1-based) of
     any grade; only the orthogonal family of full_basis stops at m in extended mode."""
-    gens = _generator_strings(m, mode)
-    idx = multi_index(indices, len(gens))
-    x, z, p = _product(gens[i - 1] for i in idx)
-    return _dense(m, x, z, p + len(idx) * (len(idx) - 1) // 2)
+    basis = cached_basis(m, mode)
+    return basis._dense(index_mask(indices, basis.side, increasing=True)[0])
 
 
 class CliffordBasis(Record):
-    """The 4^m graded elements E_A = i^p X^x Z^z as one Pauli-string table.
+    """The graded elements E_A = i^p X^x Z^z as one Pauli-string table.
 
-    rows maps each increasing multi-index A to its row of the x, z, p
-    arrays; rows run grade by grade, lexicographically within a grade.
+    x, z, p and grade run over every mask A of 1..side (clifford.index_mask);
+    masks lists the 4^m masks of the orthogonal family in wire order, grade
+    by grade and lexicographically within a grade.
     """
 
-    __slots__ = ("m", "mode", "rows", "x", "z", "p")
+    __slots__ = ("m", "mode", "masks", "grade", "x", "z", "p")
 
-    def __init__(self, m: int, mode: str, rows: dict, x: np.ndarray, z: np.ndarray,
-                 p: np.ndarray):
-        self._set(m, mode, rows, x, z, p)
+    def __init__(self, m: int, mode: str, masks: np.ndarray, grade: np.ndarray, x: np.ndarray,
+                 z: np.ndarray, p: np.ndarray):
+        self._set(m, mode, masks, grade, x, z, p)
 
     @property
     def dim(self) -> int:
@@ -220,57 +177,76 @@ class CliffordBasis(Record):
 
     @property
     def indices(self) -> list:
-        """Every multi-index of the family, in table order."""
-        return list(self.rows)
-
-    def indices_of_grade(self, k: int):
-        return [idx for idx in self.rows if len(idx) == k]
+        """Every multi-index of the family as a tuple, in table order."""
+        return [tuple(i + 1 for i in range(self.side) if mask >> i & 1)
+                for mask in self.masks.tolist()]
 
     def element(self, indices) -> np.ndarray:
         """Dense E_A, built on each call."""
-        row = self.rows.get(multi_index(indices, self.side))
-        if row is None:
+        mask, _ = index_mask(indices, self.side, increasing=True)
+        if self.grade[mask] > self.max_grade:
             raise BadIndex(f"no basis element with index {tuple(indices)}")
-        return _dense(self.m, int(self.x[row]), int(self.z[row]), int(self.p[row]))
+        return self._dense(mask)
+
+    def _dense(self, mask: int) -> np.ndarray:
+        """The 2^m x 2^m matrix i^p X^x Z^z of the string at mask; + 0j clears
+        signed zeros."""
+        r, signs = np.arange(self.dim), _signs(self.m)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[r ^ self.x[mask], r] = _PHASES[self.p[mask]] * signs[self.z[mask]] + 0j
+        return out
 
     def expand(self, coeffs: dict) -> np.ndarray:
-        """Dense sum_A c_A E_A for a mapping {increasing multi-index: c_A}.
+        """Dense sum_A c_A E_A for a mapping {mask of A: c_A} over the family.
 
         With i^p c_A collected at (x, z), one Walsh-Hadamard product gives
         the entries (r ^ x, r).  The c_A may also be arrays that broadcast
         to one shape S; the result is then an S + (2^m, 2^m) stack.
         """
-        rows = np.array([self.rows[idx] for idx in coeffs], dtype=int)
+        masks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
         vals = np.array(np.broadcast_arrays(*coeffs.values()), dtype=complex)
         w = np.zeros(vals.shape[1:] + (self.dim, self.dim), dtype=complex)
-        w[..., self.x[rows], self.z[rows]] = np.moveaxis(vals, 0, -1) * _PHASES[self.p[rows]]
+        w[..., self.x[masks], self.z[masks]] = np.moveaxis(vals, 0, -1) * _PHASES[self.p[masks]]
         r = np.arange(self.dim)
         out = np.empty_like(w)
         out[..., r[:, None] ^ r, r] = w @ _signs(self.m)
         return out
 
     def project(self, rho: np.ndarray) -> np.ndarray:
-        """trace(rho E_A) for every row, in the order of indices.
+        """trace(rho E_A) for every A of masks, in that order.
 
         trace(rho X^x Z^z) = sum_r rho[r, r ^ x] (-1)^{|z & r|}.
         """
         r = np.arange(self.dim)
         t = rho[r, r[:, None] ^ r] @ _signs(self.m)
-        return _PHASES[self.p] * t[self.x, self.z]
+        return _PHASES[self.p[self.masks]] * t[self.x[self.masks], self.z[self.masks]]
 
 
 def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
-    """The Pauli-string table of every graded basis element (4^m in either mode)."""
-    gens = _generator_strings(m, mode)
-    # unphased products, each from its prefix by one more factor
-    raw = {(): (0, 0, 0)}
-    for k in range(1, max_grade(m, mode) + 1):
-        for idx in multi_indices(len(gens), k):
-            raw[idx] = _product((raw[idx[:-1]], gens[idx[-1] - 1]))
-    table = [(x, z, p + len(idx) * (len(idx) - 1) // 2) for idx, (x, z, p) in raw.items()]
-    x, z, p = np.array(table, dtype=np.int64).T
-    return CliffordBasis(m=m, mode=mode, rows={idx: n for n, idx in enumerate(raw)},
-                         x=_freeze(x), z=_freeze(z), p=_freeze(p % 4))
+    """The Pauli-string table of every mask of 1..side, doubled once per
+    generator (a mask with bit j is the mask without it times Gamma_{j+1}),
+    and the family's 4^m masks in wire order."""
+    _check_m(m)
+    n = side(m, mode)
+    gens = [(1, 0, 0), (1, 1, 1)]
+    for _ in range(m - 1):
+        gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
+    h = _signs(m)
+    x = z = p = grade = rev = np.zeros(1, dtype=np.int64)
+    for j in range(n):
+        # Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}: the last product so far,
+        # unphased, times (-i)^m = i^{3m}
+        gx, gz, gp = gens[j] if j < 2 * m else (x[-1], z[-1], p[-1] + 3 * m)
+        x, z, p = (np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz]),
+                   np.concatenate([p, p + gp + 2 * (h[z, gx] < 0)]))
+        grade = np.concatenate([grade, grade + 1])
+        rev = np.concatenate([rev, rev + (1 << (n - 1 - j))])
+    # within a grade, lexicographic order is descending order of the bit-reversed
+    # mask; the family, grades 0..max_grade, is the first 4^m masks in either mode
+    masks = np.lexsort((-rev, grade))[:4 ** m]
+    p = (p + grade * (grade - 1) // 2) % 4
+    return CliffordBasis(m=m, mode=mode, masks=_freeze(masks), grade=_freeze(grade),
+                         x=_freeze(x), z=_freeze(z), p=_freeze(p))
 
 
 @lru_cache(maxsize=None)
@@ -289,13 +265,13 @@ def verify_algebra(basis: CliffordBasis) -> dict:
     """
     h = _signs(basis.m)
     hermitian = (1 - 2 * (basis.p & 1)) == h[basis.x, basis.z]
-    gens = [basis.rows[(i,)] for i in range(1, basis.side + 1)]
+    gens = 1 << np.arange(basis.side)
     gx, gz = basis.x[gens], basis.z[gens]
     commute = h[gz[:, None], gx] * h[gx[:, None], gz] > 0
     np.fill_diagonal(commute, False)
-    n = len(basis.rows)
-    duplicate = len(np.unique(basis.x * basis.dim + basis.z)) < n
-    herm_bad, gen_bad = not hermitian.all(), not hermitian[gens].all()
+    n = len(basis.masks)
+    duplicate = len(np.unique((basis.x * basis.dim + basis.z)[basis.masks])) < n
+    herm_bad, gen_bad = not hermitian[basis.masks].all(), not hermitian[gens].all()
     return {
         "m": basis.m,
         "mode": basis.mode,

@@ -4,15 +4,19 @@ A state is expanded as
 
     rho = 2^{-m} * sum_k sum_{i1<..<ik} G_{i1..ik} E_{i1..ik}
 
-with each increasing multi-index summed once.  Because the basis satisfies
-trace(E_A E_B) = 2^m delta_AB, the inverse map is the plain trace projection
-G_A = trace(rho E_A), real for the hermitian part (linalg.require_hermitian)
-that decode projects.  The scalar coordinate equals the trace, so unit-trace
-states (the one rule: require_unit_trace) have scalar 1.  Positivity is
-deliberately NOT validated here; deciding it is the job of the domains module.
+with each increasing multi-index summed once and keyed by its bitmask
+(clifford.index_mask); AntisymTensor is the tuple-keyed view of one grade.
+Because the basis satisfies trace(E_A E_B) = 2^m delta_AB, the inverse map
+is the plain trace projection G_A = trace(rho E_A), real for the hermitian
+part (linalg.require_hermitian) that decode projects.  The scalar
+coordinate equals the trace, so unit-trace states (the one rule:
+require_unit_trace) have scalar 1.  Positivity is deliberately NOT
+validated here; deciding it is the job of the domains module.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,44 +48,38 @@ def sum_of_squares(values):
     return total
 
 
-def antisym_matrices(side: int, entries: dict) -> np.ndarray:
-    """Antisymmetric side x side matrix from {(i, j): G_ij}, 1-based i < j.
-
-    The values may be arrays of one shape S; the result is then an
-    S + (side, side) stack.
+def antisym_matrices(side: int, pairs, values) -> np.ndarray:
+    """Antisymmetric side x side matrix with G_ij = values[n] at each row
+    n = (i, j) of pairs, 1-based i < j.  Each value may be an array of one
+    shape S; the result is then an S + (side, side) stack.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in entries.values()))
-    mat = np.zeros(shape + (side, side))
-    for (i, j), v in entries.items():
-        mat[..., i - 1, j - 1] = v
-        mat[..., j - 1, i - 1] = np.negative(v)
+    values = np.asarray(values, dtype=float)
+    mat = np.zeros(values.shape[1:] + (side, side))
+    i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T - 1
+    mat[..., i, j] = np.moveaxis(values, 0, -1)
+    mat[..., j, i] = -mat[..., i, j]
     return mat
 
 
 class AntisymTensor(clifford.Record):
-    """Grade-k totally antisymmetric real array over indices 1..side.
-
-    Only strictly increasing index tuples are stored; odd permutations are
-    implied by sign, absent keys are zero.
-    """
+    """Grade-k totally antisymmetric real array over indices 1..side, the
+    tuple-keyed view of one grade (StateCoords.grade): only strictly
+    increasing index tuples are stored, odd permutations are implied by
+    sign, absent keys are zero."""
 
     __slots__ = ("m", "k", "side", "values")
 
     def __init__(self, m: int, k: int, side: int, values: dict):
         self._set(m, k, side, values)
-        clifford._check_m(self.m)  # bounds side, and with it every multi-index table
+        clifford._check_m(self.m)  # bounds side, and with it every mask
         if self.side not in (2 * self.m, 2 * self.m + 1):
             raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
-        for key, val in self.values.items():
-            if len(clifford.multi_index(key, self.side)) != self.k:
-                raise BadIndex(f"key {key} has grade {len(key)}, expected {self.k}")
-            if not np.isfinite(val):
-                raise MalformedInput(f"non-finite value at {key}")
+        grade_entries(self.k, self.side, self.values, increasing=True)
 
     def get(self, indices) -> float:
         """Signed component for an arbitrary index order."""
-        key, sign = clifford.normalize_key(indices)
-        return sign * self.values.get(key, 0.0)
+        _, sign = clifford.index_mask(indices, self.side)
+        return sign * self.values.get(tuple(sorted(indices)), 0.0)
 
     def items(self):
         return self.values.items()
@@ -102,7 +100,8 @@ class AntisymTensor(clifford.Record):
 
     def as_matrix(self) -> np.ndarray:
         """Full antisymmetric side x side matrix (grade 2 only)."""
-        return antisym_matrices(self.side, self.of_grade(2).values)
+        entries = self.of_grade(2).values
+        return antisym_matrices(self.side, list(entries), list(entries.values()))
 
     @staticmethod
     def from_matrix(m: int, mat, side: int | None = None) -> "AntisymTensor":
@@ -112,19 +111,40 @@ class AntisymTensor(clifford.Record):
             raise DimensionMismatch(f"matrix shape {mat.shape} != ({side},{side})")
         if np.max(np.abs(mat + mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
             raise MalformedInput("matrix is not antisymmetric")
-        vals = {(i, j): float(mat[i - 1, j - 1]) for i, j in clifford.multi_indices(side, 2)
-                if mat[i - 1, j - 1] != 0.0}
+        vals = {(i, j): float(mat[i - 1, j - 1]) for i in range(1, side + 1)
+                for j in range(i + 1, side + 1) if mat[i - 1, j - 1] != 0.0}
         return AntisymTensor(m, 2, side, vals)
 
 
-def antisym(m: int, k: int, entries: dict | None = None, side: int | None = None) -> AntisymTensor:
-    """Build an AntisymTensor from possibly unordered index keys."""
+def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
+    """{mask: value} of grade k over 1..side from a mapping {indices: value}
+    or (indices, value) pairs, the indices in any order unless increasing
+    (clifford.index_mask): each value is signed by the permutation that
+    sorts them, and the values of one index set are added, in input order,
+    at the set's first place.  BadIndex for indices of another grade,
+    MalformedInput for a value or a sum that is not finite.
+    """
+    slots: dict = {}
+    for key, v in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
+        key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
+        mask, sign = clifford.index_mask(key, side, increasing)
+        if len(key) != k:
+            raise BadIndex(f"key {key} has grade {len(key)}, expected {k}")
+        slots[mask] = slots.get(mask, 0.0) + sign * float(v)
+        if not math.isfinite(slots[mask]):
+            raise MalformedInput(f"non-finite value at {tuple(sorted(key))}")
+    return slots
+
+
+def _view(m: int, k: int, side: int, entries: dict) -> AntisymTensor:
+    keys = map(tuple, clifford.mask_indices(list(entries), k, side).tolist())
+    return AntisymTensor(m, k, side, dict(zip(keys, entries.values())))
+
+
+def antisym(m: int, k: int, entries=None, side: int | None = None) -> AntisymTensor:
+    """An AntisymTensor from any entries that grade_entries reads."""
     side = 2 * m if side is None else side
-    vals: dict = {}
-    for key, v in (entries or {}).items():
-        norm, sign = clifford.normalize_key(key if isinstance(key, (tuple, list)) else (key,))
-        vals[norm] = vals.get(norm, 0.0) + sign * float(v)
-    return AntisymTensor(m, k, side, vals)
+    return _view(m, k, side, grade_entries(k, side, entries or {}))
 
 
 def vector(m: int, components, side: int | None = None) -> AntisymTensor:
@@ -133,54 +153,64 @@ def vector(m: int, components, side: int | None = None) -> AntisymTensor:
     comps = list(components)
     if len(comps) != side:
         raise DimensionMismatch(f"expected {side} components, got {len(comps)}")
-    return AntisymTensor(m, 1, side,
-                         {(i + 1,): float(c) for i, c in enumerate(comps) if c != 0.0})
-
-
-def _check_grade(m: int, k: int, mode: str) -> None:
-    top = clifford.max_grade(m, mode)
-    if not (1 <= k <= top):
-        raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
+    return antisym(m, 1, [((i + 1,), c) for i, c in enumerate(comps) if c != 0.0], side)
 
 
 class StateCoords(clifford.Record):
-    """Scalar plus one antisymmetric tensor per grade: the dual coordinates of a state."""
+    """The dual coordinates of a state: the scalar and, per grade k, its
+    {mask: value} entries in input order, as grade_entries gives them.  A
+    grade stays present when it holds no entry or only zeros."""
 
     __slots__ = ("m", "mode", "scalar", "grades")
 
     def __init__(self, m: int, mode: str, scalar: float, grades: dict):
-        self._set(m, mode, scalar, grades)  # grades: grade k -> AntisymTensor
+        self._set(m, mode, scalar, grades)
+        clifford._check_m(self.m)
         if not np.isfinite(self.scalar):
             raise MalformedInput(f"non-finite scalar {self.scalar}")
-        for k, tensor in self.grades.items():
-            _check_grade(self.m, k, self.mode)
-            if tensor.of_grade(k).side != self.side or tensor.m != self.m:
-                raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
+        top = clifford.max_grade(self.m, self.mode)
+        for k, entries in self.grades.items():
+            if not 1 <= k <= top:
+                raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {self.mode!r}")
+            clifford.mask_indices(list(entries), k, self.side)  # GradeMismatch for another grade
 
     @property
     def side(self) -> int:
         return clifford.side(self.m, self.mode)
 
     def grade(self, k: int) -> AntisymTensor:
-        return self.grades.get(k, AntisymTensor(self.m, k, self.side, {}))
+        """Grade k as a tuple-keyed AntisymTensor, empty when the coords hold none."""
+        return _view(self.m, k, self.side, self.grades.get(k, {}))
 
     def coefficient(self, indices) -> float:
-        if len(indices) == 0:
-            return self.scalar
-        return self.grade(len(indices)).get(indices)
+        """Signed coefficient for an arbitrary index order; () gives the scalar."""
+        mask, sign = clifford.index_mask(indices, self.side)
+        return sign * self.grades.get(len(indices), {0: self.scalar}).get(mask, 0.0)
+
+    def wire_entries(self, k: int) -> tuple:
+        """(indices, values) of grade k in wire order: the (n, k) index array,
+        rows increasing lexicographically, and the values in the same order."""
+        entries = self.grades[k]
+        idx = clifford.mask_indices(list(entries), k, self.side)
+        order = np.lexsort(idx.T[::-1])
+        return idx[order], np.array(list(entries.values()), dtype=float)[order]
 
 
 def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
                  grades: dict | None = None) -> StateCoords:
-    """Convenience constructor; grade values may be AntisymTensor or {key: val} dicts."""
+    """Convenience constructor; a grade may be an AntisymTensor of the mode's
+    side, or any entries that grade_entries reads."""
+    clifford._check_m(m)  # before any index is held to the side m gives
     side = clifford.side(m, mode)
-    built = {}
+    items: dict = {}
     for k, val in (grades or {}).items():
         k = int(k)
-        if isinstance(val, AntisymTensor):
-            built[k] = val
-        else:
-            built[k] = antisym(m, k, val, side=side)
+        if isinstance(val, AntisymTensor) and (val.of_grade(k).side != side or val.m != m):
+            raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
+        # keys such as 1 and "01" name one grade, whose entries all add up
+        items.setdefault(k, []).extend(val.items() if isinstance(val, (dict, AntisymTensor))
+                                       else val)
+    built = {k: grade_entries(k, side, entries) for k, entries in items.items()}
     return StateCoords(m=m, mode=mode, scalar=float(scalar), grades=built)
 
 
@@ -188,9 +218,9 @@ def encode(coords: StateCoords) -> np.ndarray:
     """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices,
     or ResourceLimit unless its trace lies within TRACE_TOL of the scalar coordinate."""
     basis = clifford.cached_basis(coords.m, coords.mode)
-    coeffs = {(): coords.scalar}
-    for tensor in coords.grades.values():
-        coeffs.update(tensor.values)
+    coeffs = {0: coords.scalar}
+    for entries in coords.grades.values():
+        coeffs.update(entries)
     rho = basis.expand(coeffs) / basis.dim
     if not abs(np.trace(rho).real - coords.scalar) <= TRACE_TOL:
         raise ResourceLimit("encoding these coordinates rounds their trace away "
@@ -225,15 +255,11 @@ def decode(rho, mode: str = "standard") -> StateCoords:
         coeffs = basis.project(rho).real
     if not np.isfinite(coeffs).all():
         raise NonFiniteResult("coordinates are not finite (input beyond floating-point range?)")
-    grades: dict[int, dict] = {}
-    scalar = 1.0
-    for idx, val in zip(basis.indices, coeffs):
-        if len(idx) == 0:
-            scalar = float(val)
-        elif val != 0.0:
-            grades.setdefault(len(idx), {})[idx] = float(val)
-    built = {k: AntisymTensor(basis.m, k, basis.side, v) for k, v in grades.items()}
-    return StateCoords(m=basis.m, mode=basis.mode, scalar=scalar, grades=built)
+    grades: dict = {}
+    for mask, val in zip(basis.masks[1:].tolist(), coeffs[1:].tolist()):
+        if val != 0.0:
+            grades.setdefault(mask.bit_count(), {})[mask] = val
+    return StateCoords(m=basis.m, mode=basis.mode, scalar=float(coeffs[0]), grades=grades)
 
 
 def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard") -> np.ndarray:
@@ -245,28 +271,24 @@ def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard")
 # wire format
 
 
-def tensor_entries_to_json(tensor: AntisymTensor) -> list:
-    return [{"idx": [int(i) for i in key], "val": float(v)} for key, v in sorted(tensor.items())]
-
-
 def coords_to_json(coords: StateCoords) -> dict:
-    return {
-        "m": coords.m,
-        "mode": coords.mode,
-        "scalar": coords.scalar,
-        "grades": {str(k): tensor_entries_to_json(t) for k, t in sorted(coords.grades.items())},
-    }
+    grades = {}
+    for k in sorted(coords.grades):
+        idx, values = coords.wire_entries(k)
+        grades[str(k)] = [{"idx": i, "val": v} for i, v in zip(idx.tolist(), values.tolist())]
+    return {"m": coords.m, "mode": coords.mode, "scalar": coords.scalar, "grades": grades}
 
 
-def entry_list(entries, name: str) -> dict:
-    """{tuple(idx): val} from the wire list [{"idx": [...], "val": x}, ...] in
-    field name, or MalformedInput naming the entry that does not fit."""
-    out = {}
+def entry_list(entries, name: str) -> list:
+    """[(idx tuple, val), ...] from the wire list [{"idx": [...], "val": x}, ...]
+    in field name, in input order, or MalformedInput naming the entry that
+    does not fit."""
+    out = []
     for n, e in enumerate(wire_field(entries, list, name)):
         try:
             if not isinstance(e["idx"], list):
                 raise TypeError
-            out[tuple(e["idx"])] = wire_field(e["val"], float, name)
+            out.append((tuple(e["idx"]), wire_field(e["val"], float, name)))
         except (KeyError, TypeError, ValueError):
             raise MalformedInput(f"field '{name}[{n}]': expected "
                                  f"{{idx: list, val: number}}, got {e!r:.60}") from None
@@ -279,9 +301,9 @@ def coords_from_json(obj) -> StateCoords:
     grades = {}
     for k, v in wire_field(obj.get("grades") or {}, dict, "grades").items():
         try:
-            grade = int(k)
+            int(k)
         except ValueError:
             raise MalformedInput(f"field 'grades': expected int keys, got {k!r:.60}") from None
-        grades[grade] = entry_list(v, f"grades.{k}")
+        grades[k] = entry_list(v, f"grades.{k}")
     return state_coords(m, mode=obj.get("mode", "standard"), grades=grades,
                         scalar=wire_field(obj.get("scalar", 1.0), float, "scalar"))

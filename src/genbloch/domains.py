@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOL
-from .clifford import Record, _check_m, cached_basis, multi_indices
+from .clifford import Record, _check_m, cached_basis, mask_indices
 from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
 from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
 from .invariants import InvariantSet, bordered_invariants
@@ -105,9 +105,9 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     classified by the closed-form domain and by the eigenvalue oracle.
 
     Returns (column names, one array per column), as figures.figure_columns
-    does: the draw index, its coefficients c0..c{dim-1} in multi_indices
-    order, closed_admissible and oracle_admissible (bool), and the
-    boundary_margin |lambda_min| of the closed form.
+    does: the draw index, its coefficients c0..c{dim-1} in wire order,
+    closed_admissible and oracle_admissible (bool), and the boundary_margin
+    |lambda_min| of the closed form.
     """
     _check_m(m)
     if k not in (1, 2):
@@ -119,22 +119,22 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     # the draws span [-box, box], so 2 * box must be finite as well
     if not (math.isfinite(2.0 * box) and box >= 0):
         raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")
-    keys = list(multi_indices(2 * m, k))
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-box, box, size=(n, len(keys)))
     basis = cached_basis(m)
+    masks = basis.masks[basis.grade[basis.masks] == k]
+    pairs = mask_indices(masks, k, 2 * m)
+    rng = np.random.default_rng(seed)
+    draws = rng.uniform(-box, box, size=(n, len(masks)))
     min_closed = np.empty(n)
     oracle_min = np.empty(n)
     per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
     for lo in range(0, n, per):
         chunk = draws[lo:lo + per]
-        columns = dict(zip(keys, chunk.T))
         # a grade-1 draw is v itself, a grade-2 draw G
-        v, g = (chunk, None) if k == 1 else (None, antisym_matrices(2 * m, columns))
+        v, g = (chunk, None) if k == 1 else (None, antisym_matrices(2 * m, pairs, chunk.T))
         min_closed[lo:lo + per] = sign_sums(1.0, *normal_form_amplitudes(m, v, g)[1:])[:, 0]
-        rho = basis.expand({(): 1.0, **columns}) / basis.dim
+        rho = basis.expand({0: 1.0, **dict(zip(masks.tolist(), chunk.T))}) / basis.dim
         oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
-    names = (["index"] + [f"c{i}" for i in range(len(keys))]
+    names = (["index"] + [f"c{i}" for i in range(len(masks))]
              + ["closed_admissible", "oracle_admissible", "boundary_margin"])
     return names, [np.arange(n), *draws.T, min_closed >= -DEFAULT_TOL,
                    oracle_min >= -DEFAULT_TOL, np.abs(min_closed)]

@@ -20,7 +20,7 @@ applies that sign rule, whose coefficients lose their relative accuracy as
 the dimension grows.
 
 Every Levi-Civita contraction goes through epsilon_contract, signed by the
-package's one permutation parity (clifford.normalize_key): the 720-term D3
+package's one permutation parity (clifford.index_mask): the 720-term D3
 sum (epsilon_sum_D3, checked against 48 Pf by epsilon_D3), the linear and
 quadratic duals, and the O(7) pseudo-vector.  The duals tie 2 r^2 - T4 to
 quadratic functions of the dual, which gives z directly from the
@@ -56,8 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import DEFAULT_TOL
-from .clifford import cached_basis, multi_indices, normalize_key
-from .coords import AntisymTensor, antisym
+from .clifford import cached_basis, index_mask
+from .coords import AntisymTensor, antisym, grade_entries
 from .domains import DomainVerdict
 from .errors import (
     ComplexRoots,
@@ -108,7 +108,8 @@ def spin_lift(alpha: AntisymTensor) -> np.ndarray:
     m = alpha.of_grade(2).m
     if alpha.side != 2 * m:
         raise ModeMismatch("spin_lift rotates the 2m standard generators")
-    return exp_minus_i_hermitian(0.5 * cached_basis(m, "standard").expand(alpha.values))
+    coeffs = grade_entries(2, alpha.side, alpha.values)  # {mask: alpha_ij}
+    return exp_minus_i_hermitian(0.5 * cached_basis(m, "standard").expand(coeffs))
 
 
 def conjugate_state(rho, u) -> np.ndarray:
@@ -127,8 +128,8 @@ def discriminant(r: float, t4: float) -> float:
 
 
 def perm_sign(perm) -> int:
-    """Parity of a sequence of distinct integers (+1 even, -1 odd)."""
-    return normalize_key(perm)[1]
+    """Parity of a permutation of 0..n-1 (+1 even, -1 odd)."""
+    return index_mask([i + 1 for i in perm], len(perm))[1]
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +190,7 @@ def dual_tensor(g: AntisymTensor) -> AntisymTensor:
         raise UnsupportedM(f"dual_tensor supports sides 4 and 6, got {g.side}")
     mat = g.as_matrix()
     vals = {}
-    for i, j in multi_indices(g.side, 2):
+    for i, j in itertools.combinations(range(1, g.side + 1), 2):
         total = epsilon_contract(mat, (i - 1, j - 1), g.side // 2 - 1)
         if total != 0.0:
             vals[(i, j)] = total

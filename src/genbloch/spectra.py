@@ -134,27 +134,27 @@ def bordered_parts(coords: StateCoords):
     """(v, G) when coords lie in the so(2m+2) family, else None.
 
     v is the grade-1 part as an array over the 2m + 1 extended indices
-    (zeros for a state without one); G is the grade-2 part as a grade-2 AntisymTensor, over the first 2m indices when
-    a standard-mode state has no grade 2m - 1, None for a state without one.
-    A grade counts when it has a nonzero entry; the scalar alone is v = 0.
+    (zeros for a state without one); G is the grade-2 part as a grade-2
+    AntisymTensor, over the first 2m indices when a standard-mode state has
+    no grade 2m - 1, None for a state without one.  A grade counts when it
+    has a nonzero entry; the scalar alone is v = 0.
     """
     m, n, standard = coords.m, 2 * coords.m + 1, coords.mode == "standard"
-    active = [k for k, t in sorted(coords.grades.items())
-              if any(x != 0.0 for x in t.values.values())]
+    active = [k for k, entries in sorted(coords.grades.items())
+              if any(x != 0.0 for x in entries.values())]
     if not set(active) <= ({1, 2, 2 * m - 1, 2 * m} if standard else {1, 2}):
         return None
     v, g = np.zeros(n), {}
     for k in active:
-        for key, x in coords.grades[k].items():
-            if standard and k == 2 * m:  # E_{1..2m} = (-1)^m E_{2m+1}
-                key, x = (n,), (-1) ** m * x
-            elif standard and k == 2 * m - 1 and m > 1:  # E_{1..2m - a} = (-1)^{a+1} E_{a,2m+1}
-                (a,) = set(range(1, n)) - set(key)
-                key, x = (a, n), (-1) ** (a + 1) * x
-            if len(key) == 1:
-                v[key[0] - 1] = x
+        for mask, x in coords.grades[k].items():
+            if standard and k >= max(2, 2 * m - 1):  # to the complement (module docstring)
+                a = (mask ^ (1 << (n - 1)) - 1).bit_length()
+                mask, x = mask ^ (1 << n) - 1, (-1) ** (m if k == 2 * m else a + 1) * x
+            low, high = (mask & -mask).bit_length(), mask.bit_length()
+            if low == high:
+                v[low - 1] = x
             else:
-                g[key] = x
+                g[low, high] = x
     if not g:
         return v, None
     side = n if not standard or 2 * m - 1 in active else 2 * m

@@ -70,20 +70,21 @@ def check_orthogonal(el, side: int | None = None) -> np.ndarray:
 def rotate_coords(coords: StateCoords, el) -> StateCoords:
     """Apply an orthogonal matrix grade-wise; scalar untouched.
 
-    Output entry I of grade k is sum_J det(L[I, J]) G_J.  For each stored
-    J the minors of every I come from one stacked det, and each output sum
-    is added in the stored order of J.
+    Output entry I of grade k is sum_J det(L[I, J]) G_J, over every I of the
+    grade in wire order; an entry that comes out exactly 0.0 is dropped, and
+    the grade stays.  For each stored J the minors of every I come from one
+    stacked det, and each output sum is added in the stored order of J.
     """
     side = coords.side
     el = check_orthogonal(np.asarray(el, dtype=float), side)
+    basis = clifford.cached_basis(coords.m, coords.mode)
     new_grades = {}
-    for k, tensor in coords.grades.items():
-        outs = list(clifford.multi_indices(side, k))
-        rows = el[np.subtract(outs, 1)]  # (len(outs), k, side)
+    for k, entries in coords.grades.items():
+        outs = basis.masks[basis.grade[basis.masks] == k]
+        rows = el[clifford.mask_indices(outs, k, side) - 1]  # (len(outs), k, side)
         total = np.zeros(len(outs))
-        for in_idx, v in tensor.items():
-            total = total + np.linalg.det(rows[:, :, np.subtract(in_idx, 1)]) * v
-        vals = {out: t for out, t in zip(outs, total.tolist()) if t != 0.0}
-        new_grades[k] = AntisymTensor(coords.m, k, side, vals)
+        for cols, v in zip(clifford.mask_indices(list(entries), k, side) - 1, entries.values()):
+            total = total + np.linalg.det(rows[:, :, cols]) * v
+        keep = total != 0.0
+        new_grades[k] = dict(zip(outs[keep].tolist(), total[keep].tolist()))
     return StateCoords(m=coords.m, mode=coords.mode, scalar=coords.scalar, grades=new_grades)
-

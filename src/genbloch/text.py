@@ -134,13 +134,11 @@ def _matrix_text(a) -> str:
 def _coords_text(coords) -> str:
     """json.dumps(coords.coords_to_json(coords), indent=2, sort_keys=True)."""
     grades = {}
-    for k, tensor in coords.grades.items():
-        keys = sorted(tensor.values)
-        idx = np.array(keys, dtype=np.int64).reshape(len(keys), k).T
-        val = np.array([tensor.values[key] for key in keys], dtype=np.float64)
+    for k in coords.grades:
+        idx, val = coords.wire_entries(k)
         leads = [',\n    {\n      "idx": [\n        ', *[",\n        "] * (k - 1),
                  '\n      ],\n      "val": ']
-        grades[str(k)] = _json_list([*idx, val], leads, "\n    }")
+        grades[str(k)] = _json_list([*idx.T, val], leads, "\n    }")
     return _json_document({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
                           {"grades": _json_document({}, grades).replace("\n", "\n  ")})
 

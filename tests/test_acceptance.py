@@ -230,7 +230,7 @@ def test_criterion_09_tunnel_geometry():
     closed = [tunnel_membership(float(x), float(y), float(z)).admissible
               for x, y, z in zip(xs, ys, zs)]
     # tensor_config(2, 2, g) of every grid point, expanded as one stack
-    rho = clifford.cached_basis(2).expand({(): 1.0, (1, 2): xs, (3, 4): ys, (2, 3): zs}) / 4
+    rho = clifford.cached_basis(2).expand({0: 1.0, 0b0011: xs, 0b1100: ys, 0b0110: zs}) / 4
     oracle = hermitian_eigenvalues(rho)[:, 0] >= -1e-10
     disagreements = int(np.count_nonzero(oracle != closed))
     fig3 = table_rows(figure_columns("fig3", 6)[1])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import genbloch
 from genbloch.cli import run
+from genbloch.clifford import basis_element
 from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
 
@@ -395,6 +396,65 @@ def test_rotate_subcommand(tmp_path, capsys):
     grade1 = {tuple(e["idx"]): e["val"] for e in out["grades"]["1"]}
     assert abs(grade1.get((2,), 0.0) - 1.0) < 1e-12
     assert abs(grade1.get((1,), 0.0)) < 1e-12
+
+
+def test_rotate_alpha_repeats_add_up(tmp_path, capsys):
+    # rotate's --alpha follows the coords rule: entries naming one plane add up
+    cpath = write_json(tmp_path / "c.json", {"m": 2, "grades": {"1": [{"idx": [1], "val": 0.6}]}})
+    outs = []
+    for name, alpha in (("one", [{"idx": [1, 2], "val": 0.75}]),
+                        ("exact", [{"idx": [1, 2], "val": 0.25}, {"idx": [1, 2], "val": 0.5}]),
+                        ("permuted", [{"idx": [1, 2], "val": 1.0}, {"idx": [2, 1], "val": 0.25}])):
+        apath = write_json(tmp_path / f"{name}.json", {"m": 2, "alpha": alpha})
+        assert run(["rotate", "--input", cpath, "--alpha", apath]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("m, message", [
+    (7, "genbloch: error: m = 7 exceeds the supported maximum 6\n"),
+    (0, "genbloch: error: m must be a positive integer, got 0\n"),
+])
+def test_coords_without_entries_hold_m_to_its_range(tmp_path, capsys, m, message):
+    # coords with no grades still name an m, held to the range of every other input
+    path = write_json(tmp_path / "c.json", {"m": m})
+    assert run(["validate", "--input", path]) == 1
+    assert capsys.readouterr().err == message
+
+
+_VEC = [{"idx": [1], "val": 0.5}]
+
+
+@pytest.mark.parametrize("argv, grades, code, expect", [
+    (["rotate"], {"1": _VEC, "2": []}, 0, '"2": []'),
+    (["rotate"], {"1": _VEC, "2": [{"idx": [1, 2], "val": 0.0}]}, 0, '"2": []'),
+    (["invariants"], {"2": [{"idx": [1, 2], "val": 0.0}]}, 0, '"pfaffian": 0.0'),
+    (["basis", "--m", "2", "--mode", "extended", "--element", "3:1,2,3"], None, 1,
+     "genbloch: error: no basis element with index (1, 2, 3)\n"),
+    (["validate"], {"2": [{"idx": [True, 2], "val": 0.1}]}, 1,
+     "genbloch: error: indices (True, 2) must be Python ints\n"),
+    (["validate"], {"2": [{"idx": [1.0, 2], "val": 0.1}]}, 1,
+     "genbloch: error: indices (1.0, 2) must be Python ints\n"),
+    (["validate"], {"2": [{"idx": [1, 5], "val": 0.1}]}, 1,
+     "genbloch: error: indices (1, 5) are not strictly increasing within 1..4\n"),
+    (["validate"], {"2": [{"idx": [1, 1], "val": 0.1}]}, 1,
+     "genbloch: error: repeated index in (1, 1)\n"),
+], ids=["rotate-empty-grade", "rotate-zero-grade", "invariants-explicit-zero",
+        "basis-beyond-family", "bool-index", "float-index", "index-beyond-side",
+        "repeated-index"])
+def test_coords_edges(tmp_path, capsys, argv, grades, code, expect):
+    # a present grade stays present when it holds no entry or only zeros, and
+    # each index rule keeps its message
+    if grades is not None:
+        argv = [*argv, "--input", write_json(tmp_path / "c.json", {"m": 2, "grades": grades})]
+    if argv[0] == "rotate":
+        argv += ["--alpha", write_json(tmp_path / "a.json",
+                                       {"m": 2, "alpha": [{"idx": [1, 2], "val": 0.3}]})]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert expect in out if code == 0 else err == expect
+    # the dense builder still gives the extended element the family leaves out
+    assert basis_element(2, (1, 2, 3), "extended").shape == (4, 4)
 
 
 def test_validate_agrees_with_oracle_sign(tmp_path, capsys):
@@ -796,6 +856,17 @@ def test_python_m_genbloch_help():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: genbloch")
+
+
+def test_help_prints_no_module_notes(capsys):
+    # help describes the program in one line, not the cli module's notes
+    from genbloch import cli
+
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    notes = [" ".join(line.split()) for line in cli.__doc__.splitlines()[1:]]
+    assert [line for line in notes if line and line in text] == []
 
 
 # `python -m genbloch` as runpy runs it, with an atexit hook that reports
@@ -1378,7 +1449,8 @@ def test_coords_json_refuses_non_finite():
     from genbloch.errors import NonFiniteResult
 
     for value in (float("nan"), float("inf"), -float("inf")):
-        tensor = SimpleNamespace(values={(1,): 0.5, (2,): value})
-        coords = SimpleNamespace(m=1, mode="standard", scalar=1.0, grades={1: tensor})
+        entries = (np.array([[1], [2]]), np.array([0.5, value]))
+        coords = SimpleNamespace(m=1, mode="standard", scalar=1.0, grades={1: None},
+                                 wire_entries=lambda k, entries=entries: entries)
         with pytest.raises(NonFiniteResult, match="not finite"):
             _coords_text(coords)

@@ -9,6 +9,7 @@ from genbloch.clifford import (
     basis_element,
     cached_basis,
     full_basis,
+    index_mask,
     verify_algebra,
 )
 from genbloch.coords import AntisymTensor, antisym
@@ -126,7 +127,7 @@ def test_full_basis_grade_counts():
     for m in (1, 2, 3):
         b = full_basis(m)
         for k in range(0, 2 * m + 1):
-            assert len(b.indices_of_grade(k)) == math.comb(2 * m, k)
+            assert sum(len(idx) == k for idx in b.indices) == math.comb(2 * m, k)
 
 
 def test_full_basis_extended_m3():
@@ -134,7 +135,7 @@ def test_full_basis_extended_m3():
     assert len(b.indices) == 64
     assert b.side == 7
     assert b.max_grade == 3
-    counts = {k: len(b.indices_of_grade(k)) for k in range(4)}
+    counts = {k: sum(len(idx) == k for idx in b.indices) for k in range(4)}
     assert counts == {0: 1, 1: 7, 2: 21, 3: 35}
 
 
@@ -176,6 +177,24 @@ def test_table_matches_dense_products(m, mode):
         assert np.array_equal(b.element(idx), _dense_product(gams, idx)), idx
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_mask_table_matches_dense_products_at_every_grade(m, mode):
+    # every multi-index of every grade, above m too in extended mode, against
+    # products of the Kronecker generators and their phased product
+    # Gamma_{2m+1} = (-i)^m Gamma_1 ... Gamma_{2m}
+    gams = _kron_iteration(m)
+    if mode == "extended":
+        gams.append((-1j) ** m * np.linalg.multi_dot(gams))
+    for k in range(1, len(gams) + 1):
+        for idx in itertools.combinations(range(1, len(gams) + 1), k):
+            assert np.array_equal(basis_element(m, idx, mode), _dense_product(gams, idx)), idx
+    # the family's masks in wire order: grade by grade, lexicographic within one
+    b = cached_basis(m, mode)
+    assert b.masks.tolist() == [index_mask(idx, b.side)[0] for idx in b.indices]
+    assert b.indices == sorted(b.indices, key=lambda idx: (len(idx), idx))
+
+
 def test_extended_gammas_m1():
     g = gammas(1, "extended")
     assert len(g) == 3
@@ -212,14 +231,14 @@ def test_verify_algebra_detects_tampering():
     b = full_basis(2)
     # a phase off by i makes (1, 2) anti-hermitian
     p = b.p.copy()
-    p[b.rows[(1, 2)]] ^= 1
-    report = verify_algebra(CliffordBasis(b.m, b.mode, b.rows, b.x, b.z, p))
+    p[0b0011] ^= 1
+    report = verify_algebra(CliffordBasis(b.m, b.mode, b.masks, b.grade, b.x, b.z, p))
     assert report["max_hermiticity_residual"] >= 1.0
     # a repeated Pauli string breaks orthogonality by a full trace
     x, z, p = b.x.copy(), b.z.copy(), b.p.copy()
-    src, dst = b.rows[(1, 2)], b.rows[(3, 4)]
+    src, dst = 0b0011, 0b1100
     x[dst], z[dst], p[dst] = x[src], z[src], p[src]
-    report = verify_algebra(CliffordBasis(b.m, b.mode, b.rows, x, z, p))
+    report = verify_algebra(CliffordBasis(b.m, b.mode, b.masks, b.grade, x, z, p))
     assert report["max_orthogonality_residual"] == 2 ** b.m
     assert report["max_hermiticity_residual"] == 0.0
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import warnings
@@ -31,9 +32,10 @@ from genbloch.errors import (
     ResourceLimit,
 )
 from genbloch.identities import spin_lift, z_from_coords
-from genbloch.invariants import frobenius_r
+from genbloch.invariants import coords_invariants, frobenius_r
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import orthogonal_from_generator
+from genbloch.text import _coords_text
 
 from conftest import SIGMA1, SIGMA3, random_coords, random_unit_trace_hermitian
 
@@ -44,6 +46,67 @@ def test_antisym_normalizes_keys():
     assert t.get((3, 1)) == 0.5
     with pytest.raises(BadIndex):
         antisym(2, 2, {(1, 1): 1.0})
+
+
+def test_repeated_wire_entries_add_up():
+    # every entry that names one index set adds in, signed by the permutation
+    # that sorts it: an exact repeat keeps the earlier value as well
+    exact = coords_from_json({"m": 2, "grades": {"1": [{"idx": [1], "val": 0.1},
+                                                       {"idx": [1], "val": 0.2}]}})
+    assert exact.coefficient((1,)) == 0.1 + 0.2
+    assert coords_invariants(exact).extras["vector_norm_sq"] == (0.1 + 0.2) ** 2
+    permuted = coords_from_json({"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 0.1},
+                                                          {"idx": [2, 1], "val": -0.2}]}})
+    assert permuted.coefficient((2, 1)) == -(0.1 + 0.2)
+    assert coords_to_json(permuted)["grades"] == {"2": [{"idx": [1, 2], "val": 0.1 + 0.2}]}
+    # so do entries under two spellings of one grade key
+    spelled = coords_from_json({"m": 2, "grades": {"1": [{"idx": [1], "val": 0.1}],
+                                                   "01": [{"idx": [1], "val": 0.2}]}})
+    assert spelled.coefficient((1,)) == 0.1 + 0.2
+    assert state_coords(2, grades={1: {(1,): 0.1}, "1": {(1,): 0.2}}).coefficient((1,)) == 0.1 + 0.2
+
+
+def _wire_reference(obj) -> dict:
+    """coords_to_json of a wire document by plain dicts: each idx sorted, its
+    value signed by the parity of its inversions, repeats summed in input order."""
+    grades = {}
+    for k, entries in obj["grades"].items():
+        sums = grades.setdefault(k, {})
+        for e in entries:
+            inversions = sum(a > b for a, b in itertools.combinations(e["idx"], 2))
+            key = tuple(sorted(e["idx"]))
+            sums[key] = sums.get(key, 0.0) + (-1) ** inversions * e["val"]
+    return {"m": obj["m"], "mode": obj["mode"], "scalar": obj["scalar"],
+            "grades": {k: [{"idx": list(key), "val": v} for key, v in sorted(sums.items())]
+                       for k, sums in sorted(grades.items())}}
+
+
+@st.composite
+def _wire_coords(draw):
+    m = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["standard", "extended"]))
+    side = 2 * m if mode == "standard" else 2 * m + 1
+    grades = {}
+    for k in draw(st.sets(st.integers(1, side if mode == "standard" else m))):
+        # a few index sets per grade, each drawn in any order, some more than once
+        sets = draw(st.lists(st.sets(st.integers(1, side), min_size=k, max_size=k),
+                             min_size=0, max_size=4))
+        entries = draw(st.lists(st.tuples(st.sampled_from(sets), st.randoms()), max_size=8)
+                       if sets else st.just([]))
+        grades[str(k)] = [{"idx": rnd.sample(sorted(idx), k),
+                           "val": draw(st.floats(-2.0, 2.0, allow_subnormal=False))}
+                          for idx, rnd in entries]
+    scalar = draw(st.floats(-2.0, 2.0))
+    return {"m": m, "mode": mode, "scalar": scalar, "grades": grades}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_wire_coords())
+def test_wire_round_trip_matches_plain_dicts(obj):
+    coords = coords_from_json(json.loads(json.dumps(obj)))
+    want = _wire_reference(obj)
+    assert coords_to_json(coords) == want
+    assert _coords_text(coords) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_encode_maximally_mixed():

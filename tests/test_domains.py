@@ -186,7 +186,7 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     assume(x_min < -1e-3)
     s = (1.0 - (z - at_tol * 2 ** m * tol)) / -x_min
     coords = state_coords(m, coords.mode,
-                          grades={k: t.scaled(s) for k, t in coords.grades.items()})
+                          grades={k: coords.grade(k).scaled(s) for k in coords.grades})
     rho = encode(coords)
     lam = float(hermitian_eigenvalues(rho)[0])
     # near-boundary states are excluded, as in criterion 08
@@ -204,7 +204,8 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     used = verdict.invariants_used.to_dict()
     v, g = spectra.bordered_parts(coords)
     _, mu, pf = spectra.normal_form_amplitudes(m, v, None if g is None else g.as_matrix())
-    assert used["r"] == pytest.approx(sum(t.norm_sq() for t in coords.grades.values()), rel=1e-12)
+    r = sum(coords.grade(k).norm_sq() for k in coords.grades)
+    assert used["r"] == pytest.approx(r, rel=1e-12)
     # bit for bit: v's squares in index order, then G's entries
     assert used["r"] == float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())
     # T4 = trace((M^T M)^2) = 2 sum mu^4, the amplitudes being LAPACK singular

@@ -155,7 +155,7 @@ def _records():
 
     basis = cached_basis(1)
     return [
-        CliffordBasis(basis.m, basis.mode, basis.rows, basis.x, basis.z, basis.p),
+        CliffordBasis(basis.m, basis.mode, basis.masks, basis.grade, basis.x, basis.z, basis.p),
         antisym(2, 1, {(1,): 0.5}),
         state_coords(2, grades={1: {(1,): 0.5}}),
         InvariantSet(0.5, 0.1),
@@ -214,7 +214,7 @@ def test_caller_input_errors_are_typed(call, error):
 
 
 def test_record_constructors_keep_their_defaults_and_checks():
-    from genbloch import AntisymTensor, DomainVerdict, InvariantSet, StateCoords
+    from genbloch import AntisymTensor, DomainVerdict, InvariantSet, StateCoords, state_coords
     from genbloch.errors import (BadIndex, DimensionMismatch, GradeMismatch, GradeOutOfRange,
                                  MalformedInput, ResourceLimit)
 
@@ -235,12 +235,16 @@ def test_record_constructors_keep_their_defaults_and_checks():
         AntisymTensor(2, 1, 4, {(1, 2): 0.5})
     with pytest.raises(MalformedInput, match="non-finite value"):
         AntisymTensor(2, 1, 4, {(1,): float("nan")})
-    tensor = AntisymTensor(2, 1, 4, {(1,): 0.5})
+    # a grade's entries are {mask: value}: here the one entry G_1 = 0.5
+    entries = {0b1: 0.5}
     with pytest.raises(MalformedInput, match="non-finite scalar"):
         StateCoords(2, "standard", float("inf"), {})
     with pytest.raises(GradeOutOfRange):
-        StateCoords(2, "standard", 1.0, {5: tensor})
+        StateCoords(2, "standard", 1.0, {5: entries})
     with pytest.raises(GradeMismatch):
-        StateCoords(2, "standard", 1.0, {2: tensor})
+        StateCoords(2, "standard", 1.0, {2: entries})
+    with pytest.raises(GradeMismatch):
+        StateCoords(2, "standard", 1.0, {1: {0b10000: 0.5}})
+    tensor = AntisymTensor(2, 1, 4, {(1,): 0.5})
     with pytest.raises(DimensionMismatch, match="wrong shape metadata"):
-        StateCoords(m=2, mode="extended", scalar=1.0, grades={1: tensor})
+        state_coords(m=2, mode="extended", grades={1: tensor})

@@ -304,8 +304,8 @@ def _phase_map(m, mode):
     for k in (1, 2):
         for key in itertools.combinations(range(1, 2 * m + 2), k):
             coords = decode((np.eye(2 ** m) + basis_element(m, key, "extended")) / 2 ** m, mode)
-            ((_, tensor),) = coords.grades.items()
-            ((target, sign),) = tensor.values.items()
+            (k,) = coords.grades
+            ((target, sign),) = coords.grade(k).items()
             out[key] = target, sign
     return out
 

@@ -161,7 +161,8 @@ def _rotate_per_entry(coords, el):
     """One det per (output, input) entry pair: the loop that rotate_coords
     stacks, and the reference for its grades, key order included."""
     grades = []
-    for k, tensor in coords.grades.items():
+    for k in coords.grades:
+        tensor = coords.grade(k)
         vals = {}
         for out_idx in itertools.combinations(range(1, coords.side + 1), k):
             total = 0.0
@@ -181,11 +182,11 @@ def test_rotate_coords_matches_per_entry(rng, m, mode):
     side = coords.side
     # a single-plane turn leaves many minors exactly zero, so the zero filter runs too
     sparse = state_coords(m, mode=mode, grades={
-        k: {key: v for n, (key, v) in enumerate(t.items()) if n % 2 == 0}
-        for k, t in coords.grades.items()})
+        k: {key: v for n, (key, v) in enumerate(coords.grade(k).items()) if n % 2 == 0}
+        for k in coords.grades})
     for state, alpha in ((coords, random_tensor(rng, m, 2, side=side)),
                          (sparse, antisym(m, 2, {(1, 2): 0.7}, side=side))):
         el = orthogonal_from_generator(alpha)
         got = rotate_coords(state, el)
-        assert [(k, list(t.items())) for k, t in got.grades.items()] == \
+        assert [(k, list(got.grade(k).items())) for k in got.grades] == \
             _rotate_per_entry(state, el)
