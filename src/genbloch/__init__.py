@@ -30,8 +30,8 @@ _OWNERS = {name: module for module, names in {
     "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants"),
     "linalg": ("exp_minus_i_hermitian", "hermitian_eigenvalues", "matrix_from_json",
                "matrix_to_json"),
-    "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "normal_form",
-                "numeric_spectrum", "spectrum_from_values"),
+    "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "numeric_spectrum",
+                "spectrum_from_values"),
     "symmetry": ("orthogonal_from_generator", "rotate_coords"),
 }.items() for name in names}
 

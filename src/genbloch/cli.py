@@ -19,7 +19,7 @@ writes the answer's text, block by block, at one write site.  It parses
 argv and reads the inputs before it imports numpy, so a refused argv or
 input file costs no numpy import.
 Coords are encoded only by encode and where the matrix is used (validate's
-min_eigenvalue route, spectrum's oracle side); coords.encode refuses coords
+min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
 whose matrix rounds their trace away.
 
 A call builds only the parser it uses: when argv names a subcommand first,
@@ -46,7 +46,7 @@ import os
 import sys
 
 from . import DEFAULT_TOL
-from .errors import GenblochError, MalformedInput, UsageError, _json_text
+from .errors import GenblochError, MalformedInput, ModeMismatch, UsageError, _json_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,18 +54,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _state(obj, mode: str):
-    """(coords, rho) of a parsed matrix JSON, or (coords, None) of a parsed
-    coords JSON of a unit-trace state: an answer encodes coords only if it
-    uses their matrix."""
+def _state(obj, mode: str | None):
+    """(coords, rho) of a parsed matrix JSON, decoded in mode or standard, or
+    (coords, None) of a parsed coords JSON of a unit-trace state, ModeMismatch
+    unless mode is None or theirs: an answer encodes coords only if it uses
+    their matrix."""
     from .clifford import m_from_dim
     from .coords import coords_from_json, decode, require_unit_trace
     from .linalg import matrix_from_json
 
     if isinstance(obj, dict) and "dim" in obj:
         rho = matrix_from_json(obj, m_from_dim)
-        return decode(rho, mode=mode), rho
+        return decode(rho, mode=mode or "standard"), rho
     coords = coords_from_json(obj)
+    if mode not in (None, coords.mode):
+        raise ModeMismatch(f"--mode {mode} differs from the coords' own mode {coords.mode!r}")
     # the scalar is exactly the trace of the matrix the coords encode
     require_unit_trace(coords.scalar)
     return coords, None
@@ -245,7 +248,9 @@ def _declare(sub, name: str) -> None:
         for which in ("closed-form", "oracle", "both"):
             group.add_argument(f"--{which}", dest="which", action="store_const", const=which)
         p.set_defaults(which="both")
-    elif name == "validate":
+    if name in ("spectrum", "validate"):  # no --mode: coords keep their own mode
+        p.set_defaults(mode=None)
+    if name == "validate":
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     elif name == "sample":
         p.add_argument("--k", type=int, required=True)

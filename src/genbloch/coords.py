@@ -215,14 +215,21 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
 
 
 def encode(coords: StateCoords) -> np.ndarray:
-    """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices,
-    or ResourceLimit unless its trace lies within TRACE_TOL of the scalar coordinate."""
-    basis = clifford.cached_basis(coords.m, coords.mode)
-    coeffs = {0: coords.scalar}
-    for entries in coords.grades.values():
+    """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices."""
+    return encode_grades(coords.m, coords.mode, coords.scalar, coords.grades)
+
+
+def encode_grades(m: int, mode: str, scalar: float, grades: dict, check_trace: bool = True):
+    """encode of a state's parts, or of a stack's with an (n,) column per mask,
+    or ResourceLimit, with check_trace, unless each trace lies within
+    TRACE_TOL of the scalar."""
+    basis = clifford.cached_basis(m, mode)
+    coeffs = {0: scalar}
+    for entries in grades.values():
         coeffs.update(entries)
     rho = basis.expand(coeffs) / basis.dim
-    if not abs(np.trace(rho).real - coords.scalar) <= TRACE_TOL:
+    if check_trace and not np.all(abs(np.trace(rho, axis1=-2, axis2=-1).real - scalar)
+                                  <= TRACE_TOL):
         raise ResourceLimit("encoding these coordinates rounds their trace away "
                             "(input beyond floating-point range?)")
     return rho

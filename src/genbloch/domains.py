@@ -1,12 +1,15 @@
 """Admissibility of parameter configurations: generalized Bloch spheres.
 
-One rule decides every state (positivity): it is admissible when its
-smallest eigenvalue is >= -tol, and the constraint an inadmissible state
-violates is "positivity".  Two routes give lambda_min: "normal_form", the
-closed form spectra.sign_sums of a state in the so(2m+2) family
-(spectra.normal_form), reported by the invariants it uses: r and T4 of the
-bordered matrix M = [[0, v^T], [-v, G]] (invariants.bordered_invariants), mu
-and the sign of Pf M; and "min_eigenvalue", LAPACK's for any other state.
+One rule decides every state (admits): it is admissible when its smallest
+eigenvalue is >= -tol, and an inadmissible state violates "positivity".  One
+path gives lambda_min of one state or of a stack sharing (m, mode)
+(lowest_eigenvalues), on a route picked once per stack: "normal_form", the
+closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
+the invariants it uses (invariants.bordered_invariants), or "min_eigenvalue",
+LAPACK's (linalg).  positivity takes it for one state; sample_domain for its
+draws, in stacks of CHUNK_BYTES of density matrices, beside the same LAPACK
+oracle, and returns a table like figures.figure_columns: (column names, one
+array per column).
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -14,13 +17,6 @@ coordinate norm; the (r, T4) wedge of grade-2 configurations at m = 2 and
 its elliptic tunnels are drawn by the figures module and checked point by
 point in the identities module, with the characteristic-polynomial sign
 rule.
-
-The sampler decides whole arrays at once: sampled tensors go through the
-same closed form, stacked, and the stacked LAPACK oracle (linalg), in
-chunks of CHUNK_BYTES of density matrices; both smallest eigenvalues are
-held to positivity's rule with DEFAULT_TOL.  Like figures.figure_columns,
-sample_domain returns a table, (column names, one array per column), so a
-sample and a figure share one path to their output.
 """
 
 from __future__ import annotations
@@ -30,14 +26,14 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOL
-from .clifford import Record, _check_m, cached_basis, mask_indices
-from .coords import StateCoords, antisym_matrices, encode, require_unit_trace
+from .clifford import Record, _check_m, cached_basis
+from .coords import StateCoords, encode_grades, require_unit_trace
 from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
 from .invariants import InvariantSet, bordered_invariants
 from .linalg import hermitian_eigenvalues
-from .spectra import normal_form, normal_form_amplitudes, sign_sums
+from .spectra import bordered_parts, normal_form_amplitudes, sign_sums
 
-# sample_domain classifies draws in chunks whose rho stack takes this many
+# sample_domain decides its draws in stacks whose matrices take this many
 # bytes, so its peak memory does not grow with the sample count
 CHUNK_BYTES = 2 ** 20
 
@@ -63,10 +59,15 @@ class DomainVerdict(Record):
         }
 
 
+def admits(min_eig, tol: float = DEFAULT_TOL):
+    """The one positivity rule: lambda_min >= -tol, elementwise for an array."""
+    return min_eig >= -tol
+
+
 def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
                            invariants_used: InvariantSet | None = None) -> DomainVerdict:
-    """Positivity verdict from a smallest eigenvalue: admissible when it is >= -tol."""
-    admissible = min_eig >= -tol
+    """Positivity verdict from a smallest eigenvalue (admits)."""
+    admissible = admits(min_eig, tol)
     return DomainVerdict(
         admissible=admissible,
         boundary=admissible and abs(min_eig) <= tol,
@@ -76,28 +77,45 @@ def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
     )
 
 
-def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
-    """(verdict, route) for a state given as coords and as its density matrix
-    rho, or None to encode the coords only on the route that needs the matrix.
+def _oracle_minima(m: int, mode: str, scalar: float, grades: dict, rho=None,
+                   check_trace: bool = False):
+    """LAPACK's lambda_min of one state or of each of a stack: of rho, else of
+    the matrices the grades encode (coords.encode_grades)."""
+    rho = encode_grades(m, mode, scalar, grades, check_trace) if rho is None else rho
+    return hermitian_eigenvalues(rho)[..., 0]
 
-    A state of the so(2m+2) family takes route "normal_form": lambda_min from
-    spectra.sign_sums, reported by invariants.bordered_invariants and the
-    amplitudes mu with the sign of Pf M.  Every other state takes route
-    "min_eigenvalue": the LAPACK eigenvalues of rho.  Coords whose scalar
-    (the trace) is not 1 are no state: NonUnitTrace.
+
+def lowest_eigenvalues(m: int, mode: str, scalar: float, grades: dict, rho=None) -> tuple:
+    """(lambda_min, route, normal form) of one state or of a stack sharing
+    (m, mode) and the scalar: grades as spectra.bordered_parts reads them,
+    and rho their matrices, or None to encode them only if the route needs
+    them.  The route is "normal_form" when the grades lie in the so(2m+2)
+    family, with the normal form (M, G, G's values, mu, Pf M); else
+    "min_eigenvalue", with None.  The work and memory grow with the stack,
+    so a caller bounds them by the stacks it passes.
+    """
+    found = bordered_parts(m, mode, grades)
+    if found is None:
+        lam = _oracle_minima(m, mode, scalar, grades, rho, check_trace=True)
+        return lam, "min_eigenvalue", None
+    v, g, values = found
+    bordered, mu, pf = normal_form_amplitudes(m, v, g)
+    return sign_sums(scalar, mu, pf)[..., 0], "normal_form", (bordered, g, values, mu, pf)
+
+
+def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
+    """(verdict, route) of lowest_eigenvalues on one state, given as coords
+    and as its density matrix rho or None; a "normal_form" verdict reports
+    invariants.bordered_invariants.  Coords whose scalar (the trace) is not 1
+    are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
     require_unit_trace(coords.scalar)
-    found = normal_form(coords)
-    if found is None:
-        rho = encode(coords) if rho is None else rho
-        return min_eigenvalue_verdict(float(hermitian_eigenvalues(rho)[0]), tol), "min_eigenvalue"
-    bordered, g, mu, pf = found
-    inv = bordered_invariants(bordered, g, {"normal_form_amplitudes": mu.tolist(),
-                                            "pfaffian_sign": float(np.sign(pf))})
-    min_eig = float(sign_sums(coords.scalar, mu, pf)[0])
-    return min_eigenvalue_verdict(min_eig, tol, inv), "normal_form"
+    min_eig, route, found = lowest_eigenvalues(coords.m, coords.mode, coords.scalar,
+                                               coords.grades, rho)
+    inv = None if found is None else bordered_invariants(*found)
+    return min_eigenvalue_verdict(float(min_eig), tol, inv), route
 
 
 def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
@@ -121,21 +139,15 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
         raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")
     basis = cached_basis(m)
     masks = basis.masks[basis.grade[basis.masks] == k]
-    pairs = mask_indices(masks, k, 2 * m)
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-box, box, size=(n, len(masks)))
-    min_closed = np.empty(n)
-    oracle_min = np.empty(n)
+    draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(masks)))
+    min_closed, oracle_min = np.empty(n), np.empty(n)
     per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
     for lo in range(0, n, per):
-        chunk = draws[lo:lo + per]
-        # a grade-1 draw is v itself, a grade-2 draw G
-        v, g = (chunk, None) if k == 1 else (None, antisym_matrices(2 * m, pairs, chunk.T))
-        min_closed[lo:lo + per] = sign_sums(1.0, *normal_form_amplitudes(m, v, g)[1:])[:, 0]
-        rho = basis.expand({0: 1.0, **dict(zip(masks.tolist(), chunk.T))}) / basis.dim
-        oracle_min[lo:lo + per] = hermitian_eigenvalues(rho)[:, 0]
+        # a chunk of draws is one stack, a column per coefficient
+        grades = {k: dict(zip(masks.tolist(), draws[lo:lo + per].T))}
+        min_closed[lo:lo + per] = lowest_eigenvalues(m, "standard", 1.0, grades)[0]
+        oracle_min[lo:lo + per] = _oracle_minima(m, "standard", 1.0, grades)
     names = (["index"] + [f"c{i}" for i in range(len(masks))]
              + ["closed_admissible", "oracle_admissible", "boundary_margin"])
-    return names, [np.arange(n), *draws.T, min_closed >= -DEFAULT_TOL,
-                   oracle_min >= -DEFAULT_TOL, np.abs(min_closed)]
-
+    return names, [np.arange(n), *draws.T, admits(min_closed), admits(oracle_min),
+                   np.abs(min_closed)]

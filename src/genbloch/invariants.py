@@ -11,8 +11,9 @@ D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
 computes it; the epsilon sum itself and the dual-tensor identities are
 checked claims of the identities module.  pfaffian is Parlett-Reid
 elimination, O(n^3) on one matrix or a stack; the spectra module takes the
-chirality of its closed form from it too, at side 2m + 2.  Every r and T4
-of the package comes from frobenius_r and trace_T4 (bordered_invariants).
+chirality of its closed form from it too, at side 2m + 2.  Every T4 of the
+package comes from trace_T4, and every r adds squares in the order the
+entries are held, as frobenius_r does (bordered_invariants).
 """
 
 from __future__ import annotations
@@ -108,16 +109,18 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
 
 
-def bordered_invariants(bordered, g: AntisymTensor | None, extras: dict) -> InvariantSet:
-    """r and T4 of the bordered matrix M = [[0, v^T], [-v, G]] of a grade-1
-    part v and the grade-2 part G or None, as spectra.normal_form gives them:
-    r adds v's squares, then frobenius_r(G); T4 is trace_T4(M), or
+def bordered_invariants(bordered, g, g_values, mu, pf) -> InvariantSet:
+    """The invariants of one state's normal form (spectra.bordered_parts and
+    normal_form_amplitudes): r and T4 of M = [[0, v^T], [-v, G]], and in
+    extras the amplitudes mu and the sign of Pf M.  r adds v's squares, then
+    G's values in the order met, as frobenius_r does; T4 is trace_T4(M), or
     trace_T4(G) when v = 0, so a grade-2 state has the r and T4 of
     two_tensor_invariants bit for bit."""
     v = bordered[0, 1:]
-    r = float(sum_of_squares(v)) + (0.0 if g is None else frobenius_r(g))
+    r = float(sum_of_squares(v)) + float(sum_of_squares(g_values))
     t4 = trace_T4(g if g is not None and not v.any() else bordered)
-    return InvariantSet(r=r, T4=t4, extras=extras)
+    return InvariantSet(r=r, T4=t4, extras={"normal_form_amplitudes": mu.tolist(),
+                                            "pfaffian_sign": float(np.sign(pf))})
 
 
 def coords_invariants(coords: StateCoords) -> InvariantSet:

@@ -16,11 +16,12 @@ mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
 has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the identities module.
 
-bordered_parts recognises (v, G) in a StateCoords, normal_form_amplitudes
-builds M and gives (M, mu, Pf M) of one state or a stack, and sign_sums the
-eigenvalues; normal_form joins the first two for one StateCoords, and
-closed_form_spectrum and the domains module's positivity verdict both take
-it from there, the verdict's r and T4 from the same M.
+bordered_parts recognises (v, G) in the grades of one state or of a stack,
+normal_form_amplitudes builds M and gives (M, mu, Pf M), and sign_sums the
+eigenvalues, row by row.  closed_form_spectrum joins the three for one
+StateCoords; the domains module's decision path (domains.lowest_eigenvalues)
+joins them for a stack, and the positivity verdict takes its r and T4 from
+the same M.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import Record, m_from_dim
-from .coords import AntisymTensor, StateCoords, require_unit_trace, sum_of_squares
+from .coords import StateCoords, antisym_matrices, require_unit_trace, sum_of_squares
 from .errors import GradeMismatch, KindMismatch
 from .invariants import pfaffian
 from .linalg import as_matrix, hermitian_eigenvalues
@@ -104,80 +105,67 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
     return np.sort((scalar + total) / 2 ** m, axis=-1)
 
 
-def normal_form_amplitudes(m: int, v=None, g=None) -> tuple:
+def normal_form_amplitudes(m: int, v, g=None) -> tuple:
     """(M, mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side
     2m + 2, shape (..., 2m + 2, 2m + 2): M, its paired singular values
     mu_0 >= ... >= mu_m, shape (..., m + 1), and its Pfaffian, shape (...).
 
     v is a (..., n) array and g a (..., n', n') array of antisymmetric
-    matrices over the first n, n' <= 2m + 1 extended indices, or None for a
-    state without that part.  Without g, M has rank 2 and mu is (|v|, 0, ...,
+    matrices, or None for a state without one, over the first n, n' <= 2m + 1
+    extended indices.  Without g, M has rank 2 and mu is (|v|, 0, ...,
     0), |v| the square root of v's squares added left to right, so the
     doublet comes out exact.
     """
-    shape = v.shape[:-1] if v is not None else np.shape(g)[:-2] if g is not None else ()
-    bordered = np.zeros(shape + (2 * m + 2, 2 * m + 2))
-    mu = np.zeros(shape + (m + 1,))
-    if v is not None:
-        bordered[..., 0, 1:v.shape[-1] + 1] = v
-        bordered[..., 1:v.shape[-1] + 1, 0] = -v
-    if g is not None:
-        side = np.shape(g)[-1]
-        bordered[..., 1:side + 1, 1:side + 1] = g
-        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
-    elif v is not None:
+    bordered = np.zeros(v.shape[:-1] + (2 * m + 2, 2 * m + 2))
+    bordered[..., 0, 1:v.shape[-1] + 1] = v
+    bordered[..., 1:v.shape[-1] + 1, 0] = -v
+    if g is None:
+        mu = np.zeros(v.shape[:-1] + (m + 1,))
         mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
+    else:
+        bordered[..., 1:g.shape[-1] + 1, 1:g.shape[-1] + 1] = g
+        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
     return bordered, mu, pfaffian(bordered)
 
 
-def bordered_parts(coords: StateCoords):
-    """(v, G) when coords lie in the so(2m+2) family, else None.
+def bordered_parts(m: int, mode: str, grades: dict):
+    """(v, G, G's values) of states in the so(2m+2) family, else None.
 
-    v is the grade-1 part as an array over the 2m + 1 extended indices
-    (zeros for a state without one); G is the grade-2 part as a grade-2
-    AntisymTensor, over the first 2m indices when a standard-mode state has
-    no grade 2m - 1, None for a state without one.  A grade counts when it
-    has a nonzero entry; the scalar alone is v = 0.
+    grades is {k: {mask: value}} as StateCoords holds it, or for a stack of
+    states sharing (m, mode) an (n,) column per mask.  A grade counts when it
+    holds a nonzero value.  v is the grade-1 part over the 2m + 1 extended
+    indices, shape (..., 2m + 1); G the grade-2 part, (..., side, side) over
+    the first side = 2m indices when a standard-mode stack has no grade
+    2m - 1, else 2m + 1, or None; G's values in the order met, for r.
     """
-    m, n, standard = coords.m, 2 * coords.m + 1, coords.mode == "standard"
-    active = [k for k, entries in sorted(coords.grades.items())
-              if any(x != 0.0 for x in entries.values())]
+    n, standard = 2 * m + 1, mode == "standard"
+    first = next((x for entries in grades.values() for x in entries.values()), 0.0)
+    shape = getattr(first, "shape", ())
+    nonzero = np.any if shape else bool
+    active = [k for k, entries in sorted(grades.items()) if any(map(nonzero, entries.values()))]
     if not set(active) <= ({1, 2, 2 * m - 1, 2 * m} if standard else {1, 2}):
         return None
-    v, g = np.zeros(n), {}
+    v, g = np.zeros(shape + (n,)), {}
     for k in active:
-        for mask, x in coords.grades[k].items():
+        for mask, x in grades[k].items():
             if standard and k >= max(2, 2 * m - 1):  # to the complement (module docstring)
                 a = (mask ^ (1 << (n - 1)) - 1).bit_length()
                 mask, x = mask ^ (1 << n) - 1, (-1) ** (m if k == 2 * m else a + 1) * x
             low, high = (mask & -mask).bit_length(), mask.bit_length()
             if low == high:
-                v[low - 1] = x
+                v[..., low - 1] = x
             else:
                 g[low, high] = x
-    if not g:
-        return v, None
+    values = list(g.values())
     side = n if not standard or 2 * m - 1 in active else 2 * m
-    return v, AntisymTensor(m, 2, side, g)
-
-
-def normal_form(coords: StateCoords):
-    """(M, G, mu, Pf M) of a state of the so(2m+2) family: its bordered matrix
-    M = [[0, v^T], [-v, G]] and grade-2 part G (see bordered_parts) and their
-    amplitudes, or None outside it."""
-    parts = bordered_parts(coords)
-    if parts is None:
-        return None
-    v, g = parts
-    bordered, mu, pf = normal_form_amplitudes(coords.m, v, None if g is None else g.as_matrix())
-    return bordered, g, mu, pf
+    return v, antisym_matrices(side, list(g), values) if g else None, values
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
-    found = normal_form(coords)
+    found = bordered_parts(coords.m, coords.mode, coords.grades)
     if found is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "
                            "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")
-    _, _, mu, pf = found
+    _, mu, pf = normal_form_amplitudes(coords.m, *found[:2])
     return spectrum_from_values(coords.m, sign_sums(coords.scalar, mu, pf))

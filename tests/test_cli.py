@@ -525,8 +525,8 @@ def test_domain_refuses_flags_its_mode_does_not_use(g2_coords, capsys, argv):
 
 @pytest.mark.parametrize("domain, twin", [
     (["--input", "STATE"], ["validate", "--input", "STATE"]),
-    (["--tol", "0.5", "--input", "STATE", "--mode", "extended"],
-     ["validate", "--input", "STATE", "--mode", "extended", "--tol", "0.5"]),
+    (["--tol", "0.5", "--input", "STATE", "--mode", "standard"],
+     ["validate", "--input", "STATE", "--mode", "standard", "--tol", "0.5"]),
     (["--grid", "--resolution", "11"], ["figure", "fig1", "--resolution", "11"]),
     (["--grid", "--resolution", "5", "--format", "svg"],
      ["figure", "fig1", "--resolution", "5", "--format", "svg"]),
@@ -543,6 +543,25 @@ def test_domain_mode_prints_its_twin(g2_coords, capsys, domain, twin):
         code = run(_with_state(argv, g2_coords))
         answers.append((code, capsys.readouterr()))
     assert answers[0] == answers[1] and answers[0][0] == 0 and answers[0][1].out
+
+
+@pytest.mark.parametrize("command", [["validate"], ["spectrum"], ["domain"]],
+                         ids=["validate", "spectrum", "domain"])
+@pytest.mark.parametrize("own, flag", [(None, "extended"), ("standard", "extended"),
+                                       ("extended", "standard")])
+def test_mode_flag_naming_another_mode_is_refused(tmp_path, capsys, command, own, flag):
+    # coords carry their own mode ("mode", standard when absent); a --mode
+    # that names the other one is refused, not ignored
+    obj = {"m": 2, "grades": {"1": [{"idx": [1], "val": 0.3}]}, **({"mode": own} if own else {})}
+    path = write_json(tmp_path / "v.json", obj)
+    assert run([*command, "--input", path, "--mode", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert captured.err.startswith(f"genbloch: error: --mode {flag} differs")
+    # naming the coords' own mode, or leaving the flag out, answers
+    for argv in ([*command, "--input", path, "--mode", own or "standard"],
+                 [*command, "--input", path]):
+        assert run(argv) == 0 and capsys.readouterr().out
 
 
 def test_output_dir_override(tmp_path, monkeypatch, g2_coords):
@@ -708,18 +727,17 @@ def test_encode_scalar_not_one(tmp_path, capsys):
                                     {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}],
                          ids=["vector", "grade2", "vector-grade2"])
 def test_pure_coords_answered_without_encoding(tmp_path, capsys, monkeypatch, argv, grades):
-    # a state of the so(6) family is answered from its coords alone
-    from genbloch.coords import encode
+    # a state of the so(6) family is answered from its coords alone: no
+    # matrix is expanded from them, by encode or by the stacked oracle
+    from genbloch.clifford import CliffordBasis
 
-    def refuse(coords):
+    def refuse(basis, coeffs):
         raise AssertionError("encode called")
 
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("genbloch") and getattr(module, "encode", None) is encode:
-            monkeypatch.setattr(module, "encode", refuse)
+    monkeypatch.setattr(CliffordBasis, "expand", refuse)
     path = write_json(tmp_path / "c.json", coords_to_json(state_coords(2, grades=grades)))
     assert run([*argv, "--input", path]) == 0, capsys.readouterr().err
-    # a state without a closed form does reach the patched encode
+    # a state without a closed form does reach the patched expansion
     mixed = state_coords(3, grades={1: {(1,): 0.3}, 3: {(1, 2, 3): 0.2}})
     with pytest.raises(AssertionError, match="encode called"):
         run(["validate", "--input", write_json(tmp_path / "mixed.json", coords_to_json(mixed))])

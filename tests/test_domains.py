@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genbloch import domains, spectra
+from genbloch.clifford import cached_basis
 from genbloch.coords import (
     AntisymTensor,
+    StateCoords,
     antisym,
     encode,
     state_coords,
@@ -202,12 +204,12 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
         return
     assert route == "normal_form"
     used = verdict.invariants_used.to_dict()
-    v, g = spectra.bordered_parts(coords)
-    _, mu, pf = spectra.normal_form_amplitudes(m, v, None if g is None else g.as_matrix())
+    v, g, g_values = spectra.bordered_parts(m, coords.mode, coords.grades)
+    _, mu, pf = spectra.normal_form_amplitudes(m, v, g)
     r = sum(coords.grade(k).norm_sq() for k in coords.grades)
     assert used["r"] == pytest.approx(r, rel=1e-12)
     # bit for bit: v's squares in index order, then G's entries
-    assert used["r"] == float(sum_of_squares(v)) + (0.0 if g is None else g.norm_sq())
+    assert used["r"] == float(sum_of_squares(v)) + float(sum_of_squares(g_values))
     # T4 = trace((M^T M)^2) = 2 sum mu^4, the amplitudes being LAPACK singular
     # values of M (side 2m + 2): equal to within (2m + 2)^2 float64 eps
     eps = np.finfo(float).eps
@@ -452,6 +454,44 @@ def test_sample_domain_vector_margin_is_the_doublet(m):
     assert np.array_equal(columns[-1], np.abs((1 - np.sqrt(r)) / 2 ** m))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.sampled_from(["standard", "extended"]), st.booleans(),
+       st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_stack_rows_decide_as_one_state(m, mode, family, n, seed, held):
+    # a stack of n states sharing (m, mode) and masks takes one route, and
+    # each row gets the lambda_min and route of its state decided alone
+    rng = np.random.default_rng(seed)
+    basis = cached_basis(m, mode)
+    closed = {1, 2, 2 * m - 1, 2 * m} if mode == "standard" else {1, 2}
+    grades_of = {k: basis.masks[basis.grade[basis.masks] == k]
+                 for k in range(1, basis.max_grade + 1)}
+    ks = [k for k in grades_of if k in closed and rng.random() < 0.7] or [1]
+    others = [k for k in grades_of if k not in closed]
+    if others and not family:
+        ks.append(int(rng.choice(others)))
+    stack = {}
+    for k in sorted(ks):
+        masks = rng.choice(grades_of[k], size=min(len(grades_of[k]), int(rng.integers(1, 5))),
+                           replace=False)
+        # nonzero values, so each row holds every mask of the stack
+        stack[k] = {int(mask): rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.02, 0.6, size=n)
+                    for mask in masks}
+    states = [StateCoords(m, mode, 1.0, {k: {mask: float(col[row]) for mask, col in e.items()}
+                                         for k, e in stack.items()}) for row in range(n)]
+    rho = np.array([encode(state) for state in states]) if held else None
+    lam, route, _ = domains.lowest_eigenvalues(m, mode, 1.0, stack, rho)
+    assert lam.shape == (n,)
+    assert route == ("normal_form" if set(ks) <= closed else "min_eigenvalue")
+    for row, state in enumerate(states):
+        alone = None if rho is None else rho[row]
+        one, one_route, _ = domains.lowest_eigenvalues(m, mode, 1.0, state.grades, alone)
+        verdict, verdict_route = positivity(state, alone)
+        assert route == one_route == verdict_route
+        assert lam[row].tobytes() == np.float64(one).tobytes()
+        assert verdict.to_dict() == domains.min_eigenvalue_verdict(
+            float(lam[row]), invariants_used=verdict.invariants_used).to_dict()
+
+
 @pytest.mark.parametrize("grades", [
     {1: {(1,): 0.3}, 4: {(1, 2, 3, 4): 0.2}},
     {2: {(1, 2): 0.6, (3, 4): 0.3}},
@@ -462,19 +502,19 @@ def test_positivity_classifies_once(monkeypatch, grades):
     # from it, without asking closed_form_spectrum to recognise it again
     calls = []
 
-    def counting(coords, _bordered_parts=spectra.bordered_parts):
-        calls.append(coords)
-        return _bordered_parts(coords)
+    def counting(m, mode, held, _bordered_parts=spectra.bordered_parts):
+        calls.append(held)
+        return _bordered_parts(m, mode, held)
 
     def refused(coords):
         raise AssertionError("positivity called closed_form_spectrum")
 
-    monkeypatch.setattr(spectra, "bordered_parts", counting)
     for module in (domains, spectra):
+        monkeypatch.setattr(module, "bordered_parts", counting)
         monkeypatch.setattr(module, "closed_form_spectrum", refused, raising=False)
     coords = state_coords(2, grades=grades)
     verdict, _ = positivity(coords, None)
-    assert len(calls) == 1 and calls[0] is coords and verdict.admissible
+    assert len(calls) == 1 and calls[0] is coords.grades and verdict.admissible
 
 
 def test_closed_form_vector_with_pseudoscalar():

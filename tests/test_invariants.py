@@ -32,7 +32,7 @@ from genbloch.invariants import (
     trace_T4,
     two_tensor_invariants,
 )
-from genbloch.spectra import normal_form
+from genbloch.spectra import bordered_parts, normal_form_amplitudes
 from genbloch.symmetry import orthogonal_from_generator
 
 from conftest import random_tensor
@@ -274,8 +274,10 @@ def test_invariant_set_builders(rng):
     assert inv.r >= 0 and inv.T4 >= 0 and inv.D3 is not None
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
     # a vector's r adds the pseudoscalar's square (the normal_form verdict's r)
-    bordered, g, _, _ = normal_form(state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}}))
-    assert abs(bordered_invariants(bordered, g, {}).r - 1.0) < 1e-15
+    coords = state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}})
+    v, g, g_values = bordered_parts(2, coords.mode, coords.grades)
+    bordered, mu, pf = normal_form_amplitudes(2, v, g)
+    assert abs(bordered_invariants(bordered, g, g_values, mu, pf).r - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
 
