@@ -14,6 +14,9 @@ from importlib import import_module
 
 # the tolerance of every admissibility rule, kept here so the CLI reads it without numpy
 DEFAULT_TOL = 1e-9
+# the most rows a table answer may have: a figure's candidate rows (fig1 up to
+# resolution 1024) or the basis dump's 16^m matrix entries (m up to 5)
+MAX_ROWS = 2 ** 20
 
 # public name -> the module that defines it
 _OWNERS = {name: module for module, names in {

@@ -45,8 +45,9 @@ import json
 import os
 import sys
 
-from . import DEFAULT_TOL
-from .errors import GenblochError, MalformedInput, ModeMismatch, UsageError, _json_text
+from . import DEFAULT_TOL, MAX_ROWS
+from .errors import (GenblochError, MalformedInput, ModeMismatch, ResourceLimit, UsageError,
+                     _json_text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +79,11 @@ def _answer_basis(args) -> tuple:
     from . import clifford
     from .text import _json_document, _matrix_text
 
+    if not (args.verify or args.element):
+        clifford._check_m(args.m)  # an unsupported m keeps its own refusal
+        if 16 ** args.m > MAX_ROWS:
+            raise ResourceLimit(f"the basis dump at m = {args.m} has {16 ** args.m} matrix "
+                                f"entries, above the maximum {MAX_ROWS}")
     basis = clifford.full_basis(args.m, args.mode)
     if args.verify:
         return clifford.verify_algebra(basis), 0

@@ -9,15 +9,16 @@ decided over its whole grid by one array form of the inequalities
 and fig3 are point clouds of the elliptic tunnel surfaces
 alpha_pm = sqrt((x +- y)^2 + z^2) of the slice (G_12, G_34, G_23) = (x, y, z);
 fig3 keeps the points inside both tunnels (_tunnel_family, shared with
-identities.tunnel_membership).  A figure is built as columns (figure_columns),
-one array per column of every output format, and fig1's two boundary curves
-as (r, T4) columns (boundary_curves).  No figure has more than
-MAX_FIGURE_ROWS candidate rows.
+identities.tunnel_membership).  The mirror y -> -y (G_34 -> -G_34) swaps
+alpha_plus and alpha_minus, so each level's alpha_plus surface is built once
+and mirrored.  A figure is built as columns (figure_columns), one array per
+column of every output format, and fig1's two boundary curves as (r, T4)
+columns (boundary_curves).  No figure has more than MAX_ROWS candidate rows.
 
 The module computes no invariant: fig1's r and T4 are grid values, and the
 tunnels need only alpha_pm.  It imports nothing of the package but
-DEFAULT_TOL and the errors, so the CLI can draw a figure without loading
-the algebra.
+DEFAULT_TOL, MAX_ROWS and the errors, so the CLI can draw a figure without
+loading the algebra.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ import math
 
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, MAX_ROWS
 from .errors import BadResolution, MalformedInput, ResourceLimit
 
-# a figure's largest resolution: fig1 then has about 10^6 grid rows
-MAX_RESOLUTION = 1001
-# a figure's largest candidate row count: fig1's resolution^2 grid rows, or
-# 2 resolution (3 resolution + 1) points on each tunnel surface of fig2 (two
-# surfaces) and fig3 (four), counted before the fig3 clip
-MAX_FIGURE_ROWS = 2 ** 20
+# the half-width of the cube that holds every tunnel surface point
+_BOX = 1.5
 
 
 # the (r, T4) constraints in the order of _rT4_family's rows
@@ -60,24 +57,20 @@ def _tunnel_family(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     return np.hypot(x + y, z), np.hypot(x - y, z)
 
 
-def _tunnel_surface_points(kind: str, level: float, resolution: int, box: float) -> tuple:
-    """Parametric points of alpha_kind = level inside the box, as x, y, z columns."""
+def _tunnel_surface_points(level: float, resolution: int) -> tuple:
+    """Parametric points of alpha_plus = level inside the box, as x, y, z columns."""
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
-    ts = np.linspace(-2.0 * box, 2.0 * box, 3 * resolution + 1)
+    ts = np.linspace(-2.0 * _BOX, 2.0 * _BOX, 3 * resolution + 1)
     # math.cos/sin (not np.cos/sin, which may differ in the last bit) keep the
     # coordinates of earlier releases
-    u = np.array([level * math.cos(theta) for theta in thetas])[:, None]  # x + y or x - y
+    u = np.array([level * math.cos(theta) for theta in thetas])[:, None]  # x + y
     z = np.array([level * math.sin(theta) for theta in thetas])[:, None]
-    if kind == "alpha_plus":
-        x, y = (u + ts) / 2.0, (u - ts) / 2.0
-    else:
-        x, y = (ts + u) / 2.0, (ts - u) / 2.0
-    x, y, z = x.ravel(), y.ravel(), np.repeat(z.ravel(), len(ts))
-    inside = (np.abs(x) <= box) & (np.abs(y) <= box) & (np.abs(z) <= box)
+    x, y, z = ((u + ts) / 2.0).ravel(), ((u - ts) / 2.0).ravel(), np.repeat(z.ravel(), len(ts))
+    inside = (np.abs(x) <= _BOX) & (np.abs(y) <= _BOX) & (np.abs(z) <= _BOX)
     return x[inside], y[inside], z[inside]
 
 
-# (kind, level) of the tunnel surfaces drawn in fig2 and fig3
+# (kind, level) of the tunnel surfaces drawn in fig2 and fig3, in output order
 _SURFACES = {
     "fig2": (("alpha_plus", 1.0), ("alpha_minus", 1.0)),
     "fig3": (("alpha_plus", 1.0), ("alpha_plus", 0.1),
@@ -96,17 +89,24 @@ def _fig1_columns(resolution: int) -> list:
 
 def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     """x, y, z and surface_id of the points of fig2 (every candidate) or fig3
-    (the admissible ones, optionally only those in the paper's unit cube)."""
-    parts, tags = [], []
+    (the admissible ones, optionally only those in the paper's unit cube).
+    alpha_minus = level is alpha_plus = level mirrored, fig3's tunnel clip
+    included: the clip is symmetric in alpha_pm."""
+    surfaces, parts, tags = {}, [], []
     for kind, level in _SURFACES[which]:
-        x, y, z = _tunnel_surface_points(kind, level, resolution, box=1.5)
-        if which == "fig3":
-            ap, am = _tunnel_family(x, y, z)
-            keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
-            if paper_cube:
-                for col in (x, y, z):
-                    keep &= (col >= -1e-12) & (col <= 1 + 1e-12)
-            x, y, z = x[keep], y[keep], z[keep]
+        if level not in surfaces:
+            x, y, z = _tunnel_surface_points(level, resolution)
+            if which == "fig3":
+                ap, am = _tunnel_family(x, y, z)
+                keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
+                x, y, z = x[keep], y[keep], z[keep]
+            surfaces[level] = x, y, z
+        x, y, z = surfaces[level]
+        if kind == "alpha_minus":
+            y = 0.0 - y  # -y would turn the +0.0 of (t - u) / 2 into -0.0
+        if paper_cube and which == "fig3":
+            cols = np.stack([x, y, z])
+            x, y, z = cols[:, ((cols >= -1e-12) & (cols <= 1 + 1e-12)).all(axis=0)]
         parts.append((x, y, z))
         tags.append(f"{kind}={level:g}")
     x, y, z = (np.concatenate(cols) for cols in zip(*parts))
@@ -116,19 +116,18 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
 
 def _check_figure(which: str, resolution) -> int:
     """The resolution as an int, once which and resolution name a dataset of
-    at most MAX_FIGURE_ROWS candidate rows."""
+    at most MAX_ROWS candidate rows: fig1's grid rows, or the points of every
+    tunnel surface drawn, counted before the fig3 clip."""
     if not isinstance(resolution, (int, np.integer)) or resolution < 2:
         raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
-    if resolution > MAX_RESOLUTION:
-        raise ResourceLimit(f"resolution {resolution} exceeds the maximum {MAX_RESOLUTION}")
     if which != "fig1" and which not in _SURFACES:
         raise BadResolution(f"unknown figure {which!r}")
     resolution = int(resolution)
     rows = (resolution ** 2 if which == "fig1"
             else len(_SURFACES[which]) * 2 * resolution * (3 * resolution + 1))
-    if rows > MAX_FIGURE_ROWS:
+    if rows > MAX_ROWS:
         raise ResourceLimit(f"{which} at resolution {resolution} has {rows} candidate rows, "
-                            f"above the maximum {MAX_FIGURE_ROWS}")
+                            f"above the maximum {MAX_ROWS}")
     return resolution
 
 

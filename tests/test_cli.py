@@ -957,12 +957,13 @@ def test_sample_unsupported_m_exit_1(capsys, m):
 def test_figure_resolution_limit(capsys, monkeypatch):
     from genbloch import figures
 
-    assert run(["figure", "fig1", "--resolution", str(figures.MAX_RESOLUTION + 1)]) == 1
+    # fig1's resolution^2 grid rows reach the row limit at resolution 1024
+    assert run(["figure", "fig1", "--resolution", "1025"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_diagnostic(captured)
     # the largest resolution passes validation (the dataset itself is not built here)
     monkeypatch.setattr(figures, "_fig1_columns", lambda resolution: {"resolution": resolution})
-    assert figures.figure_columns("fig1", figures.MAX_RESOLUTION)[1] == {"resolution": 1001}
+    assert figures.figure_columns("fig1", 1024)[1] == {"resolution": 1024}
 
 
 def test_csv_row_numpy_scalars():
@@ -1277,15 +1278,15 @@ def test_figure_row_limit(capsys, monkeypatch):
         return surfaces * 2 * resolution * (3 * resolution + 1)
 
     # the benchmark's resolutions and fig1 at its largest resolution stay allowed
-    for which, resolution in [("fig1", figures.MAX_RESOLUTION), ("fig2", 101), ("fig3", 26),
-                              ("fig3", 28)]:
+    for which, resolution in [("fig1", 1024), ("fig2", 101), ("fig3", 26), ("fig3", 28)]:
         assert figures._check_figure(which, resolution) == resolution
+    with pytest.raises(ResourceLimit):
+        figures._check_figure("fig1", 1025)
     # the first resolution above the limit is refused before any point is built
     monkeypatch.setattr(figures, "_tunnel_surface_points", None)
     for which in ("fig2", "fig3"):
-        resolution = next(r for r in range(2, figures.MAX_RESOLUTION)
-                          if candidates(which, r) > figures.MAX_FIGURE_ROWS)
-        assert candidates(which, resolution - 1) <= figures.MAX_FIGURE_ROWS
+        resolution = next(r for r in range(2, 1024) if candidates(which, r) > figures.MAX_ROWS)
+        assert candidates(which, resolution - 1) <= figures.MAX_ROWS
         with pytest.raises(ResourceLimit):
             figures.figure_columns(which, resolution)
         assert run(["figure", which, "--resolution", str(resolution)]) == 1
@@ -1294,14 +1295,14 @@ def test_figure_row_limit(capsys, monkeypatch):
     monkeypatch.undo()
     # at the limit a dataset is built; one row above it, it is refused
     for which in ("fig2", "fig3"):
-        monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5))
+        monkeypatch.setattr(figures, "MAX_ROWS", candidates(which, 5))
         assert len(table_rows(figures.figure_columns(which, 5)[1])) > 0
-        monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", candidates(which, 5) - 1)
+        monkeypatch.setattr(figures, "MAX_ROWS", candidates(which, 5) - 1)
         with pytest.raises(ResourceLimit):
             figures.figure_columns(which, 5)
-    monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5)
+    monkeypatch.setattr(figures, "MAX_ROWS", 5 * 5)
     assert len(table_rows(figures.figure_columns("fig1", 5)[1])) == 25
-    monkeypatch.setattr(figures, "MAX_FIGURE_ROWS", 5 * 5 - 1)
+    monkeypatch.setattr(figures, "MAX_ROWS", 5 * 5 - 1)
     with pytest.raises(ResourceLimit):
         figures.figure_columns("fig1", 5)
 
@@ -1472,3 +1473,206 @@ def test_coords_json_refuses_non_finite():
                                  wire_entries=lambda k, entries=entries: entries)
         with pytest.raises(NonFiniteResult, match="not finite"):
             _coords_text(coords)
+
+
+def test_basis_dump_row_limit(capsys, monkeypatch):
+    from genbloch import cli, clifford
+
+    # the full dump has 16^m matrix entries: refused above the row limit before
+    # any basis is built, while --element, --verify and m's own refusals stay
+    monkeypatch.setattr(cli, "MAX_ROWS", 16 ** 2)
+    calls = []
+    monkeypatch.setattr(clifford, "full_basis", lambda *a: calls.append(a))
+    for mode in ("standard", "extended"):
+        assert run(["basis", "--m", "3", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_diagnostic(captured)
+        assert "above the maximum 256" in captured.err
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_ROWS", 16 ** 2)
+    assert run(["basis", "--m", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 16
+    for argv in (["basis", "--m", "3", "--verify"], ["basis", "--m", "3", "--element", "1:2"]):
+        assert run(argv) == 0
+        capsys.readouterr()
+    for m, message in [("7", "exceeds the supported maximum 6"), ("0", "positive integer")]:
+        assert run(["basis", "--m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_diagnostic(captured) and message in captured.err
+
+
+# The CLI contract over generated calls: argv from each subcommand's own
+# parser (built from cli._COMMANDS), and --input/--alpha files of coords,
+# matrix and generator JSON, valid or with one field mutated.
+_NUMBERS = st.one_of(st.floats(-0.4, 0.4), st.sampled_from([0.0, -0.0, 1.5, 1e300, -1e-300]))
+_BAD_VALUES = st.sampled_from([None, True, "0.5", [], {}, 2.5, 7, 0, -1, float("inf"),
+                               float("nan"), 10 ** 400])
+
+
+# one m for every document of a call, so rotate's generator fits its state
+_DOC_M = st.shared(st.integers(1, 3), key="m")
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc, or doc with one field, found by a drawn path, set to a bad value."""
+    if draw(st.integers(0, 3)) < 3:
+        return doc
+    paths, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            paths.append(path + (key,))
+            if isinstance(value, (dict, list)):
+                stack.append((path + (key,), value))
+    path = draw(st.sampled_from(paths))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    # a list may instead be doubled: too many entries, or an index or pair too long
+    twice = isinstance(value, list) and draw(st.booleans())
+    node[path[-1]] = value * 2 if twice else draw(_BAD_VALUES)
+    return doc
+
+
+@st.composite
+def _entries(draw, side, grades):
+    return [{"idx": draw(st.lists(st.integers(1, side), min_size=k, max_size=k, unique=True)),
+             "val": draw(_NUMBERS)} for k in grades]
+
+
+@st.composite
+def _coords_doc(draw):
+    m = draw(_DOC_M)
+    mode = draw(st.sampled_from(["standard", "extended"]))
+    side = 2 * m + (mode == "extended")
+    grades = {}
+    top = min(m if mode == "extended" else side, 3)
+    for entry in draw(_entries(side, draw(st.lists(st.integers(1, top), max_size=3)))):
+        grades.setdefault(str(len(entry["idx"])), []).append(entry)
+    doc = {"m": m, "grades": grades}
+    if mode == "extended" or draw(st.booleans()):
+        doc["mode"] = mode
+    return draw(_mutated(doc))
+
+
+@st.composite
+def _matrix_doc(draw):
+    m = draw(_DOC_M)
+    dim = 2 ** m
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T + draw(st.floats(-2, 0)) * np.eye(dim)
+    return draw(_mutated(matrix_to_json(rho / np.trace(rho).real)))
+
+
+@st.composite
+def _alpha_doc(draw):
+    m = draw(_DOC_M)
+    return draw(_mutated({"m": m, "alpha": draw(_entries(2 * m, [2] * draw(st.integers(0, 3))))}))
+
+
+# each subcommand's --input documents, and rotate's --alpha; the other
+# subcommands read coords or a matrix
+_DOCS = {"encode": _coords_doc(), "invariants": _coords_doc(), "rotate": _coords_doc(),
+         "decode": _matrix_doc(), "--alpha": _alpha_doc()}
+
+
+def _mostly(good, bad):
+    """good four times in five, else bad."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 4 else good)
+
+
+# each flag's values, mostly valid ones, at m <= 3
+_FLAG_VALUES = {
+    "m": _mostly(st.integers(1, 3), st.just(0)), "k": _mostly(st.integers(1, 2), st.just(3)),
+    "samples": _mostly(st.integers(0, 20), st.just(-1)),
+    "resolution": _mostly(st.integers(2, 8), st.just(1)),
+    "seed": _mostly(st.integers(0, 2 ** 32 - 1), st.sampled_from([-1, 2 ** 32])),
+    "box": _mostly(st.floats(0, 2), st.sampled_from([-1.0, 1e308, float("nan")])),
+    "tol": _mostly(st.floats(0, 1e-3), st.sampled_from([-1.0, float("inf")])),
+    "element": _mostly(st.sampled_from(["2:1,3", "1:2", "3:1,2,4"]),
+                       st.sampled_from(["0:", "x", "2:1,1", "2:1"]) | st.text(max_size=5)),
+}
+
+
+def _subcommand_actions(name):
+    """The arguments subcommand name declares, from the parser run() builds for it."""
+    from genbloch import cli
+
+    sub = next(a for a in cli.build_parser([name])._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[name]._actions if a.dest not in ("help", "output")]
+
+
+@st.composite
+def _args(draw, name, skip=()):
+    """argv for subcommand name's own arguments, each optional flag drawn or not,
+    each value drawn from the flag's choices, _FLAG_VALUES or _DOCS."""
+    argv, docs = [], {}
+    for action in _subcommand_actions(name):
+        flag = action.option_strings[0] if action.option_strings else None
+        # a required argument is left out one time in 20, an optional one two times in 3
+        if flag in skip or draw(st.integers(0, 19).map(lambda i: i == 19)
+                                if action.required or flag is None
+                                else st.integers(0, 2).map(lambda i: i > 0)):
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if flag in ("--input", "--alpha"):
+            either = _coords_doc() | _matrix_doc()
+            value = docs[flag] = draw(_DOCS.get(name if flag == "--input" else flag, either))
+        elif action.choices:
+            value = draw(_mostly(st.sampled_from(action.choices), st.just("bogus")))
+        else:
+            value = draw(_FLAG_VALUES[action.dest])
+        argv += [flag, value] if flag else [value]
+    return argv, docs
+
+
+@st.composite
+def _cli_calls(draw, name):
+    argv, docs = draw(_args(name))
+    if name == "domain":
+        # a domain mode hands the rest of argv to the subcommand it runs
+        modes = [flag for flag in ("--input", "--grid", "--samples") if flag in argv]
+        if len(modes) == 1:
+            target = {"--input": "validate", "--grid": "figure", "--samples": "sample"}[modes[0]]
+            rest, more = draw(_args(target, skip=(None, "--input", "--samples")))
+            argv, docs = argv + rest, {**docs, **more}
+    return [name, *argv], docs
+
+
+@pytest.mark.parametrize("name", list(genbloch.cli._COMMANDS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_contract_on_generated_calls(name, data):
+    import contextlib
+    import io
+    import tempfile
+
+    argv, docs = data.draw(_cli_calls(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        for flag, doc in docs.items():
+            path = os.path.join(tmp, f"{flag[2:]}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = [path if arg is doc else arg for arg in argv]  # the doc's own slot
+        argv = [str(arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert argv[0] == "validate" or (argv[0] == "domain" and "--input" in argv), argv
+    if code == 1:
+        assert out == "" and err.count("\n") == 1 and err.startswith("genbloch: "), (argv, err)
+    else:
+        assert err == "" and out.endswith("\n"), (argv, err)
+        if out.startswith(("{", "[")):
+            json.loads(out, parse_constant=lambda word: pytest.fail(f"{word} in {argv}"))

@@ -634,16 +634,26 @@ def _surface_points_per_point(kind, level, resolution, box):
     return pts
 
 
+def _bits(rows) -> bytes:
+    """The x, y, z of table rows as bytes: equal only bit for bit, signed zeros included."""
+    return np.array([row[:3] for row in rows], dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("resolution", [6, 26])
 def test_fig3_matches_tunnel_membership(resolution):
     in_cube = lambda v: -1e-12 <= v <= 1 + 1e-12  # noqa: E731
     expected = {False: [], True: []}
+    fig2 = []
     for kind, level in [("alpha_plus", 1.0), ("alpha_plus", 0.1),
                         ("alpha_minus", 1.0), ("alpha_minus", 0.01)]:
         candidates = _surface_points_per_point(kind, level, resolution, 1.5)
-        columns = _tunnel_surface_points(kind, level, resolution, 1.5)
+        x, y, z = _tunnel_surface_points(level, resolution)
+        # alpha_minus = level is the mirror y -> 0.0 - y of alpha_plus = level
+        columns = (x, 0.0 - y, z) if kind == "alpha_minus" else (x, y, z)
         # bit for bit, signed zeros included
         assert np.array(candidates).tobytes() == np.column_stack(columns).tobytes()
+        if level == 1.0:
+            fig2 += [(x, y, z, f"{kind}={level:g}") for x, y, z in candidates]
         for x, y, z in candidates:
             if tunnel_membership(x, y, z).admissible:
                 row = (x, y, z, f"{kind}={level:g}")
@@ -653,7 +663,11 @@ def test_fig3_matches_tunnel_membership(resolution):
     for paper_cube in (False, True):
         points = table_rows(figure_columns("fig3", resolution, paper_cube=paper_cube)[1])
         assert points == expected[paper_cube]
+        assert _bits(points) == _bits(expected[paper_cube])
     assert 0 < len(expected[True]) < len(expected[False])
+    # fig2 draws every candidate of both level-1 surfaces
+    points = table_rows(figure_columns("fig2", resolution)[1])
+    assert points == fig2 and _bits(points) == _bits(fig2)
 
 
 def test_fig3_paper_cube_subset():
