@@ -175,8 +175,6 @@ def _answer_sample(args) -> tuple:
 
 
 def _answer_figure(args) -> tuple:
-    if args.paper_cube and args.which != "fig3":
-        raise UsageError("--paper-cube applies to fig3 only")
     import numpy as np
 
     from . import figures

@@ -5,11 +5,11 @@ eigenvalue is >= -tol, and an inadmissible state violates "positivity".  One
 path gives lambda_min of one state or of a stack sharing (m, mode)
 (lowest_eigenvalues), on a route picked once per stack: "normal_form", the
 closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
-the invariants it uses (invariants.bordered_invariants), or "min_eigenvalue",
-LAPACK's (linalg).  positivity takes it for one state; sample_domain for its
-draws, in stacks of CHUNK_BYTES of density matrices, beside the same LAPACK
-oracle, and returns a table like figures.figure_columns: (column names, one
-array per column).
+invariants.coords_invariants with the normal form it used, or
+"min_eigenvalue", LAPACK's (linalg).  positivity takes it for one state;
+sample_domain for its draws, in stacks of CHUNK_BYTES of density matrices,
+beside the same LAPACK oracle, and returns a table like
+figures.figure_columns: (column names, one array per column).
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -28,10 +28,10 @@ import numpy as np
 from . import DEFAULT_TOL
 from .clifford import Record, _check_m, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
-from .errors import GradeOutOfRange, MalformedInput, ResourceLimit
-from .invariants import InvariantSet, bordered_invariants
-from .linalg import hermitian_eigenvalues
-from .spectra import bordered_parts, normal_form_amplitudes, sign_sums
+from .errors import DimensionMismatch, GradeOutOfRange, MalformedInput, ResourceLimit
+from .invariants import InvariantSet, coords_invariants
+from .linalg import as_matrix, hermitian_eigenvalues
+from .spectra import normal_form, sign_sums
 
 # sample_domain decides its draws in stacks whose matrices take this many
 # bytes, so its peak memory does not grow with the sample count
@@ -90,31 +90,31 @@ def lowest_eigenvalues(m: int, mode: str, scalar: float, grades: dict, rho=None)
     (m, mode) and the scalar: grades as spectra.bordered_parts reads them,
     and rho their matrices, or None to encode them only if the route needs
     them.  The route is "normal_form" when the grades lie in the so(2m+2)
-    family, with the normal form (M, G, G's values, mu, Pf M); else
+    family, with the normal form (mu, Pf M) of spectra.normal_form; else
     "min_eigenvalue", with None.  The work and memory grow with the stack,
     so a caller bounds them by the stacks it passes.
     """
-    found = bordered_parts(m, mode, grades)
-    if found is None:
+    normal = normal_form(m, mode, grades)
+    if normal is None:
         lam = _oracle_minima(m, mode, scalar, grades, rho, check_trace=True)
         return lam, "min_eigenvalue", None
-    v, g, values = found
-    bordered, mu, pf = normal_form_amplitudes(m, v, g)
-    return sign_sums(scalar, mu, pf)[..., 0], "normal_form", (bordered, g, values, mu, pf)
+    return sign_sums(scalar, *normal)[..., 0], "normal_form", normal
 
 
 def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     """(verdict, route) of lowest_eigenvalues on one state, given as coords
-    and as its density matrix rho or None; a "normal_form" verdict reports
-    invariants.bordered_invariants.  Coords whose scalar (the trace) is not 1
-    are no state: NonUnitTrace.
+    and as its 2^m x 2^m density matrix rho or None; a "normal_form" verdict
+    reports invariants.coords_invariants with the normal form it used.
+    Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
+    if rho is not None and as_matrix(rho).shape != (2 ** coords.m,) * 2:
+        raise DimensionMismatch(f"rho of shape {np.shape(rho)} is not 2^m x 2^m at m = {coords.m}")
     require_unit_trace(coords.scalar)
-    min_eig, route, found = lowest_eigenvalues(coords.m, coords.mode, coords.scalar,
-                                               coords.grades, rho)
-    inv = None if found is None else bordered_invariants(*found)
+    min_eig, route, normal = lowest_eigenvalues(coords.m, coords.mode, coords.scalar,
+                                                coords.grades, rho)
+    inv = None if normal is None else coords_invariants(coords, normal)
     return min_eigenvalue_verdict(float(min_eig), tol, inv), route
 
 
@@ -130,10 +130,10 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     _check_m(m)
     if k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
-    if n < 0 or n > 10 ** 6:
-        raise ResourceLimit(f"sample count {n} out of range")
-    if seed < 0:
-        raise ResourceLimit(f"seed must be an integer >= 0, got {seed}")
+    if not isinstance(n, (int, np.integer)) or n < 0 or n > 10 ** 6:
+        raise ResourceLimit(f"sample count {n!r} out of range")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
     # the draws span [-box, box], so 2 * box must be finite as well
     if not (math.isfinite(2.0 * box) and box >= 0):
         raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")

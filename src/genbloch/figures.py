@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOL, MAX_ROWS
-from .errors import BadResolution, MalformedInput, ResourceLimit
+from .errors import BadResolution, KindMismatch, MalformedInput, ResourceLimit
 
 # the half-width of the cube that holds every tunnel surface point
 _BOX = 1.5
@@ -104,7 +104,7 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
         x, y, z = surfaces[level]
         if kind == "alpha_minus":
             y = 0.0 - y  # -y would turn the +0.0 of (t - u) / 2 into -0.0
-        if paper_cube and which == "fig3":
+        if paper_cube:
             cols = np.stack([x, y, z])
             x, y, z = cols[:, ((cols >= -1e-12) & (cols <= 1 + 1e-12)).all(axis=0)]
         parts.append((x, y, z))
@@ -138,8 +138,10 @@ def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tup
     (bool); fig2 (alpha_pm = 1 over [-1.5, 1.5]^3) and fig3 (alpha_plus in
     {1, 0.1}, alpha_minus in {1, 0.01}, clipped to the admissible set and
     optionally to the paper's unit cube) give surface points as x, y, z
-    (float) and surface_id (str).
+    (float) and surface_id (str).  paper_cube on fig1 or fig2 is KindMismatch.
     """
+    if paper_cube and which != "fig3":
+        raise KindMismatch(f"--paper-cube applies to fig3 only, not {which}")
     resolution = _check_figure(which, resolution)
     if which == "fig1":
         return ["r", "T4", "admissible", "on_boundary"], _fig1_columns(resolution)

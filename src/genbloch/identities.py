@@ -39,10 +39,12 @@ circulated 64/3 and 256/3 prefactors on D3 overstate the cubic term by a
 factor of 512, and the linear term carries 4(r-1), not -(r-1));
 factorized_charpoly multiplies them out.
 
-Grade-2 configurations at m = 2 fill max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2,
-0 <= r <= 1, equivalently the wedge |r - 1/2| <= z <= 1/2 in
-z = 1/2 - sqrt(2 r^2 - T4) (discriminant keeps 2 r^2 - T4 >= 0);
-rT4_domain decides one point by fig1's array rule.  The slice
+fig1's rule max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2, 0 <= r <= 1 is
+lambda_min >= 0 (mu_1 + mu_2 <= 1) with T4's bound; rT4_domain decides one
+point by it.  Grade-2 states at m = 2, r = mu_1^2 + mu_2^2 and
+T4 = 2 (mu_1^4 + mu_2^4), fill only its part T4 >= r^2: the wedge
+|r - 1/2| <= z <= 1/2 in z = 1/2 - sqrt(2 r^2 - T4), whose z >= 1/2 - r is
+T4 >= r^2, so the rule admits (0.3, 0.05) and the wedge refuses it.  The slice
 (G_12, G_34, G_23) = (x, y, z) is the intersection of the elliptic tunnels
 alpha_pm = sqrt((x +- y)^2 + z^2) <= 1 (tunnel_membership, tunnel_spectrum).
 """

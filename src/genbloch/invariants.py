@@ -11,9 +11,9 @@ D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
 computes it; the epsilon sum itself and the dual-tensor identities are
 checked claims of the identities module.  pfaffian is Parlett-Reid
 elimination, O(n^3) on one matrix or a stack; the spectra module takes the
-chirality of its closed form from it too, at side 2m + 2.  Every T4 of the
-package comes from trace_T4, and every r adds squares in the order the
-entries are held, as frobenius_r does (bordered_invariants).
+chirality of its closed form from it too, at side 2m + 2.  Every r and T4 of
+the package comes from frobenius_r and trace_T4, and every report of a state
+from coords_invariants, the invariants command's and validate's alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .clifford import Record
-from .coords import AntisymTensor, StateCoords, sum_of_squares
+from .coords import AntisymTensor, StateCoords
 from .errors import DimensionMismatch, InvariantMismatch, MalformedInput
 
 
@@ -68,9 +68,9 @@ def frobenius_r(g: AntisymTensor) -> float:
     return g.of_grade(2).norm_sq()
 
 
-def trace_T4(g) -> float:
-    """T4 = trace((G^T G)^2) of a grade-2 AntisymTensor or an antisymmetric array."""
-    mat = g.as_matrix() if isinstance(g, AntisymTensor) else g
+def trace_T4(g: AntisymTensor) -> float:
+    """T4 = trace((G^T G)^2) of a grade-2 AntisymTensor."""
+    mat = g.as_matrix()
     gtg = mat.T @ mat
     return float(np.trace(gtg @ gtg))
 
@@ -109,31 +109,17 @@ def two_tensor_invariants(g: AntisymTensor) -> InvariantSet:
     return InvariantSet(r=r, T4=t4, D3=d3, extras=extras)
 
 
-def bordered_invariants(bordered, g, g_values, mu, pf) -> InvariantSet:
-    """The invariants of one state's normal form (spectra.bordered_parts and
-    normal_form_amplitudes): r and T4 of M = [[0, v^T], [-v, G]], and in
-    extras the amplitudes mu and the sign of Pf M.  r adds v's squares, then
-    G's values in the order met, as frobenius_r does; T4 is trace_T4(M), or
-    trace_T4(G) when v = 0, so a grade-2 state has the r and T4 of
-    two_tensor_invariants bit for bit."""
-    v = bordered[0, 1:]
-    r = float(sum_of_squares(v)) + float(sum_of_squares(g_values))
-    t4 = trace_T4(g if g is not None and not v.any() else bordered)
-    return InvariantSet(r=r, T4=t4, extras={"normal_form_amplitudes": mu.tolist(),
-                                            "pfaffian_sign": float(np.sign(pf))})
-
-
-def coords_invariants(coords: StateCoords) -> InvariantSet:
+def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
     """Invariants of whatever grades a coordinate set carries.
 
     Grade 2 provides (r, T4, D3); grade 1 and the top grade are reported in
-    extras so the CLI can describe mixed inputs.
+    extras so the CLI can describe mixed inputs; a state of the so(2m+2) family
+    adds normal_form_amplitudes and pfaffian_sign of its normal form (mu, Pf M),
+    which fix its spectrum: normal when given, else spectra.normal_form's.
     """
     g2 = coords.grade(2)
-    if g2.values:
-        inv = two_tensor_invariants(g2)
-    else:
-        inv = InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None))
+    inv = (two_tensor_invariants(g2) if g2.values
+           else InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None)))
     extras = dict(inv.extras)
     g1 = coords.grade(1)
     if g1.values:
@@ -142,4 +128,10 @@ def coords_invariants(coords: StateCoords) -> InvariantSet:
         top = coords.grade(coords.side)
         if top.values:
             extras["pseudoscalar"] = top.get(tuple(range(1, coords.side + 1)))
+    if normal is None:
+        from .spectra import normal_form  # spectra imports this module
+        normal = normal_form(coords.m, coords.mode, coords.grades)
+    if normal is not None:
+        extras["normal_form_amplitudes"] = normal[0].tolist()
+        extras["pfaffian_sign"] = float(np.sign(normal[1]))
     return InvariantSet(r=inv.r, T4=inv.T4, D3=inv.D3, extras=extras)

@@ -26,7 +26,10 @@ HERM_TOL = 1e-10
 
 def _as_square(a) -> np.ndarray:
     """Coerce to complex128 with square trailing dims, validating finiteness."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):
+        raise MalformedInput(f"expected a numeric matrix, got {a!r:.60}") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -17,11 +17,9 @@ has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the identities module.
 
 bordered_parts recognises (v, G) in the grades of one state or of a stack,
-normal_form_amplitudes builds M and gives (M, mu, Pf M), and sign_sums the
-eigenvalues, row by row.  closed_form_spectrum joins the three for one
-StateCoords; the domains module's decision path (domains.lowest_eigenvalues)
-joins them for a stack, and the positivity verdict takes its r and T4 from
-the same M.
+normal_form_amplitudes gives (mu, Pf M) of the M they border, normal_form
+joins the two for closed_form_spectrum, domains.lowest_eigenvalues and the
+invariants report, and sign_sums gives the eigenvalues, row by row.
 """
 
 from __future__ import annotations
@@ -106,9 +104,9 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
 
 
 def normal_form_amplitudes(m: int, v, g=None) -> tuple:
-    """(M, mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side
-    2m + 2, shape (..., 2m + 2, 2m + 2): M, its paired singular values
-    mu_0 >= ... >= mu_m, shape (..., m + 1), and its Pfaffian, shape (...).
+    """(mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side
+    2m + 2: its paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1),
+    and its Pfaffian, shape (...).
 
     v is a (..., n) array and g a (..., n', n') array of antisymmetric
     matrices, or None for a state without one, over the first n, n' <= 2m + 1
@@ -125,18 +123,18 @@ def normal_form_amplitudes(m: int, v, g=None) -> tuple:
     else:
         bordered[..., 1:g.shape[-1] + 1, 1:g.shape[-1] + 1] = g
         mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
-    return bordered, mu, pfaffian(bordered)
+    return mu, pfaffian(bordered)
 
 
 def bordered_parts(m: int, mode: str, grades: dict):
-    """(v, G, G's values) of states in the so(2m+2) family, else None.
+    """(v, G) of states in the so(2m+2) family, else None.
 
     grades is {k: {mask: value}} as StateCoords holds it, or for a stack of
     states sharing (m, mode) an (n,) column per mask.  A grade counts when it
     holds a nonzero value.  v is the grade-1 part over the 2m + 1 extended
     indices, shape (..., 2m + 1); G the grade-2 part, (..., side, side) over
     the first side = 2m indices when a standard-mode stack has no grade
-    2m - 1, else 2m + 1, or None; G's values in the order met, for r.
+    2m - 1, else 2m + 1, or None.
     """
     n, standard = 2 * m + 1, mode == "standard"
     first = next((x for entries in grades.values() for x in entries.values()), 0.0)
@@ -156,16 +154,20 @@ def bordered_parts(m: int, mode: str, grades: dict):
                 v[..., low - 1] = x
             else:
                 g[low, high] = x
-    values = list(g.values())
     side = n if not standard or 2 * m - 1 in active else 2 * m
-    return v, antisym_matrices(side, list(g), values) if g else None, values
+    return v, antisym_matrices(side, list(g), list(g.values())) if g else None
+
+
+def normal_form(m: int, mode: str, grades: dict):
+    """normal_form_amplitudes of the so(2m+2) family's grades (bordered_parts), else None."""
+    found = bordered_parts(m, mode, grades)
+    return None if found is None else normal_form_amplitudes(m, *found)
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
-    found = bordered_parts(coords.m, coords.mode, coords.grades)
-    if found is None:
+    normal = normal_form(coords.m, coords.mode, coords.grades)
+    if normal is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "
                            "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")
-    _, mu, pf = normal_form_amplitudes(coords.m, *found[:2])
-    return spectrum_from_values(coords.m, sign_sums(coords.scalar, mu, pf))
+    return spectrum_from_values(coords.m, sign_sums(coords.scalar, *normal))

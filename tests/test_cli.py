@@ -12,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genbloch
+from genbloch import spectra
 from genbloch.cli import run
 from genbloch.clifford import basis_element
 from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
+from genbloch.spectra import sign_sums
 
 from conftest import random_tensor, table_rows
 
@@ -85,16 +87,35 @@ def test_validate_descartes_route(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["route"] == "min_eigenvalue"
 
 
+def _family_states(rng, m, mode):
+    """Random so(2m+2) family states at m: mixes of grades 1, 2, 2m - 1 and 2m
+    (grades 1 and 2 in extended mode, grade 1 alone at m = 1), entries
+    uniform in [-0.3, 0.3]."""
+    side = 2 * m + (mode == "extended")
+    mixes = [[1], [2], [1, 2]] if m > 1 or mode == "standard" else [[1]]
+    if mode == "standard":
+        mixes += [[2 * m - 1], [2 * m], [1, 2 * m], [2, 2 * m - 1], [1, 2, 2 * m - 1, 2 * m]]
+    for ks in mixes:
+        yield state_coords(m, mode=mode, grades={k: random_tensor(rng, m, k, side=side, box=0.3)
+                                                 for k in ks})
+
+
+def _same_bits(a, b) -> bool:
+    """Two JSON objects with the same keys and the same float bits, signed zeros included."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def test_validate_normal_form_route(tmp_path, capsys):
     # every state of the so(2m+2) family, vector, grade 2 or both, is reported
-    # by the invariants its verdict uses: r, T4 = trace((M^T M)^2), which is
-    # 2 sum mu^4, mu and sign Pf M
-    for m, mode, grades, mu in [
-        (2, "standard", {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}, [math.hypot(0.3, 0.2), 0.0, 0.0]),
+    # by the invariants command's own report, bit for bit; its extras add the
+    # normal form that the verdict uses, mu and sign Pf M
+    for m, mode, grades, mu, keys in [
+        (2, "standard", {1: {(1,): 0.3}, 2: {(1, 2): 0.2}}, [math.hypot(0.3, 0.2), 0.0, 0.0],
+         {"pfaffian", "vector_norm_sq"}),
         # a one-qubit extended vector has no pseudoscalar to report
-        (1, "extended", {1: {(1,): 0.3, (3,): 0.4}}, [0.5, 0.0]),
+        (1, "extended", {1: {(1,): 0.3, (3,): 0.4}}, [0.5, 0.0], {"vector_norm_sq"}),
         # a pseudoscalar alone has no vector norm to report
-        (2, "standard", {4: {(1, 2, 3, 4): 0.6}}, [0.6, 0.0, 0.0]),
+        (2, "standard", {4: {(1, 2, 3, 4): 0.6}}, [0.6, 0.0, 0.0], {"pseudoscalar"}),
     ]:
         coords = state_coords(m, mode=mode, grades=grades)
         path = write_json(tmp_path / "family.json", coords_to_json(coords))
@@ -102,15 +123,23 @@ def test_validate_normal_form_route(tmp_path, capsys):
         out = json.loads(capsys.readouterr().out)
         assert out["route"] == "normal_form" and out["admissible"] is True
         used = out["invariants_used"]
-        assert used["r"] == pytest.approx(sum(x * x for x in mu)) and used["D3"] is None
-        assert used["T4"] == pytest.approx(2 * sum(x ** 4 for x in mu))
-        assert used["extras"] == {"normal_form_amplitudes": pytest.approx(mu),
-                                  "pfaffian_sign": 0.0}
+        assert run(["invariants", "--input", path]) == 0
+        assert _same_bits(used, json.loads(capsys.readouterr().out))
+        amplitudes, pf = spectra.normal_form_amplitudes(
+            m, *spectra.bordered_parts(m, mode, coords.grades))
+        assert used["extras"]["normal_form_amplitudes"] == amplitudes.tolist()
+        assert amplitudes.tolist() == pytest.approx(mu)
+        assert used["extras"]["pfaffian_sign"] == float(np.sign(pf)) == 0.0
+        assert set(used["extras"]) == keys | {"normal_form_amplitudes", "pfaffian_sign"}
+        # the amplitudes carry every coordinate's square: sum mu^2 = |v|^2 + r
+        squares = sum(coords.grade(k).norm_sq() for k in coords.grades)
+        assert sum(x * x for x in amplitudes.tolist()) == pytest.approx(squares, rel=1e-14)
 
 
 def test_validate_reports_the_invariants_commands_r_and_T4(tmp_path, capsys):
-    # a grade-2 state's verdict reports the r and T4 that the invariants
-    # command prints, bit for bit, at every m and in both modes
+    # every family state's verdict reports the invariants command's whole
+    # object, bit for bit, at every m and in both modes: grade-2 states and
+    # mixes of grades 1, 2, 2m - 1 and 2m
     rng = np.random.default_rng(25)
     states = [state_coords(3, grades={2: {(1, 2): 0.1, (3, 4): 0.1, (5, 6): 0.1}})]
     for m in range(2, 7):
@@ -118,8 +147,11 @@ def test_validate_reports_the_invariants_commands_r_and_T4(tmp_path, capsys):
             side = 2 * m + (mode == "extended")
             states += [state_coords(m, mode=mode, grades={2: random_tensor(rng, m, 2, side=side)})
                        for _ in range(3)]
+    for m in range(1, 7):
+        for mode in ("standard", "extended"):
+            states += list(_family_states(rng, m, mode))
     for coords in states:
-        path = write_json(tmp_path / "g2.json", coords_to_json(coords))
+        path = write_json(tmp_path / "family.json", coords_to_json(coords))
         assert run(["validate", "--input", path]) in (0, 2)
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["route"] == "normal_form"
@@ -127,6 +159,23 @@ def test_validate_reports_the_invariants_commands_r_and_T4(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out)
         used = verdict["invariants_used"]
         assert (used["r"], used["T4"]) == (report["r"], report["T4"])
+        assert _same_bits(used, report)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_invariants_report_fixes_the_spectrum(tmp_path, capsys, m, mode):
+    # the report is complete: the amplitudes mu and sign Pf M that the
+    # invariants command prints rebuild the closed-form spectrum bit for bit
+    rng = np.random.default_rng(31 + 2 * m + (mode == "extended"))
+    for coords in _family_states(rng, m, mode):
+        path = write_json(tmp_path / "family.json", coords_to_json(coords))
+        assert run(["invariants", "--input", path]) == 0
+        extras = json.loads(capsys.readouterr().out)["extras"]
+        rebuilt = sign_sums(1.0, np.array(extras["normal_form_amplitudes"]),
+                            extras["pfaffian_sign"])
+        assert run(["spectrum", "--closed-form", "--input", path]) == 0
+        assert rebuilt.tolist() == json.loads(capsys.readouterr().out)["eigenvalues"]
 
 
 @pytest.mark.parametrize("argv", [["validate"], ["spectrum", "--oracle"]],
@@ -836,17 +885,12 @@ def _nonfinite_argv(tmp_path, command):
         # inf; CSV and JSON refuse it alike
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
                 "--format", "json" if command == "sample-json" else "csv"]
-    if command == "validate-vector":
-        # r = 1e200 is finite, but T4 = trace((M^T M)^2) overflows to inf
-        coords = state_coords(2, grades={1: {(1,): 1e100}})
-        return ["validate", "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
     # r and T4 overflow to inf; JSON has no finite spelling for them
     coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
     return [command, "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
-                                     "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
@@ -854,8 +898,7 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
-                                     "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
     argv = _nonfinite_argv(tmp_path, command)
@@ -865,6 +908,27 @@ def test_nonfinite_result_one_stderr_line(tmp_path, command):
                          timeout=120)
     assert res.returncode == 1 and res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("genbloch: error:")
+
+
+def test_validate_huge_vector_is_a_decided_verdict(tmp_path):
+    # a vector entry of 1e100 has a finite report (|v|^2 = 1e200, mu_0 = 1e100)
+    # and lambda_min = (1 - 1e100) / 4: inadmissible, exit 2, and on stderr no
+    # line, numpy's own RuntimeWarnings included
+    coords = state_coords(2, grades={1: {(1,): 1e100}})
+    path = write_json(tmp_path / "huge.json", coords_to_json(coords))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    res = subprocess.run([sys.executable, "-m", "genbloch", "validate", "--input", path],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 2 and res.stderr == ""
+    assert "Infinity" not in res.stdout and "NaN" not in res.stdout
+    out = json.loads(res.stdout)
+    assert out["admissible"] is False and out["violated"] == "positivity"
+    assert out["route"] == "normal_form"
+    assert out["invariants_used"] == {
+        "r": 0.0, "T4": 0.0, "D3": None,
+        "extras": {"vector_norm_sq": 1e200, "normal_form_amplitudes": [1e100, 0.0, 0.0],
+                   "pfaffian_sign": 0.0}}
 
 
 def test_python_m_genbloch_help():

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -22,9 +23,11 @@ from genbloch.domains import CHUNK_BYTES, DEFAULT_TOL, DomainVerdict, positivity
 from genbloch.errors import (
     BadIndex,
     BadResolution,
+    DimensionMismatch,
     GradeMismatch,
     GradeOutOfRange,
     KindMismatch,
+    MalformedInput,
     NegativeDiscriminant,
     NonUnitTrace,
     ResourceLimit,
@@ -39,7 +42,13 @@ from genbloch.identities import (
     z_from_coords,
     z_variable,
 )
-from genbloch.invariants import InvariantSet, frobenius_r, trace_T4, two_tensor_invariants
+from genbloch.invariants import (
+    InvariantSet,
+    coords_invariants,
+    frobenius_r,
+    trace_T4,
+    two_tensor_invariants,
+)
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
 
@@ -203,21 +212,20 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
         assert route == "min_eigenvalue" and verdict.invariants_used is None
         return
     assert route == "normal_form"
+    # the verdict reports the invariants command's report, bit for bit, with
+    # the normal form it decided from: mu and sign Pf M
     used = verdict.invariants_used.to_dict()
-    v, g, g_values = spectra.bordered_parts(m, coords.mode, coords.grades)
-    _, mu, pf = spectra.normal_form_amplitudes(m, v, g)
-    r = sum(coords.grade(k).norm_sq() for k in coords.grades)
-    assert used["r"] == pytest.approx(r, rel=1e-12)
-    # bit for bit: v's squares in index order, then G's entries
-    assert used["r"] == float(sum_of_squares(v)) + float(sum_of_squares(g_values))
-    # T4 = trace((M^T M)^2) = 2 sum mu^4, the amplitudes being LAPACK singular
-    # values of M (side 2m + 2): equal to within (2m + 2)^2 float64 eps
-    eps = np.finfo(float).eps
-    assert used["T4"] == pytest.approx(2.0 * float(np.sum(mu ** 4)), rel=(2 * m + 2) ** 2 * eps)
-    assert used["D3"] is None
+    assert json.dumps(used, sort_keys=True) == json.dumps(
+        coords_invariants(coords).to_dict(), sort_keys=True)
+    mu, pf = spectra.normal_form_amplitudes(m, *spectra.bordered_parts(m, coords.mode,
+                                                                       coords.grades))
     assert used["extras"]["normal_form_amplitudes"] == mu.tolist()
     assert used["extras"]["pfaffian_sign"] == float(np.sign(pf))
-    assert not {"pseudoscalar", "vector_norm_sq", "pfaffian"} & set(used["extras"])
+    # the amplitudes, LAPACK singular values of M (side 2m + 2), carry every
+    # coordinate's square: sum mu^2 = |v|^2 + r within (2m + 2)^2 float64 eps
+    r = sum(coords.grade(k).norm_sq() for k in coords.grades)
+    eps = np.finfo(float).eps
+    assert float(np.sum(mu ** 2)) == pytest.approx(r, rel=(2 * m + 2) ** 2 * eps)
 
 
 def test_domain_verdict_consistency():
@@ -510,7 +518,7 @@ def test_positivity_classifies_once(monkeypatch, grades):
         raise AssertionError("positivity called closed_form_spectrum")
 
     for module in (domains, spectra):
-        monkeypatch.setattr(module, "bordered_parts", counting)
+        monkeypatch.setattr(module, "bordered_parts", counting, raising=False)
         monkeypatch.setattr(module, "closed_form_spectrum", refused, raising=False)
     coords = state_coords(2, grades=grades)
     verdict, _ = positivity(coords, None)
@@ -553,6 +561,24 @@ def test_positivity_bad_tol(tol):
         positivity(coords, encode(coords), tol)
 
 
+def test_positivity_refuses_a_rho_of_another_size():
+    # off the so(2m+2) family the verdict is LAPACK's lambda_min of rho, so a
+    # rho that is not 2^m x 2^m would decide another matrix than the state's
+    coords = state_coords(3, grades={1: {(1,): 0.3}, 3: {(1, 2, 3): 0.2}})
+    family = state_coords(3, grades={1: {(1,): 0.3}})
+    for state in (coords, family):
+        for rho in (np.eye(4) / 4, np.eye(16) / 16):
+            with pytest.raises(DimensionMismatch, match=r"not 2\^m x 2\^m at m = 3"):
+                positivity(state, rho)
+        for rho in (np.ones(8) / 8, np.eye(8)[:4]):
+            with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+                positivity(state, rho)
+        with pytest.raises(MalformedInput):
+            positivity(state, [[1.0, 0.5], [0.5]])
+        given, encoded = positivity(state, encode(state)), positivity(state, None)
+        assert (given[0].to_dict(), given[1]) == (encoded[0].to_dict(), encoded[1])
+
+
 def test_sample_domain_ball_fraction():
     frac = float(np.mean(_sample_table(2, 1, 1000, seed=7)["closed_admissible"]))
     p = (math.pi ** 2 / 2) / 2.4 ** 4
@@ -567,6 +593,10 @@ def test_sample_domain_guards():
         sample_domain(2, 1, -1, seed=0)
     with pytest.raises(ResourceLimit, match="seed must be an integer >= 0, got -1"):
         sample_domain(2, 1, 1, seed=-1)
+    # a count or seed that is no integer is refused before anything is drawn
+    for n, seed in ((2.5, 0), ("3", 0), (None, 0), (2, 2.5), (2, "1")):
+        with pytest.raises(ResourceLimit):
+            sample_domain(2, 2, n, seed)
     # 1e308 is finite, but the draws' span 2 * box is not
     for box in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ResourceLimit):
@@ -676,6 +706,13 @@ def test_fig3_paper_cube_subset():
     assert set(cube["points"]) <= set(full["points"])
     for x, y, z, _ in cube["points"]:
         assert -1e-9 <= x <= 1 + 1e-9 and -1e-9 <= y <= 1 + 1e-9 and -1e-9 <= z <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("which", ["fig1", "fig2"])
+def test_figure_columns_paper_cube_fig3_only(which):
+    # the unit cube clips fig3's points only; the other figures refuse it
+    with pytest.raises(KindMismatch, match=f"--paper-cube applies to fig3 only, not {which}"):
+        figure_columns(which, 4, paper_cube=True)
 
 
 def test_figure_bad_resolution():

@@ -26,7 +26,7 @@ from genbloch.identities import (
 )
 from genbloch.invariants import (
     InvariantSet,
-    bordered_invariants,
+    coords_invariants,
     frobenius_r,
     pfaffian,
     trace_T4,
@@ -273,11 +273,12 @@ def test_invariant_set_builders(rng):
     inv = two_tensor_invariants(g)
     assert inv.r >= 0 and inv.T4 >= 0 and inv.D3 is not None
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
-    # a vector's r adds the pseudoscalar's square (the normal_form verdict's r)
+    # a vector's amplitude adds the pseudoscalar's square (the normal_form verdict's mu_0)
     coords = state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}})
-    v, g, g_values = bordered_parts(2, coords.mode, coords.grades)
-    bordered, mu, pf = normal_form_amplitudes(2, v, g)
-    assert abs(bordered_invariants(bordered, g, g_values, mu, pf).r - 1.0) < 1e-15
+    mu, pf = normal_form_amplitudes(2, *bordered_parts(2, coords.mode, coords.grades))
+    extras = coords_invariants(coords).extras
+    assert extras["normal_form_amplitudes"] == mu.tolist()
+    assert abs(extras["normal_form_amplitudes"][0] - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
 

@@ -57,6 +57,15 @@ def _bisection_roots(coeffs, n_roots, lo, hi, samples=20000):
     return np.sort(np.array(roots))
 
 
+@pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], [["a", "b"], ["c", "d"]], {"dim": 2}],
+                         ids=["str", "ragged", "strings", "dict"])
+def test_non_numeric_matrix_is_malformed(bad):
+    # what cannot be read as a complex array is a malformed input, typed
+    for call in (hermitian_eigenvalues, as_matrix, require_hermitian, exp_minus_i_hermitian):
+        with pytest.raises(MalformedInput, match="expected a numeric matrix"):
+            call(bad)
+
+
 def test_eigenvalues_vs_charpoly_bisection(rng):
     h = random_hermitian(rng, 8, scale=0.25)
     vals = hermitian_eigenvalues(h)
@@ -182,9 +191,15 @@ def _near_hermitian(m, residual):
 
 
 def _positivity(exact, rho):
-    # every two-qubit state has a closed form, so at m = 2 an m = 3 state with
-    # a grade-3 entry sends positivity to the eigenvalues of rho
-    coords = decode(exact) if len(exact) > 4 else state_coords(3, grades={3: {(1, 2, 3): 0.1}})
+    # every two-qubit state has a closed form, which reads no matrix, so at
+    # m = 2 an m = 3 state with a grade-3 entry sends positivity to the
+    # eigenvalues of the 8 x 8 rho (x) diag(1, 0), which has rho's entries and
+    # hermiticity residual
+    if len(exact) > 4:
+        coords = decode(exact)
+    else:
+        coords = state_coords(3, grades={3: {(1, 2, 3): 0.1}})
+        rho = np.kron(rho, np.diag([1.0, 0.0]))
     _, route = positivity(coords, rho, DEFAULT_TOL)
     assert route == "min_eigenvalue"
 

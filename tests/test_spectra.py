@@ -45,7 +45,7 @@ from conftest import random_tensor
 def normal_form_eigenvalues(g):
     """Sorted (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}), m = side // 2."""
     amplitudes = normal_form_amplitudes(g.side // 2, np.zeros(g.side), g.as_matrix())
-    return sign_sums(1.0, *amplitudes[1:])
+    return sign_sums(1.0, *amplitudes)
 
 
 def rank2_tensor(rng, m, mu1, mu2):
@@ -273,7 +273,7 @@ def test_vector_closed_form_is_the_doublet(rng, m):
     # grade-1 entries in index order, then the (2m+1)-th
     for _ in range(20):
         for coords in _vector_configs(rng, m):
-            v, g, _ = bordered_parts(coords.m, coords.mode, coords.grades)
+            v, g = bordered_parts(coords.m, coords.mode, coords.grades)
             assert g is None
             norm_sq = 0.0
             for x in v[:-1]:
