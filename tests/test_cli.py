@@ -885,12 +885,17 @@ def _nonfinite_argv(tmp_path, command):
         # inf; CSV and JSON refuse it alike
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
                 "--format", "json" if command == "sample-json" else "csv"]
+    if command == "validate-vector":
+        # |v|^2 = 1e400 overflows to inf, and with it the report's vector norm
+        coords = state_coords(2, grades={1: {(1,): 1e200}})
+        return ["validate", "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
     # r and T4 overflow to inf; JSON has no finite spelling for them
     coords = state_coords(2, grades={2: {(1, 2): 1.3e200, (3, 4): -1.3e200}})
     return [command, "--input", write_json(tmp_path / "huge.json", coords_to_json(coords))]
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
+                                     "sample-json"])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
@@ -898,7 +903,8 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert "not finite" in captured.err
 
 
-@pytest.mark.parametrize("command", ["invariants", "validate", "sample", "sample-json"])
+@pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
+                                     "sample-json"])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
     argv = _nonfinite_argv(tmp_path, command)
