@@ -30,11 +30,11 @@ _OWNERS = {name: module for module, names in {
                    "dual_tensor", "epsilon_D3", "factorized_charpoly", "pseudo_vector_V",
                    "quartet_eigenvalues", "rT4_domain", "scale_dimension", "spin_lift",
                    "tunnel_membership", "tunnel_spectrum", "z_from_coords", "z_variable"),
-    "invariants": ("InvariantSet", "frobenius_r", "pfaffian", "trace_T4", "two_tensor_invariants"),
+    "invariants": ("InvariantSet", "frobenius_r", "trace_T4", "two_tensor_invariants"),
     "linalg": ("exp_minus_i_hermitian", "hermitian_eigenvalues", "matrix_from_json",
                "matrix_to_json"),
     "spectra": ("Spectrum", "bordered_parts", "closed_form_spectrum", "numeric_spectrum",
-                "spectrum_from_values"),
+                "pfaffian", "spectrum_from_values"),
     "symmetry": ("orthogonal_from_generator", "rotate_coords"),
 }.items() for name in names}
 

@@ -46,8 +46,8 @@ import os
 import sys
 
 from . import DEFAULT_TOL, MAX_ROWS
-from .errors import (GenblochError, MalformedInput, ModeMismatch, ResourceLimit, UsageError,
-                     _json_text)
+from .errors import (DimensionMismatch, GenblochError, MalformedInput, ModeMismatch,
+                     ResourceLimit, UsageError, _json_text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,18 +134,15 @@ def _answer_spectrum(args, state) -> tuple:
     from . import spectra
     from .coords import encode
 
-    out = {}
+    closed = oracle = None
     if args.which in ("closed-form", "both"):
-        out["closed_form"] = spectra.closed_form_spectrum(coords).to_dict()
+        closed = spectra.closed_form_spectrum(coords)
     if args.which in ("oracle", "both"):
-        out["oracle"] = spectra.numeric_spectrum(encode(coords) if rho is None else rho).to_dict()
-    if args.which == "both":
-        diff = np.abs(np.array(out["closed_form"]["eigenvalues"])
-                      - np.array(out["oracle"]["eigenvalues"]))
-        out["max_diff"] = float(np.max(diff))
+        oracle = spectra.numeric_spectrum(encode(coords) if rho is None else rho)
     if args.which != "both":
-        out = out["closed_form"] if args.which == "closed-form" else out["oracle"]
-    return out, 0
+        return (closed or oracle).to_dict(), 0
+    return {"closed_form": closed.to_dict(), "oracle": oracle.to_dict(),
+            "max_diff": float(np.max(np.abs(closed.eigenvalues - oracle.eigenvalues)))}, 0
 
 
 def _answer_validate(args, state) -> tuple:
@@ -208,9 +205,12 @@ def _answer_rotate(args, state, alpha_file) -> tuple:
 
     coords = coords_from_json(state)
     alpha_obj = wire_field(alpha_file, dict, "alpha file")
-    alpha = antisym(wire_field(alpha_obj.get("m"), int, "m"), 2,
-                    entry_list(alpha_obj.get("alpha", []), "alpha"))
-    el = symmetry.orthogonal_from_generator(alpha)
+    m = wire_field(alpha_obj.get("m"), int, "m")
+    entries = entry_list(alpha_obj.get("alpha", []), "alpha")
+    if m != coords.m:
+        raise DimensionMismatch(f"the alpha file's m = {m} differs from the coords' m = {coords.m}")
+    # the generator spans the state's own indices: 2m, or 2m + 1 in extended mode
+    el = symmetry.orthogonal_from_generator(antisym(m, 2, entries, coords.side))
     return _coords_text(symmetry.rotate_coords(coords, el)), 0
 
 

@@ -72,8 +72,13 @@ class Record:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _is_int(n) -> bool:
+    """An int or numpy integer, and no bool: the package's integer argument rule."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _check_m(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise BadIndex(f"m must be a positive integer, got {m!r}")
     if m > MAX_M:
         raise ResourceLimit(f"m = {m} exceeds the supported maximum {MAX_M}")
@@ -98,7 +103,8 @@ def side(m: int, mode: str = "standard") -> int:
 
 def max_grade(m: int, mode: str = "standard") -> int:
     """Top grade of the orthogonal family: 2m, or m over the 2m + 1 extended indices."""
-    return side(m, mode) if mode == "standard" else m
+    n = side(m, mode)  # ModeMismatch for an unknown mode
+    return n if mode == "standard" else m
 
 
 @lru_cache(maxsize=None)

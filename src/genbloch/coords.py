@@ -122,7 +122,7 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
     (clifford.index_mask): each value is signed by the permutation that
     sorts them, and the values of one index set are added, in input order,
     at the set's first place.  BadIndex for indices of another grade,
-    MalformedInput for a value or a sum that is not finite.
+    MalformedInput for a value that is no number or a sum that is not finite.
     """
     slots: dict = {}
     for key, v in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
@@ -130,7 +130,11 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
         mask, sign = clifford.index_mask(key, side, increasing)
         if len(key) != k:
             raise BadIndex(f"key {key} has grade {len(key)}, expected {k}")
-        slots[mask] = slots.get(mask, 0.0) + sign * float(v)
+        try:
+            slots[mask] = slots.get(mask, 0.0) + sign * float(v)
+        except (TypeError, ValueError):
+            raise MalformedInput(f"value at {tuple(sorted(key))}: expected a number, "
+                                 f"got {v!r:.60}") from None
         if not math.isfinite(slots[mask]):
             raise MalformedInput(f"non-finite value at {tuple(sorted(key))}")
     return slots
@@ -216,6 +220,7 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
 
 def encode(coords: StateCoords) -> np.ndarray:
     """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices."""
+    coords = wire_field(coords, StateCoords, "coords")
     return encode_grades(coords.m, coords.mode, coords.scalar, coords.grades)
 
 
@@ -242,7 +247,7 @@ def require_unit_trace(trace) -> None:
     which is exactly the trace of the matrix they encode.
     """
     tr = float(np.real(trace))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:  # NaN is refused too
         raise NonUnitTrace(f"trace {tr} differs from 1 by more than {TRACE_TOL}")
 
 
@@ -279,6 +284,7 @@ def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard")
 
 
 def coords_to_json(coords: StateCoords) -> dict:
+    coords = wire_field(coords, StateCoords, "coords")
     grades = {}
     for k in sorted(coords.grades):
         idx, values = coords.wire_entries(k)

@@ -26,11 +26,11 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOL
-from .clifford import Record, _check_m, cached_basis
+from .clifford import Record, _check_m, _is_int, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
 from .errors import DimensionMismatch, GradeOutOfRange, MalformedInput, ResourceLimit
 from .invariants import InvariantSet, coords_invariants
-from .linalg import as_matrix, hermitian_eigenvalues
+from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 from .spectra import normal_form, sign_sums
 
 # sample_domain decides its draws in stacks whose matrices take this many
@@ -107,6 +107,7 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     reports invariants.coords_invariants with the normal form it used.
     Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
     """
+    coords = wire_field(coords, StateCoords, "coords")
     if not (math.isfinite(tol) and tol >= 0):
         raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
     if rho is not None and as_matrix(rho).shape != (2 ** coords.m,) * 2:
@@ -128,11 +129,11 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     |lambda_min| of the closed form.
     """
     _check_m(m)
-    if k not in (1, 2):
+    if not _is_int(k) or k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
-    if not isinstance(n, (int, np.integer)) or n < 0 or n > 10 ** 6:
+    if not _is_int(n) or n < 0 or n > 10 ** 6:
         raise ResourceLimit(f"sample count {n!r} out of range")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
     # the draws span [-box, box], so 2 * box must be finite as well
     if not (math.isfinite(2.0 * box) and box >= 0):

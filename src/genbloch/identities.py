@@ -73,9 +73,9 @@ from .errors import (
     UnsupportedM,
 )
 from .figures import _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
-from .invariants import InvariantSet, frobenius_r, pfaffian, trace_T4
+from .invariants import InvariantSet, frobenius_r, trace_T4
 from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian
-from .spectra import Spectrum, spectrum_from_values
+from .spectra import Spectrum, pfaffian, spectrum_from_values
 from .symmetry import check_orthogonal
 
 

@@ -8,59 +8,22 @@ invariants are
     D3 = eps_{i1..i6} G_{i1 i2} G_{i3 i4} G_{i5 i6}   (degree 3, six indices)
 
 D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
-computes it; the epsilon sum itself and the dual-tensor identities are
-checked claims of the identities module.  pfaffian is Parlett-Reid
-elimination, O(n^3) on one matrix or a stack; the spectra module takes the
-chirality of its closed form from it too, at side 2m + 2.  Every r and T4 of
-the package comes from frobenius_r and trace_T4, and every report of a state
-from coords_invariants, the invariants command's and validate's alike.
+computes it, with spectra.pfaffian; the epsilon sum itself and the
+dual-tensor identities are checked claims of the identities module.  Every r
+and T4 of the package comes from frobenius_r and trace_T4, and every report
+of a state from coords_invariants, the invariants command's and validate's
+alike; a state of the so(2m+2) family adds its spectra.normal_form.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .clifford import Record
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, InvariantMismatch, MalformedInput
-
-
-def pfaffian(a):
-    """Pfaffian of a real antisymmetric matrix, or of each one of a (..., n, n) stack.
-
-    Parlett-Reid elimination with pivoting (Wimmer, arXiv:1102.3440), O(n^3):
-    step k swaps the largest entry of column k below the diagonal onto row
-    k + 1, which negates the Pfaffian, and eliminates with it; the Pfaffian
-    is the product of the pivots.  Every operation is elementwise across the
-    stack, so a stack gives each matrix's own value bit for bit.  Side 0
-    gives 1 and an odd side 0.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise DimensionMismatch("pfaffian requires square matrices")
-    if n % 2:
-        return np.zeros(a.shape[:-2])[()]
-    stack = a.reshape((math.prod(a.shape[:-2]), n, n))
-    pf = np.ones(len(stack))
-    zero = np.zeros(len(stack), dtype=bool)
-    each = np.arange(len(stack))
-    for k in range(0, n, 2):
-        p = k + 1 + np.argmax(np.abs(stack[:, k + 1:, k]), axis=1)
-        perm = np.tile(np.arange(n), (len(stack), 1))
-        perm[each, k + 1], perm[each, p] = p, k + 1
-        stack = stack[each[:, None, None], perm[:, :, None], perm[:, None, :]]
-        pivot = stack[:, k, k + 1]
-        zero |= pivot == 0.0
-        pf = np.where(p != k + 1, -pf, pf) * pivot
-        tau = stack[:, k, k + 2:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-        col = stack[:, k + 2:, k + 1]
-        tail = stack[:, k + 2:, k + 2:] + tau[:, :, None] * col[:, None, :]
-        stack[:, k + 2:, k + 2:] = tail - col[:, :, None] * tau[:, None, :]
-    # a zero pivot leaves a zero column: the Pfaffian is 0 (and not 0 * inf)
-    return np.where(zero, 0.0, pf).reshape(a.shape[:-2])[()] + 0.0
+from .errors import InvariantMismatch, MalformedInput
+from .linalg import wire_field
+from .spectra import normal_form, pfaffian
 
 
 def frobenius_r(g: AntisymTensor) -> float:
@@ -76,8 +39,9 @@ def trace_T4(g: AntisymTensor) -> float:
 
 
 def require_sums_of_squares(r, t4=0.0) -> None:
-    """The one (r, T4) sign rule: sums of squares, so MalformedInput below -1e-12."""
-    if r < -1e-12 or t4 < -1e-12:
+    """The one (r, T4) sign rule: sums of squares, so MalformedInput unless
+    each is >= -1e-12 (NaN is not)."""
+    if not (r >= -1e-12 and t4 >= -1e-12):
         raise MalformedInput("r and T4 are sums of squares and must be nonnegative")
 
 
@@ -117,7 +81,7 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
     adds normal_form_amplitudes and pfaffian_sign of its normal form (mu, Pf M),
     which fix its spectrum: normal when given, else spectra.normal_form's.
     """
-    g2 = coords.grade(2)
+    g2 = wire_field(coords, StateCoords, "coords").grade(2)
     inv = (two_tensor_invariants(g2) if g2.values
            else InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None)))
     extras = dict(inv.extras)
@@ -129,7 +93,6 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
         if top.values:
             extras["pseudoscalar"] = top.get(tuple(range(1, coords.side + 1)))
     if normal is None:
-        from .spectra import normal_form  # spectra imports this module
         normal = normal_form(coords.m, coords.mode, coords.grades)
     if normal is not None:
         extras["normal_form_amplitudes"] = normal[0].tolist()

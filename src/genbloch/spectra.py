@@ -17,37 +17,24 @@ has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the identities module.
 
 bordered_parts recognises (v, G) in the grades of one state or of a stack,
-normal_form_amplitudes gives (mu, Pf M) of the M they border, normal_form
-joins the two for closed_form_spectrum, domains.lowest_eigenvalues and the
-invariants report, and sign_sums gives the eigenvalues, row by row.
+normal_form_amplitudes gives (mu, Pf M) of the M they border, with the
+package's one Pfaffian (pfaffian), normal_form joins the two for
+closed_form_spectrum, domains.lowest_eigenvalues and the invariants report,
+and sign_sums gives the eigenvalues, row by row.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .clifford import Record, m_from_dim
 from .coords import StateCoords, antisym_matrices, require_unit_trace, sum_of_squares
-from .errors import GradeMismatch, KindMismatch
-from .invariants import pfaffian
-from .linalg import as_matrix, hermitian_eigenvalues
+from .errors import DimensionMismatch, GradeMismatch, KindMismatch
+from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 
 CLUSTER_TOL = 1e-8
-
-
-def cluster_values(values) -> list:
-    """Group sorted values into (mean, multiplicity) clusters by gaps above CLUSTER_TOL."""
-    vals = np.sort(np.asarray(values, dtype=float))
-    if vals.size == 0:
-        return []
-    clusters = []
-    start = 0
-    for i in range(1, vals.size + 1):
-        if i == vals.size or vals[i] - vals[i - 1] > CLUSTER_TOL:
-            chunk = vals[start:i]
-            clusters.append((float(np.mean(chunk)), int(chunk.size)))
-            start = i
-    return clusters
 
 
 class Spectrum(Record):
@@ -70,7 +57,10 @@ def spectrum_from_values(m: int, values) -> Spectrum:
     vals = np.sort(np.asarray(values, dtype=float))
     if vals.size != 2 ** m:
         raise GradeMismatch(f"expected {2 ** m} eigenvalues, got {vals.size}")
-    return Spectrum(m=m, eigenvalues=vals, multiplets=cluster_values(vals))
+    # a multiplet is each run of the sorted values between gaps above CLUSTER_TOL
+    runs = np.split(vals, np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
+    return Spectrum(m=m, eigenvalues=vals,
+                    multiplets=[(float(np.mean(run)), run.size) for run in runs])
 
 
 def numeric_spectrum(rho) -> Spectrum:
@@ -101,6 +91,42 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
         total = total + (1 - 2 * bits[:, k]) * mu[..., k, None]
     total = total + last * mu[..., m, None]
     return np.sort((scalar + total) / 2 ** m, axis=-1)
+
+
+def pfaffian(a):
+    """Pfaffian of a real antisymmetric matrix, or of each one of a (..., n, n) stack.
+
+    Parlett-Reid elimination with pivoting (Wimmer, arXiv:1102.3440), O(n^3):
+    step k swaps the largest entry of column k below the diagonal onto row
+    k + 1, which negates the Pfaffian, and eliminates with it; the Pfaffian
+    is the product of the pivots.  Every operation is elementwise across the
+    stack, so a stack gives each matrix's own value bit for bit.  Side 0
+    gives 1 and an odd side 0.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise DimensionMismatch("pfaffian requires square matrices")
+    if n % 2:
+        return np.zeros(a.shape[:-2])[()]
+    stack = a.reshape((math.prod(a.shape[:-2]), n, n))
+    pf = np.ones(len(stack))
+    zero = np.zeros(len(stack), dtype=bool)
+    each = np.arange(len(stack))
+    for k in range(0, n, 2):
+        p = k + 1 + np.argmax(np.abs(stack[:, k + 1:, k]), axis=1)
+        perm = np.tile(np.arange(n), (len(stack), 1))
+        perm[each, k + 1], perm[each, p] = p, k + 1
+        stack = stack[each[:, None, None], perm[:, :, None], perm[:, None, :]]
+        pivot = stack[:, k, k + 1]
+        zero |= pivot == 0.0
+        pf = np.where(p != k + 1, -pf, pf) * pivot
+        tau = stack[:, k, k + 2:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        col = stack[:, k + 2:, k + 1]
+        tail = stack[:, k + 2:, k + 2:] + tau[:, :, None] * col[:, None, :]
+        stack[:, k + 2:, k + 2:] = tail - col[:, :, None] * tau[:, None, :]
+    # a zero pivot leaves a zero column: the Pfaffian is 0 (and not 0 * inf)
+    return np.where(zero, 0.0, pf).reshape(a.shape[:-2])[()] + 0.0
 
 
 def normal_form_amplitudes(m: int, v, g=None) -> tuple:
@@ -166,6 +192,7 @@ def normal_form(m: int, mode: str, grades: dict):
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
+    coords = wire_field(coords, StateCoords, "coords")
     normal = normal_form(coords.m, coords.mode, coords.grades)
     if normal is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "

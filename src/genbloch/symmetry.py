@@ -24,7 +24,7 @@ import numpy as np
 from . import clifford
 from .coords import AntisymTensor, StateCoords
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import exp_minus_i_hermitian
+from .linalg import as_matrix, exp_minus_i_hermitian, wire_field
 
 ORTHO_TOL = 1e-10
 
@@ -39,7 +39,7 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     check_orthogonal before returning.
     """
     # A[j, i] = +alpha_{ij}: the transpose of the tensor's own matrix
-    a = alpha.as_matrix().T
+    a = wire_field(alpha, AntisymTensor, "alpha").as_matrix().T
     # A is normal, so its largest singular value is the largest rotation angle
     theta_max = float(np.linalg.norm(a, 2))
     err = theta_max * np.finfo(float).eps
@@ -55,10 +55,10 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
 
 def check_orthogonal(el, side: int | None = None) -> np.ndarray:
     """The package's one orthogonality rule, for a real L or a complex unitary:
-    el as an array if max|L^dagger L - I| <= ORTHO_TOL, else NotUnitary."""
+    el as an array if max|L^dagger L - I| <= ORTHO_TOL, else NotUnitary; a
+    matrix that is not square and finite (linalg.as_matrix) is refused first."""
+    as_matrix(el)
     el = np.asarray(el)
-    if el.ndim != 2 or el.shape[0] != el.shape[1]:
-        raise DimensionMismatch("rotation matrix must be square")
     if side is not None and el.shape[0] != side:
         raise DimensionMismatch(f"rotation matrix dim {el.shape[0]} != {side}")
     res = float(np.max(np.abs(el.conj().T @ el - np.eye(el.shape[0]))))
@@ -75,8 +75,8 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
     the grade stays.  For each stored J the minors of every I come from one
     stacked det, and each output sum is added in the stored order of J.
     """
-    side = coords.side
-    el = check_orthogonal(np.asarray(el, dtype=float), side)
+    side = wire_field(coords, StateCoords, "coords").side
+    el = np.asarray(check_orthogonal(el, side), dtype=float)
     basis = clifford.cached_basis(coords.m, coords.mode)
     new_grades = {}
     for k, entries in coords.grades.items():

@@ -460,6 +460,31 @@ def test_rotate_alpha_repeats_add_up(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("alpha", [{(1, 2): 0.5}, {(1, 5): 0.5, (2, 3): 0.3}, {(3, 5): -1.2}],
+                         ids=["a12", "a15-a23", "a35"])
+def test_rotate_extended_state(tmp_path, capsys, alpha):
+    # the generator spans the state's own 2m + 1 indices, as rotate_coords does
+    from genbloch.coords import antisym
+    from genbloch.symmetry import orthogonal_from_generator, rotate_coords
+
+    coords = state_coords(2, "extended", grades={1: {(1,): 0.3, (5,): 0.2}, 2: {(2, 5): 0.1}})
+    cpath = write_json(tmp_path / "c.json", coords_to_json(coords))
+    apath = write_json(tmp_path / "a.json", {"m": 2, "alpha": [{"idx": list(i), "val": v}
+                                                               for i, v in alpha.items()]})
+    assert run(["rotate", "--input", cpath, "--alpha", apath]) == 0
+    el = orthogonal_from_generator(antisym(2, 2, alpha, side=5))
+    assert capsys.readouterr().out == _dumps(coords_to_json(rotate_coords(coords, el))) + "\n"
+
+
+def test_rotate_alpha_m_differs_from_the_coords(tmp_path, capsys):
+    cpath = write_json(tmp_path / "c.json", _G1)
+    apath = write_json(tmp_path / "a.json", {"m": 3, "alpha": [{"idx": [1, 2], "val": 0.1}]})
+    assert run(["rotate", "--input", cpath, "--alpha", apath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert "m = 3" in captured.err and "m = 2" in captured.err
+
+
 @pytest.mark.parametrize("m, message", [
     (7, "genbloch: error: m = 7 exceeds the supported maximum 6\n"),
     (0, "genbloch: error: m must be a positive integer, got 0\n"),

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import genbloch
-from genbloch import coords, domains, errors, figures, invariants, linalg
+from genbloch import (clifford, coords, domains, errors, figures, identities, invariants, linalg,
+                      spectra, symmetry)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
 
@@ -204,13 +205,65 @@ def test_records_print_their_fields(index):
     (lambda: figures._tunnel_family(*np.array([[0.0], [np.inf], [0.0]])), "MalformedInput"),
     (lambda: coords.AntisymTensor.from_matrix(2, np.ones((4, 4))), "MalformedInput"),
     (lambda: domains.DomainVerdict(True, False, "positivity", None, 1e-9), "MalformedInput"),
+    # an entry point that takes a record refuses anything else by name
+    (lambda: coords.encode(None), "MalformedInput"),
+    (lambda: spectra.closed_form_spectrum("x"), "MalformedInput"),
+    (lambda: invariants.coords_invariants("x"), "MalformedInput"),
+    (lambda: domains.positivity("x", None), "MalformedInput"),
+    (lambda: symmetry.rotate_coords("x", np.eye(4)), "MalformedInput"),
+    (lambda: symmetry.rotate_coords(coords.state_coords(2), [["a"] * 4] * 4), "MalformedInput"),
+    (lambda: coords.coords_to_json("x"), "MalformedInput"),
+    (lambda: symmetry.orthogonal_from_generator("x"), "MalformedInput"),
+    (lambda: coords.antisym(2, 2, {(1, 2): "a"}), "MalformedInput"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
-        "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation"])
+        "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation", "encode-None",
+        "closed-form-str", "coords-invariants-str", "positivity-str", "rotate-coords-str", "rotate-matrix-str",
+        "coords-to-json-str", "generator-str", "grade-entry-str"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:
         call()
     assert isinstance(info.value, errors.GenblochError) and isinstance(info.value, ValueError)
+
+
+_NAN = float("nan")
+_NAN_L = np.full((4, 4), _NAN)
+
+
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic warns
+@pytest.mark.parametrize("call, error", [
+    (lambda: symmetry.check_orthogonal(_NAN_L), "MalformedInput"),
+    (lambda: symmetry.rotate_coords(coords.state_coords(2, grades={1: {(1,): 0.3}}), _NAN_L),
+     "MalformedInput"),
+    (lambda: invariants.require_sums_of_squares(_NAN), "MalformedInput"),
+    (lambda: invariants.require_sums_of_squares(0.1, _NAN), "MalformedInput"),
+    (lambda: invariants.InvariantSet(r=_NAN, T4=0.0), "MalformedInput"),
+    (lambda: coords.require_unit_trace(_NAN), "NonUnitTrace"),
+    (lambda: identities.rT4_domain(_NAN, 0.1), "MalformedInput"),
+    (lambda: identities.rT4_domain(0.3, _NAN), "MalformedInput"),
+    (lambda: coords.StateCoords(2, "x", 1.0, {}), "ModeMismatch"),
+    (lambda: clifford.full_basis(True), "BadIndex"),
+    (lambda: domains.sample_domain(True, 1, 3, 0), "BadIndex"),
+    (lambda: domains.sample_domain(2, True, 3, 0), "GradeOutOfRange"),
+    (lambda: domains.sample_domain(2, 2, True, 0), "ResourceLimit"),
+    (lambda: domains.sample_domain(2, 2, 3, True), "ResourceLimit"),
+], ids=["orthogonal-nan", "rotate-nan", "r-nan", "T4-nan", "invariant-set-nan", "trace-nan",
+        "rT4-r-nan", "rT4-T4-nan", "unknown-mode", "basis-m-bool", "sample-m-bool",
+        "sample-grade-bool", "sample-count-bool", "sample-seed-bool"])
+def test_nan_bool_and_unknown_mode_are_refused(call, error):
+    # each case meets the shared rule that the same input meets elsewhere
+    with pytest.raises(getattr(errors, error)):
+        call()
+
+
+def test_spectra_loads_no_invariants():
+    # the normal form and the Pfaffian live in spectra; invariants imports them
+    res = subprocess.run([sys.executable, "-c", "import sys, genbloch.spectra; "
+                          "print(' '.join(sorted(sys.modules)))"],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "genbloch.invariants" not in res.stdout.split()
 
 
 def test_record_constructors_keep_their_defaults_and_checks():

@@ -30,6 +30,7 @@ from genbloch.identities import (
 from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
+    CLUSTER_TOL,
     bordered_parts,
     closed_form_spectrum,
     normal_form_amplitudes,
@@ -499,3 +500,30 @@ def test_grade3_configurations_empirical(rng):
 def test_spectrum_from_values_checks_count():
     with pytest.raises(GradeMismatch):
         spectrum_from_values(2, [0.5, 0.5])
+
+
+def _gap_scan(values) -> list:
+    """(mean, count) of each run of the sorted values, split where a gap
+    exceeds CLUSTER_TOL, by a scan over the gaps: the reference rule."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    clusters, start = [], 0
+    for i in range(1, vals.size + 1):
+        if i == vals.size or vals[i] - vals[i - 1] > CLUSTER_TOL:
+            clusters.append((float(np.mean(vals[start:i])), i - start))
+            start = i
+    return clusters
+
+
+# gaps of exactly 0, at CLUSTER_TOL, just above it, and well below and above
+_GAPS = st.sampled_from([0.0, CLUSTER_TOL, math.nextafter(CLUSTER_TOL, 1.0),
+                         CLUSTER_TOL * (1 + 1e-7), 1e-9, 3e-9, 1e-7, 0.05])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m), st.floats(-1.0, 1.0), st.lists(_GAPS, min_size=2 ** m - 1, max_size=2 ** m - 1),
+    st.permutations(range(2 ** m)))))
+def test_multiplets_match_the_gap_scan(case):
+    m, first, gaps, order = case
+    vals = first + np.concatenate([[0.0], np.cumsum(gaps)])
+    assert spectrum_from_values(m, vals[list(order)]).multiplets == _gap_scan(vals)
