@@ -48,19 +48,6 @@ def sum_of_squares(values):
     return total
 
 
-def antisym_matrices(side: int, pairs, values) -> np.ndarray:
-    """Antisymmetric side x side matrix with G_ij = values[n] at each row
-    n = (i, j) of pairs, 1-based i < j.  Each value may be an array of one
-    shape S; the result is then an S + (side, side) stack.
-    """
-    values = np.asarray(values, dtype=float)
-    mat = np.zeros(values.shape[1:] + (side, side))
-    i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T - 1
-    mat[..., i, j] = np.moveaxis(values, 0, -1)
-    mat[..., j, i] = -mat[..., i, j]
-    return mat
-
-
 class AntisymTensor(clifford.Record):
     """Grade-k totally antisymmetric real array over indices 1..side, the
     tuple-keyed view of one grade (StateCoords.grade): only strictly
@@ -101,7 +88,11 @@ class AntisymTensor(clifford.Record):
     def as_matrix(self) -> np.ndarray:
         """Full antisymmetric side x side matrix (grade 2 only)."""
         entries = self.of_grade(2).values
-        return antisym_matrices(self.side, list(entries), list(entries.values()))
+        mat = np.zeros((self.side, self.side))
+        i, j = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T - 1
+        mat[i, j] = list(entries.values())
+        mat[j, i] = -mat[i, j]
+        return mat
 
     @staticmethod
     def from_matrix(m: int, mat, side: int | None = None) -> "AntisymTensor":
@@ -122,7 +113,7 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
     (clifford.index_mask): each value is signed by the permutation that
     sorts them, and the values of one index set are added, in input order,
     at the set's first place.  BadIndex for indices of another grade,
-    MalformedInput for a value that is no number or a sum that is not finite.
+    MalformedInput for a value that is no number, a bool, or a sum that is not finite.
     """
     slots: dict = {}
     for key, v in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
@@ -130,11 +121,9 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
         mask, sign = clifford.index_mask(key, side, increasing)
         if len(key) != k:
             raise BadIndex(f"key {key} has grade {len(key)}, expected {k}")
-        try:
-            slots[mask] = slots.get(mask, 0.0) + sign * float(v)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"value at {tuple(sorted(key))}: expected a number, "
-                                 f"got {v!r:.60}") from None
+        # a float needs no reading; one that is not finite meets the sum's check
+        x = v if type(v) is float else wire_field(v, float, f"value at {tuple(sorted(key))}")
+        slots[mask] = slots.get(mask, 0.0) + sign * x
         if not math.isfinite(slots[mask]):
             raise MalformedInput(f"non-finite value at {tuple(sorted(key))}")
     return slots

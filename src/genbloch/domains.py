@@ -87,10 +87,10 @@ def _oracle_minima(m: int, mode: str, scalar: float, grades: dict, rho=None,
 
 def lowest_eigenvalues(m: int, mode: str, scalar: float, grades: dict, rho=None) -> tuple:
     """(lambda_min, route, normal form) of one state or of a stack sharing
-    (m, mode) and the scalar: grades as spectra.bordered_parts reads them,
+    (m, mode) and the scalar: grades as spectra.normal_form reads them,
     and rho their matrices, or None to encode them only if the route needs
     them.  The route is "normal_form" when the grades lie in the so(2m+2)
-    family, with the normal form (mu, Pf M) of spectra.normal_form; else
+    family, with the normal form (mu, Pf M) of their bordered matrix; else
     "min_eigenvalue", with None.  The work and memory grow with the stack,
     so a caller bounds them by the stacks it passes.
     """

@@ -78,8 +78,8 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
 
     Grade 2 provides (r, T4, D3); grade 1 and the top grade are reported in
     extras so the CLI can describe mixed inputs; a state of the so(2m+2) family
-    adds normal_form_amplitudes and pfaffian_sign of its normal form (mu, Pf M),
-    which fix its spectrum: normal when given, else spectra.normal_form's.
+    adds mu and sign Pf M of its normal form as normal_form_amplitudes and
+    pfaffian_sign, which fix its spectrum: normal when given, else spectra.normal_form's.
     """
     g2 = wire_field(coords, StateCoords, "coords").grade(2)
     inv = (two_tensor_invariants(g2) if g2.values

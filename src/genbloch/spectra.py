@@ -16,11 +16,10 @@ mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
 has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the identities module.
 
-bordered_parts recognises (v, G) in the grades of one state or of a stack,
-normal_form_amplitudes gives (mu, Pf M) of the M they border, with the
-package's one Pfaffian (pfaffian), normal_form joins the two for
-closed_form_spectrum, domains.lowest_eigenvalues and the invariants report,
-and sign_sums gives the eigenvalues, row by row.
+bordered_parts writes M from the grades of one state or of a stack,
+normal_form gives its (mu, Pf M), with the package's one Pfaffian
+(pfaffian), for closed_form_spectrum, domains.lowest_eigenvalues and the
+invariants report, and sign_sums gives the eigenvalues, row by row.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import math
 import numpy as np
 
 from .clifford import Record, m_from_dim
-from .coords import StateCoords, antisym_matrices, require_unit_trace, sum_of_squares
+from .coords import StateCoords, require_unit_trace, sum_of_squares
 from .errors import DimensionMismatch, GradeMismatch, KindMismatch
 from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 
@@ -77,7 +76,7 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
     vectors s with prod_k s_k = (-1)^m sign pf, taken as (-1)^m when pf is 0.
 
     mu is a (..., m + 1) array of normal-form amplitudes and pf the (...)
-    Pfaffians of normal_form_amplitudes; the result is (..., 2^m).  Each sum
+    Pfaffians of normal_form; the result is (..., 2^m).  Each sum
     is added left to right, elementwise, so a stack gives each state's own
     values bit for bit.
     """
@@ -129,38 +128,15 @@ def pfaffian(a):
     return np.where(zero, 0.0, pf).reshape(a.shape[:-2])[()] + 0.0
 
 
-def normal_form_amplitudes(m: int, v, g=None) -> tuple:
-    """(mu, Pf M) of the bordered matrix M = [[0, v^T], [-v, G]] of side
-    2m + 2: its paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1),
-    and its Pfaffian, shape (...).
-
-    v is a (..., n) array and g a (..., n', n') array of antisymmetric
-    matrices, or None for a state without one, over the first n, n' <= 2m + 1
-    extended indices.  Without g, M has rank 2 and mu is (|v|, 0, ...,
-    0), |v| the square root of v's squares added left to right, so the
-    doublet comes out exact.
-    """
-    bordered = np.zeros(v.shape[:-1] + (2 * m + 2, 2 * m + 2))
-    bordered[..., 0, 1:v.shape[-1] + 1] = v
-    bordered[..., 1:v.shape[-1] + 1, 0] = -v
-    if g is None:
-        mu = np.zeros(v.shape[:-1] + (m + 1,))
-        mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(v, -1, 0)))
-    else:
-        bordered[..., 1:g.shape[-1] + 1, 1:g.shape[-1] + 1] = g
-        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
-    return mu, pfaffian(bordered)
-
-
 def bordered_parts(m: int, mode: str, grades: dict):
-    """(v, G) of states in the so(2m+2) family, else None.
+    """The bordered matrix M = [[0, v^T], [-v, G]] of states in the so(2m+2)
+    family, shape (..., 2m + 2, 2m + 2), else None.
 
     grades is {k: {mask: value}} as StateCoords holds it, or for a stack of
     states sharing (m, mode) an (n,) column per mask.  A grade counts when it
-    holds a nonzero value.  v is the grade-1 part over the 2m + 1 extended
-    indices, shape (..., 2m + 1); G the grade-2 part, (..., side, side) over
-    the first side = 2m indices when a standard-mode stack has no grade
-    2m - 1, else 2m + 1, or None.
+    holds a nonzero value.  An entry over one of the 2m + 1 extended indices
+    goes into row and column 0 (v), one over two into the block (G), and the
+    standard grades 2m - 1 and 2m go there through their complements.
     """
     n, standard = 2 * m + 1, mode == "standard"
     first = next((x for entries in grades.values() for x in entries.values()), 0.0)
@@ -169,25 +145,37 @@ def bordered_parts(m: int, mode: str, grades: dict):
     active = [k for k, entries in sorted(grades.items()) if any(map(nonzero, entries.values()))]
     if not set(active) <= ({1, 2, 2 * m - 1, 2 * m} if standard else {1, 2}):
         return None
-    v, g = np.zeros(shape + (n,)), {}
+    bordered = np.zeros(shape + (n + 1, n + 1))
     for k in active:
         for mask, x in grades[k].items():
             if standard and k >= max(2, 2 * m - 1):  # to the complement (module docstring)
                 a = (mask ^ (1 << (n - 1)) - 1).bit_length()
                 mask, x = mask ^ (1 << n) - 1, (-1) ** (m if k == 2 * m else a + 1) * x
             low, high = (mask & -mask).bit_length(), mask.bit_length()
-            if low == high:
-                v[..., low - 1] = x
-            else:
-                g[low, high] = x
-    side = n if not standard or 2 * m - 1 in active else 2 * m
-    return v, antisym_matrices(side, list(g), list(g.values())) if g else None
+            low = 0 if low == high else low  # a vector entry borders row and column 0
+            bordered[..., low, high], bordered[..., high, low] = x, -x
+    bordered[..., 1:, 0] = -bordered[..., 0, 1:]  # -v whole: an absent entry is -0.0 there
+    return bordered
 
 
 def normal_form(m: int, mode: str, grades: dict):
-    """normal_form_amplitudes of the so(2m+2) family's grades (bordered_parts), else None."""
-    found = bordered_parts(m, mode, grades)
-    return None if found is None else normal_form_amplitudes(m, *found)
+    """(mu, Pf M) of the bordered matrix M of the so(2m+2) family's grades
+    (bordered_parts), else None: M's paired singular values mu_0 >= ... >= mu_m,
+    shape (..., m + 1), and its Pfaffian, shape (...).
+
+    When M's block G is zero in every state, M has rank 2 and mu is (|v|, 0,
+    ..., 0), |v| the square root of v's squares added left to right, so the
+    doublet comes out exact.
+    """
+    bordered = bordered_parts(m, mode, grades)
+    if bordered is None:
+        return None
+    if bordered[..., 1:, 1:].any():
+        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
+    else:
+        mu = np.zeros(bordered.shape[:-2] + (m + 1,))
+        mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(bordered[..., 0, 1:], -1, 0)))
+    return mu, pfaffian(bordered)
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:

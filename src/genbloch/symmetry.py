@@ -35,8 +35,8 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     A rotation angle theta comes out of the eigensolver with an error of
     about theta * eps, so once the largest angle exceeds ORTHO_TOL / eps
     (about 4.5e5 rad) L is no longer known to ORTHO_TOL and NotUnitary is
-    raised.  The imaginary residue is validated here and orthogonality by
-    check_orthogonal before returning.
+    raised.  The imaginary residue is validated by real_part and
+    orthogonality by check_orthogonal before returning.
     """
     # A[j, i] = +alpha_{ij}: the transpose of the tensor's own matrix
     a = wire_field(alpha, AntisymTensor, "alpha").as_matrix().T
@@ -46,11 +46,17 @@ def orthogonal_from_generator(alpha: AntisymTensor) -> np.ndarray:
     if err > ORTHO_TOL:
         raise NotUnitary(f"rotation angle {theta_max:.3e} rad: exp(A) is known only to "
                          f"{err:.1e}, above {ORTHO_TOL:.0e}")
-    el = exp_minus_i_hermitian(1j * a)
-    imag = float(np.max(np.abs(el.imag)))
+    return check_orthogonal(real_part(exp_minus_i_hermitian(1j * a),
+                                      "exponential of the generator"))
+
+
+def real_part(el, name: str) -> np.ndarray:
+    """The package's one realness rule: the real part of el as floats, or
+    NotUnitary naming it when an imaginary part exceeds ORTHO_TOL."""
+    imag = float(np.max(np.abs(np.imag(el))))
     if imag > ORTHO_TOL:
-        raise NotUnitary(f"exponential of the generator has imaginary residue {imag:.3e}")
-    return check_orthogonal(el.real)
+        raise NotUnitary(f"{name} has imaginary residue {imag:.3e}")
+    return np.asarray(np.real(el), dtype=float)
 
 
 def check_orthogonal(el, side: int | None = None) -> np.ndarray:
@@ -76,7 +82,7 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
     stacked det, and each output sum is added in the stored order of J.
     """
     side = wire_field(coords, StateCoords, "coords").side
-    el = np.asarray(check_orthogonal(el, side), dtype=float)
+    el = real_part(check_orthogonal(el, side), "rotation matrix")
     basis = clifford.cached_basis(coords.m, coords.mode)
     new_grades = {}
     for k, entries in coords.grades.items():

@@ -125,8 +125,7 @@ def test_validate_normal_form_route(tmp_path, capsys):
         used = out["invariants_used"]
         assert run(["invariants", "--input", path]) == 0
         assert _same_bits(used, json.loads(capsys.readouterr().out))
-        amplitudes, pf = spectra.normal_form_amplitudes(
-            m, *spectra.bordered_parts(m, mode, coords.grades))
+        amplitudes, pf = spectra.normal_form(m, mode, coords.grades)
         assert used["extras"]["normal_form_amplitudes"] == amplitudes.tolist()
         assert amplitudes.tolist() == pytest.approx(mu)
         assert used["extras"]["pfaffian_sign"] == float(np.sign(pf)) == 0.0
@@ -505,6 +504,10 @@ _VEC = [{"idx": [1], "val": 0.5}]
     (["invariants"], {"2": [{"idx": [1, 2], "val": 0.0}]}, 0, '"pfaffian": 0.0'),
     (["basis", "--m", "2", "--mode", "extended", "--element", "3:1,2,3"], None, 1,
      "genbloch: error: no basis element with index (1, 2, 3)\n"),
+    (["basis", "--m", "2", "--element", "2:1,x"], None, 1,
+     "genbloch: usage error: bad --element '2:1,x'; expected K:I1,I2,...\n"),
+    (["basis", "--m", "2", "--element", "3:1,2"], None, 1,
+     "genbloch: usage error: --element grade 3 does not match 2 indices\n"),
     (["validate"], {"2": [{"idx": [True, 2], "val": 0.1}]}, 1,
      "genbloch: error: indices (True, 2) must be Python ints\n"),
     (["validate"], {"2": [{"idx": [1.0, 2], "val": 0.1}]}, 1,
@@ -514,8 +517,8 @@ _VEC = [{"idx": [1], "val": 0.5}]
     (["validate"], {"2": [{"idx": [1, 1], "val": 0.1}]}, 1,
      "genbloch: error: repeated index in (1, 1)\n"),
 ], ids=["rotate-empty-grade", "rotate-zero-grade", "invariants-explicit-zero",
-        "basis-beyond-family", "bool-index", "float-index", "index-beyond-side",
-        "repeated-index"])
+        "basis-beyond-family", "basis-bad-selector", "basis-grade-count", "bool-index",
+        "float-index", "index-beyond-side", "repeated-index"])
 def test_coords_edges(tmp_path, capsys, argv, grades, code, expect):
     # a present grade stays present when it holds no entry or only zeros, and
     # each index rule keeps its message

@@ -217,8 +217,7 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     used = verdict.invariants_used.to_dict()
     assert json.dumps(used, sort_keys=True) == json.dumps(
         coords_invariants(coords).to_dict(), sort_keys=True)
-    mu, pf = spectra.normal_form_amplitudes(m, *spectra.bordered_parts(m, coords.mode,
-                                                                       coords.grades))
+    mu, pf = spectra.normal_form(m, coords.mode, coords.grades)
     assert used["extras"]["normal_form_amplitudes"] == mu.tolist()
     assert used["extras"]["pfaffian_sign"] == float(np.sign(pf))
     # the amplitudes, LAPACK singular values of M (side 2m + 2), carry every

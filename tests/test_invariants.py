@@ -32,7 +32,7 @@ from genbloch.invariants import (
     trace_T4,
     two_tensor_invariants,
 )
-from genbloch.spectra import bordered_parts, normal_form_amplitudes
+from genbloch.spectra import normal_form
 from genbloch.symmetry import orthogonal_from_generator
 
 from conftest import random_tensor
@@ -275,7 +275,7 @@ def test_invariant_set_builders(rng):
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
     # a vector's amplitude adds the pseudoscalar's square (the normal_form verdict's mu_0)
     coords = state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}})
-    mu, pf = normal_form_amplitudes(2, *bordered_parts(2, coords.mode, coords.grades))
+    mu, pf = normal_form(2, coords.mode, coords.grades)
     extras = coords_invariants(coords).extras
     assert extras["normal_form_amplitudes"] == mu.tolist()
     assert abs(extras["normal_form_amplitudes"][0] - 1.0) < 1e-15

@@ -215,10 +215,16 @@ def test_records_print_their_fields(index):
     (lambda: coords.coords_to_json("x"), "MalformedInput"),
     (lambda: symmetry.orthogonal_from_generator("x"), "MalformedInput"),
     (lambda: coords.antisym(2, 2, {(1, 2): "a"}), "MalformedInput"),
+    (lambda: symmetry.rotate_coords(coords.state_coords(2), np.eye(3)), "DimensionMismatch"),
+    (lambda: coords.vector(2, [0.1, 0.2]), "DimensionMismatch"),
+    (lambda: coords.AntisymTensor.from_matrix(2, np.zeros((4, 3))), "DimensionMismatch"),
+    (lambda: spectra.pfaffian(np.zeros((2, 3))), "DimensionMismatch"),
+    (lambda: coords.antisym(2, 1, {(1,): 10 ** 400}), "MalformedInput"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
         "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation", "encode-None",
         "closed-form-str", "coords-invariants-str", "positivity-str", "rotate-coords-str", "rotate-matrix-str",
-        "coords-to-json-str", "generator-str", "grade-entry-str"])
+        "coords-to-json-str", "generator-str", "grade-entry-str", "rotate-matrix-size",
+        "vector-length", "from-matrix-shape", "pfaffian-not-square", "grade-entry-huge-int"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:
@@ -247,9 +253,14 @@ _NAN_L = np.full((4, 4), _NAN)
     (lambda: domains.sample_domain(2, True, 3, 0), "GradeOutOfRange"),
     (lambda: domains.sample_domain(2, 2, True, 0), "ResourceLimit"),
     (lambda: domains.sample_domain(2, 2, 3, True), "ResourceLimit"),
+    # a complex unitary is no rotation of real coordinates
+    (lambda: symmetry.rotate_coords(coords.state_coords(2, grades={1: {(1,): 0.3, (2,): 0.1}}),
+                                    np.diag([1j, 1, 1, 1])), "NotUnitary"),
+    (lambda: coords.antisym(2, 1, {(1,): True}), "MalformedInput"),
 ], ids=["orthogonal-nan", "rotate-nan", "r-nan", "T4-nan", "invariant-set-nan", "trace-nan",
         "rT4-r-nan", "rT4-T4-nan", "unknown-mode", "basis-m-bool", "sample-m-bool",
-        "sample-grade-bool", "sample-count-bool", "sample-seed-bool"])
+        "sample-grade-bool", "sample-count-bool", "sample-seed-bool", "rotate-complex",
+        "grade-value-bool"])
 def test_nan_bool_and_unknown_mode_are_refused(call, error):
     # each case meets the shared rule that the same input meets elsewhere
     with pytest.raises(getattr(errors, error)):

@@ -33,7 +33,7 @@ from genbloch.spectra import (
     CLUSTER_TOL,
     bordered_parts,
     closed_form_spectrum,
-    normal_form_amplitudes,
+    normal_form,
     numeric_spectrum,
     sign_sums,
     spectrum_from_values,
@@ -45,8 +45,8 @@ from conftest import random_tensor
 
 def normal_form_eigenvalues(g):
     """Sorted (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}), m = side // 2."""
-    amplitudes = normal_form_amplitudes(g.side // 2, np.zeros(g.side), g.as_matrix())
-    return sign_sums(1.0, *amplitudes)
+    mode = "standard" if g.side == 2 * g.m else "extended"
+    return sign_sums(1.0, *normal_form(g.m, mode, state_coords(g.m, mode, grades={2: g}).grades))
 
 
 def rank2_tensor(rng, m, mu1, mu2):
@@ -274,8 +274,9 @@ def test_vector_closed_form_is_the_doublet(rng, m):
     # grade-1 entries in index order, then the (2m+1)-th
     for _ in range(20):
         for coords in _vector_configs(rng, m):
-            v, g = bordered_parts(coords.m, coords.mode, coords.grades)
-            assert g is None
+            bordered = bordered_parts(coords.m, coords.mode, coords.grades)
+            assert bordered.shape == (2 * m + 2, 2 * m + 2) and not bordered[1:, 1:].any()
+            v = bordered[0, 1:]
             norm_sq = 0.0
             for x in v[:-1]:
                 if x != 0.0:
