@@ -36,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, ResourceLimit
+from .linalg import wire_field
 
 MAX_M = 6
 
@@ -152,7 +153,7 @@ def basis_element(m: int, indices, mode: str = "standard") -> np.ndarray:
     """Graded basis element for a strictly increasing multi-index (1-based) of
     any grade; only the orthogonal family of full_basis stops at m in extended mode."""
     basis = cached_basis(m, mode)
-    return basis._dense(index_mask(indices, basis.side, increasing=True)[0])
+    return basis.expand({index_mask(indices, basis.side, increasing=True)[0]: 1.0}) + 0j
 
 
 class CliffordBasis(Record):
@@ -188,19 +189,11 @@ class CliffordBasis(Record):
                 for mask in self.masks.tolist()]
 
     def element(self, indices) -> np.ndarray:
-        """Dense E_A, built on each call."""
+        """Dense E_A, built on each call by expand; + 0j clears signed zeros."""
         mask, _ = index_mask(indices, self.side, increasing=True)
         if self.grade[mask] > self.max_grade:
             raise BadIndex(f"no basis element with index {tuple(indices)}")
-        return self._dense(mask)
-
-    def _dense(self, mask: int) -> np.ndarray:
-        """The 2^m x 2^m matrix i^p X^x Z^z of the string at mask; + 0j clears
-        signed zeros."""
-        r, signs = np.arange(self.dim), _signs(self.m)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        out[r ^ self.x[mask], r] = _PHASES[self.p[mask]] * signs[self.z[mask]] + 0j
-        return out
+        return self.expand({mask: 1.0}) + 0j
 
     def expand(self, coeffs: dict) -> np.ndarray:
         """Dense sum_A c_A E_A for a mapping {mask of A: c_A} over the family.
@@ -269,7 +262,7 @@ def verify_algebra(basis: CliffordBasis) -> dict:
     4 for a generator squaring to -I, 2^m for two rows sharing (x, z) and
     2^{m+1} for E_A^2 = -I on the Gram diagonal.
     """
-    h = _signs(basis.m)
+    h = _signs(wire_field(basis, CliffordBasis, "basis").m)
     hermitian = (1 - 2 * (basis.p & 1)) == h[basis.x, basis.z]
     gens = 1 << np.arange(basis.side)
     gx, gz = basis.x[gens], basis.z[gens]

@@ -64,9 +64,9 @@ class AntisymTensor(clifford.Record):
         grade_entries(self.k, self.side, self.values, increasing=True)
 
     def get(self, indices) -> float:
-        """Signed component for an arbitrary index order."""
+        """Signed component for an arbitrary order of k indices."""
         _, sign = clifford.index_mask(indices, self.side)
-        return sign * self.values.get(tuple(sorted(indices)), 0.0)
+        return sign * self.of_grade(len(indices)).values.get(tuple(sorted(indices)), 0.0)
 
     def items(self):
         return self.values.items()
@@ -113,10 +113,16 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
     (clifford.index_mask): each value is signed by the permutation that
     sorts them, and the values of one index set are added, in input order,
     at the set's first place.  BadIndex for indices of another grade,
-    MalformedInput for a value that is no number, a bool, or a sum that is not finite.
+    MalformedInput for an entry that is no (indices, value) pair, a value
+    that is no number, a bool, or a sum that is not finite.
     """
     slots: dict = {}
-    for key, v in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
+    for pair in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
+        try:
+            key, v = pair
+        except (TypeError, ValueError):
+            raise MalformedInput(f"grade {k}: expected (indices, value) pairs, "
+                                 f"got {pair!r:.60}") from None
         key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
         mask, sign = clifford.index_mask(key, side, increasing)
         if len(key) != k:

@@ -74,7 +74,7 @@ from .errors import (
 )
 from .figures import _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
 from .invariants import InvariantSet, frobenius_r, trace_T4
-from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian
+from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian, wire_field
 from .spectra import Spectrum, pfaffian, spectrum_from_values
 from .symmetry import check_orthogonal
 
@@ -107,7 +107,7 @@ def spin_lift(alpha: AntisymTensor) -> np.ndarray:
     E_{ij} = i Gamma_i Gamma_j; the repeated-index sum over both orders,
     -(i/4) sum_{i,j}, doubles each stored i < j term.
     """
-    m = alpha.of_grade(2).m
+    m = wire_field(alpha, AntisymTensor, "alpha").of_grade(2).m
     if alpha.side != 2 * m:
         raise ModeMismatch("spin_lift rotates the 2m standard generators")
     coeffs = grade_entries(2, alpha.side, alpha.values)  # {mask: alpha_ij}
@@ -164,7 +164,7 @@ def epsilon_contract(mat: np.ndarray, lead: tuple, factors: int):
 
 def epsilon_sum_D3(g: AntisymTensor) -> float:
     """Brute-force eps contraction over all 720 index permutations (m = 3)."""
-    if g.of_grade(2).side != 6:
+    if wire_field(g, AntisymTensor, "g").of_grade(2).side != 6:
         raise DimensionMismatch("the triple eps contraction needs 6 indices (m = 3)")
     return epsilon_contract(g.as_matrix(), (), 3)
 
@@ -188,7 +188,7 @@ def dual_tensor(g: AntisymTensor) -> AntisymTensor:
     Both sums run over all orders of the contracted indices, matching the
     repeated-index convention of the defining expressions.
     """
-    if g.of_grade(2).side not in (4, 6):
+    if wire_field(g, AntisymTensor, "g").of_grade(2).side not in (4, 6):
         raise UnsupportedM(f"dual_tensor supports sides 4 and 6, got {g.side}")
     mat = g.as_matrix()
     vals = {}
@@ -219,7 +219,7 @@ def dual_identity_residual(g: AntisymTensor) -> float:
 
 def det_identity_check(g: AntisymTensor) -> tuple[float, float]:
     """(2r^2 - T4, 4 det G) for a 4x4 grade-2 tensor; equal up to rounding."""
-    if g.of_grade(2).side != 4:
+    if wire_field(g, AntisymTensor, "g").of_grade(2).side != 4:
         raise UnsupportedM("the determinant identity is specific to side 4 (m = 2)")
     lhs = 2.0 * frobenius_r(g) ** 2 - trace_T4(g)
     rhs = 4.0 * float(np.linalg.det(g.as_matrix()))
@@ -232,7 +232,7 @@ def pseudo_vector_V(g: AntisymTensor) -> np.ndarray:
     When G is supported on indices 1..6, V_7 reduces to the 6-index D3 and
     the other components vanish.
     """
-    if g.of_grade(2).side != 7:
+    if wire_field(g, AntisymTensor, "g").of_grade(2).side != 7:
         raise DimensionMismatch("pseudo_vector_V needs a side-7 grade-2 tensor")
     mat = g.as_matrix()
     return np.array([epsilon_contract(mat, (i,), 3) for i in range(7)])
@@ -354,7 +354,7 @@ def z_from_coords(g2: AntisymTensor) -> float:
     side 4: z = 1/2 - 2 |G_12 G_34 - G_13 G_24 + G_14 G_23|  (the Pfaffian)
     side 6: z = 1/2 - sqrt(sum_{i<j} Ad_ij^2) / 4 via the quadratic dual.
     """
-    if g2.of_grade(2).side == 4:
+    if wire_field(g2, AntisymTensor, "g2").of_grade(2).side == 4:
         return 0.5 - 2.0 * abs(pfaffian(g2.as_matrix()))
     if g2.side == 6:
         dual = dual_tensor(g2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clifford import Record
-from .coords import AntisymTensor, StateCoords
+from .coords import AntisymTensor, StateCoords, sum_of_squares
 from .errors import InvariantMismatch, MalformedInput
 from .linalg import wire_field
 from .spectra import normal_form, pfaffian
@@ -28,12 +28,12 @@ from .spectra import normal_form, pfaffian
 
 def frobenius_r(g: AntisymTensor) -> float:
     """r = sum_{i<j} G_ij^2 (half the squared Frobenius norm of the full matrix)."""
-    return g.of_grade(2).norm_sq()
+    return wire_field(g, AntisymTensor, "g").of_grade(2).norm_sq()
 
 
 def trace_T4(g: AntisymTensor) -> float:
     """T4 = trace((G^T G)^2) of a grade-2 AntisymTensor."""
-    mat = g.as_matrix()
+    mat = wire_field(g, AntisymTensor, "g").as_matrix()
     gtg = mat.T @ mat
     return float(np.trace(gtg @ gtg))
 
@@ -85,13 +85,11 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
     inv = (two_tensor_invariants(g2) if g2.values
            else InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None)))
     extras = dict(inv.extras)
-    g1 = coords.grade(1)
-    if g1.values:
-        extras["vector_norm_sq"] = g1.norm_sq()
-    if coords.mode == "standard":
-        top = coords.grade(coords.side)
-        if top.values:
-            extras["pseudoscalar"] = top.get(tuple(range(1, coords.side + 1)))
+    if coords.grades.get(1):
+        extras["vector_norm_sq"] = float(sum_of_squares(coords.grades[1].values()))
+    top = coords.grades.get(coords.side) if coords.mode == "standard" else None
+    if top:  # its one mask sets every index
+        extras["pseudoscalar"] = top[(1 << coords.side) - 1]
     if normal is None:
         normal = normal_form(coords.m, coords.mode, coords.grades)
     if normal is not None:

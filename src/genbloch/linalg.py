@@ -83,9 +83,9 @@ def matrix_to_json(a) -> dict:
 def wire_field(value, kind: type, name: str):
     """A JSON field as kind (dict, list, float by float(), int by operator.index, which
     refuses 2.0, "2" and True), or MalformedInput naming the field; a library entry
-    point reads its record arguments (StateCoords, AntisymTensor) here too.  Every number of
-    an input is read here; a float refuses True, an int beyond float range and a
-    value that is not finite (json.load reads Infinity, NaN and 1e400), too."""
+    point reads its record arguments (StateCoords, AntisymTensor, CliffordBasis) here
+    too.  Every number of an input is read here; a float refuses True, an int beyond
+    float range and a value that is not finite (json.load reads Infinity, NaN and 1e400), too."""
     try:
         out = operator.index(value) if kind is int else float(value) if kind is float else value
         if (isinstance(out, kind) and not isinstance(value, bool)

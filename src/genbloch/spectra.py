@@ -96,11 +96,11 @@ def pfaffian(a):
     """Pfaffian of a real antisymmetric matrix, or of each one of a (..., n, n) stack.
 
     Parlett-Reid elimination with pivoting (Wimmer, arXiv:1102.3440), O(n^3):
-    step k swaps the largest entry of column k below the diagonal onto row
-    k + 1, which negates the Pfaffian, and eliminates with it; the Pfaffian
-    is the product of the pivots.  Every operation is elementwise across the
-    stack, so a stack gives each matrix's own value bit for bit.  Side 0
-    gives 1 and an odd side 0.
+    step k swaps rows and columns k + 1 and p in place, p the row of the largest
+    entry of column k below the diagonal (which negates the Pfaffian when
+    p != k + 1), and eliminates with it; the Pfaffian is the product of the
+    pivots.  Every operation is elementwise across the stack, so a stack gives
+    each matrix's own value bit for bit.  Side 0 gives 1 and an odd side 0.
     """
     a = np.array(a, dtype=float)
     n = a.shape[-1]
@@ -114,9 +114,8 @@ def pfaffian(a):
     each = np.arange(len(stack))
     for k in range(0, n, 2):
         p = k + 1 + np.argmax(np.abs(stack[:, k + 1:, k]), axis=1)
-        perm = np.tile(np.arange(n), (len(stack), 1))
-        perm[each, k + 1], perm[each, p] = p, k + 1
-        stack = stack[each[:, None, None], perm[:, :, None], perm[:, None, :]]
+        stack[each, k + 1], stack[each, p] = stack[each, p], stack[each, k + 1]
+        stack[each, :, k + 1], stack[each, :, p] = stack[each, :, p], stack[each, :, k + 1]
         pivot = stack[:, k, k + 1]
         zero |= pivot == 0.0
         pf = np.where(p != k + 1, -pf, pf) * pivot

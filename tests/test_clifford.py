@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from genbloch.cli import run
 from genbloch.clifford import (
     CliffordBasis,
     basis_element,
     cached_basis,
     full_basis,
     index_mask,
+    side,
     verify_algebra,
 )
 from genbloch.coords import AntisymTensor, antisym
@@ -193,6 +195,19 @@ def test_mask_table_matches_dense_products_at_every_grade(m, mode):
     b = cached_basis(m, mode)
     assert b.masks.tolist() == [index_mask(idx, b.side)[0] for idx in b.indices]
     assert b.indices == sorted(b.indices, key=lambda idx: (len(idx), idx))
+
+
+def test_m1_elements_hold_no_negative_zero(capsys):
+    # expand leaves -0.0 in some m = 1 elements and + 0j clears it, which
+    # np.array_equal, for which -0.0 == 0.0, cannot see
+    for mode in ("standard", "extended"):
+        assert run(["basis", "--m", "1", "--mode", mode]) == 0
+        assert "-0.0" not in capsys.readouterr().out
+        n = side(1, mode)
+        for idx in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n + 1), k) for k in range(n + 1)):
+            parts = basis_element(1, idx, mode).view(float)
+            assert not np.signbit(parts[parts == 0.0]).any(), (mode, idx)
 
 
 def test_extended_gammas_m1():

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genbloch import identities, invariants
 from genbloch.coords import AntisymTensor, antisym, state_coords
 from genbloch.errors import (
     BadIndex,
     DimensionMismatch,
     GradeMismatch,
+    InvariantMismatch,
     UnknownName,
     UnsupportedM,
 )
@@ -248,6 +250,17 @@ def test_T4_cauchy_schwarz_bound(rng):
             g = random_tensor(rng, m, 2)
             r = frobenius_r(g)
             assert trace_T4(g) <= 2 * r * r + 1e-10 * max(1.0, r * r)
+
+
+def test_invariant_guards_detect_tampering(monkeypatch):
+    # each guard compares one quantity with a bound or a second route to it
+    g = antisym(3, 2, {(1, 2): 0.3, (3, 4): 0.2, (5, 6): 0.1})
+    monkeypatch.setattr(invariants, "trace_T4", lambda g: 1.0)  # above 2 r^2 = 0.0392
+    with pytest.raises(InvariantMismatch, match="Cauchy-Schwarz"):
+        two_tensor_invariants(g)
+    monkeypatch.setattr(identities, "pfaffian", lambda a: 1.0)  # 48 Pf is 0.288
+    with pytest.raises(InvariantMismatch, match="disagree"):
+        epsilon_D3(g)
 
 
 def test_D3_sign_under_reflection(rng):

@@ -75,6 +75,13 @@ def test_eigenvalues_vs_charpoly_bisection(rng):
     assert np.max(np.abs(vals - roots)) < 1e-9
 
 
+def test_char_poly_at_odd_dimension(rng):
+    # det(lambda I - A) flips sign into det(A - lambda I) when the side is odd
+    h, lam = random_hermitian(rng, 3), 0.37
+    want = np.linalg.det(h - lam * np.eye(3)).real
+    assert abs(polyval(lam, char_poly(h)) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_eigenvalue_sum_is_trace(rng):
     for n in (3, 8, 32):
         h = random_hermitian(rng, n)

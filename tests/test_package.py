@@ -220,11 +220,47 @@ def test_records_print_their_fields(index):
     (lambda: coords.AntisymTensor.from_matrix(2, np.zeros((4, 3))), "DimensionMismatch"),
     (lambda: spectra.pfaffian(np.zeros((2, 3))), "DimensionMismatch"),
     (lambda: coords.antisym(2, 1, {(1,): 10 ** 400}), "MalformedInput"),
+    (lambda: invariants.frobenius_r("x"), "MalformedInput"),
+    (lambda: invariants.trace_T4("x"), "MalformedInput"),
+    (lambda: invariants.two_tensor_invariants("x"), "MalformedInput"),
+    (lambda: clifford.verify_algebra("x"), "MalformedInput"),
+    (lambda: identities.spin_lift("x"), "MalformedInput"),
+    (lambda: identities.epsilon_sum_D3("x"), "MalformedInput"),
+    (lambda: identities.epsilon_D3("x"), "MalformedInput"),
+    (lambda: identities.dual_tensor("x"), "MalformedInput"),
+    (lambda: identities.dual_identity_residual("x"), "MalformedInput"),
+    (lambda: identities.det_identity_check("x"), "MalformedInput"),
+    (lambda: identities.pseudo_vector_V("x"), "MalformedInput"),
+    (lambda: identities.z_from_coords("x"), "MalformedInput"),
+    # a grade's entries are (indices, value) pairs, and get reads the tensor's own grade
+    (lambda: coords.state_coords(2, grades={2: "x"}), "MalformedInput"),
+    (lambda: coords.tensor_config(2, 2, "x"), "MalformedInput"),
+    (lambda: coords.antisym(2, 2, {(1, 2): 0.3}).get((1,)), "GradeMismatch"),
+    # the refusals of the identities module
+    (lambda: identities.spin_lift(coords.antisym(2, 2, {(1, 5): 0.3}, side=5)), "ModeMismatch"),
+    (lambda: identities.epsilon_contract(np.zeros((4, 4)), (), 3), "DimensionMismatch"),
+    (lambda: identities.det_identity_check(coords.antisym(3, 2, {(1, 2): 0.3})), "UnsupportedM"),
+    (lambda: identities.factorized_charpoly(1, "two_tensor", invariants.InvariantSet(0.3, 0.05)),
+     "KindMismatch"),
+    (lambda: identities.factorized_charpoly(2, "two_tensor",
+                                            invariants.InvariantSet(0.3, 0.05, D3=1.0)),
+     "KindMismatch"),
+    (lambda: identities.factorized_charpoly(2, "x", invariants.InvariantSet(0.3, 0.05)),
+     "KindMismatch"),
+    (lambda: identities.z_from_coords(coords.antisym(4, 2, {(1, 2): 0.3})), "UnsupportedM"),
+    (lambda: identities.descartes_positivity([1.0, 0.0]), "GradeMismatch"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
         "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation", "encode-None",
         "closed-form-str", "coords-invariants-str", "positivity-str", "rotate-coords-str", "rotate-matrix-str",
         "coords-to-json-str", "generator-str", "grade-entry-str", "rotate-matrix-size",
-        "vector-length", "from-matrix-shape", "pfaffian-not-square", "grade-entry-huge-int"])
+        "vector-length", "from-matrix-shape", "pfaffian-not-square", "grade-entry-huge-int",
+        "frobenius-r-str", "trace-T4-str", "two-tensor-invariants-str", "verify-algebra-str",
+        "spin-lift-str", "epsilon-sum-D3-str", "epsilon-D3-str", "dual-tensor-str",
+        "dual-identity-residual-str", "det-identity-check-str", "pseudo-vector-V-str",
+        "z-from-coords-str", "grade-entry-not-pair", "tensor-config-str", "get-other-grade",
+        "spin-lift-extended", "epsilon-contract-free-indices", "det-identity-side-6",
+        "two-tensor-m1", "two-tensor-D3-off-m3", "unknown-kind",
+        "z-from-coords-side-8", "descartes-zero-leading"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:

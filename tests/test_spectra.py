@@ -207,6 +207,10 @@ def test_quartet_sign_structure(rng):
 def test_quartet_complex_roots_signal():
     with pytest.raises(ComplexRoots):
         quartet_eigenvalues(2, InvariantSet(r=0.1, T4=5.0))
+    # T4 < r^2: the discriminant is real, and r - sqrt(2 r^2 - T4) is negative
+    with pytest.raises(ComplexRoots) as info:
+        quartet_eigenvalues(2, InvariantSet(r=0.3, T4=0.05))
+    assert type(info.value) is ComplexRoots
 
 
 def test_quartet_eigenvalues_m2_only():
