@@ -5,7 +5,8 @@ A state is expanded as
     rho = 2^{-m} * sum_k sum_{i1<..<ik} G_{i1..ik} E_{i1..ik}
 
 with each increasing multi-index summed once and keyed by its bitmask
-(clifford.index_mask); AntisymTensor is the tuple-keyed view of one grade.
+(clifford.index_mask): a grade is {mask: value} under one rule (check_grade),
+in StateCoords and AntisymTensor alike; antisym builds one from index tuples.
 Because the basis satisfies trace(E_A E_B) = 2^m delta_AB, the inverse map
 is the plain trace projection G_A = trace(rho E_A), real for the hermitian
 part (linalg.require_hermitian) that decode projects.  The scalar
@@ -17,6 +18,8 @@ validated here; deciding it is the job of the domains module.
 from __future__ import annotations
 
 import math
+import numbers
+from sys import float_info
 
 import numpy as np
 
@@ -49,10 +52,9 @@ def sum_of_squares(values):
 
 
 class AntisymTensor(clifford.Record):
-    """Grade-k totally antisymmetric real array over indices 1..side, the
-    tuple-keyed view of one grade (StateCoords.grade): only strictly
-    increasing index tuples are stored, odd permutations are implied by
-    sign, absent keys are zero."""
+    """Grade-k totally antisymmetric real array over indices 1..side: one grade's
+    {mask: value}, as StateCoords holds it; items gives (increasing indices, value)
+    pairs, odd permutations are implied by sign, absent masks are zero."""
 
     __slots__ = ("m", "k", "side", "values")
 
@@ -61,18 +63,19 @@ class AntisymTensor(clifford.Record):
         clifford._check_m(self.m)  # bounds side, and with it every mask
         if self.side not in (2 * self.m, 2 * self.m + 1):
             raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
-        grade_entries(self.k, self.side, self.values, increasing=True)
+        check_grade(self.k, self.side, self.values)
 
     def get(self, indices) -> float:
         """Signed component for an arbitrary order of k indices."""
-        _, sign = clifford.index_mask(indices, self.side)
-        return sign * self.of_grade(len(indices)).values.get(tuple(sorted(indices)), 0.0)
+        mask, sign = clifford.index_mask(indices, self.side)
+        return sign * self.of_grade(len(indices)).values.get(mask, 0.0)
 
     def items(self):
-        return self.values.items()
+        idx = clifford.mask_indices(list(self.values), self.k, self.side).tolist()
+        return zip(map(tuple, idx), self.values.values())
 
     def norm_sq(self) -> float:
-        """Sum of squares over increasing tuples (the paper-style squared norm)."""
+        """Sum of squares over the stored entries (the paper-style squared norm)."""
         return float(sum_of_squares(self.values.values()))
 
     def scaled(self, s: float) -> "AntisymTensor":
@@ -80,7 +83,7 @@ class AntisymTensor(clifford.Record):
                              {key: s * v for key, v in self.values.items()})
 
     def of_grade(self, k: int) -> "AntisymTensor":
-        """The package's one grade rule: self, or GradeMismatch unless its grade is k."""
+        """self, or GradeMismatch unless its grade is k."""
         if self.k != k:
             raise GradeMismatch(f"expected a grade-{k} tensor, got grade {self.k}")
         return self
@@ -89,7 +92,7 @@ class AntisymTensor(clifford.Record):
         """Full antisymmetric side x side matrix (grade 2 only)."""
         entries = self.of_grade(2).values
         mat = np.zeros((self.side, self.side))
-        i, j = np.array(list(entries), dtype=np.intp).reshape(-1, 2).T - 1
+        i, j = clifford.mask_indices(list(entries), 2, self.side).T - 1
         mat[i, j] = list(entries.values())
         mat[j, i] = -mat[i, j]
         return mat
@@ -102,20 +105,32 @@ class AntisymTensor(clifford.Record):
             raise DimensionMismatch(f"matrix shape {mat.shape} != ({side},{side})")
         if np.max(np.abs(mat + mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
             raise MalformedInput("matrix is not antisymmetric")
-        vals = {(i, j): float(mat[i - 1, j - 1]) for i in range(1, side + 1)
-                for j in range(i + 1, side + 1) if mat[i - 1, j - 1] != 0.0}
+        vals = {1 << i | 1 << j: float(mat[i, j]) for i in range(side)
+                for j in range(i + 1, side) if mat[i, j] != 0.0}
         return AntisymTensor(m, 2, side, vals)
 
 
-def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
-    """{mask: value} of grade k over 1..side from a mapping {indices: value}
-    or (indices, value) pairs, the indices in any order unless increasing
-    (clifford.index_mask): each value is signed by the permutation that
-    sorts them, and the values of one index set are added, in input order,
-    at the set's first place.  BadIndex for indices of another grade,
-    MalformedInput for an entry that is no (indices, value) pair, a value
-    that is no number, a bool, or a sum that is not finite.
-    """
+def check_grade(k: int, side: int, entries: dict) -> None:
+    """The one grade rule on {mask: value}: BadIndex for a mask that is no int, GradeMismatch
+    unless it sets k of bits 0..side-1, MalformedInput for a bool or no finite real value."""
+    for mask, v in entries.items():
+        if type(mask) is not int:
+            raise BadIndex(f"grade {k}: mask {mask!r:.60} is no Python int")
+        if mask >> side or mask.bit_count() != k:
+            raise GradeMismatch(f"mask {mask} is not of grade {k} over 1..{side}")
+        real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (real and abs(v) <= float_info.max):  # NaN is refused too
+            at = tuple(i + 1 for i in range(side) if mask >> i & 1)
+            raise MalformedInput(f"non-number or non-finite value at {at}: {v!r:.60}")
+
+
+def grade_entries(k: int, side: int, entries) -> dict:
+    """{mask: value} of grade k over 1..side from a mapping {indices: value} or
+    (indices, value) pairs, the indices in any order (clifford.index_mask): each
+    value is signed by the permutation that sorts them, and the values of one
+    index set are added, in input order, at the set's first place.  BadIndex for
+    indices of another grade, MalformedInput for an entry that is no (indices,
+    value) pair, a value that is no number, a bool, or a sum that is not finite."""
     slots: dict = {}
     for pair in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
         try:
@@ -124,7 +139,7 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
             raise MalformedInput(f"grade {k}: expected (indices, value) pairs, "
                                  f"got {pair!r:.60}") from None
         key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
-        mask, sign = clifford.index_mask(key, side, increasing)
+        mask, sign = clifford.index_mask(key, side)
         if len(key) != k:
             raise BadIndex(f"key {key} has grade {len(key)}, expected {k}")
         # a float needs no reading; one that is not finite meets the sum's check
@@ -135,15 +150,10 @@ def grade_entries(k: int, side: int, entries, increasing: bool = False) -> dict:
     return slots
 
 
-def _view(m: int, k: int, side: int, entries: dict) -> AntisymTensor:
-    keys = map(tuple, clifford.mask_indices(list(entries), k, side).tolist())
-    return AntisymTensor(m, k, side, dict(zip(keys, entries.values())))
-
-
 def antisym(m: int, k: int, entries=None, side: int | None = None) -> AntisymTensor:
     """An AntisymTensor from any entries that grade_entries reads."""
     side = 2 * m if side is None else side
-    return _view(m, k, side, grade_entries(k, side, entries or {}))
+    return AntisymTensor(m, k, side, grade_entries(k, side, entries or {}))
 
 
 def vector(m: int, components, side: int | None = None) -> AntisymTensor:
@@ -157,8 +167,8 @@ def vector(m: int, components, side: int | None = None) -> AntisymTensor:
 
 class StateCoords(clifford.Record):
     """The dual coordinates of a state: the scalar and, per grade k, its
-    {mask: value} entries in input order, as grade_entries gives them.  A
-    grade stays present when it holds no entry or only zeros."""
+    {mask: value} entries (check_grade) in input order.  A grade stays
+    present when it holds no entry or only zeros."""
 
     __slots__ = ("m", "mode", "scalar", "grades")
 
@@ -171,15 +181,15 @@ class StateCoords(clifford.Record):
         for k, entries in self.grades.items():
             if not 1 <= k <= top:
                 raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {self.mode!r}")
-            clifford.mask_indices(list(entries), k, self.side)  # GradeMismatch for another grade
+            check_grade(k, self.side, entries)
 
     @property
     def side(self) -> int:
         return clifford.side(self.m, self.mode)
 
     def grade(self, k: int) -> AntisymTensor:
-        """Grade k as a tuple-keyed AntisymTensor, empty when the coords hold none."""
-        return _view(self.m, k, self.side, self.grades.get(k, {}))
+        """Grade k as an AntisymTensor of the record's own entries, empty when it holds none."""
+        return AntisymTensor(self.m, k, self.side, self.grades.get(k, {}))
 
     def coefficient(self, indices) -> float:
         """Signed coefficient for an arbitrary index order; () gives the scalar."""
@@ -202,13 +212,14 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
     clifford._check_m(m)  # before any index is held to the side m gives
     side = clifford.side(m, mode)
     items: dict = {}
-    for k, val in (grades or {}).items():
+    for k, g in (grades or {}).items():
         k = int(k)
-        if isinstance(val, AntisymTensor) and (val.of_grade(k).side != side or val.m != m):
+        if isinstance(g, AntisymTensor) and (g.of_grade(k).side != side or g.m != m):
             raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
+        if not isinstance(g, AntisymTensor) and not hasattr(g, "__iter__"):
+            raise MalformedInput(f"grade {k}: expected (indices, value) pairs, got {g!r:.60}")
         # keys such as 1 and "01" name one grade, whose entries all add up
-        items.setdefault(k, []).extend(val.items() if isinstance(val, (dict, AntisymTensor))
-                                       else val)
+        items.setdefault(k, []).extend(g.items() if isinstance(g, (dict, AntisymTensor)) else g)
     built = {k: grade_entries(k, side, entries) for k, entries in items.items()}
     return StateCoords(m=m, mode=mode, scalar=float(scalar), grades=built)
 

@@ -56,10 +56,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polypow
 
 from . import DEFAULT_TOL
 from .clifford import cached_basis, index_mask
-from .coords import AntisymTensor, antisym, grade_entries
+from .coords import AntisymTensor, antisym
 from .domains import DomainVerdict
 from .errors import (
     ComplexRoots,
@@ -110,8 +111,7 @@ def spin_lift(alpha: AntisymTensor) -> np.ndarray:
     m = wire_field(alpha, AntisymTensor, "alpha").of_grade(2).m
     if alpha.side != 2 * m:
         raise ModeMismatch("spin_lift rotates the 2m standard generators")
-    coeffs = grade_entries(2, alpha.side, alpha.values)  # {mask: alpha_ij}
-    return exp_minus_i_hermitian(0.5 * cached_basis(m, "standard").expand(coeffs))
+    return exp_minus_i_hermitian(0.5 * cached_basis(m, "standard").expand(alpha.values))
 
 
 def conjugate_state(rho, u) -> np.ndarray:
@@ -196,7 +196,7 @@ def dual_tensor(g: AntisymTensor) -> AntisymTensor:
         total = epsilon_contract(mat, (i - 1, j - 1), g.side // 2 - 1)
         if total != 0.0:
             vals[(i, j)] = total
-    return AntisymTensor(g.m, 2, g.side, vals)
+    return antisym(g.m, 2, vals, g.side)
 
 
 def dual_identity_residual(g: AntisymTensor) -> float:
@@ -288,21 +288,8 @@ def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
 
 def tunnel_spectrum(x: float, y: float, z: float) -> Spectrum:
     """m = 2 family G_12 = x, G_34 = y, G_23 = z: quartet (1 +- alpha_pm)/4."""
-    ap = math.hypot(x + y, z)
-    am = math.hypot(x - y, z)
-    vals = np.array([(1 + ap) / 4, (1 - ap) / 4, (1 + am) / 4, (1 - am) / 4])
-    return spectrum_from_values(2, vals)
-
-
-def _polypow(poly: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([1.0])
-    base = np.asarray(poly, dtype=float)
-    while n > 0:
-        if n & 1:
-            out = np.convolve(out, base)
-        base = np.convolve(base, base)
-        n >>= 1
-    return out
+    ap, am = _tunnel_family(*np.array([[x], [y], [z]], dtype=float))
+    return spectrum_from_values(2, np.concatenate([1 + ap, 1 - ap, 1 + am, 1 - am]) / 4)
 
 
 def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarray:
@@ -315,7 +302,7 @@ def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarr
     """
     if config_kind == "vector":
         base = np.array([(1.0 - inv.r) / 4 ** m, -1.0 / 2 ** (m - 1), 1.0])
-        return _polypow(base, 2 ** (m - 1))
+        return polypow(base, 2 ** (m - 1), maxpower=None)
     if config_kind == "two_tensor":
         if m < 2:
             raise KindMismatch("two_tensor needs m >= 2")
@@ -329,7 +316,7 @@ def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarr
         else:
             plus = _pbar_coefficients(inv.r, inv.T4, d3, 1.0) * scale
             minus = _pbar_coefficients(inv.r, inv.T4, d3, -1.0) * scale
-            out = _polypow(np.convolve(plus, minus), 2 ** (m - 3))
+            out = polypow(np.convolve(plus, minus), 2 ** (m - 3), maxpower=None)
         return out / out[-1]
     raise KindMismatch(f"unknown configuration kind {config_kind!r}")
 

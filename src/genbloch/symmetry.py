@@ -23,7 +23,7 @@ import numpy as np
 
 from . import clifford
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch, NonFiniteResult, NotUnitary
 from .linalg import as_matrix, exp_minus_i_hermitian, wire_field
 
 ORTHO_TOL = 1e-10
@@ -77,9 +77,9 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
     """Apply an orthogonal matrix grade-wise; scalar untouched.
 
     Output entry I of grade k is sum_J det(L[I, J]) G_J, over every I of the
-    grade in wire order; an entry that comes out exactly 0.0 is dropped, and
-    the grade stays.  For each stored J the minors of every I come from one
-    stacked det, and each output sum is added in the stored order of J.
+    grade in wire order (NonFiniteResult if one overflows); an exact 0.0 is
+    dropped, and the grade stays.  For each stored J the minors of every I come
+    from one stacked det, and each output sum is added in the stored order of J.
     """
     side = wire_field(coords, StateCoords, "coords").side
     el = real_part(check_orthogonal(el, side), "rotation matrix")
@@ -91,6 +91,8 @@ def rotate_coords(coords: StateCoords, el) -> StateCoords:
         total = np.zeros(len(outs))
         for cols, v in zip(clifford.mask_indices(list(entries), k, side) - 1, entries.values()):
             total = total + np.linalg.det(rows[:, :, cols]) * v
+        if not np.isfinite(total).all():
+            raise NonFiniteResult()
         keep = total != 0.0
         new_grades[k] = dict(zip(outs[keep].tolist(), total[keep].tolist()))
     return StateCoords(m=coords.m, mode=coords.mode, scalar=coords.scalar, grades=new_grades)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from genbloch.clifford import basis_element, side
-from genbloch.coords import AntisymTensor, state_coords
+from genbloch.coords import antisym, state_coords
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,7 +38,7 @@ def random_tensor(rng, m, k, side=None, box=1.0):
     vals = {}
     for key in itertools.combinations(range(1, side + 1), k):
         vals[key] = float(rng.uniform(-box, box))
-    return AntisymTensor(m, k, side, vals)
+    return antisym(m, k, vals, side)
 
 
 def table_rows(columns):

@@ -738,6 +738,19 @@ def test_decode_overflow_one_line(tmp_path, capsys):
         "genbloch: error: coordinates are not finite (input beyond floating-point range?)"]
 
 
+def test_rotate_overflow_one_line(tmp_path, capsys):
+    # alpha_12 = pi/4 adds the two entries into G'_2 = 1.5e308 * 2 cos(pi/4), beyond
+    # float range: a result that is not finite, not an input value that is refused
+    state = {"m": 1, "grades": {"1": [{"idx": [1], "val": 1.5e308},
+                                      {"idx": [2], "val": 1.5e308}]}}
+    alpha = {"m": 1, "alpha": [{"idx": [1, 2], "val": math.pi / 4}]}
+    assert run(["rotate", "--input", write_json(tmp_path / "in.json", state),
+                "--alpha", write_json(tmp_path / "alpha.json", alpha)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "genbloch: error: result is not finite (input beyond floating-point range?)"]
+
+
 # a unit-scalar grade-2 state whose matrix rounds the 1/4 on its diagonal away
 _HUGE_G2 = {"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 1.3e200},
                                     {"idx": [3, 4], "val": -1.3e200}]}}

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import re
 import warnings
 
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbloch.clifford import cached_basis, full_basis, verify_algebra
+from genbloch.clifford import cached_basis, full_basis, max_grade, verify_algebra
 from genbloch.coords import (
     AntisymTensor,
     antisym,
+    check_grade,
     coords_from_json,
     coords_to_json,
     decode,
@@ -42,10 +45,51 @@ from conftest import SIGMA1, SIGMA3, random_coords, random_unit_trace_hermitian
 
 def test_antisym_normalizes_keys():
     t = antisym(2, 2, {(3, 1): 0.5})
-    assert t.values == {(1, 3): -0.5}
+    assert dict(t.items()) == {(1, 3): -0.5}
     assert t.get((3, 1)) == 0.5
     with pytest.raises(BadIndex):
         antisym(2, 2, {(1, 1): 1.0})
+
+
+def _parity(order) -> int:
+    """+1 or -1 by the count of inversions of order, apart from clifford's rule."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+
+
+@st.composite
+def _grade(draw):
+    """(m, mode, k, entries): a few distinct index sets of one grade of the
+    family, each keyed in a drawn order, at m = 1..6 on sides 2m and 2m + 1."""
+    m = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["standard", "extended"]))
+    side = 2 * m + (mode == "extended")
+    k = draw(st.integers(1, max_grade(m, mode)))
+    sets = draw(st.lists(st.sets(st.integers(1, side), min_size=k, max_size=k),
+                         max_size=6, unique_by=lambda s: tuple(sorted(s))))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    return m, mode, k, {tuple(draw(st.permutations(sorted(s)))): draw(values) for s in sets}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_grade())
+def test_one_grade_layout(drawn):
+    # antisym keys its entries by mask, as StateCoords does, and gives tuples back
+    m, mode, k, entries = drawn
+    side = 2 * m + (mode == "extended")
+    t = antisym(m, k, entries, side)
+    check_grade(k, side, t.values)
+    sorted_form = {tuple(sorted(key)): _parity(key) * v for key, v in entries.items()}
+    assert dict(t.items()) == sorted_form
+    for key, v in sorted_form.items():
+        # every order of the index set, all of them up to k = 5
+        for order in itertools.islice(itertools.permutations(key), 120):
+            assert t.get(order) == _parity(order) * v
+    if k == 2:
+        nonzero = {mask: v for mask, v in t.values.items() if v != 0.0}
+        assert AntisymTensor.from_matrix(m, t.as_matrix(), side).values == nonzero
+    assert state_coords(m, mode, grades={k: t}).grade(k).values == t.values
+    assert copy.copy(t).values == t.values
+    assert pickle.loads(pickle.dumps(t)).values == t.values
 
 
 def test_repeated_wire_entries_add_up():
@@ -330,7 +374,7 @@ def test_state_coords_refuses_non_finite_scalar(scalar):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_antisym_tensor_refuses_non_finite_value(value):
     with pytest.raises(MalformedInput, match=re.escape("non-finite value at (1,)")):
-        AntisymTensor(2, 1, 4, {(1,): value})
+        AntisymTensor(2, 1, 4, {1: value})
 
 
 def test_full_basis_extended_certificate():

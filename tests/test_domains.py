@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from genbloch import domains, spectra
 from genbloch.clifford import cached_basis
 from genbloch.coords import (
-    AntisymTensor,
     StateCoords,
     antisym,
     encode,
@@ -424,7 +423,7 @@ def _sample_per_draw(m, k, n, seed, box):
     draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(keys)))
     rows = []
     for idx in range(n):
-        tensor = AntisymTensor(m, k, side, {key: float(v) for key, v in zip(keys, draws[idx])})
+        tensor = antisym(m, k, {key: float(v) for key, v in zip(keys, draws[idx])}, side)
         min_closed = float(closed_form_min(m, {k: tensor}))
         oracle = float(np.min(hermitian_eigenvalues(tensor_config(m, k, tensor))))
         rows.append((idx, *(float(v) for v in draws[idx]),

@@ -235,6 +235,8 @@ def test_records_print_their_fields(index):
     # a grade's entries are (indices, value) pairs, and get reads the tensor's own grade
     (lambda: coords.state_coords(2, grades={2: "x"}), "MalformedInput"),
     (lambda: coords.tensor_config(2, 2, "x"), "MalformedInput"),
+    (lambda: coords.state_coords(2, grades={2: 5}), "MalformedInput"),
+    (lambda: coords.tensor_config(2, 2, 5), "MalformedInput"),
     (lambda: coords.antisym(2, 2, {(1, 2): 0.3}).get((1,)), "GradeMismatch"),
     # the refusals of the identities module
     (lambda: identities.spin_lift(coords.antisym(2, 2, {(1, 5): 0.3}, side=5)), "ModeMismatch"),
@@ -249,6 +251,7 @@ def test_records_print_their_fields(index):
      "KindMismatch"),
     (lambda: identities.z_from_coords(coords.antisym(4, 2, {(1, 2): 0.3})), "UnsupportedM"),
     (lambda: identities.descartes_positivity([1.0, 0.0]), "GradeMismatch"),
+    (lambda: identities.tunnel_spectrum(0.1, np.inf, 0.2), "MalformedInput"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
         "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation", "encode-None",
         "closed-form-str", "coords-invariants-str", "positivity-str", "rotate-coords-str", "rotate-matrix-str",
@@ -257,10 +260,11 @@ def test_records_print_their_fields(index):
         "frobenius-r-str", "trace-T4-str", "two-tensor-invariants-str", "verify-algebra-str",
         "spin-lift-str", "epsilon-sum-D3-str", "epsilon-D3-str", "dual-tensor-str",
         "dual-identity-residual-str", "det-identity-check-str", "pseudo-vector-V-str",
-        "z-from-coords-str", "grade-entry-not-pair", "tensor-config-str", "get-other-grade",
+        "z-from-coords-str", "grade-entry-not-pair", "tensor-config-str", "grade-not-iterable",
+        "tensor-config-not-iterable", "get-other-grade",
         "spin-lift-extended", "epsilon-contract-free-indices", "det-identity-side-6",
         "two-tensor-m1", "two-tensor-D3-off-m3", "unknown-kind",
-        "z-from-coords-side-8", "descartes-zero-leading"])
+        "z-from-coords-side-8", "descartes-zero-leading", "tunnel-spectrum-non-finite"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:
@@ -293,10 +297,16 @@ _NAN_L = np.full((4, 4), _NAN)
     (lambda: symmetry.rotate_coords(coords.state_coords(2, grades={1: {(1,): 0.3, (2,): 0.1}}),
                                     np.diag([1j, 1, 1, 1])), "NotUnitary"),
     (lambda: coords.antisym(2, 1, {(1,): True}), "MalformedInput"),
+    # a record's grade meets the one grade rule: int masks, finite number values
+    (lambda: coords.StateCoords(2, "standard", 1.0, {1: {2.0: 0.3}}), "BadIndex"),
+    (lambda: coords.StateCoords(2, "standard", 1.0, {1: {True: 0.3}}), "BadIndex"),
+    (lambda: coords.StateCoords(2, "standard", 1.0, {2: {3: _NAN}}), "MalformedInput"),
+    (lambda: coords.StateCoords(2, "standard", 1.0, {1: {1: True}}), "MalformedInput"),
 ], ids=["orthogonal-nan", "rotate-nan", "r-nan", "T4-nan", "invariant-set-nan", "trace-nan",
         "rT4-r-nan", "rT4-T4-nan", "unknown-mode", "basis-m-bool", "sample-m-bool",
         "sample-grade-bool", "sample-count-bool", "sample-seed-bool", "rotate-complex",
-        "grade-value-bool"])
+        "grade-value-bool", "record-mask-float", "record-mask-bool", "record-value-nan",
+        "record-value-bool"])
 def test_nan_bool_and_unknown_mode_are_refused(call, error):
     # each case meets the shared rule that the same input meets elsewhere
     with pytest.raises(getattr(errors, error)):
@@ -331,12 +341,12 @@ def test_record_constructors_keep_their_defaults_and_checks():
         AntisymTensor(7, 1, 14, {})
     with pytest.raises(DimensionMismatch, match="side 3 invalid"):
         AntisymTensor(m=2, k=1, side=3, values={})
-    with pytest.raises(BadIndex, match="has grade 2, expected 1"):
-        AntisymTensor(2, 1, 4, {(1, 2): 0.5})
-    with pytest.raises(MalformedInput, match="non-finite value"):
-        AntisymTensor(2, 1, 4, {(1,): float("nan")})
     # a grade's entries are {mask: value}: here the one entry G_1 = 0.5
     entries = {0b1: 0.5}
+    with pytest.raises(GradeMismatch):
+        AntisymTensor(2, 1, 4, {0b11: 0.5})
+    with pytest.raises(MalformedInput, match="non-finite value"):
+        AntisymTensor(2, 1, 4, {0b1: float("nan")})
     with pytest.raises(MalformedInput, match="non-finite scalar"):
         StateCoords(2, "standard", float("inf"), {})
     with pytest.raises(GradeOutOfRange):
@@ -345,6 +355,6 @@ def test_record_constructors_keep_their_defaults_and_checks():
         StateCoords(2, "standard", 1.0, {2: entries})
     with pytest.raises(GradeMismatch):
         StateCoords(2, "standard", 1.0, {1: {0b10000: 0.5}})
-    tensor = AntisymTensor(2, 1, 4, {(1,): 0.5})
+    tensor = AntisymTensor(2, 1, 4, entries)
     with pytest.raises(DimensionMismatch, match="wrong shape metadata"):
         state_coords(m=2, mode="extended", grades={1: tensor})
