@@ -77,8 +77,10 @@ print("\nnon-state by its smallest eigenvalue:",
 print("non-state by the sign rule:", descartes_positivity(char_poly(rho)).to_dict())
 
 # --- Monte-Carlo atlas --------------------------------------------------------------
-# sample_domain returns a table, (column names, one array per column), as figures do
-atlas = dict(zip(*sample_domain(2, 2, 500, seed=7)))
+# sample_domain returns (column names, blocks of rows): each block is one array per
+# column, as a figure table is, so joining the blocks gives the whole table
+names, blocks = sample_domain(2, 2, 500, seed=7)
+atlas = dict(zip(names, map(np.concatenate, zip(*blocks))))
 closed, oracle = atlas["closed_admissible"], atlas["oracle_admissible"]
 # a disagreement away from the boundary would be a wrong closed form
 disagreements = int(np.sum((closed != oracle) & (atlas["boundary_margin"] > 1e-8)))

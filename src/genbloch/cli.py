@@ -13,11 +13,11 @@ __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
-code), the payload a JSON-able object, the finished text or its list of
-row blocks.  run() alone touches files: it reads each input once and
-writes the answer's text, block by block, at one write site.  It parses
-argv and reads the inputs before it imports numpy, so a refused argv or
-input file costs no numpy import.
+code), the payload a JSON-able object, the finished text or its row blocks
+(sample's come lazily).  run() alone touches files: it reads each input once
+and writes the answer's text, block by block as it comes, at one write site.
+It parses argv and reads the inputs before it imports numpy, so a refused
+argv or input file costs no numpy import.
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
 whose matrix rounds their trace away.
@@ -156,19 +156,21 @@ def _answer_validate(args, state) -> tuple:
 
 def _answer_sample(args) -> tuple:
     from . import domains
-    from .text import _csv_text, _json_document, _json_list
+    from .text import _csv_blocks, _json_items, _json_parts
 
-    names, columns = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
+    names, blocks = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
-        return _csv_text(names, columns), 0
+        return _csv_blocks(names, blocks), 0
     # each record's keys in sorted order, its coefficients one list
-    index, *coefficients, closed, oracle, margin = columns
     leads = [',\n    {\n      "boundary_margin": ', ',\n      "closed_admissible": ',
-             ',\n      "coefficients": [\n        ', *[",\n        "] * (len(coefficients) - 1),
+             ',\n      "coefficients": [\n        ', *[",\n        "] * (len(names) - 5),
              '\n      ],\n      "index": ', ',\n      "oracle_admissible": ']
-    records = _json_list([margin, closed, *coefficients, index, oracle], leads, "\n    }")
-    return _json_document({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed,
-                           "box": args.box}, {"records": records}), 0
+    records = ([margin, closed, *coefficients, index, oracle]
+               for index, *coefficients, closed, oracle, margin in blocks)
+    return _json_parts({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed,
+                        "box": args.box},
+                       {"records": _json_items(records, leads, "\n    }") if args.samples
+                        else "[]"}), 0
 
 
 def _answer_figure(args) -> tuple:
@@ -336,16 +338,22 @@ def run(argv) -> int:
         # not also as numpy RuntimeWarnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             payload, code = args.func(args, *docs)
-            # CSV and SVG come as a list of row blocks, JSON as one str or an object
-            blocks = (payload if isinstance(payload, list)
-                      else [payload if isinstance(payload, str) else _json_text(payload)])
-        # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
-        path = args.output and os.path.join(os.environ.get("GENBLOCH_OUTPUT_DIR", ""),
-                                            args.output)
-        sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
-        with sink as out:
-            out.writelines(blocks if blocks[-1].endswith("\n") else [*blocks, "\n"])
-            out.flush()  # a failed write is reported here, not at exit
+            # JSON comes as an object or one str, a table as row blocks, sample's lazily
+            blocks = ([_json_text(payload)] if isinstance(payload, dict)
+                      else [payload] if isinstance(payload, str) else payload)
+            # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
+            path = args.output and os.path.join(os.environ.get("GENBLOCH_OUTPUT_DIR", ""),
+                                                args.output)
+            sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+            with sink as out:
+                end = ""
+                for block in blocks:
+                    out.write(block)
+                    # let the block go before the next is made: one in memory at a time
+                    end, block = block[-1:], None
+                if end != "\n":
+                    out.write("\n")
+                out.flush()  # a failed write is reported here, not at exit
         return code
     except UsageError as exc:
         print(f"genbloch: usage error: {exc}", file=sys.stderr)

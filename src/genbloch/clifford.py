@@ -269,7 +269,9 @@ def verify_algebra(basis: CliffordBasis) -> dict:
     commute = h[gz[:, None], gx] * h[gx[:, None], gz] > 0
     np.fill_diagonal(commute, False)
     n = len(basis.masks)
-    duplicate = len(np.unique((basis.x * basis.dim + basis.z)[basis.masks])) < n
+    # sorted, a repeated (x, z) pair sits beside its twin (np.unique would load numpy.ma)
+    keys = np.sort((basis.x * basis.dim + basis.z)[basis.masks])
+    duplicate = bool((keys[1:] == keys[:-1]).any())
     herm_bad, gen_bad = not hermitian[basis.masks].all(), not hermitian[gens].all()
     return {
         "m": basis.m,

@@ -63,6 +63,8 @@ class AntisymTensor(clifford.Record):
         clifford._check_m(self.m)  # bounds side, and with it every mask
         if self.side not in (2 * self.m, 2 * self.m + 1):
             raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
+        if not 1 <= wire_field(self.k, int, "k") <= self.side:
+            raise GradeOutOfRange(f"grade {self.k} out of range 1..{self.side}")
         check_grade(self.k, self.side, self.values)
 
     def get(self, indices) -> float:
@@ -118,10 +120,15 @@ def check_grade(k: int, side: int, entries: dict) -> None:
             raise BadIndex(f"grade {k}: mask {mask!r:.60} is no Python int")
         if mask >> side or mask.bit_count() != k:
             raise GradeMismatch(f"mask {mask} is not of grade {k} over 1..{side}")
-        real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if not (real and abs(v) <= float_info.max):  # NaN is refused too
+        if not _finite_real(v):
             at = tuple(i + 1 for i in range(side) if mask >> i & 1)
             raise MalformedInput(f"non-number or non-finite value at {at}: {v!r:.60}")
+
+
+def _finite_real(v) -> bool:
+    """Whether v is a finite real number and no bool: a record's scalar and values."""
+    real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return real and abs(v) <= float_info.max  # NaN is refused too
 
 
 def grade_entries(k: int, side: int, entries) -> dict:
@@ -175,8 +182,8 @@ class StateCoords(clifford.Record):
     def __init__(self, m: int, mode: str, scalar: float, grades: dict):
         self._set(m, mode, scalar, grades)
         clifford._check_m(self.m)
-        if not np.isfinite(self.scalar):
-            raise MalformedInput(f"non-finite scalar {self.scalar}")
+        if not _finite_real(self.scalar):
+            raise MalformedInput(f"non-number or non-finite scalar {self.scalar!r:.60}")
         top = clifford.max_grade(self.m, self.mode)
         for k, entries in self.grades.items():
             if not 1 <= k <= top:
@@ -221,7 +228,7 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
         # keys such as 1 and "01" name one grade, whose entries all add up
         items.setdefault(k, []).extend(g.items() if isinstance(g, (dict, AntisymTensor)) else g)
     built = {k: grade_entries(k, side, entries) for k, entries in items.items()}
-    return StateCoords(m=m, mode=mode, scalar=float(scalar), grades=built)
+    return StateCoords(m=m, mode=mode, scalar=wire_field(scalar, float, "scalar"), grades=built)
 
 
 def encode(coords: StateCoords) -> np.ndarray:

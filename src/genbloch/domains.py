@@ -8,8 +8,11 @@ closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
 invariants.coords_invariants with the normal form it used, or
 "min_eigenvalue", LAPACK's (linalg).  positivity takes it for one state;
 sample_domain for its draws, in stacks of CHUNK_BYTES of density matrices,
-beside the same LAPACK oracle, and returns a table like
-figures.figure_columns: (column names, one array per column).
+beside the same LAPACK oracle.  Its draws are the standard library's
+random.Random(seed).random() stream, so no numpy.random is loaded, and it
+returns (column names, blocks): the table in blocks of rows made as they are
+read, each one array per column like figures.figure_columns, so a table of
+any length takes the memory of one block beside three results per draw.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -22,13 +25,15 @@ rule.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from . import DEFAULT_TOL
 from .clifford import Record, _check_m, _is_int, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
-from .errors import DimensionMismatch, GradeOutOfRange, MalformedInput, ResourceLimit
+from .errors import (DimensionMismatch, GradeOutOfRange, MalformedInput, NonFiniteResult,
+                     ResourceLimit)
 from .invariants import InvariantSet, coords_invariants
 from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 from .spectra import normal_form, sign_sums
@@ -119,14 +124,30 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     return min_eigenvalue_verdict(float(min_eig), tol, inv), route
 
 
+def _uniform(rng: random.Random, rows: int, d: int, box: float) -> np.ndarray:
+    """The next rows x d draws of rng, row-major, each -box + 2 box u for the next
+    u = rng.random(): random()'s own 53 bits, (a >> 5) 2^26 + (b >> 6), of each two
+    32-bit words (a, b) of the stream, which randbytes gives in order whatever the
+    pieces it is read in."""
+    a, b = np.frombuffer(rng.randbytes(8 * rows * d), dtype="<u4").reshape(-1, 2).T
+    u = ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0 ** -53
+    return (-box + 2.0 * box * u).reshape(rows, d)
+
+
 def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     """Monte-Carlo atlas: n grade-k tensors uniform in [-box, box]^dim, each
     classified by the closed-form domain and by the eigenvalue oracle.
 
-    Returns (column names, one array per column), as figures.figure_columns
-    does: the draw index, its coefficients c0..c{dim-1} in wire order,
+    Draw j, row-major over the n x dim coefficients, is -box + 2 box u_j, with
+    u_j the j-th random.Random(seed).random().  Returns (column names, blocks):
+    the draw index, its coefficients c0..c{dim-1} in wire order,
     closed_admissible and oracle_admissible (bool), and the boundary_margin
-    |lambda_min| of the closed form.
+    |lambda_min| of the closed form, the columns of each block of rows in turn.
+    All n draws are decided first, in stacks of CHUNK_BYTES, keeping three
+    results per draw; a non-finite margin is NonFiniteResult then.  The blocks
+    come lazily, text._BLOCK_ROWS rows each, their draws drawn again from a
+    generator of the same seed, so the memory a caller holds is a block's; a
+    table without rows is one empty block.
     """
     _check_m(m)
     if not _is_int(k) or k not in (1, 2):
@@ -139,16 +160,31 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     if not (math.isfinite(2.0 * box) and box >= 0):
         raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")
     basis = cached_basis(m)
-    masks = basis.masks[basis.grade[basis.masks] == k]
-    draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(masks)))
+    masks = basis.masks[basis.grade[basis.masks] == k].tolist()
+    d = len(masks)
+    rng = random.Random(seed)
     min_closed, oracle_min = np.empty(n), np.empty(n)
     per = max(1, CHUNK_BYTES // (16 * basis.dim ** 2))
     for lo in range(0, n, per):
+        rows = min(per, n - lo)
         # a chunk of draws is one stack, a column per coefficient
-        grades = {k: dict(zip(masks.tolist(), draws[lo:lo + per].T))}
-        min_closed[lo:lo + per] = lowest_eigenvalues(m, "standard", 1.0, grades)[0]
-        oracle_min[lo:lo + per] = _oracle_minima(m, "standard", 1.0, grades)
-    names = (["index"] + [f"c{i}" for i in range(len(masks))]
+        grades = {k: dict(zip(masks, _uniform(rng, rows, d, box).T))}
+        min_closed[lo:lo + rows] = lowest_eigenvalues(m, "standard", 1.0, grades)[0]
+        oracle_min[lo:lo + rows] = _oracle_minima(m, "standard", 1.0, grades)
+    margin = np.abs(min_closed)
+    if not np.isfinite(margin).all():
+        raise NonFiniteResult()
+    names = (["index"] + [f"c{i}" for i in range(d)]
              + ["closed_admissible", "oracle_admissible", "boundary_margin"])
-    return names, [np.arange(n), *draws.T, admits(min_closed), admits(oracle_min),
-                   np.abs(min_closed)]
+    return names, _sample_blocks(seed, box, d, (admits(min_closed), admits(oracle_min), margin))
+
+
+def _sample_blocks(seed: int, box: float, d: int, results: tuple):
+    """sample_domain's blocks of rows, from the per-draw results of its draws."""
+    from .text import _BLOCK_ROWS
+
+    rng, n = random.Random(seed), len(results[0])
+    for lo in range(0, max(n, 1), _BLOCK_ROWS):
+        hi = min(n, lo + _BLOCK_ROWS)
+        yield [np.arange(lo, hi), *_uniform(rng, hi - lo, d, box).T,
+               *(column[lo:hi] for column in results)]

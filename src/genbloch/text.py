@@ -1,16 +1,21 @@
 """The CLI's table, matrix, coords and SVG writers.
 
-The library gives a table as (column names, one array per column), and one
-cell-grid writer (_table_text) spells every CSV and JSON table from it with
-that format's separators, each distinct float magnitude once and at full
-double precision, so repeated runs are byte-identical; a negative float's
-"-" ends the lead, the separator text before its cell.  A float that is not
-finite is refused in every format.  An SVG pixel coordinate is two cells,
-spelled from its integer count of hundredths.  CSV and SVG text is joined in
-blocks of _BLOCK_ROWS rows; a JSON document, which nests its tables, is one
-str.  Matrix JSON (_matrix_text) and coords JSON (_coords_text) go through
-the same writer.  Only the CLI answers that print one of these import this
-module.
+The library gives a table as (column names, one array per column), or, for
+sample_domain, as its names and blocks of such columns, and one cell-grid
+writer (_table_text) spells every CSV and JSON table from its blocks with
+that format's separators, each distinct float magnitude of a block once and
+at full double precision, so repeated runs are byte-identical; a negative
+float's "-" ends the lead, the separator text before its cell.  A float that
+is not finite is refused in every format.  An SVG pixel coordinate is two
+cells, spelled from its integer count of hundredths.  CSV and SVG text is
+joined in blocks of _BLOCK_ROWS rows.  A figure's table is one block, spelled
+as a whole; a sample's blocks are _BLOCK_ROWS rows each, and its text, the
+CSV header or the JSON document's head spelled once, comes block by block as
+run() writes it (_csv_blocks, _json_items, _json_parts), so the bytes do not
+depend on the block size.  Any other JSON document is one str.  Matrix JSON
+(_matrix_text) and coords JSON (_coords_text) go through the same writer.
+Only the CLI answers that print one of these import this module, and
+sample_domain, which reads _BLOCK_ROWS.
 """
 
 from __future__ import annotations
@@ -50,22 +55,33 @@ def _row_blocks(cells: np.ndarray) -> list:
             for i in range(0, len(cells), _BLOCK_ROWS)]
 
 
-def _table_text(columns, leads, tail, words, head) -> list:
-    """Per row of the equal-length columns: leads[0], its cell of the first
-    column, leads[1], ..., its cell of the last column, tail; head stands in
-    for the first leads[0] and is the whole text of a table without rows.
-    The text comes as one str per block of _BLOCK_ROWS rows.
+def _table_text(blocks, leads, tail, words, head):
+    """Per row of each block of equal-length columns: leads[0], its cell of the
+    first column, leads[1], ..., its cell of the last column, tail; head stands
+    in for the table's first leads[0] and is the whole text of a table without
+    rows.  The text comes lazily, one str per _BLOCK_ROWS rows of each block,
+    and a block's grid of cells is gone before the next block is read.
 
     Cells: booleans are words[0][1]/[0], floats at full round-trip precision,
     ints through str, anything else (strings) through words[1], each distinct
-    value once.  A negative float's "-" ends the lead before it.  A float
-    that is not finite is refused with NonFiniteResult before any block is
-    built.
+    value of a block once.  A negative float's "-" ends the lead before it.  A
+    float that is not finite is refused with NonFiniteResult before any text of
+    its block is built.
     """
-    columns = [np.asarray(col) for col in columns]
-    rows = len(columns[0]) if columns else 0
-    if not rows:
-        return [head]
+    empty = True
+    for columns in blocks:
+        columns = [np.asarray(col) for col in columns]
+        if columns and len(columns[0]):
+            yield from _row_blocks(_cells(columns, leads, tail, words, head))
+            # a later block's first row opens as every other row does
+            head, empty = leads[0], False
+    if empty:
+        yield head
+
+
+def _cells(columns, leads, tail, words, head) -> np.ndarray:
+    """The grid of one block of _table_text, its rows' leads and cells alternating."""
+    rows = len(columns[0])
     cells = np.empty((rows, 2 * len(columns) + 1), dtype=object)
     cells[:, :-1:2] = leads
     cells[:, -1] = tail
@@ -91,35 +107,56 @@ def _table_text(columns, leads, tail, words, head) -> list:
         elif col.dtype != np.float64:
             spelled = {v: spell(v) for v in set(col.tolist())}
             cells[:, 2 * j + 1] = [spelled[v] for v in col.tolist()]
-    return _row_blocks(cells)
+    return cells
+
+
+def _csv_blocks(header, blocks):
+    """CSV of the header line and one line per row of each block of columns, lazily."""
+    return _table_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV,
+                       ",".join(header) + "\n")
 
 
 def _csv_text(header, columns) -> list:
     """CSV of the header line and one line per row of the columns, in row blocks."""
-    leads = ["", *[","] * (len(columns) - 1)]
-    return _table_text(columns, leads, "\n", _CSV, ",".join(header) + "\n")
+    return list(_csv_blocks(header, [columns]))
+
+
+def _json_items(blocks, leads, tail):
+    """json.dumps(indent=2) of a list, one item per row of each block of columns
+    (which must hold a row), as the value of a document's key, lazily: leads[0]
+    opens an item after a comma and tail closes it."""
+    yield from _table_text(blocks, leads, tail, _JSON, "[" + leads[0][1:])
+    yield "\n  ]"
 
 
 def _json_list(columns, leads=None, tail="\n    ]") -> str:
     """json.dumps(indent=2) of a list, one item per row of the columns, as the
-    value of a document's key: the row as a list, or else leads[0] opens an
-    item after a comma and tail closes it."""
+    value of a document's key: the row as a list, or else as leads and tail
+    spell it (_json_items)."""
     leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
-    if not len(columns[0]):
-        return "[]"
-    return "".join(_table_text(columns, leads, tail, _JSON, "[" + leads[0][1:])) + "\n  ]"
+    return "".join(_json_items([columns], leads, tail)) if len(columns[0]) else "[]"
 
 
 def _json_document(fields: dict, tables: dict) -> str:
     """json.dumps({**fields, **tables}, indent=2, sort_keys=True), each table
     already spelled as the value of its key (_json_list, or a _json_document
     indented by two spaces)."""
+    return "".join(_json_parts(fields, tables))
+
+
+def _json_parts(fields: dict, tables: dict):
+    """_json_document lazily, piece by piece: a table may be spelled as an
+    iterable of pieces (_json_items), each taking its place in turn."""
     values = {**{key: _json_text(v).replace("\n", "\n  ") for key, v in fields.items()}, **tables}
     if not values:
-        return "{}"
-    # each key after a comma; the first comma makes way for the opening brace
-    parts = [part for key in sorted(values) for part in (f",\n  {json.dumps(key)}: ", values[key])]
-    return "".join(["{", parts[0][1:], *parts[1:], "\n}"])
+        yield "{}"
+        return
+    opening = "{"
+    for key in sorted(values):
+        yield f"{opening}\n  {json.dumps(key)}: "
+        opening = ","
+        yield from [values[key]] if isinstance(values[key], str) else values[key]
+    yield "\n}"
 
 
 def _matrix_text(a) -> str:

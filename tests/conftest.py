@@ -5,6 +5,7 @@ import pytest
 
 from genbloch.clifford import basis_element, side
 from genbloch.coords import antisym, state_coords
+from genbloch.domains import sample_domain
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -44,6 +45,12 @@ def random_tensor(rng, m, k, side=None, box=1.0):
 def table_rows(columns):
     """One tuple of Python values per row of a table's columns."""
     return list(zip(*(col.tolist() for col in columns)))
+
+
+def sample_table(*args, **kwargs):
+    """sample_domain's (column names, columns): its blocks' columns joined."""
+    names, blocks = sample_domain(*args, **kwargs)
+    return names, [np.concatenate(column) for column in zip(*blocks)]
 
 
 def random_coords(rng, m, mode="standard", box=1.0):

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -15,11 +16,11 @@ import genbloch
 from genbloch import spectra
 from genbloch.cli import run
 from genbloch.clifford import basis_element
-from genbloch.coords import coords_to_json, state_coords
+from genbloch.coords import coords_to_json, state_coords, sum_of_squares
 from genbloch.linalg import matrix_from_json, matrix_to_json
 from genbloch.spectra import sign_sums
 
-from conftest import random_tensor, table_rows
+from conftest import random_tensor, sample_table, table_rows
 
 
 def write_json(path, obj):
@@ -331,6 +332,23 @@ def test_sample_m6_peak_rss(tmp_path):
     assert peak_mb < 80
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_peak_rss_does_not_grow_with_the_draws(tmp_path, fmt):
+    # the decisions keep three results per draw and the table is written one
+    # block of rows at a time, so ten times the draws take about the same memory
+    peaks = []
+    for n in (10 ** 4, 10 ** 5):
+        out = tmp_path / f"atlas-{n}.{fmt}"
+        code, peak_mb = _genbloch_peak_rss_mb(["sample", "--m", "2", "--k", "2", "--samples",
+                                               str(n), "--format", fmt, "--output", str(out)])
+        assert code == 0
+        peaks.append(peak_mb)
+    # the CSV header and a line per draw; JSON spends 14 lines on each record
+    lines = out.read_text().count("\n")
+    assert lines == {"csv": 10 ** 5 + 1, "json": 14 * 10 ** 5 + 9}[fmt]
+    assert peaks[1] - peaks[0] <= 8, peaks
+
+
 @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
     # fig2 at its default resolution writes 96,392 points from columns: 56 MB
@@ -516,9 +534,13 @@ _VEC = [{"idx": [1], "val": 0.5}]
      "genbloch: error: indices (1, 5) are not strictly increasing within 1..4\n"),
     (["validate"], {"2": [{"idx": [1, 1], "val": 0.1}]}, 1,
      "genbloch: error: repeated index in (1, 1)\n"),
+    # a JSON string is no number, as true is none
+    (["invariants"], {"1": [{"idx": [1], "val": "0.5"}]}, 1,
+     "genbloch: error: field 'grades.1[0]': expected {idx: list, val: number}, "
+     "got {'idx': [1], 'val': '0.5'}\n"),
 ], ids=["rotate-empty-grade", "rotate-zero-grade", "invariants-explicit-zero",
         "basis-beyond-family", "basis-bad-selector", "basis-grade-count", "bool-index",
-        "float-index", "index-beyond-side", "repeated-index"])
+        "float-index", "index-beyond-side", "repeated-index", "string-value"])
 def test_coords_edges(tmp_path, capsys, argv, grades, code, expect):
     # a present grade stays present when it holds no entry or only zeros, and
     # each index rule keeps its message
@@ -536,9 +558,7 @@ def test_coords_edges(tmp_path, capsys, argv, grades, code, expect):
 
 def test_validate_agrees_with_oracle_sign(tmp_path, capsys):
     # integration: validate verdict matches the oracle min-eigenvalue sign
-    from genbloch.domains import sample_domain
-
-    _, columns = sample_domain(2, 2, 30, seed=4)
+    _, columns = sample_table(2, 2, 30, seed=4)
     keys = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     for index, *coefficients, _, oracle_admissible, margin in table_rows(columns):
         if margin <= 1e-8:
@@ -1150,9 +1170,7 @@ def test_figure_writers_match_per_row(capsys, which, paper_cube):
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("k", [1, 2])
 def test_sample_csv_matches_per_row(capsys, m, k):
-    from genbloch.domains import sample_domain
-
-    rows = table_rows(sample_domain(m, k, 40, seed=m + 10 * k)[1])
+    rows = table_rows(sample_table(m, k, 40, seed=m + 10 * k)[1])
     dim = len(rows[0]) - 4
     header = (["index"] + [f"c{i}" for i in range(dim)]
               + ["closed_admissible", "oracle_admissible", "boundary_margin"])
@@ -1165,8 +1183,6 @@ def test_sample_csv_matches_per_row(capsys, m, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_sample_json_matches_per_record(capsys, m, k):
     # the record -> dict loop that the column writer replaced, as its reference
-    from genbloch.domains import sample_domain
-
     for n in (0, 1, 40, 800):
         seed = m + 10 * k + n
         records = [{
@@ -1176,7 +1192,7 @@ def test_sample_json_matches_per_record(capsys, m, k):
             "oracle_admissible": oracle_admissible,
             "boundary_margin": boundary_margin,
         } for index, *coefficients, closed_admissible, oracle_admissible, boundary_margin
-            in table_rows(sample_domain(m, k, n, seed)[1])]
+            in table_rows(sample_table(m, k, n, seed)[1])]
         payload = {"m": m, "k": k, "n": n, "seed": seed, "box": 1.2, "records": records}
         assert run(["sample", "--m", str(m), "--k", str(k), "--samples", str(n),
                     "--seed", str(seed), "--format", "json"]) == 0
@@ -1212,6 +1228,52 @@ def test_figure_json_matches_per_row(capsys, which, paper_cube):
         assert run(["figure", which, "--resolution", str(resolution), "--format", "json",
                     *cube]) == 0
         assert capsys.readouterr().out == _figure_json_per_row(which, resolution, paper_cube)
+
+
+def test_sample_draws_pinned(capsys):
+    # draw j is -box + 2 box u_j, u_j the j-th random.Random(seed).random(),
+    # a rule Python keeps from version to version
+    assert run(["sample", "--m", "2", "--k", "2", "--samples", "2", "--seed", "7",
+                "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "0,-0.4228013644004103,-0.8379619825811954,0.362242735295649,-1.0261529119978974,"
+        "0.08611681033605412,-0.3223465994097947,0,0,0.14552218618723778")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_bytes_do_not_depend_on_stacks_or_blocks(capsys, monkeypatch, fmt):
+    from genbloch import domains, text
+
+    for n in (0, 1, 5):
+        argv = ["sample", "--m", "2", "--k", "2", "--samples", str(n), "--seed", "3",
+                "--format", fmt]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            # one draw per decided stack and one row per written block
+            patch.setattr(domains, "CHUNK_BYTES", 1)
+            patch.setattr(text, "_BLOCK_ROWS", 1)
+            assert run(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_sample_refuses_a_margin_past_the_first_block_before_any_text(capsys, monkeypatch):
+    from genbloch import text
+
+    monkeypatch.setattr(text, "_BLOCK_ROWS", 1)
+    # at m = 2, k = 1 the margin |1 - sqrt(r)| / 4 is inf where r, the draw's
+    # sum of squares, overflows
+    box, rng = 1e154, random.Random(0)
+    sums = [sum_of_squares([-box + 2 * box * rng.random() for _ in range(4)]) for _ in range(20)]
+    first = [math.isinf(r) for r in sums].index(True)
+    assert first >= 1  # the first block's one row is finite, a later one is not
+    for fmt in ("csv", "json"):
+        assert run(["sample", "--m", "2", "--k", "1", "--samples", "20", "--box", str(box),
+                    "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("genbloch: error: result is not finite "
+                                "(input beyond floating-point range?)\n")
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -1319,8 +1381,9 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
     # a sample document: each record's keys sorted, its coefficients one list
     sample = [np.arange(rows), columns[0], columns[2], ~columns[2], columns[4]]
     args = argparse.Namespace(m=2, k=1, samples=rows, seed=seed, box=1.2, format="json")
-    with mock.patch.object(domains, "sample_domain", lambda *_: (None, sample)):
-        text = _answer_sample(args)[0]
+    names = ["index", "c0", "closed_admissible", "oracle_admissible", "boundary_margin"]
+    with mock.patch.object(domains, "sample_domain", lambda *_: (names, [sample])):
+        text = "".join(_answer_sample(args)[0])
     records = [{"index": i, "coefficients": [c], "closed_admissible": closed,
                 "oracle_admissible": oracle, "boundary_margin": margin}
                for i, c, closed, oracle, margin in table_rows(sample)]

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from genbloch.errors import (
     KindMismatch,
     MalformedInput,
     NegativeDiscriminant,
+    NonFiniteResult,
     NonUnitTrace,
     ResourceLimit,
 )
@@ -51,7 +53,8 @@ from genbloch.invariants import (
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
 
-from conftest import random_coords, random_tensor, random_unit_trace_hermitian, table_rows
+from conftest import (random_coords, random_tensor, random_unit_trace_hermitian, sample_table,
+                      table_rows)
 
 ORACLE_TOL = 1e-9
 
@@ -375,7 +378,7 @@ def test_tunnel_grid_vs_oracle_coarse():
 
 def _sample_table(m, k, n, seed, box=1.2):
     """sample_domain's columns by name."""
-    names, columns = sample_domain(m, k, n, seed=seed, box=box)
+    names, columns = sample_table(m, k, n, seed=seed, box=box)
     return dict(zip(names, columns))
 
 
@@ -394,7 +397,7 @@ def test_sample_domain_deterministic():
     b = _sample_table(2, 2, 50, seed=11)
     assert _coefficients(a) == _coefficients(b)
     assert a["closed_admissible"].tolist() == b["closed_admissible"].tolist()
-    assert table_rows(sample_domain(2, 1, 0, seed=3)[1]) == []
+    assert table_rows(sample_table(2, 1, 0, seed=3)[1]) == []
 
 
 def test_sample_domain_agreement():
@@ -420,7 +423,9 @@ def _sample_per_draw(m, k, n, seed, box):
     side = 2 * m
     keys = ([(i,) for i in range(1, side + 1)] if k == 1
             else [(i, j) for i in range(1, side + 1) for j in range(i + 1, side + 1)])
-    draws = np.random.default_rng(seed).uniform(-box, box, size=(n, len(keys)))
+    rng = random.Random(seed)
+    draws = np.reshape([-box + 2 * box * rng.random() for _ in range(n * len(keys))],
+                       (n, len(keys)))
     rows = []
     for idx in range(n):
         tensor = antisym(m, k, {key: float(v) for key, v in zip(keys, draws[idx])}, side)
@@ -439,7 +444,7 @@ def test_sample_domain_matches_per_draw(m, k):
         assert n > CHUNK_BYTES // (16 * 4 ** m)  # this case spans several chunks
     # boxes that put both verdicts among the draws at most m
     box = 1.2 / math.sqrt(m) if k == 1 else 1.6 / m ** 1.5
-    names, columns = sample_domain(m, k, n, seed=m, box=box)
+    names, columns = sample_table(m, k, n, seed=m, box=box)
     rows = table_rows(columns)
     assert rows == _sample_per_draw(m, k, n, m, box)
     assert names == (["index"] + [f"c{i}" for i in range(len(rows[0]) - 4)]
@@ -455,7 +460,7 @@ def test_sample_domain_matches_per_draw(m, k):
 def test_sample_domain_vector_margin_is_the_doublet(m):
     # the sampler's vector minima come from the one closed form, bit for bit
     # the doublet formula |1 - sqrt(r)| / 2^m written out here
-    _, columns = sample_domain(m, 1, 50, seed=m, box=1.2 / math.sqrt(m))
+    _, columns = sample_table(m, 1, 50, seed=m, box=1.2 / math.sqrt(m))
     r = sum_of_squares(columns[1:1 + 2 * m])
     assert np.array_equal(columns[-1], np.abs((1 - np.sqrt(r)) / 2 ** m))
 
@@ -599,10 +604,12 @@ def test_sample_domain_guards():
     for box in (math.nan, math.inf, -math.inf, -0.5, 1e308):
         with pytest.raises(ResourceLimit):
             sample_domain(2, 1, 1, seed=0, box=box)
-    # the widest box allowed draws finite coefficients (their squares overflow)
-    with np.errstate(over="ignore", invalid="ignore"):
-        widest = _sample_table(2, 1, 3, seed=0, box=sys.float_info.max / 2)
-    assert np.isfinite(_coefficients(widest)).all()
+    # the widest box allowed draws finite coefficients, but their squares
+    # overflow, so the margins are not finite and the table is refused
+    widest = sys.float_info.max / 2
+    assert np.isfinite(domains._uniform(random.Random(0), 3, 4, widest)).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResult):
+        sample_domain(2, 1, 3, seed=0, box=widest)
     with pytest.raises(ResourceLimit):
         sample_domain(7, 1, 0, seed=0)
     with pytest.raises(BadIndex):

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import os
 import pickle
@@ -112,6 +113,34 @@ def test_cli_calls_load_no_identities(tmp_path, argv):
     assert "genbloch.identities" not in loaded
     # the records are plain __slots__ classes: no call generates dataclass code
     assert "dataclasses" not in loaded
+
+
+@functools.cache
+def _numpy_at_import() -> frozenset:
+    """The numpy submodules that `import numpy` alone loads in a fresh interpreter."""
+    res = subprocess.run([sys.executable, "-c", "import sys, numpy; print(' '.join(sys.modules))"],
+                         capture_output=True, text=True, timeout=120, check=True)
+    return frozenset(m for m in res.stdout.split() if m.startswith("numpy."))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--m", "2", "--k", "1", "--samples", "5", "--format", "csv"],
+    ["sample", "--m", "2", "--k", "1", "--samples", "5", "--format", "json"],
+    ["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "csv"],
+    ["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "json"],
+    ["basis", "--m", "2", "--verify"],
+    ["validate", "--input", "state.json"],
+    ["spectrum", "--both", "--input", "state.json"],
+    ["decode", "--input", "matrix.json"],
+    ["figure", "fig2", "--resolution", "3"],
+], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")))
+def test_answers_load_no_numpy_beyond_its_import(tmp_path, argv):
+    # a numpy submodule that numpy does not load itself (numpy.random, numpy.ma)
+    # is a cost of the answer: the sampler draws from the standard library
+    _write_inputs(tmp_path)
+    code, out, diagnostics, loaded = _call(argv, cwd=tmp_path)
+    assert code == 0 and out, diagnostics
+    assert {m for m in loaded if m.startswith("numpy.")} <= _numpy_at_import()
 
 
 @pytest.mark.parametrize("argv", [
@@ -252,6 +281,17 @@ def test_records_print_their_fields(index):
     (lambda: identities.z_from_coords(coords.antisym(4, 2, {(1, 2): 0.3})), "UnsupportedM"),
     (lambda: identities.descartes_positivity([1.0, 0.0]), "GradeMismatch"),
     (lambda: identities.tunnel_spectrum(0.1, np.inf, 0.2), "MalformedInput"),
+    # a JSON string is no number, and a record's scalar and grade meet the rules of their reads
+    (lambda: coords.coords_from_json({"m": 2, "grades": {"1": [{"idx": [1], "val": "0.5"}]}}),
+     "MalformedInput"),
+    (lambda: coords.StateCoords(2, "standard", "x", {}), "MalformedInput"),
+    (lambda: coords.StateCoords(2, "standard", None, {}), "MalformedInput"),
+    (lambda: coords.StateCoords(2, "standard", True, {}), "MalformedInput"),
+    (lambda: coords.AntisymTensor(2, 0, 4, {}), "GradeOutOfRange"),
+    (lambda: coords.AntisymTensor(2, 9, 4, {}), "GradeOutOfRange"),
+    (lambda: coords.AntisymTensor(2, -1, 4, {}), "GradeOutOfRange"),
+    (lambda: coords.AntisymTensor(2, True, 4, {}), "MalformedInput"),
+    (lambda: coords.AntisymTensor(2, "x", 4, {}), "MalformedInput"),
 ], ids=["shape", "stack-as-matrix", "non-finite-matrix", "negative-r", "negative-T4",
         "non-finite-tunnel", "not-antisymmetric", "admissible-with-violation", "encode-None",
         "closed-form-str", "coords-invariants-str", "positivity-str", "rotate-coords-str", "rotate-matrix-str",
@@ -264,7 +304,10 @@ def test_records_print_their_fields(index):
         "tensor-config-not-iterable", "get-other-grade",
         "spin-lift-extended", "epsilon-contract-free-indices", "det-identity-side-6",
         "two-tensor-m1", "two-tensor-D3-off-m3", "unknown-kind",
-        "z-from-coords-side-8", "descartes-zero-leading", "tunnel-spectrum-non-finite"])
+        "z-from-coords-side-8", "descartes-zero-leading", "tunnel-spectrum-non-finite",
+        "grade-value-json-str", "record-scalar-str", "record-scalar-None", "record-scalar-bool",
+        "tensor-grade-0", "tensor-grade-9", "tensor-grade-negative", "tensor-grade-bool",
+        "tensor-grade-str"])
 def test_caller_input_errors_are_typed(call, error):
     # a documented GenblochError, still a ValueError for callers that catch that
     with pytest.raises(getattr(errors, error)) as info:
