@@ -7,26 +7,27 @@ doublets, grade-2 configurations give quartets governed by the invariants
 (r, T4, D3), and grades 1 and 2 together take their sign vectors from the
 chirality sign Pf(M); the factorized characteristic polynomials reproduce
 the dense computation coefficient by coefficient.
+
+The paper's identities are checked claims beside the tests, outside the
+package: run this demo with tests/ on the path, PYTHONPATH=src:tests.
 """
 
 import numpy as np
 
 from genbloch import (
     antisym,
-    char_poly,
     closed_form_spectrum,
     encode,
-    epsilon_D3,
-    factorized_charpoly,
     hermitian_eigenvalues,
     numeric_spectrum,
     state_coords,
     tensor_config,
-    tunnel_spectrum,
     two_tensor_invariants,
     vector,
 )
 from genbloch.invariants import InvariantSet
+
+from claims import char_poly, epsilon_D3, factorized_charpoly, tunnel_spectrum
 
 np.set_printoptions(precision=6, suppress=True)
 

@@ -3,6 +3,9 @@
 The coordinate tensors transform under orthogonal matrices; conjugating the
 state by the lifted unitary produces exactly the same motion, which is why
 spectra depend on the coordinates only through invariants.
+
+The paper's identities are checked claims beside the tests, outside the
+package: run this demo with tests/ on the path, PYTHONPATH=src:tests.
 """
 
 import numpy as np
@@ -10,25 +13,23 @@ import numpy as np
 from genbloch import (
     AntisymTensor,
     antisym,
-    dual_tensor,
     encode,
-    epsilon_D3,
     frobenius_r,
     hermitian_eigenvalues,
     orthogonal_from_generator,
-    pseudo_vector_V,
     rotate_coords,
     state_coords,
     trace_T4,
 )
-from genbloch.identities import conjugate_state, spin_lift
+
+from claims import conjugate_state, dual_tensor, epsilon_D3, pseudo_vector_V, spin_lift
 
 np.set_printoptions(precision=5, suppress=True)
 rng = np.random.default_rng(1)
 
 # --- the lift ---------------------------------------------------------------
 # rotate_coords moves coordinates with L alone; the spin lift U, the Clifford
-# side of the same rotation, is a checked claim of the identities module
+# side of the same rotation, is a checked claim (claims.spin_lift)
 alpha = antisym(2, 2, {(1, 2): 0.7, (1, 3): -0.2, (2, 4): 0.4})
 el = orthogonal_from_generator(alpha)
 u = spin_lift(alpha)

@@ -9,6 +9,9 @@ two-invariant wedge max((r+1)^2 - 2, 0) <= T4 <= 2 r^2, equivalently the
 intersection of two elliptic tunnels in the three-coordinate slice; the
 sign rule on characteristic-polynomial coefficients is the same verdict
 written as an identity.  Writes the figure datasets as CSV next to this script.
+
+The paper's identities are checked claims beside the tests, outside the
+package: run this demo with tests/ on the path, PYTHONPATH=src:tests.
 """
 
 import os
@@ -17,20 +20,23 @@ import numpy as np
 
 from genbloch import (
     antisym,
-    char_poly,
-    descartes_positivity,
     encode,
     figure_columns,
     hermitian_eigenvalues,
     min_eigenvalue_verdict,
     positivity,
-    rT4_domain,
     sample_domain,
     state_coords,
     tensor_config,
-    tunnel_membership,
     two_tensor_invariants,
     vector,
+)
+
+from claims import (
+    char_poly,
+    descartes_positivity,
+    rT4_domain,
+    tunnel_membership,
     z_from_coords,
     z_variable,
 )

@@ -26,10 +26,6 @@ _OWNERS = {name: module for module, names in {
                "decode", "encode", "state_coords", "tensor_config", "vector"),
     "domains": ("DomainVerdict", "min_eigenvalue_verdict", "positivity", "sample_domain"),
     "figures": ("figure_columns",),
-    "identities": ("char_poly", "conjugate_state", "descartes_positivity", "det_identity_check",
-                   "dual_tensor", "epsilon_D3", "factorized_charpoly", "pseudo_vector_V",
-                   "quartet_eigenvalues", "rT4_domain", "scale_dimension", "spin_lift",
-                   "tunnel_membership", "tunnel_spectrum", "z_from_coords", "z_variable"),
     "invariants": ("InvariantSet", "frobenius_r", "trace_T4", "two_tensor_invariants"),
     "linalg": ("exp_minus_i_hermitian", "hermitian_eigenvalues", "matrix_from_json",
                "matrix_to_json"),

@@ -122,15 +122,19 @@ def index_mask(indices, side: int, increasing: bool = False) -> tuple:
     i - 1 of mask, and sign is the parity of the permutation that sorts the
     indices.  The package's one multi-index rule and permutation parity:
     BadIndex unless each index is a Python int (no bool, float or numpy int),
-    none repeats and each lies within 1..side, increasing strictly if asked.
+    none repeats and each lies within 1..side, increasing strictly if asked
+    (an index outside 1..side is named so unless that order is asked for).
     """
     key = tuple(indices)
     if not set(map(type, key)) <= {int}:
         raise BadIndex(f"indices {key} must be Python ints")
     if len(set(key)) < len(key):
         raise BadIndex(f"repeated index in {key}")
+    inside = not key or 0 < min(key) and max(key) <= side
+    if not (inside or increasing):
+        raise BadIndex(f"index outside 1..{side} in {key}")
     mask = swaps = 0
-    if not key or 0 < min(key) and max(key) <= side:
+    if inside:
         for i in key:
             swaps += (mask >> i).bit_count()  # the greater indices placed before i
             mask |= 1 << (i - 1)

@@ -125,6 +125,15 @@ def check_grade(k: int, side: int, entries: dict) -> None:
             raise MalformedInput(f"non-number or non-finite value at {at}: {v!r:.60}")
 
 
+def check_grade_keys(keys, m: int, mode: str) -> None:
+    """GradeOutOfRange unless each grade k of a state lies within
+    1..clifford.max_grade, ModeMismatch for an unknown mode."""
+    top = clifford.max_grade(m, mode)
+    for k in keys:
+        if not 1 <= k <= top:
+            raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
+
+
 def _finite_real(v) -> bool:
     """Whether v is a finite real number and no bool: a record's scalar and values."""
     real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -184,10 +193,8 @@ class StateCoords(clifford.Record):
         clifford._check_m(self.m)
         if not _finite_real(self.scalar):
             raise MalformedInput(f"non-number or non-finite scalar {self.scalar!r:.60}")
-        top = clifford.max_grade(self.m, self.mode)
+        check_grade_keys(self.grades, self.m, self.mode)
         for k, entries in self.grades.items():
-            if not 1 <= k <= top:
-                raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {self.mode!r}")
             check_grade(k, self.side, entries)
 
     @property
@@ -219,7 +226,9 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
     clifford._check_m(m)  # before any index is held to the side m gives
     side = clifford.side(m, mode)
     items: dict = {}
-    for k, g in (grades or {}).items():
+    grades = grades or {}
+    check_grade_keys([int(k) for k in grades], m, mode)  # before any entry is read
+    for k, g in grades.items():
         k = int(k)
         if isinstance(g, AntisymTensor) and (g.of_grade(k).side != side or g.m != m):
             raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")

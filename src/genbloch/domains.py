@@ -18,8 +18,8 @@ In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
 coordinate norm; the (r, T4) wedge of grade-2 configurations at m = 2 and
 its elliptic tunnels are drawn by the figures module and checked point by
-point in the identities module, with the characteristic-polynomial sign
-rule.
+point by the tests' claims (tests/claims.py), with the characteristic-polynomial
+sign rule.
 """
 
 from __future__ import annotations
@@ -145,9 +145,10 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     |lambda_min| of the closed form, the columns of each block of rows in turn.
     All n draws are decided first, in stacks of CHUNK_BYTES, keeping three
     results per draw; a non-finite margin is NonFiniteResult then.  The blocks
-    come lazily, text._BLOCK_ROWS rows each, their draws drawn again from a
-    generator of the same seed, so the memory a caller holds is a block's; a
-    table without rows is one empty block.
+    come lazily, each as many cells as text._BLOCK_ROWS rows of ten columns,
+    their draws drawn again from a generator of the same seed, so the memory a
+    caller holds is a block's whatever n and dim; a table without rows is one
+    empty block.
     """
     _check_m(m)
     if not _is_int(k) or k not in (1, 2):
@@ -180,11 +181,14 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
 
 
 def _sample_blocks(seed: int, box: float, d: int, results: tuple):
-    """sample_domain's blocks of rows, from the per-draw results of its draws."""
+    """sample_domain's blocks of rows, from the per-draw results of its draws:
+    the cells of text._BLOCK_ROWS rows of ten columns, (m, k) = (2, 2)'s, so a
+    block of a wider table has fewer rows and its memory does not grow with d."""
     from .text import _BLOCK_ROWS
 
     rng, n = random.Random(seed), len(results[0])
-    for lo in range(0, max(n, 1), _BLOCK_ROWS):
-        hi = min(n, lo + _BLOCK_ROWS)
+    rows = max(1, _BLOCK_ROWS * 10 // (d + 4))
+    for lo in range(0, max(n, 1), rows):
+        hi = min(n, lo + rows)
         yield [np.arange(lo, hi), *_uniform(rng, hi - lo, d, box).T,
                *(column[lo:hi] for column in results)]

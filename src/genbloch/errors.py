@@ -40,14 +40,6 @@ class NonUnitTrace(GenblochError, ValueError):
     pass
 
 
-class UnsupportedM(GenblochError, ValueError):
-    pass
-
-
-class UnknownName(GenblochError, KeyError):
-    pass
-
-
 class NotUnitary(GenblochError, ValueError):
     pass
 
@@ -56,19 +48,11 @@ class KindMismatch(GenblochError, ValueError):
     pass
 
 
-class ComplexRoots(GenblochError, ArithmeticError):
-    """Closed-form roots came out complex for input that should give real ones.
-
-    Signals an internal inconsistency (bad invariants fed to a spectrum
-    formula), not a user error.
-    """
-
-
 class InvariantMismatch(GenblochError, ArithmeticError):
     """An identity between rotation invariants failed numerically.
 
-    Raised when T4 exceeds its bound 2 r^2, or when the epsilon sum for D3
-    disagrees with 48 times the Pfaffian.
+    Raised when T4 exceeds its bound 2 r^2, and by the tests' D3 claim when
+    the epsilon sum disagrees with 48 times the Pfaffian.
     """
 
 
@@ -77,11 +61,6 @@ class NonFiniteResult(GenblochError, ValueError):
 
     def __init__(self, message="result is not finite (input beyond floating-point range?)"):
         super().__init__(message)
-
-
-class NegativeDiscriminant(ComplexRoots, ValueError):
-    """2 r^2 - T4 is negative, so sqrt(2 r^2 - T4) in the m = 2 spectrum and in
-    the z variable is complex: (r, T4) are not the invariants of any tensor."""
 
 
 class BadResolution(GenblochError, ValueError):

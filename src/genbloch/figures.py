@@ -5,11 +5,9 @@ fig1 is the (r, T4) wedge of grade-2 configurations at m = 2,
     max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2,     0 <= r <= 1,
 
 decided over its whole grid by one array form of the inequalities
-(_rT4_family), which identities.rT4_domain applies to a single point.  fig2
-and fig3 are point clouds of the elliptic tunnel surfaces
+(_rT4_family).  fig2 and fig3 are point clouds of the elliptic tunnel surfaces
 alpha_pm = sqrt((x +- y)^2 + z^2) of the slice (G_12, G_34, G_23) = (x, y, z);
-fig3 keeps the points inside both tunnels (_tunnel_family, shared with
-identities.tunnel_membership).  The mirror y -> -y (G_34 -> -G_34) swaps
+fig3 keeps the points inside both tunnels.  The mirror y -> -y (G_34 -> -G_34) swaps
 alpha_plus and alpha_minus, so each level's alpha_plus surface is built once
 and mirrored.  A figure is built as columns (figure_columns), one array per
 column of every output format, and fig1's two boundary curves as (r, T4)
@@ -28,33 +26,20 @@ import math
 import numpy as np
 
 from . import DEFAULT_TOL, MAX_ROWS
-from .errors import BadResolution, KindMismatch, MalformedInput, ResourceLimit
+from .errors import BadResolution, KindMismatch, ResourceLimit
 
 # the half-width of the cube that holds every tunnel surface point
 _BOX = 1.5
 
 
-# the (r, T4) constraints in the order of _rT4_family's rows
-_RT4_CONSTRAINTS = ("r_negative", "r_upper", "T4_upper", "T4_lower")
-
-
 def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
-    """Which (r, T4) constraints fail, one row per _RT4_CONSTRAINTS entry, and
-    the boundary flag of the admissible points, per (r, T4) pair."""
+    """(admissible, on_boundary) of each (r, T4) pair."""
     lower = np.maximum((r + 1.0) ** 2 - 2.0, 0.0)
     upper = 2.0 * r * r
-    failed = np.stack([r < -tol, r > 1.0 + tol, t4 > upper + tol, t4 < lower - tol])
-    boundary = ~failed.any(axis=0) & (
+    admissible = ~((r < -tol) | (r > 1.0 + tol) | (t4 > upper + tol) | (t4 < lower - tol))
+    boundary = admissible & (
         (np.abs(r - 1.0) <= tol) | (np.abs(t4 - upper) <= tol) | (np.abs(t4 - lower) <= tol))
-    return failed, boundary
-
-
-def _tunnel_family(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """alpha_pm = sqrt((x +- y)^2 + z^2) of G_12 = x, G_34 = y, G_23 = z per
-    point of the equal-length columns, which must be finite."""
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(z).all()):
-        raise MalformedInput("non-finite tunnel coordinates")
-    return np.hypot(x + y, z), np.hypot(x - y, z)
+    return admissible, boundary
 
 
 def _tunnel_surface_points(level: float, resolution: int) -> tuple:
@@ -83,8 +68,7 @@ def _fig1_columns(resolution: int) -> list:
     rs = np.linspace(0.0, 1.0, resolution)
     r = np.repeat(rs, resolution)
     t4 = np.tile(np.linspace(0.0, 2.0, resolution), resolution)
-    failed, boundary = _rT4_family(r, t4, DEFAULT_TOL)
-    return [r, t4, ~failed.any(axis=0), boundary]
+    return [r, t4, *_rT4_family(r, t4, DEFAULT_TOL)]
 
 
 def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
@@ -97,8 +81,8 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
         if level not in surfaces:
             x, y, z = _tunnel_surface_points(level, resolution)
             if which == "fig3":
-                ap, am = _tunnel_family(x, y, z)
-                keep = (ap <= 1.0 + DEFAULT_TOL) & (am <= 1.0 + DEFAULT_TOL)
+                keep = ((np.hypot(x + y, z) <= 1.0 + DEFAULT_TOL)
+                        & (np.hypot(x - y, z) <= 1.0 + DEFAULT_TOL))
                 x, y, z = x[keep], y[keep], z[keep]
             surfaces[level] = x, y, z
         x, y, z = surfaces[level]

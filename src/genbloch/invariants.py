@@ -9,7 +9,7 @@ invariants are
 
 D3 equals 48 times the Pfaffian of G, which is how two_tensor_invariants
 computes it, with spectra.pfaffian; the epsilon sum itself and the
-dual-tensor identities are checked claims of the identities module.  Every r
+dual-tensor identities are checked claims of the tests (tests/claims.py).  Every r
 and T4 of the package comes from frobenius_r and trace_T4, and every report
 of a state from coords_invariants, the invariants command's and validate's
 alike; a state of the so(2m+2) family adds its spectra.normal_form.

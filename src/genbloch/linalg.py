@@ -7,9 +7,9 @@ and the JSON field reader, all on ``complex128`` numpy arrays.
 The eigenvalues are the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, and the one engine behind
 positivity verdicts of general states.  They share
-no code with the normal-form spectra or with the characteristic polynomial
-of the identities module: the routes stay independently checkable against
-each other.
+no code with the normal-form spectra or with the tests' characteristic
+polynomial claim (tests/claims.py): the routes stay independently checkable
+against each other.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ over the 2^m sign vectors s with prod_k s_k = (-1)^m sign Pf(M), exactly,
 at every m and scalar c (Bravyi, quant-ph/0404180).  A vector has
 mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
 has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
-claims of the identities module.
+claims of the tests (tests/claims.py), outside the package.
 
 bordered_parts writes M from the grades of one state or of a stack,
 normal_form gives its (mu, Pf M), with the package's one Pfaffian

@@ -14,7 +14,7 @@ Conventions:
   of L:  G'_I = sum_J det(L[I, J]) G_J over increasing k-tuples, which is
   the antisymmetrized k-fold product L x ... x L.  The rule uses no
   Clifford algebra, so the compatibility identity with the spin lift of the
-  same generator (identities.spin_lift) checks one engine against another.
+  same generator (spin_lift in tests/claims.py) checks one engine against another.
 """
 
 from __future__ import annotations

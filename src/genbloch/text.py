@@ -9,10 +9,11 @@ float's "-" ends the lead, the separator text before its cell.  A float that
 is not finite is refused in every format.  An SVG pixel coordinate is two
 cells, spelled from its integer count of hundredths.  CSV and SVG text is
 joined in blocks of _BLOCK_ROWS rows.  A figure's table is one block, spelled
-as a whole; a sample's blocks are _BLOCK_ROWS rows each, and its text, the
-CSV header or the JSON document's head spelled once, comes block by block as
-run() writes it (_csv_blocks, _json_items, _json_parts), so the bytes do not
-depend on the block size.  Any other JSON document is one str.  Matrix JSON
+as a whole; a sample's blocks hold the cells of _BLOCK_ROWS rows of ten
+columns each (fewer rows when wider), and its text, the CSV header or the JSON
+document's head spelled once, comes block by block as run() writes it
+(_csv_blocks, _json_items, _json_parts), so the bytes do not depend on the
+block size.  Any other JSON document is one str.  Matrix JSON
 (_matrix_text) and coords JSON (_coords_text) go through the same writer.
 Only the CLI answers that print one of these import this module, and
 sample_domain, which reads _BLOCK_ROWS.

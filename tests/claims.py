@@ -1,7 +1,11 @@
-"""The paper's identities, kept as checked claims beside the engine.
+"""The paper's identities, kept as checked claims beside the tests.
 
-Tests and demos check each claim against the engine; no answer depends on
-one.  This module imports the engine, and no engine module imports it.
+The installed package holds only the engine that CLI answers run; this
+module, with the four error classes that only it raises, is no part of it.
+Tests import it from this directory (pytest puts it on sys.path), and the
+demos with it on PYTHONPATH (PYTHONPATH=src:tests).  Each claim is checked
+against the engine; no answer depends on one, and it reads no private name
+of the engine.
 
 spin_lift is the Clifford side of a rotation: for a generator alpha,
 U = exp(-(i/2) sum_{i<j} alpha_{ij} E_{ij}) satisfies
@@ -41,7 +45,8 @@ factorized_charpoly multiplies them out.
 
 fig1's rule max((r + 1)^2 - 2, 0) <= T4 <= 2 r^2, 0 <= r <= 1 is
 lambda_min >= 0 (mu_1 + mu_2 <= 1) with T4's bound; rT4_domain decides one
-point by it.  Grade-2 states at m = 2, r = mu_1^2 + mu_2^2 and
+point by its scalar inequalities, which the tests hold to fig1's array
+form.  Grade-2 states at m = 2, r = mu_1^2 + mu_2^2 and
 T4 = 2 (mu_1^4 + mu_2^4), fill only its part T4 >= r^2: the wedge
 |r - 1/2| <= z <= 1/2 in z = 1/2 - sqrt(2 r^2 - T4), whose z >= 1/2 - r is
 T4 >= r^2, so the rule admits (0.3, 0.05) and the wedge refuses it.  The slice
@@ -58,26 +63,43 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polypow
 
-from . import DEFAULT_TOL
-from .clifford import cached_basis, index_mask
-from .coords import AntisymTensor, antisym
-from .domains import DomainVerdict
-from .errors import (
-    ComplexRoots,
+from genbloch import DEFAULT_TOL
+from genbloch.clifford import cached_basis, index_mask
+from genbloch.coords import AntisymTensor, antisym
+from genbloch.domains import DomainVerdict
+from genbloch.errors import (
     DimensionMismatch,
+    GenblochError,
     GradeMismatch,
     InvariantMismatch,
     KindMismatch,
     ModeMismatch,
-    NegativeDiscriminant,
-    UnknownName,
-    UnsupportedM,
 )
-from .figures import _RT4_CONSTRAINTS, _rT4_family, _tunnel_family
-from .invariants import InvariantSet, frobenius_r, trace_T4
-from .linalg import as_matrix, exp_minus_i_hermitian, require_hermitian, wire_field
-from .spectra import Spectrum, pfaffian, spectrum_from_values
-from .symmetry import check_orthogonal
+from genbloch.invariants import InvariantSet, frobenius_r, trace_T4
+from genbloch.linalg import as_matrix, exp_minus_i_hermitian, require_hermitian, wire_field
+from genbloch.spectra import Spectrum, pfaffian, spectrum_from_values
+from genbloch.symmetry import check_orthogonal
+
+
+class UnsupportedM(GenblochError, ValueError):
+    pass
+
+
+class UnknownName(GenblochError, KeyError):
+    pass
+
+
+class ComplexRoots(GenblochError, ArithmeticError):
+    """Closed-form roots came out complex for input that should give real ones.
+
+    Signals an internal inconsistency (bad invariants fed to a spectrum
+    formula), not a user error.
+    """
+
+
+class NegativeDiscriminant(ComplexRoots, ValueError):
+    """2 r^2 - T4 is negative, so sqrt(2 r^2 - T4) in the m = 2 spectrum and in
+    the z variable is complex: (r, T4) are not the invariants of any tensor."""
 
 
 def char_poly(a) -> np.ndarray:
@@ -286,10 +308,17 @@ def quartet_eigenvalues(m: int, inv: InvariantSet) -> np.ndarray:
     return np.sort(np.array(out))
 
 
+def _tunnel(x: float, y: float, z: float) -> tuple:
+    """(G, alpha_plus, alpha_minus) of G_12 = x, G_34 = y, G_23 = z;
+    MalformedInput unless each is a finite number."""
+    g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
+    return g, float(np.hypot(x + y, z)), float(np.hypot(x - y, z))
+
+
 def tunnel_spectrum(x: float, y: float, z: float) -> Spectrum:
     """m = 2 family G_12 = x, G_34 = y, G_23 = z: quartet (1 +- alpha_pm)/4."""
-    ap, am = _tunnel_family(*np.array([[x], [y], [z]], dtype=float))
-    return spectrum_from_values(2, np.concatenate([1 + ap, 1 - ap, 1 + am, 1 - am]) / 4)
+    _, ap, am = _tunnel(x, y, z)
+    return spectrum_from_values(2, np.array([1 + ap, 1 - ap, 1 + am, 1 - am]) / 4)
 
 
 def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarray:
@@ -322,12 +351,25 @@ def factorized_charpoly(m: int, config_kind: str, inv: InvariantSet) -> np.ndarr
 
 
 def rT4_domain(r: float, t4: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
-    """The (r, T4) region for grade-2 configurations at m = 2."""
+    """The (r, T4) region for grade-2 configurations at m = 2, at one point:
+    fig1's inequalities, the first that fails named."""
     inv = InvariantSet(r=max(r, 0.0), T4=max(t4, 0.0))
-    failed, boundary = _rT4_family(np.array([r], dtype=float), np.array([t4], dtype=float), tol)
-    violated = next((name for name, bad in zip(_RT4_CONSTRAINTS, failed[:, 0]) if bad), None)
-    return DomainVerdict(admissible=violated is None, boundary=bool(boundary[0]),
-                         violated=violated, invariants_used=inv, tol=tol)
+    lower = max((r + 1.0) ** 2 - 2.0, 0.0)
+    upper = 2.0 * r * r
+    violated = None
+    if r < -tol:
+        violated = "r_negative"
+    elif r > 1.0 + tol:
+        violated = "r_upper"
+    elif t4 > upper + tol:
+        violated = "T4_upper"
+    elif t4 < lower - tol:
+        violated = "T4_lower"
+    admissible = violated is None
+    boundary = admissible and (
+        abs(r - 1.0) <= tol or abs(t4 - upper) <= tol or abs(t4 - lower) <= tol)
+    return DomainVerdict(admissible=admissible, boundary=boundary, violated=violated,
+                         invariants_used=inv, tol=tol)
 
 
 def z_variable(r: float, t4: float) -> float:
@@ -351,8 +393,7 @@ def z_from_coords(g2: AntisymTensor) -> float:
 
 def tunnel_membership(x: float, y: float, z: float, tol: float = DEFAULT_TOL) -> DomainVerdict:
     """Intersection of the elliptic tunnels alpha_pm <= 1, with r and T4 of G(x, y, z)."""
-    ap, am = (float(v[0]) for v in _tunnel_family(*np.array([[x], [y], [z]], dtype=float)))
-    g = antisym(2, 2, {(1, 2): x, (3, 4): y, (2, 3): z})
+    g, ap, am = _tunnel(x, y, z)
     inv = InvariantSet(r=frobenius_r(g), T4=trace_T4(g))
     violated = None
     if ap > 1.0 + tol:

@@ -13,7 +13,12 @@ from genbloch import clifford
 from genbloch.clifford import basis_element, full_basis
 from genbloch.coords import AntisymTensor, antisym, decode, encode, state_coords, tensor_config
 from genbloch.figures import boundary_curves, figure_columns
-from genbloch.identities import (
+from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
+from genbloch.linalg import hermitian_eigenvalues
+from genbloch.spectra import closed_form_spectrum
+from genbloch.symmetry import orthogonal_from_generator, rotate_coords
+
+from claims import (
     char_poly,
     conjugate_state,
     descartes_positivity,
@@ -26,11 +31,6 @@ from genbloch.identities import (
     spin_lift,
     tunnel_membership,
 )
-from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
-from genbloch.linalg import hermitian_eigenvalues
-from genbloch.spectra import closed_form_spectrum
-from genbloch.symmetry import orthogonal_from_generator, rotate_coords
-
 from conftest import gammas, random_coords, random_tensor, random_unit_trace_hermitian, table_rows
 
 

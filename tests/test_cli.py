@@ -349,6 +349,22 @@ def test_sample_peak_rss_does_not_grow_with_the_draws(tmp_path, fmt):
     assert peaks[1] - peaks[0] <= 8, peaks
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_block_memory_does_not_grow_with_the_width(tmp_path, fmt):
+    # a block holds the cells of 8,192 rows of (2, 2)'s ten columns: 4,311 rows
+    # of (3, 2)'s 19, so twice the draws take two blocks of the same memory.
+    # Blocks of 8,192 rows at every width grew by 11-12 MB between these two
+    # counts.  About 1 s per format on Linux x86-64, Python 3.11, numpy 2.4
+    peaks = []
+    for n in (4311, 2 * 4311):
+        out = tmp_path / f"atlas-{n}.{fmt}"
+        code, peak_mb = _genbloch_peak_rss_mb(["sample", "--m", "3", "--k", "2", "--samples",
+                                               str(n), "--format", fmt, "--output", str(out)])
+        assert code == 0
+        peaks.append(peak_mb)
+    assert peaks[1] - peaks[0] <= 4, peaks
+
+
 @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
     # fig2 at its default resolution writes 96,392 points from columns: 56 MB
@@ -531,16 +547,22 @@ _VEC = [{"idx": [1], "val": 0.5}]
     (["validate"], {"2": [{"idx": [1.0, 2], "val": 0.1}]}, 1,
      "genbloch: error: indices (1.0, 2) must be Python ints\n"),
     (["validate"], {"2": [{"idx": [1, 5], "val": 0.1}]}, 1,
-     "genbloch: error: indices (1, 5) are not strictly increasing within 1..4\n"),
+     "genbloch: error: index outside 1..4 in (1, 5)\n"),
     (["validate"], {"2": [{"idx": [1, 1], "val": 0.1}]}, 1,
      "genbloch: error: repeated index in (1, 1)\n"),
+    # a grade key above 2m is one error, held before any of its entries is read
+    (["validate"], {"5": [{"idx": [1, 2, 3, 4, 5], "val": 0.1}]}, 1,
+     "genbloch: error: grade 5 out of range 1..4 for mode 'standard'\n"),
+    (["validate"], {"5": []}, 1,
+     "genbloch: error: grade 5 out of range 1..4 for mode 'standard'\n"),
     # a JSON string is no number, as true is none
     (["invariants"], {"1": [{"idx": [1], "val": "0.5"}]}, 1,
      "genbloch: error: field 'grades.1[0]': expected {idx: list, val: number}, "
      "got {'idx': [1], 'val': '0.5'}\n"),
 ], ids=["rotate-empty-grade", "rotate-zero-grade", "invariants-explicit-zero",
         "basis-beyond-family", "basis-bad-selector", "basis-grade-count", "bool-index",
-        "float-index", "index-beyond-side", "repeated-index", "string-value"])
+        "float-index", "index-beyond-side", "repeated-index", "grade-beyond-2m",
+        "grade-beyond-2m-empty", "string-value"])
 def test_coords_edges(tmp_path, capsys, argv, grades, code, expect):
     # a present grade stays present when it holds no entry or only zeros, and
     # each index rule keeps its message

@@ -197,6 +197,19 @@ def test_mask_table_matches_dense_products_at_every_grade(m, mode):
     assert b.indices == sorted(b.indices, key=lambda idx: (len(idx), idx))
 
 
+@pytest.mark.parametrize("key, increasing, message", [
+    ((1, 9), False, "index outside 1..4 in (1, 9)"),
+    ((0, 1), False, "index outside 1..4 in (0, 1)"),
+    ((2, 1), True, "indices (2, 1) are not strictly increasing within 1..4"),
+    ((1, 9), True, "indices (1, 9) are not strictly increasing within 1..4"),
+], ids=["above-side", "zero", "decreasing", "above-side-increasing"])
+def test_index_mask_names_its_fault(key, increasing, message):
+    # an index outside 1..side is named so, unless increasing order is asked for
+    with pytest.raises(BadIndex) as info:
+        index_mask(key, 4, increasing)
+    assert str(info.value) == message
+
+
 def test_m1_elements_hold_no_negative_zero(capsys):
     # expand leaves -0.0 in some m = 1 elements and + 0j clears it, which
     # np.array_equal, for which -0.0 == 0.0, cannot see

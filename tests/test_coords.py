@@ -34,12 +34,12 @@ from genbloch.errors import (
     NotHermitian,
     ResourceLimit,
 )
-from genbloch.identities import spin_lift, z_from_coords
 from genbloch.invariants import coords_invariants, frobenius_r
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import orthogonal_from_generator
 from genbloch.text import _coords_text
 
+from claims import spin_lift, z_from_coords
 from conftest import SIGMA1, SIGMA3, random_coords, random_unit_trace_hermitian
 
 

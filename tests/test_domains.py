@@ -28,21 +28,12 @@ from genbloch.errors import (
     GradeOutOfRange,
     KindMismatch,
     MalformedInput,
-    NegativeDiscriminant,
     NonFiniteResult,
     NonUnitTrace,
     ResourceLimit,
 )
-from genbloch.figures import _tunnel_surface_points, boundary_curves, figure_columns
-from genbloch.identities import (
-    char_poly,
-    descartes_positivity,
-    quartet_eigenvalues,
-    rT4_domain,
-    tunnel_membership,
-    z_from_coords,
-    z_variable,
-)
+from genbloch.figures import (_rT4_family, _tunnel_surface_points, boundary_curves,
+                              figure_columns)
 from genbloch.invariants import (
     InvariantSet,
     coords_invariants,
@@ -53,6 +44,16 @@ from genbloch.invariants import (
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
 
+from claims import (
+    NegativeDiscriminant,
+    char_poly,
+    descartes_positivity,
+    quartet_eigenvalues,
+    rT4_domain,
+    tunnel_membership,
+    z_from_coords,
+    z_variable,
+)
 from conftest import (random_coords, random_tensor, random_unit_trace_hermitian, sample_table,
                       table_rows)
 
@@ -111,6 +112,9 @@ def test_rT4_examples():
     assert v.admissible and not v.boundary
     v = rT4_domain(0.5, 0.6)
     assert not v.admissible and v.violated == "T4_upper"
+    # r is checked first, against its range
+    assert rT4_domain(-0.3, 0.1).violated == "r_negative"
+    assert rT4_domain(1.3, 2.0).violated == "r_upper"
 
 
 def test_rT4_lower_violation():
@@ -119,45 +123,31 @@ def test_rT4_lower_violation():
     assert not v.admissible and v.violated == "T4_lower"
 
 
-def _rT4_per_point(r, t4, tol=DEFAULT_TOL):
-    """The scalar (r, T4) inequalities, kept as the reference of the array rule."""
-    lower = max((r + 1.0) ** 2 - 2.0, 0.0)
-    upper = 2.0 * r * r
-    violated = None
-    if r < -tol:
-        violated = "r_negative"
-    elif r > 1.0 + tol:
-        violated = "r_upper"
-    elif t4 > upper + tol:
-        violated = "T4_upper"
-    elif t4 < lower - tol:
-        violated = "T4_lower"
-    admissible = violated is None
-    boundary = admissible and (
-        abs(r - 1.0) <= tol or abs(t4 - upper) <= tol or abs(t4 - lower) <= tol)
-    return admissible, boundary, violated
-
-
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, 1e-3])
 def test_rT4_matches_per_point(rng, tol):
+    # fig1's array rule agrees with the scalar inequalities of rT4_domain at
+    # and around every edge, and names a violation exactly when it refuses
     edges = [0.0, math.sqrt(2.0) - 1.0, 0.5, 1.0]
     rs = [e + d for e in edges for d in (-2 * tol, -tol / 2, 0.0, tol / 2, 2 * tol)]
     rs += [-0.3, 1.3] + rng.uniform(0.0, 1.0, 20).tolist()
+    points = []
     for r in rs:
         lower, upper = max((r + 1.0) ** 2 - 2.0, 0.0), 2.0 * r * r
         t4s = [b + d for b in (lower, upper, 0.0, 2.0)
                for d in (-2 * tol, -tol / 2, 0.0, tol / 2, 2 * tol)]
-        for t4 in t4s + rng.uniform(0.0, 2.0, 5).tolist():
-            v = rT4_domain(r, t4, tol)
-            assert (v.admissible, v.boundary, v.violated) == _rT4_per_point(r, t4, tol)
+        points += [(r, t4) for t4 in t4s + rng.uniform(0.0, 2.0, 5).tolist()]
+    admissible, boundary = _rT4_family(*np.array(points).T, tol)
+    for (r, t4), a, b in zip(points, admissible.tolist(), boundary.tolist()):
+        v = rT4_domain(r, t4, tol)
+        assert (v.admissible, v.boundary, v.violated is None) == (a, b, a)
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 21, 101])
 def test_fig1_matches_per_point(resolution):
     rs = np.linspace(0.0, 1.0, resolution)
     t4s = np.linspace(0.0, 2.0, resolution)
-    expected = [(float(r), float(t4), *_rT4_per_point(float(r), float(t4))[:2])
-                for r in rs for t4 in t4s]
+    expected = [(float(r), float(t4), v.admissible, v.boundary)
+                for r in rs for t4 in t4s for v in [rT4_domain(float(r), float(t4))]]
     grid = table_rows(figure_columns("fig1", resolution)[1])
     assert grid == expected
     assert all(type(v) is float for row in grid for v in row[:2])

@@ -6,25 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genbloch import identities, invariants
+from genbloch import invariants
 from genbloch.coords import AntisymTensor, antisym, state_coords
 from genbloch.errors import (
     BadIndex,
     DimensionMismatch,
     GradeMismatch,
     InvariantMismatch,
-    UnknownName,
-    UnsupportedM,
-)
-from genbloch.identities import (
-    det_identity_check,
-    dual_identity_residual,
-    dual_tensor,
-    epsilon_D3,
-    epsilon_sum_D3,
-    perm_sign,
-    pseudo_vector_V,
-    scale_dimension,
 )
 from genbloch.invariants import (
     InvariantSet,
@@ -37,6 +25,19 @@ from genbloch.invariants import (
 from genbloch.spectra import normal_form
 from genbloch.symmetry import orthogonal_from_generator
 
+import claims
+from claims import (
+    UnknownName,
+    UnsupportedM,
+    det_identity_check,
+    dual_identity_residual,
+    dual_tensor,
+    epsilon_D3,
+    epsilon_sum_D3,
+    perm_sign,
+    pseudo_vector_V,
+    scale_dimension,
+)
 from conftest import random_tensor
 
 
@@ -258,7 +259,7 @@ def test_invariant_guards_detect_tampering(monkeypatch):
     monkeypatch.setattr(invariants, "trace_T4", lambda g: 1.0)  # above 2 r^2 = 0.0392
     with pytest.raises(InvariantMismatch, match="Cauchy-Schwarz"):
         two_tensor_invariants(g)
-    monkeypatch.setattr(identities, "pfaffian", lambda a: 1.0)  # 48 Pf is 0.288
+    monkeypatch.setattr(claims, "pfaffian", lambda a: 1.0)  # 48 Pf is 0.288
     with pytest.raises(InvariantMismatch, match="disagree"):
         epsilon_D3(g)
 

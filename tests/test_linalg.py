@@ -8,7 +8,6 @@ from genbloch.cli import run
 from genbloch.coords import coords_to_json, decode, state_coords
 from genbloch.domains import DEFAULT_TOL, positivity
 from genbloch.errors import MalformedInput, NotHermitian
-from genbloch.identities import char_poly
 from genbloch.linalg import (
     HERM_TOL,
     as_matrix,
@@ -21,6 +20,7 @@ from genbloch.linalg import (
 )
 from genbloch.spectra import numeric_spectrum
 
+from claims import char_poly
 from conftest import SIGMA1, SIGMA2, random_hermitian, random_unit_trace_hermitian
 
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import importlib.util
 import json
 import os
 import pickle
@@ -10,10 +11,19 @@ import numpy as np
 import pytest
 
 import genbloch
-from genbloch import (clifford, coords, domains, errors, figures, identities, invariants, linalg,
-                      spectra, symmetry)
+from genbloch import clifford, coords, domains, errors, invariants, linalg, spectra, symmetry
+
+import claims
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+TESTS = os.path.dirname(os.path.abspath(claims.__file__))
+
+# the public names and error classes of the claims module, which left the package
+_CLAIM_NAMES = ("char_poly", "conjugate_state", "descartes_positivity", "det_identity_check",
+                "dual_tensor", "epsilon_D3", "factorized_charpoly", "pseudo_vector_V",
+                "quartet_eigenvalues", "rT4_domain", "scale_dimension", "spin_lift",
+                "tunnel_membership", "tunnel_spectrum", "z_from_coords", "z_variable")
+_CLAIM_ERRORS = ("UnsupportedM", "UnknownName", "ComplexRoots", "NegativeDiscriminant")
 
 # prints the modules loaded by one CLI call on stderr, after its output on
 # stdout and its diagnostics, also when argparse exits (--help)
@@ -21,11 +31,12 @@ _LOADED = ("import sys\nfrom genbloch.cli import run\ntry:\n    code = run(sys.a
            "finally:\n    print(' '.join(sorted(sys.modules)), file=sys.stderr)\nsys.exit(code)")
 
 
-def _call(argv, cwd=None) -> tuple:
+def _call(argv, cwd=None, path=None) -> tuple:
     """(exit code, stdout, stderr lines, modules loaded) of one CLI call in a
-    fresh interpreter."""
+    fresh interpreter, with src/ and path, if given, on its PYTHONPATH."""
+    pythonpath = os.pathsep.join(filter(None, [SRC, path]))
     res = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=cwd,
-                         env=dict(os.environ, PYTHONPATH=SRC),
+                         env=dict(os.environ, PYTHONPATH=pythonpath),
                          capture_output=True, text=True, timeout=120)
     *diagnostics, loaded = res.stderr.splitlines() or [""]
     return res.returncode, res.stdout, diagnostics, set(loaded.split())
@@ -105,12 +116,16 @@ def _write_inputs(tmp_path) -> None:
     ["domain", "--samples", "5"],
 ], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")))
 def test_cli_calls_load_no_identities(tmp_path, argv):
-    # the paper's identities are checked claims: no CLI answer depends on them
+    # the paper's identities are checked claims beside the tests, outside the
+    # package: no CLI answer loads them, even where they can be imported
+    assert importlib.util.find_spec("genbloch.identities") is None
+    assert not set(_CLAIM_NAMES) & set(genbloch.__all__)
+    assert not [name for name in _CLAIM_ERRORS if hasattr(errors, name)]
     _write_inputs(tmp_path)
-    code, out, diagnostics, loaded = _call(argv, cwd=tmp_path)
+    code, out, diagnostics, loaded = _call(argv, cwd=tmp_path, path=TESTS)
     assert code == 0, diagnostics
     assert out
-    assert "genbloch.identities" not in loaded
+    assert "claims" not in loaded and "genbloch.identities" not in loaded
     # the records are plain __slots__ classes: no call generates dataclass code
     assert "dataclasses" not in loaded
 
@@ -231,7 +246,7 @@ def test_records_print_their_fields(index):
     (lambda: linalg.hermitian_eigenvalues(np.diag([1.0, np.nan])), "MalformedInput"),
     (lambda: invariants.require_sums_of_squares(-1.0), "MalformedInput"),
     (lambda: invariants.InvariantSet(r=0.5, T4=-1.0), "MalformedInput"),
-    (lambda: figures._tunnel_family(*np.array([[0.0], [np.inf], [0.0]])), "MalformedInput"),
+    (lambda: claims.tunnel_membership(0.0, np.inf, 0.0), "MalformedInput"),
     (lambda: coords.AntisymTensor.from_matrix(2, np.ones((4, 4))), "MalformedInput"),
     (lambda: domains.DomainVerdict(True, False, "positivity", None, 1e-9), "MalformedInput"),
     # an entry point that takes a record refuses anything else by name
@@ -253,34 +268,34 @@ def test_records_print_their_fields(index):
     (lambda: invariants.trace_T4("x"), "MalformedInput"),
     (lambda: invariants.two_tensor_invariants("x"), "MalformedInput"),
     (lambda: clifford.verify_algebra("x"), "MalformedInput"),
-    (lambda: identities.spin_lift("x"), "MalformedInput"),
-    (lambda: identities.epsilon_sum_D3("x"), "MalformedInput"),
-    (lambda: identities.epsilon_D3("x"), "MalformedInput"),
-    (lambda: identities.dual_tensor("x"), "MalformedInput"),
-    (lambda: identities.dual_identity_residual("x"), "MalformedInput"),
-    (lambda: identities.det_identity_check("x"), "MalformedInput"),
-    (lambda: identities.pseudo_vector_V("x"), "MalformedInput"),
-    (lambda: identities.z_from_coords("x"), "MalformedInput"),
+    (lambda: claims.spin_lift("x"), "MalformedInput"),
+    (lambda: claims.epsilon_sum_D3("x"), "MalformedInput"),
+    (lambda: claims.epsilon_D3("x"), "MalformedInput"),
+    (lambda: claims.dual_tensor("x"), "MalformedInput"),
+    (lambda: claims.dual_identity_residual("x"), "MalformedInput"),
+    (lambda: claims.det_identity_check("x"), "MalformedInput"),
+    (lambda: claims.pseudo_vector_V("x"), "MalformedInput"),
+    (lambda: claims.z_from_coords("x"), "MalformedInput"),
     # a grade's entries are (indices, value) pairs, and get reads the tensor's own grade
     (lambda: coords.state_coords(2, grades={2: "x"}), "MalformedInput"),
     (lambda: coords.tensor_config(2, 2, "x"), "MalformedInput"),
     (lambda: coords.state_coords(2, grades={2: 5}), "MalformedInput"),
     (lambda: coords.tensor_config(2, 2, 5), "MalformedInput"),
     (lambda: coords.antisym(2, 2, {(1, 2): 0.3}).get((1,)), "GradeMismatch"),
-    # the refusals of the identities module
-    (lambda: identities.spin_lift(coords.antisym(2, 2, {(1, 5): 0.3}, side=5)), "ModeMismatch"),
-    (lambda: identities.epsilon_contract(np.zeros((4, 4)), (), 3), "DimensionMismatch"),
-    (lambda: identities.det_identity_check(coords.antisym(3, 2, {(1, 2): 0.3})), "UnsupportedM"),
-    (lambda: identities.factorized_charpoly(1, "two_tensor", invariants.InvariantSet(0.3, 0.05)),
+    # the refusals of the claims beside the tests
+    (lambda: claims.spin_lift(coords.antisym(2, 2, {(1, 5): 0.3}, side=5)), "ModeMismatch"),
+    (lambda: claims.epsilon_contract(np.zeros((4, 4)), (), 3), "DimensionMismatch"),
+    (lambda: claims.det_identity_check(coords.antisym(3, 2, {(1, 2): 0.3})), "UnsupportedM"),
+    (lambda: claims.factorized_charpoly(1, "two_tensor", invariants.InvariantSet(0.3, 0.05)),
      "KindMismatch"),
-    (lambda: identities.factorized_charpoly(2, "two_tensor",
-                                            invariants.InvariantSet(0.3, 0.05, D3=1.0)),
+    (lambda: claims.factorized_charpoly(2, "two_tensor",
+                                        invariants.InvariantSet(0.3, 0.05, D3=1.0)),
      "KindMismatch"),
-    (lambda: identities.factorized_charpoly(2, "x", invariants.InvariantSet(0.3, 0.05)),
+    (lambda: claims.factorized_charpoly(2, "x", invariants.InvariantSet(0.3, 0.05)),
      "KindMismatch"),
-    (lambda: identities.z_from_coords(coords.antisym(4, 2, {(1, 2): 0.3})), "UnsupportedM"),
-    (lambda: identities.descartes_positivity([1.0, 0.0]), "GradeMismatch"),
-    (lambda: identities.tunnel_spectrum(0.1, np.inf, 0.2), "MalformedInput"),
+    (lambda: claims.z_from_coords(coords.antisym(4, 2, {(1, 2): 0.3})), "UnsupportedM"),
+    (lambda: claims.descartes_positivity([1.0, 0.0]), "GradeMismatch"),
+    (lambda: claims.tunnel_spectrum(0.1, np.inf, 0.2), "MalformedInput"),
     # a JSON string is no number, and a record's scalar and grade meet the rules of their reads
     (lambda: coords.coords_from_json({"m": 2, "grades": {"1": [{"idx": [1], "val": "0.5"}]}}),
      "MalformedInput"),
@@ -309,8 +324,9 @@ def test_records_print_their_fields(index):
         "tensor-grade-0", "tensor-grade-9", "tensor-grade-negative", "tensor-grade-bool",
         "tensor-grade-str"])
 def test_caller_input_errors_are_typed(call, error):
-    # a documented GenblochError, still a ValueError for callers that catch that
-    with pytest.raises(getattr(errors, error)) as info:
+    # a documented GenblochError, still a ValueError for callers that catch that;
+    # the claims beside the tests raise the classes that only they need
+    with pytest.raises(getattr(errors, error, None) or getattr(claims, error)) as info:
         call()
     assert isinstance(info.value, errors.GenblochError) and isinstance(info.value, ValueError)
 
@@ -328,8 +344,8 @@ _NAN_L = np.full((4, 4), _NAN)
     (lambda: invariants.require_sums_of_squares(0.1, _NAN), "MalformedInput"),
     (lambda: invariants.InvariantSet(r=_NAN, T4=0.0), "MalformedInput"),
     (lambda: coords.require_unit_trace(_NAN), "NonUnitTrace"),
-    (lambda: identities.rT4_domain(_NAN, 0.1), "MalformedInput"),
-    (lambda: identities.rT4_domain(0.3, _NAN), "MalformedInput"),
+    (lambda: claims.rT4_domain(_NAN, 0.1), "MalformedInput"),
+    (lambda: claims.rT4_domain(0.3, _NAN), "MalformedInput"),
     (lambda: coords.StateCoords(2, "x", 1.0, {}), "ModeMismatch"),
     (lambda: clifford.full_basis(True), "BadIndex"),
     (lambda: domains.sample_domain(True, 1, 3, 0), "BadIndex"),

@@ -18,15 +18,7 @@ from genbloch.coords import (
     tensor_config,
     vector,
 )
-from genbloch.errors import ComplexRoots, GradeMismatch, UnsupportedM
-from genbloch.identities import (
-    _pbar_coefficients,
-    char_poly,
-    epsilon_D3,
-    factorized_charpoly,
-    quartet_eigenvalues,
-    tunnel_spectrum,
-)
+from genbloch.errors import GradeMismatch
 from genbloch.invariants import InvariantSet, pfaffian, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import (
@@ -40,6 +32,16 @@ from genbloch.spectra import (
 )
 from genbloch.symmetry import orthogonal_from_generator
 
+from claims import (
+    ComplexRoots,
+    UnsupportedM,
+    _pbar_coefficients,
+    char_poly,
+    epsilon_D3,
+    factorized_charpoly,
+    quartet_eigenvalues,
+    tunnel_spectrum,
+)
 from conftest import random_tensor
 
 

@@ -6,10 +6,10 @@ import pytest
 from genbloch.clifford import cached_basis
 from genbloch.coords import antisym, decode, encode, state_coords, vector
 from genbloch.errors import NotUnitary
-from genbloch.identities import conjugate_state, spin_lift
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import orthogonal_from_generator, rotate_coords
 
+from claims import conjugate_state, spin_lift
 from conftest import gammas, random_coords, random_tensor, random_unit_trace_hermitian
 
 
