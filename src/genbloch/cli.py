@@ -31,8 +31,8 @@ handling; main() then runs the atexit handlers, flushes stderr and ends the
 process with os._exit, sparing it the teardown of every module.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
-pipelines can partition corpora), 1 any error, a failed write of the answer
-included, with a one-line diagnostic on stderr.
+pipelines can partition corpora), 1 a GenblochError or OSError (a failed write
+included) with a one-line diagnostic on stderr; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -332,6 +332,8 @@ def run(argv) -> int:
                         docs.append(json.load(fh))
                     except RecursionError:
                         raise MalformedInput(f"{path}: JSON nested too deeply") from None
+                    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                        raise MalformedInput(f"{path}: not UTF-8 JSON: {exc}") from None
         import numpy as np
 
         # an overflow to inf or nan is reported once, by NonFiniteResult,
@@ -355,11 +357,9 @@ def run(argv) -> int:
                     out.write("\n")
                 out.flush()  # a failed write is reported here, not at exit
         return code
-    except UsageError as exc:
-        print(f"genbloch: usage error: {exc}", file=sys.stderr)
-        return 1
-    except (GenblochError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"genbloch: error: {exc}", file=sys.stderr)
+    except (GenblochError, OSError) as exc:
+        kind = "usage error" if isinstance(exc, UsageError) else "error"
+        print(f"genbloch: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,14 +12,13 @@ is the plain trace projection G_A = trace(rho E_A), real for the hermitian
 part (linalg.require_hermitian) that decode projects.  The scalar
 coordinate equals the trace, so unit-trace states (the one rule:
 require_unit_trace) have scalar 1.  Positivity is deliberately NOT
-validated here; deciding it is the job of the domains module.
+validated here; deciding it is the job of the domains module.  A record holds
+wire_field's floats; a refusal is a GenblochError, which cli.run() reports (others propagate).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from sys import float_info
 
 import numpy as np
 
@@ -59,13 +58,12 @@ class AntisymTensor(clifford.Record):
     __slots__ = ("m", "k", "side", "values")
 
     def __init__(self, m: int, k: int, side: int, values: dict):
-        self._set(m, k, side, values)
-        clifford._check_m(self.m)  # bounds side, and with it every mask
-        if self.side not in (2 * self.m, 2 * self.m + 1):
-            raise DimensionMismatch(f"side {self.side} invalid for m={self.m}")
-        if not 1 <= wire_field(self.k, int, "k") <= self.side:
-            raise GradeOutOfRange(f"grade {self.k} out of range 1..{self.side}")
-        check_grade(self.k, self.side, self.values)
+        clifford._check_m(m)  # bounds side, and with it every mask
+        if side not in (2 * m, 2 * m + 1):
+            raise DimensionMismatch(f"side {side} invalid for m={m}")
+        if not 1 <= wire_field(k, int, "k") <= side:
+            raise GradeOutOfRange(f"grade {k} out of range 1..{side}")
+        self._set(m, k, side, check_grade(k, side, values))
 
     def get(self, indices) -> float:
         """Signed component for an arbitrary order of k indices."""
@@ -78,9 +76,10 @@ class AntisymTensor(clifford.Record):
 
     def norm_sq(self) -> float:
         """Sum of squares over the stored entries (the paper-style squared norm)."""
-        return float(sum_of_squares(self.values.values()))
+        return sum_of_squares(self.values.values())
 
     def scaled(self, s: float) -> "AntisymTensor":
+        s = wire_field(s, float, "s")
         return AntisymTensor(self.m, self.k, self.side,
                              {key: s * v for key, v in self.values.items()})
 
@@ -107,37 +106,38 @@ class AntisymTensor(clifford.Record):
             raise DimensionMismatch(f"matrix shape {mat.shape} != ({side},{side})")
         if np.max(np.abs(mat + mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
             raise MalformedInput("matrix is not antisymmetric")
-        vals = {1 << i | 1 << j: float(mat[i, j]) for i in range(side)
-                for j in range(i + 1, side) if mat[i, j] != 0.0}
-        return AntisymTensor(m, 2, side, vals)
+        return AntisymTensor(m, 2, side, {1 << i | 1 << j: mat[i, j] for i in range(side)
+                                          for j in range(i + 1, side) if mat[i, j] != 0.0})
 
 
-def check_grade(k: int, side: int, entries: dict) -> None:
-    """The one grade rule on {mask: value}: BadIndex for a mask that is no int, GradeMismatch
-    unless it sets k of bits 0..side-1, MalformedInput for a bool or no finite real value."""
-    for mask, v in entries.items():
+def check_grade(k: int, side: int, entries: dict) -> dict:
+    """The one grade rule, giving the {mask: float} a record stores: BadIndex for a mask
+    that is no int, GradeMismatch unless it sets k of bits 0..side-1, else wire_field's."""
+    out = {}
+    for mask, v in wire_field(entries, dict, f"grade {k}").items():
         if type(mask) is not int:
             raise BadIndex(f"grade {k}: mask {mask!r:.60} is no Python int")
         if mask >> side or mask.bit_count() != k:
             raise GradeMismatch(f"mask {mask} is not of grade {k} over 1..{side}")
-        if not _finite_real(v):
-            at = tuple(i + 1 for i in range(side) if mask >> i & 1)
-            raise MalformedInput(f"non-number or non-finite value at {at}: {v!r:.60}")
+        out[mask] = wire_field(v, float, lambda: f"value at mask {mask}")
+    return out
 
 
 def check_grade_keys(keys, m: int, mode: str) -> None:
-    """GradeOutOfRange unless each grade k of a state lies within
-    1..clifford.max_grade, ModeMismatch for an unknown mode."""
+    """GradeOutOfRange unless each grade k of a state is an int (clifford._is_int)
+    within 1..clifford.max_grade, ModeMismatch for an unknown mode."""
     top = clifford.max_grade(m, mode)
     for k in keys:
-        if not 1 <= k <= top:
+        if not (clifford._is_int(k) and 1 <= k <= top):
             raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
 
 
-def _finite_real(v) -> bool:
-    """Whether v is a finite real number and no bool: a record's scalar and values."""
-    real = type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
-    return real and abs(v) <= float_info.max  # NaN is refused too
+def _grade_key(k) -> int:
+    """A grade key as an int: an int that is no bool, or a str int() reads ("01" is 1)."""
+    try:
+        return int(k) if isinstance(k, str) else wire_field(k, int, "grades")
+    except ValueError:  # MalformedInput is one
+        raise MalformedInput(f"field 'grades': expected int keys, got {k!r:.60}") from None
 
 
 def grade_entries(k: int, side: int, entries) -> dict:
@@ -146,7 +146,7 @@ def grade_entries(k: int, side: int, entries) -> dict:
     value is signed by the permutation that sorts them, and the values of one
     index set are added, in input order, at the set's first place.  BadIndex for
     indices of another grade, MalformedInput for an entry that is no (indices,
-    value) pair, a value that is no number, a bool, or a sum that is not finite."""
+    value) pair, a value the float rule refuses or a sum that is not finite."""
     slots: dict = {}
     for pair in entries.items() if isinstance(entries, (dict, AntisymTensor)) else entries:
         try:
@@ -158,9 +158,7 @@ def grade_entries(k: int, side: int, entries) -> dict:
         mask, sign = clifford.index_mask(key, side)
         if len(key) != k:
             raise BadIndex(f"key {key} has grade {len(key)}, expected {k}")
-        # a float needs no reading; one that is not finite meets the sum's check
-        x = v if type(v) is float else wire_field(v, float, f"value at {tuple(sorted(key))}")
-        slots[mask] = slots.get(mask, 0.0) + sign * x
+        slots[mask] = slots.get(mask, 0.0) + sign * wire_field(v, float, lambda: f"value at {key}")
         if not math.isfinite(slots[mask]):
             raise MalformedInput(f"non-finite value at {tuple(sorted(key))}")
     return slots
@@ -175,7 +173,7 @@ def antisym(m: int, k: int, entries=None, side: int | None = None) -> AntisymTen
 def vector(m: int, components, side: int | None = None) -> AntisymTensor:
     """Grade-1 tensor from a dense component list."""
     side = 2 * m if side is None else side
-    comps = list(components)
+    comps = [wire_field(c, float, f"component {i}") for i, c in enumerate(components, 1)]
     if len(comps) != side:
         raise DimensionMismatch(f"expected {side} components, got {len(comps)}")
     return antisym(m, 1, [((i + 1,), c) for i, c in enumerate(comps) if c != 0.0], side)
@@ -189,13 +187,11 @@ class StateCoords(clifford.Record):
     __slots__ = ("m", "mode", "scalar", "grades")
 
     def __init__(self, m: int, mode: str, scalar: float, grades: dict):
-        self._set(m, mode, scalar, grades)
-        clifford._check_m(self.m)
-        if not _finite_real(self.scalar):
-            raise MalformedInput(f"non-number or non-finite scalar {self.scalar!r:.60}")
-        check_grade_keys(self.grades, self.m, self.mode)
-        for k, entries in self.grades.items():
-            check_grade(k, self.side, entries)
+        clifford._check_m(m)
+        scalar = wire_field(scalar, float, "scalar")
+        check_grade_keys(wire_field(grades, dict, "grades"), m, mode)
+        side = clifford.side(m, mode)
+        self._set(m, mode, scalar, {k: check_grade(k, side, g) for k, g in grades.items()})
 
     @property
     def side(self) -> int:
@@ -226,10 +222,10 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
     clifford._check_m(m)  # before any index is held to the side m gives
     side = clifford.side(m, mode)
     items: dict = {}
-    grades = grades or {}
-    check_grade_keys([int(k) for k in grades], m, mode)  # before any entry is read
-    for k, g in grades.items():
-        k = int(k)
+    grades = wire_field(grades or {}, dict, "grades")
+    keys = [_grade_key(k) for k in grades]
+    check_grade_keys(keys, m, mode)  # before any entry is read
+    for k, g in zip(keys, grades.values()):
         if isinstance(g, AntisymTensor) and (g.of_grade(k).side != side or g.m != m):
             raise DimensionMismatch(f"tensor at grade {k} has wrong shape metadata")
         if not isinstance(g, AntisymTensor) and not hasattr(g, "__iter__"):
@@ -237,7 +233,7 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
         # keys such as 1 and "01" name one grade, whose entries all add up
         items.setdefault(k, []).extend(g.items() if isinstance(g, (dict, AntisymTensor)) else g)
     built = {k: grade_entries(k, side, entries) for k, entries in items.items()}
-    return StateCoords(m=m, mode=mode, scalar=wire_field(scalar, float, "scalar"), grades=built)
+    return StateCoords(m=m, mode=mode, scalar=scalar, grades=built)
 
 
 def encode(coords: StateCoords) -> np.ndarray:
@@ -293,7 +289,7 @@ def decode(rho, mode: str = "standard") -> StateCoords:
     for mask, val in zip(basis.masks[1:].tolist(), coeffs[1:].tolist()):
         if val != 0.0:
             grades.setdefault(mask.bit_count(), {})[mask] = val
-    return StateCoords(m=basis.m, mode=basis.mode, scalar=float(coeffs[0]), grades=grades)
+    return StateCoords(m=basis.m, mode=basis.mode, scalar=coeffs[0], grades=grades)
 
 
 def tensor_config(m: int, k: int, tensor: AntisymTensor, mode: str = "standard") -> np.ndarray:
@@ -321,9 +317,7 @@ def entry_list(entries, name: str) -> list:
     out = []
     for n, e in enumerate(wire_field(entries, list, name)):
         try:
-            if not isinstance(e["idx"], list):
-                raise TypeError
-            out.append((tuple(e["idx"]), wire_field(e["val"], float, name)))
+            out.append((tuple(wire_field(e["idx"], list, name)), wire_field(e["val"], float, name)))
         except (KeyError, TypeError, ValueError):
             raise MalformedInput(f"field '{name}[{n}]': expected "
                                  f"{{idx: list, val: number}}, got {e!r:.60}") from None
@@ -335,10 +329,7 @@ def coords_from_json(obj) -> StateCoords:
     m = wire_field(obj.get("m"), int, "m")
     grades = {}
     for k, v in wire_field(obj.get("grades") or {}, dict, "grades").items():
-        try:
-            int(k)
-        except ValueError:
-            raise MalformedInput(f"field 'grades': expected int keys, got {k!r:.60}") from None
+        _grade_key(k)  # a key is refused before its entries are read
         grades[k] = entry_list(v, f"grades.{k}")
     return state_coords(m, mode=obj.get("mode", "standard"), grades=grades,
                         scalar=wire_field(obj.get("scalar", 1.0), float, "scalar"))

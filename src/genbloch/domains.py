@@ -24,7 +24,7 @@ sign rule.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import random
 
 import numpy as np
@@ -106,6 +106,14 @@ def lowest_eigenvalues(m: int, mode: str, scalar: float, grades: dict, rho=None)
     return sign_sums(scalar, *normal)[..., 0], "normal_form", normal
 
 
+def _bounded(value, name: str, rule: str, top: float = np.inf) -> float:
+    """value by the float rule (linalg.wire_field) in [0, top], else ResourceLimit."""
+    with contextlib.suppress(MalformedInput):
+        if 0 <= (x := wire_field(value, float, name)) <= top:
+            return x
+    raise ResourceLimit(f"{name} must be {rule}, got {value!r}")
+
+
 def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     """(verdict, route) of lowest_eigenvalues on one state, given as coords
     and as its 2^m x 2^m density matrix rho or None; a "normal_form" verdict
@@ -113,8 +121,7 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
     """
     coords = wire_field(coords, StateCoords, "coords")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ResourceLimit(f"tol must be a finite number >= 0, got {tol!r}")
+    tol = _bounded(tol, "tol", "a finite number >= 0")
     if rho is not None and as_matrix(rho).shape != (2 ** coords.m,) * 2:
         raise DimensionMismatch(f"rho of shape {np.shape(rho)} is not 2^m x 2^m at m = {coords.m}")
     require_unit_trace(coords.scalar)
@@ -158,8 +165,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     if not _is_int(seed) or seed < 0:
         raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
     # the draws span [-box, box], so 2 * box must be finite as well
-    if not (math.isfinite(2.0 * box) and box >= 0):
-        raise ResourceLimit(f"box must be a finite number >= 0 with 2 * box finite, got {box!r}")
+    box = _bounded(box, "box", "a finite number >= 0 with 2 * box finite", np.finfo(float).max / 2)
     basis = cached_basis(m)
     masks = basis.masks[basis.grade[basis.masks] == k].tolist()
     d = len(masks)

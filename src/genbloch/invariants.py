@@ -86,7 +86,7 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
            else InvariantSet(r=0.0, T4=0.0, D3=(0.0 if coords.side == 6 else None)))
     extras = dict(inv.extras)
     if coords.grades.get(1):
-        extras["vector_norm_sq"] = float(sum_of_squares(coords.grades[1].values()))
+        extras["vector_norm_sq"] = sum_of_squares(coords.grades[1].values())
     top = coords.grades.get(coords.side) if coords.mode == "standard" else None
     if top:  # its one mask sets every index
         extras["pseudoscalar"] = top[(1 << coords.side) - 1]

@@ -15,6 +15,7 @@ against each other.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -80,20 +81,22 @@ def matrix_to_json(a) -> dict:
     return {"dim": int(m.shape[0]), "entries": entries}
 
 
-def wire_field(value, kind: type, name: str):
-    """A JSON field as kind (dict, list, float by float(), int by operator.index, which
-    refuses 2.0, "2" and True), or MalformedInput naming the field; a library entry
-    point reads its record arguments (StateCoords, AntisymTensor, CliffordBasis) here
-    too.  Every number of an input is read here; a float refuses True, a string, an int
-    beyond float range and a value that is not finite (json.load reads Infinity, NaN and
-    1e400), too."""
+def wire_field(value, kind: type, name):
+    """A JSON field or a record argument as kind, or MalformedInput naming the field (name,
+    or a function spelling it when called), which cli.run() reports in one line.  The one
+    float rule, for every input number and float argument: a finite numbers.Real that is
+    no bool, as float(value) (a float skips the costly isinstance check); a str, Decimal,
+    complex, None, inf, NaN or int beyond float range is refused.  An int is read by
+    operator.index, which refuses 2.0, "2" and True."""
     try:
-        out = operator.index(value) if kind is int else float(value) if kind is float else value
-        if (isinstance(out, kind) and not isinstance(value, (bool, str, bytes))
-                and (kind is not float or math.isfinite(out))):
-            return out
+        if kind is not float or type(value) is float or isinstance(value, numbers.Real):
+            out = operator.index(value) if kind is int else float(value) if kind is float else value
+            if (isinstance(out, kind) and not isinstance(value, bool)
+                    and (kind is not float or math.isfinite(out))):
+                return out
     except (TypeError, ValueError, OverflowError):
         pass
+    name = name() if callable(name) else name
     raise MalformedInput(f"field {name!r}: expected {kind.__name__}, got {value!r:.60}")
 
 

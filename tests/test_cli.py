@@ -759,6 +759,37 @@ def test_deeply_nested_input_one_line(tmp_path, capsys, monkeypatch, argv):
         "genbloch: error: deep.json: JSON nested too deeply"]
 
 
+@pytest.mark.parametrize("text", [b'{"m": 2, "grades": ', b'{"m": 2, "mode": "\xe9"}'],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "bad.json"],
+    ["rotate", "--input", "ok.json", "--alpha", "bad.json"],
+], ids=["input", "rotate-alpha"])
+def test_unreadable_input_file_one_line(tmp_path, capsys, monkeypatch, argv, text):
+    # a file that json.load cannot read is MalformedInput naming it, as deep nesting is
+    (tmp_path / "bad.json").write_bytes(text)
+    write_json(tmp_path / "ok.json", _G1)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert captured.err.startswith("genbloch: error: bad.json: not UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("exc", [TypeError, KeyError, ValueError, AttributeError])
+def test_untyped_error_leaves_run(tmp_path, monkeypatch, exc):
+    # run() reports GenblochError and OSError only: any other exception is a
+    # defect, which a diagnostic line would hide
+    from genbloch import invariants
+
+    def answer(coords):
+        raise exc("defect")
+
+    monkeypatch.setattr(invariants, "coords_invariants", answer)
+    with pytest.raises(exc, match="defect"):
+        run(["invariants", "--input", write_json(tmp_path / "g1.json", _G1)])
+
+
 @pytest.mark.parametrize("command", ["decode", "spectrum", "validate"])
 @pytest.mark.parametrize("flag", [["--m", "2"], ["--m=2"], ["--m", "5"]], ids=["m-2", "m=2", "m-5"])
 def test_m_flag_refused_on_state_inputs(tmp_path, capsys, command, flag):

@@ -1,9 +1,13 @@
 import copy
 import itertools
 import json
+import math
+import numbers
 import pickle
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from genbloch.clifford import cached_basis, full_basis, max_grade, verify_algebra
 from genbloch.coords import (
     AntisymTensor,
+    StateCoords,
     antisym,
     check_grade,
     coords_from_json,
@@ -35,8 +40,8 @@ from genbloch.errors import (
     ResourceLimit,
 )
 from genbloch.invariants import coords_invariants, frobenius_r
-from genbloch.linalg import hermitian_eigenvalues
-from genbloch.symmetry import orthogonal_from_generator
+from genbloch.linalg import hermitian_eigenvalues, wire_field
+from genbloch.symmetry import orthogonal_from_generator, rotate_coords
 from genbloch.text import _coords_text
 
 from claims import spin_lift, z_from_coords
@@ -373,7 +378,7 @@ def test_state_coords_refuses_non_finite_scalar(scalar):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_antisym_tensor_refuses_non_finite_value(value):
-    with pytest.raises(MalformedInput, match=re.escape("non-finite value at (1,)")):
+    with pytest.raises(MalformedInput, match="field 'value at mask 1': expected float"):
         AntisymTensor(2, 1, 4, {1: value})
 
 
@@ -399,3 +404,101 @@ def test_codec_matches_dense_traces(m, mode, seed):
     back = decode(encode(coords), mode=mode)
     for idx in indices:
         assert abs(back.coefficient(idx) - coords.coefficient(idx)) < 1e-12
+
+
+def _float_rule(v):
+    """What the float rule reads v as: float(v) for a finite numbers.Real that
+    is no bool, else None."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return None
+    try:
+        x = float(v)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+_NUMBERS = st.one_of(
+    st.floats(), st.integers(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.fractions(), st.decimals(),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.sampled_from([True, False, np.True_, np.False_, "0.5", "x", None, math.inf, -math.inf,
+                     math.nan, 10 ** 400, Fraction(10 ** 400), 0.5 + 0j, np.complex128(0.5)]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_NUMBERS)
+def test_one_float_rule_at_every_entry_point(v):
+    # the wire reader, the builders, the record constructors and scaled accept
+    # the same values and store the same Python float; the rest is MalformedInput
+    want = _float_rule(v)
+    if want is None:
+        with pytest.raises(MalformedInput):
+            wire_field(v, float, "v")
+    else:
+        assert wire_field(v, float, "v") == want
+    reads = {
+        "state_coords value": lambda: state_coords(2, grades={1: {(1,): v}}).grades[1][1],
+        "state_coords scalar": lambda: state_coords(2, scalar=v).scalar,
+        "antisym": lambda: antisym(2, 1, {(1,): v}).values[1],
+        "StateCoords value": lambda: StateCoords(2, "standard", 1.0, {1: {1: v}}).grades[1][1],
+        "StateCoords scalar": lambda: StateCoords(2, "standard", v, {}).scalar,
+        "AntisymTensor": lambda: AntisymTensor(2, 1, 4, {1: v}).values[1],
+        "vector": lambda: vector(2, [v, 0.0, 0.0, 0.0]).values.get(1, 0.0),
+        "scaled": lambda: antisym(2, 1, {(1,): 1.0}).scaled(v).values[1],
+    }
+    for name, read in reads.items():
+        if want is None:
+            with pytest.raises(MalformedInput):
+                read()
+        else:
+            got = read()
+            assert type(got) is float and got == want, name
+
+
+def test_antisym_refuses_a_numpy_bool():
+    with pytest.raises(MalformedInput, match=re.escape("field 'value at (1,)'")):
+        antisym(2, 1, {(1,): np.True_})
+
+
+def test_records_store_a_fraction_as_a_float():
+    coords = StateCoords(2, "standard", Fraction(1), {1: {0b1: Fraction(1, 2)}})
+    assert type(coords.scalar) is float and type(coords.grades[1][1]) is float
+    # the rotation sums the stored floats: a Fraction in the record would not mix
+    rotated = rotate_coords(coords, np.eye(4)[[1, 0, 2, 3]])
+    assert rotated.grades == {1: {0b10: 0.5}}
+
+
+def test_state_coords_and_records_refuse_a_decimal_alike():
+    for build in (lambda: state_coords(2, grades={1: {(1,): Decimal("0.5")}}),
+                  lambda: StateCoords(2, "standard", 1.0, {1: {0b1: Decimal("0.5")}})):
+        with pytest.raises(MalformedInput, match="expected float, got Decimal"):
+            build()
+
+
+@pytest.mark.parametrize("key", [1.5, True, "x", None, (1,), "1.0"],
+                         ids=["float", "bool", "str", "None", "tuple", "float-str"])
+def test_state_coords_refuses_a_grade_key_that_is_no_int(key):
+    # a float key is not rounded to a grade, nor is True grade 1
+    with pytest.raises(MalformedInput, match="field 'grades': expected int keys"):
+        state_coords(2, grades={key: {(1,): 0.3}})
+    with pytest.raises(MalformedInput, match="field 'grades': expected int keys"):
+        coords_from_json({"m": 2, "grades": {key: [{"idx": [1], "val": 0.3}]}})
+
+
+def test_grade_keys_name_grades_by_int():
+    for key in (1, np.int64(1), "1", "01"):
+        assert state_coords(2, grades={key: {(1,): 0.3}}).grades == {1: {0b1: 0.3}}
+    # the record itself takes only int keys
+    for key in ("1", True, 1.0):
+        with pytest.raises(GradeOutOfRange):
+            StateCoords(2, "standard", 1.0, {key: {0b1: 0.3}})
+
+
+def test_records_refuse_grades_that_are_no_dict():
+    for build in (lambda: AntisymTensor(2, 1, 4, [1]),
+                  lambda: StateCoords(2, "standard", 1.0, [(1, {})]),
+                  lambda: StateCoords(2, "standard", 1.0, 5),
+                  lambda: state_coords(2, grades=[(1, {})])):
+        with pytest.raises(MalformedInput, match="expected dict"):
+            build()

@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 import math
 import random
 import sys
@@ -552,6 +554,36 @@ def test_positivity_bad_tol(tol):
     coords = state_coords(2, grades={2: {(1, 2): 0.6}})
     with pytest.raises(ResourceLimit, match="tol must be a finite number >= 0"):
         positivity(coords, encode(coords), tol)
+
+
+@pytest.mark.parametrize("tol", ["x", None, True, np.True_, 1e-9j, Decimal("1e-9")],
+                         ids=["str", "None", "True", "np.True_", "complex", "Decimal"])
+def test_positivity_refuses_a_tol_that_is_no_float(tol):
+    # the float rule reads tol before its range check, whose class and text it keeps
+    coords = state_coords(2, grades={2: {(1, 2): 0.6}})
+    with pytest.raises(ResourceLimit, match="tol must be a finite number >= 0"):
+        positivity(coords, None, tol)
+
+
+def test_positivity_reads_tol_as_a_float():
+    coords = state_coords(2, grades={2: {(1, 2): 0.6}})
+    for tol in (0, np.float32(0.5), Fraction(1, 4)):
+        verdict, _ = positivity(coords, None, tol)
+        assert type(verdict.tol) is float and verdict.tol == float(tol)
+
+
+@pytest.mark.parametrize("box", [None, True, "1", 1j, Decimal("1")],
+                         ids=["None", "True", "str", "complex", "Decimal"])
+def test_sample_domain_refuses_a_box_that_is_no_float(box):
+    with pytest.raises(ResourceLimit, match="box must be a finite number >= 0"):
+        sample_domain(2, 2, 2, 0, box=box)
+
+
+def test_sample_domain_reads_box_as_a_float():
+    want = _sample_table(2, 2, 5, seed=3, box=1.0)
+    for box in (1, Fraction(1), np.float32(1.0)):
+        got = _sample_table(2, 2, 5, seed=3, box=box)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 def test_positivity_refuses_a_rho_of_another_size():

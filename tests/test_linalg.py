@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,3 +279,21 @@ def test_huge_entries_cli_typed_error_or_finite(tmp_path, capsys, argv, upper, l
     else:
         assert code in (0, 2)
         json.loads(captured.out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("value", [np.True_, np.False_, np.complex128(0.5 + 0.3j), 0.5 + 0j,
+                                   Decimal("0.5"), None, "0.5", 10 ** 400, Fraction(10 ** 400)],
+                         ids=["np.True_", "np.False_", "np.complex128", "complex", "Decimal",
+                              "None", "str", "huge-int", "huge-Fraction"])
+def test_wire_float_refuses_what_is_no_finite_real(value):
+    # numpy's bool is no numbers.Real, and a complex is refused whole, not read
+    # as its real part
+    with pytest.raises(MalformedInput, match="field 'val': expected float"):
+        wire_field(value, float, "val")
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.float32(0.5), Fraction(1, 2)],
+                         ids=["float", "np.float64", "np.float32", "Fraction"])
+def test_wire_float_returns_a_python_float(value):
+    out = wire_field(value, float, "val")
+    assert type(out) is float and out == 0.5

@@ -404,9 +404,9 @@ def test_record_constructors_keep_their_defaults_and_checks():
     entries = {0b1: 0.5}
     with pytest.raises(GradeMismatch):
         AntisymTensor(2, 1, 4, {0b11: 0.5})
-    with pytest.raises(MalformedInput, match="non-finite value"):
+    with pytest.raises(MalformedInput, match="field 'value at mask 1': expected float"):
         AntisymTensor(2, 1, 4, {0b1: float("nan")})
-    with pytest.raises(MalformedInput, match="non-finite scalar"):
+    with pytest.raises(MalformedInput, match="field 'scalar': expected float"):
         StateCoords(2, "standard", float("inf"), {})
     with pytest.raises(GradeOutOfRange):
         StateCoords(2, "standard", 1.0, {5: entries})
