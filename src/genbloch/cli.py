@@ -8,8 +8,9 @@ the text module; the others print a JSON object through _json_text.  Each
 subcommand imports what it uses when it runs: importing this module loads
 only the package and its errors, so help and usage errors load no numpy,
 and `figure` and `domain --grid` load only the figures and text modules
-besides this.  No call loads dataclasses: the package's records are plain
-__slots__ classes.
+besides this.  json loads only where JSON is read or written, so no CSV or
+SVG answer loads it.  No call loads dataclasses: the package's records are
+plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
@@ -27,8 +28,10 @@ run() builds that subcommand alone (domain builds its own, then the one its
 mode hands off to); with no arguments, -h/--help or an unknown name it
 builds them all, so those messages list every subcommand.  No parser
 expands an abbreviated flag.  run() flushes what it wrote inside its error
-handling; main() then runs the atexit handlers, flushes stderr and ends the
-process with os._exit, sparing it the teardown of every module.
+handling and leaves the cyclic garbage collector alone.  main() turns the
+collector off before it calls run(), so no collection pass runs while numpy
+and the answer load, then runs the atexit handlers, flushes stderr and ends
+the process with os._exit, sparing it the teardown of every module.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 a GenblochError or OSError (a failed write
@@ -41,7 +44,6 @@ import argparse
 import atexit
 import contextlib
 import gc
-import json
 import os
 import sys
 
@@ -177,7 +179,7 @@ def _answer_figure(args) -> tuple:
     import numpy as np
 
     from . import figures
-    from .text import _csv_text, _json_document, _json_list, _svg_text
+    from .text import _csv_text, _json_list, _json_parts, _svg_text
 
     names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
@@ -191,7 +193,9 @@ def _answer_figure(args) -> tuple:
             tables = {"grid": columns, **figures.boundary_curves(args.resolution)}
         elif args.which == "fig3":
             fields["paper_cube"] = args.paper_cube
-        return _json_document(fields, {key: _json_list(cols) for key, cols in tables.items()}), 0
+        # spelled whole before any of it is written, as CSV and SVG are
+        return list(_json_parts(fields, {key: _json_list(cols)
+                                         for key, cols in tables.items()})), 0
     if args.which == "fig1":
         r, t4, admissible, _ = columns
         return _svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), 0
@@ -327,6 +331,8 @@ def run(argv) -> int:
         docs = []
         for path in (getattr(args, "input", None), getattr(args, "alpha", None)):
             if path is not None:
+                import json
+
                 with open(path, "r", encoding="utf-8") as fh:
                     try:
                         docs.append(json.load(fh))
@@ -364,12 +370,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # the process ends with os._exit, so nothing it allocates needs collecting,
+    # and os._exit skips the teardown of every module; run() has flushed
+    # stdout, so what exit still owes is the atexit handlers and stderr
+    gc.disable()
     code = run(sys.argv[1:])
-    # the process is ending, so nothing it allocated needs collecting: freezing
-    # spares the atexit handlers a collection, and os._exit skips the teardown
-    # of every module; run() has flushed stdout, so what exit still owes is
-    # the handlers and stderr
-    gc.freeze()
     atexit._run_exitfuncs()
     sys.stderr.flush()
     os._exit(code)

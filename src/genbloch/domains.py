@@ -71,7 +71,10 @@ def admits(min_eig, tol: float = DEFAULT_TOL):
 
 def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
                            invariants_used: InvariantSet | None = None) -> DomainVerdict:
-    """Positivity verdict from a smallest eigenvalue (admits)."""
+    """Positivity verdict from a smallest eigenvalue (admits): min_eig by the
+    float rule (linalg.wire_field), tol as positivity reads it."""
+    min_eig = wire_field(min_eig, float, "min_eig")
+    tol = _bounded(tol, "tol", "a finite number >= 0")
     admissible = admits(min_eig, tol)
     return DomainVerdict(
         admissible=admissible,
@@ -118,7 +121,8 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     """(verdict, route) of lowest_eigenvalues on one state, given as coords
     and as its 2^m x 2^m density matrix rho or None; a "normal_form" verdict
     reports invariants.coords_invariants with the normal form it used.
-    Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace.
+    Coords whose scalar (the trace) is not 1 are no state: NonUnitTrace; a
+    lambda_min beyond float range is NonFiniteResult.
     """
     coords = wire_field(coords, StateCoords, "coords")
     tol = _bounded(tol, "tol", "a finite number >= 0")
@@ -127,6 +131,9 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     require_unit_trace(coords.scalar)
     min_eig, route, normal = lowest_eigenvalues(coords.m, coords.mode, coords.scalar,
                                                 coords.grades, rho)
+    # lambda_min overflows only where the invariants do: no verdict has it
+    if not np.isfinite(min_eig):
+        raise NonFiniteResult()
     inv = None if normal is None else coords_invariants(coords, normal)
     return min_eigenvalue_verdict(float(min_eig), tol, inv), route
 

@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the one JSON spelling of
 an answer, which refuses a value that is not finite."""
 
-import json
-
 
 class GenblochError(Exception):
     """Base class for all errors raised by this package."""
@@ -78,6 +76,8 @@ class UsageError(GenblochError, ValueError):
 
 def _json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), refusing inf and NaN."""
+    import json
+
     try:
         return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:

@@ -1,59 +1,148 @@
 """The CLI's table, matrix, coords and SVG writers.
 
 The library gives a table as (column names, one array per column), or, for
-sample_domain, as its names and blocks of such columns, and one cell-grid
-writer (_table_text) spells every CSV and JSON table from its blocks with
-that format's separators, each distinct float magnitude of a block once and
-at full double precision, so repeated runs are byte-identical; a negative
-float's "-" ends the lead, the separator text before its cell.  A float that
-is not finite is refused in every format.  An SVG pixel coordinate is two
-cells, spelled from its integer count of hundredths.  CSV and SVG text is
-joined in blocks of _BLOCK_ROWS rows.  A figure's table is one block, spelled
-as a whole; a sample's blocks hold the cells of _BLOCK_ROWS rows of ten
-columns each (fewer rows when wider), and its text, the CSV header or the JSON
-document's head spelled once, comes block by block as run() writes it
-(_csv_blocks, _json_items, _json_parts), so the bytes do not depend on the
-block size.  Any other JSON document is one str.  Matrix JSON
-(_matrix_text) and coords JSON (_coords_text) go through the same writer.
-Only the CLI answers that print one of these import this module, and
-sample_domain, which reads _BLOCK_ROWS.
+sample_domain, as its names and blocks of such columns, and one writer
+(_table_text) spells every CSV and JSON table from its blocks with that
+format's separators.  A block is spelled in one pass: each distinct float
+magnitude once, at full double precision, so repeated runs are
+byte-identical, and each distinct int, boolean or string once, into a byte
+table (_table) with an integer code per cell; a negative float's "-" ends the
+lead, the separator text before its cell.  A float that is not finite is
+refused in every format.  An SVG pixel coordinate is two cells, spelled from
+its integer count of hundredths.  The text is made _BLOCK_ROWS rows at a time
+(fewer when rows are wide), each such block one uint8 grid of fixed-width
+fields padded with _PAD, which one pass turns into the block's text
+(_row_blocks): no str per cell and no grid of a whole table is built.  A
+figure's table is one block, spelled as a whole before any of it is written;
+a sample's blocks hold the cells of _BLOCK_ROWS rows of ten columns each
+(fewer rows when wider), and its text, the CSV header or the JSON document's
+head spelled once, comes block by block as run() writes it (_csv_blocks,
+_json_items, _json_parts), so the bytes do not depend on the block size.
+Matrix JSON (_matrix_text) and coords JSON (_coords_text) go through the
+same writer, each one str.  Only the CLI answers that print one of these
+import this module, and sample_domain, which reads _BLOCK_ROWS; json loads
+only where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
 from .errors import NonFiniteResult, _json_text
 
 
+# no byte of UTF-8 text: it fills each field of a block's grid past its cell
+_PAD = b"\xff"
+
+
 def _spell_floats(values: np.ndarray) -> tuple:
-    """(text, negative) of the float64 values: text[i] is the repr of the
-    magnitude of values[i], and negative[i] whether its sign bit is set (-0.0
-    too) and it is not NaN, so that repr(values[i]) is "-" + text[i] where
-    negative[i] holds and text[i] elsewhere.  Each distinct magnitude is
-    spelled once.
+    """(spellings, codes, negative) of the float64 values: spellings a _table
+    holding the repr of each distinct magnitude, codes[i] the row of
+    values[i]'s magnitude in it, and negative[i] whether its sign bit is set
+    (-0.0 too) and it is not NaN, so that repr(values[i]) is "-" + that row
+    where negative[i] holds and the row alone elsewhere.  Each distinct
+    magnitude is spelled once.
     """
     bits = values.view(np.int64)
-    magnitude, where = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
+    magnitude, codes = np.unique(bits & np.int64(2 ** 63 - 1), return_inverse=True)
     # float's own repr: numpy 2 spells a numpy float as np.float64(...)
-    text = np.array(list(map(float.__repr__, magnitude.view(np.float64).tolist())), dtype=object)
-    return text[where], (bits < 0) & ~np.isnan(values)
+    return _listed(magnitude.view(np.float64).tolist()), codes, (bits < 0) & ~np.isnan(values)
+
+
+# the widest repr of a float magnitude (17 digits, a point and a 5-character
+# exponent) or of an int64, and the spaces that pad a repr to it
+_REPR_WIDTH = 23
+_SPACE_TO_PAD = bytes.maketrans(b" ", _PAD)
+
+
+def _listed(items: list) -> np.ndarray:
+    """The _table of the repr of each float or int of items, all spelled by
+    one %-format into fields of _REPR_WIDTH whose padding spaces become _PAD,
+    then cut to the widest."""
+    text = (f"%-{_REPR_WIDTH}r" * len(items) % tuple(items)).encode().translate(_SPACE_TO_PAD)
+    table = np.frombuffer(text, np.uint8).reshape(len(items), _REPR_WIDTH)
+    used = np.flatnonzero((table != _PAD[0]).any(axis=0))
+    return table[:, :used[-1] + 1 if len(used) else 0]
+
+
+def _table(words) -> np.ndarray:
+    """The str words, UTF-8, as the rows of one uint8 grid, each padded with
+    _PAD to the longest; a NUL that a word holds is kept."""
+    data = [word.encode() for word in words]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    table = np.full((len(data), lengths.max(initial=0)), _PAD[0], np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(data), np.uint8)
+    return table
+
+
+def _codes(column) -> tuple:
+    """(the distinct values of the array column in first-seen order, each
+    cell's index among them), a run of equal adjacent cells looked up once."""
+    starts = np.flatnonzero(np.concatenate([[True], column[1:] != column[:-1]]))[:len(column)]
+    runs = column[starts].tolist()
+    index = {v: i for i, v in enumerate(dict.fromkeys(runs))}
+    return list(index), np.repeat(np.array([index[v] for v in runs], dtype=np.intp),
+                                  np.diff(np.append(starts, len(column))))
+
+
+def _json_string(value) -> str:
+    import json
+
+    return json.dumps(value)
 
 
 # a table's booleans (false, true) and the spelling of its strings, per format
-_CSV = (np.array(["0", "1"], dtype=object), str)
-_JSON = (np.array(["false", "true"], dtype=object), json.dumps)
+_CSV = (_table(["0", "1"]), str)
+_JSON = (_table(["false", "true"]), _json_string)
+# the byte before a float's magnitude: nothing, or its "-"
+_SIGN = _table(["", "-"])
 
-# rows per block of CSV and SVG text: run() writes a table block by block
+# rows per block of text: run() writes a table block by block; a block's
+# grid holds at most _BLOCK_BYTES, so a block of wide rows has fewer
 _BLOCK_ROWS = 8192
+_BLOCK_BYTES = 2 ** 20
 
 
-def _row_blocks(cells: np.ndarray) -> list:
-    """The text of each block of _BLOCK_ROWS rows of a grid of cells."""
-    return ["".join(cells[i:i + _BLOCK_ROWS].ravel().tolist())
-            for i in range(0, len(cells), _BLOCK_ROWS)]
+def _row_blocks(fields: list, rows: int):
+    """The text of each block of _BLOCK_ROWS of the rows, each row its fields
+    in turn.  A field is a str, the same text in every row, or (table,
+    codes): the uint8 grid of its spellings padded with _PAD (_table), and
+    each row's index into it."""
+    pieces, cells, at = [], [], 0
+    for field in fields:
+        if isinstance(field, str):
+            pieces.append(field.encode())
+        else:
+            table, codes = field
+            pieces.append(bytes(table.shape[1]))  # written over in every row
+            if table.shape[1]:
+                # each spelling one item, so a row's cell is copied whole
+                cells.append((at, table.view(f"V{table.shape[1]}")[:, 0], codes))
+        at += len(pieces[-1])
+    template = np.frombuffer(b"".join(pieces), np.uint8)
+    # a row as one record of its cells, each at its offset in the row
+    record = np.dtype({"names": [f"c{i}" for i in range(len(cells))], "itemsize": at,
+                       "formats": [spellings.dtype for _, spellings, _ in cells],
+                       "offsets": [offset for offset, _, _ in cells]})
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // at))
+    for lo in range(0, rows, step):
+        yield _block_text(template, record, [(spellings, codes[lo:lo + step])
+                                             for _, spellings, codes in cells],
+                          min(step, rows - lo))
+
+
+def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) -> str:
+    """One block of _row_blocks: rows copies of template, each cell's
+    spellings written over them, made into text in one pass that drops the
+    padding; the grid is gone when the text is returned."""
+    grid = bytearray(rows * len(template))
+    np.frombuffer(grid, np.uint8).reshape(rows, len(template))[:] = template
+    records = np.frombuffer(grid, record)
+    for name, (spellings, codes) in zip(record.names, cells):
+        records[name] = spellings.take(codes)
+    text = grid.translate(None, _PAD)
+    del records, grid
+    return text.decode()
 
 
 def _table_text(blocks, leads, tail, words, head):
@@ -61,54 +150,59 @@ def _table_text(blocks, leads, tail, words, head):
     first column, leads[1], ..., its cell of the last column, tail; head stands
     in for the table's first leads[0] and is the whole text of a table without
     rows.  The text comes lazily, one str per _BLOCK_ROWS rows of each block,
-    and a block's grid of cells is gone before the next block is read.
+    and a block's spellings are gone before the next block is read.
 
-    Cells: booleans are words[0][1]/[0], floats at full round-trip precision,
-    ints through str, anything else (strings) through words[1], each distinct
-    value of a block once.  A negative float's "-" ends the lead before it.  A
-    float that is not finite is refused with NonFiniteResult before any text of
-    its block is built.
+    Cells: booleans are words[0]'s rows 1/0, floats at full round-trip
+    precision, ints through str, anything else (strings) through words[1],
+    each distinct value of a block once.  A negative float's "-" ends the
+    lead before it.  A float that is not finite is refused with
+    NonFiniteResult before any text of its block is built.
     """
     empty = True
     for columns in blocks:
         columns = [np.asarray(col) for col in columns]
         if columns and len(columns[0]):
-            yield from _row_blocks(_cells(columns, leads, tail, words, head))
-            # a later block's first row opens as every other row does
-            head, empty = leads[0], False
+            for text in _row_blocks(_fields(columns, leads, tail, words), len(columns[0])):
+                # a later block's first row opens as every other row does
+                yield head + text[len(leads[0]):] if empty else text
+                empty = False
     if empty:
         yield head
 
 
-def _cells(columns, leads, tail, words, head) -> np.ndarray:
-    """The grid of one block of _table_text, its rows' leads and cells alternating."""
+def _fields(columns, leads, tail, words) -> list:
+    """_row_blocks' fields of one block of _table_text: each column's lead,
+    a float's sign, and its cells; then the tail.  The floats, and the ints
+    of each dtype, are spelled in one pass over all their columns."""
     rows = len(columns[0])
-    cells = np.empty((rows, 2 * len(columns) + 1), dtype=object)
-    cells[:, :-1:2] = leads
-    cells[:, -1] = tail
-    cells[0, 0] = head
-    floats = [j for j, col in enumerate(columns) if col.dtype == np.float64]
-    if floats:
-        values = np.concatenate([columns[j] for j in floats])
-        if not np.isfinite(values).all():
-            raise NonFiniteResult()
-        text, negative = _spell_floats(values)
-        cells[:, [2 * j + 1 for j in floats]] = text.reshape(len(floats), rows).T
-        for j, minus in zip(floats, negative.reshape(len(floats), rows)):
-            cells[minus, 2 * j] = leads[j] + "-"
-        # the first row's first lead is head, which takes its "-" the same way
-        if floats[0] == 0 and negative[0]:
-            cells[0, 0] = head + "-"
+    spelled = {}
+    numeric = {col.dtype for col in columns if col.dtype.kind in "iu" or col.dtype == np.float64}
+    for dtype in numeric:
+        group = [j for j, col in enumerate(columns) if col.dtype == dtype]
+        values = np.concatenate([columns[j] for j in group])
+        if dtype == np.float64:
+            if not np.isfinite(values).all():
+                raise NonFiniteResult()
+            table, codes, negative = _spell_floats(values)
+            signs = negative.view(np.uint8).reshape(len(group), rows)
+        else:
+            distinct, codes = np.unique(values, return_inverse=True)
+            table, signs = _listed(distinct.tolist()), None
+        for i, (j, where) in enumerate(zip(group, codes.reshape(len(group), rows))):
+            spelled[j] = [(table, where)] if signs is None else [(_SIGN, signs[i]), (table, where)]
     bits, spell = words
-    for j, col in enumerate(columns):
-        if col.dtype == bool:
-            cells[:, 2 * j + 1] = bits[col.astype(np.uint8)]
-        elif col.dtype.kind in "iu":
-            cells[:, 2 * j + 1] = list(map(str, col.tolist()))
-        elif col.dtype != np.float64:
-            spelled = {v: spell(v) for v in set(col.tolist())}
-            cells[:, 2 * j + 1] = [spelled[v] for v in col.tolist()]
-    return cells
+    fields = []
+    for j, (lead, col) in enumerate(zip(leads, columns)):
+        fields.append(lead)
+        if j in spelled:
+            fields += spelled[j]
+        elif col.dtype == bool:
+            fields.append((bits, col.view(np.uint8)))
+        else:
+            distinct, where = _codes(col)
+            fields.append((_table(map(spell, distinct)), where))
+    fields.append(tail)
+    return fields
 
 
 def _csv_blocks(header, blocks):
@@ -130,18 +224,18 @@ def _json_items(blocks, leads, tail):
     yield "\n  ]"
 
 
-def _json_list(columns, leads=None, tail="\n    ]") -> str:
+def _json_list(columns, leads=None, tail="\n    ]"):
     """json.dumps(indent=2) of a list, one item per row of the columns, as the
-    value of a document's key: the row as a list, or else as leads and tail
-    spell it (_json_items)."""
+    value of a document's key, lazily in pieces: the row as a list, or else
+    as leads and tail spell it (_json_items)."""
     leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
-    return "".join(_json_items([columns], leads, tail)) if len(columns[0]) else "[]"
+    return _json_items([columns], leads, tail) if len(columns[0]) else ["[]"]
 
 
 def _json_document(fields: dict, tables: dict) -> str:
     """json.dumps({**fields, **tables}, indent=2, sort_keys=True), each table
-    already spelled as the value of its key (_json_list, or a _json_document
-    indented by two spaces)."""
+    already spelled as the value of its key (_json_list's pieces, or a
+    _json_document indented by two spaces)."""
     return "".join(_json_parts(fields, tables))
 
 
@@ -154,7 +248,7 @@ def _json_parts(fields: dict, tables: dict):
         return
     opening = "{"
     for key in sorted(values):
-        yield f"{opening}\n  {json.dumps(key)}: "
+        yield f"{opening}\n  {_json_string(key)}: "
         opening = ","
         yield from [values[key]] if isinstance(values[key], str) else values[key]
     yield "\n}"
@@ -181,13 +275,12 @@ def _coords_text(coords) -> str:
                           {"grades": _json_document({}, grades).replace("\n", "\n  ")})
 
 
-_CENTS = np.array([f"{c:02d}" for c in range(100)], dtype=object)
 _SVG_SIZE = 640  # the width and height of every SVG figure, in pixels
 
 
-def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
-    """"{:.2f}".format(v) for each float64 v of values, as two cells whose
-    concatenation is that spelling.
+def _spell_hundredths(values: np.ndarray, top: int) -> list:
+    """"{:.2f}".format(v) for each float64 v of values, as two _row_blocks
+    fields whose cells joined are that spelling.
 
     A v in (0, top] is spelled from its nearest count of hundredths k as
     f"{k // 100}." and f"{k % 100:02d}", both from small string tables.  That
@@ -198,14 +291,15 @@ def _spell_hundredths(values: np.ndarray, top: int) -> tuple:
     hundredths = values * 100.0
     k = np.rint(hundredths)
     table = (values > 0) & (k <= 100 * top) & (np.abs(hundredths - k) < 0.5 - 1e-6)
-    whole = np.array([f"{i}." for i in range(top + 1)], dtype=object)
+    others = values[~table].tolist()
     k = k[table].astype(np.intp)
-    first = np.empty(len(values), dtype=object)
-    second = np.full(len(values), "", dtype=object)
-    first[table] = whole[k // 100]
-    second[table] = _CENTS[k % 100]
-    first[~table] = list(map("{:.2f}".format, values[~table].tolist()))
-    return first, second
+    # the wholes "0." to f"{top}." then the others; the cents "00" to "99" then ""
+    first = np.empty(len(values), dtype=np.intp)
+    second = np.full(len(values), 100, dtype=np.intp)
+    first[table], second[table] = k // 100, k % 100
+    first[~table] = np.arange(top + 1, top + 1 + len(others))
+    return [(_table([*(f"{i}." for i in range(top + 1)), *map("{:.2f}".format, others)]), first),
+            (_table([*(f"{c:02d}" for c in range(100)), ""]), second)]
 
 
 def _svg_text(xs, ys, labels) -> list:
@@ -222,14 +316,11 @@ def _svg_text(xs, ys, labels) -> list:
     # that every pixel coordinate is the same double as one point at a time
     px = margin + (xs - x0) / span_x * scale
     py = _SVG_SIZE - margin - (ys - y0) / span_y * scale
-    # seven cells per point: each pixel coordinate is two
-    points = np.empty((len(px), 7), dtype=object)
-    points[:, 0] = '\n<circle cx="'
-    points[:, 1], points[:, 2] = _spell_hundredths(px, _SVG_SIZE)
-    points[:, 3] = '" cy="'
-    points[:, 4], points[:, 5] = _spell_hundredths(py, _SVG_SIZE)
-    labels = np.asarray(labels)
-    for i, lab in enumerate(sorted(set(labels.tolist()))):
-        points[labels == lab, 6] = f'" r="1.5" fill="{palette[i % len(palette)]}"/>'
+    # each pixel coordinate is two cells; a label's color is its rank's
+    distinct, where = _codes(np.asarray(labels))
+    rank = {lab: i for i, lab in enumerate(sorted(distinct))}
+    tails = _table(f'" r="1.5" fill="{palette[rank[lab] % len(palette)]}"/>' for lab in distinct)
+    fields = ['\n<circle cx="', *_spell_hundredths(px, _SVG_SIZE), '" cy="',
+              *_spell_hundredths(py, _SVG_SIZE), (tails, where)]
     return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">', *_row_blocks(points), "\n</svg>"]
+            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">', *_row_blocks(fields, len(px)), "\n</svg>"]

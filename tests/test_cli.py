@@ -367,8 +367,8 @@ def test_sample_block_memory_does_not_grow_with_the_width(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
-    # fig2 at its default resolution writes 96,392 points from columns: 56 MB
-    # (CSV), 45 MB (SVG) and 60 MB (JSON) on Linux x86-64, Python 3.11, numpy
+    # fig2 at its default resolution writes 96,392 points from columns: 49 MB
+    # (CSV), 44 MB (SVG) and 51 MB (JSON) on Linux x86-64, Python 3.11, numpy
     # 2.4.  The bound sits below the 77 MB that one row tuple per point takes
     # there, and the 98 MB of JSON dumped from row tuples.
     out = tmp_path / f"fig2.{fmt}"
@@ -1071,11 +1071,16 @@ def test_help_prints_no_module_notes(capsys):
     assert [line for line in notes if line and line in text] == []
 
 
-# `python -m genbloch` as runpy runs it, with an atexit hook that reports
-# on stderr whether the collector was frozen when the process ended
+# `python -m genbloch` as runpy runs it, with a probe that counts the cyclic
+# collections started once numpy is loaded and an atexit hook that reports
+# them on stderr, and whether the collector was on when the process ended
 _PYTHON_M_AT_EXIT = (
     "import atexit, gc, runpy, sys\n"
-    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "late = []\n"
+    "gc.callbacks.append(lambda phase, info: phase == 'start' and 'numpy' in sys.modules\n"
+    "                    and late.append(info['generation']))\n"
+    "atexit.register(lambda: print('collections', len(late), 'enabled', gc.isenabled(),\n"
+    "                              file=sys.stderr))\n"
     "runpy.run_module('genbloch', run_name='__main__', alter_sys=True)\n")
 
 
@@ -1087,8 +1092,9 @@ def test_main_exit_contract(tmp_path, capsys):
         return subprocess.run([sys.executable, "-c", _PYTHON_M_AT_EXIT, *argv], env=env,
                               capture_output=True, timeout=120)
 
+    # main() turns the collector off before numpy loads, and leaves it off
     res = python_m("figure", "fig2")
-    assert res.returncode == 0 and res.stderr == b"frozen True\n"
+    assert res.returncode == 0 and res.stderr == b"collections 0 enabled False\n"
     assert run(["figure", "fig2"]) == 0
     assert res.stdout == capsys.readouterr().out.encode()
     path = tmp_path / "fig2.csv"
@@ -1098,11 +1104,11 @@ def test_main_exit_contract(tmp_path, capsys):
     hot_coords = state_coords(2, grades={1: {(1,): 1.2}})
     hot = write_json(tmp_path / "hot.json", coords_to_json(hot_coords))
     res = python_m("validate", "--input", hot)
-    assert res.returncode == 2 and res.stderr == b"frozen True\n"
+    assert res.returncode == 2 and res.stderr == b"collections 0 enabled False\n"
     assert json.loads(res.stdout)["admissible"] is False
-    # the library path keeps normal collection
+    # the library path keeps normal collection: run() leaves the collector alone
     assert run(["validate", "--input", hot]) == 2
-    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_cli_import_loads_no_scipy():
@@ -1351,18 +1357,26 @@ def _spell_floats_concatenated(values):
     return np.concatenate([text, "-" + text])[where + len(text) * negative]
 
 
+def _unpadded(table, codes) -> list:
+    """The text of each row codes picks of a speller's byte table, its padding dropped."""
+    from genbloch.text import _PAD
+
+    return [table[code].tobytes().replace(_PAD, b"").decode() for code in codes.tolist()]
+
+
 def _spelled(values):
     """The full spellings the float speller's pieces stand for: "-" plus the
     magnitude's text where the sign mask is set, the text alone elsewhere."""
     from genbloch.text import _spell_floats
 
-    text, negative = _spell_floats(values)
-    assert text.shape == negative.shape == values.shape
-    return [("-" if minus else "") + t for t, minus in zip(text.tolist(), negative.tolist())]
+    table, codes, negative = _spell_floats(values)
+    assert codes.shape == negative.shape == values.shape
+    return [("-" if minus else "") + t
+            for t, minus in zip(_unpadded(table, codes), negative.tolist())]
 
 
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.text import _csv_text, _svg_text
+    from genbloch.text import _csv_text, _json_list, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -1374,16 +1388,24 @@ def test_writers_match_per_row_on_hand_made_columns():
         ["a", "b", "a", "alpha_plus=1", "", "b", "a"],
         [0.5, 2.0, 0.5, 1e-300, 3.0, 0.0, 7.25],
         [-0.5, -2.0, -0.5, -1e-300, -3.0, -0.0, -7.25],
+        # UTF-8 of several widths, the CSV separator, quotes, and NULs, which
+        # a string keeps where the writer's padding is dropped
+        np.array(["\x00", "\u00e9", "\u2603", "a,b", '"q"', "x\x00", "\x00"], dtype=object),
     ]
     # the speller against its earlier rule: -0.0, NaN with its sign bit set,
     # and each float column, all-positive and all-negative ones included
     signed = [np.array([-0.0]), np.array([np.copysign(np.nan, -1.0), np.nan, 0.5, -0.5, -0.0])]
-    for values in signed + [np.array(col, dtype=float) for col in columns[:2] + columns[6:]]:
+    for values in signed + [np.array(col, dtype=float) for col in columns[:2] + columns[6:8]]:
         assert _spelled(values) == _spell_floats_concatenated(values).tolist()
     header = [f"col{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
     assert "".join(_csv_text(header, columns)) == _csv_per_row(header, rows)
+    listed = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
+    assert "".join(_json_list(columns)) == json.dumps(listed, indent=2).replace("\n", "\n  ")
     assert "".join(_csv_text(header, [[] for _ in columns])) == _csv_per_row(header, [])
+    # a column of empty strings is a field of no bytes: each row keeps its line
+    empty = np.array(["", ""], dtype=object)
+    assert "".join(_csv_text(["s"], [empty])) == _csv_per_row(["s"], [("",), ("",)])
     assert "".join(_csv_text(header, [])) == _csv_per_row(header, [])
     xs, ys, labels = columns[0], columns[1], columns[5]
     assert "".join(_svg_text(xs, ys, labels)) == _svg_per_point(list(zip(xs, ys)), labels)
@@ -1492,8 +1514,9 @@ def test_pixel_speller_matches_format(rng):
                       640.0, 640.004, 640.005, 640.006, 1e6, np.nan])
     for values in (ties, rng.uniform(20.0, 620.0, 10 ** 6), edges):
         expected = list(map("{:.2f}".format, values.tolist()))
-        first, second = _spell_hundredths(values, 640)
-        assert [a + b for a, b in zip(first.tolist(), second.tolist())] == expected
+        (wholes, first), (cents, second) = _spell_hundredths(values, 640)
+        assert [a + b for a, b in zip(_unpadded(wholes, first),
+                                      _unpadded(cents, second))] == expected
 
 
 def test_figure_row_limit(capsys, monkeypatch):

@@ -572,6 +572,39 @@ def test_positivity_reads_tol_as_a_float():
         assert type(verdict.tol) is float and verdict.tol == float(tol)
 
 
+@pytest.mark.parametrize("tol", ["x", None, True, np.True_, 1e-9j, Decimal("1e-9"), math.nan,
+                                 math.inf, -1.0],
+                         ids=["str", "None", "True", "np.True_", "complex", "Decimal", "nan",
+                              "inf", "negative"])
+def test_min_eigenvalue_verdict_refuses_a_bad_tol(tol):
+    # the public verdict reads tol as positivity does: one class and text
+    with pytest.raises(ResourceLimit, match="tol must be a finite number >= 0"):
+        domains.min_eigenvalue_verdict(0.1, tol)
+
+
+@pytest.mark.parametrize("min_eig", ["x", None, True, 1j, Decimal("0.1"), math.nan, -math.inf],
+                         ids=["str", "None", "True", "complex", "Decimal", "nan", "-inf"])
+def test_min_eigenvalue_verdict_refuses_a_min_eig_that_is_no_float(min_eig):
+    with pytest.raises(MalformedInput, match="field 'min_eig': expected float"):
+        domains.min_eigenvalue_verdict(min_eig)
+
+
+def test_positivity_refuses_a_lambda_min_beyond_float_range():
+    # |v|^2 = 1e400 overflows, and lambda_min = 1 - |v| with it; the verdict
+    # would report the overflowed invariants, so there is none
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteResult):
+        positivity(state_coords(2, grades={1: {(1,): 1e200}}), None)
+
+
+def test_min_eigenvalue_verdict_reads_its_numbers_as_floats():
+    for min_eig, tol in ((0, 0), (np.float32(-0.25), Fraction(1, 2)), (Fraction(-1, 2), 0.25)):
+        verdict = domains.min_eigenvalue_verdict(min_eig, tol)
+        assert type(verdict.tol) is float and verdict.tol == float(tol)
+        assert verdict.admissible == (float(min_eig) >= -float(tol))
+        assert verdict.boundary == (verdict.admissible and abs(float(min_eig)) <= float(tol))
+        assert type(verdict.admissible) is type(verdict.boundary) is bool
+
+
 @pytest.mark.parametrize("box", [None, True, "1", 1j, Decimal("1")],
                          ids=["None", "True", "str", "complex", "Decimal"])
 def test_sample_domain_refuses_a_box_that_is_no_float(box):

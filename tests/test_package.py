@@ -54,6 +54,8 @@ def test_cli_import_loads_no_numpy():
     assert res.returncode == 0, res.stderr
     loaded = set(res.stdout.split())
     assert "numpy" not in loaded
+    # json loads only where JSON is read or written
+    assert "json" not in loaded
     assert _genbloch(loaded) == {"genbloch", "genbloch.cli", "genbloch.errors"}
 
 
@@ -86,6 +88,21 @@ def test_figure_calls_load_only_figures(argv):
     assert _genbloch(loaded) == {
         "genbloch", "genbloch.cli", "genbloch.errors", "genbloch.figures", "genbloch.text"}
     assert "dataclasses" not in loaded
+    # CSV and SVG read and write no JSON
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize("argv, json_loaded", [
+    (["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "csv"], False),
+    (["domain", "--samples", "5"], False),
+    (["sample", "--m", "2", "--k", "2", "--samples", "5"], True),
+    (["figure", "fig1", "--resolution", "3", "--format", "json"], True),
+], ids=["sample-csv", "domain-samples", "sample-json", "figure-json"])
+def test_json_loads_only_for_json(argv, json_loaded):
+    code, out, diagnostics, loaded = _call(argv)
+    assert code == 0, diagnostics
+    assert out
+    assert ("json" in loaded) == json_loaded
 
 
 _STATE = {"m": 2, "grades": {"2": [{"idx": [1, 2], "val": 0.6}, {"idx": [3, 4], "val": 0.3}]}}
