@@ -14,14 +14,15 @@ plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
-code), the payload a JSON-able object, the finished text or its row blocks
-(sample's come lazily).  run() alone touches files: it reads each input once
-and writes the answer's text, block by block as it comes, at one write site.
-It parses argv and reads the inputs before it imports numpy, so a refused
-argv or input file costs no numpy import.
+code), the payload a JSON-able dict or its text's pieces, made as they are
+asked for; each check that can refuse the answer runs at the call, before
+the first piece.  run() alone touches files: it reads each input once and
+writes the answer piece by piece as it comes, at one write site.  It parses
+argv and reads the inputs before it imports numpy, so a refused argv or
+input file costs no numpy import.
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
-whose matrix rounds their trace away.
+whose matrix rounds their trace away or overflows.
 
 A call builds only the parser it uses: when argv names a subcommand first,
 run() builds that subcommand alone (domain builds its own, then the one its
@@ -79,7 +80,7 @@ def _state(obj, mode: str | None):
 
 def _answer_basis(args) -> tuple:
     from . import clifford
-    from .text import _json_document, _matrix_text
+    from .text import _json_parts, _matrix_text, _nested
 
     if not (args.verify or args.element):
         clifford._check_m(args.m)  # an unsupported m keeps its own refusal
@@ -93,16 +94,17 @@ def _answer_basis(args) -> tuple:
     if args.element:
         try:
             k_str, idx_str = args.element.split(":", 1)
-            k = int(k_str)
-            idx = tuple(int(x) for x in idx_str.split(",") if x.strip() != "")
+            k, idx = int(k_str), tuple(int(x) for x in idx_str.split(",") if x.strip() != "")
         except ValueError as exc:
             raise UsageError(f"bad --element {args.element!r}; expected K:I1,I2,...") from exc
         if len(idx) != k:
             raise UsageError(f"--element grade {k} does not match {len(idx)} indices")
+        basis.element(idx)  # an index outside the family is refused here, at the call
         indices = [idx]
-    return _json_document({}, {f"{args.m},{len(i)},[{','.join(map(str, i))}]":
-                               _matrix_text(basis.element(i)).replace("\n", "\n  ")
-                               for i in indices}), 0
+    # each element built and spelled in its turn: one in memory at a time
+    return _json_parts({}, {f"{args.m},{len(i)},[{','.join(map(str, i))}]":
+                            _nested(lambda i: _matrix_text(basis.element(i)), i)
+                            for i in indices}), 0
 
 
 def _answer_encode(args, state) -> tuple:
@@ -171,20 +173,19 @@ def _answer_sample(args) -> tuple:
                for index, *coefficients, closed, oracle, margin in blocks)
     return _json_parts({"m": args.m, "k": args.k, "n": args.samples, "seed": args.seed,
                         "box": args.box},
-                       {"records": _json_items(records, leads, "\n    }") if args.samples
-                        else "[]"}), 0
+                       {"records": _json_items(records, leads, "\n    }")}), 0
 
 
 def _answer_figure(args) -> tuple:
     import numpy as np
 
     from . import figures
-    from .text import _csv_text, _json_list, _json_parts, _svg_text
+    from .text import _csv_blocks, _json_items, _json_parts, _svg_text
 
     names, columns = figures.figure_columns(args.which, args.resolution,
                                             paper_cube=args.paper_cube)
     if args.format == "csv":
-        return _csv_text(names, columns), 0
+        return _csv_blocks(names, [columns]), 0
     if args.format == "json":
         fields = {"which": args.which, "resolution": args.resolution, "columns": names}
         tables = {"points": columns}
@@ -193,9 +194,8 @@ def _answer_figure(args) -> tuple:
             tables = {"grid": columns, **figures.boundary_curves(args.resolution)}
         elif args.which == "fig3":
             fields["paper_cube"] = args.paper_cube
-        # spelled whole before any of it is written, as CSV and SVG are
-        return list(_json_parts(fields, {key: _json_list(cols)
-                                         for key, cols in tables.items()})), 0
+        return _json_parts(fields, {key: _json_items([cols], len(cols))
+                                    for key, cols in tables.items()}), 0
     if args.which == "fig1":
         r, t4, admissible, _ = columns
         return _svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), 0
@@ -346,13 +346,10 @@ def run(argv) -> int:
         # not also as numpy RuntimeWarnings on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             payload, code = args.func(args, *docs)
-            # JSON comes as an object or one str, a table as row blocks, sample's lazily
-            blocks = ([_json_text(payload)] if isinstance(payload, dict)
-                      else [payload] if isinstance(payload, str) else payload)
-            # GENBLOCH_OUTPUT_DIR, when set, holds relative --output paths
-            path = args.output and os.path.join(os.environ.get("GENBLOCH_OUTPUT_DIR", ""),
-                                                args.output)
-            sink = open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+            # an object is spelled as one JSON text; any other answer is its pieces
+            blocks = [_json_text(payload)] if isinstance(payload, dict) else payload
+            sink = (open(args.output, "w", encoding="utf-8") if args.output
+                    else contextlib.nullcontext(sys.stdout))
             with sink as out:
                 end = ""
                 for block in blocks:

@@ -243,18 +243,20 @@ def encode(coords: StateCoords) -> np.ndarray:
 
 
 def encode_grades(m: int, mode: str, scalar: float, grades: dict, check_trace: bool = True):
-    """encode of a state's parts, or of a stack's with an (n,) column per mask,
-    or ResourceLimit, with check_trace, unless each trace lies within
-    TRACE_TOL of the scalar."""
+    """encode of a state's parts, or of a stack's with an (n,) column per mask.
+    With check_trace: ResourceLimit unless each trace lies within TRACE_TOL of
+    the scalar, then NonFiniteResult if an entry overflowed."""
     basis = clifford.cached_basis(m, mode)
     coeffs = {0: scalar}
     for entries in grades.values():
         coeffs.update(entries)
     rho = basis.expand(coeffs) / basis.dim
-    if check_trace and not np.all(abs(np.trace(rho, axis1=-2, axis2=-1).real - scalar)
-                                  <= TRACE_TOL):
-        raise ResourceLimit("encoding these coordinates rounds their trace away "
-                            "(input beyond floating-point range?)")
+    if check_trace:
+        if not np.all(abs(np.trace(rho, axis1=-2, axis2=-1).real - scalar) <= TRACE_TOL):
+            raise ResourceLimit("encoding these coordinates rounds their trace away "
+                                "(input beyond floating-point range?)")
+        if not np.isfinite(rho).all():
+            raise NonFiniteResult()
     return rho
 
 

@@ -12,19 +12,20 @@ refused in every format.  An SVG pixel coordinate is two cells, spelled from
 its integer count of hundredths.  The text is made _BLOCK_ROWS rows at a time
 (fewer when rows are wide), each such block one uint8 grid of fixed-width
 fields padded with _PAD, which one pass turns into the block's text
-(_row_blocks): no str per cell and no grid of a whole table is built.  A
-figure's table is one block, spelled as a whole before any of it is written;
-a sample's blocks hold the cells of _BLOCK_ROWS rows of ten columns each
-(fewer rows when wider), and its text, the CSV header or the JSON document's
-head spelled once, comes block by block as run() writes it (_csv_blocks,
-_json_items, _json_parts), so the bytes do not depend on the block size.
-Matrix JSON (_matrix_text) and coords JSON (_coords_text) go through the
-same writer, each one str.  Only the CLI answers that print one of these
-import this module, and sample_domain, which reads _BLOCK_ROWS; json loads
-only where a JSON string or key is spelled.
+(_row_blocks): no str per cell and no grid of a whole table is built.
+Every writer returns str pieces, each made when run() asks for it and
+written before the next, so the bytes do not depend on the block size: a
+table's blocks (_csv_blocks, _json_items), a JSON document's keys and values
+(_json_parts), a nested one's pieces indented in turn (_nested).  Each check
+that can refuse the text runs when the writer is called, before its first
+piece exists (_at_call), so a refused answer writes nothing.  Only the CLI
+answers that print text import this module, and sample_domain, which reads
+_BLOCK_ROWS; json loads only where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -85,15 +86,9 @@ def _codes(column) -> tuple:
                                   np.diff(np.append(starts, len(column))))
 
 
-def _json_string(value) -> str:
-    import json
-
-    return json.dumps(value)
-
-
 # a table's booleans (false, true) and the spelling of its strings, per format
 _CSV = (_table(["0", "1"]), str)
-_JSON = (_table(["false", "true"]), _json_string)
+_JSON = (_table(["false", "true"]), _json_text)
 # the byte before a float's magnitude: nothing, or its "-"
 _SIGN = _table(["", "-"])
 
@@ -145,18 +140,30 @@ def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) 
     return text.decode()
 
 
-def _table_text(blocks, leads, tail, words, head):
+def _at_call(writer):
+    """The generator function writer, run to its first piece when called, so
+    each check it makes before that piece refuses at the call."""
+    def call(*args):
+        pieces = writer(*args)
+        # an iterator, not a list: the first piece goes once taken, not with the chain
+        return itertools.chain(iter([next(pieces)]), pieces)
+    return call
+
+
+@_at_call
+def _table_text(blocks, leads, tail, words, ends):
     """Per row of each block of equal-length columns: leads[0], its cell of the
-    first column, leads[1], ..., its cell of the last column, tail; head stands
-    in for the table's first leads[0] and is the whole text of a table without
-    rows.  The text comes lazily, one str per _BLOCK_ROWS rows of each block,
-    and a block's spellings are gone before the next block is read.
+    first column, leads[1], ..., its cell of the last column, tail; of ends,
+    the head stands in for the table's first leads[0], the foot follows its
+    last row and the bare text is a table without rows.  The text comes one
+    str per _BLOCK_ROWS rows of a block, its spellings gone before the next.
 
     Cells: booleans are words[0]'s rows 1/0, floats at full round-trip
     precision, ints through str, anything else (strings) through words[1],
     each distinct value of a block once.  A negative float's "-" ends the
     lead before it.  A float that is not finite is refused with
-    NonFiniteResult before any text of its block is built.
+    NonFiniteResult before any text of its block is built, the first block's
+    at the call.
     """
     empty = True
     for columns in blocks:
@@ -164,10 +171,11 @@ def _table_text(blocks, leads, tail, words, head):
         if columns and len(columns[0]):
             for text in _row_blocks(_fields(columns, leads, tail, words), len(columns[0])):
                 # a later block's first row opens as every other row does
-                yield head + text[len(leads[0]):] if empty else text
+                yield ends[0] + text[len(leads[0]):] if empty else text
                 empty = False
-    if empty:
-        yield head
+    last = ends[2] if empty else ends[1]
+    if last:
+        yield last
 
 
 def _fields(columns, leads, tail, words) -> list:
@@ -206,73 +214,63 @@ def _fields(columns, leads, tail, words) -> list:
 
 
 def _csv_blocks(header, blocks):
-    """CSV of the header line and one line per row of each block of columns, lazily."""
-    return _table_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV,
-                       ",".join(header) + "\n")
+    """CSV of the header line and one line per row of each block of columns."""
+    head = ",".join(header) + "\n"
+    return _table_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV, (head, "", head))
 
 
-def _csv_text(header, columns) -> list:
-    """CSV of the header line and one line per row of the columns, in row blocks."""
-    return list(_csv_blocks(header, [columns]))
+def _json_items(blocks, leads, tail="\n    ]"):
+    """json.dumps(indent=2) of a list, one item per row of each block of
+    columns, as the value of a document's key: leads[0] opens an item after a
+    comma and tail closes it, or leads is the width of rows spelled as lists;
+    a list without items is "[]"."""
+    if isinstance(leads, int):
+        leads = [",\n    [\n      ", *[",\n      "] * (leads - 1)]
+    return _table_text(blocks, leads, tail, _JSON, ("[" + leads[0][1:], "\n  ]", "[]"))
 
 
-def _json_items(blocks, leads, tail):
-    """json.dumps(indent=2) of a list, one item per row of each block of columns
-    (which must hold a row), as the value of a document's key, lazily: leads[0]
-    opens an item after a comma and tail closes it."""
-    yield from _table_text(blocks, leads, tail, _JSON, "[" + leads[0][1:])
-    yield "\n  ]"
-
-
-def _json_list(columns, leads=None, tail="\n    ]"):
-    """json.dumps(indent=2) of a list, one item per row of the columns, as the
-    value of a document's key, lazily in pieces: the row as a list, or else
-    as leads and tail spell it (_json_items)."""
-    leads = leads or [",\n    [\n      ", *[",\n      "] * (len(columns) - 1)]
-    return _json_items([columns], leads, tail) if len(columns[0]) else ["[]"]
-
-
-def _json_document(fields: dict, tables: dict) -> str:
-    """json.dumps({**fields, **tables}, indent=2, sort_keys=True), each table
-    already spelled as the value of its key (_json_list's pieces, or a
-    _json_document indented by two spaces)."""
-    return "".join(_json_parts(fields, tables))
-
-
+@_at_call
 def _json_parts(fields: dict, tables: dict):
-    """_json_document lazily, piece by piece: a table may be spelled as an
-    iterable of pieces (_json_items), each taking its place in turn."""
-    values = {**{key: _json_text(v).replace("\n", "\n  ") for key, v in fields.items()}, **tables}
-    if not values:
-        yield "{}"
-        return
+    """json.dumps({**fields, **tables}, indent=2, sort_keys=True) piece by
+    piece, each table given as the pieces of its value (_json_items, _nested)."""
+    values = {**{key: [_json_text(v).replace("\n", "\n  ")] for key, v in fields.items()},
+              **tables}
     opening = "{"
     for key in sorted(values):
-        yield f"{opening}\n  {_json_string(key)}: "
+        yield f"{opening}\n  {_json_text(key)}: "
         opening = ","
-        yield from [values[key]] if isinstance(values[key], str) else values[key]
-    yield "\n}"
+        yield from values[key]
+    yield "\n}" if values else "{}"
 
 
-def _matrix_text(a) -> str:
-    """json.dumps(linalg.matrix_to_json(a), indent=2, sort_keys=True)."""
+def _nested(writer, *args):
+    """writer(*args)'s pieces, made when the first is asked for, one level down:
+    each "\n" takes two more spaces, as re-indenting their join would give."""
+    for piece in writer(*args):
+        yield piece.replace("\n", "\n  ")
+
+
+def _matrix_text(a):
+    """json.dumps(linalg.matrix_to_json(a), indent=2, sort_keys=True) in
+    pieces, an entry that is not finite refused at the call."""
     from .linalg import as_matrix
 
     a = as_matrix(a)
     flat = a.ravel()
-    return _json_document({"dim": a.shape[0]}, {"entries": _json_list([flat.real, flat.imag])})
+    return _json_parts({"dim": a.shape[0]}, {"entries": _json_items([[flat.real, flat.imag]], 2)})
 
 
-def _coords_text(coords) -> str:
-    """json.dumps(coords.coords_to_json(coords), indent=2, sort_keys=True)."""
+def _coords_text(coords):
+    """json.dumps(coords.coords_to_json(coords), indent=2, sort_keys=True) in
+    pieces, a coordinate that is not finite refused at the call."""
     grades = {}
     for k in coords.grades:
         idx, val = coords.wire_entries(k)
         leads = [',\n    {\n      "idx": [\n        ', *[",\n        "] * (k - 1),
                  '\n      ],\n      "val": ']
-        grades[str(k)] = _json_list([*idx.T, val], leads, "\n    }")
-    return _json_document({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
-                          {"grades": _json_document({}, grades).replace("\n", "\n  ")})
+        grades[str(k)] = _json_items([[*idx.T, val]], leads, "\n    }")
+    return _json_parts({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
+                       {"grades": _nested(_json_parts, {}, grades)})
 
 
 _SVG_SIZE = 640  # the width and height of every SVG figure, in pixels
@@ -302,8 +300,9 @@ def _spell_hundredths(values: np.ndarray, top: int) -> list:
             (_table([*(f"{c:02d}" for c in range(100)), ""]), second)]
 
 
-def _svg_text(xs, ys, labels) -> list:
-    """Flat scatter of the (x, y) points colored by label, in row blocks."""
+def _svg_text(xs, ys, labels):
+    """Flat scatter of the (x, y) points colored by label: its open tag, its
+    row blocks as they are asked for, its close tag."""
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
@@ -322,5 +321,6 @@ def _svg_text(xs, ys, labels) -> list:
     tails = _table(f'" r="1.5" fill="{palette[rank[lab] % len(palette)]}"/>' for lab in distinct)
     fields = ['\n<circle cx="', *_spell_hundredths(px, _SVG_SIZE), '" cy="',
               *_spell_hundredths(py, _SVG_SIZE), (tails, where)]
-    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">', *_row_blocks(fields, len(px)), "\n</svg>"]
+    return itertools.chain([f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
+                            f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'],
+                           _row_blocks(fields, len(px)), ["\n</svg>"])

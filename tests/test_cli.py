@@ -368,7 +368,7 @@ def test_sample_block_memory_does_not_grow_with_the_width(tmp_path, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "svg", "json"])
 def test_figure_fig2_peak_rss(tmp_path, fmt):
     # fig2 at its default resolution writes 96,392 points from columns: 49 MB
-    # (CSV), 44 MB (SVG) and 51 MB (JSON) on Linux x86-64, Python 3.11, numpy
+    # (CSV), 42 MB (SVG) and 49 MB (JSON) on Linux x86-64, Python 3.11, numpy
     # 2.4.  The bound sits below the 77 MB that one row tuple per point takes
     # there, and the 98 MB of JSON dumped from row tuples.
     out = tmp_path / f"fig2.{fmt}"
@@ -378,6 +378,19 @@ def test_figure_fig2_peak_rss(tmp_path, fmt):
     # the CSV header or the SVG open and close tags, then one line per point;
     # JSON spends six lines on each point and twelve on the rest
     assert out.read_text().count("\n") == {"csv": 96_393, "svg": 96_394, "json": 578_364}[fmt]
+    assert peak_mb < 75
+
+
+def test_basis_dump_m5_peak_rss(tmp_path):
+    # the dump prints 1,024 elements of 32 x 32, 44 MB of JSON, one element
+    # built and spelled at a time: 34 MB on Linux x86-64, Python 3.11, numpy
+    # 2.4, where the whole document held as one string took 118 MB
+    out = tmp_path / "basis5.json"
+    code, peak_mb = _genbloch_peak_rss_mb(["basis", "--m", "5", "--output", str(out)])
+    assert code == 0
+    # per element its key, dim, entries and closing lines, four per entry
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == 1024 * (5 + 4 * 1024) + 2
     assert peak_mb < 75
 
 
@@ -681,12 +694,6 @@ def test_mode_flag_naming_another_mode_is_refused(tmp_path, capsys, command, own
     for argv in ([*command, "--input", path, "--mode", own or "standard"],
                  [*command, "--input", path]):
         assert run(argv) == 0 and capsys.readouterr().out
-
-
-def test_output_dir_override(tmp_path, monkeypatch, g2_coords):
-    monkeypatch.setenv("GENBLOCH_OUTPUT_DIR", str(tmp_path))
-    assert run(["encode", "--input", g2_coords, "--output", "enc.json"]) == 0
-    assert (tmp_path / "enc.json").exists()
 
 
 def test_usage_error_exit_1(capsys):
@@ -993,12 +1000,26 @@ def test_malformed_wire_names_field(tmp_path, capsys, command, state, alpha, fie
     assert len(captured.err.splitlines()) == 1 and f"field '{field}'" in captured.err
 
 
+# well-formed coords whose encoded matrix overflows: encode's own answer, and
+# validate's min_eigenvalue route, which encodes the state
+_OVERFLOWING_ENCODINGS = {
+    "encode-overflow": {"m": 2, "grades": {"1": [{"idx": [1], "val": 1.7e308}],
+                                           "2": [{"idx": [2, 4], "val": 1.7e308}]}},
+    "validate-overflow": {"m": 3, "grades": {"3": [{"idx": [1, 2, 3], "val": 1.7e308},
+                                                   {"idx": [3, 4, 5], "val": 1.7e308}]}},
+}
+
+
 def _nonfinite_argv(tmp_path, command):
     if command.startswith("sample"):
         # |c|^2 of a draw from [-1e200, 1e200]^4 overflows, so every margin is
         # inf; CSV and JSON refuse it alike
         return ["sample", "--m", "2", "--k", "1", "--samples", "2", "--box", "1e200",
                 "--format", "json" if command == "sample-json" else "csv"]
+    if command in _OVERFLOWING_ENCODINGS:
+        # every entry is finite, but their sum in the encoded matrix is not
+        state = _OVERFLOWING_ENCODINGS[command]
+        return [command.split("-")[0], "--input", write_json(tmp_path / "huge.json", state)]
     if command == "validate-vector":
         # |v|^2 = 1e400 overflows to inf, and with it the report's vector norm
         coords = state_coords(2, grades={1: {(1,): 1e200}})
@@ -1009,7 +1030,7 @@ def _nonfinite_argv(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
-                                     "sample-json"])
+                                     "sample-json", *_OVERFLOWING_ENCODINGS])
 def test_nonfinite_result_exit_1(tmp_path, capsys, command):
     assert run(_nonfinite_argv(tmp_path, command)) == 1
     captured = capsys.readouterr()
@@ -1018,7 +1039,7 @@ def test_nonfinite_result_exit_1(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["invariants", "validate", "validate-vector", "sample",
-                                     "sample-json"])
+                                     "sample-json", *_OVERFLOWING_ENCODINGS])
 def test_nonfinite_result_one_stderr_line(tmp_path, command):
     # every stderr line counts, numpy's own RuntimeWarnings included
     argv = _nonfinite_argv(tmp_path, command)
@@ -1028,6 +1049,36 @@ def test_nonfinite_result_one_stderr_line(tmp_path, command):
                          timeout=120)
     assert res.returncode == 1 and res.stdout == ""
     assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("genbloch: error:")
+    assert "not finite" in res.stderr
+
+
+@pytest.mark.parametrize("case", ["encode-overflow", "rotate-overflow", "fig1-rows", "basis-m6",
+                                  "basis-element", "sample-margin"])
+def test_refused_answer_writes_no_output_file(tmp_path, capsys, case):
+    # every check that can refuse an answer runs before its first piece is
+    # made, so the --output file is never opened
+    state = tmp_path / "state.json"
+    argv = {
+        "encode-overflow": ["encode", "--input", str(state)],
+        "rotate-overflow": ["rotate", "--input", str(state), "--alpha", str(tmp_path / "a.json")],
+        "fig1-rows": ["figure", "fig1", "--resolution", "1025"],
+        "basis-m6": ["basis", "--m", "6"],
+        "basis-element": ["basis", "--m", "2", "--element", "2:1,9"],
+        "sample-margin": ["sample", "--m", "2", "--k", "1", "--samples", "20", "--box", "1e154"],
+    }[case]
+    if case == "encode-overflow":
+        write_json(state, _OVERFLOWING_ENCODINGS[case])
+    elif case == "rotate-overflow":
+        # a rotated sum beyond float range
+        write_json(state, {"m": 1, "grades": {"1": [{"idx": [1], "val": 1.5e308},
+                                                    {"idx": [2], "val": 1.5e308}]}})
+        write_json(tmp_path / "a.json", {"m": 1, "alpha": [{"idx": [1, 2],
+                                                             "val": 0.7853981633974483}]})
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_diagnostic(captured)
+    assert not out.exists()
 
 
 def test_validate_huge_vector_is_a_decided_verdict(tmp_path):
@@ -1157,10 +1208,10 @@ def test_figure_resolution_limit(capsys, monkeypatch):
 
 
 def test_csv_row_numpy_scalars():
-    from genbloch.text import _csv_text
+    from genbloch.text import _csv_blocks
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
-    assert "".join(_csv_text(list("abcdefg"), [[v] for v in row])) == \
+    assert "".join(_csv_blocks(list("abcdefg"), [[[v] for v in row]])) == \
         "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
 
 
@@ -1376,7 +1427,7 @@ def _spelled(values):
 
 
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.text import _csv_text, _json_list, _svg_text
+    from genbloch.text import _csv_blocks, _json_items, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -1399,14 +1450,15 @@ def test_writers_match_per_row_on_hand_made_columns():
         assert _spelled(values) == _spell_floats_concatenated(values).tolist()
     header = [f"col{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
-    assert "".join(_csv_text(header, columns)) == _csv_per_row(header, rows)
+    assert "".join(_csv_blocks(header, [columns])) == _csv_per_row(header, rows)
     listed = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
-    assert "".join(_json_list(columns)) == json.dumps(listed, indent=2).replace("\n", "\n  ")
-    assert "".join(_csv_text(header, [[] for _ in columns])) == _csv_per_row(header, [])
+    assert "".join(_json_items([columns], len(columns))) == \
+        json.dumps(listed, indent=2).replace("\n", "\n  ")
+    assert "".join(_csv_blocks(header, [[[] for _ in columns]])) == _csv_per_row(header, [])
     # a column of empty strings is a field of no bytes: each row keeps its line
     empty = np.array(["", ""], dtype=object)
-    assert "".join(_csv_text(["s"], [empty])) == _csv_per_row(["s"], [("",), ("",)])
-    assert "".join(_csv_text(header, [])) == _csv_per_row(header, [])
+    assert "".join(_csv_blocks(["s"], [[empty]])) == _csv_per_row(["s"], [("",), ("",)])
+    assert "".join(_csv_blocks(header, [[]])) == _csv_per_row(header, [])
     xs, ys, labels = columns[0], columns[1], columns[5]
     assert "".join(_svg_text(xs, ys, labels)) == _svg_per_point(list(zip(xs, ys)), labels)
     # zero rows: both writers fall back to x = y = 0
@@ -1435,7 +1487,7 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
 
     from genbloch import domains
     from genbloch.cli import _answer_sample
-    from genbloch.text import _BLOCK_ROWS, _csv_text, _svg_text
+    from genbloch.text import _BLOCK_ROWS, _csv_blocks, _svg_text
 
     blocks, extra = shape
     rows = blocks * _BLOCK_ROWS + extra
@@ -1446,11 +1498,11 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
     columns = [draw(), rng.integers(-10 ** 6, 10 ** 6, rows), rng.integers(0, 2, rows) == 1,
                np.array(words, dtype=object)[rng.integers(0, len(words), rows)], draw()]
     header = [f"col{i}" for i in range(len(columns))]
-    text = _csv_text(header, columns)
+    text = list(_csv_blocks(header, [columns]))
     assert len(text) == blocks and all(block.endswith("\n") for block in text)
     assert "".join(text) == _csv_per_row(header, table_rows(columns))
     xs, ys, labels = columns[0], columns[4], columns[3]
-    text = _svg_text(xs, ys, labels)
+    text = list(_svg_text(xs, ys, labels))
     assert len(text) == blocks + 2
     assert "".join(text) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())), labels.tolist())
     # a sample document: each record's keys sorted, its coefficients one list
@@ -1468,15 +1520,15 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
 
 def test_first_float_cell_negative(tmp_path, capsys):
     # a table's first cell takes its "-" after the head, not after a row lead
-    from genbloch.text import _csv_text, _json_document, _json_list
+    from genbloch.text import _csv_blocks, _json_items, _json_parts
     from genbloch.clifford import basis_element
     from genbloch.coords import decode, encode
 
-    assert "".join(_csv_text(["x", "y"], [[-0.5, 1.0], [-0.0, -2.0]])) == \
+    assert "".join(_csv_blocks(["x", "y"], [[[-0.5, 1.0], [-0.0, -2.0]]])) == \
         "x,y\n-0.5,-0.0\n1.0,-2.0\n"
     rows = [[-0.0, 2.5], [1e16, -5e-324]]
-    points = _json_list([np.array(col) for col in zip(*rows)])
-    assert _json_document({}, {"points": points}) == json.dumps({"points": rows}, indent=2)
+    points = _json_items([[np.array(col) for col in zip(*rows)]], 2)
+    assert "".join(_json_parts({}, {"points": points})) == json.dumps({"points": rows}, indent=2)
     # a matrix whose entries open with -1.0: E_12 = -sigma_3 at m = 1
     assert run(["basis", "--m", "1", "--element", "2:1,2"]) == 0
     expected = {"1,2,[1,2]": matrix_to_json(basis_element(1, (1, 2)))}
@@ -1673,15 +1725,15 @@ def test_matrix_and_coords_json_match_json_dumps(rng, m, mode):
     from genbloch.coords import encode
 
     coords = _signed_zero_coords(rng, m, mode)
-    assert _coords_text(coords) == _dumps(coords_to_json(coords))
+    assert "".join(_coords_text(coords)) == _dumps(coords_to_json(coords))
     empty = state_coords(m, mode=mode, grades={1: {}})
-    assert _coords_text(empty) == _dumps(coords_to_json(empty))
+    assert "".join(_coords_text(empty)) == _dumps(coords_to_json(empty))
     bare = state_coords(m, mode=mode)
-    assert _coords_text(bare) == _dumps(coords_to_json(bare))
+    assert "".join(_coords_text(bare)) == _dumps(coords_to_json(bare))
     rho = encode(coords)
     rho[::2] *= -1.0
     rho.imag[1::3] = -0.0
-    assert _matrix_text(rho) == _dumps(matrix_to_json(rho))
+    assert "".join(_matrix_text(rho)) == _dumps(matrix_to_json(rho))
 
 
 @pytest.mark.parametrize("m", [1, 3])
