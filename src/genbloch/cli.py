@@ -7,9 +7,12 @@ is JSON, CSV or SVG.  The answers that print a table, a matrix or coords
 the text module; the others print a JSON object through _json_text.  Each
 subcommand imports what it uses when it runs: importing this module loads
 only the package and its errors, so help and usage errors load no numpy,
-and `figure` and `domain --grid` load only the figures and text modules
-besides this.  json loads only where JSON is read or written, so no CSV or
-SVG answer loads it.  No call loads dataclasses: the package's records are
+and `figure` and `domain --grid` load only the figures and plain modules
+besides this, and text above figures.PLAIN_ROWS candidate rows.  A figure
+of at most PLAIN_ROWS rows is built from Python floats and spelled by the
+plain module's writers, byte for byte as the array path spells it, and loads
+no numpy.  json loads only where JSON is read or written, so no CSV or SVG
+answer loads it.  No call loads dataclasses: the package's records are
 plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
@@ -19,7 +22,8 @@ asked for; each check that can refuse the answer runs at the call, before
 the first piece.  run() alone touches files: it reads each input once and
 writes the answer piece by piece as it comes, at one write site.  It parses
 argv and reads the inputs before it imports numpy, so a refused argv or
-input file costs no numpy import.
+input file costs no numpy import; every answer but a small figure then
+computes and writes its pieces under numpy's errstate (_errstate).
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
 whose matrix rounds their trace away or overflows.
@@ -80,7 +84,8 @@ def _state(obj, mode: str | None):
 
 def _answer_basis(args) -> tuple:
     from . import clifford
-    from .text import _json_parts, _matrix_text, _nested
+    from .plain import _json_parts, _nested
+    from .text import _matrix_text
 
     if not (args.verify or args.element):
         clifford._check_m(args.m)  # an unsupported m keeps its own refusal
@@ -160,7 +165,8 @@ def _answer_validate(args, state) -> tuple:
 
 def _answer_sample(args) -> tuple:
     from . import domains
-    from .text import _csv_blocks, _json_items, _json_parts
+    from .plain import _json_parts
+    from .text import _csv_blocks, _json_items
 
     names, blocks = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
@@ -177,30 +183,40 @@ def _answer_sample(args) -> tuple:
 
 
 def _answer_figure(args) -> tuple:
-    import numpy as np
-
     from . import figures
-    from .text import _csv_blocks, _json_items, _json_parts, _svg_text
+    from .plain import _json_parts
 
-    names, columns = figures.figure_columns(args.which, args.resolution,
-                                            paper_cube=args.paper_cube)
+    small = figures._is_plain(args.which, args.resolution, args.paper_cube)
+    if small:  # Python list columns, spelled without numpy
+        from . import plain as writers
+        columns_of, curves_of = figures._plain_columns, figures._plain_curves
+    else:
+        from . import text as writers
+        columns_of, curves_of = figures.figure_columns, figures.boundary_curves
+    names, columns = columns_of(args.which, args.resolution, args.paper_cube)
     if args.format == "csv":
-        return _csv_blocks(names, [columns]), 0
+        return writers._csv_blocks(names, [columns]), 0
     if args.format == "json":
         fields = {"which": args.which, "resolution": args.resolution, "columns": names}
         tables = {"points": columns}
         if args.which == "fig1":
             fields["grid_columns"] = fields.pop("columns")
-            tables = {"grid": columns, **figures.boundary_curves(args.resolution)}
+            tables = {"grid": columns, **curves_of(args.resolution)}
         elif args.which == "fig3":
             fields["paper_cube"] = args.paper_cube
-        return _json_parts(fields, {key: _json_items([cols], len(cols))
+        return _json_parts(fields, {key: writers._json_items([cols], len(cols))
                                     for key, cols in tables.items()}), 0
     if args.which == "fig1":
         r, t4, admissible, _ = columns
-        return _svg_text(r, t4, np.where(admissible, "admissible", "inadmissible")), 0
+        if small:
+            labels = ["admissible" if a else "inadmissible" for a in admissible]
+        else:
+            import numpy as np
+
+            labels = np.where(admissible, "admissible", "inadmissible")
+        return writers._svg_text(r, t4, labels), 0
     x, y, _, surface_id = columns
-    return _svg_text(x, y, surface_id), 0
+    return writers._svg_text(x, y, surface_id), 0
 
 
 def _answer_rotate(args, state, alpha_file) -> tuple:
@@ -318,6 +334,21 @@ def _domain_args(args, rest) -> argparse.Namespace:
                                                 "csv", f"--samples={args.samples}", *rest])
 
 
+def _errstate(args):
+    """np.errstate(over="ignore", invalid="ignore") for an answer that uses
+    numpy, so an overflow to inf or nan is reported once, by NonFiniteResult,
+    not also as numpy RuntimeWarnings on stderr; a figure of at most
+    figures.PLAIN_ROWS candidate rows loads no numpy and gets a null context."""
+    if args.func is _answer_figure:
+        from . import figures
+
+        if figures._is_plain(args.which, args.resolution, args.paper_cube):
+            return contextlib.nullcontext()
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def run(argv) -> int:
     """Parse argv, read the input files, answer, write the answer; return the exit code."""
     # a call that names its subcommand first builds only that one's parser
@@ -340,11 +371,7 @@ def run(argv) -> int:
                         raise MalformedInput(f"{path}: JSON nested too deeply") from None
                     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                         raise MalformedInput(f"{path}: not UTF-8 JSON: {exc}") from None
-        import numpy as np
-
-        # an overflow to inf or nan is reported once, by NonFiniteResult,
-        # not also as numpy RuntimeWarnings on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _errstate(args):
             payload, code = args.func(args, *docs)
             # an object is spelled as one JSON text; any other answer is its pieces
             blocks = [_json_text(payload)] if isinstance(payload, dict) else payload

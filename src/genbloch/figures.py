@@ -13,6 +13,15 @@ and mirrored.  A figure is built as columns (figure_columns), one array per
 column of every output format, and fig1's two boundary curves as (r, T4)
 columns (boundary_curves).  No figure has more than MAX_ROWS candidate rows.
 
+A figure of at most PLAIN_ROWS candidate rows is also built, value for value,
+as lists of Python floats, bools and strs (_plain_columns, _plain_curves),
+from math and the same formulas one point at a time; numpy loads only on the
+array path.  Per fresh process, the plain path, spelled by the plain module,
+answers faster than numpy's import and the array path together up to about
+40,000 candidate rows of fig2 in JSON, 45,000 in CSV and 50,000 in SVG, and
+further for fig1, whose floats repeat, and fig3, whose clip drops most
+candidates; PLAIN_ROWS sits below every such crossover.
+
 The module computes no invariant: fig1's r and T4 are grid values, and the
 tunnels need only alpha_pm.  It imports nothing of the package but
 DEFAULT_TOL, MAX_ROWS and the errors, so the CLI can draw a figure without
@@ -22,18 +31,23 @@ loading the algebra.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from . import DEFAULT_TOL, MAX_ROWS
 from .errors import BadResolution, KindMismatch, ResourceLimit
+
+# the most candidate rows of a figure built from Python floats, without numpy:
+# fig1 up to resolution 181, fig2 up to 52, fig3 up to 36
+PLAIN_ROWS = 2 ** 15
 
 # the half-width of the cube that holds every tunnel surface point
 _BOX = 1.5
 
 
-def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
-    """(admissible, on_boundary) of each (r, T4) pair."""
+def _rT4_family(r, t4, tol: float):
+    """(admissible, on_boundary) of each (r, T4) pair of the arrays r and t4."""
+    import numpy as np
+
     lower = np.maximum((r + 1.0) ** 2 - 2.0, 0.0)
     upper = 2.0 * r * r
     admissible = ~((r < -tol) | (r > 1.0 + tol) | (t4 > upper + tol) | (t4 < lower - tol))
@@ -44,6 +58,8 @@ def _rT4_family(r: np.ndarray, t4: np.ndarray, tol: float):
 
 def _tunnel_surface_points(level: float, resolution: int) -> tuple:
     """Parametric points of alpha_plus = level inside the box, as x, y, z columns."""
+    import numpy as np
+
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
     ts = np.linspace(-2.0 * _BOX, 2.0 * _BOX, 3 * resolution + 1)
     # math.cos/sin (not np.cos/sin, which may differ in the last bit) keep the
@@ -65,6 +81,8 @@ _SURFACES = {
 
 def _fig1_columns(resolution: int) -> list:
     """r, T4, admissible and on_boundary over the resolution x resolution (r, T4) grid."""
+    import numpy as np
+
     rs = np.linspace(0.0, 1.0, resolution)
     r = np.repeat(rs, resolution)
     t4 = np.tile(np.linspace(0.0, 2.0, resolution), resolution)
@@ -76,6 +94,8 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     (the admissible ones, optionally only those in the paper's unit cube).
     alpha_minus = level is alpha_plus = level mirrored, fig3's tunnel clip
     included: the clip is symmetric in alpha_pm."""
+    import numpy as np
+
     surfaces, parts, tags = {}, [], []
     for kind, level in _SURFACES[which]:
         if level not in surfaces:
@@ -98,17 +118,28 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
     return [x, y, z, np.repeat(np.array(tags, dtype=object), [len(cols[0]) for cols in parts])]
 
 
-def _check_figure(which: str, resolution) -> int:
-    """The resolution as an int, once which and resolution name a dataset of
-    at most MAX_ROWS candidate rows: fig1's grid rows, or the points of every
-    tunnel surface drawn, counted before the fig3 clip."""
-    if not isinstance(resolution, (int, np.integer)) or resolution < 2:
+def _candidate_rows(which: str, resolution: int) -> int:
+    """fig1's grid rows, or the points of every tunnel surface drawn, counted
+    before the fig3 clip."""
+    return (resolution ** 2 if which == "fig1"
+            else len(_SURFACES[which]) * 2 * resolution * (3 * resolution + 1))
+
+
+def _check_figure(which: str, resolution, paper_cube: bool = False) -> int:
+    """The resolution as an int, once which, resolution and paper_cube name a
+    dataset of at most MAX_ROWS candidate rows (_candidate_rows).  An
+    integer is an int or a numpy integer; the latter exists only once numpy
+    is loaded, so the rule loads none."""
+    if paper_cube and which != "fig3":
+        raise KindMismatch(f"--paper-cube applies to fig3 only, not {which}")
+    numpy = sys.modules.get("numpy")
+    integer = isinstance(resolution, int) or bool(numpy) and isinstance(resolution, numpy.integer)
+    if not integer or resolution < 2:
         raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
     if which != "fig1" and which not in _SURFACES:
         raise BadResolution(f"unknown figure {which!r}")
     resolution = int(resolution)
-    rows = (resolution ** 2 if which == "fig1"
-            else len(_SURFACES[which]) * 2 * resolution * (3 * resolution + 1))
+    rows = _candidate_rows(which, resolution)
     if rows > MAX_ROWS:
         raise ResourceLimit(f"{which} at resolution {resolution} has {rows} candidate rows, "
                             f"above the maximum {MAX_ROWS}")
@@ -124,9 +155,7 @@ def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tup
     optionally to the paper's unit cube) give surface points as x, y, z
     (float) and surface_id (str).  paper_cube on fig1 or fig2 is KindMismatch.
     """
-    if paper_cube and which != "fig3":
-        raise KindMismatch(f"--paper-cube applies to fig3 only, not {which}")
-    resolution = _check_figure(which, resolution)
+    resolution = _check_figure(which, resolution, paper_cube)
     if which == "fig1":
         return ["r", "T4", "admissible", "on_boundary"], _fig1_columns(resolution)
     return ["x", "y", "z", "surface_id"], _surface_columns(which, resolution, paper_cube)
@@ -136,9 +165,90 @@ def boundary_curves(resolution: int) -> dict:
     """fig1's two boundary curves, each as (r, T4) columns of resolution points:
     curve_upper T4 = 2 r^2 over 0 <= r <= 1 and curve_lower T4 = (r + 1)^2 - 2
     over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
+    import numpy as np
+
+    return {key: [np.array(col) for col in curve]
+            for key, curve in _plain_curves(resolution).items()}
+
+
+def _is_plain(which: str, resolution, paper_cube: bool = False) -> bool:
+    """Whether the figure, once _check_figure passes it, has at most
+    PLAIN_ROWS candidate rows, so that it is built without numpy."""
+    return _candidate_rows(which, _check_figure(which, resolution, paper_cube)) <= PLAIN_ROWS
+
+
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
+    """np.linspace(start, stop, num, endpoint=endpoint) of num >= 2 as Python
+    floats, value for value: i * step + start, the last one stop."""
+    step = (stop - start) / (num - 1 if endpoint else num)
+    values = [i * step + start for i in range(num)]
+    if endpoint:
+        values[-1] = stop
+    return values
+
+
+def _plain_surface(level: float, resolution: int, clip: bool) -> tuple:
+    """_tunnel_surface_points(level, resolution) as x, y, z lists, and if clip
+    only the points that fig3's tunnel clip keeps."""
+    ts = _linspace(-2.0 * _BOX, 2.0 * _BOX, 3 * resolution + 1)
+    x, y, z = [], [], []
+    for theta in _linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False):
+        u, w = level * math.cos(theta), level * math.sin(theta)
+        if abs(w) > _BOX:
+            continue
+        for t in ts:
+            a, b = (u + t) / 2.0, (u - t) / 2.0
+            if abs(a) <= _BOX and abs(b) <= _BOX and (
+                    not clip or math.hypot(a + b, w) <= 1.0 + DEFAULT_TOL
+                    and math.hypot(a - b, w) <= 1.0 + DEFAULT_TOL):
+                x.append(a)
+                y.append(b)
+                z.append(w)
+    return x, y, z
+
+
+def _plain_columns(which: str, resolution, paper_cube: bool = False) -> tuple:
+    """figure_columns(which, resolution, paper_cube) with each column a list
+    of Python floats, bools or strs, for a figure of at most PLAIN_ROWS
+    candidate rows; tolist() of the array columns gives the same lists."""
+    resolution = _check_figure(which, resolution, paper_cube)
+    if which == "fig1":
+        rs, t4s = _linspace(0.0, 1.0, resolution), _linspace(0.0, 2.0, resolution)
+        tol = DEFAULT_TOL
+        admissible, boundary = [], []
+        for a in rs:
+            # _rT4_family's rule one point at a time; the array ** 2 is x * x
+            lower, upper = max((a + 1.0) * (a + 1.0) - 2.0, 0.0), 2.0 * a * a
+            in_r, on_r = not (a < -tol or a > 1.0 + tol), abs(a - 1.0) <= tol
+            for b in t4s:
+                inside = in_r and not (b > upper + tol or b < lower - tol)
+                admissible.append(inside)
+                boundary.append(inside and (on_r or abs(b - upper) <= tol
+                                            or abs(b - lower) <= tol))
+        return (["r", "T4", "admissible", "on_boundary"],
+                [[a for a in rs for _ in t4s], t4s * resolution, admissible, boundary])
+    surfaces, columns = {}, [[], [], [], []]
+    for kind, level in _SURFACES[which]:
+        if level not in surfaces:
+            surfaces[level] = _plain_surface(level, resolution, which == "fig3")
+        x, y, z = surfaces[level]
+        if kind == "alpha_minus":
+            y = [0.0 - v for v in y]
+        if paper_cube:
+            lo, hi = -1e-12, 1 + 1e-12
+            keep = [i for i, (a, b, c) in enumerate(zip(x, y, z))
+                    if lo <= a <= hi and lo <= b <= hi and lo <= c <= hi]
+            x, y, z = ([column[i] for i in keep] for column in (x, y, z))
+        for column, part in zip(columns, (x, y, z, [f"{kind}={level:g}"] * len(x))):
+            column += part
+    return ["x", "y", "z", "surface_id"], columns
+
+
+def _plain_curves(resolution) -> dict:
+    """boundary_curves(resolution) with each column a list of Python floats,
+    T4 point by point: the array square x * x can differ from pow in the last bit."""
     resolution = _check_figure("fig1", resolution)
-    rs = np.linspace(0.0, 1.0, resolution)
-    lows = np.linspace(math.sqrt(2.0) - 1.0, 1.0, resolution)
-    # point by point: the array square x * x can differ from pow in the last bit
-    return {"curve_upper": [rs, 2.0 * rs * rs],
-            "curve_lower": [lows, np.array([(r + 1.0) ** 2 - 2.0 for r in lows])]}
+    rs = _linspace(0.0, 1.0, resolution)
+    lows = _linspace(math.sqrt(2.0) - 1.0, 1.0, resolution)
+    return {"curve_upper": [rs, [2.0 * r * r for r in rs]],
+            "curve_lower": [lows, [(r + 1.0) ** 2 - 2.0 for r in lows]]}

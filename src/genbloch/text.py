@@ -16,11 +16,13 @@ fields padded with _PAD, which one pass turns into the block's text
 Every writer returns str pieces, each made when run() asks for it and
 written before the next, so the bytes do not depend on the block size: a
 table's blocks (_csv_blocks, _json_items), a JSON document's keys and values
-(_json_parts), a nested one's pieces indented in turn (_nested).  Each check
-that can refuse the text runs when the writer is called, before its first
-piece exists (_at_call), so a refused answer writes nothing.  Only the CLI
-answers that print text import this module, and sample_domain, which reads
-_BLOCK_ROWS; json loads only where a JSON string or key is spelled.
+(plain._json_parts), a nested one's pieces indented in turn (plain._nested).
+Each check that can refuse the text runs when the writer is called, before
+its first piece exists (plain._at_call), so a refused answer writes nothing.
+Only the CLI answers that print text import this module, and sample_domain,
+which reads _BLOCK_ROWS; a figure of at most figures.PLAIN_ROWS candidate
+rows is spelled by the plain module instead, without numpy.  json loads only
+where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import numpy as np
 
 from .errors import NonFiniteResult, _json_text
+from .plain import _PALETTE, _SVG_MARGIN, _SVG_OPEN, _SVG_SIZE, _at_call, _json_parts, _nested
 
 
 # no byte of UTF-8 text: it fills each field of a block's grid past its cell
@@ -140,16 +143,6 @@ def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) 
     return text.decode()
 
 
-def _at_call(writer):
-    """The generator function writer, run to its first piece when called, so
-    each check it makes before that piece refuses at the call."""
-    def call(*args):
-        pieces = writer(*args)
-        # an iterator, not a list: the first piece goes once taken, not with the chain
-        return itertools.chain(iter([next(pieces)]), pieces)
-    return call
-
-
 @_at_call
 def _table_text(blocks, leads, tail, words, ends):
     """Per row of each block of equal-length columns: leads[0], its cell of the
@@ -229,27 +222,6 @@ def _json_items(blocks, leads, tail="\n    ]"):
     return _table_text(blocks, leads, tail, _JSON, ("[" + leads[0][1:], "\n  ]", "[]"))
 
 
-@_at_call
-def _json_parts(fields: dict, tables: dict):
-    """json.dumps({**fields, **tables}, indent=2, sort_keys=True) piece by
-    piece, each table given as the pieces of its value (_json_items, _nested)."""
-    values = {**{key: [_json_text(v).replace("\n", "\n  ")] for key, v in fields.items()},
-              **tables}
-    opening = "{"
-    for key in sorted(values):
-        yield f"{opening}\n  {_json_text(key)}: "
-        opening = ","
-        yield from values[key]
-    yield "\n}" if values else "{}"
-
-
-def _nested(writer, *args):
-    """writer(*args)'s pieces, made when the first is asked for, one level down:
-    each "\n" takes two more spaces, as re-indenting their join would give."""
-    for piece in writer(*args):
-        yield piece.replace("\n", "\n  ")
-
-
 def _matrix_text(a):
     """json.dumps(linalg.matrix_to_json(a), indent=2, sort_keys=True) in
     pieces, an entry that is not finite refused at the call."""
@@ -271,9 +243,6 @@ def _coords_text(coords):
         grades[str(k)] = _json_items([[*idx.T, val]], leads, "\n    }")
     return _json_parts({"m": coords.m, "mode": coords.mode, "scalar": coords.scalar},
                        {"grades": _nested(_json_parts, {}, grades)})
-
-
-_SVG_SIZE = 640  # the width and height of every SVG figure, in pixels
 
 
 def _spell_hundredths(values: np.ndarray, top: int) -> list:
@@ -303,24 +272,21 @@ def _spell_hundredths(values: np.ndarray, top: int) -> list:
 def _svg_text(xs, ys, labels):
     """Flat scatter of the (x, y) points colored by label: its open tag, its
     row blocks as they are asked for, its close tag."""
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     x0, x1 = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
     y0, y1 = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
-    margin = 20
-    scale = _SVG_SIZE - 2 * margin
+    scale = _SVG_SIZE - 2 * _SVG_MARGIN
     # the per-point formula's order of operations, kept over the arrays so
     # that every pixel coordinate is the same double as one point at a time
-    px = margin + (xs - x0) / span_x * scale
-    py = _SVG_SIZE - margin - (ys - y0) / span_y * scale
+    px = _SVG_MARGIN + (xs - x0) / span_x * scale
+    py = _SVG_SIZE - _SVG_MARGIN - (ys - y0) / span_y * scale
     # each pixel coordinate is two cells; a label's color is its rank's
     distinct, where = _codes(np.asarray(labels))
     rank = {lab: i for i, lab in enumerate(sorted(distinct))}
-    tails = _table(f'" r="1.5" fill="{palette[rank[lab] % len(palette)]}"/>' for lab in distinct)
+    tails = _table(f'" r="1.5" fill="{_PALETTE[rank[lab] % len(_PALETTE)]}"/>'
+                   for lab in distinct)
     fields = ['\n<circle cx="', *_spell_hundredths(px, _SVG_SIZE), '" cy="',
               *_spell_hundredths(py, _SVG_SIZE), (tails, where)]
-    return itertools.chain([f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
-                            f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'],
-                           _row_blocks(fields, len(px)), ["\n</svg>"])
+    return itertools.chain([_SVG_OPEN], _row_blocks(fields, len(px)), ["\n</svg>"])

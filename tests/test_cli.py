@@ -1340,6 +1340,53 @@ def test_figure_json_matches_per_row(capsys, which, paper_cube):
         assert capsys.readouterr().out == _figure_json_per_row(which, resolution, paper_cube)
 
 
+@pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
+                                               ("fig3", False), ("fig3", True)])
+def test_plain_figures_match_array_figures(capsys, monkeypatch, which, paper_cube):
+    from genbloch import figures
+
+    # the largest resolution of at most PLAIN_ROWS candidate rows, and the next
+    last = max(r for r in range(2, 1025) if figures._candidate_rows(which, r) <= figures.PLAIN_ROWS)
+    assert figures._is_plain(which, last, paper_cube)
+    assert not figures._is_plain(which, last + 1, paper_cube)
+    bench = {"fig1": [101], "fig2": [101], "fig3": [26, 28]}[which]
+    cube = ["--paper-cube"] if paper_cube else []
+    for resolution in [*range(2, 41), *bench, last, last + 1]:
+        for fmt in ("csv", "json", "svg"):
+            argv = ["figure", which, "--resolution", str(resolution), "--format", fmt, *cube]
+            outputs = []
+            # every figure on the plain path, then every one on the array path
+            for plain_rows in (figures.MAX_ROWS, 0):
+                monkeypatch.setattr(figures, "PLAIN_ROWS", plain_rows)
+                assert run(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1], argv
+
+
+def test_plain_writers_match_array_writers():
+    from genbloch import plain, text
+
+    # no figure has an empty table or a -0.0, so the writers are held to them here
+    names = ["x", "y", "z", "surface_id"]
+    xs = [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, -0.5, 0.0]
+    tables = [[[], [], [], []],
+              [xs, [-v for v in xs], [0.25] * 8, ["b", "a", "a", "b", "c", "a", "b", "a"]]]
+    for lists in tables:
+        arrays = [np.array(col, dtype=float) for col in lists[:3]] + [
+            np.array(lists[3], dtype=object)]
+        assert ("".join(plain._csv_blocks(names, [lists]))
+                == "".join(text._csv_blocks(names, [arrays])))
+        assert "".join(plain._json_items([lists], 4)) == "".join(text._json_items([arrays], 4))
+        assert ("".join(plain._svg_text(lists[0], lists[1], lists[3]))
+                == "".join(text._svg_text(arrays[0], arrays[1], arrays[3])))
+    assert "".join(plain._json_items([tables[0]], 4)) == "[]"
+    flags = [[True, False, False], [False, False, True]]
+    arrays = [np.array(col) for col in flags]
+    assert ("".join(plain._csv_blocks(["a", "b"], [flags]))
+            == "".join(text._csv_blocks(["a", "b"], [arrays])))
+    assert "".join(plain._json_items([flags], 2)) == "".join(text._json_items([arrays], 2))
+
+
 def test_sample_draws_pinned(capsys):
     # draw j is -box + 2 box u_j, u_j the j-th random.Random(seed).random(),
     # a rule Python keeps from version to version

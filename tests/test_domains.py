@@ -780,3 +780,15 @@ def test_figure_bad_resolution():
         figure_columns("fig1", 1)
     with pytest.raises(BadResolution):
         figure_columns("fig9", 10)
+
+
+def test_figure_resolution_is_an_integer():
+    from genbloch.figures import _check_figure
+
+    # an int or a numpy integer, read as an int; no other number or string
+    assert _check_figure("fig1", np.int64(5)) == 5
+    assert type(_check_figure("fig1", np.int64(5))) is int
+    assert len(figure_columns("fig1", np.int64(5))[1][0]) == 25
+    for resolution in (True, 5.0, "5"):
+        with pytest.raises(BadResolution, match="resolution must be an integer >= 2"):
+            _check_figure("fig1", resolution)

@@ -77,19 +77,38 @@ def test_help_and_refused_calls_load_no_numpy(tmp_path, argv, code):
     assert _genbloch(loaded) == {"genbloch", "genbloch.cli", "genbloch.errors"}
 
 
+_FIGURE_MODULES = {"genbloch", "genbloch.cli", "genbloch.errors", "genbloch.figures",
+                   "genbloch.plain"}
+
+
 @pytest.mark.parametrize("argv", [
     ["figure", "fig2", "--resolution", "3", "--format", "svg"],
     ["domain", "--grid", "--paper-cube", "--resolution", "3"],
+    ["figure", "fig1", "--resolution", "101"],
 ])
 def test_figure_calls_load_only_figures(argv):
+    # a figure of at most figures.PLAIN_ROWS candidate rows is built and
+    # spelled from Python floats, without numpy
     code, out, diagnostics, loaded = _call(argv)
     assert code == 0, diagnostics
     assert out
-    assert _genbloch(loaded) == {
-        "genbloch", "genbloch.cli", "genbloch.errors", "genbloch.figures", "genbloch.text"}
+    assert _genbloch(loaded) == _FIGURE_MODULES
+    assert "numpy" not in loaded
     assert "dataclasses" not in loaded
     # CSV and SVG read and write no JSON
     assert "json" not in loaded
+
+
+def test_figure_above_plain_rows_loads_numpy_and_text():
+    # fig2's 32,656 candidate rows at resolution 52 are the most at or below
+    # 2^15; at 53 it takes the array path
+    code, out, diagnostics, loaded = _call(["figure", "fig2", "--resolution", "53",
+                                            "--format", "svg"])
+    assert code == 0, diagnostics
+    assert out
+    assert _genbloch(loaded) == _FIGURE_MODULES | {"genbloch.text"}
+    assert "numpy" in loaded
+    assert "dataclasses" not in loaded and "json" not in loaded
 
 
 @pytest.mark.parametrize("argv, json_loaded", [
