@@ -3,17 +3,18 @@
 Subcommands: basis, encode, decode, invariants, spectrum, validate, sample,
 figure, rotate, and the combined domain dispatcher.  Input is JSON; output
 is JSON, CSV or SVG.  The answers that print a table, a matrix or coords
-(basis, encode, decode, sample, figure, rotate) spell it with the writers of
-the text module; the others print a JSON object through _json_text.  Each
-subcommand imports what it uses when it runs: importing this module loads
-only the package and its errors, so help and usage errors load no numpy,
-and `figure` and `domain --grid` load only the figures and plain modules
-besides this, and text above figures.PLAIN_ROWS candidate rows.  A figure
-of at most PLAIN_ROWS rows is built from Python floats and spelled by the
-plain module's writers, byte for byte as the array path spells it, and loads
-no numpy.  json loads only where JSON is read or written, so no CSV or SVG
-answer loads it.  No call loads dataclasses: the package's records are
-plain __slots__ classes.
+(basis, encode, decode, sample, figure, rotate) spell it through the plain
+module, which spells every document and table, and hands array columns to
+the text module's kernels; the others print a JSON object through
+_json_text.  Each subcommand imports what it uses when it runs: importing
+this module loads only the package and its errors, so help and usage errors
+load no numpy, and `figure` and `domain --grid` load only the figures and
+plain modules besides this.  The figures module answers with list columns
+up to figures.PLAIN_ROWS candidate rows, which load no numpy, and with
+arrays above, which load numpy and text; this module does not tell them
+apart but for fig1's SVG labels.  json loads only where JSON is read or
+written, so no CSV or SVG answer loads it.  No call loads dataclasses: the
+package's records are plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
@@ -22,8 +23,8 @@ asked for; each check that can refuse the answer runs at the call, before
 the first piece.  run() alone touches files: it reads each input once and
 writes the answer piece by piece as it comes, at one write site.  It parses
 argv and reads the inputs before it imports numpy, so a refused argv or
-input file costs no numpy import; every answer but a small figure then
-computes and writes its pieces under numpy's errstate (_errstate).
+input file costs no numpy import; every answer but a figure then computes
+and writes its pieces under numpy's errstate (_errstate).
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
 whose matrix rounds their trace away or overflows.
@@ -165,8 +166,7 @@ def _answer_validate(args, state) -> tuple:
 
 def _answer_sample(args) -> tuple:
     from . import domains
-    from .plain import _json_parts
-    from .text import _csv_blocks, _json_items
+    from .plain import _csv_blocks, _json_items, _json_parts
 
     names, blocks = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
     if args.format == "csv":
@@ -184,39 +184,32 @@ def _answer_sample(args) -> tuple:
 
 def _answer_figure(args) -> tuple:
     from . import figures
-    from .plain import _json_parts
+    from .plain import _csv_blocks, _json_items, _json_parts, _svg_text
 
-    small = figures._is_plain(args.which, args.resolution, args.paper_cube)
-    if small:  # Python list columns, spelled without numpy
-        from . import plain as writers
-        columns_of, curves_of = figures._plain_columns, figures._plain_curves
-    else:
-        from . import text as writers
-        columns_of, curves_of = figures.figure_columns, figures.boundary_curves
-    names, columns = columns_of(args.which, args.resolution, args.paper_cube)
+    names, columns = figures._columns(args.which, args.resolution, args.paper_cube)
     if args.format == "csv":
-        return writers._csv_blocks(names, [columns]), 0
+        return _csv_blocks(names, [columns]), 0
     if args.format == "json":
         fields = {"which": args.which, "resolution": args.resolution, "columns": names}
         tables = {"points": columns}
         if args.which == "fig1":
             fields["grid_columns"] = fields.pop("columns")
-            tables = {"grid": columns, **curves_of(args.resolution)}
+            tables = {"grid": columns, **figures._plain_curves(args.resolution)}
         elif args.which == "fig3":
             fields["paper_cube"] = args.paper_cube
-        return _json_parts(fields, {key: writers._json_items([cols], len(cols))
+        return _json_parts(fields, {key: _json_items([cols], len(cols))
                                     for key, cols in tables.items()}), 0
     if args.which == "fig1":
         r, t4, admissible, _ = columns
-        if small:
+        if type(admissible) is list:
             labels = ["admissible" if a else "inadmissible" for a in admissible]
         else:
             import numpy as np
 
             labels = np.where(admissible, "admissible", "inadmissible")
-        return writers._svg_text(r, t4, labels), 0
+        return _svg_text(r, t4, labels), 0
     x, y, _, surface_id = columns
-    return writers._svg_text(x, y, surface_id), 0
+    return _svg_text(x, y, surface_id), 0
 
 
 def _answer_rotate(args, state, alpha_file) -> tuple:
@@ -267,8 +260,10 @@ def _declare(sub, name: str) -> None:
     for flag in shared:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     if name == "basis":
-        p.add_argument("--element", help="single element selector K:I1,I2,...")
-        p.add_argument("--verify", action="store_true", help="print the residual report instead")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--element", help="single element selector K:I1,I2,...")
+        group.add_argument("--verify", action="store_true",
+                           help="print the residual report instead")
     elif name == "spectrum":
         group = p.add_mutually_exclusive_group()
         for which in ("closed-form", "oracle", "both"):
@@ -337,13 +332,11 @@ def _domain_args(args, rest) -> argparse.Namespace:
 def _errstate(args):
     """np.errstate(over="ignore", invalid="ignore") for an answer that uses
     numpy, so an overflow to inf or nan is reported once, by NonFiniteResult,
-    not also as numpy RuntimeWarnings on stderr; a figure of at most
-    figures.PLAIN_ROWS candidate rows loads no numpy and gets a null context."""
+    not also as numpy RuntimeWarnings on stderr; a figure gets a null context:
+    its values lie in [0, 2] or [-1.5, 1.5]^3, so none overflows, and a small
+    one loads no numpy."""
     if args.func is _answer_figure:
-        from . import figures
-
-        if figures._is_plain(args.which, args.resolution, args.paper_cube):
-            return contextlib.nullcontext()
+        return contextlib.nullcontext()
     import numpy as np
 
     return np.errstate(over="ignore", invalid="ignore")

@@ -10,17 +10,20 @@ alpha_pm = sqrt((x +- y)^2 + z^2) of the slice (G_12, G_34, G_23) = (x, y, z);
 fig3 keeps the points inside both tunnels.  The mirror y -> -y (G_34 -> -G_34) swaps
 alpha_plus and alpha_minus, so each level's alpha_plus surface is built once
 and mirrored.  A figure is built as columns (figure_columns), one array per
-column of every output format, and fig1's two boundary curves as (r, T4)
-columns (boundary_curves).  No figure has more than MAX_ROWS candidate rows.
+column of every output format.  No figure has more than MAX_ROWS candidate
+rows.
 
 A figure of at most PLAIN_ROWS candidate rows is also built, value for value,
-as lists of Python floats, bools and strs (_plain_columns, _plain_curves),
-from math and the same formulas one point at a time; numpy loads only on the
-array path.  Per fresh process, the plain path, spelled by the plain module,
-answers faster than numpy's import and the array path together up to about
-40,000 candidate rows of fig2 in JSON, 45,000 in CSV and 50,000 in SVG, and
-further for fig1, whose floats repeat, and fig3, whose clip drops most
-candidates; PLAIN_ROWS sits below every such crossover.
+as lists of Python floats, bools and strs (_plain_columns), from math and the
+same formulas one point at a time; numpy loads only on the array path.  The
+CLI answers with one form, chosen by size (_columns): lists at or below
+PLAIN_ROWS, arrays above.  fig1's two boundary curves, at most 1,024 points
+each, are always lists of (r, T4) columns (_plain_curves).  Per fresh
+process, the plain path answers faster than numpy's import and the array
+path together up to about 40,000 candidate rows of fig2 in JSON, 45,000 in
+CSV and 50,000 in SVG, and further for fig1, whose floats repeat, and fig3,
+whose clip drops most candidates; PLAIN_ROWS sits below every such
+crossover.
 
 The module computes no invariant: fig1's r and T4 are grid values, and the
 tunnels need only alpha_pm.  It imports nothing of the package but
@@ -161,20 +164,13 @@ def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tup
     return ["x", "y", "z", "surface_id"], _surface_columns(which, resolution, paper_cube)
 
 
-def boundary_curves(resolution: int) -> dict:
-    """fig1's two boundary curves, each as (r, T4) columns of resolution points:
-    curve_upper T4 = 2 r^2 over 0 <= r <= 1 and curve_lower T4 = (r + 1)^2 - 2
-    over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
-    import numpy as np
-
-    return {key: [np.array(col) for col in curve]
-            for key, curve in _plain_curves(resolution).items()}
-
-
-def _is_plain(which: str, resolution, paper_cube: bool = False) -> bool:
-    """Whether the figure, once _check_figure passes it, has at most
-    PLAIN_ROWS candidate rows, so that it is built without numpy."""
-    return _candidate_rows(which, _check_figure(which, resolution, paper_cube)) <= PLAIN_ROWS
+def _columns(which: str, resolution, paper_cube: bool = False) -> tuple:
+    """The dataset the CLI answers with: _plain_columns, list columns, for a
+    figure of at most PLAIN_ROWS candidate rows, and figure_columns, arrays,
+    above."""
+    rows = _candidate_rows(which, _check_figure(which, resolution, paper_cube))
+    return (_plain_columns if rows <= PLAIN_ROWS else figure_columns)(
+        which, resolution, paper_cube)
 
 
 def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
@@ -245,8 +241,9 @@ def _plain_columns(which: str, resolution, paper_cube: bool = False) -> tuple:
 
 
 def _plain_curves(resolution) -> dict:
-    """boundary_curves(resolution) with each column a list of Python floats,
-    T4 point by point: the array square x * x can differ from pow in the last bit."""
+    """fig1's two boundary curves, each as (r, T4) list columns of resolution
+    Python floats: curve_upper T4 = 2 r^2 over 0 <= r <= 1 and curve_lower
+    T4 = (r + 1)^2 - 2 over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
     resolution = _check_figure("fig1", resolution)
     rs = _linspace(0.0, 1.0, resolution)
     lows = _linspace(math.sqrt(2.0) - 1.0, 1.0, resolution)

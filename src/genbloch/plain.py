@@ -1,15 +1,16 @@
-"""The CLI's writers that load no numpy.
+"""The CLI's writers: every document and table that an answer prints.
 
 A JSON document is spelled piece by piece (_json_parts), a nested one
-indented piece by piece (_nested); the text module's writers hand their
-pieces to these, and each check that can refuse a writer's text runs at its
-call (_at_call).  A figure of at most figures.PLAIN_ROWS candidate rows,
-given as Python list columns (figures._plain_columns), is spelled here byte
-for byte as the text module spells array columns: CSV and JSON tables
-(_csv_blocks, _json_items) with each float's repr, and the SVG scatter
-(_svg_text) with "{:.2f}".format of each pixel coordinate.  Such a table is
-small, so its text is made at the call, one str per table.  No figure holds
-a float that is not finite, so these writers check none.
+indented piece by piece (_nested), and each check that can refuse a writer's
+text runs at its call (_at_call).  Every CSV and JSON table goes through one
+streaming writer (_table_text, behind _csv_blocks and _json_items), and only
+the rows of a block have two kernels: Python list columns, as
+figures._plain_columns gives a figure of at most figures.PLAIN_ROWS
+candidate rows, are spelled here with each float's repr (_list_rows); any
+other block goes as arrays to the text module's byte grids
+(text._array_rows).  The SVG scatter (_svg_text) has the same two forms,
+"{:.2f}".format of each pixel coordinate here.  Both kernels write the same
+bytes, and numpy and the text module load only for an array block.
 """
 
 from __future__ import annotations
@@ -66,36 +67,65 @@ def _spelled(column, spell):
     return map(dict(zip(distinct, map(spell, distinct))).__getitem__, column)
 
 
-def _rows_text(blocks, leads, tail, words) -> str:
-    """Per row of each block of equal-length list columns: leads[0], its cell
-    of the first column, leads[1], ..., its cell of the last column, tail.
-    A float cell is its repr, a bool words[0]'s false or true, anything else
-    (a str) words[1] of it."""
+def _list_rows(columns, leads, tail, words) -> str:
+    """Per row of the equal-length list columns: leads[0], its cell of the
+    first column, leads[1], ..., its cell of the last column, tail.  A float
+    cell is its repr, a bool words[0]'s false or true, anything else (an int
+    or a str) words[1] of it."""
     row = "".join(lead + "{}" for lead in leads) + tail
     bits, spell = words
-    text = []
+    cells = []
+    for column in columns:
+        kind = type(column[0])
+        cells.append(map(bits.__getitem__, column) if kind is bool
+                     else _spelled(column, float.__repr__ if kind is float else spell))
+    return "".join(map(row.format, *cells))
+
+
+@_at_call
+def _table_text(blocks, leads, tail, words, ends):
+    """Per row of each block of equal-length columns: leads[0], its cell of the
+    first column, leads[1], ..., its cell of the last column, tail; of ends,
+    the head stands in for the table's first leads[0], the foot follows its
+    last row and the bare text is a table without rows.
+
+    A block of Python list columns is one str (_list_rows); any other block
+    is spelled as arrays, one str per _BLOCK_ROWS rows, a float that is not
+    finite refused before its text is built (text._array_rows).  The first
+    block is spelled at the call."""
+    empty = True
     for columns in blocks:
-        cells = []
-        for column in columns:
-            kind = type(column[0]) if column else str
-            cells.append(map(bits.__getitem__, column) if kind is bool
-                         else _spelled(column, float.__repr__ if kind is float else spell))
-        text.append("".join(map(row.format, *cells)))
-    return "".join(text)
+        if not columns or not len(columns[0]):
+            continue
+        if all(type(column) is list for column in columns):
+            texts = [_list_rows(columns, leads, tail, words)]
+        else:
+            from .text import _array_rows
+
+            texts = _array_rows(columns, leads, tail, words)
+        for text in texts:
+            # a later block's first row opens as every other row does
+            yield ends[0] + text[len(leads[0]):] if empty else text
+            empty = False
+    last = ends[2] if empty else ends[1]
+    if last:
+        yield last
 
 
-def _csv_blocks(header, blocks) -> list:
-    """text._csv_blocks of list columns: the header line and one line per row."""
-    return [",".join(header) + "\n"
-            + _rows_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV)]
+def _csv_blocks(header, blocks):
+    """CSV of the header line and one line per row of each block of columns."""
+    head = ",".join(header) + "\n"
+    return _table_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV, (head, "", head))
 
 
-def _json_items(blocks, width: int) -> list:
-    """text._json_items(blocks, width) of list columns: a list of one list of
-    width items per row, as the value of a document's key; [] without rows."""
-    leads = [",\n    [\n      ", *[",\n      "] * (width - 1)]
-    text = _rows_text(blocks, leads, "\n    ]", _JSON)
-    return ["[" + text[1:] + "\n  ]" if text else "[]"]
+def _json_items(blocks, leads, tail="\n    ]"):
+    """json.dumps(indent=2) of a list, one item per row of each block of
+    columns, as the value of a document's key: leads[0] opens an item after a
+    comma and tail closes it, or leads is the width of rows spelled as lists;
+    a list without items is "[]"."""
+    if isinstance(leads, int):
+        leads = [",\n    [\n      ", *[",\n      "] * (leads - 1)]
+    return _table_text(blocks, leads, tail, _JSON, ("[" + leads[0][1:], "\n  ]", "[]"))
 
 
 # every SVG figure: its width and height and the margin inside them, in
@@ -107,9 +137,13 @@ _SVG_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
              f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">')
 
 
-def _svg_text(xs, ys, labels) -> list:
-    """text._svg_text of list columns: the scatter's open tag, one circle per
-    point colored by its label, its close tag."""
+def _svg_text(xs, ys, labels):
+    """Flat scatter of the (x, y) points colored by label: its open tag, one
+    circle per point, its close tag; arrays are spelled by text._svg_text."""
+    if not all(type(column) is list for column in (xs, ys, labels)):
+        from . import text
+
+        return text._svg_text(xs, ys, labels)
     x0, x1 = (min(xs), max(xs)) if xs else (0.0, 0.0)
     y0, y1 = (min(ys), max(ys)) if ys else (0.0, 0.0)
     span_x = (x1 - x0) or 1.0

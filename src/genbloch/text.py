@@ -1,28 +1,24 @@
-"""The CLI's table, matrix, coords and SVG writers.
+"""The array kernels of the CLI's writers: the rows of array columns, the
+SVG scatter of arrays, and the matrix and coords documents.
 
-The library gives a table as (column names, one array per column), or, for
-sample_domain, as its names and blocks of such columns, and one writer
-(_table_text) spells every CSV and JSON table from its blocks with that
-format's separators.  A block is spelled in one pass: each distinct float
-magnitude once, at full double precision, so repeated runs are
-byte-identical, and each distinct int, boolean or string once, into a byte
-table (_table) with an integer code per cell; a negative float's "-" ends the
-lead, the separator text before its cell.  A float that is not finite is
-refused in every format.  An SVG pixel coordinate is two cells, spelled from
-its integer count of hundredths.  The text is made _BLOCK_ROWS rows at a time
-(fewer when rows are wide), each such block one uint8 grid of fixed-width
-fields padded with _PAD, which one pass turns into the block's text
-(_row_blocks): no str per cell and no grid of a whole table is built.
-Every writer returns str pieces, each made when run() asks for it and
-written before the next, so the bytes do not depend on the block size: a
-table's blocks (_csv_blocks, _json_items), a JSON document's keys and values
-(plain._json_parts), a nested one's pieces indented in turn (plain._nested).
-Each check that can refuse the text runs when the writer is called, before
-its first piece exists (plain._at_call), so a refused answer writes nothing.
-Only the CLI answers that print text import this module, and sample_domain,
-which reads _BLOCK_ROWS; a figure of at most figures.PLAIN_ROWS candidate
-rows is spelled by the plain module instead, without numpy.  json loads only
-where a JSON string or key is spelled.
+Every document and table is spelled through the plain module's one protocol
+(plain._table_text, plain._json_parts); this module spells only the rows of
+a block of array columns for it (_array_rows), as sample_domain and
+figures.figure_columns give them.  A block is spelled in one pass: each
+distinct float magnitude once, at full double precision, so repeated runs
+are byte-identical, and each distinct int, boolean or string once, into a
+byte table (_table) with an integer code per cell; a negative float's "-"
+ends the lead, the separator text before its cell.  A float that is not
+finite is refused in every format.  An SVG pixel coordinate is two cells,
+spelled from its integer count of hundredths.  The text is made _BLOCK_ROWS
+rows at a time (fewer when rows are wide), each such block one uint8 grid of
+fixed-width fields padded with _PAD, which one pass turns into the block's
+text (_row_blocks): no str per cell and no grid of a whole table is built,
+and the bytes do not depend on the block size.  The matrix and coords
+documents (_matrix_text, _coords_text) hand their array columns to
+plain._json_items.  This module loads with numpy, when an array block, an
+array scatter, a matrix or coords is spelled, and in sample_domain, which
+reads _BLOCK_ROWS.  json loads only where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ import itertools
 
 import numpy as np
 
-from .errors import NonFiniteResult, _json_text
-from .plain import _PALETTE, _SVG_MARGIN, _SVG_OPEN, _SVG_SIZE, _at_call, _json_parts, _nested
+from .errors import NonFiniteResult
+from .plain import _PALETTE, _SVG_MARGIN, _SVG_OPEN, _SVG_SIZE, _json_items, _json_parts, _nested
 
 
 # no byte of UTF-8 text: it fills each field of a block's grid past its cell
@@ -89,9 +85,6 @@ def _codes(column) -> tuple:
                                   np.diff(np.append(starts, len(column))))
 
 
-# a table's booleans (false, true) and the spelling of its strings, per format
-_CSV = (_table(["0", "1"]), str)
-_JSON = (_table(["false", "true"]), _json_text)
 # the byte before a float's magnitude: nothing, or its "-"
 _SIGN = _table(["", "-"])
 
@@ -143,38 +136,21 @@ def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) 
     return text.decode()
 
 
-@_at_call
-def _table_text(blocks, leads, tail, words, ends):
-    """Per row of each block of equal-length columns: leads[0], its cell of the
-    first column, leads[1], ..., its cell of the last column, tail; of ends,
-    the head stands in for the table's first leads[0], the foot follows its
-    last row and the bare text is a table without rows.  The text comes one
-    str per _BLOCK_ROWS rows of a block, its spellings gone before the next.
-
-    Cells: booleans are words[0]'s rows 1/0, floats at full round-trip
-    precision, ints through str, anything else (strings) through words[1],
-    each distinct value of a block once.  A negative float's "-" ends the
-    lead before it.  A float that is not finite is refused with
-    NonFiniteResult before any text of its block is built, the first block's
-    at the call.
-    """
-    empty = True
-    for columns in blocks:
-        columns = [np.asarray(col) for col in columns]
-        if columns and len(columns[0]):
-            for text in _row_blocks(_fields(columns, leads, tail, words), len(columns[0])):
-                # a later block's first row opens as every other row does
-                yield ends[0] + text[len(leads[0]):] if empty else text
-                empty = False
-    last = ends[2] if empty else ends[1]
-    if last:
-        yield last
+def _array_rows(columns, leads, tail, words):
+    """plain._table_text of one block of columns with rows, as arrays: its
+    text one str per _BLOCK_ROWS rows, each block's spellings gone before the
+    next.  A float that is not finite is refused with NonFiniteResult here, at
+    the call, before any text is built."""
+    columns = [np.asarray(col) for col in columns]
+    return _row_blocks(_fields(columns, leads, tail, words), len(columns[0]))
 
 
 def _fields(columns, leads, tail, words) -> list:
-    """_row_blocks' fields of one block of _table_text: each column's lead,
-    a float's sign, and its cells; then the tail.  The floats, and the ints
-    of each dtype, are spelled in one pass over all their columns."""
+    """_row_blocks' fields of one block of array columns: each column's lead,
+    a float's sign, and its cells; then the tail.  Booleans are words[0]'s
+    false and true, floats at full round-trip precision, ints through str,
+    anything else (strings) through words[1], each distinct value once: the
+    floats, and the ints of each dtype, in one pass over all their columns."""
     rows = len(columns[0])
     spelled = {}
     numeric = {col.dtype for col in columns if col.dtype.kind in "iu" or col.dtype == np.float64}
@@ -198,28 +174,12 @@ def _fields(columns, leads, tail, words) -> list:
         if j in spelled:
             fields += spelled[j]
         elif col.dtype == bool:
-            fields.append((bits, col.view(np.uint8)))
+            fields.append((_table(bits), col.view(np.uint8)))
         else:
             distinct, where = _codes(col)
             fields.append((_table(map(spell, distinct)), where))
     fields.append(tail)
     return fields
-
-
-def _csv_blocks(header, blocks):
-    """CSV of the header line and one line per row of each block of columns."""
-    head = ",".join(header) + "\n"
-    return _table_text(blocks, ["", *[","] * (len(header) - 1)], "\n", _CSV, (head, "", head))
-
-
-def _json_items(blocks, leads, tail="\n    ]"):
-    """json.dumps(indent=2) of a list, one item per row of each block of
-    columns, as the value of a document's key: leads[0] opens an item after a
-    comma and tail closes it, or leads is the width of rows spelled as lists;
-    a list without items is "[]"."""
-    if isinstance(leads, int):
-        leads = [",\n    [\n      ", *[",\n      "] * (leads - 1)]
-    return _table_text(blocks, leads, tail, _JSON, ("[" + leads[0][1:], "\n  ]", "[]"))
 
 
 def _matrix_text(a):

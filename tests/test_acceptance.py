@@ -12,7 +12,7 @@ import numpy as np
 from genbloch import clifford
 from genbloch.clifford import basis_element, full_basis
 from genbloch.coords import AntisymTensor, antisym, decode, encode, state_coords, tensor_config
-from genbloch.figures import boundary_curves, figure_columns
+from genbloch.figures import _plain_curves, figure_columns
 from genbloch.invariants import frobenius_r, pfaffian, trace_T4, two_tensor_invariants
 from genbloch.linalg import hermitian_eigenvalues
 from genbloch.spectra import closed_form_spectrum
@@ -258,7 +258,7 @@ def test_criterion_10_descartes_fallback():
 
 def test_criterion_11_figure_reproduction():
     grid = table_rows(figure_columns("fig1", 101)[1])
-    curves = {key: table_rows(curve) for key, curve in boundary_curves(101).items()}
+    curves = {key: list(zip(*curve)) for key, curve in _plain_curves(101).items()}
     rows_ok = len(grid) == 101 * 101
     for r, t4, adm, _ in grid:
         expected = (max((r + 1.0) ** 2 - 2.0, 0.0) - 1e-9 <= t4 <= 2.0 * r * r + 1e-9

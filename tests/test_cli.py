@@ -283,6 +283,18 @@ def test_basis_verify_report(capsys):
     assert out["n_elements"] == 16
 
 
+@pytest.mark.parametrize("element", ["garbage", "1:1"])
+def test_basis_verify_refuses_element(capsys, element):
+    # --verify prints the report of the whole family: a selector beside it,
+    # well formed or not, is a usage error, not silently dropped
+    for argv in (["--verify", "--element", element], ["--element", element, "--verify"]):
+        assert run(["basis", "--m", "2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and _one_diagnostic(captured)
+        assert captured.err.startswith("genbloch: usage error: argument --")
+        assert "not allowed with argument" in captured.err
+
+
 def test_basis_verify_m6_exact(capsys):
     assert run(["basis", "--m", "6", "--verify"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -1208,10 +1220,10 @@ def test_figure_resolution_limit(capsys, monkeypatch):
 
 
 def test_csv_row_numpy_scalars():
-    from genbloch.text import _csv_blocks
+    from genbloch.plain import _csv_blocks
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
-    assert "".join(_csv_blocks(list("abcdefg"), [[[v] for v in row]])) == \
+    assert "".join(_csv_blocks(list("abcdefg"), [[np.asarray([v]) for v in row]])) == \
         "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
 
 
@@ -1347,8 +1359,9 @@ def test_plain_figures_match_array_figures(capsys, monkeypatch, which, paper_cub
 
     # the largest resolution of at most PLAIN_ROWS candidate rows, and the next
     last = max(r for r in range(2, 1025) if figures._candidate_rows(which, r) <= figures.PLAIN_ROWS)
-    assert figures._is_plain(which, last, paper_cube)
-    assert not figures._is_plain(which, last + 1, paper_cube)
+    # the chooser answers with list columns up to it and arrays past it
+    assert type(figures._columns(which, last, paper_cube)[1][0]) is list
+    assert isinstance(figures._columns(which, last + 1, paper_cube)[1][0], np.ndarray)
     bench = {"fig1": [101], "fig2": [101], "fig3": [26, 28]}[which]
     cube = ["--paper-cube"] if paper_cube else []
     for resolution in [*range(2, 41), *bench, last, last + 1]:
@@ -1364,9 +1377,10 @@ def test_plain_figures_match_array_figures(capsys, monkeypatch, which, paper_cub
 
 
 def test_plain_writers_match_array_writers():
-    from genbloch import plain, text
+    from genbloch import plain
 
-    # no figure has an empty table or a -0.0, so the writers are held to them here
+    # no figure has an empty table or a -0.0, so the writers are held to them
+    # here: each table as list columns and as array columns, the same text
     names = ["x", "y", "z", "surface_id"]
     xs = [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, -0.5, 0.0]
     tables = [[[], [], [], []],
@@ -1375,16 +1389,20 @@ def test_plain_writers_match_array_writers():
         arrays = [np.array(col, dtype=float) for col in lists[:3]] + [
             np.array(lists[3], dtype=object)]
         assert ("".join(plain._csv_blocks(names, [lists]))
-                == "".join(text._csv_blocks(names, [arrays])))
-        assert "".join(plain._json_items([lists], 4)) == "".join(text._json_items([arrays], 4))
+                == "".join(plain._csv_blocks(names, [arrays])))
+        assert "".join(plain._json_items([lists], 4)) == "".join(plain._json_items([arrays], 4))
         assert ("".join(plain._svg_text(lists[0], lists[1], lists[3]))
-                == "".join(text._svg_text(arrays[0], arrays[1], arrays[3])))
+                == "".join(plain._svg_text(arrays[0], arrays[1], arrays[3])))
     assert "".join(plain._json_items([tables[0]], 4)) == "[]"
     flags = [[True, False, False], [False, False, True]]
     arrays = [np.array(col) for col in flags]
     assert ("".join(plain._csv_blocks(["a", "b"], [flags]))
-            == "".join(text._csv_blocks(["a", "b"], [arrays])))
-    assert "".join(plain._json_items([flags], 2)) == "".join(text._json_items([arrays], 2))
+            == "".join(plain._csv_blocks(["a", "b"], [arrays])))
+    assert "".join(plain._json_items([flags], 2)) == "".join(plain._json_items([arrays], 2))
+    # a table whose blocks come in both forms is spelled as one
+    assert ("".join(plain._csv_blocks(["a", "b"], [flags, arrays, flags]))
+            == "".join(plain._csv_blocks(["a", "b"], [[np.concatenate([col] * 3)
+                                                       for col in arrays]])))
 
 
 def test_sample_draws_pinned(capsys):
@@ -1474,7 +1492,7 @@ def _spelled(values):
 
 
 def test_writers_match_per_row_on_hand_made_columns():
-    from genbloch.text import _csv_blocks, _json_items, _svg_text
+    from genbloch.plain import _csv_blocks, _json_items, _svg_text
 
     columns = [
         [0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, -0.0],
@@ -1497,9 +1515,11 @@ def test_writers_match_per_row_on_hand_made_columns():
         assert _spelled(values) == _spell_floats_concatenated(values).tolist()
     header = [f"col{i}" for i in range(len(columns))]
     rows = list(zip(*columns))
-    assert "".join(_csv_blocks(header, [columns])) == _csv_per_row(header, rows)
+    # lists of numpy scalars or mixed ints are array columns to the writers
+    arrays = [np.asarray(col) for col in columns]
+    assert "".join(_csv_blocks(header, [arrays])) == _csv_per_row(header, rows)
     listed = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
-    assert "".join(_json_items([columns], len(columns))) == \
+    assert "".join(_json_items([arrays], len(arrays))) == \
         json.dumps(listed, indent=2).replace("\n", "\n  ")
     assert "".join(_csv_blocks(header, [[[] for _ in columns]])) == _csv_per_row(header, [])
     # a column of empty strings is a field of no bytes: each row keeps its line
@@ -1507,7 +1527,8 @@ def test_writers_match_per_row_on_hand_made_columns():
     assert "".join(_csv_blocks(["s"], [[empty]])) == _csv_per_row(["s"], [("",), ("",)])
     assert "".join(_csv_blocks(header, [[]])) == _csv_per_row(header, [])
     xs, ys, labels = columns[0], columns[1], columns[5]
-    assert "".join(_svg_text(xs, ys, labels)) == _svg_per_point(list(zip(xs, ys)), labels)
+    assert ("".join(_svg_text(arrays[0], arrays[1], arrays[5]))
+            == _svg_per_point(list(zip(xs, ys)), labels))
     # zero rows: both writers fall back to x = y = 0
     assert "".join(_svg_text([], [], [])) == _svg_per_point([], [])
 
@@ -1534,7 +1555,8 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
 
     from genbloch import domains
     from genbloch.cli import _answer_sample
-    from genbloch.text import _BLOCK_ROWS, _csv_blocks, _svg_text
+    from genbloch.plain import _csv_blocks, _svg_text
+    from genbloch.text import _BLOCK_ROWS
 
     blocks, extra = shape
     rows = blocks * _BLOCK_ROWS + extra
@@ -1567,7 +1589,7 @@ def test_row_blocks_match_per_row(shape, floats, words, seed):
 
 def test_first_float_cell_negative(tmp_path, capsys):
     # a table's first cell takes its "-" after the head, not after a row lead
-    from genbloch.text import _csv_blocks, _json_items, _json_parts
+    from genbloch.plain import _csv_blocks, _json_items, _json_parts
     from genbloch.clifford import basis_element
     from genbloch.coords import decode, encode
 

@@ -34,7 +34,7 @@ from genbloch.errors import (
     NonUnitTrace,
     ResourceLimit,
 )
-from genbloch.figures import (_rT4_family, _tunnel_surface_points, boundary_curves,
+from genbloch.figures import (_plain_curves, _rT4_family, _tunnel_surface_points,
                               figure_columns)
 from genbloch.invariants import (
     InvariantSet,
@@ -673,7 +673,7 @@ def test_sample_domain_guards():
 
 def test_fig1_matches_inequality():
     data = {"grid": table_rows(figure_columns("fig1", 21)[1]),
-            **{key: table_rows(curve) for key, curve in boundary_curves(21).items()}}
+            **{key: list(zip(*curve)) for key, curve in _plain_curves(21).items()}}
     assert len(data["grid"]) == 21 * 21
     for r, t4, adm, _ in data["grid"]:
         expected = (max((r + 1) ** 2 - 2, 0.0) - 1e-9 <= t4 <= 2 * r * r + 1e-9
