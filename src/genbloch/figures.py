@@ -15,13 +15,15 @@ rows.
 
 A figure of at most PLAIN_ROWS candidate rows is also built, value for value,
 as lists of Python floats, bools and strs (_plain_columns), from math and the
-same formulas one point at a time; numpy loads only on the array path.  The
-CLI answers with one form, chosen by size (_columns): lists at or below
-PLAIN_ROWS, arrays above.  fig1's two boundary curves, at most 1,024 points
-each, are always lists of (r, T4) columns (_plain_curves).  Per fresh
-process, the plain path answers faster than numpy's import and the array
-path together up to about 40,000 candidate rows of fig2 in JSON, 45,000 in
-CSV and 50,000 in SVG, and further for fig1, whose floats repeat, and fig3,
+same formulas one point at a time; numpy loads only on the array path.  fig3's
+plain clip tries, per theta, only the t with |t| <= sqrt((1 + tol)^2 - w^2)
++ 1e-6, found by bisection: a - b is t to rounding, so no other t can pass it
+(_plain_surface).  The CLI answers with one form, chosen by size (_columns):
+lists at or below PLAIN_ROWS, arrays above.  fig1's two boundary curves, at
+most 1,024 points each, are always lists of (r, T4) columns (_plain_curves).
+Per fresh process, the plain path answers faster than numpy's import and the
+array path together up to about 40,000 candidate rows of fig2 in JSON, 45,000
+in CSV and 50,000 in SVG, and further for fig1, whose floats repeat, and fig3,
 whose clip drops most candidates; PLAIN_ROWS sits below every such
 crossover.
 
@@ -33,6 +35,7 @@ loading the algebra.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -185,14 +188,17 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
 
 def _plain_surface(level: float, resolution: int, clip: bool) -> tuple:
     """_tunnel_surface_points(level, resolution) as x, y, z lists, and if clip
-    only the points that fig3's tunnel clip keeps."""
+    only the points that fig3's tunnel clip keeps.  a - b is t to rounding,
+    so the clip tries only the t with |t| <= sqrt((1 + tol)^2 - w^2) + 1e-6,
+    found by bisection of the sorted ts: no other t has hypot(a - b, w) <= 1 + tol."""
     ts = _linspace(-2.0 * _BOX, 2.0 * _BOX, 3 * resolution + 1)
     x, y, z = [], [], []
     for theta in _linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False):
         u, w = level * math.cos(theta), level * math.sin(theta)
         if abs(w) > _BOX:
             continue
-        for t in ts:
+        reach = math.sqrt((1.0 + DEFAULT_TOL) ** 2 - w * w) + 1e-6 if clip else math.inf
+        for t in ts[bisect.bisect_left(ts, -reach):bisect.bisect_right(ts, reach)]:
             a, b = (u + t) / 2.0, (u - t) / 2.0
             if abs(a) <= _BOX and abs(b) <= _BOX and (
                     not clip or math.hypot(a + b, w) <= 1.0 + DEFAULT_TOL

@@ -11,6 +11,12 @@ other block goes as arrays to the text module's byte grids
 (text._array_rows).  The SVG scatter (_svg_text) has the same two forms,
 "{:.2f}".format of each pixel coordinate here.  Both kernels write the same
 bytes, and numpy and the text module load only for an array block.
+
+The list kernel spells each distinct nonzero value of a column once and each
+zero every time, since 0.0 and -0.0 are one dict key (_spelled); the SVG runs
+its pixel formula once per distinct x and once per distinct y.  Its rows are
+written in one join of each lead, cell and tail as given (_joined), so a
+lead or tail may hold any text, braces included.
 """
 
 from __future__ import annotations
@@ -57,14 +63,20 @@ _JSON = (("false", "true"), _json_text)
 
 
 def _spelled(column, spell):
-    """spell of each value of the list column, each distinct value spelled
-    once where values repeat.  0.0 and -0.0 are one key, so a column whose
-    zeros are spelled two ways is spelled value by value."""
-    distinct = set(column)
-    if (2 * len(distinct) > len(column)
-            or 0.0 in distinct and len({spell(v) for v in column if v == 0}) > 1):
-        return map(spell, column)
-    return map(dict(zip(distinct, map(spell, distinct))).__getitem__, column)
+    """spell of each value of the list column, each distinct nonzero value
+    spelled once.  0.0 and -0.0 are one dict key, so a zero is spelled every
+    time."""
+    memo = {v: spell(v) for v in set(column) if v}
+    return [memo[v] if v else spell(v) for v in column]
+
+
+def _joined(leads, cells, tail) -> str:
+    """Per row: leads[0], its cell of cells[0], leads[1], ..., its cell of the
+    last of cells, tail; every row in one join, each lead and the tail as given."""
+    fields = []
+    for lead, column in zip(leads, cells):
+        fields += (itertools.repeat(lead), column)
+    return "".join(itertools.chain.from_iterable(zip(*fields, itertools.repeat(tail))))
 
 
 def _list_rows(columns, leads, tail, words) -> str:
@@ -72,14 +84,13 @@ def _list_rows(columns, leads, tail, words) -> str:
     first column, leads[1], ..., its cell of the last column, tail.  A float
     cell is its repr, a bool words[0]'s false or true, anything else (an int
     or a str) words[1] of it."""
-    row = "".join(lead + "{}" for lead in leads) + tail
     bits, spell = words
     cells = []
     for column in columns:
         kind = type(column[0])
         cells.append(map(bits.__getitem__, column) if kind is bool
                      else _spelled(column, float.__repr__ if kind is float else spell))
-    return "".join(map(row.format, *cells))
+    return _joined(leads, cells, tail)
 
 
 @_at_call
@@ -150,9 +161,10 @@ def _svg_text(xs, ys, labels):
     span_y = (y1 - y0) or 1.0
     scale = _SVG_SIZE - 2 * _SVG_MARGIN
     fill = {lab: _PALETTE[i % len(_PALETTE)] for i, lab in enumerate(sorted(set(labels)))}
-    # text._svg_text's pixel formula, each distinct pixel coordinate spelled once
-    cx = _spelled([_SVG_MARGIN + (x - x0) / span_x * scale for x in xs], "{:.2f}".format)
-    cy = _spelled([_SVG_SIZE - _SVG_MARGIN - (y - y0) / span_y * scale for y in ys],
-                  "{:.2f}".format)
-    circle = '\n<circle cx="{}" cy="{}" r="1.5" fill="{}"/>'.format
-    return [_SVG_OPEN, "".join(map(circle, cx, cy, map(fill.__getitem__, labels))), "\n</svg>"]
+    # text._svg_text's pixel formula once per distinct coordinate: 0.0 and
+    # -0.0 give one pixel, so one key serves both
+    cx = {x: f"{_SVG_MARGIN + (x - x0) / span_x * scale:.2f}" for x in set(xs)}
+    cy = {y: f"{_SVG_SIZE - _SVG_MARGIN - (y - y0) / span_y * scale:.2f}" for y in set(ys)}
+    cells = [map(cx.__getitem__, xs), map(cy.__getitem__, ys), map(fill.__getitem__, labels)]
+    rows = _joined(['\n<circle cx="', '" cy="', '" r="1.5" fill="'], cells, '"/>')
+    return [_SVG_OPEN, rows, "\n</svg>"]

@@ -1394,6 +1394,29 @@ def test_plain_writers_match_array_writers():
         assert ("".join(plain._svg_text(lists[0], lists[1], lists[3]))
                 == "".join(plain._svg_text(arrays[0], arrays[1], arrays[3])))
     assert "".join(plain._json_items([tables[0]], 4)) == "[]"
+    # a float column whose zeros, -0.0 first, repeat among repeated nonzero
+    # values; SVG pixels of both zeros, with the smallest x 0.0 and -0.0
+    zeros = [-0.0, 0.5, 0.0, 0.5, -0.0, -1.5, 0.0, -1.5, 0.5, -0.0, 0.0]
+    arrays = [np.array(zeros), np.array(zeros[::-1])]
+    assert ("".join(plain._csv_blocks(["a", "b"], [[zeros, zeros[::-1]]]))
+            == "".join(plain._csv_blocks(["a", "b"], [arrays])))
+    for xs in ([0.0, -0.0, 0.5, 0.0, 0.25, -0.0], [-0.0, 0.0, 0.5, -0.0, 0.25, 0.0]):
+        ys, labels = [0.25, -0.0, 0.0, 1.0, -0.0, 0.0], ["a", "b", "a", "a", "b", "b"]
+        assert ("".join(plain._svg_text(xs, ys, labels))
+                == "".join(plain._svg_text(np.array(xs), np.array(ys),
+                                           np.array(labels, dtype=object))))
+    # leads and a tail are written as given, braces included
+    records = [[1.5, 2.0], [3.0, 4.0]]
+    leads = [',\n    {\n      "a": ', ',\n      "b": ']
+    text = "".join(plain._json_items([records], leads, "\n    }"))
+    assert text == "".join(plain._json_items([[np.array(col) for col in records]], leads,
+                                             "\n    }"))
+    assert json.loads(text) == [{"a": 1.5, "b": 3.0}, {"a": 2.0, "b": 4.0}]
+    ends = ("a,b\n", "", "a,b\n")
+    assert ("".join(plain._table_text([records], ["", ","], "}\n", plain._CSV, ends))
+            == "".join(plain._table_text([[np.array(col) for col in records]], ["", ","],
+                                         "}\n", plain._CSV, ends))
+            == "a,b\n1.5,3.0}\n2.0,4.0}\n")
     flags = [[True, False, False], [False, False, True]]
     arrays = [np.array(col) for col in flags]
     assert ("".join(plain._csv_blocks(["a", "b"], [flags]))

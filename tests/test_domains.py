@@ -34,8 +34,8 @@ from genbloch.errors import (
     NonUnitTrace,
     ResourceLimit,
 )
-from genbloch.figures import (_plain_curves, _rT4_family, _tunnel_surface_points,
-                              figure_columns)
+from genbloch.figures import (_plain_curves, _plain_surface, _rT4_family,
+                              _tunnel_surface_points, figure_columns)
 from genbloch.invariants import (
     InvariantSet,
     coords_invariants,
@@ -766,6 +766,20 @@ def test_fig3_paper_cube_subset():
     assert set(cube["points"]) <= set(full["points"])
     for x, y, z, _ in cube["points"]:
         assert -1e-9 <= x <= 1 + 1e-9 and -1e-9 <= y <= 1 + 1e-9 and -1e-9 <= z <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("level", [1.0, 0.1, 0.01])
+def test_plain_surface_clip_keeps_what_the_array_clip_keeps(level):
+    # the plain clip tries only the t near 0 that can pass; it keeps, bit for
+    # bit, what the array clip keeps of every candidate
+    for resolution in range(2, 61):
+        x, y, z = _tunnel_surface_points(level, resolution)
+        keep = ((np.hypot(x + y, z) <= 1.0 + DEFAULT_TOL)
+                & (np.hypot(x - y, z) <= 1.0 + DEFAULT_TOL))
+        expected = np.column_stack([x[keep], y[keep], z[keep]])
+        assert len(expected)
+        clipped = np.column_stack(_plain_surface(level, resolution, clip=True))
+        assert clipped.tobytes() == expected.tobytes(), resolution
 
 
 @pytest.mark.parametrize("which", ["fig1", "fig2"])
