@@ -10,6 +10,7 @@ The public names below are imported on first use (PEP 562), so importing
 one module of the package, such as the CLI, loads only what it needs.
 """
 
+import sys
 from importlib import import_module
 
 # the tolerance of every admissibility rule, kept here so the CLI reads it without numpy
@@ -17,6 +18,15 @@ DEFAULT_TOL = 1e-9
 # the most rows a table answer may have: a figure's candidate rows (fig1 up to
 # resolution 1024) or the basis dump's 16^m matrix entries (m up to 5)
 MAX_ROWS = 2 ** 20
+
+
+def _is_int(n) -> bool:
+    """An int or numpy integer, and no bool: the package's integer argument
+    rule, which loads no numpy (a numpy integer exists only once it is loaded)."""
+    numpy = sys.modules.get("numpy")
+    integer = isinstance(n, int) or numpy is not None and isinstance(n, numpy.integer)
+    return integer and not isinstance(n, bool)
+
 
 # public name -> the module that defines it
 _OWNERS = {name: module for module, names in {

@@ -23,8 +23,9 @@ asked for; each check that can refuse the answer runs at the call, before
 the first piece.  run() alone touches files: it reads each input once and
 writes the answer piece by piece as it comes, at one write site.  It parses
 argv and reads the inputs before it imports numpy, so a refused argv or
-input file costs no numpy import; every answer but a figure then computes
-and writes its pieces under numpy's errstate (_errstate).
+input file costs no numpy import; every answer then computes and writes its
+pieces with numpy's overflow and invalid-value RuntimeWarnings ignored, so
+NonFiniteResult alone reports a value that is not finite.
 Coords are encoded only by encode and where the matrix is used (validate's
 min_eigenvalue route, spectrum's oracle side); coords.encode_grades refuses coords
 whose matrix rounds their trace away or overflows.
@@ -52,6 +53,7 @@ import contextlib
 import gc
 import os
 import sys
+import warnings
 
 from . import DEFAULT_TOL, MAX_ROWS
 from .errors import (DimensionMismatch, GenblochError, MalformedInput, ModeMismatch,
@@ -329,19 +331,6 @@ def _domain_args(args, rest) -> argparse.Namespace:
                                                 "csv", f"--samples={args.samples}", *rest])
 
 
-def _errstate(args):
-    """np.errstate(over="ignore", invalid="ignore") for an answer that uses
-    numpy, so an overflow to inf or nan is reported once, by NonFiniteResult,
-    not also as numpy RuntimeWarnings on stderr; a figure gets a null context:
-    its values lie in [0, 2] or [-1.5, 1.5]^3, so none overflows, and a small
-    one loads no numpy."""
-    if args.func is _answer_figure:
-        return contextlib.nullcontext()
-    import numpy as np
-
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def run(argv) -> int:
     """Parse argv, read the input files, answer, write the answer; return the exit code."""
     # a call that names its subcommand first builds only that one's parser
@@ -364,7 +353,10 @@ def run(argv) -> int:
                         raise MalformedInput(f"{path}: JSON nested too deeply") from None
                     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                         raise MalformedInput(f"{path}: not UTF-8 JSON: {exc}") from None
-        with _errstate(args):
+        with warnings.catch_warnings():
+            # an overflow to inf or nan is reported once, by NonFiniteResult
+            warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                    RuntimeWarning)
             payload, code = args.func(args, *docs)
             # an object is spelled as one JSON text; any other answer is its pieces
             blocks = [_json_text(payload)] if isinstance(payload, dict) else payload

@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _is_int
 from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, ResourceLimit
 from .linalg import wire_field
 
@@ -71,11 +72,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-def _is_int(n) -> bool:
-    """An int or numpy integer, and no bool: the package's integer argument rule."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _check_m(m: int) -> None:

@@ -124,7 +124,7 @@ def check_grade(k: int, side: int, entries: dict) -> dict:
 
 
 def check_grade_keys(keys, m: int, mode: str) -> None:
-    """GradeOutOfRange unless each grade k of a state is an int (clifford._is_int)
+    """GradeOutOfRange unless each grade k of a state is an int (genbloch._is_int)
     within 1..clifford.max_grade, ModeMismatch for an unknown mode."""
     top = clifford.max_grade(m, mode)
     for k in keys:

@@ -171,6 +171,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
         raise ResourceLimit(f"sample count {n!r} out of range")
     if not _is_int(seed) or seed < 0:
         raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)  # random.Random refuses a numpy integer
     # the draws span [-box, box], so 2 * box must be finite as well
     box = _bounded(box, "box", "a finite number >= 0 with 2 * box finite", np.finfo(float).max / 2)
     basis = cached_basis(m)

@@ -18,28 +18,28 @@ as lists of Python floats, bools and strs (_plain_columns), from math and the
 same formulas one point at a time; numpy loads only on the array path.  fig3's
 plain clip tries, per theta, only the t with |t| <= sqrt((1 + tol)^2 - w^2)
 + 1e-6, found by bisection: a - b is t to rounding, so no other t can pass it
-(_plain_surface).  The CLI answers with one form, chosen by size (_columns):
-lists at or below PLAIN_ROWS, arrays above.  fig1's two boundary curves, at
-most 1,024 points each, are always lists of (r, T4) columns (_plain_curves).
+(_plain_surface).  The CLI answers with one form, chosen by size (_columns,
+which checks the request once): lists at or below PLAIN_ROWS, arrays above.
+fig1's two boundary curves, at most 1,024 points each, are always lists of
+(r, T4) columns (_plain_curves).
 Per fresh process, the plain path answers faster than numpy's import and the
-array path together up to about 40,000 candidate rows of fig2 in JSON, 45,000
-in CSV and 50,000 in SVG, and further for fig1, whose floats repeat, and fig3,
-whose clip drops most candidates; PLAIN_ROWS sits below every such
-crossover.
+array path together up to about 43,000 candidate rows of fig2 in JSON, 45,000
+in SVG and 49,000 in CSV, and further for fig1, whose floats repeat (about
+120,000 in JSON), and fig3, whose clip drops most candidates (about 125,000
+in CSV); PLAIN_ROWS sits below every such crossover.
 
 The module computes no invariant: fig1's r and T4 are grid values, and the
 tunnels need only alpha_pm.  It imports nothing of the package but
-DEFAULT_TOL, MAX_ROWS and the errors, so the CLI can draw a figure without
-loading the algebra.
+DEFAULT_TOL, MAX_ROWS, the integer rule _is_int and the errors, so the CLI
+can draw a figure without loading the algebra.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 
-from . import DEFAULT_TOL, MAX_ROWS
+from . import DEFAULT_TOL, MAX_ROWS, _is_int
 from .errors import BadResolution, KindMismatch, ResourceLimit
 
 # the most candidate rows of a figure built from Python floats, without numpy:
@@ -73,11 +73,12 @@ def _tunnel_surface_points(level: float, resolution: int) -> tuple:
     u = np.array([level * math.cos(theta) for theta in thetas])[:, None]  # x + y
     z = np.array([level * math.sin(theta) for theta in thetas])[:, None]
     x, y, z = ((u + ts) / 2.0).ravel(), ((u - ts) / 2.0).ravel(), np.repeat(z.ravel(), len(ts))
-    inside = (np.abs(x) <= _BOX) & (np.abs(y) <= _BOX) & (np.abs(z) <= _BOX)
+    inside = (np.abs(x) <= _BOX) & (np.abs(y) <= _BOX)
     return x[inside], y[inside], z[inside]
 
 
-# (kind, level) of the tunnel surfaces drawn in fig2 and fig3, in output order
+# (kind, level) of the tunnel surfaces drawn in fig2 and fig3, in output order;
+# no builder tests z: |z| = level |sin theta| <= 1 < _BOX for every level here
 _SURFACES = {
     "fig2": (("alpha_plus", 1.0), ("alpha_minus", 1.0)),
     "fig3": (("alpha_plus", 1.0), ("alpha_plus", 0.1),
@@ -133,14 +134,11 @@ def _candidate_rows(which: str, resolution: int) -> int:
 
 def _check_figure(which: str, resolution, paper_cube: bool = False) -> int:
     """The resolution as an int, once which, resolution and paper_cube name a
-    dataset of at most MAX_ROWS candidate rows (_candidate_rows).  An
-    integer is an int or a numpy integer; the latter exists only once numpy
-    is loaded, so the rule loads none."""
+    dataset of at most MAX_ROWS candidate rows (_candidate_rows), an integer
+    by the package's rule (genbloch._is_int), which loads no numpy."""
     if paper_cube and which != "fig3":
         raise KindMismatch(f"--paper-cube applies to fig3 only, not {which}")
-    numpy = sys.modules.get("numpy")
-    integer = isinstance(resolution, int) or bool(numpy) and isinstance(resolution, numpy.integer)
-    if not integer or resolution < 2:
+    if not _is_int(resolution) or resolution < 2:
         raise BadResolution(f"resolution must be an integer >= 2, got {resolution!r}")
     if which != "fig1" and which not in _SURFACES:
         raise BadResolution(f"unknown figure {which!r}")
@@ -170,10 +168,10 @@ def figure_columns(which: str, resolution: int, paper_cube: bool = False) -> tup
 def _columns(which: str, resolution, paper_cube: bool = False) -> tuple:
     """The dataset the CLI answers with: _plain_columns, list columns, for a
     figure of at most PLAIN_ROWS candidate rows, and figure_columns, arrays,
-    above."""
-    rows = _candidate_rows(which, _check_figure(which, resolution, paper_cube))
-    return (_plain_columns if rows <= PLAIN_ROWS else figure_columns)(
-        which, resolution, paper_cube)
+    above; it checks the request once and passes the checked int on."""
+    resolution = _check_figure(which, resolution, paper_cube)
+    return (_plain_columns if _candidate_rows(which, resolution) <= PLAIN_ROWS
+            else figure_columns)(which, resolution, paper_cube)
 
 
 def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list:
@@ -195,8 +193,6 @@ def _plain_surface(level: float, resolution: int, clip: bool) -> tuple:
     x, y, z = [], [], []
     for theta in _linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False):
         u, w = level * math.cos(theta), level * math.sin(theta)
-        if abs(w) > _BOX:
-            continue
         reach = math.sqrt((1.0 + DEFAULT_TOL) ** 2 - w * w) + 1e-6 if clip else math.inf
         for t in ts[bisect.bisect_left(ts, -reach):bisect.bisect_right(ts, reach)]:
             a, b = (u + t) / 2.0, (u - t) / 2.0
@@ -209,11 +205,10 @@ def _plain_surface(level: float, resolution: int, clip: bool) -> tuple:
     return x, y, z
 
 
-def _plain_columns(which: str, resolution, paper_cube: bool = False) -> tuple:
+def _plain_columns(which: str, resolution: int, paper_cube: bool = False) -> tuple:
     """figure_columns(which, resolution, paper_cube) with each column a list
-    of Python floats, bools or strs, for a figure of at most PLAIN_ROWS
+    of Python floats, bools or strs, for a checked figure of at most PLAIN_ROWS
     candidate rows; tolist() of the array columns gives the same lists."""
-    resolution = _check_figure(which, resolution, paper_cube)
     if which == "fig1":
         rs, t4s = _linspace(0.0, 1.0, resolution), _linspace(0.0, 2.0, resolution)
         tol = DEFAULT_TOL
@@ -246,11 +241,10 @@ def _plain_columns(which: str, resolution, paper_cube: bool = False) -> tuple:
     return ["x", "y", "z", "surface_id"], columns
 
 
-def _plain_curves(resolution) -> dict:
-    """fig1's two boundary curves, each as (r, T4) list columns of resolution
-    Python floats: curve_upper T4 = 2 r^2 over 0 <= r <= 1 and curve_lower
-    T4 = (r + 1)^2 - 2 over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
-    resolution = _check_figure("fig1", resolution)
+def _plain_curves(resolution: int) -> dict:
+    """fig1's two boundary curves at a checked resolution, each as (r, T4) list
+    columns of resolution Python floats: curve_upper T4 = 2 r^2 over 0 <= r <= 1
+    and curve_lower T4 = (r + 1)^2 - 2 over sqrt(2) - 1 <= r <= 1, where it leaves T4 = 0."""
     rs = _linspace(0.0, 1.0, resolution)
     lows = _linspace(math.sqrt(2.0) - 1.0, 1.0, resolution)
     return {"curve_upper": [rs, [2.0 * r * r for r in rs]],

@@ -809,6 +809,34 @@ def test_untyped_error_leaves_run(tmp_path, monkeypatch, exc):
         run(["invariants", "--input", write_json(tmp_path / "g1.json", _G1)])
 
 
+@pytest.mark.parametrize("kind, printed", [("overflow", "inf"), ("invalid", "nan"),
+                                           ("divide", None)])
+def test_run_drops_only_overflow_and_invalid_warnings(monkeypatch, capsys, kind, printed):
+    # tier-1 makes every RuntimeWarning an error (pyproject.toml); run() drops
+    # numpy's overflow and invalid-value warnings in the answer and in its
+    # writing, which NonFiniteResult reports, and lets any other reach the caller
+    from genbloch import cli
+
+    op = {"overflow": lambda: np.float64(1e308) * 10,
+          "invalid": lambda: np.float64(np.inf) - np.inf,
+          "divide": lambda: np.float64(1.0) / 0.0}[kind]
+
+    def answer(args):
+        op()
+        return (f"{op()}\n" for _ in (0,)), 0
+
+    monkeypatch.setitem(cli._COMMANDS, "figure", ("", answer, ()))
+    if printed is None:
+        with pytest.raises(RuntimeWarning, match="divide by zero encountered"):
+            run(["figure", "fig1"])
+    else:
+        assert run(["figure", "fig1"]) == 0
+        assert capsys.readouterr().out == f"{printed}\n"
+    # the filter ends with the call
+    with pytest.raises(RuntimeWarning):
+        op()
+
+
 @pytest.mark.parametrize("command", ["decode", "spectrum", "validate"])
 @pytest.mark.parametrize("flag", [["--m", "2"], ["--m=2"], ["--m", "5"]], ids=["m-2", "m=2", "m-5"])
 def test_m_flag_refused_on_state_inputs(tmp_path, capsys, command, flag):

@@ -724,6 +724,17 @@ def _surface_points_per_point(kind, level, resolution, box):
     return pts
 
 
+def test_no_surface_level_reaches_the_box_in_z():
+    # the surface builders test no z: |z| = level |sin theta| <= level, and
+    # every level drawn is at most 1, below the box's half-width; the per-point
+    # reference above keeps its z test, so fig3's test below still holds both
+    # builders to the whole box rule
+    from genbloch.figures import _BOX, _SURFACES
+
+    levels = [level for surfaces in _SURFACES.values() for _, level in surfaces]
+    assert levels and all(level <= 1.0 < _BOX for level in levels)
+
+
 def _bits(rows) -> bytes:
     """The x, y, z of table rows as bytes: equal only bit for bit, signed zeros included."""
     return np.array([row[:3] for row in rows], dtype=float).tobytes()
@@ -803,6 +814,10 @@ def test_figure_resolution_is_an_integer():
     assert _check_figure("fig1", np.int64(5)) == 5
     assert type(_check_figure("fig1", np.int64(5))) is int
     assert len(figure_columns("fig1", np.int64(5))[1][0]) == 25
-    for resolution in (True, 5.0, "5"):
+    for resolution in (2, np.int64(2)):
+        assert len(figure_columns("fig1", resolution)[1][0]) == 4
+    for resolution in (True, 5.0, "5", 2.0, "2"):
         with pytest.raises(BadResolution, match="resolution must be an integer >= 2"):
             _check_figure("fig1", resolution)
+        with pytest.raises(BadResolution, match="resolution must be an integer >= 2"):
+            figure_columns("fig1", resolution)

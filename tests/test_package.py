@@ -408,6 +408,30 @@ def test_nan_bool_and_unknown_mode_are_refused(call, error):
         call()
 
 
+# the sites of the package's one integer rule (genbloch._is_int), each a call
+# of one integer argument and the class it refuses a non-integer with
+_INT_SITES = {
+    "state_coords-m": (lambda v: coords.state_coords(v), "BadIndex"),
+    "full_basis-m": (lambda v: clifford.full_basis(v), "BadIndex"),
+    "grade-key": (lambda v: coords.check_grade_keys([v], 2, "standard"), "GradeOutOfRange"),
+    "sample-k": (lambda v: domains.sample_domain(2, v, 3, 0), "GradeOutOfRange"),
+    "sample-n": (lambda v: domains.sample_domain(2, 2, v, 0), "ResourceLimit"),
+    "sample-seed": (lambda v: domains.sample_domain(2, 2, 3, v), "ResourceLimit"),
+}
+
+
+@pytest.mark.parametrize("site", list(_INT_SITES))
+def test_one_integer_rule_at_every_site(site):
+    # an int or a numpy integer is taken; a bool, a float or a str is refused,
+    # with the site's own class (figure_columns: test_figure_resolution_is_an_integer)
+    call, error = _INT_SITES[site]
+    for value in (2, np.int64(2)):
+        call(value)
+    for value in (True, 2.0, "2"):
+        with pytest.raises(getattr(errors, error)):
+            call(value)
+
+
 def test_spectra_loads_no_invariants():
     # the normal form and the Pfaffian live in spectra; invariants imports them
     res = subprocess.run([sys.executable, "-c", "import sys, genbloch.spectra; "
