@@ -16,8 +16,11 @@ from importlib import import_module
 # the tolerance of every admissibility rule, kept here so the CLI reads it without numpy
 DEFAULT_TOL = 1e-9
 # the most rows a table answer may have: a figure's candidate rows (fig1 up to
-# resolution 1024) or the basis dump's 16^m matrix entries (m up to 5)
+# resolution 1024), the basis dump's 16^m matrix entries (m up to 5) or sample's draws
 MAX_ROWS = 2 ** 20
+# the memory of one bounded stage, divided by what one row costs there: a stack
+# of decided draws, a block of sample's columns, a block's text grid
+CHUNK_BYTES = 2 ** 20
 
 
 def _is_int(n) -> bool:

@@ -7,12 +7,13 @@ path gives lambda_min of one state or of a stack sharing (m, mode)
 closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
 invariants.coords_invariants with the normal form it used, or
 "min_eigenvalue", LAPACK's (linalg).  positivity takes it for one state;
-sample_domain for its draws, in stacks of CHUNK_BYTES of density matrices,
-beside the same LAPACK oracle.  Its draws are the standard library's
-random.Random(seed).random() stream, so no numpy.random is loaded, and it
-returns (column names, blocks): the table in blocks of rows made as they are
-read, each one array per column like figures.figure_columns, so a table of
-any length takes the memory of one block beside three results per draw.
+sample_domain for at most MAX_ROWS draws, beside the same LAPACK oracle.
+Its draws are the standard library's random.Random(seed).random() stream,
+so no numpy.random is loaded, and it returns (column names, blocks): the
+table in blocks of rows made as they are read, each one array per column
+like figures.figure_columns.  The package's one memory budget, CHUNK_BYTES,
+sizes both its stacks of density matrices and its blocks, so a table of any
+length takes the memory of one block beside three results per draw.
 
 In closed form the rule draws the paper's regions.  Vector configurations
 are admissible on the unit ball of the (2m- or 2m+1-dimensional)
@@ -29,7 +30,7 @@ import random
 
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import CHUNK_BYTES, DEFAULT_TOL, MAX_ROWS
 from .clifford import Record, _check_m, _is_int, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
 from .errors import (DimensionMismatch, GradeOutOfRange, MalformedInput, NonFiniteResult,
@@ -37,10 +38,6 @@ from .errors import (DimensionMismatch, GradeOutOfRange, MalformedInput, NonFini
 from .invariants import InvariantSet, coords_invariants
 from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 from .spectra import normal_form, sign_sums
-
-# sample_domain decides its draws in stacks whose matrices take this many
-# bytes, so its peak memory does not grow with the sample count
-CHUNK_BYTES = 2 ** 20
 
 
 class DomainVerdict(Record):
@@ -157,17 +154,17 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     the draw index, its coefficients c0..c{dim-1} in wire order,
     closed_admissible and oracle_admissible (bool), and the boundary_margin
     |lambda_min| of the closed form, the columns of each block of rows in turn.
-    All n draws are decided first, in stacks of CHUNK_BYTES, keeping three
-    results per draw; a non-finite margin is NonFiniteResult then.  The blocks
-    come lazily, each as many cells as text._BLOCK_ROWS rows of ten columns,
-    their draws drawn again from a generator of the same seed, so the memory a
-    caller holds is a block's whatever n and dim; a table without rows is one
-    empty block.
+    n is at most MAX_ROWS.  All n draws are decided first, in stacks of
+    CHUNK_BYTES of density matrices, keeping three results per draw; a
+    non-finite margin is NonFiniteResult then.  The blocks come lazily
+    (_sample_blocks), their draws drawn again from a generator of the same
+    seed, so the memory a caller holds is a block's whatever n and dim; a
+    table without rows is one empty block.
     """
     _check_m(m)
     if not _is_int(k) or k not in (1, 2):
         raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
-    if not _is_int(n) or n < 0 or n > 10 ** 6:
+    if not _is_int(n) or n < 0 or n > MAX_ROWS:
         raise ResourceLimit(f"sample count {n!r} out of range")
     if not _is_int(seed) or seed < 0:
         raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
@@ -196,12 +193,11 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
 
 def _sample_blocks(seed: int, box: float, d: int, results: tuple):
     """sample_domain's blocks of rows, from the per-draw results of its draws:
-    the cells of text._BLOCK_ROWS rows of ten columns, (m, k) = (2, 2)'s, so a
-    block of a wider table has fewer rows and its memory does not grow with d."""
-    from .text import _BLOCK_ROWS
-
+    CHUNK_BYTES over a row's d + 4 cells and their spelling codes, 8 bytes
+    each, so a block of a wider table has fewer rows and its memory does not
+    grow with d."""
     rng, n = random.Random(seed), len(results[0])
-    rows = max(1, _BLOCK_ROWS * 10 // (d + 4))
+    rows = max(1, CHUNK_BYTES // (16 * (d + 4)))
     for lo in range(0, max(n, 1), rows):
         hi = min(n, lo + rows)
         yield [np.arange(lo, hi), *_uniform(rng, hi - lo, d, box).T,

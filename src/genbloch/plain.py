@@ -101,9 +101,9 @@ def _table_text(blocks, leads, tail, words, ends):
     last row and the bare text is a table without rows.
 
     A block of Python list columns is one str (_list_rows); any other block
-    is spelled as arrays, one str per _BLOCK_ROWS rows, a float that is not
-    finite refused before its text is built (text._array_rows).  The first
-    block is spelled at the call."""
+    is spelled as arrays, its values at once and its text one str per
+    CHUNK_BYTES of rows, a float that is not finite refused before its text
+    is built (text._array_rows).  The first block is spelled at the call."""
     empty = True
     for columns in blocks:
         if not columns or not len(columns[0]):

@@ -10,15 +10,16 @@ are byte-identical, and each distinct int, boolean or string once, into a
 byte table (_table) with an integer code per cell; a negative float's "-"
 ends the lead, the separator text before its cell.  A float that is not
 finite is refused in every format.  An SVG pixel coordinate is two cells,
-spelled from its integer count of hundredths.  The text is made _BLOCK_ROWS
-rows at a time (fewer when rows are wide), each such block one uint8 grid of
-fixed-width fields padded with _PAD, which one pass turns into the block's
-text (_row_blocks): no str per cell and no grid of a whole table is built,
-and the bytes do not depend on the block size.  The matrix and coords
-documents (_matrix_text, _coords_text) hand their array columns to
-plain._json_items.  This module loads with numpy, when an array block, an
-array scatter, a matrix or coords is spelled, and in sample_domain, which
-reads _BLOCK_ROWS.  json loads only where a JSON string or key is spelled.
+spelled from its integer count of hundredths.  The spellings of a block of
+columns, a figure's whole table included, are made at once; its text is then
+made as many rows at a time as fill the package's CHUNK_BYTES, so narrow rows
+take fewer, larger blocks, each one uint8 grid of fixed-width fields padded
+with _PAD, which one pass turns into the block's text (_row_blocks): no str
+per cell and no grid of a whole table is built, and the bytes do not depend
+on the block size.  The matrix and coords documents (_matrix_text,
+_coords_text) hand their array columns to plain._json_items.  This module
+loads with numpy, when an array block, an array scatter, a matrix or coords
+is spelled.  json loads only where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import itertools
 
 import numpy as np
 
+from . import CHUNK_BYTES
 from .errors import NonFiniteResult
 from .plain import _PALETTE, _SVG_MARGIN, _SVG_OPEN, _SVG_SIZE, _json_items, _json_parts, _nested
 
@@ -88,17 +90,12 @@ def _codes(column) -> tuple:
 # the byte before a float's magnitude: nothing, or its "-"
 _SIGN = _table(["", "-"])
 
-# rows per block of text: run() writes a table block by block; a block's
-# grid holds at most _BLOCK_BYTES, so a block of wide rows has fewer
-_BLOCK_ROWS = 8192
-_BLOCK_BYTES = 2 ** 20
-
 
 def _row_blocks(fields: list, rows: int):
-    """The text of each block of _BLOCK_ROWS of the rows, each row its fields
-    in turn.  A field is a str, the same text in every row, or (table,
-    codes): the uint8 grid of its spellings padded with _PAD (_table), and
-    each row's index into it."""
+    """The text of each block of the rows whose grid fills CHUNK_BYTES (one
+    row at least), each row its fields in turn.  A field is a str, the same
+    text in every row, or (table, codes): the uint8 grid of its spellings
+    padded with _PAD (_table), and each row's index into it."""
     pieces, cells, at = [], [], 0
     for field in fields:
         if isinstance(field, str):
@@ -115,7 +112,7 @@ def _row_blocks(fields: list, rows: int):
     record = np.dtype({"names": [f"c{i}" for i in range(len(cells))], "itemsize": at,
                        "formats": [spellings.dtype for _, spellings, _ in cells],
                        "offsets": [offset for offset, _, _ in cells]})
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // at))
+    step = max(1, CHUNK_BYTES // at)
     for lo in range(0, rows, step):
         yield _block_text(template, record, [(spellings, codes[lo:lo + step])
                                              for _, spellings, codes in cells],
@@ -137,10 +134,10 @@ def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) 
 
 
 def _array_rows(columns, leads, tail, words):
-    """plain._table_text of one block of columns with rows, as arrays: its
-    text one str per _BLOCK_ROWS rows, each block's spellings gone before the
-    next.  A float that is not finite is refused with NonFiniteResult here, at
-    the call, before any text is built."""
+    """plain._table_text of one block of columns with rows, as arrays: each
+    distinct value of the block spelled at once, then its text one str per
+    _row_blocks block.  A float that is not finite is refused with
+    NonFiniteResult here, at the call, before any text is built."""
     columns = [np.asarray(col) for col in columns]
     return _row_blocks(_fields(columns, leads, tail, words), len(columns[0]))
 

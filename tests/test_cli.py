@@ -363,12 +363,12 @@ def test_sample_peak_rss_does_not_grow_with_the_draws(tmp_path, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sample_block_memory_does_not_grow_with_the_width(tmp_path, fmt):
-    # a block holds the cells of 8,192 rows of (2, 2)'s ten columns: 4,311 rows
-    # of (3, 2)'s 19, so twice the draws take two blocks of the same memory.
-    # Blocks of 8,192 rows at every width grew by 11-12 MB between these two
-    # counts.  About 1 s per format on Linux x86-64, Python 3.11, numpy 2.4
+    # a block holds CHUNK_BYTES of a row's cells and codes, 16 bytes per cell:
+    # 3,449 rows of (3, 2)'s 19 cells, so twice the draws take two blocks of the
+    # same memory.  Blocks of 8,192 rows at every width grew by 11-12 MB between
+    # such counts.  About 1 s per format on Linux x86-64, Python 3.11, numpy 2.4
     peaks = []
-    for n in (4311, 2 * 4311):
+    for n in (3449, 2 * 3449):
         out = tmp_path / f"atlas-{n}.{fmt}"
         code, peak_mb = _genbloch_peak_rss_mb(["sample", "--m", "3", "--k", "2", "--samples",
                                                str(n), "--format", fmt, "--output", str(out)])
@@ -1093,7 +1093,7 @@ def test_nonfinite_result_one_stderr_line(tmp_path, command):
 
 
 @pytest.mark.parametrize("case", ["encode-overflow", "rotate-overflow", "fig1-rows", "basis-m6",
-                                  "basis-element", "sample-margin"])
+                                  "basis-element", "sample-margin", "sample-rows"])
 def test_refused_answer_writes_no_output_file(tmp_path, capsys, case):
     # every check that can refuse an answer runs before its first piece is
     # made, so the --output file is never opened
@@ -1105,6 +1105,7 @@ def test_refused_answer_writes_no_output_file(tmp_path, capsys, case):
         "basis-m6": ["basis", "--m", "6"],
         "basis-element": ["basis", "--m", "2", "--element", "2:1,9"],
         "sample-margin": ["sample", "--m", "2", "--k", "1", "--samples", "20", "--box", "1e154"],
+        "sample-rows": ["sample", "--m", "2", "--k", "1", "--samples", str(2 ** 20 + 1)],
     }[case]
     if case == "encode-overflow":
         write_json(state, _OVERFLOWING_ENCODINGS[case])
@@ -1383,7 +1384,7 @@ def test_figure_json_matches_per_row(capsys, which, paper_cube):
 @pytest.mark.parametrize("which, paper_cube", [("fig1", False), ("fig2", False),
                                                ("fig3", False), ("fig3", True)])
 def test_plain_figures_match_array_figures(capsys, monkeypatch, which, paper_cube):
-    from genbloch import figures
+    from genbloch import figures, text
 
     # the largest resolution of at most PLAIN_ROWS candidate rows, and the next
     last = max(r for r in range(2, 1025) if figures._candidate_rows(which, r) <= figures.PLAIN_ROWS)
@@ -1396,12 +1397,17 @@ def test_plain_figures_match_array_figures(capsys, monkeypatch, which, paper_cub
         for fmt in ("csv", "json", "svg"):
             argv = ["figure", which, "--resolution", str(resolution), "--format", fmt, *cube]
             outputs = []
-            # every figure on the plain path, then every one on the array path
-            for plain_rows in (figures.MAX_ROWS, 0):
+            # every figure on the plain path, then every one on the array path,
+            # the first array figure also in text blocks of a few rows each
+            runs = [(figures.MAX_ROWS, genbloch.CHUNK_BYTES), (0, genbloch.CHUNK_BYTES)]
+            if resolution == last + 1:
+                runs.append((0, 2 ** 10))
+            for plain_rows, budget in runs:
                 monkeypatch.setattr(figures, "PLAIN_ROWS", plain_rows)
+                monkeypatch.setattr(text, "CHUNK_BYTES", budget)
                 assert run(argv) == 0
                 outputs.append(capsys.readouterr().out)
-            assert outputs[0] == outputs[1], argv
+            assert outputs.count(outputs[0]) == len(outputs), argv
 
 
 def test_plain_writers_match_array_writers():
@@ -1476,17 +1482,18 @@ def test_sample_bytes_do_not_depend_on_stacks_or_blocks(capsys, monkeypatch, fmt
         assert run(argv) == 0
         expected = capsys.readouterr().out
         with monkeypatch.context() as patch:
-            # one draw per decided stack and one row per written block
+            # one draw per decided stack and one row per sample and text block
             patch.setattr(domains, "CHUNK_BYTES", 1)
-            patch.setattr(text, "_BLOCK_ROWS", 1)
+            patch.setattr(text, "CHUNK_BYTES", 1)
             assert run(argv) == 0
         assert capsys.readouterr().out == expected
 
 
 def test_sample_refuses_a_margin_past_the_first_block_before_any_text(capsys, monkeypatch):
-    from genbloch import text
+    from genbloch import domains
 
-    monkeypatch.setattr(text, "_BLOCK_ROWS", 1)
+    # one row per sample block
+    monkeypatch.setattr(domains, "CHUNK_BYTES", 1)
     # at m = 2, k = 1 the margin |1 - sqrt(r)| / 4 is inf where r, the draw's
     # sum of squares, overflows
     box, rng = 1e154, random.Random(0)
@@ -1585,57 +1592,58 @@ def test_writers_match_per_row_on_hand_made_columns():
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e16, -1e16]
-# (whole blocks, rows past them): one row short of a block, a block, one row
-# over, and two blocks and one row
-_BLOCK_SHAPES = [(1, -1), (1, 0), (1, 1), (2, 1)]
+# rows of a table: one, a few, and more than one block of a 1 KiB budget holds
+_TABLE_ROWS = [1, 2, 5, 40]
 
 
 @settings(max_examples=2, deadline=None, derandomize=True, database=None)
-@given(shape=st.sampled_from(_BLOCK_SHAPES),
+@given(rows=st.sampled_from(_TABLE_ROWS),
        floats=st.lists(st.floats(-1e16, 1e16), max_size=6),
        words=st.lists(st.text(max_size=4), min_size=1, max_size=3),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(shape=_BLOCK_SHAPES[0], floats=[], words=["a"], seed=0)
-@example(shape=_BLOCK_SHAPES[1], floats=[0.1, -0.1], words=["", "b"], seed=1)
-@example(shape=_BLOCK_SHAPES[2], floats=[-2.5], words=["alpha_plus=1"], seed=2)
-@example(shape=_BLOCK_SHAPES[3], floats=[1.0 / 3.0], words=["a", "b", "c"], seed=3)
-def test_row_blocks_match_per_row(shape, floats, words, seed):
+@example(rows=_TABLE_ROWS[0], floats=[], words=["a"], seed=0)
+@example(rows=_TABLE_ROWS[1], floats=[0.1, -0.1], words=["", "b"], seed=1)
+@example(rows=_TABLE_ROWS[2], floats=[-2.5], words=["alpha_plus=1"], seed=2)
+@example(rows=_TABLE_ROWS[3], floats=[1.0 / 3.0], words=["a", "b", "c"], seed=3)
+def test_row_blocks_match_per_row(rows, floats, words, seed):
     # columns of every cell kind, the floats of both signs with the edge values
     # among them
     from unittest import mock
 
-    from genbloch import domains
+    from genbloch import domains, text
     from genbloch.cli import _answer_sample
     from genbloch.plain import _csv_blocks, _svg_text
-    from genbloch.text import _BLOCK_ROWS
 
-    blocks, extra = shape
-    rows = blocks * _BLOCK_ROWS + extra
-    blocks += extra > 0
     rng = np.random.default_rng(seed)
     pool = np.array(_EDGE_FLOATS + floats)
     draw = lambda: pool[rng.integers(0, len(pool), rows)]  # noqa: E731
     columns = [draw(), rng.integers(-10 ** 6, 10 ** 6, rows), rng.integers(0, 2, rows) == 1,
                np.array(words, dtype=object)[rng.integers(0, len(words), rows)], draw()]
     header = [f"col{i}" for i in range(len(columns))]
-    text = list(_csv_blocks(header, [columns]))
-    assert len(text) == blocks and all(block.endswith("\n") for block in text)
-    assert "".join(text) == _csv_per_row(header, table_rows(columns))
     xs, ys, labels = columns[0], columns[4], columns[3]
-    text = list(_svg_text(xs, ys, labels))
-    assert len(text) == blocks + 2
-    assert "".join(text) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())), labels.tolist())
     # a sample document: each record's keys sorted, its coefficients one list
     sample = [np.arange(rows), columns[0], columns[2], ~columns[2], columns[4]]
     args = argparse.Namespace(m=2, k=1, samples=rows, seed=seed, box=1.2, format="json")
     names = ["index", "c0", "closed_admissible", "oracle_admissible", "boundary_margin"]
-    with mock.patch.object(domains, "sample_domain", lambda *_: (names, [sample])):
-        text = "".join(_answer_sample(args)[0])
     records = [{"index": i, "coefficients": [c], "closed_admissible": closed,
                 "oracle_admissible": oracle, "boundary_margin": margin}
                for i, c, closed, oracle, margin in table_rows(sample)]
     payload = {"m": 2, "k": 1, "n": rows, "seed": seed, "box": 1.2, "records": records}
-    assert text == json.dumps(payload, indent=2, sort_keys=True)
+    # a block holds the rows whose grid fits in the budget, one at least: one
+    # row per block when the budget is below a row's width, a few rows at 1 KiB,
+    # and all of these rows, some hundred bytes each, in the package's budget
+    for budget, blocks in {1: rows, 2 ** 10: None, text.CHUNK_BYTES: 1}.items():
+        with mock.patch.object(text, "CHUNK_BYTES", budget), \
+                mock.patch.object(domains, "sample_domain", lambda *_: (names, [sample])):
+            csv = list(_csv_blocks(header, [columns]))
+            svg = list(_svg_text(xs, ys, labels))
+            document = "".join(_answer_sample(args)[0])
+        assert blocks is None or len(csv) == blocks and len(svg) == blocks + 2
+        assert all(block.endswith("\n") for block in csv)
+        assert "".join(csv) == _csv_per_row(header, table_rows(columns))
+        assert "".join(svg) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())),
+                                              labels.tolist())
+        assert document == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_first_float_cell_negative(tmp_path, capsys):

@@ -2,7 +2,9 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 import math
+import os
 import random
+import subprocess
 import sys
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from genbloch import domains, spectra
+from genbloch import MAX_ROWS, domains, spectra
 from genbloch.clifford import cached_basis
 from genbloch.coords import (
     StateCoords,
@@ -644,11 +646,21 @@ def test_sample_domain_ball_fraction():
     assert abs(frac - p) <= 3 * sigma
 
 
-def test_sample_domain_guards():
+def test_sample_domain_guards(monkeypatch):
     with pytest.raises(GradeOutOfRange):
         sample_domain(2, 3, 10, seed=0)
     with pytest.raises(ResourceLimit):
         sample_domain(2, 1, -1, seed=0)
+    # every table answer is held to MAX_ROWS rows, sample's draws too: the
+    # count is refused before anything is drawn
+    with monkeypatch.context() as patch:
+        patch.setattr(domains, "_uniform", None)  # a draw would be a TypeError
+        with pytest.raises(ResourceLimit, match=f"sample count {MAX_ROWS + 1} out of range"):
+            sample_domain(2, 1, MAX_ROWS + 1, seed=0)
+        # MAX_ROWS draws pass every check and reach the basis
+        patch.setattr(domains, "cached_basis", None)
+        with pytest.raises(TypeError):
+            sample_domain(2, 1, MAX_ROWS, seed=0)
     with pytest.raises(ResourceLimit, match="seed must be an integer >= 0, got -1"):
         sample_domain(2, 1, 1, seed=-1)
     # a count or seed that is no integer is refused before anything is drawn
@@ -669,6 +681,18 @@ def test_sample_domain_guards():
         sample_domain(7, 1, 0, seed=0)
     with pytest.raises(BadIndex):
         sample_domain(0, 1, 0, seed=0)
+
+
+def test_sample_blocks_load_no_writer():
+    # the engine sizes its blocks by the package's budget, not by the writer's
+    code = ("import sys; from genbloch.domains import sample_domain; "
+            "names, blocks = sample_domain(2, 2, 20, 0); "
+            "assert sum(len(block[0]) for block in blocks) == 20; "
+            "assert 'genbloch.text' not in sys.modules, 'text loaded'")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(domains.__file__)))
+    res = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_fig1_matches_inequality():
