@@ -26,7 +26,8 @@ dense matrices are built on request.
 
 "extended" mode appends the top element Gamma_{2m+1} (the phased product of
 all generators, anticommuting with each) and builds grades 0..m over the
-2m+1 indices: again 4^m orthogonal elements.
+2m+1 indices: again 4^m orthogonal elements.  Its table's first 4^m rows, the
+masks without index 2m + 1, are the standard table, so it expands either mode.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class CliffordBasis(Record):
         return self.expand({mask: 1.0}) + 0j
 
     def expand(self, coeffs: dict) -> np.ndarray:
-        """Dense sum_A c_A E_A for a mapping {mask of A: c_A} over the family.
+        """Dense sum_A c_A E_A for a mapping {mask of A: c_A}, any masks of the table.
 
         With i^p c_A collected at (x, z), one Walsh-Hadamard product gives
         the entries (r ^ x, r).  The c_A may also be arrays that broadcast

@@ -239,14 +239,14 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
 def encode(coords: StateCoords) -> np.ndarray:
     """Density-matrix representation: 2^{-m} sum of G_A E_A over increasing indices."""
     coords = wire_field(coords, StateCoords, "coords")
-    return encode_grades(coords.m, coords.mode, coords.scalar, coords.grades)
+    return encode_grades(coords.m, coords.scalar, coords.grades)
 
 
-def encode_grades(m: int, mode: str, scalar: float, grades: dict, check_trace: bool = True):
-    """encode of a state's parts, or of a stack's with an (n,) column per mask.
-    With check_trace: ResourceLimit unless each trace lies within TRACE_TOL of
-    the scalar, then NonFiniteResult if an entry overflowed."""
-    basis = clifford.cached_basis(m, mode)
+def encode_grades(m: int, scalar: float, grades: dict, check_trace: bool = True):
+    """encode of a state's parts, or of a stack's with an (n,) column per mask, in either
+    mode through the extended table (clifford).  With check_trace: ResourceLimit unless
+    each trace lies within TRACE_TOL of the scalar, then NonFiniteResult if an entry overflowed."""
+    basis = clifford.cached_basis(m, "extended")
     coeffs = {0: scalar}
     for entries in grades.values():
         coeffs.update(entries)

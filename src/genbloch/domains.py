@@ -2,7 +2,7 @@
 
 One rule decides every state (admits): it is admissible when its smallest
 eigenvalue is >= -tol, and an inadmissible state violates "positivity".  One
-path gives lambda_min of one state or of a stack sharing (m, mode)
+path gives lambda_min of one state or of a stack sharing m, in either mode
 (lowest_eigenvalues), on a route picked once per stack: "normal_form", the
 closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
 invariants.coords_invariants with the normal form it used, or
@@ -82,26 +82,25 @@ def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
     )
 
 
-def _oracle_minima(m: int, mode: str, scalar: float, grades: dict, rho=None,
-                   check_trace: bool = False):
-    """LAPACK's lambda_min of one state or of each of a stack: of rho, else of
-    the matrices the grades encode (coords.encode_grades)."""
-    rho = encode_grades(m, mode, scalar, grades, check_trace) if rho is None else rho
+def _oracle_minima(m: int, scalar: float, grades: dict, rho=None, check_trace: bool = False):
+    """LAPACK's lambda_min of one state or of each of a stack, in either mode:
+    of rho, else of the matrices the grades encode (coords.encode_grades)."""
+    rho = encode_grades(m, scalar, grades, check_trace) if rho is None else rho
     return hermitian_eigenvalues(rho)[..., 0]
 
 
-def lowest_eigenvalues(m: int, mode: str, scalar: float, grades: dict, rho=None) -> tuple:
+def lowest_eigenvalues(m: int, scalar: float, grades: dict, rho=None) -> tuple:
     """(lambda_min, route, normal form) of one state or of a stack sharing
-    (m, mode) and the scalar: grades as spectra.normal_form reads them,
+    m and the scalar, in either mode: grades as spectra.normal_form reads them,
     and rho their matrices, or None to encode them only if the route needs
     them.  The route is "normal_form" when the grades lie in the so(2m+2)
     family, with the normal form (mu, Pf M) of their bordered matrix; else
     "min_eigenvalue", with None.  The work and memory grow with the stack,
     so a caller bounds them by the stacks it passes.
     """
-    normal = normal_form(m, mode, grades)
+    normal = normal_form(m, grades)
     if normal is None:
-        lam = _oracle_minima(m, mode, scalar, grades, rho, check_trace=True)
+        lam = _oracle_minima(m, scalar, grades, rho, check_trace=True)
         return lam, "min_eigenvalue", None
     return sign_sums(scalar, *normal)[..., 0], "normal_form", normal
 
@@ -126,8 +125,7 @@ def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
     if rho is not None and as_matrix(rho).shape != (2 ** coords.m,) * 2:
         raise DimensionMismatch(f"rho of shape {np.shape(rho)} is not 2^m x 2^m at m = {coords.m}")
     require_unit_trace(coords.scalar)
-    min_eig, route, normal = lowest_eigenvalues(coords.m, coords.mode, coords.scalar,
-                                                coords.grades, rho)
+    min_eig, route, normal = lowest_eigenvalues(coords.m, coords.scalar, coords.grades, rho)
     # lambda_min overflows only where the invariants do: no verdict has it
     if not np.isfinite(min_eig):
         raise NonFiniteResult()
@@ -181,8 +179,8 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
         rows = min(per, n - lo)
         # a chunk of draws is one stack, a column per coefficient
         grades = {k: dict(zip(masks, _uniform(rng, rows, d, box).T))}
-        min_closed[lo:lo + rows] = lowest_eigenvalues(m, "standard", 1.0, grades)[0]
-        oracle_min[lo:lo + rows] = _oracle_minima(m, "standard", 1.0, grades)
+        min_closed[lo:lo + rows] = lowest_eigenvalues(m, 1.0, grades)[0]
+        oracle_min[lo:lo + rows] = _oracle_minima(m, 1.0, grades)
     margin = np.abs(min_closed)
     if not np.isfinite(margin).all():
         raise NonFiniteResult()

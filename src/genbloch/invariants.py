@@ -87,11 +87,11 @@ def coords_invariants(coords: StateCoords, normal=None) -> InvariantSet:
     extras = dict(inv.extras)
     if coords.grades.get(1):
         extras["vector_norm_sq"] = sum_of_squares(coords.grades[1].values())
-    top = coords.grades.get(coords.side) if coords.mode == "standard" else None
-    if top:  # its one mask sets every index
+    top = coords.grades.get(coords.side)
+    if top:  # a standard state's: its one mask sets every index
         extras["pseudoscalar"] = top[(1 << coords.side) - 1]
     if normal is None:
-        normal = normal_form(coords.m, coords.mode, coords.grades)
+        normal = normal_form(coords.m, coords.grades)
     if normal is not None:
         extras["normal_form_amplitudes"] = normal[0].tolist()
         extras["pfaffian_sign"] = float(np.sign(normal[1]))

@@ -16,8 +16,8 @@ mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
 has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
 claims of the tests (tests/claims.py), outside the package.
 
-bordered_parts writes M from the grades of one state or of a stack,
-normal_form gives its (mu, Pf M), with the package's one Pfaffian
+bordered_parts writes M from the grades of one state or of a stack in either
+mode, normal_form gives its mu and sign Pf M, with the package's one Pfaffian
 (pfaffian), for closed_form_spectrum, domains.lowest_eigenvalues and the
 invariants report, and sign_sums gives the eigenvalues, row by row.
 """
@@ -127,27 +127,27 @@ def pfaffian(a):
     return np.where(zero, 0.0, pf).reshape(a.shape[:-2])[()] + 0.0
 
 
-def bordered_parts(m: int, mode: str, grades: dict):
+def bordered_parts(m: int, grades: dict):
     """The bordered matrix M = [[0, v^T], [-v, G]] of states in the so(2m+2)
     family, shape (..., 2m + 2, 2m + 2), else None.
 
-    grades is {k: {mask: value}} as StateCoords holds it, or for a stack of
-    states sharing (m, mode) an (n,) column per mask.  A grade counts when it
-    holds a nonzero value.  An entry over one of the 2m + 1 extended indices
-    goes into row and column 0 (v), one over two into the block (G), and the
-    standard grades 2m - 1 and 2m go there through their complements.
+    grades is {k: {mask: value}} as StateCoords holds it in either mode, or for a
+    stack of states sharing m an (n,) column per mask.  A grade counts when it holds
+    a nonzero value; the family is every grade k <= 2 or k >= 2m - 1.  An entry over
+    one of the 2m + 1 extended indices goes into row and column 0 (v), one over two
+    into the block (G), and one of a grade k > m (a standard one) via its complement.
     """
-    n, standard = 2 * m + 1, mode == "standard"
+    n = 2 * m + 1
     first = next((x for entries in grades.values() for x in entries.values()), 0.0)
     shape = getattr(first, "shape", ())
     nonzero = np.any if shape else bool
     active = [k for k, entries in sorted(grades.items()) if any(map(nonzero, entries.values()))]
-    if not set(active) <= ({1, 2, 2 * m - 1, 2 * m} if standard else {1, 2}):
+    if any(2 < k < 2 * m - 1 for k in active):
         return None
     bordered = np.zeros(shape + (n + 1, n + 1))
     for k in active:
         for mask, x in grades[k].items():
-            if standard and k >= max(2, 2 * m - 1):  # to the complement (module docstring)
+            if k > m:  # to the complement (module docstring)
                 a = (mask ^ (1 << (n - 1)) - 1).bit_length()
                 mask, x = mask ^ (1 << n) - 1, (-1) ** (m if k == 2 * m else a + 1) * x
             low, high = (mask & -mask).bit_length(), mask.bit_length()
@@ -157,16 +157,16 @@ def bordered_parts(m: int, mode: str, grades: dict):
     return bordered
 
 
-def normal_form(m: int, mode: str, grades: dict):
-    """(mu, Pf M) of the bordered matrix M of the so(2m+2) family's grades
-    (bordered_parts), else None: M's paired singular values mu_0 >= ... >= mu_m,
-    shape (..., m + 1), and its Pfaffian, shape (...).
+def normal_form(m: int, grades: dict):
+    """(mu, pf) of the so(2m+2) family's bordered matrix M (bordered_parts), else None:
+    M's paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1), and pf = Pf(2^k M),
+    k >= 0 the least that lifts M's largest entry to 1/2, shape (...): the sign of Pf M.
 
     When M's block G is zero in every state, M has rank 2 and mu is (|v|, 0,
     ..., 0), |v| the square root of v's squares added left to right, so the
     doublet comes out exact.
     """
-    bordered = bordered_parts(m, mode, grades)
+    bordered = bordered_parts(m, grades)
     if bordered is None:
         return None
     if bordered[..., 1:, 1:].any():
@@ -174,13 +174,14 @@ def normal_form(m: int, mode: str, grades: dict):
     else:
         mu = np.zeros(bordered.shape[:-2] + (m + 1,))
         mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(bordered[..., 0, 1:], -1, 0)))
-    return mu, pfaffian(bordered)
+    e = np.frexp(np.abs(bordered).max(axis=(-2, -1), keepdims=True))[1]
+    return mu, pfaffian(np.ldexp(bordered, -np.minimum(e, 0)))  # lowering would flush tiny entries
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:
     """Closed-form spectrum of a state of the so(2m+2) family (see bordered_parts)."""
     coords = wire_field(coords, StateCoords, "coords")
-    normal = normal_form(coords.m, coords.mode, coords.grades)
+    normal = normal_form(coords.m, coords.grades)
     if normal is None:
         raise KindMismatch("no closed form: input is outside the so(2m+2) family "
                            "(grades 1, 2, 2m-1, 2m; extended grades 1, 2)")

@@ -126,7 +126,7 @@ def test_validate_normal_form_route(tmp_path, capsys):
         used = out["invariants_used"]
         assert run(["invariants", "--input", path]) == 0
         assert _same_bits(used, json.loads(capsys.readouterr().out))
-        amplitudes, pf = spectra.normal_form(m, mode, coords.grades)
+        amplitudes, pf = spectra.normal_form(m, coords.grades)
         assert used["extras"]["normal_form_amplitudes"] == amplitudes.tolist()
         assert amplitudes.tolist() == pytest.approx(mu)
         assert used["extras"]["pfaffian_sign"] == float(np.sign(pf)) == 0.0
@@ -134,6 +134,17 @@ def test_validate_normal_form_route(tmp_path, capsys):
         # the amplitudes carry every coordinate's square: sum mu^2 = |v|^2 + r
         squares = sum(coords.grade(k).norm_sq() for k in coords.grades)
         assert sum(x * x for x in amplitudes.tolist()) == pytest.approx(squares, rel=1e-14)
+
+
+@pytest.mark.parametrize("val", [1e-90, 0.1, 1.0])
+def test_pfaffian_sign_of_a_tiny_state(tmp_path, capsys, val):
+    # Pf(sM) = s^4 Pf(M) at m = 3: entries of 1e-90 keep the sign of 0.1 and
+    # 1.0, though the product of M's pivots underflows there
+    grades = {"2": [{"idx": [1, 2], "val": val}, {"idx": [3, 4], "val": val},
+                    {"idx": [5, 6], "val": val}], "6": [{"idx": [1, 2, 3, 4, 5, 6], "val": val}]}
+    assert run(["invariants", "--input", write_json(tmp_path / "c.json",
+                                                    {"m": 3, "grades": grades})]) == 0
+    assert json.loads(capsys.readouterr().out)["extras"]["pfaffian_sign"] == -1.0
 
 
 def test_validate_reports_the_invariants_commands_r_and_T4(tmp_path, capsys):

@@ -213,7 +213,7 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     used = verdict.invariants_used.to_dict()
     assert json.dumps(used, sort_keys=True) == json.dumps(
         coords_invariants(coords).to_dict(), sort_keys=True)
-    mu, pf = spectra.normal_form(m, coords.mode, coords.grades)
+    mu, pf = spectra.normal_form(m, coords.grades)
     assert used["extras"]["normal_form_amplitudes"] == mu.tolist()
     assert used["extras"]["pfaffian_sign"] == float(np.sign(pf))
     # the amplitudes, LAPACK singular values of M (side 2m + 2), carry every
@@ -484,12 +484,12 @@ def test_stack_rows_decide_as_one_state(m, mode, family, n, seed, held):
     states = [StateCoords(m, mode, 1.0, {k: {mask: float(col[row]) for mask, col in e.items()}
                                          for k, e in stack.items()}) for row in range(n)]
     rho = np.array([encode(state) for state in states]) if held else None
-    lam, route, _ = domains.lowest_eigenvalues(m, mode, 1.0, stack, rho)
+    lam, route, _ = domains.lowest_eigenvalues(m, 1.0, stack, rho)
     assert lam.shape == (n,)
     assert route == ("normal_form" if set(ks) <= closed else "min_eigenvalue")
     for row, state in enumerate(states):
         alone = None if rho is None else rho[row]
-        one, one_route, _ = domains.lowest_eigenvalues(m, mode, 1.0, state.grades, alone)
+        one, one_route, _ = domains.lowest_eigenvalues(m, 1.0, state.grades, alone)
         verdict, verdict_route = positivity(state, alone)
         assert route == one_route == verdict_route
         assert lam[row].tobytes() == np.float64(one).tobytes()
@@ -507,9 +507,9 @@ def test_positivity_classifies_once(monkeypatch, grades):
     # from it, without asking closed_form_spectrum to recognise it again
     calls = []
 
-    def counting(m, mode, held, _bordered_parts=spectra.bordered_parts):
+    def counting(m, held, _bordered_parts=spectra.bordered_parts):
         calls.append(held)
-        return _bordered_parts(m, mode, held)
+        return _bordered_parts(m, held)
 
     def refused(coords):
         raise AssertionError("positivity called closed_form_spectrum")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genbloch import invariants
-from genbloch.coords import AntisymTensor, antisym, state_coords
+from genbloch.clifford import cached_basis
+from genbloch.coords import AntisymTensor, StateCoords, antisym, state_coords
 from genbloch.errors import (
     BadIndex,
     DimensionMismatch,
@@ -289,12 +290,36 @@ def test_invariant_set_builders(rng):
     assert abs(inv.extras["pfaffian"] - inv.D3 / 48.0) < 1e-12
     # a vector's amplitude adds the pseudoscalar's square (the normal_form verdict's mu_0)
     coords = state_coords(2, grades={1: {(1,): 0.6}, 4: {(1, 2, 3, 4): 0.8}})
-    mu, pf = normal_form(2, coords.mode, coords.grades)
+    mu, pf = normal_form(2, coords.grades)
     extras = coords_invariants(coords).extras
     assert extras["normal_form_amplitudes"] == mu.tolist()
     assert abs(extras["normal_form_amplitudes"][0] - 1.0) < 1e-15
     with pytest.raises(ValueError):
         InvariantSet(r=-1.0, T4=0.0)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", range(3, 7))
+def test_pfaffian_sign_survives_underflow(rng, m, mode):
+    # Pf(sM) = s^(m+1) Pf(M), so a family state scaled by 2^-300 keeps its
+    # sign Pf M, though the product of M's m + 1 pivots then underflows
+    basis = cached_basis(m, mode)
+    family = [k for k in range(1, basis.max_grade + 1) if k <= 2 or k >= 2 * m - 1]
+    for _ in range(4):
+        grades = {k: {int(a): float(rng.uniform(-1.0, 1.0))
+                      for a in basis.masks[basis.grade[basis.masks] == k]} for k in family}
+        tiny = {k: {a: math.ldexp(x, -300) for a, x in e.items()} for k, e in grades.items()}
+        sign = coords_invariants(StateCoords(m, mode, 1.0, grades)).extras["pfaffian_sign"]
+        assert sign != 0.0
+        assert coords_invariants(StateCoords(m, mode, 1.0, tiny)).extras["pfaffian_sign"] == sign
+
+
+def test_pfaffian_sign_keeps_a_wide_range():
+    # Pf M = 1e150 * 1e-180 * 1e-180 lies in float range; scaling M down to
+    # its largest entry would flush G's entries, and so the sign, to zero
+    coords = state_coords(2, "extended", grades={1: {(1,): 1e150},
+                                                 2: {(2, 3): 1e-180, (4, 5): 1e-180}})
+    assert coords_invariants(coords).extras["pfaffian_sign"] == 1.0
 
 
 def test_perm_sign_basics():

@@ -1,6 +1,8 @@
+import ast
 import copy
 import functools
 import importlib.util
+import inspect
 import json
 import os
 import pickle
@@ -440,6 +442,17 @@ def test_spectra_loads_no_invariants():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert "genbloch.invariants" not in res.stdout.split()
+
+
+@pytest.mark.parametrize("module", [spectra, domains, invariants])
+def test_engine_takes_no_mode(module):
+    # the engine decides both modes' states by their grades alone: no
+    # function takes a mode and no code reads one
+    tree = ast.parse(inspect.getsource(module))
+    params = [a.arg for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.Lambda))
+              for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs]
+    reads = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "mode"]
+    assert "mode" not in params and reads == []
 
 
 def test_record_constructors_keep_their_defaults_and_checks():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from genbloch.clifford import basis_element
+from genbloch.clifford import basis_element, full_basis
 from genbloch.coords import (
     AntisymTensor,
     antisym,
@@ -48,7 +48,7 @@ from conftest import random_tensor
 def normal_form_eigenvalues(g):
     """Sorted (1 + sum_k s_k mu_k) / 2^m of rho = 2^{-m}(I + G o E^{(2)}), m = side // 2."""
     mode = "standard" if g.side == 2 * g.m else "extended"
-    return sign_sums(1.0, *normal_form(g.m, mode, state_coords(g.m, mode, grades={2: g}).grades))
+    return sign_sums(1.0, *normal_form(g.m, state_coords(g.m, mode, grades={2: g}).grades))
 
 
 def rank2_tensor(rng, m, mu1, mu2):
@@ -280,7 +280,7 @@ def test_vector_closed_form_is_the_doublet(rng, m):
     # grade-1 entries in index order, then the (2m+1)-th
     for _ in range(20):
         for coords in _vector_configs(rng, m):
-            bordered = bordered_parts(coords.m, coords.mode, coords.grades)
+            bordered = bordered_parts(coords.m, coords.grades)
             assert bordered.shape == (2 * m + 2, 2 * m + 2) and not bordered[1:, 1:].any()
             v = bordered[0, 1:]
             norm_sq = 0.0
@@ -304,6 +304,11 @@ def test_standard_phase_map(m):
     for a in range(1, n):
         assert np.array_equal(basis_element(m, tuple(i for i in range(1, n) if i != a)),
                               (-1) ** (a + 1) * basis_element(m, (a, n), "extended"))
+    # the standard table is the first 4^m rows of the extended one, so one
+    # table expands a state of either mode
+    standard, extended = full_basis(m), full_basis(m, "extended")
+    for name in ("x", "z", "p", "grade"):
+        assert np.array_equal(getattr(standard, name), getattr(extended, name)[:4 ** m])
 
 
 @lru_cache(maxsize=None)
