@@ -76,7 +76,7 @@ def sign_sums(scalar, mu, pf) -> np.ndarray:
     vectors s with prod_k s_k = (-1)^m sign pf, taken as (-1)^m when pf is 0.
 
     mu is a (..., m + 1) array of normal-form amplitudes and pf the (...)
-    Pfaffians of normal_form; the result is (..., 2^m).  Each sum
+    Pfaffian fractions of normal_form; the result is (..., 2^m).  Each sum
     is added left to right, elementwise, so a stack gives each state's own
     values bit for bit.
     """
@@ -99,17 +99,26 @@ def pfaffian(a):
     step k swaps rows and columns k + 1 and p in place, p the row of the largest
     entry of column k below the diagonal (which negates the Pfaffian when
     p != k + 1), and eliminates with it; the Pfaffian is the product of the
-    pivots.  Every operation is elementwise across the stack, so a stack gives
+    pivots, carried as np.frexp's fraction and binary exponent (_pfaffian_parts)
+    and joined once, so it is the plain product's bits wherever that stays in
+    range.  Every operation is elementwise across the stack, so a stack gives
     each matrix's own value bit for bit.  Side 0 gives 1 and an odd side 0.
     """
+    return np.ldexp(*_pfaffian_parts(a)) + 0.0
+
+
+def _pfaffian_parts(a):
+    """(f, e) with Pf(a) = f 2^e, f 0 or 0.5 <= |f| < 1 and e an integer, of one
+    matrix or each of a stack (pfaffian): f keeps the Pfaffian's sign at any scale."""
     a = np.array(a, dtype=float)
     n = a.shape[-1]
     if a.ndim < 2 or a.shape[-2] != n:
         raise DimensionMismatch("pfaffian requires square matrices")
+    shape = a.shape[:-2]
     if n % 2:
-        return np.zeros(a.shape[:-2])[()]
-    stack = a.reshape((math.prod(a.shape[:-2]), n, n))
-    pf = np.ones(len(stack))
+        return np.zeros(shape)[()], 0
+    stack = a.reshape((math.prod(shape), n, n))
+    pf, exponent = np.ones(len(stack)), np.zeros(len(stack), dtype=int)
     zero = np.zeros(len(stack), dtype=bool)
     each = np.arange(len(stack))
     for k in range(0, n, 2):
@@ -118,13 +127,15 @@ def pfaffian(a):
         stack[each, :, k + 1], stack[each, :, p] = stack[each, :, p], stack[each, :, k + 1]
         pivot = stack[:, k, k + 1]
         zero |= pivot == 0.0
-        pf = np.where(p != k + 1, -pf, pf) * pivot
+        fraction, shift = np.frexp(pivot)
+        pf, carry = np.frexp(np.where(p != k + 1, -pf, pf) * fraction)
+        exponent += shift + carry
         tau = stack[:, k, k + 2:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         col = stack[:, k + 2:, k + 1]
         tail = stack[:, k + 2:, k + 2:] + tau[:, :, None] * col[:, None, :]
         stack[:, k + 2:, k + 2:] = tail - col[:, :, None] * tau[:, None, :]
     # a zero pivot leaves a zero column: the Pfaffian is 0 (and not 0 * inf)
-    return np.where(zero, 0.0, pf).reshape(a.shape[:-2])[()] + 0.0
+    return np.where(zero, 0.0, pf).reshape(shape)[()], exponent.reshape(shape)[()]
 
 
 def bordered_parts(m: int, grades: dict):
@@ -159,8 +170,8 @@ def bordered_parts(m: int, grades: dict):
 
 def normal_form(m: int, grades: dict):
     """(mu, pf) of the so(2m+2) family's bordered matrix M (bordered_parts), else None:
-    M's paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1), and pf = Pf(2^k M),
-    k >= 0 the least that lifts M's largest entry to 1/2, shape (...): the sign of Pf M.
+    M's paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1), and pf, Pf M's
+    fraction by np.frexp, shape (...): the sign of Pf M, also where Pf M underflows.
 
     When M's block G is zero in every state, M has rank 2 and mu is (|v|, 0,
     ..., 0), |v| the square root of v's squares added left to right, so the
@@ -174,8 +185,7 @@ def normal_form(m: int, grades: dict):
     else:
         mu = np.zeros(bordered.shape[:-2] + (m + 1,))
         mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(bordered[..., 0, 1:], -1, 0)))
-    e = np.frexp(np.abs(bordered).max(axis=(-2, -1), keepdims=True))[1]
-    return mu, pfaffian(np.ldexp(bordered, -np.minimum(e, 0)))  # lowering would flush tiny entries
+    return mu, _pfaffian_parts(bordered)[0]
 
 
 def closed_form_spectrum(coords: StateCoords) -> Spectrum:

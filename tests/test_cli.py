@@ -456,9 +456,23 @@ def test_figure_byte_identical(tmp_path):
     (["domain", "--input", "STATE"], 0),
     (["domain", "--grid", "--resolution", "5"], 0),
     (["domain", "--samples", "5"], 0),
+    # the array path at fig2's default resolution, in many text blocks
+    (["figure", "fig2", "--format", "svg"], 0),
+    (["figure", "fig2", "--format", "json"], 0),
+    # fig1 at 182 is the first above PLAIN_ROWS: an array grid and list curves
+    (["figure", "fig1", "--resolution", "182", "--format", "json"], 0),
+    # fig3 at 36 is the largest plain fig3, its tunnel clip pruned
+    (["figure", "fig3", "--resolution", "36", "--paper-cube", "--format", "json"], 0),
+    (["domain", "--grid", "--paper-cube", "--resolution", "28", "--format", "svg"], 0),
+    # the basis dump is written one element at a time
+    (["basis", "--m", "3"], 0),
+    # a vector entry of 1e100 is a decided verdict, though numpy overflows on
+    # the way: every RuntimeWarning is an error here (pyproject.toml)
+    (["validate", "--input", "HUGE"], 2),
 ], ids=["csv", "json", "svg", "basis-verify", "basis-element", "encode", "decode", "invariants",
         "spectrum-both", "rotate", "validate-0", "validate-2", "sample-csv", "sample-json",
-        "domain-input", "domain-grid", "domain-samples"])
+        "domain-input", "domain-grid", "domain-samples", "fig2-svg", "fig2-json",
+        "fig1-182-json", "fig3-36-cube-json", "domain-cube-svg", "basis-dump", "validate-huge"])
 def test_output_file_matches_stdout(tmp_path, capsys, argv, code):
     coords = state_coords(2, grades={2: {(1, 2): 0.6, (3, 4): 0.3}})
     files = {
@@ -468,6 +482,8 @@ def test_output_file_matches_stdout(tmp_path, capsys, argv, code):
                             {"m": 2, "alpha": [{"idx": [1, 3], "val": 0.4}]}),
         "HOT": write_json(tmp_path / "hot.json",
                           coords_to_json(state_coords(2, grades={1: {(1,): 1.2}}))),
+        "HUGE": write_json(tmp_path / "huge.json",
+                           coords_to_json(state_coords(2, grades={1: {(1,): 1e100}}))),
     }
     argv = [files.get(a, a) for a in argv]
     assert run(argv) == code
@@ -529,8 +545,9 @@ def test_rotate_alpha_repeats_add_up(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
-@pytest.mark.parametrize("alpha", [{(1, 2): 0.5}, {(1, 5): 0.5, (2, 3): 0.3}, {(3, 5): -1.2}],
-                         ids=["a12", "a15-a23", "a35"])
+@pytest.mark.parametrize("alpha", [{(1, 2): 0.5}, {(1, 5): 0.5, (2, 3): 0.3}, {(3, 5): -1.2},
+                                   {(1, 5): math.pi / 2}],
+                         ids=["a12", "a15-a23", "a35", "a15-quarter"])
 def test_rotate_extended_state(tmp_path, capsys, alpha):
     # the generator spans the state's own 2m + 1 indices, as rotate_coords does
     from genbloch.coords import antisym
@@ -669,6 +686,7 @@ def _with_state(argv, path):
     ["--grid", "--resolution", "3", "--tol", "5", "--mode", "extended", "--seed", "9"],
     ["--input", "STATE", "--format", "json"],
     ["--grid", "--mode", "extended"],
+    ["--grid", "--resolution", "3", "--tol", "5"],
 ])
 def test_domain_refuses_flags_its_mode_does_not_use(g2_coords, capsys, argv):
     # each mode is validate, figure or sample, whose parser knows no such flag
@@ -1386,7 +1404,8 @@ def _figure_json_per_row(which, resolution, paper_cube) -> str:
                                                ("fig3", False), ("fig3", True)])
 def test_figure_json_matches_per_row(capsys, which, paper_cube):
     cube = ["--paper-cube"] if paper_cube else []
-    for resolution in [*range(2, 41), 101]:
+    # fig1 at 182 is the first above PLAIN_ROWS
+    for resolution in [*range(2, 41), 101, *{"fig1": [182]}.get(which, [])]:
         assert run(["figure", which, "--resolution", str(resolution), "--format", "json",
                     *cube]) == 0
         assert capsys.readouterr().out == _figure_json_per_row(which, resolution, paper_cube)
@@ -1887,7 +1906,7 @@ def test_matrix_and_coords_answers_match_json_dumps(tmp_path, capsys, m):
     matrix = write_json(tmp_path / "rho.json", matrix_to_json(rho))
     alpha = write_json(tmp_path / "a.json", {"m": m, "alpha": [{"idx": [1, 2], "val": 0.4}]})
     rotated = rotate_coords(coords, orthogonal_from_generator(antisym(m, 2, {(1, 2): 0.4})))
-    basis = cached_basis(m)
+    basis, extended = cached_basis(m), cached_basis(m, "extended")
     for argv, expected in [
         (["encode", "--input", state], matrix_to_json(rho)),
         (["decode", "--input", matrix, "--mode", "extended"],
@@ -1897,6 +1916,9 @@ def test_matrix_and_coords_answers_match_json_dumps(tmp_path, capsys, m):
                                     matrix_to_json(basis.element(i)) for i in basis.indices}),
         (["basis", "--m", str(m), "--element", "1:2"], {f"{m},1,[2]":
                                                         matrix_to_json(basis.element((2,)))}),
+        (["basis", "--m", str(m), "--mode", "extended"],
+         {f"{m},{len(i)},[{','.join(map(str, i))}]": matrix_to_json(extended.element(i))
+          for i in extended.indices}),
     ]:
         assert run(argv) == 0
         assert capsys.readouterr().out == _dumps(expected) + "\n", argv

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genbloch import MAX_ROWS, domains, spectra
@@ -462,6 +462,8 @@ def test_sample_domain_vector_margin_is_the_doublet(m):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 6), st.sampled_from(["standard", "extended"]), st.booleans(),
        st.integers(1, 5), st.integers(0, 2 ** 32 - 1), st.booleans())
+# an extended grade 3 at m = 3 is off the family: 2 < 3 < 2m - 1
+@example(3, "extended", False, 1, 0, False)
 def test_stack_rows_decide_as_one_state(m, mode, family, n, seed, held):
     # a stack of n states sharing (m, mode) and masks takes one route, and
     # each row gets the lambda_min and route of its state decided alone

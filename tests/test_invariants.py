@@ -314,12 +314,18 @@ def test_pfaffian_sign_survives_underflow(rng, m, mode):
         assert coords_invariants(StateCoords(m, mode, 1.0, tiny)).extras["pfaffian_sign"] == sign
 
 
-def test_pfaffian_sign_keeps_a_wide_range():
-    # Pf M = 1e150 * 1e-180 * 1e-180 lies in float range; scaling M down to
-    # its largest entry would flush G's entries, and so the sign, to zero
-    coords = state_coords(2, "extended", grades={1: {(1,): 1e150},
-                                                 2: {(2, 3): 1e-180, (4, 5): 1e-180}})
-    assert coords_invariants(coords).extras["pfaffian_sign"] == 1.0
+@pytest.mark.parametrize("v, g23, g45, sign", [
+    (1e150, 1e-180, 1e-180, 1.0),
+    (1.0, 1e-200, 1e-200, 1.0),
+    (1.0, 1e-200, -1e-200, -1.0),
+], ids=["in-range", "underflow-plus", "underflow-minus"])
+def test_pfaffian_sign_keeps_a_wide_range(v, g23, g45, sign):
+    # Pf M = v * G_23 * G_45.  At 1e150 * 1e-180 * 1e-180 it lies in float
+    # range, and scaling M down to its largest entry would flush G's entries,
+    # and so the sign, to zero.  At 1e-400 it underflows, though M's largest
+    # entry is already 1
+    coords = state_coords(2, "extended", grades={1: {(1,): v}, 2: {(2, 3): g23, (4, 5): g45}})
+    assert coords_invariants(coords).extras["pfaffian_sign"] == sign
 
 
 def test_perm_sign_basics():

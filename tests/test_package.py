@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import genbloch
-from genbloch import clifford, coords, domains, errors, invariants, linalg, spectra, symmetry
+from genbloch import cli, clifford, coords, domains, errors, invariants, linalg, spectra, symmetry
 
 import claims
 
@@ -166,6 +166,53 @@ def test_cli_calls_load_no_identities(tmp_path, argv):
     assert "claims" not in loaded and "genbloch.identities" not in loaded
     # the records are plain __slots__ classes: no call generates dataclass code
     assert "dataclasses" not in loaded
+
+
+# the calls of the installed-console-script step of the tier1 workflow: one
+# answer per subcommand, each with its exit code, and one refusal
+_SMOKE_CALLS = [
+    (["basis", "--m", "2", "--verify"], 0),
+    (["encode", "--input", "state.json"], 0),
+    (["decode", "--input", "matrix.json"], 0),
+    (["invariants", "--input", "state.json"], 0),
+    (["spectrum", "--both", "--input", "state.json"], 0),
+    (["validate", "--input", "hot.json"], 2),
+    (["sample", "--m", "2", "--k", "2", "--samples", "5"], 0),
+    # at its default resolution fig2 takes the array path, which loads text
+    (["figure", "fig2", "--format", "svg"], 0),
+    (["rotate", "--input", "state.json", "--alpha", "alpha.json"], 0),
+    (["domain", "--grid", "--resolution", "3"], 0),
+    (["validate", "--bogus"], 1),
+]
+_WORKFLOW = os.path.join(os.path.dirname(TESTS), ".github", "workflows", "tier1.yml")
+
+
+def test_smoke_calls_load_every_module(tmp_path):
+    # tier-1 checks what each answer is; the workflow's install step only runs
+    # these calls through the installed entry point.  Together they load every
+    # module file of the package, so a module that no answer loads fails here
+    with open(_WORKFLOW) as fh:
+        workflow = fh.read()
+    _write_inputs(tmp_path)
+    (tmp_path / "hot.json").write_text(json.dumps({"m": 2, "grades": {"1": [{"idx": [1],
+                                                                             "val": 1.2}]}}))
+    assert {argv[0] for argv, _ in _SMOKE_CALLS} == set(cli._COMMANDS)
+    loaded = set()
+    for argv, code in _SMOKE_CALLS:
+        assert " ".join(argv) in workflow, argv
+        got, out, diagnostics, modules = _call(argv, cwd=tmp_path)
+        assert got == code and len(diagnostics) == (code == 1), diagnostics
+        assert (out == "") == (code == 1)
+        loaded |= _genbloch(modules)
+    # __main__ is what `python -m genbloch` runs, not an import
+    assert "python -m genbloch --help" in workflow
+    res = subprocess.run([sys.executable, "-m", "genbloch", "--help"], env=dict(
+        os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0 and res.stdout.startswith("usage: genbloch")
+    files = [name[:-3] for name in os.listdir(os.path.dirname(genbloch.__file__))
+             if name.endswith(".py")]
+    shipped = {"genbloch" if name == "__init__" else f"genbloch.{name}" for name in files}
+    assert loaded | {"genbloch.__main__"} == shipped
 
 
 @functools.cache

@@ -370,7 +370,12 @@ def test_bordered_closed_form_matches_oracle(m, mode, data):
 @pytest.mark.parametrize("m, grades", [
     (2, {1: {(1,): 0.3, (3,): -0.4}, 4: {(1, 2, 3, 4): 0.2}}),
     (3, {2: {(1, 2): 0.4, (3, 4): -0.2, (1, 5): 0.1, (2, 6): 0.3}}),
-], ids=["vector", "grade2"])
+    # at m = 1 grade 2 is 2m, which joins grade 1 in M's border row
+    (1, {1: {(2,): 0.3}, 2: {(1, 2): 0.4}}),
+    # grades 1, 2, 2m - 1 and 2m together
+    (3, {1: {(1,): 0.1, (4,): -0.05}, 2: {(1, 2): 0.2, (3, 6): -0.1},
+         5: {(1, 2, 3, 4, 6): 0.15}, 6: {(1, 2, 3, 4, 5, 6): 0.05}}),
+], ids=["vector", "grade2", "m1-grades-1-2", "grades-1-2-5-6"])
 def test_closed_form_at_every_scalar(scalar, m, grades):
     # the scalar enters the formula, so the closed form is the spectrum of
     # the encoded matrix whatever its trace
