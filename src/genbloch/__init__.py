@@ -8,6 +8,10 @@ oracle to check it against.
 
 The public names below are imported on first use (PEP 562), so importing
 one module of the package, such as the CLI, loads only what it needs.
+The package itself holds the limits and the rules that load no numpy and
+that the numpy-free answers (figures, ball) share with the array engine:
+the integer rule, the positivity rule, the sum of squares and the
+generators' Pauli strings; the errors module holds the rules that refuse.
 """
 
 import sys
@@ -15,6 +19,8 @@ from importlib import import_module
 
 # the tolerance of every admissibility rule, kept here so the CLI reads it without numpy
 DEFAULT_TOL = 1e-9
+# the most qubits of any answer: a state's 2^m x 2^m matrix and its 4^m coordinates
+MAX_M = 6
 # the most rows a table answer may have: a figure's candidate rows (fig1 up to
 # resolution 1024), the basis dump's 16^m matrix entries (m up to 5) or sample's draws
 MAX_ROWS = 2 ** 20
@@ -29,6 +35,33 @@ def _is_int(n) -> bool:
     numpy = sys.modules.get("numpy")
     integer = isinstance(n, int) or numpy is not None and isinstance(n, numpy.integer)
     return integer and not isinstance(n, bool)
+
+
+def admits(min_eig, tol: float = DEFAULT_TOL):
+    """The one positivity rule: lambda_min >= -tol, elementwise for an array."""
+    return min_eig >= -tol
+
+
+def sum_of_squares(values):
+    """Sum of v * v added left to right, elementwise when the values are arrays.
+
+    The builtin sum() of floats is compensated from Python 3.12 on, so it
+    would not add in this order there.
+    """
+    total = 0.0
+    for v in values:
+        total = total + v * v
+    return total
+
+
+def _generators(m: int) -> list:
+    """The Pauli strings (x, z, p) of Gamma_1 .. Gamma_2m, each i^p X^x Z^z, by
+    the Pauli iteration (clifford): from {sigma1, sigma2}, each step maps every
+    generator to (2x + 1, 2z, p) and appends (1, 1, 1) and (0, 1, 0)."""
+    gens = [(1, 0, 0), (1, 1, 1)]
+    for _ in range(m - 1):
+        gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
+    return gens
 
 
 # public name -> the module that defines it

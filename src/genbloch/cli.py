@@ -12,7 +12,11 @@ load no numpy, and `figure` and `domain --grid` load only the figures and
 plain modules besides this.  The figures module answers with list columns
 up to figures.PLAIN_ROWS candidate rows, which load no numpy, and with
 arrays above, which load numpy and text; this module does not tell them
-apart but for fig1's SVG labels.  json loads only where JSON is read or
+apart but for fig1's SVG labels.  sample checks its request once
+(ball._check_sample) and answers a vector atlas (--k 1) of at most
+ball.PLAIN_CELLS draws x 4^m with the ball module's list columns, loading
+only ball and plain besides this, and any other with domains.sample_domain's
+arrays.  json loads only where JSON is read or
 written, so no CSV or SVG answer loads it.  No call loads dataclasses: the
 package's records are plain __slots__ classes.
 
@@ -167,10 +171,16 @@ def _answer_validate(args, state) -> tuple:
 
 
 def _answer_sample(args) -> tuple:
-    from . import domains
+    from . import ball
     from .plain import _csv_blocks, _json_items, _json_parts
 
-    names, blocks = domains.sample_domain(args.m, args.k, args.samples, args.seed, args.box)
+    m, k, n, seed, box = ball._check_sample(args.m, args.k, args.samples, args.seed, args.box)
+    if k == 1 and n * 4 ** m <= ball.PLAIN_CELLS:
+        names, blocks = ball.vector_atlas(m, n, seed, box)
+    else:
+        from . import domains
+
+        names, blocks = domains.sample_domain(m, k, n, seed, box)
     if args.format == "csv":
         return _csv_blocks(names, blocks), 0
     # each record's keys in sorted order, its coefficients one list

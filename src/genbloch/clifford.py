@@ -36,11 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _is_int
-from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, ResourceLimit
-from .linalg import wire_field
-
-MAX_M = 6
+# MAX_M, _is_int and _check_m keep their old import path here
+from . import MAX_M, _generators, _is_int
+from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, _check_m, wire_field
 
 _PHASES = np.array([1.0, 1j, -1.0, -1j])
 
@@ -73,13 +71,6 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-def _check_m(m: int) -> None:
-    if not _is_int(m) or m < 1:
-        raise BadIndex(f"m must be a positive integer, got {m!r}")
-    if m > MAX_M:
-        raise ResourceLimit(f"m = {m} exceeds the supported maximum {MAX_M}")
 
 
 def m_from_dim(dim: int) -> int:
@@ -228,9 +219,7 @@ def full_basis(m: int, mode: str = "standard") -> CliffordBasis:
     and the family's 4^m masks in wire order."""
     _check_m(m)
     n = side(m, mode)
-    gens = [(1, 0, 0), (1, 1, 1)]
-    for _ in range(m - 1):
-        gens = [(2 * x + 1, 2 * z, p) for x, z, p in gens] + [(1, 1, 1), (0, 1, 0)]
+    gens = _generators(m)
     h = _signs(m)
     x = z = p = grade = rev = np.zeros(1, dtype=np.int64)
     for j in range(n):

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import clifford
+from . import clifford, sum_of_squares
 from .errors import (
     BadIndex,
     DimensionMismatch,
@@ -36,18 +36,6 @@ from .errors import (
 from .linalg import as_matrix, require_hermitian, wire_field
 
 TRACE_TOL = 1e-8
-
-
-def sum_of_squares(values):
-    """Sum of v * v added left to right, elementwise when the values are arrays.
-
-    The builtin sum() of floats is compensated from Python 3.12 on, so it
-    would not add in this order there.
-    """
-    total = 0.0
-    for v in values:
-        total = total + v * v
-    return total
 
 
 class AntisymTensor(clifford.Record):

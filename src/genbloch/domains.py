@@ -8,6 +8,9 @@ closed form spectra.sign_sums of the so(2m+2) family, whose verdict reports
 invariants.coords_invariants with the normal form it used, or
 "min_eigenvalue", LAPACK's (linalg).  positivity takes it for one state;
 sample_domain for at most MAX_ROWS draws, beside the same LAPACK oracle.
+It holds its request to the one sample rule, ball._check_sample, which the
+CLI runs before it picks an engine: a small vector atlas is answered by the
+ball module, from Python floats with a Cholesky oracle, and any other here.
 Its draws are the standard library's random.Random(seed).random() stream,
 so no numpy.random is loaded, and it returns (column names, blocks): the
 table in blocks of rows made as they are read, each one array per column
@@ -25,16 +28,15 @@ sign rule.
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import numpy as np
 
-from . import CHUNK_BYTES, DEFAULT_TOL, MAX_ROWS
-from .clifford import Record, _check_m, _is_int, cached_basis
+from . import CHUNK_BYTES, DEFAULT_TOL, admits
+from .ball import _check_sample, _sample_names
+from .clifford import Record, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
-from .errors import (DimensionMismatch, GradeOutOfRange, MalformedInput, NonFiniteResult,
-                     ResourceLimit)
+from .errors import DimensionMismatch, MalformedInput, NonFiniteResult, _bounded
 from .invariants import InvariantSet, coords_invariants
 from .linalg import as_matrix, hermitian_eigenvalues, wire_field
 from .spectra import normal_form, sign_sums
@@ -59,11 +61,6 @@ class DomainVerdict(Record):
             "invariants_used": self.invariants_used.to_dict() if self.invariants_used else None,
             "tol": self.tol,
         }
-
-
-def admits(min_eig, tol: float = DEFAULT_TOL):
-    """The one positivity rule: lambda_min >= -tol, elementwise for an array."""
-    return min_eig >= -tol
 
 
 def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
@@ -103,14 +100,6 @@ def lowest_eigenvalues(m: int, scalar: float, grades: dict, rho=None) -> tuple:
         lam = _oracle_minima(m, scalar, grades, rho, check_trace=True)
         return lam, "min_eigenvalue", None
     return sign_sums(scalar, *normal)[..., 0], "normal_form", normal
-
-
-def _bounded(value, name: str, rule: str, top: float = np.inf) -> float:
-    """value by the float rule (linalg.wire_field) in [0, top], else ResourceLimit."""
-    with contextlib.suppress(MalformedInput):
-        if 0 <= (x := wire_field(value, float, name)) <= top:
-            return x
-    raise ResourceLimit(f"{name} must be {rule}, got {value!r}")
 
 
 def positivity(coords: StateCoords, rho, tol: float = DEFAULT_TOL) -> tuple:
@@ -159,16 +148,7 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     seed, so the memory a caller holds is a block's whatever n and dim; a
     table without rows is one empty block.
     """
-    _check_m(m)
-    if not _is_int(k) or k not in (1, 2):
-        raise GradeOutOfRange("sampling covers tensor grades 1 and 2")
-    if not _is_int(n) or n < 0 or n > MAX_ROWS:
-        raise ResourceLimit(f"sample count {n!r} out of range")
-    if not _is_int(seed) or seed < 0:
-        raise ResourceLimit(f"seed must be an integer >= 0, got {seed!r}")
-    seed = int(seed)  # random.Random refuses a numpy integer
-    # the draws span [-box, box], so 2 * box must be finite as well
-    box = _bounded(box, "box", "a finite number >= 0 with 2 * box finite", np.finfo(float).max / 2)
+    m, k, n, seed, box = _check_sample(m, k, n, seed, box)
     basis = cached_basis(m)
     masks = basis.masks[basis.grade[basis.masks] == k].tolist()
     d = len(masks)
@@ -184,9 +164,8 @@ def sample_domain(m: int, k: int, n: int, seed: int, box: float = 1.2) -> tuple:
     margin = np.abs(min_closed)
     if not np.isfinite(margin).all():
         raise NonFiniteResult()
-    names = (["index"] + [f"c{i}" for i in range(d)]
-             + ["closed_admissible", "oracle_admissible", "boundary_margin"])
-    return names, _sample_blocks(seed, box, d, (admits(min_closed), admits(oracle_min), margin))
+    results = (admits(min_closed), admits(oracle_min), margin)
+    return _sample_names(d), _sample_blocks(seed, box, d, results)
 
 
 def _sample_blocks(seed: int, box: float, d: int, results: tuple):

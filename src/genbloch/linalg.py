@@ -2,7 +2,8 @@
 
 The one hermiticity rule (require_hermitian), LAPACK eigenvalues of the
 hermitian part (``numpy.linalg.eigvalsh``; ``eigh`` only for exp(-i H))
-and the JSON field reader, all on ``complex128`` numpy arrays.
+and the matrix JSON codec, all on ``complex128`` numpy arrays; the JSON
+field reader (wire_field) is the errors module's, which loads no numpy.
 
 The eigenvalues are the ground-truth oracle used to validate every
 closed-form spectrum elsewhere in the package, and the one engine behind
@@ -14,13 +15,9 @@ against each other.
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
-
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedInput, NotHermitian
+from .errors import DimensionMismatch, MalformedInput, NotHermitian, wire_field
 
 HERM_TOL = 1e-10
 
@@ -79,25 +76,6 @@ def matrix_to_json(a) -> dict:
     m = as_matrix(a)
     entries = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
     return {"dim": int(m.shape[0]), "entries": entries}
-
-
-def wire_field(value, kind: type, name):
-    """A JSON field or a record argument as kind, or MalformedInput naming the field (name,
-    or a function spelling it when called), which cli.run() reports in one line.  The one
-    float rule, for every input number and float argument: a finite numbers.Real that is
-    no bool, as float(value) (a float skips the costly isinstance check); a str, Decimal,
-    complex, None, inf, NaN or int beyond float range is refused.  An int is read by
-    operator.index, which refuses 2.0, "2" and True."""
-    try:
-        if kind is not float or type(value) is float or isinstance(value, numbers.Real):
-            out = operator.index(value) if kind is int else float(value) if kind is float else value
-            if (isinstance(out, kind) and not isinstance(value, bool)
-                    and (kind is not float or math.isfinite(out))):
-                return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    name = name() if callable(name) else name
-    raise MalformedInput(f"field {name!r}: expected {kind.__name__}, got {value!r:.60}")
 
 
 def matrix_from_json(obj, dim_rule=None) -> np.ndarray:

@@ -6,7 +6,8 @@ text runs at its call (_at_call).  Every CSV and JSON table goes through one
 streaming writer (_table_text, behind _csv_blocks and _json_items), and only
 the rows of a block have two kernels: Python list columns, as
 figures._plain_columns gives a figure of at most figures.PLAIN_ROWS
-candidate rows, are spelled here with each float's repr (_list_rows); any
+candidate rows and ball.vector_atlas a small vector atlas, are spelled here
+with each float's and int's repr (_list_rows); any
 other block goes as arrays to the text module's byte grids
 (text._array_rows).  The SVG scatter (_svg_text) has the same two forms,
 "{:.2f}".format of each pixel coordinate here.  Both kernels write the same
@@ -82,14 +83,14 @@ def _joined(leads, cells, tail) -> str:
 def _list_rows(columns, leads, tail, words) -> str:
     """Per row of the equal-length list columns: leads[0], its cell of the
     first column, leads[1], ..., its cell of the last column, tail.  A float
-    cell is its repr, a bool words[0]'s false or true, anything else (an int
-    or a str) words[1] of it."""
+    or int cell is its repr, as text spells them, a bool words[0]'s false or
+    true, a str words[1] of it."""
     bits, spell = words
     cells = []
     for column in columns:
         kind = type(column[0])
         cells.append(map(bits.__getitem__, column) if kind is bool
-                     else _spelled(column, float.__repr__ if kind is float else spell))
+                     else _spelled(column, kind.__repr__ if kind in (float, int) else spell))
     return _joined(leads, cells, tail)
 
 

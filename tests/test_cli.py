@@ -1347,37 +1347,96 @@ def test_figure_writers_match_per_row(capsys, which, paper_cube):
         assert capsys.readouterr().out == _svg_per_point(points, labels) + "\n"
 
 
+def _atlas_box(m, k):
+    """A box that puts both verdicts of both columns among a few dozen draws
+    at every m: 1.2 leaves almost every draw at m >= 3 inadmissible."""
+    return 1.2 / math.sqrt(m) if k == 1 else 1.6 / m ** 1.5
+
+
+def _both_verdicts(rows) -> bool:
+    return {row[-3] for row in rows} == {row[-2] for row in rows} == {True, False}
+
+
+# a ball.PLAIN_CELLS that puts every vector atlas on the plain path
+_EVERY_ATLAS = genbloch.MAX_ROWS * 4 ** genbloch.MAX_M
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("k", [1, 2])
-def test_sample_csv_matches_per_row(capsys, m, k):
-    rows = table_rows(sample_table(m, k, 40, seed=m + 10 * k)[1])
+def test_sample_csv_matches_per_row(capsys, monkeypatch, m, k):
+    from genbloch import ball
+
+    # every vector atlas on the plain path, against sample_table's array path
+    monkeypatch.setattr(ball, "PLAIN_CELLS", _EVERY_ATLAS)
+    box = _atlas_box(m, k)
+    rows = table_rows(sample_table(m, k, 40, seed=m + 10 * k, box=box)[1])
+    assert _both_verdicts(rows)
     dim = len(rows[0]) - 4
     header = (["index"] + [f"c{i}" for i in range(dim)]
               + ["closed_admissible", "oracle_admissible", "boundary_margin"])
     assert run(["sample", "--m", str(m), "--k", str(k), "--samples", "40",
-                "--seed", str(m + 10 * k), "--format", "csv"]) == 0
+                "--seed", str(m + 10 * k), "--box", repr(box), "--format", "csv"]) == 0
     assert capsys.readouterr().out == _csv_per_row(header, rows)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("k", [1, 2])
-def test_sample_json_matches_per_record(capsys, m, k):
-    # the record -> dict loop that the column writer replaced, as its reference
+def test_sample_json_matches_per_record(capsys, monkeypatch, m, k):
+    from genbloch import ball
+
+    # the record -> dict loop that the column writer replaced, of sample_table's
+    # array path, as the reference of the chooser's path and, up to 40 draws,
+    # of every vector atlas on the plain path
+    box = _atlas_box(m, k)
     for n in (0, 1, 40, 800):
         seed = m + 10 * k + n
+        rows = table_rows(sample_table(m, k, n, seed, box)[1])
+        assert n < 40 or _both_verdicts(rows)
         records = [{
             "index": index,
             "coefficients": list(coefficients),
             "closed_admissible": closed_admissible,
             "oracle_admissible": oracle_admissible,
             "boundary_margin": boundary_margin,
-        } for index, *coefficients, closed_admissible, oracle_admissible, boundary_margin
-            in table_rows(sample_table(m, k, n, seed)[1])]
-        payload = {"m": m, "k": k, "n": n, "seed": seed, "box": 1.2, "records": records}
-        assert run(["sample", "--m", str(m), "--k", str(k), "--samples", str(n),
-                    "--seed", str(seed), "--format", "json"]) == 0
-        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True,
-                                                     allow_nan=False) + "\n"
+        } for index, *coefficients, closed_admissible, oracle_admissible, boundary_margin in rows]
+        payload = {"m": m, "k": k, "n": n, "seed": seed, "box": box, "records": records}
+        for cells in (ball.PLAIN_CELLS, _EVERY_ATLAS)[:2 if n <= 40 else 1]:
+            with monkeypatch.context() as patch:
+                patch.setattr(ball, "PLAIN_CELLS", cells)
+                assert run(["sample", "--m", str(m), "--k", str(k), "--samples", str(n),
+                            "--seed", str(seed), "--box", repr(box), "--format", "json"]) == 0
+            assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True,
+                                                         allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_plain_atlas_matches_array_atlas_at_the_bound(capsys, monkeypatch, m):
+    from genbloch import ball, domains
+
+    # the most draws of at most PLAIN_CELLS draws x 4^m, and the next
+    last = ball.PLAIN_CELLS // 4 ** m
+    taken = []
+    for path, module, name in (("plain", ball, "vector_atlas"),
+                               ("array", domains, "sample_domain")):
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), path=path:
+                            taken.append(path) or f(*a))
+    box = _atlas_box(m, 1)
+    for n, path in ((last, "plain"), (last + 1, "array")):
+        assert _both_verdicts(table_rows(sample_table(m, 1, n, m, box)[1]))
+        for fmt in ("csv", "json"):
+            argv = ["sample", "--m", str(m), "--k", "1", "--samples", str(n), "--seed", str(m),
+                    "--box", repr(box), "--format", fmt]
+            outputs = []
+            # the chooser's path, then each path forced
+            for cells in (ball.PLAIN_CELLS, _EVERY_ATLAS, -1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ball, "PLAIN_CELLS", cells)
+                    taken.clear()
+                    assert run(argv) == 0
+                outputs.append(capsys.readouterr().out)
+                if cells == ball.PLAIN_CELLS:
+                    assert taken == [path], (n, taken)
+            assert outputs.count(outputs[0]) == 3, argv
 
 
 def _figure_json_per_row(which, resolution, paper_cube) -> str:
@@ -1519,17 +1578,9 @@ def test_sample_bytes_do_not_depend_on_stacks_or_blocks(capsys, monkeypatch, fmt
         assert capsys.readouterr().out == expected
 
 
-def test_sample_refuses_a_margin_past_the_first_block_before_any_text(capsys, monkeypatch):
-    from genbloch import domains
-
-    # one row per sample block
-    monkeypatch.setattr(domains, "CHUNK_BYTES", 1)
-    # at m = 2, k = 1 the margin |1 - sqrt(r)| / 4 is inf where r, the draw's
-    # sum of squares, overflows
-    box, rng = 1e154, random.Random(0)
-    sums = [sum_of_squares([-box + 2 * box * rng.random() for _ in range(4)]) for _ in range(20)]
-    first = [math.isinf(r) for r in sums].index(True)
-    assert first >= 1  # the first block's one row is finite, a later one is not
+def _margin_overflow_refused(capsys, box):
+    """sample at (2, 1) of 20 draws from [-box, box], refused in both formats
+    with nothing on stdout."""
     for fmt in ("csv", "json"):
         assert run(["sample", "--m", "2", "--k", "1", "--samples", "20", "--box", str(box),
                     "--format", fmt]) == 1
@@ -1537,6 +1588,37 @@ def test_sample_refuses_a_margin_past_the_first_block_before_any_text(capsys, mo
         assert captured.out == ""
         assert captured.err == ("genbloch: error: result is not finite "
                                 "(input beyond floating-point range?)\n")
+
+
+def _first_overflowing_draw(box) -> int:
+    # at m = 2, k = 1 the margin |1 - sqrt(r)| / 4 is inf where r, the draw's
+    # sum of squares, overflows
+    rng = random.Random(0)
+    sums = [sum_of_squares([-box + 2 * box * rng.random() for _ in range(4)]) for _ in range(20)]
+    return [math.isinf(r) for r in sums].index(True)
+
+
+def test_sample_refuses_a_margin_past_the_first_block_before_any_text(capsys, monkeypatch):
+    from genbloch import ball, domains
+
+    # the array path, with one row per sample block
+    monkeypatch.setattr(ball, "PLAIN_CELLS", -1)
+    monkeypatch.setattr(domains, "CHUNK_BYTES", 1)
+    # the first block's one row is finite, a later one is not
+    box = 1e154
+    assert _first_overflowing_draw(box) >= 1
+    _margin_overflow_refused(capsys, box)
+
+
+def test_plain_atlas_refuses_a_margin_past_the_first_draw_before_any_text(capsys, monkeypatch):
+    from genbloch import ball
+
+    # the plain path: its one block holds every draw, and the oracle never runs
+    monkeypatch.setattr(ball, "_positive_definite", None)
+    assert 20 * 4 ** 2 <= ball.PLAIN_CELLS
+    box = 1e154
+    assert _first_overflowing_draw(box) >= 1
+    _margin_overflow_refused(capsys, box)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -1640,7 +1722,7 @@ def test_row_blocks_match_per_row(rows, floats, words, seed):
     # among them
     from unittest import mock
 
-    from genbloch import domains, text
+    from genbloch import ball, domains, text
     from genbloch.cli import _answer_sample
     from genbloch.plain import _csv_blocks, _svg_text
 
@@ -1663,7 +1745,9 @@ def test_row_blocks_match_per_row(rows, floats, words, seed):
     # row per block when the budget is below a row's width, a few rows at 1 KiB,
     # and all of these rows, some hundred bytes each, in the package's budget
     for budget, blocks in {1: rows, 2 ** 10: None, text.CHUNK_BYTES: 1}.items():
+        # a vector atlas of any size on the array path, whose engine the mock stands in for
         with mock.patch.object(text, "CHUNK_BYTES", budget), \
+                mock.patch.object(ball, "PLAIN_CELLS", -1), \
                 mock.patch.object(domains, "sample_domain", lambda *_: (names, [sample])):
             csv = list(_csv_blocks(header, [columns]))
             svg = list(_svg_text(xs, ys, labels))

@@ -648,6 +648,62 @@ def test_sample_domain_ball_fraction():
     assert abs(frac - p) <= 3 * sigma
 
 
+@pytest.mark.parametrize("m, box", [(2, 1.2), (3, 1.0)])
+def test_vector_atlas_fills_the_unit_ball(m, box):
+    # the generalized Bloch sphere of the vector configurations is the unit
+    # ball of R^2m, volume pi^m / m!; the box [-box, box]^2m holds it (box >= 1),
+    # so the closed verdict's fraction of uniform draws is that volume over
+    # (2 box)^2m: 0.14874 at (2, 1.2), 0.08075 at (3, 1.0).  The seed was fixed
+    # before the fraction was looked at; the bound is 5 sigma of a binomial
+    from genbloch import ball
+
+    n, seed = 4000, 1
+    names, [columns] = ball.vector_atlas(m, n, seed, box)
+    table = dict(zip(names, columns))
+    p = math.pi ** m / math.factorial(m) / (2 * box) ** (2 * m)
+    frac = sum(table["closed_admissible"]) / n
+    assert abs(frac - p) <= 5 * math.sqrt(p * (1 - p) / n), (frac, p)
+    # the Cholesky oracle agrees with the closed form on every draw outside a
+    # band of 1e-12 around -tol in 2^m lambda_min, far wider than its rounding
+    lam = [(1.0 - math.sqrt(sum_of_squares(v))) / 2 ** m
+           for v in zip(*(table[f"c{i}"] for i in range(2 * m)))]
+    outside = [abs(2 ** m * (x + DEFAULT_TOL)) > 1e-12 for x in lam]
+    assert sum(outside) == n
+    assert all(o == c for o, c, away in zip(table["oracle_admissible"],
+                                           table["closed_admissible"], outside) if away)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_plain_oracle_decides_at_minus_tol(m):
+    # v = (s, 0, ..., 0) has 2^m lambda_min = 1 - s, which is -2^m tol at
+    # s = 1 + 2^m tol: the Cholesky oracle admits the draw just inside and
+    # refuses the one just outside, 1e-3 of 2^m tol away on either side
+    from genbloch import _generators, ball
+
+    edge = 2 ** m * DEFAULT_TOL
+    for s, admitted in ((1 + edge * (1 - 1e-3), True), (1 + edge * (1 + 1e-3), False),
+                        (0.0, True), (-0.999, True), (-1.001, False)):
+        for axis in range(2 * m):
+            v = [0.0] * (2 * m)
+            v[axis] = s
+            a = ball._shifted(m, _generators(m), v)
+            assert ball._positive_definite(a) is admitted, (s, axis)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_vector_atlas_matches_sample_domain(m):
+    # the plain path's table is sample_domain's, value for value, on boxes
+    # inside the ball, across it and far outside it, and at box 0
+    from genbloch import ball
+
+    n = 150 if m <= 4 else 15
+    for box in (0.0, 0.4 / math.sqrt(m), 1.2 / math.sqrt(m), 1.2, 1e100):
+        names, [columns] = ball.vector_atlas(m, n, m, box)
+        want_names, want = sample_table(m, 1, n, m, box)
+        assert names == want_names
+        assert columns == [column.tolist() for column in want], box
+
+
 def test_sample_domain_guards(monkeypatch):
     with pytest.raises(GradeOutOfRange):
         sample_domain(2, 3, 10, seed=0)

@@ -101,6 +101,56 @@ def test_figure_calls_load_only_figures(argv):
     assert "json" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--m", "3", "--k", "1", "--samples", "75", "--format", "csv"],
+    ["sample", "--m", "4", "--k", "1", "--samples", "9", "--format", "json"],
+    ["domain", "--samples", "5", "--k", "1"],
+])
+def test_small_vector_atlas_loads_only_ball(argv):
+    # a vector atlas of at most ball.PLAIN_CELLS draws x 4^m is drawn, decided,
+    # checked and spelled from Python floats, without numpy or the algebra
+    code, out, diagnostics, loaded = _call(argv)
+    assert code == 0, diagnostics
+    assert out
+    assert _genbloch(loaded) == {"genbloch", "genbloch.cli", "genbloch.errors", "genbloch.ball",
+                                 "genbloch.plain"}
+    assert "numpy" not in loaded
+    assert "dataclasses" not in loaded
+    assert ("json" in loaded) == ("json" in argv)
+
+
+def test_package_import_loads_no_submodule():
+    res = subprocess.run([sys.executable, "-c", "import sys, genbloch; "
+                          "print(' '.join(sorted(sys.modules)))"],
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert _genbloch(loaded) == {"genbloch"}
+    assert "numpy" not in loaded
+
+
+def test_shared_rules_have_one_home():
+    # each rule that the numpy-free answers share with the array engine is
+    # defined once, in the package or its errors, and keeps its old import path
+    from genbloch import ball
+
+    homes = {
+        genbloch: ("MAX_M", "_is_int", "admits", "sum_of_squares", "_generators"),
+        errors: ("wire_field", "_bounded", "_check_m"),
+    }
+    old_paths = {"MAX_M": [clifford], "_is_int": [clifford], "admits": [domains],
+                 "sum_of_squares": [coords, spectra, invariants], "wire_field": [linalg, coords],
+                 "_bounded": [domains], "_check_m": [clifford]}
+    for home, names in homes.items():
+        for name in names:
+            rule = getattr(home, name)
+            assert getattr(rule, "__module__", home.__name__) == home.__name__, name
+            for module in old_paths.get(name, []):
+                assert getattr(module, name) is rule, (module.__name__, name)
+    assert domains._check_sample is ball._check_sample
+
+
 def test_figure_above_plain_rows_loads_numpy_and_text():
     # fig2's 32,656 candidate rows at resolution 52 are the most at or below
     # 2^15; at 53 it takes the array path
