@@ -22,12 +22,15 @@ package's records are plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
-code), the payload a JSON-able dict or its text's pieces, made as they are
-asked for; each check that can refuse the answer runs at the call, before
-the first piece.  run() alone touches files: it reads each input once and
-writes the answer piece by piece as it comes, at one write site.  It parses
-argv and reads the inputs before it imports numpy, so a refused argv or
-input file costs no numpy import; every answer then computes and writes its
+code), the payload a JSON-able dict or its text's pieces, UTF-8 bytes made
+as they are asked for; each check that can refuse the answer runs at the
+call, before the first piece.  run() alone touches files: it reads each
+input once and writes the answer piece by piece as it comes, at one write
+site, to stdout's binary buffer or to the --output file opened "wb", so its
+bytes do not depend on the caller's stdout encoding; a dict is encoded once.
+Help and usage text stay on argparse's text streams.  run() parses argv
+and reads the inputs before it imports numpy, so a refused argv or input
+file costs no numpy import; every answer then computes and writes its
 pieces with numpy's overflow and invalid-value RuntimeWarnings ignored, so
 NonFiniteResult alone reports a value that is not finite.
 Coords are encoded only by encode and where the matrix is used (validate's
@@ -46,7 +49,8 @@ the process with os._exit, sparing it the teardown of every module.
 
 Exit codes: 0 success, 2 computed-fine-but-state-inadmissible (so shell
 pipelines can partition corpora), 1 a GenblochError or OSError (a failed write
-included) with a one-line diagnostic on stderr; any other exception propagates.
+or a closed stdout included) with a one-line diagnostic on stderr; any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import contextlib
+import errno
 import gc
 import os
 import sys
@@ -61,7 +66,7 @@ import warnings
 
 from . import DEFAULT_TOL, MAX_ROWS
 from .errors import (DimensionMismatch, GenblochError, MalformedInput, ModeMismatch,
-                     ResourceLimit, UsageError, _json_text)
+                     ResourceLimit, UsageError, _check_m, _json_text, wire_field)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +100,7 @@ def _answer_basis(args) -> tuple:
     from .text import _matrix_text
 
     if not (args.verify or args.element):
-        clifford._check_m(args.m)  # an unsupported m keeps its own refusal
+        _check_m(args.m)  # an unsupported m keeps its own refusal
         if 16 ** args.m > MAX_ROWS:
             raise ResourceLimit(f"the basis dump at m = {args.m} has {16 ** args.m} matrix "
                                 f"entries, above the maximum {MAX_ROWS}")
@@ -227,7 +232,6 @@ def _answer_figure(args) -> tuple:
 def _answer_rotate(args, state, alpha_file) -> tuple:
     from . import symmetry
     from .coords import antisym, coords_from_json, entry_list
-    from .linalg import wire_field
     from .text import _coords_text
 
     coords = coords_from_json(state)
@@ -341,6 +345,17 @@ def _domain_args(args, rest) -> argparse.Namespace:
                                                 "csv", f"--samples={args.samples}", *rest])
 
 
+def _stdout_bytes():
+    """sys.stdout's binary buffer, what was written to it as text flushed
+    first; OSError when there is none, as when fd 1 is closed and Python
+    sets sys.stdout to None."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        raise OSError(errno.EBADF, "stdout is closed or takes no bytes")
+    sys.stdout.flush()
+    return buffer
+
+
 def run(argv) -> int:
     """Parse argv, read the input files, answer, write the answer; return the exit code."""
     # a call that names its subcommand first builds only that one's parser
@@ -369,17 +384,17 @@ def run(argv) -> int:
                                     RuntimeWarning)
             payload, code = args.func(args, *docs)
             # an object is spelled as one JSON text; any other answer is its pieces
-            blocks = [_json_text(payload)] if isinstance(payload, dict) else payload
-            sink = (open(args.output, "w", encoding="utf-8") if args.output
-                    else contextlib.nullcontext(sys.stdout))
+            blocks = [_json_text(payload).encode()] if isinstance(payload, dict) else payload
+            sink = (open(args.output, "wb") if args.output
+                    else contextlib.nullcontext(_stdout_bytes()))
             with sink as out:
-                end = ""
+                end = b""
                 for block in blocks:
                     out.write(block)
                     # let the block go before the next is made: one in memory at a time
                     end, block = block[-1:], None
-                if end != "\n":
-                    out.write("\n")
+                if end != b"\n":
+                    out.write(b"\n")
                 out.flush()  # a failed write is reported here, not at exit
         return code
     except (GenblochError, OSError) as exc:

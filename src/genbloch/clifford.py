@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# MAX_M, _is_int and _check_m keep their old import path here
-from . import MAX_M, _generators, _is_int
+from . import _generators
 from .errors import BadIndex, DimensionMismatch, GradeMismatch, ModeMismatch, _check_m, wire_field
 
 _PHASES = np.array([1.0, 1j, -1.0, -1j])

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import clifford, sum_of_squares
+from . import _is_int, clifford, sum_of_squares
 from .errors import (
     BadIndex,
     DimensionMismatch,
@@ -32,8 +32,10 @@ from .errors import (
     NonFiniteResult,
     NonUnitTrace,
     ResourceLimit,
+    _check_m,
+    wire_field,
 )
-from .linalg import as_matrix, require_hermitian, wire_field
+from .linalg import as_matrix, require_hermitian
 
 TRACE_TOL = 1e-8
 
@@ -46,7 +48,7 @@ class AntisymTensor(clifford.Record):
     __slots__ = ("m", "k", "side", "values")
 
     def __init__(self, m: int, k: int, side: int, values: dict):
-        clifford._check_m(m)  # bounds side, and with it every mask
+        _check_m(m)  # bounds side, and with it every mask
         if side not in (2 * m, 2 * m + 1):
             raise DimensionMismatch(f"side {side} invalid for m={m}")
         if not 1 <= wire_field(k, int, "k") <= side:
@@ -116,7 +118,7 @@ def check_grade_keys(keys, m: int, mode: str) -> None:
     within 1..clifford.max_grade, ModeMismatch for an unknown mode."""
     top = clifford.max_grade(m, mode)
     for k in keys:
-        if not (clifford._is_int(k) and 1 <= k <= top):
+        if not (_is_int(k) and 1 <= k <= top):
             raise GradeOutOfRange(f"grade {k} out of range 1..{top} for mode {mode!r}")
 
 
@@ -175,7 +177,7 @@ class StateCoords(clifford.Record):
     __slots__ = ("m", "mode", "scalar", "grades")
 
     def __init__(self, m: int, mode: str, scalar: float, grades: dict):
-        clifford._check_m(m)
+        _check_m(m)
         scalar = wire_field(scalar, float, "scalar")
         check_grade_keys(wire_field(grades, dict, "grades"), m, mode)
         side = clifford.side(m, mode)
@@ -207,7 +209,7 @@ def state_coords(m: int, mode: str = "standard", scalar: float = 1.0,
                  grades: dict | None = None) -> StateCoords:
     """Convenience constructor; a grade may be an AntisymTensor of the mode's
     side, or any entries that grade_entries reads."""
-    clifford._check_m(m)  # before any index is held to the side m gives
+    _check_m(m)  # before any index is held to the side m gives
     side = clifford.side(m, mode)
     items: dict = {}
     grades = wire_field(grades or {}, dict, "grades")

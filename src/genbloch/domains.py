@@ -36,9 +36,9 @@ from . import CHUNK_BYTES, DEFAULT_TOL, admits
 from .ball import _check_sample, _sample_names
 from .clifford import Record, cached_basis
 from .coords import StateCoords, encode_grades, require_unit_trace
-from .errors import DimensionMismatch, MalformedInput, NonFiniteResult, _bounded
+from .errors import DimensionMismatch, MalformedInput, NonFiniteResult, _bounded, wire_field
 from .invariants import InvariantSet, coords_invariants
-from .linalg import as_matrix, hermitian_eigenvalues, wire_field
+from .linalg import as_matrix, hermitian_eigenvalues
 from .spectra import normal_form, sign_sums
 
 
@@ -66,7 +66,7 @@ class DomainVerdict(Record):
 def min_eigenvalue_verdict(min_eig: float, tol: float = DEFAULT_TOL,
                            invariants_used: InvariantSet | None = None) -> DomainVerdict:
     """Positivity verdict from a smallest eigenvalue (admits): min_eig by the
-    float rule (linalg.wire_field), tol as positivity reads it."""
+    float rule (errors.wire_field), tol as positivity reads it."""
     min_eig = wire_field(min_eig, float, "min_eig")
     tol = _bounded(tol, "tol", "a finite number >= 0")
     admissible = admits(min_eig, tol)

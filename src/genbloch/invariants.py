@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import sum_of_squares
 from .clifford import Record
-from .coords import AntisymTensor, StateCoords, sum_of_squares
-from .errors import InvariantMismatch, MalformedInput
-from .linalg import wire_field
+from .coords import AntisymTensor, StateCoords
+from .errors import InvariantMismatch, MalformedInput, wire_field
 from .spectra import normal_form, pfaffian
 
 

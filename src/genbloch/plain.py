@@ -1,14 +1,17 @@
 """The CLI's writers: every document and table that an answer prints.
 
-A JSON document is spelled piece by piece (_json_parts), a nested one
-indented piece by piece (_nested), and each check that can refuse a writer's
-text runs at its call (_at_call).  Every CSV and JSON table goes through one
+Every writer yields its text as UTF-8 bytes, the pieces that cli.run()
+writes as they come to stdout's binary buffer or to a file opened "wb": a
+lead, a tail or a JSON field is spelled as str and encoded where it is
+joined into a piece.  A JSON document is spelled piece by piece
+(_json_parts), a nested one indented piece by piece (_nested), and each
+check that can refuse a writer's text runs at its call (_at_call).  Every CSV and JSON table goes through one
 streaming writer (_table_text, behind _csv_blocks and _json_items), and only
 the rows of a block have two kernels: Python list columns, as
 figures._plain_columns gives a figure of at most figures.PLAIN_ROWS
 candidate rows and ball.vector_atlas a small vector atlas, are spelled here
-with each float's and int's repr (_list_rows); any
-other block goes as arrays to the text module's byte grids
+with each float's and int's repr and encoded once per block (_list_rows);
+any other block goes as arrays to the text module's byte grids
 (text._array_rows).  The SVG scatter (_svg_text) has the same two forms,
 "{:.2f}".format of each pixel coordinate here.  Both kernels write the same
 bytes, and numpy and the text module load only for an array block.
@@ -16,8 +19,8 @@ bytes, and numpy and the text module load only for an array block.
 The list kernel spells each distinct nonzero value of a column once and each
 zero every time, since 0.0 and -0.0 are one dict key (_spelled); the SVG runs
 its pixel formula once per distinct x and once per distinct y.  Its rows are
-written in one join of each lead, cell and tail as given (_joined), so a
-lead or tail may hold any text, braces included.
+written in one join of each lead, cell and tail as given, then encoded
+(_joined), so a lead or tail may hold any text, braces included.
 """
 
 from __future__ import annotations
@@ -41,21 +44,21 @@ def _at_call(writer):
 def _json_parts(fields: dict, tables: dict):
     """json.dumps({**fields, **tables}, indent=2, sort_keys=True) piece by
     piece, each table given as the pieces of its value (_json_items, _nested)."""
-    values = {**{key: [_json_text(v).replace("\n", "\n  ")] for key, v in fields.items()},
-              **tables}
+    values = {**{key: [_json_text(v).replace("\n", "\n  ").encode()]
+                 for key, v in fields.items()}, **tables}
     opening = "{"
     for key in sorted(values):
-        yield f"{opening}\n  {_json_text(key)}: "
+        yield f"{opening}\n  {_json_text(key)}: ".encode()
         opening = ","
         yield from values[key]
-    yield "\n}" if values else "{}"
+    yield b"\n}" if values else b"{}"
 
 
 def _nested(writer, *args):
     """writer(*args)'s pieces, made when the first is asked for, one level down:
     each "\n" takes two more spaces, as re-indenting their join would give."""
     for piece in writer(*args):
-        yield piece.replace("\n", "\n  ")
+        yield piece.replace(b"\n", b"\n  ")
 
 
 # a table's booleans (false, true) and the spelling of its strings, per format
@@ -71,16 +74,17 @@ def _spelled(column, spell):
     return [memo[v] if v else spell(v) for v in column]
 
 
-def _joined(leads, cells, tail) -> str:
+def _joined(leads, cells, tail) -> bytes:
     """Per row: leads[0], its cell of cells[0], leads[1], ..., its cell of the
-    last of cells, tail; every row in one join, each lead and the tail as given."""
+    last of cells, tail; every row in one join, each lead and the tail as
+    given, encoded once."""
     fields = []
     for lead, column in zip(leads, cells):
         fields += (itertools.repeat(lead), column)
-    return "".join(itertools.chain.from_iterable(zip(*fields, itertools.repeat(tail))))
+    return "".join(itertools.chain.from_iterable(zip(*fields, itertools.repeat(tail)))).encode()
 
 
-def _list_rows(columns, leads, tail, words) -> str:
+def _list_rows(columns, leads, tail, words) -> bytes:
     """Per row of the equal-length list columns: leads[0], its cell of the
     first column, leads[1], ..., its cell of the last column, tail.  A float
     or int cell is its repr, as text spells them, a bool words[0]'s false or
@@ -101,25 +105,27 @@ def _table_text(blocks, leads, tail, words, ends):
     the head stands in for the table's first leads[0], the foot follows its
     last row and the bare text is a table without rows.
 
-    A block of Python list columns is one str (_list_rows); any other block
-    is spelled as arrays, its values at once and its text one str per
+    A block of Python list columns is one piece (_list_rows); any other block
+    is spelled as arrays, its values at once and its text one piece per
     CHUNK_BYTES of rows, a float that is not finite refused before its text
     is built (text._array_rows).  The first block is spelled at the call."""
+    head, foot, bare = (end.encode() for end in ends)
+    cut = len(leads[0].encode())
     empty = True
     for columns in blocks:
         if not columns or not len(columns[0]):
             continue
         if all(type(column) is list for column in columns):
-            texts = [_list_rows(columns, leads, tail, words)]
+            pieces = [_list_rows(columns, leads, tail, words)]
         else:
             from .text import _array_rows
 
-            texts = _array_rows(columns, leads, tail, words)
-        for text in texts:
+            pieces = _array_rows(columns, leads, tail, words)
+        for piece in pieces:
             # a later block's first row opens as every other row does
-            yield ends[0] + text[len(leads[0]):] if empty else text
+            yield head + piece[cut:] if empty else piece
             empty = False
-    last = ends[2] if empty else ends[1]
+    last = bare if empty else foot
     if last:
         yield last
 
@@ -146,7 +152,7 @@ _SVG_SIZE = 640
 _SVG_MARGIN = 20
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 _SVG_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" '
-             f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">')
+             f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">').encode()
 
 
 def _svg_text(xs, ys, labels):
@@ -168,4 +174,4 @@ def _svg_text(xs, ys, labels):
     cy = {y: f"{_SVG_SIZE - _SVG_MARGIN - (y - y0) / span_y * scale:.2f}" for y in set(ys)}
     cells = [map(cx.__getitem__, xs), map(cy.__getitem__, ys), map(fill.__getitem__, labels)]
     rows = _joined(['\n<circle cx="', '" cy="', '" r="1.5" fill="'], cells, '"/>')
-    return [_SVG_OPEN, rows, "\n</svg>"]
+    return [_SVG_OPEN, rows, b"\n</svg>"]

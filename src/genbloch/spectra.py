@@ -28,10 +28,11 @@ import math
 
 import numpy as np
 
+from . import sum_of_squares
 from .clifford import Record, m_from_dim
-from .coords import StateCoords, require_unit_trace, sum_of_squares
-from .errors import DimensionMismatch, GradeMismatch, KindMismatch
-from .linalg import as_matrix, hermitian_eigenvalues, wire_field
+from .coords import StateCoords, require_unit_trace
+from .errors import DimensionMismatch, GradeMismatch, KindMismatch, wire_field
+from .linalg import as_matrix, hermitian_eigenvalues
 
 CLUSTER_TOL = 1e-8
 

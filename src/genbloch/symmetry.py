@@ -23,8 +23,8 @@ import numpy as np
 
 from . import clifford
 from .coords import AntisymTensor, StateCoords
-from .errors import DimensionMismatch, NonFiniteResult, NotUnitary
-from .linalg import as_matrix, exp_minus_i_hermitian, wire_field
+from .errors import DimensionMismatch, NonFiniteResult, NotUnitary, wire_field
+from .linalg import as_matrix, exp_minus_i_hermitian
 
 ORTHO_TOL = 1e-10
 

@@ -14,12 +14,13 @@ spelled from its integer count of hundredths.  The spellings of a block of
 columns, a figure's whole table included, are made at once; its text is then
 made as many rows at a time as fill the package's CHUNK_BYTES, so narrow rows
 take fewer, larger blocks, each one uint8 grid of fixed-width fields padded
-with _PAD, which one pass turns into the block's text (_row_blocks): no str
-per cell and no grid of a whole table is built, and the bytes do not depend
-on the block size.  The matrix and coords documents (_matrix_text,
-_coords_text) hand their array columns to plain._json_items.  This module
-loads with numpy, when an array block, an array scatter, a matrix or coords
-is spelled.  json loads only where a JSON string or key is spelled.
+with _PAD, which one pass turns into the block's UTF-8 bytes, the piece that
+cli.run() writes as it is (_row_blocks): no str per cell and no grid of a
+whole table is built, and the bytes do not depend on the block size.  The
+matrix and coords documents (_matrix_text, _coords_text) hand their array
+columns to plain._json_items.  This module loads with numpy, when an array
+block, an array scatter, a matrix or coords is spelled.  json loads only
+where a JSON string or key is spelled.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ _SIGN = _table(["", "-"])
 
 
 def _row_blocks(fields: list, rows: int):
-    """The text of each block of the rows whose grid fills CHUNK_BYTES (one
+    """The bytes of each block of the rows whose grid fills CHUNK_BYTES (one
     row at least), each row its fields in turn.  A field is a str, the same
     text in every row, or (table, codes): the uint8 grid of its spellings
     padded with _PAD (_table), and each row's index into it."""
@@ -119,23 +120,21 @@ def _row_blocks(fields: list, rows: int):
                           min(step, rows - lo))
 
 
-def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) -> str:
+def _block_text(template: np.ndarray, record: np.dtype, cells: list, rows: int) -> bytearray:
     """One block of _row_blocks: rows copies of template, each cell's
-    spellings written over them, made into text in one pass that drops the
-    padding; the grid is gone when the text is returned."""
+    spellings written over them, made into the block's bytes in one pass that
+    drops the padding; the grid is gone when they are returned."""
     grid = bytearray(rows * len(template))
     np.frombuffer(grid, np.uint8).reshape(rows, len(template))[:] = template
     records = np.frombuffer(grid, record)
     for name, (spellings, codes) in zip(record.names, cells):
         records[name] = spellings.take(codes)
-    text = grid.translate(None, _PAD)
-    del records, grid
-    return text.decode()
+    return grid.translate(None, _PAD)
 
 
 def _array_rows(columns, leads, tail, words):
     """plain._table_text of one block of columns with rows, as arrays: each
-    distinct value of the block spelled at once, then its text one str per
+    distinct value of the block spelled at once, then its text one piece per
     _row_blocks block.  A float that is not finite is refused with
     NonFiniteResult here, at the call, before any text is built."""
     columns = [np.asarray(col) for col in columns]
@@ -246,4 +245,4 @@ def _svg_text(xs, ys, labels):
                    for lab in distinct)
     fields = ['\n<circle cx="', *_spell_hundredths(px, _SVG_SIZE), '" cy="',
               *_spell_hundredths(py, _SVG_SIZE), (tails, where)]
-    return itertools.chain([_SVG_OPEN], _row_blocks(fields, len(px)), ["\n</svg>"])
+    return itertools.chain([_SVG_OPEN], _row_blocks(fields, len(px)), [b"\n</svg>"])

@@ -74,9 +74,10 @@ from genbloch.errors import (
     InvariantMismatch,
     KindMismatch,
     ModeMismatch,
+    wire_field,
 )
 from genbloch.invariants import InvariantSet, frobenius_r, trace_T4
-from genbloch.linalg import as_matrix, exp_minus_i_hermitian, require_hermitian, wire_field
+from genbloch.linalg import as_matrix, exp_minus_i_hermitian, require_hermitian
 from genbloch.spectra import Spectrum, pfaffian, spectrum_from_values
 from genbloch.symmetry import check_orthogonal
 

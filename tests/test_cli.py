@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genbloch
-from genbloch import spectra
+from genbloch import spectra, sum_of_squares
 from genbloch.cli import run
 from genbloch.clifford import basis_element
-from genbloch.coords import coords_to_json, state_coords, sum_of_squares
+from genbloch.coords import coords_to_json, state_coords
 from genbloch.linalg import matrix_from_json, matrix_to_json
 from genbloch.spectra import sign_sums
 
@@ -852,7 +852,7 @@ def test_run_drops_only_overflow_and_invalid_warnings(monkeypatch, capsys, kind,
 
     def answer(args):
         op()
-        return (f"{op()}\n" for _ in (0,)), 0
+        return (f"{op()}\n".encode() for _ in (0,)), 0
 
     monkeypatch.setitem(cli._COMMANDS, "figure", ("", answer, ()))
     if printed is None:
@@ -1281,8 +1281,8 @@ def test_csv_row_numpy_scalars():
     from genbloch.plain import _csv_blocks
 
     row = [np.float64(0.1), np.bool_(True), np.bool_(False), np.int64(7), True, 2.5, "a"]
-    assert "".join(_csv_blocks(list("abcdefg"), [[np.asarray([v]) for v in row]])) == \
-        "a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
+    assert b"".join(_csv_blocks(list("abcdefg"), [[np.asarray([v]) for v in row]])) == \
+        b"a,b,c,d,e,f,g\n0.1,1,0,7,1,2.5,a\n"
 
 
 # The per-cell CSV and per-point SVG writers that the column writers
@@ -1511,43 +1511,43 @@ def test_plain_writers_match_array_writers():
     for lists in tables:
         arrays = [np.array(col, dtype=float) for col in lists[:3]] + [
             np.array(lists[3], dtype=object)]
-        assert ("".join(plain._csv_blocks(names, [lists]))
-                == "".join(plain._csv_blocks(names, [arrays])))
-        assert "".join(plain._json_items([lists], 4)) == "".join(plain._json_items([arrays], 4))
-        assert ("".join(plain._svg_text(lists[0], lists[1], lists[3]))
-                == "".join(plain._svg_text(arrays[0], arrays[1], arrays[3])))
-    assert "".join(plain._json_items([tables[0]], 4)) == "[]"
+        assert (b"".join(plain._csv_blocks(names, [lists]))
+                == b"".join(plain._csv_blocks(names, [arrays])))
+        assert b"".join(plain._json_items([lists], 4)) == b"".join(plain._json_items([arrays], 4))
+        assert (b"".join(plain._svg_text(lists[0], lists[1], lists[3]))
+                == b"".join(plain._svg_text(arrays[0], arrays[1], arrays[3])))
+    assert b"".join(plain._json_items([tables[0]], 4)) == b"[]"
     # a float column whose zeros, -0.0 first, repeat among repeated nonzero
     # values; SVG pixels of both zeros, with the smallest x 0.0 and -0.0
     zeros = [-0.0, 0.5, 0.0, 0.5, -0.0, -1.5, 0.0, -1.5, 0.5, -0.0, 0.0]
     arrays = [np.array(zeros), np.array(zeros[::-1])]
-    assert ("".join(plain._csv_blocks(["a", "b"], [[zeros, zeros[::-1]]]))
-            == "".join(plain._csv_blocks(["a", "b"], [arrays])))
+    assert (b"".join(plain._csv_blocks(["a", "b"], [[zeros, zeros[::-1]]]))
+            == b"".join(plain._csv_blocks(["a", "b"], [arrays])))
     for xs in ([0.0, -0.0, 0.5, 0.0, 0.25, -0.0], [-0.0, 0.0, 0.5, -0.0, 0.25, 0.0]):
         ys, labels = [0.25, -0.0, 0.0, 1.0, -0.0, 0.0], ["a", "b", "a", "a", "b", "b"]
-        assert ("".join(plain._svg_text(xs, ys, labels))
-                == "".join(plain._svg_text(np.array(xs), np.array(ys),
+        assert (b"".join(plain._svg_text(xs, ys, labels))
+                == b"".join(plain._svg_text(np.array(xs), np.array(ys),
                                            np.array(labels, dtype=object))))
     # leads and a tail are written as given, braces included
     records = [[1.5, 2.0], [3.0, 4.0]]
     leads = [',\n    {\n      "a": ', ',\n      "b": ']
-    text = "".join(plain._json_items([records], leads, "\n    }"))
-    assert text == "".join(plain._json_items([[np.array(col) for col in records]], leads,
+    text = b"".join(plain._json_items([records], leads, "\n    }"))
+    assert text == b"".join(plain._json_items([[np.array(col) for col in records]], leads,
                                              "\n    }"))
     assert json.loads(text) == [{"a": 1.5, "b": 3.0}, {"a": 2.0, "b": 4.0}]
     ends = ("a,b\n", "", "a,b\n")
-    assert ("".join(plain._table_text([records], ["", ","], "}\n", plain._CSV, ends))
-            == "".join(plain._table_text([[np.array(col) for col in records]], ["", ","],
+    assert (b"".join(plain._table_text([records], ["", ","], "}\n", plain._CSV, ends))
+            == b"".join(plain._table_text([[np.array(col) for col in records]], ["", ","],
                                          "}\n", plain._CSV, ends))
-            == "a,b\n1.5,3.0}\n2.0,4.0}\n")
+            == b"a,b\n1.5,3.0}\n2.0,4.0}\n")
     flags = [[True, False, False], [False, False, True]]
     arrays = [np.array(col) for col in flags]
-    assert ("".join(plain._csv_blocks(["a", "b"], [flags]))
-            == "".join(plain._csv_blocks(["a", "b"], [arrays])))
-    assert "".join(plain._json_items([flags], 2)) == "".join(plain._json_items([arrays], 2))
+    assert (b"".join(plain._csv_blocks(["a", "b"], [flags]))
+            == b"".join(plain._csv_blocks(["a", "b"], [arrays])))
+    assert b"".join(plain._json_items([flags], 2)) == b"".join(plain._json_items([arrays], 2))
     # a table whose blocks come in both forms is spelled as one
-    assert ("".join(plain._csv_blocks(["a", "b"], [flags, arrays, flags]))
-            == "".join(plain._csv_blocks(["a", "b"], [[np.concatenate([col] * 3)
+    assert (b"".join(plain._csv_blocks(["a", "b"], [flags, arrays, flags]))
+            == b"".join(plain._csv_blocks(["a", "b"], [[np.concatenate([col] * 3)
                                                        for col in arrays]])))
 
 
@@ -1687,20 +1687,22 @@ def test_writers_match_per_row_on_hand_made_columns():
     rows = list(zip(*columns))
     # lists of numpy scalars or mixed ints are array columns to the writers
     arrays = [np.asarray(col) for col in columns]
-    assert "".join(_csv_blocks(header, [arrays])) == _csv_per_row(header, rows)
+    assert b"".join(_csv_blocks(header, [arrays])) == _csv_per_row(header, rows).encode()
     listed = [[v.item() if isinstance(v, np.generic) else v for v in row] for row in rows]
-    assert "".join(_json_items([arrays], len(arrays))) == \
-        json.dumps(listed, indent=2).replace("\n", "\n  ")
-    assert "".join(_csv_blocks(header, [[[] for _ in columns]])) == _csv_per_row(header, [])
+    assert b"".join(_json_items([arrays], len(arrays))) == \
+        json.dumps(listed, indent=2).replace("\n", "\n  ").encode()
+    assert b"".join(_csv_blocks(header, [[[] for _ in columns]])) == \
+        _csv_per_row(header, []).encode()
     # a column of empty strings is a field of no bytes: each row keeps its line
     empty = np.array(["", ""], dtype=object)
-    assert "".join(_csv_blocks(["s"], [[empty]])) == _csv_per_row(["s"], [("",), ("",)])
-    assert "".join(_csv_blocks(header, [[]])) == _csv_per_row(header, [])
+    assert b"".join(_csv_blocks(["s"], [[empty]])) == \
+        _csv_per_row(["s"], [("",), ("",)]).encode()
+    assert b"".join(_csv_blocks(header, [[]])) == _csv_per_row(header, []).encode()
     xs, ys, labels = columns[0], columns[1], columns[5]
-    assert ("".join(_svg_text(arrays[0], arrays[1], arrays[5]))
-            == _svg_per_point(list(zip(xs, ys)), labels))
+    assert (b"".join(_svg_text(arrays[0], arrays[1], arrays[5]))
+            == _svg_per_point(list(zip(xs, ys)), labels).encode())
     # zero rows: both writers fall back to x = y = 0
-    assert "".join(_svg_text([], [], [])) == _svg_per_point([], [])
+    assert b"".join(_svg_text([], [], [])) == _svg_per_point([], []).encode()
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e16, -1e16]
@@ -1751,13 +1753,13 @@ def test_row_blocks_match_per_row(rows, floats, words, seed):
                 mock.patch.object(domains, "sample_domain", lambda *_: (names, [sample])):
             csv = list(_csv_blocks(header, [columns]))
             svg = list(_svg_text(xs, ys, labels))
-            document = "".join(_answer_sample(args)[0])
+            document = b"".join(_answer_sample(args)[0])
         assert blocks is None or len(csv) == blocks and len(svg) == blocks + 2
-        assert all(block.endswith("\n") for block in csv)
-        assert "".join(csv) == _csv_per_row(header, table_rows(columns))
-        assert "".join(svg) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())),
-                                              labels.tolist())
-        assert document == json.dumps(payload, indent=2, sort_keys=True)
+        assert all(block.endswith(b"\n") for block in csv)
+        assert b"".join(csv) == _csv_per_row(header, table_rows(columns)).encode()
+        assert b"".join(svg) == _svg_per_point(list(zip(xs.tolist(), ys.tolist())),
+                                               labels.tolist()).encode()
+        assert document == json.dumps(payload, indent=2, sort_keys=True).encode()
 
 
 def test_first_float_cell_negative(tmp_path, capsys):
@@ -1766,11 +1768,12 @@ def test_first_float_cell_negative(tmp_path, capsys):
     from genbloch.clifford import basis_element
     from genbloch.coords import decode, encode
 
-    assert "".join(_csv_blocks(["x", "y"], [[[-0.5, 1.0], [-0.0, -2.0]]])) == \
-        "x,y\n-0.5,-0.0\n1.0,-2.0\n"
+    assert b"".join(_csv_blocks(["x", "y"], [[[-0.5, 1.0], [-0.0, -2.0]]])) == \
+        b"x,y\n-0.5,-0.0\n1.0,-2.0\n"
     rows = [[-0.0, 2.5], [1e16, -5e-324]]
     points = _json_items([[np.array(col) for col in zip(*rows)]], 2)
-    assert "".join(_json_parts({}, {"points": points})) == json.dumps({"points": rows}, indent=2)
+    assert b"".join(_json_parts({}, {"points": points})) == \
+        json.dumps({"points": rows}, indent=2).encode()
     # a matrix whose entries open with -1.0: E_12 = -sigma_3 at m = 1
     assert run(["basis", "--m", "1", "--element", "2:1,2"]) == 0
     expected = {"1,2,[1,2]": matrix_to_json(basis_element(1, (1, 2)))}
@@ -1933,6 +1936,51 @@ def test_write_failure_one_line(g2_coords, unbuffered):
     assert res.stderr.splitlines() == ["genbloch: error: [Errno 28] No space left on device"]
 
 
+def _python_m(*argv, encoding="utf-8", stdout=subprocess.PIPE, preexec_fn=None):
+    """A `python -m genbloch` call with stdout's encoding set, its stdout as bytes."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(genbloch.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING=encoding)
+    return subprocess.run([sys.executable, "-m", "genbloch", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, preexec_fn=preexec_fn, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig1", "--resolution", "3"],
+    ["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "csv"],
+    ["figure", "fig2", "--resolution", "53", "--format", "svg"],
+    ["validate", "--input", "STATE"],
+], ids=["list-table", "array-table", "array-svg", "json-object"])
+def test_stdout_bytes_do_not_depend_on_its_encoding(tmp_path, g2_coords, argv):
+    # an answer is UTF-8 bytes on stdout whatever text encoding the caller
+    # gives stdout, the bytes its --output file holds
+    argv = [g2_coords if arg == "STATE" else arg for arg in argv]
+    outputs = []
+    for encoding in ("utf-8", "utf-16", "ascii"):
+        res = _python_m(*argv, encoding=encoding)
+        assert res.returncode == 0 and res.stderr == b"", (encoding, res.stderr)
+        outputs.append(res.stdout)
+    path = tmp_path / "out"
+    res = _python_m(*argv, "--output", str(path), encoding="utf-16")
+    assert res.returncode == 0 and res.stdout == b""
+    outputs.append(path.read_bytes())
+    assert outputs[0] and outputs.count(outputs[0]) == len(outputs)
+
+
+def test_closed_stdout_one_line(tmp_path, capsys):
+    # with fd 1 closed Python sets sys.stdout to None: an answer for stdout is
+    # refused with one diagnostic line, and one for --output is written
+    argv = ["figure", "fig1", "--resolution", "2"]
+    res = _python_m(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    assert res.returncode == 1
+    assert res.stderr.decode().splitlines() == [
+        "genbloch: error: [Errno 9] stdout is closed or takes no bytes"]
+    path = tmp_path / "out"
+    res = _python_m(*argv, "--output", str(path), stdout=None, preexec_fn=lambda: os.close(1))
+    assert res.returncode == 0 and res.stderr == b""
+    assert run(argv) == 0
+    assert path.read_bytes() == capsys.readouterr().out.encode()
+
+
 def test_matrix_dim_refused_before_entries(tmp_path, capsys):
     # 128 x 128 entries that are not [re, im] pairs: the dimension is refused first
     path = write_json(tmp_path / "m7.json", {"dim": 128, "entries": ["x"] * 128 ** 2})
@@ -1967,15 +2015,15 @@ def test_matrix_and_coords_json_match_json_dumps(rng, m, mode):
     from genbloch.coords import encode
 
     coords = _signed_zero_coords(rng, m, mode)
-    assert "".join(_coords_text(coords)) == _dumps(coords_to_json(coords))
+    assert b"".join(_coords_text(coords)) == _dumps(coords_to_json(coords)).encode()
     empty = state_coords(m, mode=mode, grades={1: {}})
-    assert "".join(_coords_text(empty)) == _dumps(coords_to_json(empty))
+    assert b"".join(_coords_text(empty)) == _dumps(coords_to_json(empty)).encode()
     bare = state_coords(m, mode=mode)
-    assert "".join(_coords_text(bare)) == _dumps(coords_to_json(bare))
+    assert b"".join(_coords_text(bare)) == _dumps(coords_to_json(bare)).encode()
     rho = encode(coords)
     rho[::2] *= -1.0
     rho.imag[1::3] = -0.0
-    assert "".join(_matrix_text(rho)) == _dumps(matrix_to_json(rho))
+    assert b"".join(_matrix_text(rho)) == _dumps(matrix_to_json(rho)).encode()
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -2210,16 +2258,18 @@ def test_cli_contract_on_generated_calls(name, data):
                 json.dump(doc, fh)
             argv = [path if arg is doc else arg for arg in argv]  # the doc's own slot
         argv = [str(arg) for arg in argv]
-        out, err = io.StringIO(), io.StringIO()
+        # run() writes an answer's bytes to stdout's binary buffer
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-    out, err = out.getvalue(), err.getvalue()
+    out.flush()
+    out, err = out.buffer.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert argv[0] == "validate" or (argv[0] == "domain" and "--input" in argv), argv
     if code == 1:
-        assert out == "" and err.count("\n") == 1 and err.startswith("genbloch: "), (argv, err)
+        assert out == b"" and err.count("\n") == 1 and err.startswith("genbloch: "), (argv, err)
     else:
-        assert err == "" and out.endswith("\n"), (argv, err)
-        if out.startswith(("{", "[")):
+        assert err == "" and out.endswith(b"\n"), (argv, err)
+        if out.startswith((b"{", b"[")):
             json.loads(out, parse_constant=lambda word: pytest.fail(f"{word} in {argv}"))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genbloch import sum_of_squares
 from genbloch.clifford import cached_basis, full_basis, max_grade, verify_algebra
 from genbloch.coords import (
     AntisymTensor,
@@ -25,7 +26,6 @@ from genbloch.coords import (
     decode,
     encode,
     state_coords,
-    sum_of_squares,
     tensor_config,
     vector,
 )
@@ -38,9 +38,10 @@ from genbloch.errors import (
     NonUnitTrace,
     NotHermitian,
     ResourceLimit,
+    wire_field,
 )
 from genbloch.invariants import coords_invariants, frobenius_r
-from genbloch.linalg import hermitian_eigenvalues, wire_field
+from genbloch.linalg import hermitian_eigenvalues
 from genbloch.symmetry import orthogonal_from_generator, rotate_coords
 from genbloch.text import _coords_text
 
@@ -155,7 +156,7 @@ def test_wire_round_trip_matches_plain_dicts(obj):
     coords = coords_from_json(json.loads(json.dumps(obj)))
     want = _wire_reference(obj)
     assert coords_to_json(coords) == want
-    assert "".join(_coords_text(coords)) == json.dumps(want, indent=2, sort_keys=True)
+    assert b"".join(_coords_text(coords)) == json.dumps(want, indent=2, sort_keys=True).encode()
 
 
 def test_encode_maximally_mixed():

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from genbloch import MAX_ROWS, domains, spectra
+from genbloch import MAX_ROWS, domains, spectra, sum_of_squares
 from genbloch.clifford import cached_basis
 from genbloch.coords import (
     StateCoords,
     antisym,
     encode,
     state_coords,
-    sum_of_squares,
     tensor_config,
     vector,
 )

@@ -9,7 +9,7 @@ from numpy.polynomial.polynomial import polyval
 from genbloch.cli import run
 from genbloch.coords import coords_to_json, decode, state_coords
 from genbloch.domains import DEFAULT_TOL, positivity
-from genbloch.errors import MalformedInput, NotHermitian
+from genbloch.errors import MalformedInput, NotHermitian, wire_field
 from genbloch.linalg import (
     HERM_TOL,
     as_matrix,
@@ -18,7 +18,6 @@ from genbloch.linalg import (
     matrix_from_json,
     matrix_to_json,
     require_hermitian,
-    wire_field,
 )
 from genbloch.spectra import numeric_spectrum
 

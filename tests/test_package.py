@@ -132,22 +132,17 @@ def test_package_import_loads_no_submodule():
 
 def test_shared_rules_have_one_home():
     # each rule that the numpy-free answers share with the array engine is
-    # defined once, in the package or its errors, and keeps its old import path
+    # defined once, in the package or its errors
     from genbloch import ball
 
     homes = {
         genbloch: ("MAX_M", "_is_int", "admits", "sum_of_squares", "_generators"),
         errors: ("wire_field", "_bounded", "_check_m"),
     }
-    old_paths = {"MAX_M": [clifford], "_is_int": [clifford], "admits": [domains],
-                 "sum_of_squares": [coords, spectra, invariants], "wire_field": [linalg, coords],
-                 "_bounded": [domains], "_check_m": [clifford]}
     for home, names in homes.items():
         for name in names:
             rule = getattr(home, name)
             assert getattr(rule, "__module__", home.__name__) == home.__name__, name
-            for module in old_paths.get(name, []):
-                assert getattr(module, name) is rule, (module.__name__, name)
     assert domains._check_sample is ball._check_sample
 
 
