@@ -10,10 +10,12 @@ The public names below are imported on first use (PEP 562), so importing
 one module of the package, such as the CLI, loads only what it needs.
 The package itself holds the limits and the rules that load no numpy and
 that the numpy-free answers (figures, ball) share with the array engine:
-the integer rule, the positivity rule, the sum of squares and the
-generators' Pauli strings; the errors module holds the rules that refuse.
+the integer rule, the positivity rule, the sum of squares, the tunnel
+amplitudes and the generators' Pauli strings; the errors module holds the
+rules that refuse.
 """
 
+import math
 import sys
 from importlib import import_module
 
@@ -52,6 +54,36 @@ def sum_of_squares(values):
     for v in values:
         total = total + v * v
     return total
+
+
+def tunnel_amplitudes(g) -> tuple:
+    """(mu_0, mu_1) = ((a_+ + a_-) / 2, |a_+ - a_-| / 2), the paired singular
+    values of a 4 x 4 antisymmetric G given by its entries in wire order,
+    g = (G_12, G_13, G_14, G_23, G_24, G_34), elementwise when they are numpy
+    values.  so(4) = su(2) + su(2) splits G into two vectors of lengths a_pm,
+    whose unit balls are the paper's elliptic tunnels at m = 2:
+
+        a_pm^2 = (G_12 +- G_34)^2 + (G_13 -+ G_24)^2 + (G_14 +- G_23)^2.
+
+    The entries are scaled by 2^-e, e the binary exponent of the largest
+    |G_ij|, and mu back by 2^e, each power in two factors within float range,
+    so no square overflows or underflows where mu does not.  Every step is
+    exact or one correctly rounded + - * / or sqrt, so floats and arrays give
+    the same bits.
+    """
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(g[0], (numpy.ndarray, numpy.generic)):
+        frexp, ldexp, sqrt = numpy.frexp, numpy.ldexp, numpy.sqrt
+        big = numpy.max(numpy.abs(g), axis=0)
+    else:
+        frexp, ldexp, sqrt = math.frexp, math.ldexp, math.sqrt
+        big = max(map(abs, g))
+    e = frexp(big)[1]
+    low, high = ldexp(1.0, e // 2), ldexp(1.0, e - e // 2)
+    g12, g13, g14, g23, g24, g34 = (x / low / high for x in g)
+    plus = sqrt(sum_of_squares((g12 + g34, g13 - g24, g14 + g23)))
+    minus = sqrt(sum_of_squares((g12 - g34, g13 + g24, g14 - g23)))
+    return (plus + minus) / 2.0 * low * high, abs(plus - minus) / 2.0 * low * high
 
 
 def _generators(m: int) -> list:

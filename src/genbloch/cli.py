@@ -13,12 +13,12 @@ plain modules besides this.  The figures module answers with list columns
 up to figures.PLAIN_ROWS candidate rows, which load no numpy, and with
 arrays above, which load numpy and text; this module does not tell them
 apart but for fig1's SVG labels.  sample checks its request once
-(ball._check_sample) and answers a vector atlas (--k 1) of at most
-ball.PLAIN_CELLS draws x 4^m with the ball module's list columns, loading
-only ball and plain besides this, and any other with domains.sample_domain's
-arrays.  json loads only where JSON is read or
-written, so no CSV or SVG answer loads it.  No call loads dataclasses: the
-package's records are plain __slots__ classes.
+(ball._check_sample) and answers an atlas of at most ball.PLAIN_CELLS
+draws x 4^m of a vector (--k 1), or of a grade-2 tensor at m <= 2, with the
+ball module's list columns, loading only ball and plain besides this, and
+any other with domains.sample_domain's arrays.  json loads only where JSON
+is read or written, so no CSV or SVG answer loads it.  No call loads
+dataclasses: the package's records are plain __slots__ classes.
 
 Each subcommand is an answer function of the parsed flags and the parsed
 JSON of its --input (and rotate's --alpha) file, returning (payload, exit
@@ -180,8 +180,8 @@ def _answer_sample(args) -> tuple:
     from .plain import _csv_blocks, _json_items, _json_parts
 
     m, k, n, seed, box = ball._check_sample(args.m, args.k, args.samples, args.seed, args.box)
-    if k == 1 and n * 4 ** m <= ball.PLAIN_CELLS:
-        names, blocks = ball.vector_atlas(m, n, seed, box)
+    if n * 4 ** m <= ball.PLAIN_CELLS and (k == 1 or m <= 2):
+        names, blocks = ball.atlas(m, k, n, seed, box)
     else:
         from . import domains
 

@@ -9,8 +9,9 @@ invariants.coords_invariants with the normal form it used, or
 "min_eigenvalue", LAPACK's (linalg).  positivity takes it for one state;
 sample_domain for at most MAX_ROWS draws, beside the same LAPACK oracle.
 It holds its request to the one sample rule, ball._check_sample, which the
-CLI runs before it picks an engine: a small vector atlas is answered by the
-ball module, from Python floats with a Cholesky oracle, and any other here.
+CLI runs before it picks an engine: a small atlas of a vector, or of a
+grade-2 tensor at m <= 2, is answered by the ball module, from Python floats
+with a Cholesky oracle, and any other here.
 Its draws are the standard library's random.Random(seed).random() stream,
 so no numpy.random is loaded, and it returns (column names, blocks): the
 table in blocks of rows made as they are read, each one array per column

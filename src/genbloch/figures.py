@@ -17,9 +17,11 @@ A figure of at most PLAIN_ROWS candidate rows is also built, value for value,
 as lists of Python floats, bools and strs (_plain_columns), from math and the
 same formulas one point at a time; numpy loads only on the array path.  fig3's
 plain clip tries, per theta, only the t with |t| <= sqrt((1 + tol)^2 - w^2)
-+ 1e-6, found by bisection: a - b is t to rounding, so no other t can pass it
-(_plain_surface).  The CLI answers with one form, chosen by size (_columns,
-which checks the request once): lists at or below PLAIN_ROWS, arrays above.
++ 1e-6, found by bisection: a - b is t to rounding, so no other t can pass it;
+with the paper's cube it tries only the t whose point can lie in the cube
+too, so each surface is built for its own cube (_plain_surface).  The CLI
+answers with one form, chosen by size (_columns, which checks the request
+once): lists at or below PLAIN_ROWS, arrays above.
 fig1's two boundary curves, at most 1,024 points each, are always lists of
 (r, T4) columns (_plain_curves).
 Per fresh process, the plain path answers faster than numpy's import and the
@@ -48,6 +50,8 @@ PLAIN_ROWS = 2 ** 15
 
 # the half-width of the cube that holds every tunnel surface point
 _BOX = 1.5
+# the bounds of the paper's unit cube [0, 1]^3, each widened by 1e-12
+_CUBE = (-1e-12, 1 + 1e-12)
 
 
 def _rT4_family(r, t4, tol: float):
@@ -117,7 +121,7 @@ def _surface_columns(which: str, resolution: int, paper_cube: bool) -> list:
             y = 0.0 - y  # -y would turn the +0.0 of (t - u) / 2 into -0.0
         if paper_cube:
             cols = np.stack([x, y, z])
-            x, y, z = cols[:, ((cols >= -1e-12) & (cols <= 1 + 1e-12)).all(axis=0)]
+            x, y, z = cols[:, ((cols >= _CUBE[0]) & (cols <= _CUBE[1])).all(axis=0)]
         parts.append((x, y, z))
         tags.append(f"{kind}={level:g}")
     x, y, z = (np.concatenate(cols) for cols in zip(*parts))
@@ -184,21 +188,34 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
     return values
 
 
-def _plain_surface(level: float, resolution: int, clip: bool) -> tuple:
-    """_tunnel_surface_points(level, resolution) as x, y, z lists, and if clip
-    only the points that fig3's tunnel clip keeps.  a - b is t to rounding,
-    so the clip tries only the t with |t| <= sqrt((1 + tol)^2 - w^2) + 1e-6,
-    found by bisection of the sorted ts: no other t has hypot(a - b, w) <= 1 + tol."""
+def _plain_surface(level: float, resolution: int, clip: bool, cube: float = 0.0) -> tuple:
+    """_tunnel_surface_points(level, resolution) as x, y, z lists; if clip, only
+    the points that fig3's tunnel clip keeps, and if cube is 1.0 or -1.0 only
+    those whose (x, cube y, z) lies in the paper's unit cube [lo, hi]^3 (the
+    cube of alpha_plus, or of alpha_minus once mirrored).  a + b is u and
+    a - b is t to rounding, so each theta tries only the t within 1e-6 of
+    where they can pass, found by bisection of the sorted ts: for the clip
+    |t| <= sqrt((1 + tol)^2 - w^2), no other t having hypot(a - b, w) <= 1 + tol;
+    for the cube a = (u + t) / 2 and cube b = cube (u - t) / 2 in [lo, hi]."""
     ts = _linspace(-2.0 * _BOX, 2.0 * _BOX, 3 * resolution + 1)
+    lo, hi = _CUBE
     x, y, z = [], [], []
     for theta in _linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False):
         u, w = level * math.cos(theta), level * math.sin(theta)
-        reach = math.sqrt((1.0 + DEFAULT_TOL) ** 2 - w * w) + 1e-6 if clip else math.inf
-        for t in ts[bisect.bisect_left(ts, -reach):bisect.bisect_right(ts, reach)]:
+        reach = math.sqrt((1.0 + DEFAULT_TOL) ** 2 - w * w) if clip else math.inf
+        first, last = -reach, reach
+        if cube:
+            if not lo <= w <= hi:
+                continue
+            ends = (u - 2.0 * cube * lo, u - 2.0 * cube * hi)
+            first = max(first, 2.0 * lo - u, min(ends))
+            last = min(last, 2.0 * hi - u, max(ends))
+        for t in ts[bisect.bisect_left(ts, first - 1e-6):bisect.bisect_right(ts, last + 1e-6)]:
             a, b = (u + t) / 2.0, (u - t) / 2.0
             if abs(a) <= _BOX and abs(b) <= _BOX and (
                     not clip or math.hypot(a + b, w) <= 1.0 + DEFAULT_TOL
-                    and math.hypot(a - b, w) <= 1.0 + DEFAULT_TOL):
+                    and math.hypot(a - b, w) <= 1.0 + DEFAULT_TOL) and (
+                    not cube or lo <= a <= hi and lo <= cube * b <= hi):
                 x.append(a)
                 y.append(b)
                 z.append(w)
@@ -226,16 +243,14 @@ def _plain_columns(which: str, resolution: int, paper_cube: bool = False) -> tup
                 [[a for a in rs for _ in t4s], t4s * resolution, admissible, boundary])
     surfaces, columns = {}, [[], [], [], []]
     for kind, level in _SURFACES[which]:
-        if level not in surfaces:
-            surfaces[level] = _plain_surface(level, resolution, which == "fig3")
-        x, y, z = surfaces[level]
+        # alpha_minus is alpha_plus mirrored, y -> -y, so it shares its surface
+        # but not its cube
+        cube = (-1.0 if kind == "alpha_minus" else 1.0) if paper_cube else 0.0
+        if (level, cube) not in surfaces:
+            surfaces[level, cube] = _plain_surface(level, resolution, which == "fig3", cube)
+        x, y, z = surfaces[level, cube]
         if kind == "alpha_minus":
             y = [0.0 - v for v in y]
-        if paper_cube:
-            lo, hi = -1e-12, 1 + 1e-12
-            keep = [i for i, (a, b, c) in enumerate(zip(x, y, z))
-                    if lo <= a <= hi and lo <= b <= hi and lo <= c <= hi]
-            x, y, z = ([column[i] for i in keep] for column in (x, y, z))
         for column, part in zip(columns, (x, y, z, [f"{kind}={level:g}"] * len(x))):
             column += part
     return ["x", "y", "z", "surface_id"], columns

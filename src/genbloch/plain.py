@@ -9,7 +9,7 @@ check that can refuse a writer's text runs at its call (_at_call).  Every CSV an
 streaming writer (_table_text, behind _csv_blocks and _json_items), and only
 the rows of a block have two kernels: Python list columns, as
 figures._plain_columns gives a figure of at most figures.PLAIN_ROWS
-candidate rows and ball.vector_atlas a small vector atlas, are spelled here
+candidate rows and ball.atlas a small sample atlas, are spelled here
 with each float's and int's repr and encoded once per block (_list_rows);
 any other block goes as arrays to the text module's byte grids
 (text._array_rows).  The SVG scatter (_svg_text) has the same two forms,

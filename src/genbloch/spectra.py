@@ -13,8 +13,11 @@ matrix M = [[0, v^T], [-v, G]] the eigenvalues of rho = 2^{-m}(c I + X) are
 over the 2^m sign vectors s with prod_k s_k = (-1)^m sign Pf(M), exactly,
 at every m and scalar c (Bravyi, quant-ph/0404180).  A vector has
 mu = (|v|, 0, ..., 0), the doublet (c +- |v|) / 2^m; a grade-2 tensor alone
-has Pf(M) = 0.  The paper's quartet polynomials of these values are checked
-claims of the tests (tests/claims.py), outside the package.
+has Pf(M) = 0, and at m = 2 mu = ((a_+ + a_-) / 2, |a_+ - a_-| / 2, 0) of
+the paper's tunnel lengths a_pm (genbloch.tunnel_amplitudes), so its region
+is the pair of elliptic tunnels a_pm <= 1.  The paper's quartet polynomials
+of these values are checked claims of the tests (tests/claims.py), outside
+the package.
 
 bordered_parts writes M from the grades of one state or of a stack in either
 mode, normal_form gives its mu and sign Pf M, with the package's one Pfaffian
@@ -24,11 +27,12 @@ invariants report, and sign_sums gives the eigenvalues, row by row.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from . import sum_of_squares
+from . import sum_of_squares, tunnel_amplitudes
 from .clifford import Record, m_from_dim
 from .coords import StateCoords, require_unit_trace
 from .errors import DimensionMismatch, GradeMismatch, KindMismatch, wire_field
@@ -174,18 +178,25 @@ def normal_form(m: int, grades: dict):
     M's paired singular values mu_0 >= ... >= mu_m, shape (..., m + 1), and pf, Pf M's
     fraction by np.frexp, shape (...): the sign of Pf M, also where Pf M underflows.
 
-    When M's block G is zero in every state, M has rank 2 and mu is (|v|, 0,
-    ..., 0), |v| the square root of v's squares added left to right, so the
-    doublet comes out exact.
+    Two cases are exact, in closed form, and any other is LAPACK's SVD.  When
+    M's block G is zero in every state, M has rank 2 and mu is (|v|, 0, ...,
+    0), |v| the square root of v's squares added left to right, so the
+    doublet comes out exact.  At m = 2, when M's rows 0 and 5 are zero in
+    every state (a grade-2 tensor alone), mu is (mu_0, mu_1, 0) of the
+    package's tunnel_amplitudes of the 4 x 4 block, which the ball module's
+    atlas computes from Python floats to the same bits.
     """
     bordered = bordered_parts(m, grades)
     if bordered is None:
         return None
-    if bordered[..., 1:, 1:].any():
-        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
-    else:
-        mu = np.zeros(bordered.shape[:-2] + (m + 1,))
+    mu = np.zeros(bordered.shape[:-2] + (m + 1,))
+    if not bordered[..., 1:, 1:].any():
         mu[..., 0] = np.sqrt(sum_of_squares(np.moveaxis(bordered[..., 0, 1:], -1, 0)))
+    elif m == 2 and not bordered[..., (0, 5), :].any():
+        g = [bordered[..., i, j] for i, j in itertools.combinations(range(1, 5), 2)]
+        mu[..., 0], mu[..., 1] = tunnel_amplitudes(g)
+    else:
+        mu = np.linalg.svd(bordered, compute_uv=False)[..., ::2]
     return mu, _pfaffian_parts(bordered)[0]
 
 

@@ -920,7 +920,9 @@ def test_spectrum_closed_form_beyond_float_range(tmp_path, capsys):
     # the closed form needs no matrix and still answers
     path = write_json(tmp_path / "huge.json", _HUGE_G2)
     assert run(["spectrum", "--input", path, "--closed-form"]) == 0
-    lo, hi = -6.4999999999999995e+199, 6.4999999999999995e+199
+    # mu = (1.3e200, 1.3e200, 0) in closed form (spectra.normal_form), so the
+    # extremes are (1 -+ 2.6e200) / 4, each the nearest float
+    lo, hi = -6.5e+199, 6.5e+199
     assert capsys.readouterr().out == json.dumps(
         {"eigenvalues": [lo, 0.25, 0.25, hi], "m": 2, "multiplets": [[lo, 1], [0.25, 2], [hi, 1]]},
         indent=2) + "\n"
@@ -1416,27 +1418,29 @@ def test_plain_atlas_matches_array_atlas_at_the_bound(capsys, monkeypatch, m):
     # the most draws of at most PLAIN_CELLS draws x 4^m, and the next
     last = ball.PLAIN_CELLS // 4 ** m
     taken = []
-    for path, module, name in (("plain", ball, "vector_atlas"),
-                               ("array", domains, "sample_domain")):
+    for path, module, name in (("plain", ball, "atlas"), ("array", domains, "sample_domain")):
         monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), path=path:
                             taken.append(path) or f(*a))
-    box = _atlas_box(m, 1)
-    for n, path in ((last, "plain"), (last + 1, "array")):
-        assert _both_verdicts(table_rows(sample_table(m, 1, n, m, box)[1]))
-        for fmt in ("csv", "json"):
-            argv = ["sample", "--m", str(m), "--k", "1", "--samples", str(n), "--seed", str(m),
-                    "--box", repr(box), "--format", fmt]
-            outputs = []
-            # the chooser's path, then each path forced
-            for cells in (ball.PLAIN_CELLS, _EVERY_ATLAS, -1):
-                with monkeypatch.context() as patch:
-                    patch.setattr(ball, "PLAIN_CELLS", cells)
-                    taken.clear()
-                    assert run(argv) == 0
-                outputs.append(capsys.readouterr().out)
-                if cells == ball.PLAIN_CELLS:
-                    assert taken == [path], (n, taken)
-            assert outputs.count(outputs[0]) == 3, argv
+    # a grade-2 atlas takes the plain path at m <= 2 only
+    for k in (1, 2):
+        box = _atlas_box(m, k)
+        for n in (last, last + 1):
+            path = "plain" if n == last and (k == 1 or m <= 2) else "array"
+            assert _both_verdicts(table_rows(sample_table(m, k, n, m, box)[1]))
+            for fmt in ("csv", "json"):
+                argv = ["sample", "--m", str(m), "--k", str(k), "--samples", str(n),
+                        "--seed", str(m), "--box", repr(box), "--format", fmt]
+                outputs = []
+                # the chooser's path, then each path forced
+                for cells in (ball.PLAIN_CELLS, _EVERY_ATLAS, -1):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ball, "PLAIN_CELLS", cells)
+                        taken.clear()
+                        assert run(argv) == 0
+                    outputs.append(capsys.readouterr().out)
+                    if cells == ball.PLAIN_CELLS:
+                        assert taken == [path], (n, taken)
+                assert outputs.count(outputs[0]) == 3, argv
 
 
 def _figure_json_per_row(which, resolution, paper_cube) -> str:

@@ -215,7 +215,7 @@ def test_positivity_matches_oracle(m, kind, seed, z, tol, at_tol):
     mu, pf = spectra.normal_form(m, coords.grades)
     assert used["extras"]["normal_form_amplitudes"] == mu.tolist()
     assert used["extras"]["pfaffian_sign"] == float(np.sign(pf))
-    # the amplitudes, LAPACK singular values of M (side 2m + 2), carry every
+    # the amplitudes, the singular values of M (side 2m + 2), carry every
     # coordinate's square: sum mu^2 = |v|^2 + r within (2m + 2)^2 float64 eps
     r = sum(coords.grade(k).norm_sq() for k in coords.grades)
     eps = np.finfo(float).eps
@@ -657,7 +657,7 @@ def test_vector_atlas_fills_the_unit_ball(m, box):
     from genbloch import ball
 
     n, seed = 4000, 1
-    names, [columns] = ball.vector_atlas(m, n, seed, box)
+    names, [columns] = ball.atlas(m, 1, n, seed, box)
     table = dict(zip(names, columns))
     p = math.pi ** m / math.factorial(m) / (2 * box) ** (2 * m)
     frac = sum(table["closed_admissible"]) / n
@@ -685,7 +685,7 @@ def test_plain_oracle_decides_at_minus_tol(m):
         for axis in range(2 * m):
             v = [0.0] * (2 * m)
             v[axis] = s
-            a = ball._shifted(m, _generators(m), v)
+            a = ball._shifted(ball._entries(m, _generators(m)), v)
             assert ball._positive_definite(a) is admitted, (s, axis)
 
 
@@ -697,10 +697,49 @@ def test_vector_atlas_matches_sample_domain(m):
 
     n = 150 if m <= 4 else 15
     for box in (0.0, 0.4 / math.sqrt(m), 1.2 / math.sqrt(m), 1.2, 1e100):
-        names, [columns] = ball.vector_atlas(m, n, m, box)
+        names, [columns] = ball.atlas(m, 1, n, m, box)
         want_names, want = sample_table(m, 1, n, m, box)
         assert names == want_names
         assert columns == [column.tolist() for column in want], box
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_grade2_atlas_matches_sample_domain(m):
+    # the plain grade-2 atlas is sample_domain's table, value for value, the
+    # margin's digits included: at box 0, inside both tunnels, across them,
+    # outside, and where the squares of the entries would overflow without
+    # the closed form's rescale (1e200) or nearly would (1e100)
+    from genbloch import ball
+
+    across = {1: 1.5, 2: 0.5}[m]
+    for box in (0.0, 0.15, across, 1.2, 1e100, 1e200):
+        if m == 1 and box == 1e200:
+            # m = 1's doublet |c| = sqrt(c^2) has no rescale: c^2 overflows on either path
+            for engine in (ball.atlas, sample_table):
+                with np.errstate(over="ignore"), pytest.raises(NonFiniteResult):
+                    engine(m, 2, 150, m, box)
+            continue
+        names, [columns] = ball.atlas(m, 2, 150, m, box)
+        want_names, want = sample_table(m, 2, 150, m, box)
+        assert names == want_names
+        assert columns == [column.tolist() for column in want], box
+        if box in (0.15, across):
+            assert set(columns[-3]) == ({True} if box == 0.15 else {True, False}), box
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_grade2_strings_are_the_basis_rows(m):
+    # the plain atlas's Pauli strings of E_ij = i Gamma_i Gamma_j, by the
+    # product rule, are CliffordBasis's rows of the grade-2 masks in wire order,
+    # as the generators are its rows of grade 1
+    from genbloch import ball
+
+    basis = cached_basis(m)
+    for k in (1, 2):
+        masks = basis.masks[basis.grade[basis.masks] == k]
+        rows = list(zip(basis.x[masks].tolist(), basis.z[masks].tolist(),
+                        basis.p[masks].tolist()))
+        assert ball._strings(m, k) == rows, k
 
 
 def test_sample_domain_guards(monkeypatch):
@@ -872,6 +911,24 @@ def test_plain_surface_clip_keeps_what_the_array_clip_keeps(level):
         assert len(expected)
         clipped = np.column_stack(_plain_surface(level, resolution, clip=True))
         assert clipped.tobytes() == expected.tobytes(), resolution
+
+
+@pytest.mark.parametrize("level", [1.0, 0.1, 0.01])
+def test_plain_surface_cube_keeps_what_the_array_cube_keeps(level):
+    # with the paper's cube the plain build tries only the t whose point can
+    # lie in it; it keeps, bit for bit, what the array path keeps of every
+    # candidate after the clip, for alpha_plus (cube 1) and the mirror
+    # alpha_minus (cube -1, y -> -y)
+    for resolution in range(2, 61):
+        x, y, z = _tunnel_surface_points(level, resolution)
+        keep = ((np.hypot(x + y, z) <= 1.0 + DEFAULT_TOL)
+                & (np.hypot(x - y, z) <= 1.0 + DEFAULT_TOL))
+        for cube in (1.0, -1.0):
+            cols = np.stack([x[keep], cube * y[keep], z[keep]])
+            inside = ((cols >= -1e-12) & (cols <= 1 + 1e-12)).all(axis=0)
+            expected = np.column_stack([x[keep][inside], y[keep][inside], z[keep][inside]])
+            built = _plain_surface(level, resolution, clip=True, cube=cube)
+            assert np.column_stack(built).tobytes() == expected.tobytes(), (resolution, cube)
 
 
 @pytest.mark.parametrize("which", ["fig1", "fig2"])

@@ -105,10 +105,14 @@ def test_figure_calls_load_only_figures(argv):
     ["sample", "--m", "3", "--k", "1", "--samples", "75", "--format", "csv"],
     ["sample", "--m", "4", "--k", "1", "--samples", "9", "--format", "json"],
     ["domain", "--samples", "5", "--k", "1"],
+    ["sample", "--m", "2", "--k", "2", "--samples", "800", "--format", "csv"],
+    ["sample", "--m", "1", "--k", "2", "--samples", "2048", "--format", "json"],
+    ["domain", "--samples", "5"],
 ])
 def test_small_vector_atlas_loads_only_ball(argv):
-    # a vector atlas of at most ball.PLAIN_CELLS draws x 4^m is drawn, decided,
-    # checked and spelled from Python floats, without numpy or the algebra
+    # a vector atlas, or a grade-2 one at m <= 2, of at most ball.PLAIN_CELLS
+    # draws x 4^m is drawn, decided, checked and spelled from Python floats,
+    # without numpy or the algebra
     code, out, diagnostics, loaded = _call(argv)
     assert code == 0, diagnostics
     assert out
@@ -136,7 +140,8 @@ def test_shared_rules_have_one_home():
     from genbloch import ball
 
     homes = {
-        genbloch: ("MAX_M", "_is_int", "admits", "sum_of_squares", "_generators"),
+        genbloch: ("MAX_M", "_is_int", "admits", "sum_of_squares", "tunnel_amplitudes",
+                   "_generators"),
         errors: ("wire_field", "_bounded", "_check_m"),
     }
     for home, names in homes.items():
@@ -223,6 +228,8 @@ _SMOKE_CALLS = [
     (["spectrum", "--both", "--input", "state.json"], 0),
     (["validate", "--input", "hot.json"], 2),
     (["sample", "--m", "2", "--k", "2", "--samples", "5"], 0),
+    # a grade-2 atlas at m = 3 takes the array path, which loads domains
+    (["sample", "--m", "3", "--k", "2", "--samples", "5"], 0),
     # at its default resolution fig2 takes the array path, which loads text
     (["figure", "fig2", "--format", "svg"], 0),
     (["rotate", "--input", "state.json", "--alpha", "alpha.json"], 0),
@@ -273,6 +280,9 @@ def _numpy_at_import() -> frozenset:
     ["sample", "--m", "2", "--k", "1", "--samples", "5", "--format", "json"],
     ["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "csv"],
     ["sample", "--m", "2", "--k", "2", "--samples", "5", "--format", "json"],
+    # the calls above take the plain path, which loads no numpy; these the array path
+    ["sample", "--m", "3", "--k", "2", "--samples", "5", "--format", "csv"],
+    ["sample", "--m", "3", "--k", "2", "--samples", "5", "--format", "json"],
     ["basis", "--m", "2", "--verify"],
     ["validate", "--input", "state.json"],
     ["spectrum", "--both", "--input", "state.json"],

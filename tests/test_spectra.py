@@ -4,10 +4,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
+from genbloch import tunnel_amplitudes
 from genbloch.clifford import basis_element, full_basis
 from genbloch.coords import (
     AntisymTensor,
@@ -261,6 +262,48 @@ def test_normal_form_matches_oracle(g):
     mode = "standard" if g.side == 2 * g.m else "extended"
     oracle = hermitian_eigenvalues(tensor_config(g.m, 2, g, mode=mode))
     assert np.max(np.abs(normal_form_eigenvalues(g) - oracle)) < 1e-9
+
+
+# the grade-2 masks at m = 2 in wire order: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)
+_TUNNEL_MASKS = [(1 << i) | (1 << j) for i, j in itertools.combinations(range(4), 2)]
+
+
+@st.composite
+def tunnel_entries(draw):
+    """Six grade-2 entries at m = 2 at a scale from 1e-200 to 1e200: free, or
+    with a_+ = a_- (G_34 = G_24 = G_23 = 0), or with a_+ = 0."""
+    unit = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-1.0, 1.0)
+    g = draw(st.lists(unit, min_size=6, max_size=6))
+    shape = draw(st.sampled_from(["free", "equal", "plus-zero"]))
+    if shape == "equal":
+        g[3:] = [0.0, 0.0, 0.0]
+    elif shape == "plus-zero":
+        g[3:] = [-g[2], g[1], -g[0]]
+    scale = draw(st.sampled_from([1.0, 1e-200, 1e200, 2.0 ** -60, 3.0]))
+    return [x * scale for x in g]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tunnel_entries())
+@example([0.0] * 6)
+@example([1.3e200, 0.0, 0.0, 0.0, 0.0, -1.3e200])
+@example([1e-200, 0.0, 0.0, 0.0, 0.0, 0.0])
+@example([0.6, 0.0, 0.0, 0.0, 0.0, 0.3])
+def test_tunnel_closed_form_matches_svd(g):
+    # at m = 2 a grade-2 tensor's normal form is the closed form of the package
+    # (genbloch.tunnel_amplitudes), the same bits from floats and arrays, and
+    # within 16 eps |G| of LAPACK's singular values, |G|^2 the sum of the G_ij^2
+    grades = {2: dict(zip(_TUNNEL_MASKS, g))}
+    mu, pf = normal_form(2, grades)
+    closed = tunnel_amplitudes(g)
+    assert mu.tolist() == [*closed, 0.0] and pf == 0.0
+    assert closed[0] >= closed[1] >= 0.0
+    # a stack of the state and its negative gives each its own bits
+    stack, _ = normal_form(2, {2: {mask: np.array([x, -x]) for mask, x in grades[2].items()}})
+    assert stack.tolist() == [mu.tolist()] * 2
+    svd = np.linalg.svd(bordered_parts(2, grades), compute_uv=False)[::2]
+    bound = 16 * np.finfo(float).eps * math.hypot(*g)
+    assert np.max(np.abs(mu - svd)) <= bound, (mu, svd)
 
 
 def _vector_configs(rng, m):
